@@ -240,7 +240,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
             "root_test": radius.radius_root_test(modeq, lam).to_json_dict(),
             "zero_search": radius.radius_zero_search(scheme, lam).to_json_dict(),
         }
-        if scheme.name == "heat_centered" and lam >= Fraction(1, 4):
+        if scheme.name == "heat_centered":
             entry["closed_form"] = radius.heat_closed_form_radius(lam).to_json_dict()
         else:
             entry["closed_form"] = None

@@ -6,7 +6,10 @@ Two deliberately independent methods:
   (only the modified equation is consulted);
 * the zero search locates the complex zero of the symbol S nearest the
   origin (only the symbol is consulted) -- S is entire, so the principal
-  logarithm is obstructed exactly at zeros of S.
+  logarithm is obstructed exactly at zeros of S.  With w = e^{i theta} the
+  symbol times a power of w is a polynomial Q(w) with exact coefficients,
+  so the zeros are mapped from the roots of Q: there is no search box, and
+  an infinite radius (Q without nonzero roots) is proven, not inferred.
 
 Disagreement between the two flags a bug.  Exact Bernoulli numbers and
 Euler-polynomial values are provided as an arithmetic cross-check for the
@@ -24,8 +27,9 @@ import numpy as np
 from mpmath import mp
 
 from .derivation import ModifiedEq
-from .schemes import SchemeSpec, catalog_scheme
-from .spectra import eval_symbol, symbol_derivative
+from .exactalg import GR_ONE, GR_ZERO, GaussianRational
+from .schemes import SchemeSpec
+from .spectra import eval_symbol
 
 __all__ = [
     "RadiusDiagnostics",
@@ -42,7 +46,7 @@ Number = Union[int, float, Fraction]
 
 
 class ZeroSearchError(RuntimeError):
-    """The zero search neither converged nor certified the absence of zeros."""
+    """The root finder did not converge on the symbol polynomial Q."""
 
 
 @dataclass(frozen=True)
@@ -182,201 +186,120 @@ def radius_root_test(modeq: ModifiedEq, lam: Union[int, Fraction]) -> RadiusEsti
 # Zero search
 # ---------------------------------------------------------------------------
 
-_SEARCH_RE = 2 * math.pi
-_SEARCH_IM = 6.0
-# trial points beyond this box are hopeless and risk exp overflow
-_BOX_RE = 8 * math.pi
-_BOX_IM = 40.0
+_ROOT_DPS = 50  # working digits for the roots of Q
 
 
-def _safe_abs(z: complex) -> float:
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
+def _symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> list[GaussianRational]:
+    """Exact coefficients, highest power first, of Q(w) = w^n * S with
+    w = e^{i theta} and n = max(0, -min offset), zero roots stripped."""
+    n = max(0, -scheme.stencil[0][0])
+    coeffs = [GR_ZERO] * (max(0, scheme.stencil[-1][0]) + n + 1)
+    coeffs[n] = GR_ONE
+    for p, w in scheme.stencil:
+        coeffs[p + n] += w(lam).scale(lam)
+    # the weights sum to zero, so Q(1) = S(0) = 1 and Q is never zero
+    while not coeffs[0]:
+        coeffs.pop(0)
+    while not coeffs[-1]:
+        coeffs.pop()
+    return coeffs[::-1]
 
 
-def _newton_zero(scheme: SchemeSpec, lam: Number, z0: complex) -> Optional[complex]:
-    """Damped Newton iteration on S, then a multiple-root-safe polish on
-    S/S'.  Returns a zero with |S(z)| <= 1e-10, or None."""
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Exact quotient and remainder of polynomials, highest power first."""
+    inv = b[0].conjugate().scale(1 / b[0].norm2())
+    quot = []
+    while len(a) >= len(b):
+        quot.append(a[0] * inv)
+        a = [x - quot[-1] * y for x, y in zip(a[1:], b[1:] + [GR_ZERO] * len(a))]
+    while a and not a[0]:
+        a = a[1:]
+    return quot, a
 
-    def s(z: complex) -> complex:
-        return eval_symbol(scheme, lam, z)
 
-    def s1(z: complex) -> complex:
-        return symbol_derivative(scheme, lam, z, 1)
-
-    def s2(z: complex) -> complex:
-        return symbol_derivative(scheme, lam, z, 2)
-
-    z = z0
-    fz = s(z)
-    for _ in range(80):
-        d1 = s1(z)
-        if _safe_abs(d1) < 1e-30:
-            return None
-        step = -fz / d1
-        t = 1.0
-        for _ in range(24):
-            zn = z + t * step
-            if abs(zn.real) > _BOX_RE or abs(zn.imag) > _BOX_IM:
-                t *= 0.5
-                continue
-            fn = s(zn)
-            if _safe_abs(fn) < _safe_abs(fz):
-                break
-            t *= 0.5
-        else:
-            break
-        z, fz = zn, fn
-        if _safe_abs(step) * t < 1e-12:
-            break
-    # Newton on S/S' converges quadratically even at multiple zeros
-    for _ in range(60):
-        f = s(z)
-        d1 = s1(z)
-        denom = d1 * d1 - f * s2(z)
-        if denom == 0:
-            break
-        dz = f * d1 / denom
-        zn = z - dz
-        if abs(zn.real) > _BOX_RE or abs(zn.imag) > _BOX_IM:
-            break
-        z = zn
-        if _safe_abs(dz) < 1e-15:
-            break
-    if _safe_abs(s(z)) <= 1e-8:
-        return z
-    return None
+def _square_free(q: list) -> list:
+    """q / gcd(q, q'): the roots of q, each simple, which Durand-Kerner
+    finds to full precision even where S has a multiple zero."""
+    a, b = q, [c.scale(len(q) - 1 - k) for k, c in enumerate(q[:-1])]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return _poly_divmod(q, a)[0]
 
 
 def _mp_fraction(x: Fraction):
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def _polish_zero_mp(scheme: SchemeSpec, lam: Number, z0: complex) -> Optional[complex]:
-    """High-precision Newton (on S/S', safe at multiple zeros) to remove the
-    double-precision cancellation floor near a zero of the symbol."""
-    with mp.workdps(50):
-        lam_mp = _mp_fraction(Fraction(lam)) if isinstance(lam, (int, Fraction)) \
-            else mp.mpf(float(lam))
-        weights = []
-        for p, w in scheme.stencil:
-            acc = mp.mpc(0)
-            for c in reversed(w.coeffs):
-                acc = acc * lam_mp + mp.mpc(_mp_fraction(c.re), _mp_fraction(c.im))
-            weights.append((p, acc))
-
-        def eval_s(z, order: int):
-            acc = mp.mpc(0)
-            for p, w in weights:
-                acc += w * (mp.mpc(0, p) ** order) * mp.exp(mp.mpc(0, p) * z)
-            value = lam_mp * acc
-            return value + 1 if order == 0 else value
-
-        z = mp.mpc(z0)
-        for _ in range(30):
-            f = eval_s(z, 0)
-            d1 = eval_s(z, 1)
-            denom = d1 * d1 - f * eval_s(z, 2)
-            if denom == 0:
-                break
-            dz = f * d1 / denom
-            z = z - dz
-            if abs(dz) < mp.mpf(10) ** (-40):
-                break
-        if abs(eval_s(z, 0)) > mp.mpf(1e-10):
-            return None
-        return complex(float(z.real), float(z.imag))
-
-
-def _rectangle_boundary_min(scheme: SchemeSpec, lam: Number, n: int = 512) -> float:
-    ts = np.linspace(-1.0, 1.0, n)
-    edges = [
-        ts * _SEARCH_RE + 1j * _SEARCH_IM,
-        ts * _SEARCH_RE - 1j * _SEARCH_IM,
-        _SEARCH_RE + 1j * ts * _SEARCH_IM,
-        -_SEARCH_RE + 1j * ts * _SEARCH_IM,
-    ]
-    return float(
-        min(np.min(np.abs(eval_symbol(scheme, lam, edge))) for edge in edges)
-    )
-
-
 def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     """Radius as the modulus of the symbol zero nearest the origin.
 
-    Damped Newton from a grid of starts over [-2pi, 2pi] x [-6i, 6i]; when
-    no zero is found and |S| is bounded away from zero on the rectangle
-    boundary the radius is reported as infinite.
+    With w = e^{i theta}, Q(w) = w^n * S is a polynomial with exact
+    coefficients at rational lambda (a float lambda is taken at its exact
+    binary value).  The zeros of S are theta = -i ln w + 2 pi k for the
+    nonzero roots w of Q, found by ``mpmath.polyroots`` at raised precision.
+    There is no search box: a Q without nonzero roots proves R infinite.
+
+    Ties in modulus go to the smaller real part, then the smaller imaginary
+    part (so -pi rather than +pi).  ``coefficients_used`` is the number of
+    nonzero roots of Q with multiplicity; ``residual`` is |S| at the zero in
+    double precision, an independent check.  Raises ``ZeroSearchError``
+    when the root finder does not converge.
     """
     if float(lam) <= 0:
         raise ValueError("lambda must be positive")
-    candidates: list[complex] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for re0 in np.linspace(-_SEARCH_RE, _SEARCH_RE, 17):
-            for im0 in np.linspace(-_SEARCH_IM, _SEARCH_IM, 13):
-                z = _newton_zero(scheme, lam, complex(re0, im0))
-                if z is None:
-                    continue
-                if abs(z.real) > _SEARCH_RE + 1e-4 or abs(z.imag) > _SEARCH_IM + 1e-4:
-                    continue
-                if all(abs(z - w) > 1e-5 for w in candidates):
-                    candidates.append(z)
-    # double precision cannot pin a (possibly multiple) zero much below
-    # sqrt(eps); finish the few distinct candidates in high precision
-    zeros: list[complex] = []
-    for z0 in candidates:
-        z = _polish_zero_mp(scheme, lam, z0)
-        if z is None:
-            continue
-        if abs(z.real) > _SEARCH_RE + 1e-6 or abs(z.imag) > _SEARCH_IM + 1e-6:
-            continue
-        if all(abs(z - w) > 1e-7 for w in zeros):
-            zeros.append(z)
+    q = _symbol_polynomial(scheme, Fraction(lam))
+    zeros = []
+    with mp.workdps(_ROOT_DPS):
+        coeffs = [mp.mpc(_mp_fraction(c.re), _mp_fraction(c.im)) for c in _square_free(q)]
+        # polyroots stops on an absolute step size: carry the bits of the
+        # Cauchy bound on |w| as extra precision
+        bound = 1 + max(abs(c) for c in coeffs) / abs(coeffs[0])
+        try:
+            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=10 + int(mp.log(bound, 2)))
+        except mp.NoConvergence as exc:
+            raise ZeroSearchError(
+                f"zero search: no convergence on the degree-{len(q) - 1} symbol "
+                f"polynomial of scheme {scheme.name} at lambda={lam}"
+            ) from exc
+        for w in roots:
+            theta = mp.mpc(mp.arg(w), -mp.log(abs(w)))
+            for z in (theta - 2 * mp.pi, theta, theta + 2 * mp.pi):
+                zeros.append(complex(float(z.real), float(z.imag)))
     if not zeros:
-        boundary_min = _rectangle_boundary_min(scheme, lam)
-        if boundary_min > 1e-6:
-            return RadiusEstimate(
-                value=math.inf,
-                method="zero_search",
-                diagnostics=RadiusDiagnostics(
-                    coefficients_used=0, residual=boundary_min
-                ),
-            )
-        raise ZeroSearchError(
-            "no zero converged and |S| is not bounded away from zero on the "
-            "search boundary"
+        return RadiusEstimate(
+            value=math.inf,
+            method="zero_search",
+            diagnostics=RadiusDiagnostics(coefficients_used=0, residual=0.0),
         )
-    # deterministic selection: smallest modulus, then real part, then imaginary
     best = min(zeros, key=lambda z: (round(abs(z) / 1e-9), z.real, z.imag))
     residual = abs(eval_symbol(scheme, lam, best))
     return RadiusEstimate(
         value=abs(best),
         method="zero_search",
         diagnostics=RadiusDiagnostics(
-            coefficients_used=len(zeros), residual=residual, zero=best
+            coefficients_used=len(q) - 1, residual=residual, zero=best
         ),
     )
 
 
 def heat_closed_form_radius(lam: Number) -> RadiusEstimate:
-    """Closed-form radius for the centered heat scheme.
+    """Closed-form radius for the centered heat scheme, for every lambda > 0.
 
-    For lambda >= 1/4 the symbol 1 - 4 lambda sin^2(theta/2) has a real zero
-    at 2 asin(1/(2 sqrt(lambda))), which is the radius.  Below 1/4 the zeros
-    move off the real axis and the numeric zero search takes over.
+    The symbol 1 - 4 lambda sin^2(theta/2) vanishes where
+    sin(theta/2) = 1/(2 sqrt(lambda)).  For lambda >= 1/4 that is the real
+    zero 2 asin(1/(2 sqrt(lambda))); below 1/4 the nearest zeros are
+    pi +/- 2i acosh(1/(2 sqrt(lambda))).  The symbol is never consulted, so
+    this is a third route independent of the root test and the zero search.
     """
     lam_f = float(lam)
     if lam_f <= 0:
         raise ValueError("lambda must be positive")
     if lam_f < 0.25:
-        return radius_zero_search(catalog_scheme("heat_centered"), lam)
-    value = 2.0 * math.asin(1.0 / (2.0 * math.sqrt(lam_f)))
+        zero = complex(math.pi, 2.0 * math.acosh(1.0 / (2.0 * math.sqrt(lam_f))))
+    else:
+        zero = complex(2.0 * math.asin(1.0 / (2.0 * math.sqrt(lam_f))), 0.0)
     return RadiusEstimate(
-        value=value,
+        value=abs(zero),
         method="closed_form",
-        diagnostics=RadiusDiagnostics(
-            coefficients_used=0, residual=0.0, zero=complex(value, 0.0)
-        ),
+        diagnostics=RadiusDiagnostics(coefficients_used=0, residual=0.0, zero=zero),
     )

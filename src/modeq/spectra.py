@@ -35,7 +35,6 @@ __all__ = [
     "theta_grid",
     "stencil_weights",
     "eval_symbol",
-    "symbol_derivative",
     "compute_theta_m",
     "region_scan",
     "truncated_amplification",
@@ -88,18 +87,6 @@ def eval_symbol(scheme: SchemeSpec, lam: Number, theta) -> complex:
     for p, w in stencil_weights(scheme, lam):
         acc = acc + w * np.exp(1j * p * np.asarray(theta, dtype=complex))
     result = 1.0 + lam_f * acc
-    if np.ndim(theta) == 0:
-        return complex(result)
-    return result
-
-
-def symbol_derivative(scheme: SchemeSpec, lam: Number, theta, k: int = 1) -> complex:
-    """k-th theta-derivative of the symbol at theta (complex allowed)."""
-    lam_f = float(lam)
-    acc = 0
-    for p, w in stencil_weights(scheme, lam):
-        acc = acc + w * (1j * p) ** k * np.exp(1j * p * np.asarray(theta, dtype=complex))
-    result = lam_f * acc
     if np.ndim(theta) == 0:
         return complex(result)
     return result

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from modeq.cli import main
 from modeq.derivation import derive_log
 from modeq.radius import (
     bernoulli,
@@ -13,6 +17,7 @@ from modeq.radius import (
     radius_root_test,
     radius_zero_search,
 )
+from modeq.schemes import catalog_scheme, parse_scheme
 from modeq.spectra import compute_theta_m
 
 
@@ -127,14 +132,106 @@ class TestZeroSearch:
         assert math.isinf(est.value)
         assert est.diagnostics.zero is None
 
-    def test_selection_rule_is_deterministic(self, heat):
+    def test_selection_rule_is_deterministic(self, heat, upwind):
         a = radius_zero_search(heat, Fraction(1, 2))
         b = radius_zero_search(heat, Fraction(1, 2))
         assert a.diagnostics.zero == b.diagnostics.zero
+        # equally near zeros at Re theta = +pi and -pi: the -pi branch wins
+        zero = radius_zero_search(upwind, Fraction(1, 4)).diagnostics.zero
+        assert zero.real == pytest.approx(-math.pi, abs=1e-12)
 
     def test_lambda_domain(self, heat):
         with pytest.raises(ValueError):
             radius_zero_search(heat, 0)
+
+    def test_counts_nonzero_roots_with_multiplicity(self, heat):
+        # Q(w) = (w + 1)^2 / 4: one double root
+        est = radius_zero_search(heat, Fraction(1, 4))
+        assert est.diagnostics.coefficients_used == 2
+
+    def test_quadruple_zero(self):
+        # two heat steps per step: S = (1 - 4 lambda sin^2(theta/2))^2, so at
+        # lambda = 1/4 the symbol is cos^4(theta/2) and Q(w) = (w + 1)^4 / 16
+        scheme = parse_scheme(
+            "scheme heat_twice\nq = 2\npde A[2] = -2\n"
+            "stencil B[-2] = lambda\nstencil B[-1] = 2 - 4*lambda\n"
+            "stencil B[0] = -4 + 6*lambda\nstencil B[1] = 2 - 4*lambda\n"
+            "stencil B[2] = lambda\n"
+        )
+        est = radius_zero_search(scheme, Fraction(1, 4))
+        assert est.value == pytest.approx(math.pi, abs=1e-12)
+        assert est.diagnostics.coefficients_used == 4
+
+
+class TestZeroSearchRegressions:
+    """Zeros with |Im theta| > 6, which a bounded search box misses."""
+
+    @pytest.mark.parametrize(
+        "name, lam, expected",
+        [
+            ("heat_centered", Fraction(1, 1000), 7.5868),
+            ("upwind_euler", Fraction(1, 1000), 7.5877),
+            ("upwind_euler", Fraction(999, 1000), 7.5877),
+        ],
+    )
+    def test_far_zero_found(self, name, lam, expected):
+        est = radius_zero_search(catalog_scheme(name), lam)
+        assert est.value == pytest.approx(expected, abs=1e-4)
+        assert abs(est.diagnostics.zero.imag) > 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-6.0, max_value=1.0))
+def test_zero_search_matches_heat_closed_form(heat, log10_lam):
+    lam = 10.0**log10_lam
+    est = radius_zero_search(heat, lam)
+    assert est.value == pytest.approx(heat_closed_form_radius(lam).value, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda x: 0 < x < 1))
+def test_upwind_mirror_symmetry(upwind, lam):
+    a = radius_zero_search(upwind, lam)
+    b = radius_zero_search(upwind, 1 - lam)
+    assert a.value == pytest.approx(b.value, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [Fraction(1, 10**6), Fraction(1, 1000), Fraction(1, 10), Fraction(1, 2),
+     Fraction(9, 10), Fraction(3, 2), Fraction(7, 3)],
+)
+def test_lax_wendroff_matches_quadratic_formula(lax, lam):
+    # w S(w) = a w^2 + b w + c with the Lax-Wendroff weights
+    x = float(lam)
+    a, b, c = x * (x - 1) / 2, 1 - x * x, x * (x + 1) / 2
+    disc = cmath.sqrt(b * b - 4 * a * c)
+    half = -max(b + disc, b - disc, key=abs) / 2  # the sign without cancellation
+    roots = [half / a, c / half]
+    expected = min(abs(complex(cmath.phase(w), -math.log(abs(w)))) for w in roots)
+    assert radius_zero_search(lax, lam).value == pytest.approx(expected, rel=1e-9)
+
+
+def test_lax_wendroff_unit_ratio_infinite(lax):
+    # w S(w) = 1 at lambda = 1: the symbol is the exact shift e^{-i theta}
+    est = radius_zero_search(lax, 1)
+    assert math.isinf(est.value)
+    assert est.diagnostics.coefficients_used == 0
+
+
+class TestZeroSearchFailure:
+    def test_no_convergence_exits_2_and_names_the_case(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("forced")
+
+        monkeypatch.setattr(mpmath.mp, "polyroots", no_convergence)
+        code = main(["radius", "--catalog", "upwind_euler", "--lambdas", "1/4",
+                     "-N", "16", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "upwind_euler" in captured.err and "1/4" in captured.err
+        assert "inf" not in captured.out
+        assert not list(tmp_path.iterdir())
 
 
 class TestClosedForm:
@@ -153,7 +250,7 @@ class TestClosedForm:
 
     def test_below_quarter_defers_to_zero_search(self):
         est = heat_closed_form_radius(Fraction(1, 5))
-        assert est.method == "zero_search"
+        assert est.method == "closed_form"
         # complex zero pi +/- i * 2 arccosh(1/(2 sqrt(lam)))
         expected = math.hypot(math.pi, 2 * math.acosh(1 / (2 * math.sqrt(0.2))))
         assert est.value == pytest.approx(expected, abs=1e-10)
