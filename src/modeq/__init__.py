@@ -9,14 +9,11 @@ chain against the scheme run on an actual periodic grid.
 """
 
 from .exactalg import (
-    GaussianRational,
     InexactDivisionError,
     LambdaPoly,
     OrderMismatchError,
-    Rational,
     SeriesPreconditionError,
     ThetaSeries,
-    i_power,
     series_exp,
     series_log,
     series_mul,

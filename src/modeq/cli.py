@@ -233,6 +233,9 @@ def cmd_radius(args: argparse.Namespace) -> int:
     order = max(orders)
     _check_order(order)
     modeq = derive_log(scheme, order)
+    # the radius depends only on the symbol, so the heat closed form applies
+    # to every scheme with the heat stencil, whatever its name
+    heat_stencil = scheme.stencil == catalog_scheme("heat_centered").stencil
     results = []
     for lam in lambdas:
         entry = {
@@ -240,7 +243,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
             "root_test": radius.radius_root_test(modeq, lam).to_json_dict(),
             "zero_search": radius.radius_zero_search(scheme, lam).to_json_dict(),
         }
-        if scheme.name == "heat_centered":
+        if heat_stencil:
             entry["closed_form"] = radius.heat_closed_form_radius(lam).to_json_dict()
         else:
             entry["closed_form"] = None

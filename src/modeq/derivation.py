@@ -12,7 +12,10 @@ Both return the coefficients c_p of
     u_t = sum_p c_p(lambda) dx^(p-q) d^p u / dx^p
 
 with dx normalized to 1 in the symbolic computation; the dx-dependence is
-carried by the integer grading p - q.  No floating point enters this module.
+carried by the integer grading p - q.  Series are expanded in x = i*theta
+(see ``exactalg``), so c_p is read directly as [x^p](ln S) / lambda, a real
+polynomial in lambda.  Floating point enters only through
+``ModifiedEq.g_float``.
 """
 
 from __future__ import annotations
@@ -20,15 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exactalg import (
     LP_ZERO,
-    GaussianRational,
     InexactDivisionError,
     LambdaPoly,
     ThetaSeries,
-    i_power,
     series_log,
     series_mul,
 )
@@ -56,8 +57,9 @@ class ModifiedEq:
 
     ``coeffs[p-1]`` is the lambda-polynomial c_p; the physical coefficient of
     d^p u/dx^p is c_p(lambda) * dx^(p-q).  The Fourier-space generator G of
-    the equation has theta-coefficients c_p(lambda) * i^p at dx = 1, and the
-    one-step symbol satisfies ln S = lambda * sum_p c_p i^p theta^p.
+    the equation is sum_p c_p(lambda) x^p at dx = 1 with x = i*theta, so its
+    theta^p coefficient is i^p c_p(lambda), and the one-step symbol satisfies
+    ln S = lambda * sum_p c_p x^p.
     """
 
     scheme_name: str
@@ -78,32 +80,21 @@ class ModifiedEq:
         """Power of dx multiplying c_p in the physical coefficient."""
         return p - self.q
 
-    def mu(self, p: int, lam: Union[int, Fraction], dx: Union[int, Fraction] = 1) -> GaussianRational:
-        """Physical coefficient c_p(lambda) * dx^(p-q), exactly."""
-        scale = Fraction(dx) ** self.grading(p)
-        return self.coeff(p)(lam).scale(scale)
-
-    def g_poly(self, p: int) -> LambdaPoly:
-        """theta^p coefficient of the generator G at dx = 1, as a polynomial."""
-        return self.coeff(p).scale(i_power(p))
-
-    def g_coeff(self, p: int, lam: Union[int, Fraction]) -> GaussianRational:
-        """theta^p coefficient of G at dx = 1, evaluated exactly."""
-        return self.coeff(p)(lam) * i_power(p)
-
-    def log_coeff(self, p: int, lam: Union[int, Fraction]) -> GaussianRational:
-        """theta^p coefficient of ln S, i.e. lambda times ``g_coeff``."""
-        return self.g_coeff(p, lam).scale(Fraction(lam))
+    def g_float(self, p: int, lam: float) -> complex:
+        """theta^p coefficient i^p c_p(lambda) of G at dx = 1, in floating
+        point: complex(+-c, 0.0) for even p, complex(0.0, +-c) for odd p."""
+        c = self.coeff(p).eval_float(lam)
+        if p & 2:
+            c = 0.0 - c  # the sign of i^p; a zero stays +0.0
+        return complex(c, 0.0) if p % 2 == 0 else complex(0.0, c)
 
     def dt_g_series(self, order: Optional[int] = None) -> ThetaSeries:
-        """The series dt*G = ln S as a ThetaSeries (lambda symbolic)."""
+        """The series dt*G = ln S in x = i*theta (lambda symbolic): its x^p
+        coefficient is lambda * c_p."""
         n = self.order if order is None else order
         if n > self.order:
             raise ValueError(f"requested order {n} exceeds stored order {self.order}")
-        coeffs = [LP_ZERO]
-        for p in range(1, n + 1):
-            coeffs.append(self.g_poly(p).shift_up(1))
-        return ThetaSeries(tuple(coeffs))
+        return ThetaSeries((LP_ZERO,) + tuple(c.shift_up(1) for c in self.coeffs[:n]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,11 +113,11 @@ class ModifiedEq:
 
 
 def symbol_series(scheme: SchemeSpec, order: int) -> ThetaSeries:
-    """Taylor expansion in theta of the one-step symbol
-    S = 1 + lambda * sum_p B_p(lambda) e^{i p theta}.
+    """Taylor expansion in x = i*theta of the one-step symbol
+    S = 1 + lambda * sum_p B_p(lambda) e^{p x}.
 
-    The theta^0 coefficient is exactly 1 because the weights sum to zero;
-    the theta^r coefficient is lambda * sum_p B_p(lambda) (ip)^r / r!.
+    The x^0 coefficient is exactly 1 because the weights sum to zero; the
+    x^r coefficient is lambda * sum_p B_p(lambda) p^r / r!.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
@@ -137,29 +128,21 @@ def symbol_series(scheme: SchemeSpec, order: int) -> ThetaSeries:
             if p == 0 or w.is_zero:
                 continue
             total = total + w.scale(Fraction(p**r, math.factorial(r)))
-        coeffs.append(total.scale(i_power(r)).shift_up(1))
+        coeffs.append(total.shift_up(1))
     return ThetaSeries(tuple(coeffs))
 
 
-def _normalize(scheme: SchemeSpec, dt_g_coeffs: list, engine: str) -> ModifiedEq:
-    """Convert theta-coefficients of dt*G into modified-equation c_p."""
+def _normalize(scheme: SchemeSpec, dt_g: list, engine: str) -> ModifiedEq:
+    """Convert x-coefficients of dt*G into modified-equation c_p."""
     out = []
-    for p, poly in enumerate(dt_g_coeffs, start=1):
+    for p, poly in enumerate(dt_g, start=1):
         try:
-            c = poly.divide_by_lambda().scale(i_power(-p))
+            out.append(poly.divide_by_lambda())
         except InexactDivisionError as exc:
             raise CrossCheckError(
-                f"{engine}: theta^{p} coefficient not divisible by lambda; "
+                f"{engine}: x^{p} coefficient not divisible by lambda; "
                 f"the consistency invariant is broken upstream"
             ) from exc
-        out.append(c)
-    if scheme.has_real_stencil:
-        for p, c in enumerate(out, start=1):
-            if not c.is_real:
-                raise CrossCheckError(
-                    f"{engine}: c_{p} = {c} has nonzero imaginary part "
-                    f"for a real-stencil scheme"
-                )
     return ModifiedEq(scheme_name=scheme.name, q=scheme.q, coeffs=tuple(out))
 
 
@@ -174,10 +157,10 @@ def derive_log(scheme: SchemeSpec, order: int) -> ModifiedEq:
 def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
     """Modified equation via order-by-order elimination.
 
-    Solves sum_{m>=1} D^m/m! = S - 1 for D = sum_p d_p theta^p: at each
-    order p the unknown d_p appears only in the m = 1 term, so
+    Solves sum_{m>=1} D^m/m! = S - 1 for D = sum_p d_p x^p: at each order
+    p the unknown d_p appears only in the m = 1 term, so
 
-        d_p = [theta^p](S - 1) - [theta^p] sum_{m>=2} D_<p^m / m!
+        d_p = [x^p](S - 1) - [x^p] sum_{m>=2} D_<p^m / m!
 
     where D_<p collects the already-determined d_1..d_{p-1}.  This engine
     never takes a logarithm; it only multiplies series.
@@ -185,7 +168,7 @@ def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     s = symbol_series(scheme, order)
-    q_coeffs = s.coeffs  # [theta^p](S - 1) = s.coeffs[p] for p >= 1
+    q_coeffs = s.coeffs  # [x^p](S - 1) = s.coeffs[p] for p >= 1
     d = [LP_ZERO] * (order + 1)
     for p in range(1, order + 1):
         partial = ThetaSeries(tuple(d))

@@ -1,11 +1,18 @@
-"""Exact arithmetic kernel: Gaussian rationals, polynomials in the mesh
-ratio lambda, and power series in the Fourier angle theta truncated at a
-fixed order.
+"""Exact arithmetic kernel: polynomials in the mesh ratio lambda with
+rational coefficients, and power series in x = i*theta truncated at a fixed
+order.
+
+For a real stencil the one-step symbol is S(theta) = F(i*theta), where F is
+a power series whose coefficients are real polynomials in lambda; so are
+ln S and the modified-equation generator.  The kernel therefore works over
+the rationals alone: a series here is F in the variable x = i*theta, and
+the factor i^p of a theta^p coefficient appears only when a float
+evaluation substitutes x = i*theta.
 
 Everything here is exact.  Floating point enters only through the explicit
-conversion helpers (``complex(...)``, ``eval_complex``); all arithmetic is
-carried out over arbitrary-precision rationals so that polynomial identities
-can be tested by literal equality.
+conversion helper ``eval_float``; all arithmetic is carried out over
+arbitrary-precision rationals so that polynomial identities can be tested by
+literal equality.
 """
 
 from __future__ import annotations
@@ -16,14 +23,11 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 __all__ = [
-    "Rational",
-    "GaussianRational",
     "LambdaPoly",
     "ThetaSeries",
     "OrderMismatchError",
     "SeriesPreconditionError",
     "InexactDivisionError",
-    "i_power",
     "series_mul",
     "series_add",
     "series_sub",
@@ -31,11 +35,7 @@ __all__ = [
     "series_exp",
 ]
 
-# Arbitrary-precision rational with gcd-reduced numerator/denominator and a
-# positive denominator -- Fraction guarantees exactly these invariants.
-Rational = Fraction
-
-ScalarLike = Union[int, Fraction, "GaussianRational"]
+ScalarLike = Union[int, Fraction]
 
 
 class OrderMismatchError(ValueError):
@@ -50,105 +50,20 @@ class InexactDivisionError(ArithmeticError):
     """An exact division had a nonzero remainder."""
 
 
-def _as_fraction(x: Union[int, Fraction]) -> Fraction:
+def _as_fraction(x: ScalarLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True, slots=True)
-class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def scale(self, factor: Union[int, Fraction]) -> "GaussianRational":
-        f = _as_fraction(factor)
-        return GaussianRational(self.re * f, self.im * f)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """Exact squared modulus re**2 + im**2."""
-        return self.re * self.re + self.im * self.im
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
-
-
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
-
-_I_CYCLE = (
-    GR_ONE,
-    GR_I,
-    GaussianRational(Fraction(-1)),
-    GaussianRational(Fraction(0), Fraction(-1)),
-)
-
-
-def i_power(k: int) -> GaussianRational:
-    """The exact Gaussian rational i**k for any integer k."""
-    return _I_CYCLE[k % 4]
-
-
-def _as_gaussian(x: ScalarLike) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(_as_fraction(x))
-
-
-@dataclass(frozen=True, slots=True)
 class LambdaPoly:
-    """Univariate polynomial in the mesh ratio lambda, with GaussianRational
+    """Univariate polynomial in the mesh ratio lambda, with Fraction
     coefficients stored by increasing power and trailing zeros trimmed."""
 
     coeffs: tuple = ()
 
     def __post_init__(self) -> None:
-        cs = [_as_gaussian(c) for c in self.coeffs]
-        while cs and cs[-1].is_zero:
+        cs = [_as_fraction(c) for c in self.coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -158,24 +73,20 @@ class LambdaPoly:
 
     @classmethod
     def one(cls) -> "LambdaPoly":
-        return cls((GR_ONE,))
+        return cls((Fraction(1),))
 
     @classmethod
     def const(cls, value: ScalarLike) -> "LambdaPoly":
-        return cls((_as_gaussian(value),))
+        return cls((value,))
 
     @classmethod
     def lam(cls) -> "LambdaPoly":
         """The monomial lambda."""
-        return cls((GR_ZERO, GR_ONE))
+        return cls((0, 1))
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -207,51 +118,50 @@ class LambdaPoly:
     def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
         if not self or not other:
             return LambdaPoly.zero()
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for j, a in enumerate(self.coeffs):
-            if a.is_zero:
+            if not a:
                 continue
             for k, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[j + k] = out[j + k] + a * b
+                if b:
+                    out[j + k] = out[j + k] + a * b
         return LambdaPoly(out)
 
     def scale(self, factor: ScalarLike) -> "LambdaPoly":
-        g = _as_gaussian(factor)
-        if g.is_zero:
+        f = _as_fraction(factor)
+        if not f:
             return LambdaPoly.zero()
-        return LambdaPoly(tuple(c * g for c in self.coeffs))
+        return LambdaPoly(tuple(c * f for c in self.coeffs))
 
     def shift_up(self, k: int = 1) -> "LambdaPoly":
         """Multiply by lambda**k."""
         if not self:
             return self
-        return LambdaPoly((GR_ZERO,) * k + self.coeffs)
+        return LambdaPoly((Fraction(0),) * k + self.coeffs)
 
     def divide_by_lambda(self) -> "LambdaPoly":
         """Exact division by lambda; the constant term must vanish."""
         if not self:
             return self
-        if not self.coeffs[0].is_zero:
+        if self.coeffs[0]:
             raise InexactDivisionError(
                 f"polynomial {self} has nonzero constant term, not divisible by lambda"
             )
         return LambdaPoly(self.coeffs[1:])
 
-    def __call__(self, lam: Union[int, Fraction, GaussianRational]) -> GaussianRational:
-        """Exact evaluation at a rational (or Gaussian rational) point."""
-        x = _as_gaussian(lam)
-        acc = GR_ZERO
+    def __call__(self, lam: ScalarLike) -> Fraction:
+        """Exact evaluation at a rational point."""
+        x = _as_fraction(lam)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    def eval_complex(self, lam: Union[float, complex]) -> complex:
+    def eval_float(self, lam: float) -> float:
         """Floating-point Horner evaluation."""
-        acc = 0j
+        acc = 0.0
         for c in reversed(self.coeffs):
-            acc = acc * lam + complex(c)
+            acc = acc * lam + float(c)
         return acc
 
     def __str__(self) -> str:
@@ -264,26 +174,19 @@ class LambdaPoly:
             return "0"
         denom = 1
         for c in self.coeffs:
-            denom = math.lcm(denom, c.re.denominator, c.im.denominator)
+            denom = math.lcm(denom, c.denominator)
         parts: list[str] = []
         for k, c in enumerate(self.coeffs):
-            a = int(c.re * denom)
-            b = int(c.im * denom)
-            if a == 0 and b == 0:
+            a = int(c * denom)
+            if a == 0:
                 continue
-            if b == 0:
-                negative, coeff = a < 0, str(abs(a))
-            elif a == 0:
-                negative, coeff = b < 0, ("i" if abs(b) == 1 else f"{abs(b)}*i")
-            else:
-                sign = "+" if b > 0 else "-"
-                negative, coeff = False, f"({a}{sign}{abs(b)}*i)"
+            coeff = str(abs(a))
             if k == 0:
                 term = coeff
             else:
                 power = var if k == 1 else f"{var}^{k}"
                 term = power if coeff == "1" else f"{coeff}*{power}"
-            parts.append(("-" if negative else "+") + term)
+            parts.append(("-" if a < 0 else "+") + term)
         body = "".join(parts).lstrip("+")
         if denom == 1:
             return body
@@ -294,16 +197,15 @@ class LambdaPoly:
 
 LP_ZERO = LambdaPoly.zero()
 LP_ONE = LambdaPoly.one()
-LP_LAMBDA = LambdaPoly.lam()
 
 
 @dataclass(frozen=True, slots=True)
 class ThetaSeries:
-    """Power series in theta truncated at a fixed order N.
+    """Power series in x = i*theta truncated at a fixed order N.
 
-    ``coeffs[p]`` is the LambdaPoly multiplying theta**p; the tuple always
-    has length N+1.  Arithmetic closes over the order: products are Cauchy
-    products with terms beyond theta**N discarded, and operands of different
+    ``coeffs[p]`` is the LambdaPoly multiplying x**p; the tuple always has
+    length N+1.  Arithmetic closes over the order: products are Cauchy
+    products with terms beyond x**N discarded, and operands of different
     orders are rejected rather than silently extended.
     """
 
@@ -341,11 +243,7 @@ class ThetaSeries:
         return all(c.is_zero for c in self.coeffs)
 
     def scale(self, factor: ScalarLike) -> "ThetaSeries":
-        g = _as_gaussian(factor)
-        return ThetaSeries(tuple(c.scale(g) for c in self.coeffs))
-
-    def scale_poly(self, poly: LambdaPoly) -> "ThetaSeries":
-        return ThetaSeries(tuple(c * poly for c in self.coeffs))
+        return ThetaSeries(tuple(c.scale(factor) for c in self.coeffs))
 
     def __add__(self, other: "ThetaSeries") -> "ThetaSeries":
         return series_add(self, other)
@@ -365,7 +263,7 @@ class ThetaSeries:
             if p == 0:
                 parts.append(body)
             else:
-                power = "theta" if p == 1 else f"theta^{p}"
+                power = "x" if p == 1 else f"x^{p}"
                 parts.append(power if body == "1" else f"({body})*{power}")
         return " + ".join(parts) if parts else "0"
 
@@ -405,7 +303,7 @@ def series_log(s: ThetaSeries) -> ThetaSeries:
     """Logarithm of a series with constant term 1.
 
     Computed as -sum_{m=1..N} (1-s)**m / m, which is exact at order N
-    because (1-s)**m contributes only to theta-orders >= m.
+    because (1-s)**m contributes only to x-orders >= m.
     """
     if s.coeffs[0] != LP_ONE:
         raise SeriesPreconditionError("series_log requires constant term 1")

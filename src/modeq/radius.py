@@ -7,7 +7,7 @@ Two deliberately independent methods:
 * the zero search locates the complex zero of the symbol S nearest the
   origin (only the symbol is consulted) -- S is entire, so the principal
   logarithm is obstructed exactly at zeros of S.  With w = e^{i theta} the
-  symbol times a power of w is a polynomial Q(w) with exact coefficients,
+  symbol times a power of w is a polynomial Q(w) with exact real coefficients,
   so the zeros are mapped from the roots of Q: there is no search box, and
   an infinite radius (Q without nonzero roots) is proven, not inferred.
 
@@ -27,7 +27,6 @@ import numpy as np
 from mpmath import mp
 
 from .derivation import ModifiedEq
-from .exactalg import GR_ONE, GR_ZERO, GaussianRational
 from .schemes import SchemeSpec
 from .spectra import eval_symbol
 
@@ -134,9 +133,9 @@ def _log_fraction(x: Fraction) -> float:
 
 
 def radius_root_test(modeq: ModifiedEq, lam: Union[int, Fraction]) -> RadiusEstimate:
-    """Radius from the decay of the generator coefficients g_p(lambda).
+    """Radius from the decay of the generator coefficients c_p(lambda).
 
-    |g_p|^(1/p) -> 1/R, so log|g_p| is fitted against p by least squares
+    |c_p|^(1/p) -> 1/R, so log|c_p| is fitted against p by least squares
     over the top third of the available nonzero coefficients (zero
     coefficients are skipped but keep their true index).  Magnitudes are
     computed from exact rationals before any float conversion.
@@ -147,11 +146,11 @@ def radius_root_test(modeq: ModifiedEq, lam: Union[int, Fraction]) -> RadiusEsti
     indices: list[int] = []
     logs: list[float] = []
     for p in range(1, modeq.order + 1):
-        g = modeq.g_coeff(p, lam)
-        if g.is_zero:
+        c = modeq.coeff(p)(lam)
+        if not c:
             continue
         indices.append(p)
-        logs.append(0.5 * _log_fraction(g.norm2()))
+        logs.append(0.5 * _log_fraction(c * c))
     if not indices:
         return RadiusEstimate(
             value=math.inf,
@@ -189,14 +188,14 @@ def radius_root_test(modeq: ModifiedEq, lam: Union[int, Fraction]) -> RadiusEsti
 _ROOT_DPS = 50  # working digits for the roots of Q
 
 
-def _symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> list[GaussianRational]:
-    """Exact coefficients, highest power first, of Q(w) = w^n * S with
+def _symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> list[Fraction]:
+    """Exact real coefficients, highest power first, of Q(w) = w^n * S with
     w = e^{i theta} and n = max(0, -min offset), zero roots stripped."""
     n = max(0, -scheme.stencil[0][0])
-    coeffs = [GR_ZERO] * (max(0, scheme.stencil[-1][0]) + n + 1)
-    coeffs[n] = GR_ONE
+    coeffs = [Fraction(0)] * (max(0, scheme.stencil[-1][0]) + n + 1)
+    coeffs[n] = Fraction(1)
     for p, w in scheme.stencil:
-        coeffs[p + n] += w(lam).scale(lam)
+        coeffs[p + n] += w(lam) * lam
     # the weights sum to zero, so Q(1) = S(0) = 1 and Q is never zero
     while not coeffs[0]:
         coeffs.pop(0)
@@ -207,11 +206,10 @@ def _symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> list[GaussianRation
 
 def _poly_divmod(a: list, b: list) -> tuple[list, list]:
     """Exact quotient and remainder of polynomials, highest power first."""
-    inv = b[0].conjugate().scale(1 / b[0].norm2())
     quot = []
     while len(a) >= len(b):
-        quot.append(a[0] * inv)
-        a = [x - quot[-1] * y for x, y in zip(a[1:], b[1:] + [GR_ZERO] * len(a))]
+        quot.append(a[0] / b[0])
+        a = [x - quot[-1] * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
     while a and not a[0]:
         a = a[1:]
     return quot, a
@@ -220,7 +218,7 @@ def _poly_divmod(a: list, b: list) -> tuple[list, list]:
 def _square_free(q: list) -> list:
     """q / gcd(q, q'): the roots of q, each simple, which Durand-Kerner
     finds to full precision even where S has a multiple zero."""
-    a, b = q, [c.scale(len(q) - 1 - k) for k, c in enumerate(q[:-1])]
+    a, b = q, [c * (len(q) - 1 - k) for k, c in enumerate(q[:-1])]
     while b:
         a, b = b, _poly_divmod(a, b)[1]
     return _poly_divmod(q, a)[0]
@@ -233,7 +231,7 @@ def _mp_fraction(x: Fraction):
 def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     """Radius as the modulus of the symbol zero nearest the origin.
 
-    With w = e^{i theta}, Q(w) = w^n * S is a polynomial with exact
+    With w = e^{i theta}, Q(w) = w^n * S is a polynomial with exact rational
     coefficients at rational lambda (a float lambda is taken at its exact
     binary value).  The zeros of S are theta = -i ln w + 2 pi k for the
     nonzero roots w of Q, found by ``mpmath.polyroots`` at raised precision.
@@ -250,7 +248,7 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     q = _symbol_polynomial(scheme, Fraction(lam))
     zeros = []
     with mp.workdps(_ROOT_DPS):
-        coeffs = [mp.mpc(_mp_fraction(c.re), _mp_fraction(c.im)) for c in _square_free(q)]
+        coeffs = [_mp_fraction(c) for c in _square_free(q)]
         # polyroots stops on an absolute step size: carry the bits of the
         # Cauchy bound on |w| as extra precision
         bound = 1 + max(abs(c) for c in coeffs) / abs(coeffs[0])

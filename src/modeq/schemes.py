@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .exactalg import LP_ZERO, GaussianRational, LambdaPoly
+from .exactalg import LP_ZERO, LambdaPoly
 
 __all__ = [
     "SchemeSpec",
@@ -114,9 +114,6 @@ class SchemeSpec:
                 return w
         return LP_ZERO
 
-    def stencil_map(self) -> dict:
-        return dict(self.stencil)
-
     def pde_map(self) -> dict:
         return dict(self.pde)
 
@@ -137,10 +134,6 @@ class SchemeSpec:
     @property
     def n_right(self) -> int:
         return max(0, max(self.offsets))
-
-    @property
-    def has_real_stencil(self) -> bool:
-        return all(w.is_real for _, w in self.stencil)
 
 
 @dataclass(frozen=True)
@@ -326,11 +319,8 @@ def _render_rational(x: Fraction) -> str:
 def _render_stencil_poly(poly: LambdaPoly) -> str:
     if poly.is_zero:
         return "0"
-    if not poly.is_real:
-        raise SchemeError("stencil file format carries rational coefficients only")
     parts = []
-    for k, c in enumerate(poly.coeffs):
-        r = c.re
+    for k, r in enumerate(poly.coeffs):
         if not r:
             continue
         mag = _render_rational(abs(r))
@@ -359,7 +349,7 @@ def render_scheme(spec: SchemeSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _poly(*rationals: Union[int, str, Fraction]) -> LambdaPoly:
-    return LambdaPoly(tuple(GaussianRational(Fraction(r)) for r in rationals))
+    return LambdaPoly(tuple(Fraction(r) for r in rationals))
 
 
 def _heat_centered() -> CatalogEntry:

@@ -70,7 +70,7 @@ def stencil_weights(scheme: SchemeSpec, lam: Number) -> list[tuple[int, complex]
     out = []
     exact = isinstance(lam, (int, Fraction))
     for p, w in scheme.stencil:
-        value = complex(w(lam)) if exact else w.eval_complex(float(lam))
+        value = complex(w(lam) if exact else w.eval_float(float(lam)))
         out.append((p, value))
     return out
 
@@ -113,7 +113,7 @@ def _re_p_coeffs(modeq: ModifiedEq, lam: float, order: int) -> np.ndarray:
     """Real parts of the generator's theta-coefficients [0..order] at dx=1."""
     out = np.zeros(order + 1)
     for p in range(1, order + 1):
-        out[p] = modeq.g_poly(p).eval_complex(lam).real
+        out[p] = modeq.g_float(p, lam).real
     return out
 
 
@@ -267,7 +267,7 @@ def truncated_amplification(
     th = np.asarray(theta, dtype=complex)
     p_val = np.zeros_like(th)
     for p in range(order, 0, -1):
-        p_val = (p_val + modeq.g_poly(p).eval_complex(lam_f)) * th
+        p_val = (p_val + modeq.g_float(p, lam_f)) * th
     p_val = p_val / dxq
     s_val = np.exp(lam_f * dxq * p_val)
     if np.ndim(theta) == 0:
@@ -410,9 +410,11 @@ def upwind_symmetry_check(
     """Check |S(theta, 1/2-lambda)| = |S(theta, 1/2+lambda)| on a grid and,
     exactly, the even-order coefficient identity
 
-        (1/2-lambda) Re g_{2p}(1/2-lambda) = (1/2+lambda) Re g_{2p}(1/2+lambda)
+        (1/2-lambda) c_{2p}(1/2-lambda) = (1/2+lambda) c_{2p}(1/2+lambda)
 
-    for the upwind scheme's generator coefficients g_p = c_p i^p, 2p <= order.
+    for the upwind scheme's modified-equation coefficients, 2p <= order.  The
+    generator's theta^{2p} coefficient is (-1)^p c_{2p}, a sign common to both
+    sides.
     """
     lam = Fraction(lam)
     if not 0 <= lam <= Fraction(1, 2):
@@ -435,8 +437,8 @@ def upwind_symmetry_check(
     orders = tuple(range(2, order + 1, 2))
     first_violation: Optional[int] = None
     for p in orders:
-        lhs = lam_low * modeq.g_coeff(p, lam_low).re
-        rhs = lam_high * modeq.g_coeff(p, lam_high).re
+        lhs = lam_low * modeq.coeff(p)(lam_low)
+        rhs = lam_high * modeq.coeff(p)(lam_high)
         if lhs != rhs:
             first_violation = p
             break

@@ -4,17 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from modeq.exactalg import GaussianRational, LambdaPoly
+from modeq.exactalg import LambdaPoly
 from modeq.schemes import catalog_scheme
 
 
 def lp(*coeffs) -> LambdaPoly:
     """LambdaPoly from rational literals, e.g. lp("1/12", "-1/2")."""
-    return LambdaPoly(tuple(GaussianRational(Fraction(str(c))) for c in coeffs))
-
-
-def gr(re, im=0) -> GaussianRational:
-    return GaussianRational(Fraction(str(re)), Fraction(str(im)))
+    return LambdaPoly(tuple(Fraction(str(c)) for c in coeffs))
 
 
 @pytest.fixture(scope="session")

@@ -168,17 +168,19 @@ def test_criterion_06_bernoulli_euler_identities(heat):
     )
     modeq = derive_log(heat, 24)
     half_ok, quarter_ok = True, True
+    # theta^2p coefficient of ln S: lambda i^2p c_2p(lambda) = (-1)^p lambda c_2p(lambda)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
     for p in range(1, 13):
-        a_half = modeq.log_coeff(2 * p, Fraction(1, 2))
+        a_half = (-1) ** p * half * modeq.coeff(2 * p)(half)
         expected_half = Fraction(-((-4) ** p)) * euler_poly_at_zero(2 * p - 1) / (
             2 * math.factorial(2 * p)
         )
-        half_ok = half_ok and a_half.im == 0 and a_half.re == expected_half
-        a_quarter = modeq.log_coeff(2 * p, Fraction(1, 4))
+        half_ok = half_ok and a_half == expected_half
+        a_quarter = (-1) ** p * quarter * modeq.coeff(2 * p)(quarter)
         expected_quarter = Fraction(-((-1) ** p)) * euler_poly_at_zero(2 * p - 1) / (
             math.factorial(2 * p)
         )
-        quarter_ok = quarter_ok and a_quarter.im == 0 and a_quarter.re == expected_quarter
+        quarter_ok = quarter_ok and a_quarter == expected_quarter
     ok = identity_ok and half_ok and quarter_ok
     _report(
         6,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,32 @@ class TestRadiusCommand:
         assert entry["root_test"]["value"] == "inf"
         assert entry["closed_form"] is None
 
+    def test_closed_form_keyed_on_stencil_not_name(self, tmp_path, capsys):
+        # an upwind stencil under the heat scheme's name gets no closed form
+        f = tmp_path / "misnamed.scheme"
+        f.write_text(
+            "scheme heat_centered\nq = 1\npde A[1] = 1\n"
+            "stencil B[-1] = 1\nstencil B[0] = -1\n"
+        )
+        code, out, _ = run(capsys, "radius", "--file", str(f), "--lambdas", "1/2", "-N", "16")
+        assert code == 0
+        entry = json.loads(out)["estimates"][0]
+        assert entry["closed_form"] is None
+        assert entry["zero_search"]["value"] == pytest.approx(3.141592653589793)
+
+    def test_closed_form_for_heat_stencil_under_other_name(self, tmp_path, capsys):
+        f = tmp_path / "diffusion.scheme"
+        f.write_text(
+            "scheme diffusion\nq = 2\npde A[2] = -1\n"
+            "stencil B[-1] = 1\nstencil B[0] = -2\nstencil B[1] = 1\n"
+        )
+        code, out, _ = run(capsys, "radius", "--file", str(f), "--lambdas", "1/2,1/8", "-N", "16")
+        assert code == 0
+        for entry in json.loads(out)["estimates"]:
+            closed = entry["closed_form"]
+            assert closed is not None and closed["method"] == "closed_form"
+            assert closed["value"] == pytest.approx(entry["zero_search"]["value"], abs=1e-10)
+
 
 class TestFiguresCommand:
     def test_emits_expected_files(self, tmp_path, capsys):
@@ -263,3 +290,19 @@ class TestDeterminism:
         _, first, _ = run(capsys, "modeq", *HEAT, "-N", "6")
         _, second, _ = run(capsys, "modeq", *HEAT, "-N", "6")
         assert first == second
+
+    # sha256 of the verified N=16 modified-equation reports.  They consist of
+    # exact rational strings only, so the bytes do not depend on the platform;
+    # a rewrite of the exact kernel must leave them unchanged.
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("heat_centered", "4f291d54d9829cec7b9dda1ece8eed2f87d484bddbcb58340c0380f00863e3d1"),
+            ("upwind_euler", "61657fc5e90e0903c6811910b73d7fe0cd084004264c62735c3a424ce38973f3"),
+            ("lax_wendroff", "0ca968410651f3ae13f1a9402c279a1b28190ae60ba3ecf47dfe50eba0e2df27"),
+        ],
+    )
+    def test_modeq_report_bytes_golden(self, capsys, name, digest):
+        code, out, _ = run(capsys, "modeq", "--catalog", name, "-N", "16", "--verify")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

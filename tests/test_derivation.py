@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from conftest import gr, lp
+from conftest import lp
 from modeq.exactalg import LambdaPoly, series_exp
 from modeq.derivation import (
+    ModifiedEq,
     consistency_report,
     derive_elimination,
     derive_log,
     symbol_series,
 )
 from modeq.schemes import SchemeSpec, builtin_catalog
+from modeq.spectra import eval_symbol
 
 # printed coefficient tables for the two reference schemes
 HEAT_TABLE = {
@@ -31,16 +34,31 @@ UPWIND_TABLE = {
 
 
 class TestSymbolSeries:
+    # the series variable is x = i theta: S = 1 + lambda sum_p B_p e^{p x}
     def test_heat_second_order(self, heat):
+        # lambda (e^x - 2 + e^-x) = lambda x^2 + O(x^4)
         s = symbol_series(heat, 2)
         assert s.coeffs[0] == LambdaPoly.one()
         assert s.coeffs[1].is_zero
-        assert s.coeffs[2] == lp(0, -1)
+        assert s.coeffs[2] == lp(0, 1)
 
     def test_upwind_first_order(self, upwind):
+        # lambda (e^-x - 1) = -lambda x + O(x^2)
         s = symbol_series(upwind, 1)
         assert s.coeffs[0] == LambdaPoly.one()
-        assert s.coeffs[1] == LambdaPoly((gr(0), gr(0, -1)))
+        assert s.coeffs[1] == lp(0, -1)
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(3, 5)])
+    @pytest.mark.parametrize("theta", [0.1, 0.3])
+    def test_partial_sum_at_i_theta_matches_float_symbol(self, lam, theta):
+        # ties the exact series' x = i theta convention to the float symbol
+        for entry in builtin_catalog():
+            s = symbol_series(entry.scheme, 24)
+            partial = sum(
+                float(c(lam)) * (1j * theta) ** r for r, c in enumerate(s.coeffs)
+            )
+            exact = eval_symbol(entry.scheme, lam, theta)
+            assert abs(partial - exact) <= 1e-12, entry.scheme.name
 
     def test_constant_term_is_one_for_all_catalog(self):
         for entry in builtin_catalog():
@@ -70,16 +88,38 @@ class TestDeriveLog:
             assert modeq.coeff(p) == expected
             assert modeq.grading(p) == p - 1
 
-    def test_reality_for_catalog(self):
-        for entry in builtin_catalog():
-            modeq = derive_log(entry.scheme, 10)
-            for p in range(1, 11):
-                assert modeq.coeff(p).is_real
-
     def test_lambda_zero_is_well_defined(self, heat):
         modeq = derive_log(heat, 8)
-        assert modeq.coeff(4)(0) == gr("1/12")
-        assert modeq.coeff(8)(0) == gr("1/20160")
+        assert modeq.coeff(4)(0) == Fraction(1, 12)
+        assert modeq.coeff(8)(0) == Fraction(1, 20160)
+
+
+class TestGeneratorFloat:
+    """g_float(p, lambda) is the theta^p coefficient i^p c_p(lambda) of G."""
+
+    def test_powers_of_i(self):
+        # c_p = 1/2 + lambda, so c_p(1/2) = 1 exactly, for p = 1..8
+        modeq = ModifiedEq("t", 1, (lp("1/2", 1),) * 8)
+        expected = [1j, -1, -1j, 1] * 2
+        for p in range(1, 9):
+            g = modeq.g_float(p, 0.5)
+            assert g == expected[p - 1], p
+            assert (g.real if p % 2 else g.imag) == 0.0
+
+    def test_zero_coefficient_has_no_negative_zero(self):
+        modeq = ModifiedEq("t", 1, (LambdaPoly.zero(),) * 4)
+        for p in range(1, 5):
+            g = modeq.g_float(p, 0.25)
+            assert g == 0
+            assert math.copysign(1.0, g.real) == 1.0
+            assert math.copysign(1.0, g.imag) == 1.0
+
+    def test_matches_exact_coefficient(self, lax):
+        modeq = derive_log(lax, 6)
+        lam = Fraction(3, 8)
+        for p in range(1, 7):
+            c = float(modeq.coeff(p)(lam))
+            assert modeq.g_float(p, float(lam)) == pytest.approx((1j ** p) * c, abs=1e-15)
 
 
 class TestDeriveElimination:

@@ -70,21 +70,24 @@ class TestEulerPolyAtZero:
 
 
 class TestClosedFormCoefficients:
+    # the theta^2p coefficient of ln S is lambda i^2p c_2p = (-1)^p lambda c_2p
     def test_half_ratio_matches_euler_form(self, heat_modeq_40):
+        lam = Fraction(1, 2)
         for p in range(1, 13):
-            a = heat_modeq_40.log_coeff(2 * p, Fraction(1, 2))
+            a = (-1) ** p * lam * heat_modeq_40.coeff(2 * p)(lam)
             expected = Fraction(-((-4) ** p)) * euler_poly_at_zero(2 * p - 1) / (
                 2 * math.factorial(2 * p)
             )
-            assert a.im == 0 and a.re == expected
+            assert a == expected
 
     def test_quarter_ratio_matches_euler_form(self, heat_modeq_40):
+        lam = Fraction(1, 4)
         for p in range(1, 13):
-            a = heat_modeq_40.log_coeff(2 * p, Fraction(1, 4))
+            a = (-1) ** p * lam * heat_modeq_40.coeff(2 * p)(lam)
             expected = Fraction(-((-1) ** p)) * euler_poly_at_zero(2 * p - 1) / (
                 math.factorial(2 * p)
             )
-            assert a.im == 0 and a.re == expected
+            assert a == expected
 
 
 class TestRootTest:

@@ -143,7 +143,6 @@ class TestSchemeSpec:
 
     def test_widths(self, lax):
         assert lax.n_left == 1 and lax.n_right == 1
-        assert lax.has_real_stencil
 
 
 class TestCatalog:
