@@ -5,9 +5,9 @@ contraction scan), ``radius`` (convergence-radius estimates), ``figures``
 (amplification-curve and mode-evolution CSV data), ``certify``
 (finite-horizon truncation certificate), ``symmetry`` (upwind mirror check).
 
-Exit codes: 0 success, 1 input/validation error, 2 internal cross-check
-failure.  Outputs are deterministic: fixed key order, floats rendered with
-up to 17 significant digits.
+Exit codes: 0 success, 1 input/validation error (bad command-line input
+included), 2 internal cross-check failure.  Outputs are deterministic: fixed
+key order, floats rendered with up to 17 significant digits.
 """
 
 from __future__ import annotations
@@ -94,6 +94,13 @@ def _parse_orders(raw: Optional[str], default: Optional[Sequence[int]] = None) -
     return orders
 
 
+def _single_order(args: argparse.Namespace, default: int) -> int:
+    orders = _parse_orders(args.orders, default=(default,))
+    if len(orders) != 1:
+        raise UsageError(f"the {args.command} subcommand takes a single -N value")
+    return orders[0]
+
+
 def _parse_lambdas(args: argparse.Namespace) -> list[Fraction]:
     if not args.lambdas:
         raise UsageError("--lambdas is required for this subcommand")
@@ -141,13 +148,6 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     print(f"wrote {path}")
 
 
-def _require_json_format(args: argparse.Namespace) -> None:
-    if args.format == "csv":
-        raise UsageError(
-            "csv output is only available for curve data; this report is JSON"
-        )
-
-
 def _lambda_tag(lam) -> str:
     return format(float(lam), "g")
 
@@ -157,12 +157,8 @@ def _lambda_tag(lam) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_modeq(args: argparse.Namespace) -> int:
-    _require_json_format(args)
     scheme = _load_scheme(args)
-    orders = _parse_orders(args.orders, default=(8,))
-    if len(orders) != 1:
-        raise UsageError("the modeq subcommand takes a single -N value")
-    order = orders[0]
+    order = _single_order(args, 8)
     modeq = derive_log(scheme, order)
     if args.verify:
         other = derive_elimination(scheme, order)
@@ -226,13 +222,9 @@ def cmd_regions(args: argparse.Namespace) -> int:
 
 
 def cmd_radius(args: argparse.Namespace) -> int:
-    _require_json_format(args)
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
-    orders = _parse_orders(args.orders, default=(DEFAULT_ROOT_TEST_ORDER,))
-    order = max(orders)
-    _check_order(order)
-    modeq = derive_log(scheme, order)
+    modeq = derive_log(scheme, _single_order(args, DEFAULT_ROOT_TEST_ORDER))
     # the radius depends only on the symbol, so the heat closed form applies
     # to every scheme with the heat stencil, whatever its name
     heat_stencil = scheme.stencil == catalog_scheme("heat_centered").stencil
@@ -260,9 +252,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     modeq = derive_log(scheme, max(orders))
-    tables = spectra.figure_data(
-        scheme, lambdas, orders, grid=args.grid, modeq=modeq
-    )
+    tables = spectra.figure_data(scheme, modeq, lambdas, orders, grid=args.grid)
     for table in tables:
         path = out_dir / f"{scheme.name}_lambda{_lambda_tag(table.lam)}.csv"
         _write_csv(path, table.csv_header(), table.csv_rows())
@@ -276,7 +266,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    _require_json_format(args)
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
     orders = _parse_orders(args.orders, default=(4,))
@@ -287,14 +276,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     for lam in lambdas:
         for order in orders:
             cert = spectra.truncation_certificate(
-                scheme,
-                modeq,
-                lam,
-                order,
-                support_m=args.support_m,
-                horizon_t=args.horizon_t,
-                reference_order=reference,
-                grid=args.grid,
+                scheme, modeq, lam, order, support_m=args.support_m,
+                horizon_t=args.horizon_t, grid=args.grid,
             )
             certificates.append(cert.to_json_dict())
     _emit_json({"scheme": scheme.name, "certificates": certificates}, args,
@@ -303,17 +286,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_symmetry(args: argparse.Namespace) -> int:
-    _require_json_format(args)
     lambdas = _parse_lambdas(args)
-    orders = _parse_orders(args.orders, default=(8,))
-    order = max(orders)
+    modeq = derive_log(catalog_scheme("upwind_euler"), _single_order(args, 8))
     reports = []
     failed = False
-    modeq = derive_log(catalog_scheme("upwind_euler"), order)
     for lam in lambdas:
-        report = spectra.upwind_symmetry_check(
-            lam, order, grid=args.grid, modeq=modeq
-        )
+        report = spectra.upwind_symmetry_check(lam, modeq, grid=args.grid)
         reports.append(report.to_json_dict())
         failed = failed or not report.ok
     _emit_json({"scheme": "upwind_euler", "reports": reports}, args,
@@ -328,47 +306,56 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, scheme_source: bool = True) -> None:
-    if scheme_source:
-        parser.add_argument("--catalog", metavar="NAME", help="builtin scheme name")
-        parser.add_argument("--file", metavar="PATH", help="scheme description file")
-    parser.add_argument("-N", dest="orders", metavar="LIST",
-                        help="comma-separated truncation orders")
-    parser.add_argument("--lambdas", metavar="LIST",
-                        help="comma-separated mesh ratios (rationals or decimals)")
-    parser.add_argument("--lambda-range", metavar="LO:HI:COUNT",
-                        help="uniform mesh-ratio sweep")
-    parser.add_argument("--grid", type=int, default=spectra.DEFAULT_GRID,
-                        help="theta grid size on [0, pi] (default %(default)s)")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="json",
-                        help="report format where a choice exists")
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on bad input, but 2 means a failed cross-check
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+# Flags shared by several subcommands, keyed as they read in a usage line;
+# each subcommand adds only the flags it reads.
+_FLAGS = {
+    "--catalog": dict(metavar="NAME", help="builtin scheme name"),
+    "--file": dict(metavar="PATH", help="scheme description file"),
+    "-N": dict(dest="orders", metavar="N", help="series order"),
+    "-N LIST": dict(dest="orders", metavar="LIST", help="comma-separated truncation orders"),
+    "--lambdas": dict(metavar="LIST", help="comma-separated mesh ratios (rationals or decimals)"),
+    "--lambda-range": dict(metavar="LO:HI:COUNT", help="uniform mesh-ratio sweep"),
+    "--grid": dict(type=int, default=spectra.DEFAULT_GRID,
+                   help="theta grid size on [0, pi] (default %(default)s)"),
+    "--out": dict(metavar="DIR", help="output directory"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name.split()[0], **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modeq",
         description="Modified-equation and von Neumann stability analysis "
                     "of explicit linear finite-difference schemes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("modeq", help="derive the modified-equation table")
-    _add_common(p)
+    _add_flags(p, "--catalog", "--file", "-N", "--out")
     p.add_argument("--verify", action="store_true",
                    help="cross-check the log engine against elimination")
     p.set_defaults(func=cmd_modeq)
 
     p = sub.add_parser("regions", help="scan stability/contraction regions")
-    _add_common(p)
+    _add_flags(p, "--catalog", "--file", "-N LIST", "--lambda-range", "--grid", "--out")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("radius", help="estimate the generator series radius")
-    _add_common(p)
+    _add_flags(p, "--catalog", "--file", "-N", "--lambdas", "--out")
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("figures", help="emit |S| vs |S_N| curve data")
-    _add_common(p)
+    _add_flags(p, "--catalog", "--file", "-N LIST", "--lambdas", "--grid", "--out")
     p.add_argument("--steps", type=int, default=100,
                    help="evolution steps for the mode-decay table")
     p.add_argument("--gridsize", type=int, default=64,
@@ -376,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("certify", help="finite-horizon truncation certificate")
-    _add_common(p)
+    _add_flags(p, "--catalog", "--file", "-N LIST", "--lambdas", "--grid", "--out")
     p.add_argument("--support-M", dest="support_m", type=float, default=math.pi,
                    help="frequency support bound (default pi)")
     p.add_argument("--horizon-T", dest="horizon_t", type=float, default=1.0,
@@ -386,16 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("symmetry", help="upwind mirror-symmetry check")
-    _add_common(p, scheme_source=False)
+    _add_flags(p, "-N", "--lambdas", "--grid", "--out")
     p.set_defaults(func=cmd_symmetry)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, SchemeError, spectra.CertificateRefusal, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

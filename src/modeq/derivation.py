@@ -30,8 +30,8 @@ from .exactalg import (
     InexactDivisionError,
     LambdaPoly,
     ThetaSeries,
+    series_exp,
     series_log,
-    series_mul,
 )
 from .schemes import SchemeSpec
 
@@ -157,31 +157,21 @@ def derive_log(scheme: SchemeSpec, order: int) -> ModifiedEq:
 def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
     """Modified equation via order-by-order elimination.
 
-    Solves sum_{m>=1} D^m/m! = S - 1 for D = sum_p d_p x^p: at each order
-    p the unknown d_p appears only in the m = 1 term, so
+    Solves exp(D) = S for D = sum_p d_p x^p: at each order p the unknown d_p
+    appears in [x^p] exp(D) only through the m = 1 term of sum_m D^m / m!, so
 
-        d_p = [x^p](S - 1) - [x^p] sum_{m>=2} D_<p^m / m!
+        d_p = [x^p] S - [x^p] exp(D_<p)
 
-    where D_<p collects the already-determined d_1..d_{p-1}.  This engine
-    never takes a logarithm; it only multiplies series.
+    where D_<p collects the already-determined d_1..d_{p-1} and has no x^p
+    term, which leaves exactly the m >= 2 terms in [x^p] exp(D_<p).  This
+    engine never takes a logarithm; it only multiplies series.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     s = symbol_series(scheme, order)
-    q_coeffs = s.coeffs  # [x^p](S - 1) = s.coeffs[p] for p >= 1
     d = [LP_ZERO] * (order + 1)
     for p in range(1, order + 1):
-        partial = ThetaSeries(tuple(d))
-        correction = LP_ZERO
-        power = partial
-        fact = 1
-        for m in range(2, p + 1):
-            power = series_mul(power, partial)
-            if power.is_zero:
-                break
-            fact *= m
-            correction = correction + power.coeffs[p].scale(Fraction(1, fact))
-        d[p] = q_coeffs[p] - correction
+        d[p] = s.coeffs[p] - series_exp(ThetaSeries(tuple(d[: p + 1]))).coeffs[p]
     return _normalize(scheme, d[1:], "derive_elimination")
 
 

@@ -33,6 +33,7 @@ __all__ = [
 Number = Union[int, float, Fraction]
 
 _OVERFLOW_LIMIT = 1e300
+_RATIO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class GridState:
     """Periodic grid of complex samples u_j, j in [0, M)."""
 
     values: np.ndarray
-    dx: float
     lam: float
 
     def __post_init__(self) -> None:
@@ -68,39 +68,38 @@ def step(scheme: SchemeSpec, state: GridState) -> GridState:
     for p, w in stencil_weights(scheme, state.lam):
         # np.roll(u, -p)[j] == u[(j + p) mod M]
         acc += w * np.roll(u, -p)
-    return GridState(values=u + state.lam * acc, dx=state.dx, lam=state.lam)
+    return GridState(values=u + state.lam * acc, lam=state.lam)
 
 
-def mode_grid(m: int, size: int, dx: float, lam: Number) -> GridState:
+def mode_grid(m: int, size: int, lam: Number) -> GridState:
     """Grid holding the single Fourier mode e^{2 pi i m j / size}."""
     j = np.arange(size)
-    return GridState(
-        values=np.exp(2j * math.pi * m * j / size), dx=dx, lam=float(lam)
-    )
+    return GridState(values=np.exp(2j * math.pi * m * j / size), lam=float(lam))
 
 
 def measured_amplification(
-    scheme: SchemeSpec, lam: Number, mode: int, gridsize: int, tol: float = 1e-12
+    scheme: SchemeSpec, lam: Number, mode: int, gridsize: int
 ) -> complex:
     """Per-step multiplier of the Fourier mode under the actual stencil.
 
     Applies one step to e^{2 pi i m j / M} and returns the ratio u'_j / u_j,
     which must be the same at every j and must equal the symbol at
-    theta = 2 pi m / M; violations of either raise CrossCheckError.
+    theta = 2 pi m / M, both to within 1e-12; violations of either raise
+    CrossCheckError.
     """
     if not 0 <= mode < gridsize:
         raise ValueError(f"mode {mode} outside [0, {gridsize})")
-    state = mode_grid(mode, gridsize, 1.0, lam)
+    state = mode_grid(mode, gridsize, lam)
     ratios = step(scheme, state).values / state.values
     ratio = complex(ratios[0])
     spread = float(np.max(np.abs(ratios - ratio)))
-    if spread > tol:
+    if spread > _RATIO_TOL:
         raise CrossCheckError(
             f"mode {mode}: amplification varies across the grid by {spread:.3e}"
         )
     theta = 2.0 * math.pi * mode / gridsize
     predicted = eval_symbol(scheme, lam, theta)
-    if abs(ratio - predicted) > tol:
+    if abs(ratio - predicted) > _RATIO_TOL:
         raise CrossCheckError(
             f"mode {mode}: measured {ratio} vs symbol {predicted}"
         )
@@ -187,7 +186,7 @@ def evolve_and_compare(
         theta = 2.0 * math.pi * mode / gridsize
         if theta > math.pi:
             theta -= 2.0 * math.pi
-        state = mode_grid(mode, gridsize, 1.0, lam)
+        state = mode_grid(mode, gridsize, lam)
         diverged_at: Optional[int] = None
         for n in range(steps):
             state = step(scheme, state)
@@ -198,7 +197,7 @@ def evolve_and_compare(
             math.inf if diverged_at is not None else float(np.mean(np.abs(state.values)))
         )
         abs_s = abs(eval_symbol(scheme, lam, theta))
-        abs_sn = truncated_amplification(modeq, lam, 1.0, theta, order).abs_s
+        abs_sn = truncated_amplification(modeq, lam, theta, order).abs_s
         predicted_s = _power(abs_s, steps)
         predicted_sn = _power(abs_sn, steps)
         rows.append(

@@ -147,7 +147,6 @@ class RegionReport:
 
     scheme_name: str
     grid: int
-    tol: float
     orders: tuple
     samples: tuple
 
@@ -165,7 +164,7 @@ class RegionReport:
         return {
             "scheme": self.scheme_name,
             "grid": self.grid,
-            "tolerance": self.tol,
+            "tolerance": DEFAULT_TOL,
             "orders": list(self.orders),
             "Rs_boundary": self.rs_boundary(),
             "Omega_c_boundary": self.omega_c_boundary(),
@@ -178,15 +177,13 @@ def region_scan(
     lambda_range: tuple,
     grid: int = DEFAULT_GRID,
     orders: Sequence[int] = (),
-    tol: float = DEFAULT_TOL,
-    modeq: Optional[ModifiedEq] = None,
 ) -> RegionReport:
     """Classify each lambda in ``lambda_range = (lo, hi, count)``.
 
-    A sample is von Neumann stable when max |S| <= 1 + tol over the theta
-    grid, and inside the contraction region when max |1 - S| < 1 - tol.
-    For each requested truncation order N, the truncation is marked stable
-    when Re P_N(theta) <= tol on the whole grid.
+    With tol = DEFAULT_TOL, a sample is von Neumann stable when
+    max |S| <= 1 + tol over the theta grid, and inside the contraction region
+    when max |1 - S| < 1 - tol.  For each requested truncation order N, the
+    truncation is marked stable when Re P_N(theta) <= tol on the whole grid.
     """
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
@@ -195,10 +192,7 @@ def region_scan(
         raise ValueError("need at least two lambda samples")
     orders = tuple(sorted(set(int(n) for n in orders)))
     if orders:
-        if modeq is None:
-            modeq = derive_log(scheme, max(orders))
-        elif modeq.order < max(orders):
-            raise ValueError("provided modified equation has too low an order")
+        modeq = derive_log(scheme, max(orders))
 
     thetas = theta_grid(grid)
     lams = np.linspace(float(lo), float(hi), int(count))
@@ -211,22 +205,21 @@ def region_scan(
         for n in orders:
             re_coeffs = _re_p_coeffs(modeq, float(lam), n)
             re_p = np.polynomial.polynomial.polyval(thetas, re_coeffs)
-            trunc[n] = bool(np.max(re_p) <= tol)
+            trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
         samples.append(
             LambdaSample(
                 lam=float(lam),
                 max_abs_s=float(np.max(abs_s)),
                 max_abs_one_minus_s=float(np.max(abs_oms)),
                 theta_m=_theta_m_from_values(thetas, abs_oms),
-                in_rs=bool(np.max(abs_s) <= 1.0 + tol),
-                in_omega_c=bool(np.max(abs_oms) < 1.0 - tol),
+                in_rs=bool(np.max(abs_s) <= 1.0 + DEFAULT_TOL),
+                in_omega_c=bool(np.max(abs_oms) < 1.0 - DEFAULT_TOL),
                 trunc_stable=trunc,
             )
         )
     return RegionReport(
         scheme_name=scheme.name,
         grid=grid,
-        tol=tol,
         orders=orders,
         samples=tuple(samples),
     )
@@ -248,12 +241,11 @@ class TruncationEval:
 def truncated_amplification(
     modeq: ModifiedEq,
     lam: Number,
-    dx: float,
     theta,
     order: int,
 ) -> TruncationEval:
-    """Evaluate the degree-``order`` truncation P_N of the generator and its
-    one-step amplification S_N = exp(lambda dx^q P_N).
+    """Evaluate the degree-``order`` truncation P_N of the generator at dx = 1
+    and its one-step amplification S_N = exp(lambda P_N).
 
     ``theta`` may be scalar (complex allowed) or an ndarray, in which case
     the fields hold arrays.
@@ -263,13 +255,11 @@ def truncated_amplification(
             f"truncation order {order} exceeds stored order {modeq.order}"
         )
     lam_f = float(lam)
-    dxq = float(dx) ** modeq.q
     th = np.asarray(theta, dtype=complex)
     p_val = np.zeros_like(th)
     for p in range(order, 0, -1):
         p_val = (p_val + modeq.g_float(p, lam_f)) * th
-    p_val = p_val / dxq
-    s_val = np.exp(lam_f * dxq * p_val)
+    s_val = np.exp(lam_f * p_val)
     if np.ndim(theta) == 0:
         return TruncationEval(order=order, p_value=complex(p_val), s_value=complex(s_val))
     return TruncationEval(order=order, p_value=p_val, s_value=s_val)
@@ -312,40 +302,36 @@ def truncation_certificate(
     order: int,
     support_m: float,
     horizon_t: float,
-    reference_order: Optional[int] = None,
     grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
 ) -> StabilityCertificate:
     """Assemble the e^{CT} e^{A T M^{N+1}/lambda} bound at dx = 1.
 
-    Refuses when lambda is outside the contraction region (max |1-S| >= 1 on
-    the grid), which is the hypothesis the bound rests on.
+    The partial sum of ``modeq`` at its full order is the reference for the
+    tail constant A, so ``modeq.order`` must exceed ``order``.  Refuses when
+    lambda is outside the contraction region (max |1-S| >= 1 - DEFAULT_TOL
+    on the grid), which is the hypothesis the bound rests on.
     """
     lam_f = float(lam)
     if lam_f <= 0:
         raise ValueError("lambda must be positive")
-    if reference_order is None:
-        reference_order = 4 * order
-    if reference_order <= order:
-        raise ValueError("reference order must exceed the truncation order")
+    if modeq.order <= order:
+        raise ValueError(
+            f"reference order {modeq.order} must exceed the truncation order {order}"
+        )
 
     thetas = theta_grid(grid)
     s = eval_symbol(scheme, lam, thetas)
-    if float(np.max(np.abs(1.0 - s))) >= 1.0 - tol:
+    if float(np.max(np.abs(1.0 - s))) >= 1.0 - DEFAULT_TOL:
         raise CertificateRefusal(
             f"lambda = {lam_f} lies outside the contraction region; "
             f"the truncation bound does not apply"
         )
 
-    ref = modeq if modeq.order >= reference_order else derive_log(scheme, reference_order)
-    if modeq.order < order:
-        raise ValueError("modified equation order is below the truncation order")
-
-    trunc = truncated_amplification(ref, lam_f, 1.0, thetas, order)
+    trunc = truncated_amplification(modeq, lam_f, thetas, order)
     growth_c = max(0.0, (float(np.max(np.abs(trunc.s_value))) - 1.0) / lam_f)
 
     p_n = trunc.p_value
-    p_ref = truncated_amplification(ref, lam_f, 1.0, thetas, reference_order).p_value
+    p_ref = truncated_amplification(modeq, lam_f, thetas, modeq.order).p_value
     positive = thetas > 0
     tail_a = float(
         np.max(np.abs(p_ref[positive] - p_n[positive]) / thetas[positive] ** (order + 1))
@@ -402,19 +388,17 @@ class SymmetryReport:
 
 def upwind_symmetry_check(
     lam: Union[Fraction, int],
-    order: int,
+    modeq: ModifiedEq,
     grid: int = DEFAULT_GRID,
-    modulus_tol: float = 1e-12,
-    modeq: Optional[ModifiedEq] = None,
 ) -> SymmetryReport:
-    """Check |S(theta, 1/2-lambda)| = |S(theta, 1/2+lambda)| on a grid and,
-    exactly, the even-order coefficient identity
+    """Check |S(theta, 1/2-lambda)| = |S(theta, 1/2+lambda)| to within
+    DEFAULT_TOL on a grid and, exactly, the even-order coefficient identity
 
         (1/2-lambda) c_{2p}(1/2-lambda) = (1/2+lambda) c_{2p}(1/2+lambda)
 
-    for the upwind scheme's modified-equation coefficients, 2p <= order.  The
-    generator's theta^{2p} coefficient is (-1)^p c_{2p}, a sign common to both
-    sides.
+    for the upwind scheme's modified-equation coefficients ``modeq``, for
+    2p <= modeq.order.  The generator's theta^{2p} coefficient is
+    (-1)^p c_{2p}, a sign common to both sides.
     """
     lam = Fraction(lam)
     if not 0 <= lam <= Fraction(1, 2):
@@ -430,11 +414,7 @@ def upwind_symmetry_check(
     max_diff = float(np.max(diffs))
     worst_theta = float(thetas[int(np.argmax(diffs))])
 
-    if modeq is None:
-        modeq = derive_log(scheme, order)
-    elif modeq.order < order:
-        raise ValueError("provided modified equation has too low an order")
-    orders = tuple(range(2, order + 1, 2))
+    orders = tuple(range(2, modeq.order + 1, 2))
     first_violation: Optional[int] = None
     for p in orders:
         lhs = lam_low * modeq.coeff(p)(lam_low)
@@ -450,7 +430,7 @@ def upwind_symmetry_check(
         grid=grid,
         max_modulus_diff=max_diff,
         worst_theta=worst_theta,
-        modulus_ok=max_diff <= modulus_tol,
+        modulus_ok=max_diff <= DEFAULT_TOL,
         orders=orders,
         coefficient_ok=first_violation is None,
         first_violation=first_violation,
@@ -480,17 +460,16 @@ class FigureTable:
 
 def figure_data(
     scheme: SchemeSpec,
+    modeq: ModifiedEq,
     lambdas: Sequence[Number],
     orders: Sequence[int],
     grid: int = DEFAULT_GRID,
-    modeq: Optional[ModifiedEq] = None,
 ) -> list[FigureTable]:
-    """Amplification-factor curves |S| and |S_N| per requested lambda."""
+    """Amplification-factor curves |S| and |S_N| per requested lambda, with
+    S_N truncated from ``modeq``."""
     orders = tuple(sorted(set(int(n) for n in orders)))
     if not lambdas:
         return []
-    if orders and modeq is None:
-        modeq = derive_log(scheme, max(orders))
     thetas = theta_grid(grid)
     tables = []
     for lam in lambdas:
@@ -498,7 +477,7 @@ def figure_data(
         trunc = {}
         for n in orders:
             trunc[n] = np.abs(
-                truncated_amplification(modeq, lam, 1.0, thetas, n).s_value
+                truncated_amplification(modeq, lam, thetas, n).s_value
             )
         tables.append(
             FigureTable(

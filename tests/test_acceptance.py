@@ -194,7 +194,7 @@ def test_criterion_06_bernoulli_euler_identities(heat):
 def test_criterion_07_upwind_mirror_symmetry():
     modeq = derive_log(catalog_scheme("upwind_euler"), 12)
     reports = [
-        upwind_symmetry_check(Fraction(lam), 12, grid=GRID, modeq=modeq)
+        upwind_symmetry_check(Fraction(lam), modeq, grid=GRID)
         for lam in ("0.1", "0.25", "0.4")
     ]
     modulus_ok = all(r.max_modulus_diff <= 1e-12 for r in reports)
@@ -228,7 +228,7 @@ def test_criterion_09_figure_reproduction(heat, upwind):
 
     def gap_curve(scheme, modeq, lam, order, ts):
         s = np.abs(eval_symbol(scheme, lam, ts))
-        sn = np.abs(truncated_amplification(modeq, lam, 1.0, ts, order).s_value)
+        sn = np.abs(truncated_amplification(modeq, lam, ts, order).s_value)
         return np.abs(sn - s)
 
     heat_meq = derive_log(heat, 8)

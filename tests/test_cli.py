@@ -90,10 +90,55 @@ class TestModeqCommand:
         assert code == 2
         assert "disagree" in err
 
-    def test_csv_format_rejected_for_reports(self, capsys):
-        code, _, err = run(capsys, "modeq", *HEAT, "-N", "4", "--format", "csv")
+
+class TestCommandLineErrors:
+    # each subcommand accepts only the flags it reads
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["modeq", *HEAT, "-N", "4", "--grid", "256"], "--grid"),
+            (["regions", *HEAT, "--lambda-range", "0:0.6:5", "--lambdas", "1/2"], "--lambdas"),
+            (["radius", *HEAT, "--lambdas", "1/2", "-N", "8", "--grid", "16384"], "--grid"),
+            (["figures", *HEAT, "--lambdas", "1/2", "-N", "2", "--lambda-range", "0:1:5"],
+             "--lambda-range"),
+            (["certify", *HEAT, "--lambdas", "1/5", "-N", "4", "--lambda-range", "0:1:5"],
+             "--lambda-range"),
+            (["symmetry", "--lambdas", "1/4", "--catalog", "upwind_euler"], "--catalog"),
+        ],
+        ids=["modeq", "regions", "radius", "figures", "certify", "symmetry"],
+    )
+    def test_unread_flag_exits_1(self, capsys, tmp_path, argv, flag):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1
-        assert "curve data" in err
+        assert err.startswith("error: ") and flag in err
+        assert out == "" and not any(tmp_path.iterdir())
+
+    def test_bad_flag_value_exits_1(self, capsys):
+        code, _, err = run(capsys, "radius", *HEAT, "--lambdas", "1/2", "--grid", "x")
+        assert code == 1
+        assert err.startswith("error: ") and "--grid" in err
+
+    def test_unknown_subcommand_exits_1(self, capsys):
+        code, _, err = run(capsys, "stability", *HEAT)
+        assert code == 1
+        assert err.startswith("error: ") and "stability" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--help"])
+        assert exc.value.code == 0
+        assert "--lambdas" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["modeq", *HEAT], ["radius", *HEAT, "--lambdas", "1/4"], ["symmetry", "--lambdas", "1/4"]],
+        ids=["modeq", "radius", "symmetry"],
+    )
+    def test_single_order_subcommands_reject_lists(self, capsys, argv):
+        command = argv[0]
+        code, _, err = run(capsys, *argv, "-N", "16,24")
+        assert code == 1
+        assert f"the {command} subcommand takes a single -N value" in err
 
 
 class TestRegionsCommand:
@@ -133,7 +178,7 @@ class TestRegionsCommand:
 class TestRadiusCommand:
     def test_heat_estimates(self, capsys):
         code, out, _ = run(
-            capsys, "radius", *HEAT, "--lambdas", "1/2", "-N", "16", "--grid", "256"
+            capsys, "radius", *HEAT, "--lambdas", "1/2", "-N", "16"
         )
         assert code == 0
         payload = json.loads(out)
@@ -251,8 +296,8 @@ class TestSymmetryCommand:
         import modeq.cli as cli
         from modeq.spectra import upwind_symmetry_check as real_check
 
-        def broken(lam, order, grid=4096, modeq=None):
-            report = real_check(lam, order, grid=grid, modeq=modeq)
+        def broken(lam, modeq, grid=4096):
+            report = real_check(lam, modeq, grid=grid)
             return dataclasses.replace(report, coefficient_ok=False, first_violation=2)
 
         monkeypatch.setattr(cli.spectra, "upwind_symmetry_check", broken)

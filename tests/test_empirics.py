@@ -20,32 +20,32 @@ from modeq.spectra import eval_symbol
 
 class TestStep:
     def test_constant_grid_unchanged(self, heat):
-        state = GridState(values=np.full(16, 2.5 + 0j), dx=1.0, lam=0.3)
+        state = GridState(values=np.full(16, 2.5 + 0j), lam=0.3)
         out = step(heat, state)
         assert np.max(np.abs(out.values - 2.5)) < 1e-15
 
     def test_alternating_grid_negated_at_half(self, heat):
         u0 = (-1.0 + 0j) ** np.arange(16)
-        out = step(heat, GridState(values=u0, dx=1.0, lam=0.5))
+        out = step(heat, GridState(values=u0, lam=0.5))
         assert np.max(np.abs(out.values + u0)) < 1e-14
 
     def test_unit_ratio_upwind_is_a_shift(self, upwind):
         u0 = np.arange(12, dtype=complex)
-        out = step(upwind, GridState(values=u0, dx=1.0, lam=1.0))
+        out = step(upwind, GridState(values=u0, lam=1.0))
         assert np.max(np.abs(out.values - np.roll(u0, 1))) < 1e-14
 
     def test_no_aliasing(self, heat):
-        state = GridState(values=np.ones(8, dtype=complex), dx=1.0, lam=0.5)
+        state = GridState(values=np.ones(8, dtype=complex), lam=0.5)
         out = step(heat, state)
         assert out.values is not state.values
 
     def test_stencil_must_fit(self, heat):
         with pytest.raises(ValueError):
-            step(heat, GridState(values=np.ones(2), dx=1.0, lam=0.1))
+            step(heat, GridState(values=np.ones(2), lam=0.1))
 
     def test_grid_size_floor(self):
         with pytest.raises(ValueError):
-            GridState(values=np.ones(3), dx=1.0, lam=0.1)
+            GridState(values=np.ones(3), lam=0.1)
 
 
 class TestMeasuredAmplification:
@@ -114,7 +114,7 @@ class TestEvolveAndCompare:
 class TestStabilityDichotomy:
     def test_just_stable_all_modes_non_increasing(self, heat):
         for m in range(16):
-            state = mode_grid(m, 16, 1.0, 0.49)
+            state = mode_grid(m, 16, 0.49)
             previous = 1.0
             for _ in range(10):
                 state = step(heat, state)
@@ -123,6 +123,6 @@ class TestStabilityDichotomy:
                 previous = amplitude
 
     def test_just_unstable_pi_mode_grows(self, heat):
-        state = mode_grid(8, 16, 1.0, 0.51)
+        state = mode_grid(8, 16, 0.51)
         state = step(heat, state)
         assert float(np.max(np.abs(state.values))) >= 1.019

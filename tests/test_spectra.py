@@ -9,6 +9,7 @@ import pytest
 from modeq.derivation import derive_log
 from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import (
+    DEFAULT_TOL,
     CertificateRefusal,
     compute_theta_m,
     eval_symbol,
@@ -83,8 +84,8 @@ class TestRegionScan:
     def test_membership_flags_are_consistent(self, heat):
         report = region_scan(heat, (0.0, 0.6, 31), grid=512)
         for s in report.samples:
-            assert s.in_rs == (s.max_abs_s <= 1.0 + report.tol)
-            assert s.in_omega_c == (s.max_abs_one_minus_s < 1.0 - report.tol)
+            assert s.in_rs == (s.max_abs_s <= 1.0 + DEFAULT_TOL)
+            assert s.in_omega_c == (s.max_abs_one_minus_s < 1.0 - DEFAULT_TOL)
 
     def test_validation(self, heat):
         with pytest.raises(ValueError):
@@ -96,25 +97,25 @@ class TestRegionScan:
 class TestTruncatedAmplification:
     def test_heat_second_order_at_pi(self, heat):
         modeq = derive_log(heat, 8)
-        te = truncated_amplification(modeq, Fraction(1, 4), 1.0, math.pi, 2)
+        te = truncated_amplification(modeq, Fraction(1, 4), math.pi, 2)
         assert te.p_value == pytest.approx(-math.pi**2)
         assert te.abs_s == pytest.approx(math.exp(-math.pi**2 / 4), rel=1e-12)
 
     def test_unity_at_zero(self):
         for entry in builtin_catalog():
             modeq = derive_log(entry.scheme, 6)
-            te = truncated_amplification(modeq, 0.3, 1.0, 0.0, 6)
+            te = truncated_amplification(modeq, 0.3, 0.0, 6)
             assert te.s_value == 1.0
 
     def test_order_cap(self, heat):
         modeq = derive_log(heat, 4)
         with pytest.raises(ValueError):
-            truncated_amplification(modeq, 0.25, 1.0, 1.0, 6)
+            truncated_amplification(modeq, 0.25, 1.0, 6)
 
     def test_modulus_follows_real_part(self, upwind):
         modeq = derive_log(upwind, 6)
         for theta in (0.3, 1.1, 2.9):
-            te = truncated_amplification(modeq, 0.4, 1.0, theta, 6)
+            te = truncated_amplification(modeq, 0.4, theta, 6)
             assert te.abs_s == pytest.approx(math.exp(0.4 * te.p_value.real), rel=1e-14)
 
     def test_higher_order_tracks_symbol_better(self, heat):
@@ -124,7 +125,7 @@ class TestTruncatedAmplification:
         s = np.abs(eval_symbol(heat, Fraction(1, 4), thetas))
         gap = {}
         for n in (2, 8):
-            sn = np.abs(truncated_amplification(modeq, Fraction(1, 4), 1.0, thetas, n).s_value)
+            sn = np.abs(truncated_amplification(modeq, Fraction(1, 4), thetas, n).s_value)
             gap[n] = np.max(np.abs(sn - s))
         assert gap[8] < gap[2]
 
@@ -158,7 +159,7 @@ def test_partial_sums_reproduce_symbol_to_1e8(partial_sum_references):
         assert float(np.max(np.abs(1.0 - eval_symbol(scheme, lam, theta_grid(512))))) < 1.0
         s = eval_symbol(scheme, lam, thetas)
         s_ref = truncated_amplification(
-            partial_sum_references[name], lam, 1.0, thetas, 64
+            partial_sum_references[name], lam, thetas, 64
         ).s_value
         assert float(np.max(np.abs(s_ref - s))) <= 1e-8, (name, lam)
 
@@ -182,33 +183,41 @@ class TestCertificate:
         cert = truncation_certificate(heat, modeq, Fraction(1, 5), 4, 0.0, 1.0)
         assert cert.bound == pytest.approx(math.exp(cert.growth_c * 1.0))
 
+    def test_reference_order_must_exceed_truncation_order(self, heat):
+        for order in (4, 5):
+            with pytest.raises(ValueError, match="reference order"):
+                truncation_certificate(heat, derive_log(heat, 4), Fraction(1, 5), order,
+                                       math.pi, 1.0)
+
 
 class TestUpwindSymmetry:
-    def test_quarter(self):
-        report = upwind_symmetry_check(Fraction(1, 4), 8)
+    def test_quarter(self, upwind):
+        report = upwind_symmetry_check(Fraction(1, 4), derive_log(upwind, 8))
         assert report.ok
         assert report.max_modulus_diff <= 1e-12
         assert report.orders == (2, 4, 6, 8)
 
-    def test_fixed_point(self):
-        report = upwind_symmetry_check(0, 6)
+    def test_fixed_point(self, upwind):
+        report = upwind_symmetry_check(0, derive_log(upwind, 6))
         assert report.ok and report.max_modulus_diff == 0.0
 
-    def test_edge_compares_frozen_and_unit_transport(self):
-        report = upwind_symmetry_check(Fraction(1, 2), 8)
+    def test_edge_compares_frozen_and_unit_transport(self, upwind):
+        report = upwind_symmetry_check(Fraction(1, 2), derive_log(upwind, 8))
         assert report.ok
 
-    def test_domain(self):
+    def test_domain(self, upwind):
         with pytest.raises(ValueError):
-            upwind_symmetry_check(Fraction(3, 4), 8)
+            upwind_symmetry_check(Fraction(3, 4), derive_log(upwind, 8))
 
 
 class TestFigureData:
     def test_empty_lambda_list(self, heat):
-        assert figure_data(heat, [], (2, 8)) == []
+        assert figure_data(heat, derive_log(heat, 8), [], (2, 8)) == []
 
     def test_table_shape(self, heat):
-        tables = figure_data(heat, [Fraction(1, 2), Fraction(1, 4)], (2, 8), grid=128)
+        tables = figure_data(
+            heat, derive_log(heat, 8), [Fraction(1, 2), Fraction(1, 4)], (2, 8), grid=128
+        )
         assert [t.lam for t in tables] == [0.5, 0.25]
         for t in tables:
             assert t.csv_header() == ["theta", "abs_S", "abs_S_N2", "abs_S_N8"]
