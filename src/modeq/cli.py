@@ -269,7 +269,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
     orders = _parse_orders(args.orders, default=(4,))
-    reference = args.reference_order or 4 * max(orders)
+    reference = 4 * max(orders) if args.reference_order is None else args.reference_order
     _check_order(reference)
     modeq = derive_log(scheme, reference)
     certificates = []

@@ -191,8 +191,8 @@ _ROOT_DPS = 50  # working digits for the roots of Q
 def _symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> list[Fraction]:
     """Exact real coefficients, highest power first, of Q(w) = w^n * S with
     w = e^{i theta} and n = max(0, -min offset), zero roots stripped."""
-    n = max(0, -scheme.stencil[0][0])
-    coeffs = [Fraction(0)] * (max(0, scheme.stencil[-1][0]) + n + 1)
+    n = scheme.n_left
+    coeffs = [Fraction(0)] * (n + scheme.n_right + 1)
     coeffs[n] = Fraction(1)
     for p, w in scheme.stencil:
         coeffs[p + n] += w(lam) * lam

@@ -96,6 +96,9 @@ class SchemeSpec:
             raise SchemeError("no target PDE coefficient declared")
         if any(p < 1 for p, _ in self.pde):
             raise SchemeError("PDE derivative orders must be >= 1")
+        orders = [p for p, _ in self.pde]
+        if len(set(orders)) != len(orders):
+            raise SchemeError("duplicate PDE order")
         total = LP_ZERO
         for _, w in self.stencil:
             total = total + w
@@ -159,7 +162,8 @@ class CatalogEntry:
 #   pde A[<order>] = <rational>          (repeatable)
 #   stencil B[<offset>] = <poly>         (repeatable)
 #
-# <poly> is a sum of terms  <rational>, <rational>*lambda[^k], lambda[^k];
+# <poly> is a sum of terms  [sign] [rational] [[*] lambda[^k]], each with a
+# rational or lambda and a sign before all but the first; k <= MAX_LAMBDA_POWER;
 # '#' starts a comment; rationals are "a/b" or integers.
 # ---------------------------------------------------------------------------
 
@@ -171,82 +175,41 @@ _LINE_PATTERNS = {
     "stencil": re.compile(r"stencil\s+B\[(-?\d+)\]\s*=\s*(.+?)\s*$"),
 }
 
-_POLY_TOKEN = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<lam>lambda)|(?P<op>[-+*^]))"
+# Highest lambda power of a stencil weight: the degrees of every derived
+# coefficient grow with it, so it bounds the cost of a scheme file.
+MAX_LAMBDA_POWER = 16
+
+# one term of <poly>; '*' may only join a rational to lambda
+_TERM = re.compile(
+    r"\s*(?P<sign>[-+]?)\s*(?P<rat>\d+(?:/\d+)?)?"
+    r"(?P<lam>(?(rat)\s*\*?\s*)lambda(?:\s*\^\s*(?P<power>\d+))?)?"
 )
 
 
+def _rational(text: str, line_no: int, column: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise SchemeParseError(f"zero denominator in {text!r}", line_no, column) from None
+
+
 def _parse_poly(text: str, line_no: int, col0: int) -> LambdaPoly:
-    """Parse a stencil polynomial; col0 is the 1-based column of its start."""
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m:
-            skip = len(text[pos:]) - len(text[pos:].lstrip())
-            raise SchemeParseError(
-                f"unexpected character {text[pos + skip]!r} in polynomial",
-                line_no,
-                col0 + pos + skip,
-            )
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), col0 + m.start(kind)))
-        pos = m.end()
-
-    poly = LP_ZERO
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        # optional sign before the first term, mandatory between terms
-        if tokens[i][0] == "op" and tokens[i][1] in "+-":
-            sign = -1 if tokens[i][1] == "-" else 1
-            i += 1
-        elif not first:
-            raise SchemeParseError(
-                "expected '+' or '-' between terms", line_no, tokens[i][2]
-            )
-        first = False
-        if i >= len(tokens):
-            raise SchemeParseError("dangling sign in polynomial", line_no, col0)
-
-        coeff = Fraction(1)
-        power = 0
-        kind, value, col = tokens[i]
-        if kind == "rat":
-            coeff = Fraction(value)
-            i += 1
-            if i < len(tokens) and tokens[i][:2] == ("op", "*"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "lam":
-                    raise SchemeParseError(
-                        "expected 'lambda' after '*'", line_no, tokens[i - 1][2]
-                    )
-                kind, value, col = tokens[i]
-        if i < len(tokens) and tokens[i][0] == "lam":
-            power = 1
-            i += 1
-            if i < len(tokens) and tokens[i][:2] == ("op", "^"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "rat" or "/" in tokens[i][1]:
-                    raise SchemeParseError(
-                        "expected integer exponent after '^'", line_no, col
-                    )
-                power = int(tokens[i][1])
-                if power < 0:
-                    raise SchemeParseError(
-                        "exponent must be nonnegative", line_no, tokens[i][2]
-                    )
-                i += 1
-        elif kind != "rat":
-            raise SchemeParseError(
-                f"unexpected token {value!r} in polynomial", line_no, col
-            )
-        term = LambdaPoly.const(coeff * sign).shift_up(power) if power else \
-            LambdaPoly.const(coeff * sign)
-        poly = poly + term
-    if first:
-        raise SchemeParseError("empty polynomial", line_no, col0)
+    """Parse a sum of terms; col0 is the 1-based column of the text's start."""
+    poly, pos = LP_ZERO, 0
+    while not pos or pos < len(text):
+        m = _TERM.match(text, pos)
+        unsigned = pos and not m["sign"]
+        if unsigned or not (m["rat"] or m["lam"]):
+            bad = m.start("sign") if unsigned else m.end()
+            found = f"{text[bad]!r} in" if bad < len(text) else "end of"
+            raise SchemeParseError(f"unexpected {found} polynomial", line_no, col0 + bad)
+        power = int(m["power"] or 1) if m["lam"] else 0
+        if power > MAX_LAMBDA_POWER:
+            raise SchemeParseError(f"lambda exponent {power} exceeds {MAX_LAMBDA_POWER}",
+                                   line_no, col0 + m.start("power"))
+        coeff = _rational(m["rat"], line_no, col0 + m.start("rat")) if m["rat"] else 1
+        term = LambdaPoly.const(-coeff if m["sign"] == "-" else coeff)
+        poly, pos = poly + term.shift_up(power), m.end()
     return poly
 
 
@@ -290,16 +253,14 @@ def parse_scheme(text: str) -> SchemeSpec:
                 raise SchemeParseError(
                     f"duplicate PDE order {order}", line_no, indent
                 )
-            pde[order] = Fraction(m.group(2))
+            pde[order] = _rational(m.group(2), line_no, indent + m.start(2))
         else:  # stencil
             offset = int(m.group(1))
             if offset in stencil:
                 raise SchemeParseError(
                     f"duplicate stencil offset {offset}", line_no, indent
                 )
-            poly_text = m.group(2)
-            poly_col = indent + stripped.index(poly_text, len("stencil"))
-            stencil[offset] = _parse_poly(poly_text, line_no, poly_col)
+            stencil[offset] = _parse_poly(m.group(2), line_no, indent + m.start(2))
 
     if name is None:
         raise SchemeParseError("missing 'scheme' line", 1)
@@ -312,10 +273,6 @@ def parse_scheme(text: str) -> SchemeSpec:
     return SchemeSpec(name=name, q=q, stencil=stencil, pde=pde)
 
 
-def _render_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _render_stencil_poly(poly: LambdaPoly) -> str:
     if poly.is_zero:
         return "0"
@@ -323,7 +280,7 @@ def _render_stencil_poly(poly: LambdaPoly) -> str:
     for k, r in enumerate(poly.coeffs):
         if not r:
             continue
-        mag = _render_rational(abs(r))
+        mag = str(abs(r))
         if k == 0:
             term = mag
         elif k == 1:
@@ -338,7 +295,7 @@ def render_scheme(spec: SchemeSpec) -> str:
     """Render a SchemeSpec back to the text format (parse/render round trip)."""
     lines = [f"scheme {spec.name}", f"q = {spec.q}"]
     for order, a in spec.pde:
-        lines.append(f"pde A[{order}] = {_render_rational(a)}")
+        lines.append(f"pde A[{order}] = {a}")
     for offset, w in spec.stencil:
         lines.append(f"stencil B[{offset}] = {_render_stencil_poly(w)}")
     return "\n".join(lines) + "\n"

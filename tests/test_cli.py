@@ -56,6 +56,14 @@ class TestModeqCommand:
         assert code == 1
         assert "line 2" in err
 
+    def test_zero_denominator_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "zero.scheme"
+        bad.write_text("scheme z\nq = 1\npde A[1] = 1\nstencil B[0] = 1/0\n")
+        code, _, err = run(capsys, "modeq", "--file", str(bad))
+        assert code == 1
+        assert "line 4, column 16" in err
+        assert "Traceback" not in err
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         code, _, err = run(capsys, "modeq", "-N", "4")
         assert code == 1 and "scheme source" in err
@@ -275,6 +283,14 @@ class TestCertifyCommand:
         code, _, err = run(capsys, "certify", *HEAT, "--lambdas", "0.6", "-N", "4")
         assert code == 1
         assert "contraction region" in err
+
+    def test_reference_order_0_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "certify", *HEAT, "--lambdas", "1/5", "-N", "4", "--reference-order", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert "series order must be >= 1" in err
 
 
 class TestSymmetryCommand:

@@ -3,10 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import lp
-from modeq.exactalg import LP_ZERO
+from modeq.exactalg import LP_ZERO, LambdaPoly
 from modeq.schemes import (
+    MAX_LAMBDA_POWER,
     SchemeConsistencyError,
     SchemeError,
     SchemeParseError,
@@ -15,6 +17,7 @@ from modeq.schemes import (
     catalog_entry,
     catalog_scheme,
     parse_scheme,
+    _parse_poly,
     render_scheme,
 )
 
@@ -95,6 +98,19 @@ class TestParser:
             ),
             ("wat 12\n", "unknown directive"),
             ("scheme a\nq = 1\npde A[0] = 1\nstencil B[0] = 0\n", "PDE order"),
+            (
+                "scheme a\nq = 1\npde A[1] = 1\nstencil B[0] = 1/0\n",
+                "line 4, column 16: zero denominator in '1/0'",
+            ),
+            (
+                "scheme a\nq = 1\npde A[1] = 3/0\nstencil B[0] = 0\n",
+                "line 3, column 12: zero denominator in '3/0'",
+            ),
+            (
+                "scheme a\nq = 1\npde A[1] = 1\n"
+                "stencil B[-1] = lambda^17\nstencil B[0] = -lambda^17\n",
+                "line 4, column 24: lambda exponent 17 exceeds 16",
+            ),
         ],
     )
     def test_rejections(self, text, fragment):
@@ -111,6 +127,30 @@ class TestParser:
         spec = parse_scheme(text)
         assert spec.weight(0) == lp("-1/3", 1, -2)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("2lambda", lp(0, 2)),
+            ("2 * lambda ^ 3", lp(0, 0, 0, 2)),
+            ("-lambda", lp(0, -1)),
+            ("+1", lp(1)),
+            ("1/2*lambda - 1/3", lp("-1/3", "1/2")),
+            (f"lambda^{MAX_LAMBDA_POWER}", LambdaPoly.const(1).shift_up(MAX_LAMBDA_POWER)),
+        ],
+    )
+    def test_accepted_forms(self, text, expected):
+        assert _parse_poly(text, 1, 1) == expected
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("1 2", 3), ("*lambda", 1), ("2*", 2), ("2^3", 2), ("--1", 2), ("1 +", 4),
+         ("lambdas", 7), ("lambda^1/2", 9)],
+    )
+    def test_rejected_forms(self, text, column):
+        with pytest.raises(SchemeParseError) as exc:
+            _parse_poly(text, 1, 1)
+        assert exc.value.column == column
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [UPWIND_TEXT, HEAT_TEXT, LW_TEXT])
@@ -122,6 +162,26 @@ class TestRoundTrip:
         for entry in builtin_catalog():
             rendered = render_scheme(entry.scheme)
             assert parse_scheme(rendered) == entry.scheme
+
+
+_WEIGHT = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    max_size=MAX_LAMBDA_POWER + 1,
+).map(lambda cs: LambdaPoly(tuple(cs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), min_size=2, max_size=5, unique=True),
+    st.lists(_WEIGHT, min_size=4, max_size=4),
+    st.dictionaries(st.integers(1, 6), st.fractions(max_denominator=30), min_size=1),
+)
+def test_random_scheme_round_trips(offsets, weights, pde):
+    stencil = dict(zip(offsets[:-1], weights))
+    stencil[offsets[-1]] = -sum(stencil.values(), LP_ZERO)
+    assume(any(stencil.values()))
+    spec = SchemeSpec(name="random", q=2, stencil=stencil, pde=pde)
+    assert parse_scheme(render_scheme(spec)) == spec
 
 
 class TestSchemeSpec:
@@ -140,6 +200,10 @@ class TestSchemeSpec:
     def test_rejects_bad_q(self):
         with pytest.raises(SchemeError):
             SchemeSpec(name="x", q=0, stencil={-1: lp(1), 0: lp(-1)}, pde={1: 1})
+
+    def test_rejects_duplicate_pde_order(self):
+        with pytest.raises(SchemeError, match="duplicate PDE order"):
+            SchemeSpec(name="x", q=1, stencil={-1: lp(1), 0: lp(-1)}, pde=((1, 1), (1, 2)))
 
     def test_widths(self, lax):
         assert lax.n_left == 1 and lax.n_right == 1
