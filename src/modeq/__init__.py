@@ -16,7 +16,6 @@ from .exactalg import (
     ThetaSeries,
     series_exp,
     series_log,
-    series_mul,
 )
 from .schemes import (
     CatalogEntry,

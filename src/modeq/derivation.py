@@ -25,14 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactalg import (
-    LP_ZERO,
-    InexactDivisionError,
-    LambdaPoly,
-    ThetaSeries,
-    series_exp,
-    series_log,
-)
+from .exactalg import LP_ONE, LP_ZERO, InexactDivisionError, LambdaPoly, ThetaSeries, series_log
 from .schemes import SchemeSpec
 
 __all__ = [
@@ -121,15 +114,10 @@ def symbol_series(scheme: SchemeSpec, order: int) -> ThetaSeries:
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    coeffs = [LambdaPoly.one()]
-    for r in range(1, order + 1):
-        total = LP_ZERO
-        for p, w in scheme.stencil:
-            if p == 0 or w.is_zero:
-                continue
-            total = total + w.scale(Fraction(p**r, math.factorial(r)))
-        coeffs.append(total.shift_up(1))
-    return ThetaSeries(tuple(coeffs))
+    lam = LambdaPoly.lam()
+    return ThetaSeries([LambdaPoly.one()] + [
+        LambdaPoly.dot([(Fraction(p**r, math.factorial(r)), w, lam) for p, w in scheme.stencil])
+        for r in range(1, order + 1)])
 
 
 def _normalize(scheme: SchemeSpec, dt_g: list, engine: str) -> ModifiedEq:
@@ -157,22 +145,30 @@ def derive_log(scheme: SchemeSpec, order: int) -> ModifiedEq:
 def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
     """Modified equation via order-by-order elimination.
 
-    Solves exp(D) = S for D = sum_p d_p x^p: at each order p the unknown d_p
-    appears in [x^p] exp(D) only through the m = 1 term of sum_m D^m / m!, so
+    Solves exp(D) = S for D = sum_p d_p x^p.  At order p the unknown d_p
+    enters [x^p] exp(D) = sum_m [x^p] D^m / m! only through the m = 1 term,
+    and for m >= 2 the power column P_m[p] = [x^p] D^m needs only
+    d_1..d_{p-1}:
 
-        d_p = [x^p] S - [x^p] exp(D_<p)
+        P_m[p] = sum_k d_k * P_{m-1}[p-k],    d_p = s_p - sum_{m>=2} P_m[p] / m!
 
-    where D_<p collects the already-determined d_1..d_{p-1} and has no x^p
-    term, which leaves exactly the m >= 2 terms in [x^p] exp(D_<p).  This
-    engine never takes a logarithm; it only multiplies series.
+    Filling the columns as p advances costs O(N^3) polynomial products.  This
+    engine never takes a logarithm and shares no recurrence with
+    ``derive_log``; it only multiplies and adds polynomials.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    s = symbol_series(scheme, order)
-    d = [LP_ZERO] * (order + 1)
+    s = symbol_series(scheme, order).coeffs
+    cols = [[LP_ZERO] * (order + 1) for _ in range(order + 1)]  # cols[m][p] = P_m[p]
     for p in range(1, order + 1):
-        d[p] = s.coeffs[p] - series_exp(ThetaSeries(tuple(d[: p + 1]))).coeffs[p]
-    return _normalize(scheme, d[1:], "derive_elimination")
+        for m in range(2, p + 1):
+            # P_{m-1} first: dot skips its m-1 leading zero coefficients
+            cols[m][p] = LambdaPoly.dot((1, cols[m - 1][p - k], cols[1][k])
+                                        for k in range(1, p - m + 2))
+        cols[1][p] = LambdaPoly.dot(
+            [(1, s[p], LP_ONE)] +
+            [(Fraction(-1, math.factorial(m)), cols[m][p], LP_ONE) for m in range(2, p + 1)])
+    return _normalize(scheme, cols[1][1:], "derive_elimination")
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,20 @@ the rationals alone: a series here is F in the variable x = i*theta, and
 the factor i^p of a theta^p coefficient appears only when a float
 evaluation substitutes x = i*theta.
 
-Everything here is exact.  Floating point enters only through the explicit
-conversion helper ``eval_float``; all arithmetic is carried out over
-arbitrary-precision rationals so that polynomial identities can be tested by
-literal equality.
+A ``LambdaPoly`` stores integer numerators over one positive denominator and
+is reduced by a single gcd, so arithmetic runs on Python ints and equal
+polynomials have equal fields.  A sum of products, the inner step of every
+series recurrence, is formed by ``LambdaPoly.dot`` over one common
+denominator and reduced once.
+
+The series logarithm and exponential are coefficient recurrences from
+x*L' = x*S'/S (Brent and Kung 1978, "Fast algorithms for manipulating
+formal power series"): each order costs one sum of products, so a series of
+order N costs O(N^2) polynomial products.
+
+Everything here is exact.  Floating point enters only through ``eval_float``,
+which rounds each coefficient once, so polynomial identities can be tested
+by literal equality.
 """
 
 from __future__ import annotations
@@ -28,9 +38,6 @@ __all__ = [
     "OrderMismatchError",
     "SeriesPreconditionError",
     "InexactDivisionError",
-    "series_mul",
-    "series_add",
-    "series_sub",
     "series_log",
     "series_exp",
 ]
@@ -54,130 +61,171 @@ def _as_fraction(x: ScalarLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True, slots=True)
+# Tuples, including star-arguments, are built from lists here, not from
+# generators: CPython allocates a generator's tuple at a guessed length and
+# resizes it, which moves memory from one tuple free list to another, so the
+# free lists grow with every call until each holds its maximum.
+
+
 class LambdaPoly:
-    """Univariate polynomial in the mesh ratio lambda, with Fraction
-    coefficients stored by increasing power and trailing zeros trimmed."""
+    """Univariate polynomial in the mesh ratio lambda with rational
+    coefficients, built from coefficients by increasing power.
 
-    coeffs: tuple = ()
+    Stored canonically as integer numerators ``nums`` by increasing power
+    over one denominator ``den`` > 0, with trailing zeros trimmed and
+    gcd(nums, den) = 1; the zero polynomial is ``()`` over 1.  So ``den`` is
+    the least common denominator of the coefficients, and equal polynomials
+    compare and hash equal.  Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        cs = [_as_fraction(c) for c in self.coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("nums", "den")
+
+    def __init__(self, coeffs: Iterable[ScalarLike] = ()) -> None:
+        cs = [_as_fraction(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        self._reduce([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _reduce(self, nums: list, den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [a // g for a in nums]
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den // g if nums else 1)
+
+    @classmethod
+    def _of(cls, nums: list, den: int = 1) -> "LambdaPoly":
+        """sum_k nums[k]/den * lambda^k for integers nums and den > 0."""
+        poly = object.__new__(cls)
+        poly._reduce(nums, den)
+        return poly
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("LambdaPoly is immutable")
+
+    @staticmethod
+    def dot(terms: Iterable[tuple]) -> "LambdaPoly":
+        """sum of c * a * b over the triples (c, a, b) of a rational c and
+        two polynomials, over one common denominator and reduced once.  Zero
+        coefficients of ``a`` are skipped, so the sparser factor goes first."""
+        terms = [(c, a, b) for c, a, b in terms if c and a.nums and b.nums]
+        den = math.lcm(*[c.denominator * a.den * b.den for c, a, b in terms])
+        out = [0] * max((len(a.nums) + len(b.nums) - 1 for _, a, b in terms), default=0)
+        for c, a, b in terms:
+            f = c.numerator * (den // (c.denominator * a.den * b.den))
+            for j, x in enumerate(a.nums):
+                if x:
+                    x *= f
+                    for k, y in enumerate(b.nums, j):
+                        out[k] += x * y
+        return LambdaPoly._of(out, den)
 
     @classmethod
     def zero(cls) -> "LambdaPoly":
-        return cls(())
+        return cls._of([])
 
     @classmethod
     def one(cls) -> "LambdaPoly":
-        return cls((Fraction(1),))
+        return cls._of([1])
 
     @classmethod
     def const(cls, value: ScalarLike) -> "LambdaPoly":
-        return cls((value,))
+        value = _as_fraction(value)
+        return cls._of([value.numerator], value.denominator)
 
     @classmethod
     def lam(cls) -> "LambdaPoly":
         """The monomial lambda."""
-        return cls((0, 1))
+        return cls._of([0, 1])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions, by increasing power."""
+        return tuple([Fraction(a, self.den) for a in self.nums])
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.nums)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LambdaPoly):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"LambdaPoly({self})"
 
     def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        if not other:
-            return self
-        if not self:
-            return other
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return LambdaPoly(out)
+        return LambdaPoly.dot(((1, self, LP_ONE), (1, other, LP_ONE)))
 
     def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
+        return LambdaPoly.dot(((1, self, LP_ONE), (-1, other, LP_ONE)))
 
     def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly(tuple(-c for c in self.coeffs))
+        return LambdaPoly._of([-a for a in self.nums], self.den)
 
     def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
-        if not self or not other:
-            return LambdaPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for k, b in enumerate(other.coeffs):
-                if b:
-                    out[j + k] = out[j + k] + a * b
-        return LambdaPoly(out)
+        return LambdaPoly.dot(((1, self, other),))
 
     def scale(self, factor: ScalarLike) -> "LambdaPoly":
-        f = _as_fraction(factor)
-        if not f:
-            return LambdaPoly.zero()
-        return LambdaPoly(tuple(c * f for c in self.coeffs))
+        return LambdaPoly.dot(((_as_fraction(factor), self, LP_ONE),))
 
     def shift_up(self, k: int = 1) -> "LambdaPoly":
         """Multiply by lambda**k."""
-        if not self:
-            return self
-        return LambdaPoly((Fraction(0),) * k + self.coeffs)
+        return LambdaPoly._of([0] * k + list(self.nums), self.den) if self else self
 
     def divide_by_lambda(self) -> "LambdaPoly":
         """Exact division by lambda; the constant term must vanish."""
         if not self:
             return self
-        if self.coeffs[0]:
+        if self.nums[0]:
             raise InexactDivisionError(
                 f"polynomial {self} has nonzero constant term, not divisible by lambda"
             )
-        return LambdaPoly(self.coeffs[1:])
+        return LambdaPoly._of(list(self.nums[1:]), self.den)
 
     def __call__(self, lam: ScalarLike) -> Fraction:
-        """Exact evaluation at a rational point."""
+        """Exact evaluation at a rational point, by an integer Horner scheme
+        on the homogenized numerator."""
+        if not self:
+            return Fraction(0)
         x = _as_fraction(lam)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        acc, dpow = 0, 1
+        for a in reversed(self.nums):
+            acc = acc * x.numerator + a * dpow
+            dpow *= x.denominator
+        return Fraction(acc, self.den * dpow // x.denominator)
 
     def eval_float(self, lam: float) -> float:
-        """Floating-point Horner evaluation."""
+        """Floating-point Horner evaluation; each coefficient is rounded
+        once, as the correctly rounded int quotient a_k / den."""
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * lam + float(c)
+        for a in reversed(self.nums):
+            acc = acc * lam + a / self.den
         return acc
 
     def __str__(self) -> str:
         return self.to_string()
 
     def to_string(self, var: str = "lambda") -> str:
-        """Canonical rendering over a common integer denominator,
+        """Canonical rendering over the common integer denominator,
         e.g. ``(1-6*lambda)/12``."""
         if self.is_zero:
             return "0"
-        denom = 1
-        for c in self.coeffs:
-            denom = math.lcm(denom, c.denominator)
         parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            a = int(c * denom)
+        for k, a in enumerate(self.nums):
             if a == 0:
                 continue
             coeff = str(abs(a))
@@ -188,11 +236,11 @@ class LambdaPoly:
                 term = power if coeff == "1" else f"{coeff}*{power}"
             parts.append(("-" if a < 0 else "+") + term)
         body = "".join(parts).lstrip("+")
-        if denom == 1:
+        if self.den == 1:
             return body
         if len(parts) > 1:
             body = f"({body})"
-        return f"{body}/{denom}"
+        return f"{body}/{self.den}"
 
 
 LP_ZERO = LambdaPoly.zero()
@@ -204,15 +252,15 @@ class ThetaSeries:
     """Power series in x = i*theta truncated at a fixed order N.
 
     ``coeffs[p]`` is the LambdaPoly multiplying x**p; the tuple always has
-    length N+1.  Arithmetic closes over the order: products are Cauchy
-    products with terms beyond x**N discarded, and operands of different
-    orders are rejected rather than silently extended.
+    length N+1.  The product is the Cauchy product with terms beyond x**N
+    discarded; operands of different orders are rejected rather than
+    silently extended.
     """
 
     coeffs: tuple
 
     def __post_init__(self) -> None:
-        cs = tuple(c if isinstance(c, LambdaPoly) else LambdaPoly.const(c) for c in self.coeffs)
+        cs = tuple([c if isinstance(c, LambdaPoly) else LambdaPoly.const(c) for c in self.coeffs])
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -242,96 +290,42 @@ class ThetaSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
 
-    def scale(self, factor: ScalarLike) -> "ThetaSeries":
-        return ThetaSeries(tuple(c.scale(factor) for c in self.coeffs))
-
-    def __add__(self, other: "ThetaSeries") -> "ThetaSeries":
-        return series_add(self, other)
-
-    def __sub__(self, other: "ThetaSeries") -> "ThetaSeries":
-        return series_sub(self, other)
-
     def __mul__(self, other: "ThetaSeries") -> "ThetaSeries":
-        return series_mul(self, other)
-
-    def __str__(self) -> str:
-        parts = []
-        for p, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            body = c.to_string()
-            if p == 0:
-                parts.append(body)
-            else:
-                power = "x" if p == 1 else f"x^{p}"
-                parts.append(power if body == "1" else f"({body})*{power}")
-        return " + ".join(parts) if parts else "0"
-
-
-def _check_orders(a: ThetaSeries, b: ThetaSeries) -> None:
-    if a.order != b.order:
-        raise OrderMismatchError(f"series orders differ: {a.order} vs {b.order}")
-
-
-def series_add(a: ThetaSeries, b: ThetaSeries) -> ThetaSeries:
-    _check_orders(a, b)
-    return ThetaSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def series_sub(a: ThetaSeries, b: ThetaSeries) -> ThetaSeries:
-    _check_orders(a, b)
-    return ThetaSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def series_mul(a: ThetaSeries, b: ThetaSeries) -> ThetaSeries:
-    """Cauchy product truncated at the common order."""
-    _check_orders(a, b)
-    n = a.order
-    out = [LP_ZERO] * (n + 1)
-    for j, x in enumerate(a.coeffs):
-        if x.is_zero:
-            continue
-        for k in range(n + 1 - j):
-            y = b.coeffs[k]
-            if y.is_zero:
-                continue
-            out[j + k] = out[j + k] + x * y
-    return ThetaSeries(tuple(out))
+        if self.order != other.order:
+            raise OrderMismatchError(f"series orders differ: {self.order} vs {other.order}")
+        a, b = self.coeffs, other.coeffs
+        return ThetaSeries([LambdaPoly.dot((1, a[j], b[p - j]) for j in range(p + 1))
+                            for p in range(self.order + 1)])
 
 
 def series_log(s: ThetaSeries) -> ThetaSeries:
     """Logarithm of a series with constant term 1.
 
-    Computed as -sum_{m=1..N} (1-s)**m / m, which is exact at order N
-    because (1-s)**m contributes only to x-orders >= m.
+    L = ln S satisfies x*L' * S = x*S', whose x^p coefficient gives
+
+        p*l_p = p*s_p - sum_{0<k<p} k*l_k*s_{p-k}
+
+    so each l_p is one sum of products of known coefficients: O(N^2)
+    polynomial products for order N.
     """
     if s.coeffs[0] != LP_ONE:
         raise SeriesPreconditionError("series_log requires constant term 1")
-    n = s.order
-    u = series_sub(ThetaSeries.one(n), s)
-    total = ThetaSeries.zero(n)
-    power = None
-    for m in range(1, n + 1):
-        power = u if power is None else series_mul(power, u)
-        if power.is_zero:
-            break
-        total = series_add(total, power.scale(Fraction(1, m)))
-    return ThetaSeries(tuple(-c for c in total.coeffs))
+    c, out = s.coeffs, [LP_ZERO]
+    for p in range(1, s.order + 1):
+        out.append(LambdaPoly.dot([(1, c[p], LP_ONE)] +
+                                  [(Fraction(-k, p), out[k], c[p - k]) for k in range(1, p)]))
+    return ThetaSeries(tuple(out))
 
 
 def series_exp(s: ThetaSeries) -> ThetaSeries:
-    """Exponential of a series with constant term 0, summed exactly
-    through order N."""
+    """Exponential of a series with constant term 0.
+
+    E = exp(S) satisfies x*E' = x*S' * E, so p*e_p = sum_{0<k<=p} k*s_k*e_{p-k}
+    with e_0 = 1: O(N^2) polynomial products for order N.
+    """
     if not s.coeffs[0].is_zero:
         raise SeriesPreconditionError("series_exp requires constant term 0")
-    n = s.order
-    total = ThetaSeries.one(n)
-    power = ThetaSeries.one(n)
-    fact = 1
-    for m in range(1, n + 1):
-        power = series_mul(power, s)
-        if power.is_zero:
-            break
-        fact *= m
-        total = series_add(total, power.scale(Fraction(1, fact)))
-    return total
+    c, out = s.coeffs, [LP_ONE]
+    for p in range(1, s.order + 1):
+        out.append(LambdaPoly.dot((Fraction(k, p), c[k], out[p - k]) for k in range(1, p + 1)))
+    return ThetaSeries(tuple(out))

@@ -160,7 +160,7 @@ class CatalogEntry:
 #   scheme <identifier>
 #   q = <positive integer>
 #   pde A[<order>] = <rational>          (repeatable)
-#   stencil B[<offset>] = <poly>         (repeatable)
+#   stencil B[<offset>] = <poly>         (repeatable; |offset| <= MAX_STENCIL_OFFSET)
 #
 # <poly> is a sum of terms  [sign] [rational] [[*] lambda[^k]], each with a
 # rational or lambda and a sign before all but the first; k <= MAX_LAMBDA_POWER;
@@ -178,6 +178,9 @@ _LINE_PATTERNS = {
 # Highest lambda power of a stencil weight: the degrees of every derived
 # coefficient grow with it, so it bounds the cost of a scheme file.
 MAX_LAMBDA_POWER = 16
+# Largest stencil offset |p|: the zero search solves a polynomial of degree
+# up to twice this, and the grid evolution needs the stencil to fit its grid.
+MAX_STENCIL_OFFSET = 32
 
 # one term of <poly>; '*' may only join a rational to lambda
 _TERM = re.compile(
@@ -187,10 +190,17 @@ _TERM = re.compile(
 
 
 def _rational(text: str, line_no: int, column: int) -> Fraction:
+    """Convert an integer or ``a/b`` literal.  A zero denominator, or a number
+    longer than Python's int-string conversion limit (4300 digits by
+    default), is a parse error at the literal's column."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise SchemeParseError(f"zero denominator in {text!r}", line_no, column) from None
+    except ValueError:
+        raise SchemeParseError(
+            f"number of {len(text)} characters exceeds Python's int-string conversion limit",
+            line_no, column) from None
 
 
 def _parse_poly(text: str, line_no: int, col0: int) -> LambdaPoly:
@@ -203,7 +213,9 @@ def _parse_poly(text: str, line_no: int, col0: int) -> LambdaPoly:
             bad = m.start("sign") if unsigned else m.end()
             found = f"{text[bad]!r} in" if bad < len(text) else "end of"
             raise SchemeParseError(f"unexpected {found} polynomial", line_no, col0 + bad)
-        power = int(m["power"] or 1) if m["lam"] else 0
+        power = int(bool(m["lam"]))
+        if m["power"]:
+            power = int(_rational(m["power"], line_no, col0 + m.start("power")))
         if power > MAX_LAMBDA_POWER:
             raise SchemeParseError(f"lambda exponent {power} exceeds {MAX_LAMBDA_POWER}",
                                    line_no, col0 + m.start("power"))
@@ -242,11 +254,11 @@ def parse_scheme(text: str) -> SchemeSpec:
         elif keyword == "q":
             if q is not None:
                 raise SchemeParseError("duplicate 'q' line", line_no, indent)
-            q = int(m.group(1))
+            q = int(_rational(m.group(1), line_no, indent + m.start(1)))
             if q < 1:
                 raise SchemeParseError("q must be >= 1", line_no, indent)
         elif keyword == "pde":
-            order = int(m.group(1))
+            order = int(_rational(m.group(1), line_no, indent + m.start(1)))
             if order < 1:
                 raise SchemeParseError("PDE order must be >= 1", line_no, indent)
             if order in pde:
@@ -255,7 +267,10 @@ def parse_scheme(text: str) -> SchemeSpec:
                 )
             pde[order] = _rational(m.group(2), line_no, indent + m.start(2))
         else:  # stencil
-            offset = int(m.group(1))
+            offset = int(_rational(m.group(1), line_no, indent + m.start(1)))
+            if abs(offset) > MAX_STENCIL_OFFSET:
+                raise SchemeParseError(f"stencil offset {offset} exceeds +-{MAX_STENCIL_OFFSET}",
+                                       line_no, indent + m.start(1))
             if offset in stencil:
                 raise SchemeParseError(
                     f"duplicate stencil offset {offset}", line_no, indent

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -62,6 +63,21 @@ class TestModeqCommand:
         code, _, err = run(capsys, "modeq", "--file", str(bad))
         assert code == 1
         assert "line 4, column 16" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "weight_line, column",
+        [("stencil B[100000] = -1", 11), (f"stencil B[1] = -{'9' * 5000}", 17)],
+        ids=["wide-offset", "5000-digits"],
+    )
+    def test_unbounded_input_exits_1_at_once(self, tmp_path, capsys, weight_line, column):
+        bad = tmp_path / "wide.scheme"
+        bad.write_text(f"scheme w\nq = 1\npde A[1] = 1\nstencil B[0] = 1\n{weight_line}\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "radius", "--file", str(bad), "--lambdas", "1/4", "-N", "16")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert f"line 5, column {column}" in err
         assert "Traceback" not in err
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
@@ -365,5 +381,21 @@ class TestDeterminism:
     )
     def test_modeq_report_bytes_golden(self, capsys, name, digest):
         code, out, _ = run(capsys, "modeq", "--catalog", name, "-N", "16", "--verify")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # The same at N=64, recorded with the earlier Fraction-coefficient
+    # kernel, so they tie the integer kernel to its output; --verify also
+    # runs the elimination engine at the default MODEQ_MAX_ORDER.
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("heat_centered", "53b4a4ceb4c4252a57b35d2f2e2ec9d721f1e208355ae021247304891d14bb4f"),
+            ("upwind_euler", "be85f6916b8b297c229ff2b98b3d320300c099f4fb2f2abce04d0f22cfcef344"),
+            ("lax_wendroff", "cc9d1968e399480e78ccee91145c450bc0d758f8d3a0e76973b7ce38a9c55b40"),
+        ],
+    )
+    def test_modeq_report_bytes_golden_n64(self, capsys, name, digest):
+        code, out, _ = run(capsys, "modeq", "--catalog", name, "-N", "64", "--verify")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

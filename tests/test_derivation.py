@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import lp
 from modeq.exactalg import LambdaPoly, series_exp
@@ -134,6 +135,26 @@ class TestDeriveElimination:
         scheme = catalog_scheme(name_order[0])
         n = name_order[1]
         assert derive_elimination(scheme, n) == derive_log(scheme, n)
+
+
+@st.composite
+def random_stencils(draw):
+    """A consistent real-rational stencil on offsets -2..2 with q = 1 or 2
+    and weights that are constant or linear in lambda."""
+    q = draw(st.sampled_from([1, 2]))
+    degree = draw(st.sampled_from([0, 1]))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    offsets = sorted(draw(st.sets(st.integers(-2, 2), min_size=2, max_size=5)))
+    weights = {p: LambdaPoly([draw(rationals) for _ in range(degree + 1)]) for p in offsets[1:]}
+    weights[offsets[0]] = -sum(weights.values(), LambdaPoly.zero())
+    assume(any(weights.values()))
+    return SchemeSpec(name="random", q=q, stencil=weights, pde={q: Fraction(1)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_stencils(), st.integers(1, 20))
+def test_engines_agree_on_random_stencils(scheme, order):
+    assert derive_log(scheme, order) == derive_elimination(scheme, order)
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from modeq.exactalg import (
     ThetaSeries,
     series_exp,
     series_log,
-    series_mul,
 )
 
 ZERO = LambdaPoly.zero()
@@ -27,10 +27,29 @@ def series(coeffs, order):
 
 
 class TestLambdaPoly:
-    def test_coefficients_are_reduced_fractions(self):
-        p = LambdaPoly((Fraction(2, 4), 3))
-        assert p.coeffs == (Fraction(1, 2), Fraction(3))
+    def test_canonical_integer_form(self):
+        p = LambdaPoly((Fraction(2, 4), 3, Fraction(-5, 6), 0, 0))
+        assert p.nums == (3, 18, -5) and p.den == 6
+        assert p.coeffs == (Fraction(1, 2), Fraction(3), Fraction(-5, 6))
         assert all(isinstance(c, Fraction) for c in p.coeffs)
+        assert ZERO.nums == () and ZERO.den == 1
+        with pytest.raises(AttributeError):
+            p.den = 12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=50), max_size=6),
+           st.lists(st.fractions(max_denominator=50), max_size=6))
+    def test_canonical_form_properties(self, xs, ys):
+        a, b = LambdaPoly(xs), LambdaPoly(ys)
+        for p in (a, b, a * b, a + b, a - b, a.scale(Fraction(-6, 4))):
+            assert p.den > 0
+            assert math.gcd(p.den, *p.nums) == 1
+            assert not p.nums or p.nums[-1] != 0
+        # the same polynomial reached two ways is the same value
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+        assert LambdaPoly(list(a.coeffs) + [0, 0]) == a
 
     def test_trimming_and_degree(self):
         p = LambdaPoly((1, 0, 0))
@@ -72,25 +91,25 @@ class TestSeriesMul:
     def test_difference_of_squares(self):
         a = series([ONE, ONE], 2)
         b = series([ONE, -ONE], 2)
-        assert series_mul(a, b) == series([ONE, ZERO, -ONE], 2)
+        assert a * b == series([ONE, ZERO, -ONE], 2)
 
     def test_annihilator(self):
         a = series([ONE, LAM], 3)
-        assert series_mul(a, ThetaSeries.zero(3)).is_zero
+        assert (a * ThetaSeries.zero(3)).is_zero
 
     def test_square_with_lambda_coeffs(self):
         # (1 - lam th^2)^2 = 1 - 2 lam th^2 + lam^2 th^4, worked by hand
         a = series([ONE, ZERO, -LAM], 4)
         expected = series([ONE, ZERO, lp(0, -2), ZERO, lp(0, 0, 1)], 4)
-        assert series_mul(a, a) == expected
+        assert a * a == expected
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(OrderMismatchError):
-            series_mul(ThetaSeries.one(2), ThetaSeries.one(3))
+            ThetaSeries.one(2) * ThetaSeries.one(3)
 
     def test_truncation_closes_over_order(self):
         a = series([ONE, ONE], 1)
-        assert series_mul(a, a) == series([ONE, lp(2)], 1)
+        assert a * a == series([ONE, lp(2)], 1)
 
 
 class TestSeriesLog:

@@ -9,6 +9,7 @@ from conftest import lp
 from modeq.exactalg import LP_ZERO, LambdaPoly
 from modeq.schemes import (
     MAX_LAMBDA_POWER,
+    MAX_STENCIL_OFFSET,
     SchemeConsistencyError,
     SchemeError,
     SchemeParseError,
@@ -111,12 +112,48 @@ class TestParser:
                 "stencil B[-1] = lambda^17\nstencil B[0] = -lambda^17\n",
                 "line 4, column 24: lambda exponent 17 exceeds 16",
             ),
+            (
+                "scheme a\nq = 1\npde A[1] = 1\n"
+                f"stencil B[0] = 1\nstencil B[{MAX_STENCIL_OFFSET + 1}] = -1\n",
+                f"line 5, column 11: stencil offset {MAX_STENCIL_OFFSET + 1} exceeds "
+                f"+-{MAX_STENCIL_OFFSET}",
+            ),
+            (
+                "scheme a\nq = 1\npde A[1] = 1\n"
+                f"stencil B[-{MAX_STENCIL_OFFSET + 1}] = 1\nstencil B[0] = -1\n",
+                f"line 4, column 11: stencil offset -{MAX_STENCIL_OFFSET + 1} exceeds",
+            ),
+            # Python refuses to convert more than 4300 digits by default
+            (
+                "scheme a\nq = 1\npde A[1] = 1\n"
+                f"stencil B[-1] = 1 + {'9' * 5000}*lambda\nstencil B[0] = -1\n",
+                "line 4, column 21: number of 5000 characters exceeds",
+            ),
+            (
+                "scheme a\nq = 1\npde A[1] = 1\n"
+                f"stencil B[-1] = lambda^{'9' * 5000}\nstencil B[0] = -1\n",
+                "line 4, column 24: number of 5000 characters exceeds",
+            ),
+            (
+                f"scheme a\nq = 1\npde A[1] = 1/{'7' * 5000}\nstencil B[0] = 0\n",
+                "line 3, column 12: number of 5002 characters exceeds",
+            ),
+            (
+                f"scheme a\nq = {'1' * 5000}\npde A[1] = 1\nstencil B[0] = 0\n",
+                "line 2, column 5: number of 5000 characters exceeds",
+            ),
         ],
     )
     def test_rejections(self, text, fragment):
         with pytest.raises(SchemeError) as exc:
             parse_scheme(text)
         assert fragment in str(exc.value)
+
+    def test_offset_cap_is_inclusive(self):
+        k = MAX_STENCIL_OFFSET
+        spec = parse_scheme(
+            f"scheme a\nq = 2\npde A[2] = -1\nstencil B[-{k}] = 1\nstencil B[{k}] = -1\n")
+        assert (spec.n_left, spec.n_right) == (k, k)
 
     def test_polynomial_grammar(self):
         text = (
