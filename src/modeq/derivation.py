@@ -14,8 +14,8 @@ Both return the coefficients c_p of
 with dx normalized to 1 in the symbolic computation; the dx-dependence is
 carried by the integer grading p - q.  Series are expanded in x = i*theta
 (see ``exactalg``), so c_p is read directly as [x^p](ln S) / lambda, a real
-polynomial in lambda.  Floating point enters only through
-``ModifiedEq.g_float``.
+polynomial in lambda.  Everything here is exact; a float value of c_p is its
+exact value at the rational lambda, rounded once (``spectra``).
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ class ModifiedEq:
         """Power of dx multiplying c_p in the physical coefficient."""
         return p - self.q
 
-    def g_float(self, p: int, lam: float) -> complex:
-        """theta^p coefficient i^p c_p(lambda) of G at dx = 1, in floating
-        point: complex(+-c, 0.0) for even p, complex(0.0, +-c) for odd p."""
-        c = self.coeff(p).eval_float(lam)
-        if p & 2:
-            c = 0.0 - c  # the sign of i^p; a zero stays +0.0
-        return complex(c, 0.0) if p % 2 == 0 else complex(0.0, c)
-
     def dt_g_series(self, order: Optional[int] = None) -> ThetaSeries:
         """The series dt*G = ln S in x = i*theta (lambda symbolic): its x^p
         coefficient is lambda * c_p."""
@@ -98,11 +90,21 @@ class ModifiedEq:
                 {
                     "p": p,
                     "grading": self.grading(p),
-                    "coeff": self.coeff(p).to_string(),
+                    "coeff": self._render(p),
                 }
                 for p in range(1, self.order + 1)
             ],
         }
+
+    def _render(self, p: int) -> str:
+        try:
+            return self.coeff(p).to_string()
+        except ValueError as exc:  # str() of an int beyond Python's digit limit
+            raise ValueError(
+                f"scheme {self.scheme_name}: c_{p} of the N = {self.order} modified "
+                f"equation holds a number beyond Python's int-string conversion "
+                f"limit and cannot be rendered"
+            ) from exc
 
 
 def symbol_series(scheme: SchemeSpec, order: int) -> ThetaSeries:

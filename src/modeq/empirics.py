@@ -34,29 +34,30 @@ Number = Union[int, float, Fraction]
 
 _OVERFLOW_LIMIT = 1e300
 _RATIO_TOL = 1e-12
+_BLOCK_MODES = 32
 
 
 @dataclass(frozen=True)
 class GridState:
-    """Periodic grid of complex samples u_j, j in [0, M)."""
+    """Periodic grid of complex samples u_j, j in [0, M), or one per row."""
 
     values: np.ndarray
     lam: float
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 1 or values.size < 4:
-            raise ValueError("grid must be one-dimensional with at least 4 points")
+        if values.ndim not in (1, 2) or values.shape[-1] < 4:
+            raise ValueError("grid must be one row, or rows, of at least 4 points")
         object.__setattr__(self, "values", values)
 
     @property
     def size(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
 
 def step(scheme: SchemeSpec, state: GridState) -> GridState:
-    """One explicit update u_j <- u_j + lambda sum_p B_p(lambda) u_{(j+p) mod M},
-    into a fresh grid (no in-place aliasing)."""
+    """One explicit update u_j <- u_j + lambda sum_p B_p(lambda) u_{(j+p) mod M}
+    of every grid, into fresh grids (no in-place aliasing)."""
     m = state.size
     if scheme.n_left + scheme.n_right >= m:
         raise ValueError(
@@ -66,15 +67,17 @@ def step(scheme: SchemeSpec, state: GridState) -> GridState:
     u = state.values
     acc = np.zeros_like(u)
     for p, w in stencil_weights(scheme, state.lam):
-        # np.roll(u, -p)[j] == u[(j + p) mod M]
-        acc += w * np.roll(u, -p)
+        # np.roll(u, -p, axis=-1)[..., j] == u[..., (j + p) mod M]
+        acc += w * np.roll(u, -p, axis=-1)
     return GridState(values=u + state.lam * acc, lam=state.lam)
 
 
-def mode_grid(m: int, size: int, lam: Number) -> GridState:
-    """Grid holding the single Fourier mode e^{2 pi i m j / size}."""
+def mode_grid(m, size: int, lam: Number) -> GridState:
+    """Grid holding the single Fourier mode e^{2 pi i m j / size}; for an
+    array of modes m, one such grid per row."""
     j = np.arange(size)
-    return GridState(values=np.exp(2j * math.pi * m * j / size), lam=float(lam))
+    return GridState(values=np.exp(2j * math.pi * np.asarray(m)[..., np.newaxis] * j / size),
+                     lam=float(lam))
 
 
 def measured_amplification(
@@ -175,43 +178,49 @@ def evolve_and_compare(
     """Evolve every Fourier mode for ``steps`` steps and compare the measured
     modulus growth with |S|^steps and |S_N|^steps.
 
+    The modes are stepped together, ``_BLOCK_MODES`` grid rows at a time.
     Modes whose amplitude passes 1e300 are flagged as diverged with the step
     index at which that happened.  theta is folded into (-pi, pi] so the
     polynomial truncation is evaluated at an admissible wavenumber.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    thetas = 2.0 * math.pi * np.arange(gridsize) / gridsize
+    thetas[thetas > math.pi] -= 2.0 * math.pi
+    # |S_N| on the theta array costs one exact evaluation of the c_p, not one
+    # per mode; |S| stays at scalar theta, which keeps predicted_S to the bit
+    # of a one-mode evaluation (an array exp can differ in the last bit)
+    abs_sn = np.abs(truncated_amplification(modeq, lam, thetas, order).s_value)
     rows = []
-    for mode in range(gridsize):
-        theta = 2.0 * math.pi * mode / gridsize
-        if theta > math.pi:
-            theta -= 2.0 * math.pi
-        state = mode_grid(mode, gridsize, lam)
-        diverged_at: Optional[int] = None
-        for n in range(steps):
-            state = step(scheme, state)
-            if float(np.max(np.abs(state.values))) > _OVERFLOW_LIMIT:
-                diverged_at = n + 1
-                break
-        measured = (
-            math.inf if diverged_at is not None else float(np.mean(np.abs(state.values)))
-        )
-        abs_s = abs(eval_symbol(scheme, lam, theta))
-        abs_sn = truncated_amplification(modeq, lam, theta, order).abs_s
-        predicted_s = _power(abs_s, steps)
-        predicted_sn = _power(abs_sn, steps)
-        rows.append(
-            ModeComparison(
-                mode=mode,
-                theta=theta,
-                measured=measured,
-                predicted_s=predicted_s,
-                predicted_sn=predicted_sn,
-                gap_s=_relative_gap(predicted_s, measured),
-                gap_sn=_relative_gap(predicted_sn, measured),
-                diverged_at=diverged_at,
+    for start in range(0, gridsize, _BLOCK_MODES):
+        modes = np.arange(start, min(start + _BLOCK_MODES, gridsize))
+        state = mode_grid(modes, gridsize, lam)
+        diverged_at = np.zeros(modes.size, dtype=int)  # 0: not diverged
+        # a diverged row may overflow to inf or nan; it is recorded already
+        # and its values are never read
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(steps):
+                state = step(scheme, state)
+                peak = np.max(np.abs(state.values), axis=-1)
+                diverged_at[(diverged_at == 0) & (peak > _OVERFLOW_LIMIT)] = n + 1
+            amplitudes = np.mean(np.abs(state.values), axis=-1)
+        for mode, first, amplitude in zip(modes.tolist(), diverged_at.tolist(), amplitudes):
+            theta = float(thetas[mode])
+            measured = math.inf if first else float(amplitude)
+            predicted_s = _power(abs(eval_symbol(scheme, lam, theta)), steps)
+            predicted_sn = _power(float(abs_sn[mode]), steps)
+            rows.append(
+                ModeComparison(
+                    mode=mode,
+                    theta=theta,
+                    measured=measured,
+                    predicted_s=predicted_s,
+                    predicted_sn=predicted_sn,
+                    gap_s=_relative_gap(predicted_s, measured),
+                    gap_sn=_relative_gap(predicted_sn, measured),
+                    diverged_at=first or None,
+                )
             )
-        )
     return EvolutionTable(
         scheme_name=scheme.name,
         lam=float(lam),

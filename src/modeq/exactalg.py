@@ -20,9 +20,10 @@ x*L' = x*S'/S (Brent and Kung 1978, "Fast algorithms for manipulating
 formal power series"): each order costs one sum of products, so a series of
 order N costs O(N^2) polynomial products.
 
-Everything here is exact.  Floating point enters only through ``eval_float``,
-which rounds each coefficient once, so polynomial identities can be tested
-by literal equality.
+Everything here is exact, so polynomial identities can be tested by literal
+equality.  A float is made from an exact value by rounding it once, and that
+happens outside this module: c_p(lambda) is evaluated exactly at the
+rational value of lambda first (``LambdaPoly.__call__``).
 """
 
 from __future__ import annotations
@@ -207,14 +208,6 @@ class LambdaPoly:
             acc = acc * x.numerator + a * dpow
             dpow *= x.denominator
         return Fraction(acc, self.den * dpow // x.denominator)
-
-    def eval_float(self, lam: float) -> float:
-        """Floating-point Horner evaluation; each coefficient is rounded
-        once, as the correctly rounded int quotient a_k / den."""
-        acc = 0.0
-        for a in reversed(self.nums):
-            acc = acc * lam + a / self.den
-        return acc
 
     def __str__(self) -> str:
         return self.to_string()

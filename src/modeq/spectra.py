@@ -5,9 +5,9 @@ theta_m, stability and contraction region scans over the mesh ratio,
 truncated amplification factors, finite-horizon stability certificates,
 the upwind mirror-symmetry check, and figure-data tables.
 
-Stencil weights are always evaluated from the exact lambda-polynomials
-first and only then converted to machine numbers, so that double-precision
-rounding enters at the last possible step.
+Exact first, then round: stencil weights B_p(lambda) and modified-equation
+coefficients c_p(lambda) are evaluated exactly at the rational value of
+lambda (a float at its binary value) and each is rounded to a float once.
 """
 
 from __future__ import annotations
@@ -64,14 +64,19 @@ def theta_grid(n: int = DEFAULT_GRID) -> np.ndarray:
 def stencil_weights(scheme: SchemeSpec, lam: Number) -> list[tuple[int, complex]]:
     """Stencil weights B_p(lambda) as machine complex numbers.
 
-    Rational lambda is substituted exactly before conversion; float lambda
-    falls back to Horner evaluation in double precision.
+    Each weight is evaluated exactly at ``Fraction(lam)`` (a float lambda at
+    its binary value) and rounded once.
     """
+    x = Fraction(lam)
     out = []
-    exact = isinstance(lam, (int, Fraction))
     for p, w in scheme.stencil:
-        value = complex(w(lam) if exact else w.eval_float(float(lam)))
-        out.append((p, value))
+        try:
+            out.append((p, complex(w(x))))
+        except OverflowError as exc:
+            raise ValueError(
+                f"scheme {scheme.name}: weight B[{p}] at lambda = {lam} "
+                f"is beyond the float range"
+            ) from exc
     return out
 
 
@@ -109,11 +114,23 @@ def compute_theta_m(scheme: SchemeSpec, lam: Number, grid: int = DEFAULT_GRID) -
     return _theta_m_from_values(thetas, np.abs(1.0 - s))
 
 
-def _re_p_coeffs(modeq: ModifiedEq, lam: float, order: int) -> np.ndarray:
-    """Real parts of the generator's theta-coefficients [0..order] at dx=1."""
-    out = np.zeros(order + 1)
+def _theta_coeffs(modeq: ModifiedEq, lam: Number, order: int) -> np.ndarray:
+    """The theta^p coefficients i^p c_p(lambda) of G at dx = 1, p = 0..order,
+    each c_p evaluated exactly at ``Fraction(lam)`` and rounded once: its
+    large coefficients of both signs cancel to noise in a float sum."""
+    x = Fraction(lam)
+    out = np.zeros(order + 1, dtype=complex)
     for p in range(1, order + 1):
-        out[p] = modeq.g_float(p, lam).real
+        try:
+            c = float(modeq.coeff(p)(x))
+        except OverflowError as exc:
+            raise ValueError(
+                f"scheme {modeq.scheme_name}: c_{p} at lambda = {lam} "
+                f"is beyond the float range"
+            ) from exc
+        if p & 2:
+            c = 0.0 - c  # the sign of i^p; a zero stays +0.0
+        out[p] = complex(c, 0.0) if p % 2 == 0 else complex(0.0, c)
     return out
 
 
@@ -202,10 +219,11 @@ def region_scan(
         abs_s = np.abs(s)
         abs_oms = np.abs(1.0 - s)
         trunc = {}
-        for n in orders:
-            re_coeffs = _re_p_coeffs(modeq, float(lam), n)
-            re_p = np.polynomial.polynomial.polyval(thetas, re_coeffs)
-            trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
+        if orders:
+            re_g = _theta_coeffs(modeq, lam, orders[-1]).real
+            for n in orders:
+                re_p = np.polynomial.polynomial.polyval(thetas, re_g[: n + 1])
+                trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
         samples.append(
             LambdaSample(
                 lam=float(lam),
@@ -256,10 +274,9 @@ def truncated_amplification(
         )
     lam_f = float(lam)
     th = np.asarray(theta, dtype=complex)
-    p_val = np.zeros_like(th)
-    for p in range(order, 0, -1):
-        p_val = (p_val + modeq.g_float(p, lam_f)) * th
-    s_val = np.exp(lam_f * p_val)
+    p_val = np.polynomial.polynomial.polyval(th, _theta_coeffs(modeq, lam, order))
+    with np.errstate(over="ignore"):  # a growing truncation's |S_N| is inf
+        s_val = np.exp(lam_f * p_val)
     if np.ndim(theta) == 0:
         return TruncationEval(order=order, p_value=complex(p_val), s_value=complex(s_val))
     return TruncationEval(order=order, p_value=p_val, s_value=s_val)

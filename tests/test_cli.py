@@ -80,6 +80,26 @@ class TestModeqCommand:
         assert f"line 5, column {column}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["modeq", "-N", "3"], "scheme huge: c_2 of the N = 3 modified equation"),
+            (["regions", "--lambda-range", "0:1:3"], "scheme huge: weight B[0] at lambda = 0.0 "),
+            (["figures", "--lambdas", "1/2", "-N", "2"], "scheme huge: weight B[0] at lambda = 1/2 "),
+            (["radius", "--lambdas", "1/2", "-N", "16"], "scheme huge: weight B[0] at lambda = 1/2 "),
+        ],
+        ids=["modeq", "regions", "figures", "radius"],
+    )
+    def test_numbers_beyond_float_and_text_exit_1(self, tmp_path, capsys, argv, message):
+        # 4000-digit weights parse, but neither fit a float nor render as text
+        nines = "9" * 4000
+        f = tmp_path / "huge.scheme"
+        f.write_text(f"scheme huge\nq = 1\npde A[1] = {nines}\n"
+                     f"stencil B[0] = {nines}\nstencil B[1] = -{nines}\n")
+        code, _, err = run(capsys, *argv, "--file", str(f), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         code, _, err = run(capsys, "modeq", "-N", "4")
         assert code == 1 and "scheme source" in err

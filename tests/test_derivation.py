@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import lp
 from modeq.exactalg import LambdaPoly, series_exp
 from modeq.derivation import (
-    ModifiedEq,
     consistency_report,
     derive_elimination,
     derive_log,
@@ -93,34 +91,6 @@ class TestDeriveLog:
         modeq = derive_log(heat, 8)
         assert modeq.coeff(4)(0) == Fraction(1, 12)
         assert modeq.coeff(8)(0) == Fraction(1, 20160)
-
-
-class TestGeneratorFloat:
-    """g_float(p, lambda) is the theta^p coefficient i^p c_p(lambda) of G."""
-
-    def test_powers_of_i(self):
-        # c_p = 1/2 + lambda, so c_p(1/2) = 1 exactly, for p = 1..8
-        modeq = ModifiedEq("t", 1, (lp("1/2", 1),) * 8)
-        expected = [1j, -1, -1j, 1] * 2
-        for p in range(1, 9):
-            g = modeq.g_float(p, 0.5)
-            assert g == expected[p - 1], p
-            assert (g.real if p % 2 else g.imag) == 0.0
-
-    def test_zero_coefficient_has_no_negative_zero(self):
-        modeq = ModifiedEq("t", 1, (LambdaPoly.zero(),) * 4)
-        for p in range(1, 5):
-            g = modeq.g_float(p, 0.25)
-            assert g == 0
-            assert math.copysign(1.0, g.real) == 1.0
-            assert math.copysign(1.0, g.imag) == 1.0
-
-    def test_matches_exact_coefficient(self, lax):
-        modeq = derive_log(lax, 6)
-        lam = Fraction(3, 8)
-        for p in range(1, 7):
-            c = float(modeq.coeff(p)(lam))
-            assert modeq.g_float(p, float(lam)) == pytest.approx((1j ** p) * c, abs=1e-15)
 
 
 class TestDeriveElimination:

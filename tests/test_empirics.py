@@ -14,7 +14,7 @@ from modeq.empirics import (
     mode_grid,
     step,
 )
-from modeq.schemes import builtin_catalog
+from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import eval_symbol
 
 
@@ -46,6 +46,14 @@ class TestStep:
     def test_grid_size_floor(self):
         with pytest.raises(ValueError):
             GridState(values=np.ones(3), lam=0.1)
+        with pytest.raises(ValueError):
+            GridState(values=np.ones((2, 2, 8)), lam=0.1)
+
+    def test_rows_step_as_separate_grids(self, upwind):
+        rows = np.arange(24, dtype=complex).reshape(2, 12) ** 2
+        out = step(upwind, GridState(values=rows, lam=0.3))
+        for row, stepped in zip(rows, out.values):
+            assert np.array_equal(step(upwind, GridState(values=row, lam=0.3)).values, stepped)
 
 
 class TestMeasuredAmplification:
@@ -109,6 +117,47 @@ class TestEvolveAndCompare:
             round(math.pi, 6),
         ]
         assert table.rows[5].theta == pytest.approx(-3 * math.pi / 4)
+
+
+def _per_mode_evolution(scheme, lam, steps, gridsize):
+    """(measured, diverged_at) per mode, stepping one mode at a time."""
+    out = []
+    for mode in range(gridsize):
+        state = mode_grid(mode, gridsize, lam)
+        diverged_at = None
+        for n in range(steps):
+            state = step(scheme, state)
+            if float(np.max(np.abs(state.values))) > 1e300:
+                diverged_at = n + 1
+                break
+        measured = math.inf if diverged_at else float(np.mean(np.abs(state.values)))
+        out.append((measured, diverged_at))
+    return out
+
+
+# per scheme: a stable lambda, and an unstable one whose fastest modes pass
+# 1e300 well before the last step (heat at 10 after 189 steps), while the
+# slowest do not
+BATCH_CASES = [
+    ("heat_centered", Fraction(1, 4), 30, False),
+    ("heat_centered", Fraction(10), 200, True),
+    ("upwind_euler", Fraction(1, 2), 30, False),
+    ("upwind_euler", Fraction(10), 250, True),
+    ("lax_wendroff", Fraction(1, 2), 30, False),
+    ("lax_wendroff", Fraction(4), 220, True),
+]
+
+
+@pytest.mark.parametrize("name, lam, steps, diverges", BATCH_CASES)
+def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
+    # 80 modes span three blocks of rows
+    scheme = catalog_scheme(name)
+    table = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, steps, 80)
+    batched = [(r.measured, r.diverged_at) for r in table.rows]
+    assert batched == _per_mode_evolution(scheme, lam, steps, 80)
+    first = [d for _, d in batched if d]
+    assert bool(first) == diverges and all(d < steps for d in first)
+    assert not diverges or any(math.isfinite(m) for m, _ in batched)
 
 
 class TestStabilityDichotomy:

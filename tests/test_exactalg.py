@@ -61,11 +61,6 @@ class TestLambdaPoly:
         assert p(Fraction(1, 6)) == 0
         assert p(0) == Fraction(1, 12)
 
-    def test_float_evaluation(self):
-        p = lp("1/12", "-1/2")
-        assert p.eval_float(0.5) == 1 / 12 - 0.25
-        assert ZERO.eval_float(0.3) == 0.0
-
     def test_divide_by_lambda(self):
         assert lp(0, 2, 3).divide_by_lambda() == lp(2, 3)
         with pytest.raises(InexactDivisionError):

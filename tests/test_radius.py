@@ -297,3 +297,11 @@ class TestContractionImpliesConvergence:
         assert compute_theta_m(scheme, lam) == math.pi
         est = radius_zero_search(scheme, lam)
         assert est.value >= math.pi - 1e-9
+
+
+def test_contraction_does_not_imply_radius_beyond_pi(lax):
+    # Omega_c is where -sum_m (1-S)^m/m converges at every real theta; the
+    # generator's Taylor series can still have radius below pi there
+    lam = Fraction(1, 2)
+    assert compute_theta_m(lax, lam) == math.pi
+    assert radius_zero_search(lax, lam).value == pytest.approx(1.8662640412588716, rel=1e-12)

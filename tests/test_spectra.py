@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
-from modeq.derivation import derive_log
+from conftest import lp
+from modeq.derivation import ModifiedEq, derive_log
+from modeq.exactalg import LambdaPoly
 from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import (
     DEFAULT_TOL,
     CertificateRefusal,
+    _theta_coeffs,
     compute_theta_m,
     eval_symbol,
     figure_data,
@@ -130,6 +135,85 @@ class TestTruncatedAmplification:
         assert gap[8] < gap[2]
 
 
+class TestThetaCoeffs:
+    """_theta_coeffs gives the theta^p coefficient i^p c_p(lambda) of G, c_p
+    evaluated exactly and rounded once."""
+
+    def test_powers_of_i(self):
+        # c_p = 1/2 + lambda, so c_p(1/2) = 1 exactly, for p = 1..8
+        modeq = ModifiedEq("t", 1, (lp("1/2", 1),) * 8)
+        g = _theta_coeffs(modeq, 0.5, 8)
+        assert g[0] == 0
+        expected = [1j, -1, -1j, 1] * 2
+        for p in range(1, 9):
+            assert g[p] == expected[p - 1], p
+            assert (g[p].real if p % 2 else g[p].imag) == 0.0
+
+    def test_zero_coefficient_has_no_negative_zero(self):
+        modeq = ModifiedEq("t", 1, (LambdaPoly.zero(),) * 4)
+        for g in _theta_coeffs(modeq, 0.25, 4):
+            assert g == 0
+            assert math.copysign(1.0, g.real) == 1.0
+            assert math.copysign(1.0, g.imag) == 1.0
+
+    def test_matches_exact_coefficient(self, lax):
+        modeq = derive_log(lax, 6)
+        lam = Fraction(3, 8)
+        g = _theta_coeffs(modeq, float(lam), 6)
+        for p in range(1, 7):
+            assert g[p] == (1j ** p) * float(modeq.coeff(p)(lam))
+
+    def test_float_evaluation(self):
+        # c_1 = 1/12 - lambda/2 at lambda = 0.5 is -1/6, rounded once
+        modeq = ModifiedEq("t", 1, (lp("1/12", "-1/2"), LambdaPoly.zero()))
+        g = _theta_coeffs(modeq, 0.5, 2)
+        assert g[1] == complex(0.0, float(Fraction(-1, 6)))
+        assert g[2] == 0
+
+    def test_evaluates_a_float_lambda_at_its_binary_value(self):
+        # c_1 = 10^20 (lambda - 1/10): at the float 0.1 it is 10^20 times
+        # Fraction(0.1) - 1/10, about 555, not 0
+        modeq = ModifiedEq("t", 1, (LambdaPoly((-10**19, 10**20)),))
+        expected = float(10**20 * (Fraction(0.1) - Fraction(1, 10)))
+        assert _theta_coeffs(modeq, 0.1, 1)[1] == complex(0.0, expected)
+
+    def test_out_of_float_range_names_scheme_lambda_and_order(self):
+        modeq = ModifiedEq("huge", 1, (LambdaPoly.one(), LambdaPoly.const(10**400)))
+        with pytest.raises(ValueError, match=r"scheme huge: c_2 at lambda = 0.5 "):
+            _theta_coeffs(modeq, 0.5, 2)
+
+
+class TestHighOrderTruncation:
+    """c_p at high order are large, cancelling polynomials; P_N must still be
+    accurate to its float rounding."""
+
+    def test_upwind_order_32_stable_near_three_quarters(self, upwind):
+        report = region_scan(upwind, (0.7, 0.8, 11), orders=(32,))
+        assert all(s.trunc_stable[32] for s in report.samples)
+
+    def test_upwind_order_32_amplification_bounded(self, upwind):
+        modeq = derive_log(upwind, 32)
+        te = truncated_amplification(modeq, 0.75, theta_grid(), 32)
+        assert float(np.max(np.abs(te.s_value))) <= 1 + 1e-12
+
+    def test_upwind_order_32_real_part_negative_at_pi(self, upwind):
+        modeq = derive_log(upwind, 32)
+        assert truncated_amplification(modeq, 0.735, math.pi, 32).p_value.real < 0
+
+
+def _exact_partial_sum(modeq: ModifiedEq, lam: float, theta: float, order: int):
+    """P_N(theta) summed at 60 digits from c_p evaluated exactly at lambda,
+    and sum_p |c_p| theta^p."""
+    with mp.workdps(60):
+        total, scale = mp.mpc(0), mp.mpf(0)
+        for p in range(1, order + 1):
+            c = modeq.coeff(p)(Fraction(lam))
+            term = mp.mpf(c.numerator) / c.denominator * mp.mpf(theta) ** p
+            total += term * mp.mpc(0, 1) ** p
+            scale += abs(term)
+        return complex(total), float(scale)
+
+
 # spot checks that the 64-term generator series reproduces the symbol inside
 # the contraction region; near its boundary the series converges too slowly
 # at theta ~ pi for any fixed order, so the samples stay where a 64-term sum
@@ -162,6 +246,20 @@ def test_partial_sums_reproduce_symbol_to_1e8(partial_sum_references):
             partial_sum_references[name], lam, thetas, 64
         ).s_value
         assert float(np.max(np.abs(s_ref - s))) <= 1e-8, (name, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["heat_centered", "upwind_euler", "lax_wendroff"]),
+       lam=st.floats(min_value=0.0, max_value=1.5, exclude_min=True),
+       theta=st.floats(min_value=0.0, max_value=math.pi),
+       order=st.integers(min_value=1, max_value=64))
+def test_truncation_within_horner_bound(partial_sum_references, name, lam, theta, order):
+    # Higham (2002), section 5.1: Horner on exact-then-rounded coefficients
+    # errs by at most gamma_2N * sum_p |c_p| theta^p
+    modeq = partial_sum_references[name]
+    p_value = truncated_amplification(modeq, lam, theta, order).p_value
+    exact, scale = _exact_partial_sum(modeq, lam, theta, order)
+    assert abs(p_value - exact) <= 4 * order * np.finfo(float).eps * scale
 
 
 class TestCertificate:
