@@ -11,7 +11,6 @@ chain against the scheme run on an actual periodic grid.
 from .exactalg import (
     InexactDivisionError,
     LambdaPoly,
-    OrderMismatchError,
     SeriesPreconditionError,
     ThetaSeries,
     series_exp,

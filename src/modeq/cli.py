@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +25,8 @@ from . import empirics, radius, spectra
 from .derivation import CrossCheckError, consistency_report, derive_elimination, derive_log
 from .schemes import SchemeError, catalog_scheme, parse_scheme
 
-DEFAULT_MAX_ORDER = 64
+# the highest series order -N accepts; it bounds the cost of the exact derivation
+MAX_ORDER = 64
 DEFAULT_ROOT_TEST_ORDER = 40
 
 
@@ -34,21 +34,9 @@ class UsageError(ValueError):
     """Bad command-line input; maps to exit code 1."""
 
 
-def _max_order() -> int:
-    raw = os.environ.get("MODEQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"MODEQ_MAX_ORDER must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise UsageError(f"MODEQ_MAX_ORDER must be >= 1, got {value}")
-    return value
-
-
 def _check_order(n: int) -> int:
-    cap = _max_order()
-    if n > cap:
-        raise UsageError(f"series order {n} exceeds MODEQ_MAX_ORDER = {cap}")
+    if n > MAX_ORDER:
+        raise UsageError(f"series order {n} exceeds the cap MAX_ORDER = {MAX_ORDER}")
     if n < 1:
         raise UsageError(f"series order must be >= 1, got {n}")
     return n
@@ -224,7 +212,11 @@ def cmd_regions(args: argparse.Namespace) -> int:
 def cmd_radius(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
-    modeq = derive_log(scheme, _single_order(args, DEFAULT_ROOT_TEST_ORDER))
+    order = _single_order(args, DEFAULT_ROOT_TEST_ORDER)
+    for lam in lambdas:
+        # a symbol beyond the float range fails here, before the derivation
+        spectra.symbol_weights(scheme, lam)
+    modeq = derive_log(scheme, order)
     # the radius depends only on the symbol, so the heat closed form applies
     # to every scheme with the heat stencil, whatever its name
     heat_stencil = scheme.stencil == catalog_scheme("heat_centered").stencil

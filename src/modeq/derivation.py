@@ -109,17 +109,14 @@ class ModifiedEq:
 
 def symbol_series(scheme: SchemeSpec, order: int) -> ThetaSeries:
     """Taylor expansion in x = i*theta of the one-step symbol
-    S = 1 + lambda * sum_p B_p(lambda) e^{p x}.
-
-    The x^0 coefficient is exactly 1 because the weights sum to zero; the
-    x^r coefficient is lambda * sum_p B_p(lambda) p^r / r!.
+    S = sum_p a_p(lambda) e^{p x}: the x^r coefficient is
+    sum_p a_p(lambda) p^r / r!, which is exactly 1 at r = 0.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    lam = LambdaPoly.lam()
-    return ThetaSeries([LambdaPoly.one()] + [
-        LambdaPoly.dot([(Fraction(p**r, math.factorial(r)), w, lam) for p, w in scheme.stencil])
-        for r in range(1, order + 1)])
+    return ThetaSeries([
+        LambdaPoly.dot([(Fraction(p**r, math.factorial(r)), a, LP_ONE) for p, a in scheme.symbol])
+        for r in range(order + 1)])
 
 
 def _normalize(scheme: SchemeSpec, dt_g: list, engine: str) -> ModifiedEq:

@@ -5,7 +5,9 @@ counterparts S_N.
 A discrete Fourier mode is an exact eigenvector of any constant-coefficient
 periodic stencil, so the measured one-step ratio must reproduce S(theta) up
 to double-precision rounding; larger deviations indicate a broken stencil
-application rather than discretization error.
+application rather than discretization error.  A step applies the rounded
+symbol coefficients a_p(lambda) of ``SchemeSpec.symbol`` directly, the same
+floats ``spectra.eval_symbol`` sums.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .derivation import CrossCheckError, ModifiedEq
 from .schemes import SchemeSpec
-from .spectra import eval_symbol, stencil_weights, truncated_amplification
+from .spectra import eval_symbol, symbol_weights, truncated_amplification
 
 __all__ = [
     "GridState",
@@ -56,8 +58,8 @@ class GridState:
 
 
 def step(scheme: SchemeSpec, state: GridState) -> GridState:
-    """One explicit update u_j <- u_j + lambda sum_p B_p(lambda) u_{(j+p) mod M}
-    of every grid, into fresh grids (no in-place aliasing)."""
+    """One explicit update u_j <- sum_p a_p(lambda) u_{(j+p) mod M} of every
+    grid, into fresh grids (no in-place aliasing)."""
     m = state.size
     if scheme.n_left + scheme.n_right >= m:
         raise ValueError(
@@ -66,10 +68,10 @@ def step(scheme: SchemeSpec, state: GridState) -> GridState:
         )
     u = state.values
     acc = np.zeros_like(u)
-    for p, w in stencil_weights(scheme, state.lam):
+    for p, a in symbol_weights(scheme, state.lam):
         # np.roll(u, -p, axis=-1)[..., j] == u[..., (j + p) mod M]
-        acc += w * np.roll(u, -p, axis=-1)
-    return GridState(values=u + state.lam * acc, lam=state.lam)
+        acc += a * np.roll(u, -p, axis=-1)
+    return GridState(values=acc, lam=state.lam)
 
 
 def mode_grid(m, size: int, lam: Number) -> GridState:

@@ -36,7 +36,6 @@ from typing import Iterable, Union
 __all__ = [
     "LambdaPoly",
     "ThetaSeries",
-    "OrderMismatchError",
     "SeriesPreconditionError",
     "InexactDivisionError",
     "series_log",
@@ -44,10 +43,6 @@ __all__ = [
 ]
 
 ScalarLike = Union[int, Fraction]
-
-
-class OrderMismatchError(ValueError):
-    """Arithmetic attempted on series of different truncation orders."""
 
 
 class SeriesPreconditionError(ValueError):
@@ -123,22 +118,9 @@ class LambdaPoly:
         return LambdaPoly._of(out, den)
 
     @classmethod
-    def zero(cls) -> "LambdaPoly":
-        return cls._of([])
-
-    @classmethod
-    def one(cls) -> "LambdaPoly":
-        return cls._of([1])
-
-    @classmethod
     def const(cls, value: ScalarLike) -> "LambdaPoly":
         value = _as_fraction(value)
         return cls._of([value.numerator], value.denominator)
-
-    @classmethod
-    def lam(cls) -> "LambdaPoly":
-        """The monomial lambda."""
-        return cls._of([0, 1])
 
     @property
     def coeffs(self) -> tuple:
@@ -148,11 +130,6 @@ class LambdaPoly:
     @property
     def is_zero(self) -> bool:
         return not self.nums
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.nums) - 1
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -236,8 +213,8 @@ class LambdaPoly:
         return f"{body}/{self.den}"
 
 
-LP_ZERO = LambdaPoly.zero()
-LP_ONE = LambdaPoly.one()
+LP_ZERO = LambdaPoly()
+LP_ONE = LambdaPoly.const(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,9 +222,7 @@ class ThetaSeries:
     """Power series in x = i*theta truncated at a fixed order N.
 
     ``coeffs[p]`` is the LambdaPoly multiplying x**p; the tuple always has
-    length N+1.  The product is the Cauchy product with terms beyond x**N
-    discarded; operands of different orders are rejected rather than
-    silently extended.
+    length N+1.
     """
 
     coeffs: tuple
@@ -261,34 +236,6 @@ class ThetaSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "ThetaSeries":
-        return cls((LP_ZERO,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "ThetaSeries":
-        return cls((LP_ONE,) + (LP_ZERO,) * order)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable, order: int) -> "ThetaSeries":
-        """Build a series of the given order, padding with zeros."""
-        cs = list(coeffs)
-        if len(cs) > order + 1:
-            raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-        cs += [LP_ZERO] * (order + 1 - len(cs))
-        return cls(tuple(cs))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def __mul__(self, other: "ThetaSeries") -> "ThetaSeries":
-        if self.order != other.order:
-            raise OrderMismatchError(f"series orders differ: {self.order} vs {other.order}")
-        a, b = self.coeffs, other.coeffs
-        return ThetaSeries([LambdaPoly.dot((1, a[j], b[p - j]) for j in range(p + 1))
-                            for p in range(self.order + 1)])
 
 
 def series_log(s: ThetaSeries) -> ThetaSeries:

@@ -7,9 +7,10 @@ Two deliberately independent methods:
 * the zero search locates the complex zero of the symbol S nearest the
   origin (only the symbol is consulted) -- S is entire, so the principal
   logarithm is obstructed exactly at zeros of S.  With w = e^{i theta} the
-  symbol times a power of w is a polynomial Q(w) with exact real coefficients,
-  so the zeros are mapped from the roots of Q: there is no search box, and
-  an infinite radius (Q without nonzero roots) is proven, not inferred.
+  symbol times a power of w is a polynomial Q(w) whose coefficients are the
+  exact a_p(lambda) of ``SchemeSpec.symbol``, so the zeros are mapped from
+  the roots of Q: there is no search box, and an infinite radius (Q without
+  nonzero roots) is proven, not inferred.
 
 Disagreement between the two flags a bug.  Exact Bernoulli numbers and
 Euler-polynomial values are provided as an arithmetic cross-check for the
@@ -190,13 +191,12 @@ _ROOT_DPS = 50  # working digits for the roots of Q
 
 def _symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> list[Fraction]:
     """Exact real coefficients, highest power first, of Q(w) = w^n * S with
-    w = e^{i theta} and n = max(0, -min offset), zero roots stripped."""
+    w = e^{i theta} and n = ``scheme.n_left``, zero roots stripped."""
     n = scheme.n_left
     coeffs = [Fraction(0)] * (n + scheme.n_right + 1)
-    coeffs[n] = Fraction(1)
-    for p, w in scheme.stencil:
-        coeffs[p + n] += w(lam) * lam
-    # the weights sum to zero, so Q(1) = S(0) = 1 and Q is never zero
+    for p, a in scheme.symbol:
+        coeffs[p + n] = a(lam)
+    # the a_p sum to one, so Q(1) = S(0) = 1 and Q is never zero
     while not coeffs[0]:
         coeffs.pop(0)
     while not coeffs[-1]:

@@ -9,17 +9,24 @@ for the mesh ratio lambda = dt/dx^q, together with the target PDE
     u_t + sum_p A_p d^p u/dx^p = 0.
 
 Stencil weights are lambda-polynomials so that schemes whose coefficients
-depend on the mesh ratio (Lax-Wendroff) fit the same form.
+depend on the mesh ratio (Lax-Wendroff) fit the same form.  A Fourier mode
+e^{i j theta} is multiplied per step by the symbol
+
+    S(theta) = sum_p a_p(lambda) e^{i p theta},   a_p = [p = 0] + lambda B_p(lambda),
+
+whose exact coefficients ``SchemeSpec.symbol`` holds; the derivation, the
+float evaluations, the zero search and the grid stepping all read them.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .exactalg import LP_ZERO, LambdaPoly
+from .exactalg import LP_ONE, LP_ZERO, LambdaPoly
 
 __all__ = [
     "SchemeSpec",
@@ -107,24 +114,20 @@ class SchemeSpec:
                 f"stencil weights must sum to zero, got {total}"
             )
 
-    @property
-    def offsets(self) -> tuple:
-        return tuple(p for p, _ in self.stencil)
+    @functools.cached_property
+    def symbol(self) -> tuple:
+        """The one-step symbol S(theta) = sum_p a_p(lambda) e^{i p theta} as
+        ((p, a_p), ...) sorted by offset, with a_p = [p = 0] + lambda B_p.
 
-    def weight(self, offset: int) -> LambdaPoly:
-        for p, w in self.stencil:
-            if p == offset:
-                return w
-        return LP_ZERO
+        Offset 0 is always present; the a_p sum to 1 because the weights sum
+        to zero.  Every exact or float form of S is built from this table.
+        """
+        table = {p: w.shift_up() for p, w in self.stencil}
+        table[0] = table.get(0, LP_ZERO) + LP_ONE
+        return tuple(sorted(table.items()))
 
     def pde_map(self) -> dict:
         return dict(self.pde)
-
-    def pde_coeff(self, order: int) -> Fraction:
-        for p, a in self.pde:
-            if p == order:
-                return a
-        return Fraction(0)
 
     @property
     def pde_order(self) -> int:
@@ -132,11 +135,11 @@ class SchemeSpec:
 
     @property
     def n_left(self) -> int:
-        return max(0, -min(self.offsets))
+        return -self.symbol[0][0]
 
     @property
     def n_right(self) -> int:
-        return max(0, max(self.offsets))
+        return self.symbol[-1][0]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ theta_m, stability and contraction region scans over the mesh ratio,
 truncated amplification factors, finite-horizon stability certificates,
 the upwind mirror-symmetry check, and figure-data tables.
 
-Exact first, then round: stencil weights B_p(lambda) and modified-equation
-coefficients c_p(lambda) are evaluated exactly at the rational value of
-lambda (a float at its binary value) and each is rounded to a float once.
+Exact first, then round: the symbol coefficients a_p(lambda) of
+``SchemeSpec.symbol`` and the modified-equation coefficients c_p(lambda) are
+evaluated exactly at the rational value of lambda (a float at its binary
+value) and each is rounded to a float once; no float lambda multiplies a
+rounded weight.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = [
     "SymmetryReport",
     "FigureTable",
     "theta_grid",
-    "stencil_weights",
+    "symbol_weights",
     "eval_symbol",
     "compute_theta_m",
     "region_scan",
@@ -61,40 +63,39 @@ def theta_grid(n: int = DEFAULT_GRID) -> np.ndarray:
     return np.linspace(0.0, math.pi, n)
 
 
-def stencil_weights(scheme: SchemeSpec, lam: Number) -> list[tuple[int, complex]]:
-    """Stencil weights B_p(lambda) as machine complex numbers.
+def symbol_weights(scheme: SchemeSpec, lam: Number) -> list[tuple[int, float]]:
+    """The symbol coefficients a_p(lambda) as floats, by offset.
 
-    Each weight is evaluated exactly at ``Fraction(lam)`` (a float lambda at
+    Each a_p is evaluated exactly at ``Fraction(lam)`` (a float lambda at
     its binary value) and rounded once.
     """
     x = Fraction(lam)
     out = []
-    for p, w in scheme.stencil:
+    for p, a in scheme.symbol:
         try:
-            out.append((p, complex(w(x))))
+            out.append((p, float(a(x))))
         except OverflowError as exc:
             raise ValueError(
-                f"scheme {scheme.name}: weight B[{p}] at lambda = {lam} "
+                f"scheme {scheme.name}: symbol coefficient a_{p} at lambda = {lam} "
                 f"is beyond the float range"
             ) from exc
     return out
 
 
 def eval_symbol(scheme: SchemeSpec, lam: Number, theta) -> complex:
-    """S(theta) = 1 + lambda * sum_p B_p(lambda) e^{i p theta}.
+    """S(theta) = sum_p a_p(lambda) e^{i p theta}.
 
     ``theta`` may be a real or complex scalar, or an ndarray.
     """
-    lam_f = float(lam)
-    if lam_f < 0:
+    if lam < 0:
         raise ValueError("mesh ratio must be nonnegative")
+    th = np.asarray(theta, dtype=complex)
     acc = 0
-    for p, w in stencil_weights(scheme, lam):
-        acc = acc + w * np.exp(1j * p * np.asarray(theta, dtype=complex))
-    result = 1.0 + lam_f * acc
+    for p, a in symbol_weights(scheme, lam):
+        acc = acc + (a if p == 0 else a * np.exp(1j * p * th))
     if np.ndim(theta) == 0:
-        return complex(result)
-    return result
+        return complex(acc)
+    return acc
 
 
 def _theta_m_from_values(thetas: np.ndarray, one_minus_s: np.ndarray) -> float:

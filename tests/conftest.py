@@ -3,14 +3,29 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, strategies as st
 
-from modeq.exactalg import LambdaPoly
-from modeq.schemes import catalog_scheme
+from modeq.exactalg import LP_ZERO, LambdaPoly
+from modeq.schemes import SchemeSpec, catalog_scheme
 
 
 def lp(*coeffs) -> LambdaPoly:
     """LambdaPoly from rational literals, e.g. lp("1/12", "-1/2")."""
     return LambdaPoly(tuple(Fraction(str(c)) for c in coeffs))
+
+
+@st.composite
+def random_stencils(draw):
+    """A consistent real-rational stencil on offsets -2..2 with q = 1 or 2
+    and weights that are constant or linear in lambda."""
+    q = draw(st.sampled_from([1, 2]))
+    degree = draw(st.sampled_from([0, 1]))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    offsets = sorted(draw(st.sets(st.integers(-2, 2), min_size=2, max_size=5)))
+    weights = {p: LambdaPoly([draw(rationals) for _ in range(degree + 1)]) for p in offsets[1:]}
+    weights[offsets[0]] = -sum(weights.values(), LP_ZERO)
+    assume(any(weights.values()))
+    return SchemeSpec(name="random", q=q, stencil=weights, pde={q: Fraction(1)})
 
 
 @pytest.fixture(scope="session")

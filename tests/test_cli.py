@@ -7,6 +7,7 @@ import time
 import pytest
 
 from modeq.cli import main
+from modeq.exactalg import LP_ONE
 
 HEAT = ["--catalog", "heat_centered"]
 
@@ -84,9 +85,13 @@ class TestModeqCommand:
         "argv, message",
         [
             (["modeq", "-N", "3"], "scheme huge: c_2 of the N = 3 modified equation"),
-            (["regions", "--lambda-range", "0:1:3"], "scheme huge: weight B[0] at lambda = 0.0 "),
-            (["figures", "--lambdas", "1/2", "-N", "2"], "scheme huge: weight B[0] at lambda = 1/2 "),
-            (["radius", "--lambdas", "1/2", "-N", "16"], "scheme huge: weight B[0] at lambda = 1/2 "),
+            # S = 1 at lambda = 0, so the scan fails at its second sample
+            (["regions", "--lambda-range", "0:1:3"],
+             "scheme huge: symbol coefficient a_0 at lambda = 0.5 "),
+            (["figures", "--lambdas", "1/2", "-N", "2"],
+             "scheme huge: symbol coefficient a_0 at lambda = 1/2 "),
+            (["radius", "--lambdas", "1/2", "-N", "16"],
+             "scheme huge: symbol coefficient a_0 at lambda = 1/2 "),
         ],
         ids=["modeq", "regions", "figures", "radius"],
     )
@@ -108,11 +113,24 @@ class TestModeqCommand:
         code, _, err = run(capsys, "modeq", "--file", str(f), "--catalog", "heat_centered")
         assert code == 1 and "exactly one" in err
 
-    def test_order_cap_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("MODEQ_MAX_ORDER", "10")
-        code, _, err = run(capsys, "modeq", *HEAT, "-N", "12")
+    def test_radius_rounds_the_symbol_before_deriving(self, tmp_path, capsys):
+        # the default root-test order would spend seconds in exact arithmetic
+        # on these weights before any float conversion failed
+        nines = "9" * 4000
+        f = tmp_path / "huge.scheme"
+        f.write_text(f"scheme huge\nq = 1\npde A[1] = {nines}\n"
+                     f"stencil B[0] = {nines}\nstencil B[1] = -{nines}\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "radius", "--file", str(f), "--lambdas", "1/2")
+        assert time.perf_counter() - start < 5
         assert code == 1
-        assert "MODEQ_MAX_ORDER" in err
+        assert err.startswith("error: scheme huge: symbol coefficient a_0 ")
+        assert err.count("\n") == 1
+
+    def test_order_cap(self, capsys):
+        code, _, err = run(capsys, "modeq", *HEAT, "-N", "65")
+        assert code == 1
+        assert "series order 65 exceeds the cap MAX_ORDER = 64" in err
 
     def test_engine_mismatch_exits_2(self, capsys, monkeypatch):
         import modeq.cli as cli
@@ -121,13 +139,8 @@ class TestModeqCommand:
         def skewed(scheme, order):
             other = real_derive_log(scheme, order)
             coeffs = list(other.coeffs)
-            coeffs[0] = coeffs[0] + cli_one()
+            coeffs[0] = coeffs[0] + LP_ONE
             return type(other)(scheme_name=other.scheme_name, q=other.q, coeffs=tuple(coeffs))
-
-        def cli_one():
-            from modeq.exactalg import LambdaPoly
-
-            return LambdaPoly.one()
 
         monkeypatch.setattr(cli, "derive_elimination", skewed)
         code, _, err = run(capsys, "modeq", *HEAT, "-N", "4", "--verify")
@@ -406,7 +419,7 @@ class TestDeterminism:
 
     # The same at N=64, recorded with the earlier Fraction-coefficient
     # kernel, so they tie the integer kernel to its output; --verify also
-    # runs the elimination engine at the default MODEQ_MAX_ORDER.
+    # runs the elimination engine at the order cap MAX_ORDER.
     @pytest.mark.parametrize(
         "name, digest",
         [

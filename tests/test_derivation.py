@@ -4,10 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import lp
-from modeq.exactalg import LambdaPoly, series_exp
+from conftest import lp, random_stencils
+from modeq.exactalg import LP_ONE, series_exp
 from modeq.derivation import (
     consistency_report,
     derive_elimination,
@@ -37,14 +37,14 @@ class TestSymbolSeries:
     def test_heat_second_order(self, heat):
         # lambda (e^x - 2 + e^-x) = lambda x^2 + O(x^4)
         s = symbol_series(heat, 2)
-        assert s.coeffs[0] == LambdaPoly.one()
+        assert s.coeffs[0] == LP_ONE
         assert s.coeffs[1].is_zero
         assert s.coeffs[2] == lp(0, 1)
 
     def test_upwind_first_order(self, upwind):
         # lambda (e^-x - 1) = -lambda x + O(x^2)
         s = symbol_series(upwind, 1)
-        assert s.coeffs[0] == LambdaPoly.one()
+        assert s.coeffs[0] == LP_ONE
         assert s.coeffs[1] == lp(0, -1)
 
     @pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(3, 5)])
@@ -62,7 +62,7 @@ class TestSymbolSeries:
     def test_constant_term_is_one_for_all_catalog(self):
         for entry in builtin_catalog():
             s = symbol_series(entry.scheme, 6)
-            assert s.coeffs[0] == LambdaPoly.one()
+            assert s.coeffs[0] == LP_ONE
 
     def test_order_validation(self, heat):
         with pytest.raises(ValueError):
@@ -105,20 +105,6 @@ class TestDeriveElimination:
         scheme = catalog_scheme(name_order[0])
         n = name_order[1]
         assert derive_elimination(scheme, n) == derive_log(scheme, n)
-
-
-@st.composite
-def random_stencils(draw):
-    """A consistent real-rational stencil on offsets -2..2 with q = 1 or 2
-    and weights that are constant or linear in lambda."""
-    q = draw(st.sampled_from([1, 2]))
-    degree = draw(st.sampled_from([0, 1]))
-    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    offsets = sorted(draw(st.sets(st.integers(-2, 2), min_size=2, max_size=5)))
-    weights = {p: LambdaPoly([draw(rationals) for _ in range(degree + 1)]) for p in offsets[1:]}
-    weights[offsets[0]] = -sum(weights.values(), LambdaPoly.zero())
-    assume(any(weights.values()))
-    return SchemeSpec(name="random", q=q, stencil=weights, pde={q: Fraction(1)})
 
 
 @settings(max_examples=40, deadline=None)

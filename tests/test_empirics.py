@@ -24,6 +24,11 @@ class TestStep:
         out = step(heat, state)
         assert np.max(np.abs(out.values - 2.5)) < 1e-15
 
+    def test_upwind_full_ratio_is_an_exact_shift(self, upwind):
+        u = np.exp(1j * np.linspace(0.0, 5.0, 16)) * np.linspace(1.0, 3.0, 16)
+        out = step(upwind, GridState(values=u, lam=1.0))
+        assert np.array_equal(out.values, np.roll(u, 1))
+
     def test_alternating_grid_negated_at_half(self, heat):
         u0 = (-1.0 + 0j) ** np.arange(16)
         out = step(heat, GridState(values=u0, lam=0.5))

@@ -55,9 +55,8 @@ class TestParser:
         spec = parse_scheme(UPWIND_TEXT)
         assert spec.name == "upwind_euler"
         assert spec.q == 1
-        assert spec.weight(-1) == lp(1)
-        assert spec.weight(0) == lp(-1)
-        assert spec.pde_coeff(1) == 1
+        assert dict(spec.stencil) == {-1: lp(1), 0: lp(-1)}
+        assert spec.pde_map() == {1: 1}
         assert spec == catalog_scheme("upwind_euler")
 
     def test_heat_file(self):
@@ -67,7 +66,7 @@ class TestParser:
     def test_lambda_dependent_stencil(self):
         spec = parse_scheme(LW_TEXT)
         assert spec == catalog_scheme("lax_wendroff")
-        assert spec.weight(0) == lp(0, -1)
+        assert dict(spec.stencil)[0] == lp(0, -1)
 
     def test_consistency_violation(self):
         text = "scheme bad\nq = 1\npde A[1] = 1\nstencil B[0] = 1\n"
@@ -162,7 +161,7 @@ class TestParser:
             "stencil B[1] = 2*lambda^2 - lambda + 1/3\n"
         )
         spec = parse_scheme(text)
-        assert spec.weight(0) == lp("-1/3", 1, -2)
+        assert dict(spec.stencil)[0] == lp("-1/3", 1, -2)
 
     @pytest.mark.parametrize(
         "text, expected",

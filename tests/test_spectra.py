@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from conftest import lp
+from conftest import lp, random_stencils
 from modeq.derivation import ModifiedEq, derive_log
-from modeq.exactalg import LambdaPoly
+from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
 from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import (
     DEFAULT_TOL,
@@ -21,6 +21,7 @@ from modeq.spectra import (
     figure_data,
     truncation_certificate,
     region_scan,
+    symbol_weights,
     theta_grid,
     truncated_amplification,
     upwind_symmetry_check,
@@ -48,12 +49,35 @@ class TestEvalSymbol:
                 minus = np.abs(eval_symbol(entry.scheme, lam, -thetas))
                 assert np.max(np.abs(plus - minus)) <= 1e-14
 
-    def test_exact_rational_weights_before_conversion(self, lax):
-        # B_{-1}(1/3) = 1/2 + 1/6 = 2/3 exactly
-        from modeq.spectra import stencil_weights
+    def test_upwind_full_ratio_is_an_exact_shift(self, upwind):
+        # a_0 = 1 - lambda vanishes and a_{-1} = lambda is 1 at lambda = 1
+        thetas = theta_grid(257)
+        assert np.array_equal(eval_symbol(upwind, 1, thetas), np.exp(-1j * thetas))
+        assert eval_symbol(upwind, 1, 0.3) == np.exp(-0.3j)
 
-        weights = dict(stencil_weights(lax, Fraction(1, 3)))
-        assert weights[-1] == complex(float(Fraction(2, 3)))
+
+class TestSymbolTable:
+    def test_symbol_weights_exact_before_rounding(self, lax):
+        # a_{-1}(1/3) = (1/3)(1/2 + 1/6) = 2/9 and a_0(1/3) = 1 - 1/9 = 8/9
+        weights = dict(symbol_weights(lax, Fraction(1, 3)))
+        assert weights[-1] == float(Fraction(2, 9))
+        assert weights[0] == float(Fraction(8, 9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_stencils(), st.floats(0, 2), st.floats(-math.pi, math.pi))
+    def test_symbol_table_and_its_float_evaluation(self, scheme, lam, theta):
+        offsets = [p for p, _ in scheme.symbol]
+        assert offsets == sorted({0} | {p for p, _ in scheme.stencil})
+        assert sum((a for _, a in scheme.symbol), LP_ZERO) == LP_ONE
+        assert (scheme.n_left, scheme.n_right) == (-offsets[0], offsets[-1])
+        x = Fraction(lam)
+        with mp.workdps(50):
+            exact = 1 + mp.mpf(x.numerator) / x.denominator * mp.fsum(
+                mp.mpf(w(x).numerator) / w(x).denominator * mp.expj(p * mp.mpf(theta))
+                for p, w in scheme.stencil)
+            err = float(abs(eval_symbol(scheme, lam, theta) - exact))
+        scale = 1 + lam * sum(abs(float(w(x))) for _, w in scheme.stencil)
+        assert err <= 8 * np.finfo(float).eps * scale
 
 
 class TestThetaM:
@@ -150,7 +174,7 @@ class TestThetaCoeffs:
             assert (g[p].real if p % 2 else g[p].imag) == 0.0
 
     def test_zero_coefficient_has_no_negative_zero(self):
-        modeq = ModifiedEq("t", 1, (LambdaPoly.zero(),) * 4)
+        modeq = ModifiedEq("t", 1, (LP_ZERO,) * 4)
         for g in _theta_coeffs(modeq, 0.25, 4):
             assert g == 0
             assert math.copysign(1.0, g.real) == 1.0
@@ -165,7 +189,7 @@ class TestThetaCoeffs:
 
     def test_float_evaluation(self):
         # c_1 = 1/12 - lambda/2 at lambda = 0.5 is -1/6, rounded once
-        modeq = ModifiedEq("t", 1, (lp("1/12", "-1/2"), LambdaPoly.zero()))
+        modeq = ModifiedEq("t", 1, (lp("1/12", "-1/2"), LP_ZERO))
         g = _theta_coeffs(modeq, 0.5, 2)
         assert g[1] == complex(0.0, float(Fraction(-1, 6)))
         assert g[2] == 0
@@ -178,7 +202,7 @@ class TestThetaCoeffs:
         assert _theta_coeffs(modeq, 0.1, 1)[1] == complex(0.0, expected)
 
     def test_out_of_float_range_names_scheme_lambda_and_order(self):
-        modeq = ModifiedEq("huge", 1, (LambdaPoly.one(), LambdaPoly.const(10**400)))
+        modeq = ModifiedEq("huge", 1, (LP_ONE, LambdaPoly.const(10**400)))
         with pytest.raises(ValueError, match=r"scheme huge: c_2 at lambda = 0.5 "):
             _theta_coeffs(modeq, 0.5, 2)
 
