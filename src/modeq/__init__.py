@@ -64,7 +64,6 @@ from .radius import (
 )
 from .empirics import (
     EvolutionTable,
-    GridState,
     evolve_and_compare,
     measured_amplification,
     step,

@@ -181,27 +181,13 @@ def cmd_regions(args: argparse.Namespace) -> int:
         json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote {json_path}")
-    header = [
-        "lambda",
-        "max_abs_S",
-        "max_abs_one_minus_S",
-        "theta_m",
-        "in_Rs",
-        "in_Omega_c",
-    ] + [f"trunc_stable_N{n}" for n in report.orders]
-    rows = (
-        [
-            s.lam,
-            s.max_abs_s,
-            s.max_abs_one_minus_s,
-            s.theta_m,
-            s.in_rs,
-            s.in_omega_c,
-        ]
-        + [s.trunc_stable[n] for n in report.orders]
-        for s in report.samples
-    )
-    _write_csv(out_dir / f"{scheme.name}_regions.csv", header, rows)
+    # the CSV columns are the sample's JSON fields, trunc_stable flattened
+    rows = [s.to_json_dict() for s in report.samples]
+    for row in rows:
+        for n, stable in row.pop("trunc_stable").items():
+            row[f"trunc_stable_N{n}"] = stable
+    _write_csv(out_dir / f"{scheme.name}_regions.csv", list(rows[0]),
+               (row.values() for row in rows))
     rs = report.rs_boundary()
     oc = report.omega_c_boundary()
     print(f"R_s boundary: {'none' if rs is None else _fmt(rs)}")
@@ -283,7 +269,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     reports = []
     failed = False
     for lam in lambdas:
-        report = spectra.upwind_symmetry_check(lam, modeq, grid=args.grid)
+        report = spectra.upwind_symmetry_check(lam, modeq)
         reports.append(report.to_json_dict())
         failed = failed or not report.ok
     _emit_json({"scheme": "upwind_euler", "reports": reports}, args,
@@ -365,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("symmetry", help="upwind mirror-symmetry check")
-    _add_flags(p, "-N", "--lambdas", "--grid", "--out")
+    _add_flags(p, "-N", "--lambdas", "--out")
     p.set_defaults(func=cmd_symmetry)
 
     return parser

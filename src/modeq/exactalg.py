@@ -157,9 +157,6 @@ class LambdaPoly:
     def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
         return LambdaPoly.dot(((1, self, other),))
 
-    def scale(self, factor: ScalarLike) -> "LambdaPoly":
-        return LambdaPoly.dot(((_as_fraction(factor), self, LP_ONE),))
-
     def shift_up(self, k: int = 1) -> "LambdaPoly":
         """Multiply by lambda**k."""
         return LambdaPoly._of([0] * k + list(self.nums), self.den) if self else self

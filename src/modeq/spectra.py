@@ -7,9 +7,10 @@ the upwind mirror-symmetry check, and figure-data tables.
 
 Exact first, then round: the symbol coefficients a_p(lambda) of
 ``SchemeSpec.symbol`` and the modified-equation coefficients c_p(lambda) are
-evaluated exactly at the rational value of lambda (a float at its binary
+evaluated exactly at the lambda the caller gave (a float at its binary
 value) and each is rounded to a float once; no float lambda multiplies a
-rounded weight.
+rounded weight.  The upwind mirror check compares the exact |S|^2 cosine
+coefficients and rounds nothing.
 """
 
 from __future__ import annotations
@@ -252,10 +253,6 @@ class TruncationEval:
     p_value: complex
     s_value: complex
 
-    @property
-    def abs_s(self) -> float:
-        return abs(self.s_value)
-
 
 def truncated_amplification(
     modeq: ModifiedEq,
@@ -273,11 +270,10 @@ def truncated_amplification(
         raise ValueError(
             f"truncation order {order} exceeds stored order {modeq.order}"
         )
-    lam_f = float(lam)
     th = np.asarray(theta, dtype=complex)
     p_val = np.polynomial.polynomial.polyval(th, _theta_coeffs(modeq, lam, order))
     with np.errstate(over="ignore"):  # a growing truncation's |S_N| is inf
-        s_val = np.exp(lam_f * p_val)
+        s_val = np.exp(float(lam) * p_val)
     if np.ndim(theta) == 0:
         return TruncationEval(order=order, p_value=complex(p_val), s_value=complex(s_val))
     return TruncationEval(order=order, p_value=p_val, s_value=s_val)
@@ -327,7 +323,9 @@ def truncation_certificate(
     The partial sum of ``modeq`` at its full order is the reference for the
     tail constant A, so ``modeq.order`` must exceed ``order``.  Refuses when
     lambda is outside the contraction region (max |1-S| >= 1 - DEFAULT_TOL
-    on the grid), which is the hypothesis the bound rests on.
+    on the grid), which is the hypothesis the bound rests on.  S and the
+    c_p of P_N are evaluated at ``lam`` as given; its float value enters
+    only the formulas for C and the bound.
     """
     lam_f = float(lam)
     if lam_f <= 0:
@@ -345,11 +343,11 @@ def truncation_certificate(
             f"the truncation bound does not apply"
         )
 
-    trunc = truncated_amplification(modeq, lam_f, thetas, order)
+    trunc = truncated_amplification(modeq, lam, thetas, order)
     growth_c = max(0.0, (float(np.max(np.abs(trunc.s_value))) - 1.0) / lam_f)
 
     p_n = trunc.p_value
-    p_ref = truncated_amplification(modeq, lam_f, thetas, modeq.order).p_value
+    p_ref = truncated_amplification(modeq, lam, thetas, modeq.order).p_value
     positive = thetas > 0
     tail_a = float(
         np.max(np.abs(p_ref[positive] - p_n[positive]) / thetas[positive] ** (order + 1))
@@ -376,9 +374,6 @@ class SymmetryReport:
     lam: Fraction
     lam_low: Fraction
     lam_high: Fraction
-    grid: int
-    max_modulus_diff: float
-    worst_theta: float
     modulus_ok: bool
     orders: tuple
     coefficient_ok: bool
@@ -393,9 +388,6 @@ class SymmetryReport:
             "lambda": str(self.lam),
             "lambda_low": str(self.lam_low),
             "lambda_high": str(self.lam_high),
-            "grid": self.grid,
-            "max_modulus_diff": self.max_modulus_diff,
-            "worst_theta": self.worst_theta,
             "modulus_ok": self.modulus_ok,
             "orders": list(self.orders),
             "coefficient_ok": self.coefficient_ok,
@@ -404,13 +396,24 @@ class SymmetryReport:
         }
 
 
-def upwind_symmetry_check(
-    lam: Union[Fraction, int],
-    modeq: ModifiedEq,
-    grid: int = DEFAULT_GRID,
-) -> SymmetryReport:
-    """Check |S(theta, 1/2-lambda)| = |S(theta, 1/2+lambda)| to within
-    DEFAULT_TOL on a grid and, exactly, the even-order coefficient identity
+def _modulus_table(scheme: SchemeSpec, lam: Number) -> tuple:
+    """m_d = sum_p a_p(lambda) a_{p+d}(lambda) for d = 0..n_left+n_right, exact
+    at ``Fraction(lam)``, so that for a real stencil
+
+        |S(theta)|^2 = m_0 + 2 sum_{d>0} m_d cos(d theta).
+    """
+    x = Fraction(lam)
+    a = {p: c(x) for p, c in scheme.symbol}
+    return tuple(
+        sum(a[p] * a.get(p + d, 0) for p in a)
+        for d in range(scheme.n_left + scheme.n_right + 1)
+    )
+
+
+def upwind_symmetry_check(lam: Union[Fraction, int], modeq: ModifiedEq) -> SymmetryReport:
+    """Check, exactly, the modulus identity |S(theta, 1/2-lambda)| =
+    |S(theta, 1/2+lambda)| as equality of the |S|^2 cosine coefficients
+    (``_modulus_table``), and the even-order coefficient identity
 
         (1/2-lambda) c_{2p}(1/2-lambda) = (1/2+lambda) c_{2p}(1/2+lambda)
 
@@ -425,13 +428,6 @@ def upwind_symmetry_check(
     lam_low = Fraction(1, 2) - lam
     lam_high = Fraction(1, 2) + lam
 
-    thetas = theta_grid(grid)
-    s_low = np.abs(eval_symbol(scheme, lam_low, thetas))
-    s_high = np.abs(eval_symbol(scheme, lam_high, thetas))
-    diffs = np.abs(s_low - s_high)
-    max_diff = float(np.max(diffs))
-    worst_theta = float(thetas[int(np.argmax(diffs))])
-
     orders = tuple(range(2, modeq.order + 1, 2))
     first_violation: Optional[int] = None
     for p in orders:
@@ -445,10 +441,7 @@ def upwind_symmetry_check(
         lam=lam,
         lam_low=lam_low,
         lam_high=lam_high,
-        grid=grid,
-        max_modulus_diff=max_diff,
-        worst_theta=worst_theta,
-        modulus_ok=max_diff <= DEFAULT_TOL,
+        modulus_ok=_modulus_table(scheme, lam_low) == _modulus_table(scheme, lam_high),
         orders=orders,
         coefficient_ok=first_violation is None,
         first_violation=first_violation,

@@ -193,19 +193,15 @@ def test_criterion_06_bernoulli_euler_identities(heat):
 
 def test_criterion_07_upwind_mirror_symmetry():
     modeq = derive_log(catalog_scheme("upwind_euler"), 12)
-    reports = [
-        upwind_symmetry_check(Fraction(lam), modeq, grid=GRID)
-        for lam in ("0.1", "0.25", "0.4")
-    ]
-    modulus_ok = all(r.max_modulus_diff <= 1e-12 for r in reports)
+    reports = [upwind_symmetry_check(Fraction(lam), modeq) for lam in ("0.1", "0.25", "0.4")]
+    modulus_ok = all(r.modulus_ok for r in reports)
     coefficient_ok = all(r.coefficient_ok for r in reports)
-    worst = max(r.max_modulus_diff for r in reports)
     ok = modulus_ok and coefficient_ok
     _report(
         7,
         ok,
-        f"|S| mirror symmetry within 1e-12 on {GRID}-point grid (worst "
-        f"{worst:.2e}); coefficient identity exact through order 12",
+        "|S|^2 cosine coefficients equal exactly at 1/2 - lambda and "
+        "1/2 + lambda; coefficient identity exact through order 12",
     )
     assert ok
 

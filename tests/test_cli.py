@@ -161,8 +161,9 @@ class TestCommandLineErrors:
             (["certify", *HEAT, "--lambdas", "1/5", "-N", "4", "--lambda-range", "0:1:5"],
              "--lambda-range"),
             (["symmetry", "--lambdas", "1/4", "--catalog", "upwind_euler"], "--catalog"),
+            (["symmetry", "--lambdas", "1/4", "--grid", "256"], "--grid"),
         ],
-        ids=["modeq", "regions", "radius", "figures", "certify", "symmetry"],
+        ids=["modeq", "regions", "radius", "figures", "certify", "symmetry", "symmetry-grid"],
     )
     def test_unread_flag_exits_1(self, capsys, tmp_path, argv, flag):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -174,6 +175,12 @@ class TestCommandLineErrors:
         code, _, err = run(capsys, "radius", *HEAT, "--lambdas", "1/2", "--grid", "x")
         assert code == 1
         assert err.startswith("error: ") and "--grid" in err
+
+    def test_grid_below_four_points_exits_1(self, capsys, tmp_path):
+        code, _, err = run(capsys, "figures", *HEAT, "--lambdas", "1/4", "-N", "2",
+                           "--gridsize", "3", "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and "at least 4 points" in err
 
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "stability", *HEAT)
@@ -345,7 +352,7 @@ class TestCertifyCommand:
 class TestSymmetryCommand:
     def test_identity_holds(self, capsys):
         code, out, _ = run(
-            capsys, "symmetry", "--lambdas", "1/4,0.1", "-N", "8", "--grid", "512"
+            capsys, "symmetry", "--lambdas", "1/4,0.1", "-N", "8"
         )
         assert code == 0
         reports = json.loads(out)["reports"]
@@ -361,12 +368,12 @@ class TestSymmetryCommand:
         import modeq.cli as cli
         from modeq.spectra import upwind_symmetry_check as real_check
 
-        def broken(lam, modeq, grid=4096):
-            report = real_check(lam, modeq, grid=grid)
+        def broken(lam, modeq):
+            report = real_check(lam, modeq)
             return dataclasses.replace(report, coefficient_ok=False, first_violation=2)
 
         monkeypatch.setattr(cli.spectra, "upwind_symmetry_check", broken)
-        code, _, err = run(capsys, "symmetry", "--lambdas", "1/4", "--grid", "256")
+        code, _, err = run(capsys, "symmetry", "--lambdas", "1/4")
         assert code == 2
         assert "violated" in err
 

@@ -8,57 +8,68 @@ import pytest
 
 from modeq.derivation import derive_log
 from modeq.empirics import (
-    GridState,
     evolve_and_compare,
     measured_amplification,
     mode_grid,
     step,
 )
-from modeq.schemes import builtin_catalog, catalog_scheme
-from modeq.spectra import eval_symbol
+from modeq.schemes import builtin_catalog, catalog_scheme, parse_scheme
+from modeq.spectra import eval_symbol, symbol_weights
 
 
 class TestStep:
     def test_constant_grid_unchanged(self, heat):
-        state = GridState(values=np.full(16, 2.5 + 0j), lam=0.3)
-        out = step(heat, state)
-        assert np.max(np.abs(out.values - 2.5)) < 1e-15
+        out = step(heat, 0.3, np.full(16, 2.5 + 0j))
+        assert np.max(np.abs(out - 2.5)) < 1e-15
 
     def test_upwind_full_ratio_is_an_exact_shift(self, upwind):
         u = np.exp(1j * np.linspace(0.0, 5.0, 16)) * np.linspace(1.0, 3.0, 16)
-        out = step(upwind, GridState(values=u, lam=1.0))
-        assert np.array_equal(out.values, np.roll(u, 1))
+        out = step(upwind, 1.0, u)
+        assert np.array_equal(out, np.roll(u, 1))
 
     def test_alternating_grid_negated_at_half(self, heat):
         u0 = (-1.0 + 0j) ** np.arange(16)
-        out = step(heat, GridState(values=u0, lam=0.5))
-        assert np.max(np.abs(out.values + u0)) < 1e-14
+        out = step(heat, 0.5, u0)
+        assert np.max(np.abs(out + u0)) < 1e-14
 
     def test_unit_ratio_upwind_is_a_shift(self, upwind):
         u0 = np.arange(12, dtype=complex)
-        out = step(upwind, GridState(values=u0, lam=1.0))
-        assert np.max(np.abs(out.values - np.roll(u0, 1))) < 1e-14
+        out = step(upwind, 1.0, u0)
+        assert np.max(np.abs(out - np.roll(u0, 1))) < 1e-14
 
     def test_no_aliasing(self, heat):
-        state = GridState(values=np.ones(8, dtype=complex), lam=0.5)
-        out = step(heat, state)
-        assert out.values is not state.values
+        u = np.ones(8, dtype=complex)
+        out = step(heat, 0.5, u)
+        assert out is not u and np.array_equal(u, np.ones(8))
 
-    def test_stencil_must_fit(self, heat):
-        with pytest.raises(ValueError):
-            step(heat, GridState(values=np.ones(2), lam=0.1))
+    def test_stencil_must_fit(self):
+        wide = parse_scheme(
+            "scheme wide\nq = 1\npde A[1] = 1\nstencil B[-2] = 1\nstencil B[2] = -1\n"
+        )
+        with pytest.raises(ValueError, match="stencil width 4"):
+            step(wide, 0.1, np.ones(4))
 
-    def test_grid_size_floor(self):
-        with pytest.raises(ValueError):
-            GridState(values=np.ones(3), lam=0.1)
-        with pytest.raises(ValueError):
-            GridState(values=np.ones((2, 2, 8)), lam=0.1)
+    def test_grid_size_floor(self, heat):
+        with pytest.raises(ValueError, match="at least 4 points"):
+            step(heat, 0.1, np.ones(3))
+        with pytest.raises(ValueError, match="at least 4 points"):
+            step(heat, 0.1, np.ones((2, 2, 8)))
 
     def test_rows_step_as_separate_grids(self, upwind):
         rows = np.arange(24, dtype=complex).reshape(2, 12) ** 2
-        out = step(upwind, GridState(values=rows, lam=0.3))
-        for row, stepped in zip(rows, out.values):
-            assert np.array_equal(step(upwind, GridState(values=row, lam=0.3)).values, stepped)
+        out = step(upwind, 0.3, rows)
+        for row, stepped in zip(rows, out):
+            assert np.array_equal(step(upwind, 0.3, row), stepped)
+
+    def test_rational_ratio_steps_with_its_exact_weights(self, heat):
+        # 1/3 is not a float: a float copy of lambda gives a centre weight of
+        # 0.33333333333333337, the exact a_0(1/3) rounds to 0.3333333333333333
+        lam = Fraction(1, 3)
+        u = np.zeros(8, dtype=complex)
+        u[0] = 1.0
+        out = step(heat, lam, u)
+        for p, a in symbol_weights(heat, lam):
+            assert out[-p % 8] == a
 
 
 class TestMeasuredAmplification:
@@ -128,14 +139,14 @@ def _per_mode_evolution(scheme, lam, steps, gridsize):
     """(measured, diverged_at) per mode, stepping one mode at a time."""
     out = []
     for mode in range(gridsize):
-        state = mode_grid(mode, gridsize, lam)
+        u = mode_grid(mode, gridsize)
         diverged_at = None
         for n in range(steps):
-            state = step(scheme, state)
-            if float(np.max(np.abs(state.values))) > 1e300:
+            u = step(scheme, lam, u)
+            if float(np.max(np.abs(u))) > 1e300:
                 diverged_at = n + 1
                 break
-        measured = math.inf if diverged_at else float(np.mean(np.abs(state.values)))
+        measured = math.inf if diverged_at else float(np.mean(np.abs(u)))
         out.append((measured, diverged_at))
     return out
 
@@ -168,15 +179,14 @@ def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
 class TestStabilityDichotomy:
     def test_just_stable_all_modes_non_increasing(self, heat):
         for m in range(16):
-            state = mode_grid(m, 16, 0.49)
+            u = mode_grid(m, 16)
             previous = 1.0
             for _ in range(10):
-                state = step(heat, state)
-                amplitude = float(np.max(np.abs(state.values)))
+                u = step(heat, 0.49, u)
+                amplitude = float(np.max(np.abs(u)))
                 assert amplitude <= previous * (1.0 + 1e-12)
                 previous = amplitude
 
     def test_just_unstable_pi_mode_grows(self, heat):
-        state = mode_grid(8, 16, 0.51)
-        state = step(heat, state)
-        assert float(np.max(np.abs(state.values))) >= 1.019
+        u = step(heat, 0.51, mode_grid(8, 16))
+        assert float(np.max(np.abs(u))) >= 1.019

@@ -43,7 +43,7 @@ class TestLambdaPoly:
            st.lists(st.fractions(max_denominator=50), max_size=6))
     def test_canonical_form_properties(self, xs, ys):
         a, b = LambdaPoly(xs), LambdaPoly(ys)
-        for p in (a, b, a * b, a + b, a - b, a.scale(Fraction(-6, 4))):
+        for p in (a, b, a * b, a + b, a - b, a * LambdaPoly.const(Fraction(-6, 4))):
             assert p.den > 0
             assert math.gcd(p.den, *p.nums) == 1
             assert not p.nums or p.nums[-1] != 0
@@ -89,7 +89,7 @@ class TestSeriesLog:
 
     def test_heat_like_expansion(self):
         # log(1 - lam th^2 + lam th^4/12) = -lam th^2 + lam(1-6lam) th^4/12
-        s = series([ONE, ZERO, -LAM, ZERO, LAM.scale(Fraction(1, 12))], 4)
+        s = series([ONE, ZERO, -LAM, ZERO, LAM * LambdaPoly.const(Fraction(1, 12))], 4)
         expected = series(
             [ZERO, ZERO, -LAM, ZERO, lp(0, "1/12", "-1/2")], 4
         )
@@ -98,7 +98,7 @@ class TestSeriesLog:
     def test_shifted_exponential_symbol(self):
         # x-series (x = i theta) of 1 - lam (1 - e^{-x}) at N=2, lam symbolic:
         # 1 - lam x + lam x^2/2, whose log is -lam x + (lam - lam^2) x^2/2
-        s = series([ONE, -LAM, LAM.scale(Fraction(1, 2))], 2)
+        s = series([ONE, -LAM, LAM * LambdaPoly.const(Fraction(1, 2))], 2)
         expected = series([ZERO, -LAM, lp(0, "1/2", "-1/2")], 2)
         assert series_log(s) == expected
 

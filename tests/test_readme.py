@@ -1,9 +1,11 @@
-"""Every command in README's "Command line" block runs and exits 0, and the
+"""Every command in README's "Command line" block runs and exits 0, the
+flag table lists exactly the flags each subcommand registers, and the
 "Library" example prints what its comments say, so a flag or name removed
 from the package cannot linger in the documentation."""
 
 from __future__ import annotations
 
+import argparse
 import math
 import re
 import shlex
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from modeq.cli import main
+from modeq.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,6 +26,24 @@ def _command_lines() -> list[str]:
 
 
 COMMANDS = _command_lines()
+
+
+def _table_flags() -> dict:
+    """Subcommand -> the flags its row of README's flag table names."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", section, re.M)
+    # the table's header reads "flags besides `--out`"
+    return {name: {"--out"} | set(re.findall(r"`(-[-\w]+)", flags)) for name, flags in rows}
+
+
+def _parser_flags() -> dict:
+    """Subcommand -> the flags ``build_parser()`` registers for it."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {a.option_strings[0] for a in parser._actions
+               if a.option_strings and a.option_strings[0] != "-h"}
+        for name, parser in sub.choices.items()
+    }
 
 
 def _library_block() -> str:
@@ -40,6 +60,10 @@ def test_readme_command_exits_0(line, tmp_path, capsys):
     code = main(shlex.split(line)[1:] + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 0, err
+
+
+def test_flag_table_matches_parser():
+    assert _table_flags() == _parser_flags()
 
 
 def test_library_example_prints_its_comments(capsys):

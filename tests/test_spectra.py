@@ -13,8 +13,10 @@ from modeq.derivation import ModifiedEq, derive_log
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
 from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import (
+    DEFAULT_GRID,
     DEFAULT_TOL,
     CertificateRefusal,
+    _modulus_table,
     _theta_coeffs,
     compute_theta_m,
     eval_symbol,
@@ -128,7 +130,7 @@ class TestTruncatedAmplification:
         modeq = derive_log(heat, 8)
         te = truncated_amplification(modeq, Fraction(1, 4), math.pi, 2)
         assert te.p_value == pytest.approx(-math.pi**2)
-        assert te.abs_s == pytest.approx(math.exp(-math.pi**2 / 4), rel=1e-12)
+        assert abs(te.s_value) == pytest.approx(math.exp(-math.pi**2 / 4), rel=1e-12)
 
     def test_unity_at_zero(self):
         for entry in builtin_catalog():
@@ -145,7 +147,7 @@ class TestTruncatedAmplification:
         modeq = derive_log(upwind, 6)
         for theta in (0.3, 1.1, 2.9):
             te = truncated_amplification(modeq, 0.4, theta, 6)
-            assert te.abs_s == pytest.approx(math.exp(0.4 * te.p_value.real), rel=1e-14)
+            assert abs(te.s_value) == pytest.approx(math.exp(0.4 * te.p_value.real), rel=1e-14)
 
     def test_higher_order_tracks_symbol_better(self, heat):
         # inside the contraction region the N=8 curve improves on N=2
@@ -311,17 +313,57 @@ class TestCertificate:
                 truncation_certificate(heat, derive_log(heat, 4), Fraction(1, 5), order,
                                        math.pi, 1.0)
 
+    def test_tail_constant_reads_the_rational_lambda(self, lax):
+        # float(1/5) is not 1/5, so c_p evaluated at float(lambda) differ in
+        # the last bits from the c_p at 1/5
+        m16 = derive_log(lax, 16)
+        lam = Fraction(1, 5)
+        cert = truncation_certificate(lax, m16, lam, 2, math.pi, 1.0)
+        thetas = theta_grid(DEFAULT_GRID)
+        p_n = truncated_amplification(m16, lam, thetas, 2).p_value
+        p_ref = truncated_amplification(m16, lam, thetas, 16).p_value
+        positive = thetas > 0
+        tail_a = float(
+            np.max(np.abs(p_ref[positive] - p_n[positive]) / thetas[positive] ** 3)
+        )
+        assert cert.tail_a == tail_a
+
+
+class TestModulusTable:
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=10**6))
+    def test_upwind_tables_equal_about_one_half(self, lam):
+        upwind = catalog_scheme("upwind_euler")
+        half = Fraction(1, 2)
+        assert _modulus_table(upwind, half - lam) == _modulus_table(upwind, half + lam)
+
+    def test_heat_tables_differ_about_one_half(self, heat):
+        # a = (lambda, 1 - 2 lambda, lambda)
+        quarter = _modulus_table(heat, Fraction(1, 4))
+        assert quarter == (Fraction(3, 8), Fraction(1, 4), Fraction(1, 16))
+        assert _modulus_table(heat, Fraction(3, 4)) != quarter
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["heat_centered", "upwind_euler", "lax_wendroff"]),
+           st.fractions(min_value=0, max_value=1, max_denominator=1000),
+           st.floats(-math.pi, math.pi))
+    def test_cosine_sum_is_the_squared_modulus(self, name, lam, theta):
+        scheme = catalog_scheme(name)
+        m = _modulus_table(scheme, lam)
+        cosine_sum = float(m[0]) + 2 * sum(float(c) * math.cos(d * theta)
+                                           for d, c in enumerate(m) if d)
+        assert abs(cosine_sum - abs(eval_symbol(scheme, lam, theta)) ** 2) <= 1e-14
+
 
 class TestUpwindSymmetry:
     def test_quarter(self, upwind):
         report = upwind_symmetry_check(Fraction(1, 4), derive_log(upwind, 8))
-        assert report.ok
-        assert report.max_modulus_diff <= 1e-12
+        assert report.ok and report.modulus_ok
         assert report.orders == (2, 4, 6, 8)
 
     def test_fixed_point(self, upwind):
         report = upwind_symmetry_check(0, derive_log(upwind, 6))
-        assert report.ok and report.max_modulus_diff == 0.0
+        assert report.ok and report.lam_low == report.lam_high
 
     def test_edge_compares_frozen_and_unit_transport(self, upwind):
         report = upwind_symmetry_check(Fraction(1, 2), derive_log(upwind, 8))
