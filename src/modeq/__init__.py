@@ -45,7 +45,6 @@ from .spectra import (
     StabilityCertificate,
     SymmetryReport,
     TruncationEval,
-    compute_theta_m,
     eval_symbol,
     figure_data,
     truncation_certificate,

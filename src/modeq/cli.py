@@ -46,8 +46,6 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
 

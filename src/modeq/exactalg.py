@@ -23,7 +23,8 @@ order N costs O(N^2) polynomial products.
 Everything here is exact, so polynomial identities can be tested by literal
 equality.  A float is made from an exact value by rounding it once, and that
 happens outside this module: c_p(lambda) is evaluated exactly at the
-rational value of lambda first (``LambdaPoly.__call__``).
+rational value of lambda first, and ``LambdaPoly.float_at`` rounds that
+exact value with one integer division.
 """
 
 from __future__ import annotations
@@ -171,17 +172,30 @@ class LambdaPoly:
             )
         return LambdaPoly._of(list(self.nums[1:]), self.den)
 
-    def __call__(self, lam: ScalarLike) -> Fraction:
-        """Exact evaluation at a rational point, by an integer Horner scheme
-        on the homogenized numerator."""
-        if not self:
-            return Fraction(0)
-        x = _as_fraction(lam)
+    def _num_den(self, x: Fraction) -> tuple:
+        """Integers (n, d) with d > 0 and n/d = self(x), unreduced: an
+        integer Horner scheme on the homogenized numerator."""
+        n, d = x.numerator, x.denominator
         acc, dpow = 0, 1
         for a in reversed(self.nums):
-            acc = acc * x.numerator + a * dpow
-            dpow *= x.denominator
-        return Fraction(acc, self.den * dpow // x.denominator)
+            acc = acc * n + a * dpow
+            dpow *= d
+        return acc, self.den * dpow // d
+
+    def __call__(self, lam: ScalarLike) -> Fraction:
+        """Exact evaluation at a rational point."""
+        if not self:
+            return Fraction(0)
+        return Fraction(*self._num_den(_as_fraction(lam)))
+
+    def float_at(self, lam: ScalarLike) -> float:
+        """``float(self(lam))`` by one int / int division, which Python
+        rounds correctly, so no gcd reduces the fraction first.  Raises
+        ``OverflowError`` where the value is beyond the float range."""
+        if not self:
+            return 0.0
+        num, den = self._num_den(_as_fraction(lam))
+        return num / den
 
     def __str__(self) -> str:
         return self.to_string()

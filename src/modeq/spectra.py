@@ -8,9 +8,15 @@ the upwind mirror-symmetry check, and figure-data tables.
 Exact first, then round: the symbol coefficients a_p(lambda) of
 ``SchemeSpec.symbol`` and the modified-equation coefficients c_p(lambda) are
 evaluated exactly at the lambda the caller gave (a float at its binary
-value) and each is rounded to a float once; no float lambda multiplies a
-rounded weight.  The upwind mirror check compares the exact |S|^2 cosine
-coefficients and rounds nothing.
+value) and each is rounded to a float once, by one integer division
+(``LambdaPoly.float_at``); no float lambda multiplies a rounded weight.  The
+upwind mirror check compares the exact |S|^2 cosine coefficients and rounds
+nothing.
+
+A region scan does its lambda-free work once: it builds the basis
+e^{i p theta} on the theta grid once per scan and, per lambda, sums a_p
+times that basis and runs Horner's scheme for Re P_N in one reused buffer,
+with the same float operations as ``eval_symbol`` and ``polyval``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ __all__ = [
     "theta_grid",
     "symbol_weights",
     "eval_symbol",
-    "compute_theta_m",
     "region_scan",
     "truncated_amplification",
     "truncation_certificate",
@@ -74,7 +79,7 @@ def symbol_weights(scheme: SchemeSpec, lam: Number) -> list[tuple[int, float]]:
     out = []
     for p, a in scheme.symbol:
         try:
-            out.append((p, float(a(x))))
+            out.append((p, a.float_at(x)))
         except OverflowError as exc:
             raise ValueError(
                 f"scheme {scheme.name}: symbol coefficient a_{p} at lambda = {lam} "
@@ -90,30 +95,43 @@ def eval_symbol(scheme: SchemeSpec, lam: Number, theta) -> complex:
     """
     if lam < 0:
         raise ValueError("mesh ratio must be nonnegative")
-    th = np.asarray(theta, dtype=complex)
-    acc = 0
-    for p, a in symbol_weights(scheme, lam):
-        acc = acc + (a if p == 0 else a * np.exp(1j * p * th))
+    acc = _symbol_sum(symbol_weights(scheme, lam), _symbol_basis(scheme, theta))
     if np.ndim(theta) == 0:
         return complex(acc)
     return acc
 
 
+def _symbol_basis(scheme: SchemeSpec, theta) -> list:
+    """e^{i p theta} for each offset p of ``scheme.symbol``, None at p = 0."""
+    th = np.asarray(theta, dtype=complex)
+    return [None if p == 0 else np.exp(1j * p * th) for p, _ in scheme.symbol]
+
+
+def _symbol_sum(weights: list, basis: list):
+    """sum_p a_p basis_p in offset order, from int 0; a_0 is added as is."""
+    acc = 0
+    for (_, a), e in zip(weights, basis):
+        acc = acc + (a if e is None else a * e)
+    return acc
+
+
 def _theta_m_from_values(thetas: np.ndarray, one_minus_s: np.ndarray) -> float:
+    """Largest theta* <= pi such that |1 - S| < 1 at every grid point below
+    theta*; pi when the contraction inequality holds on all of [0, pi]."""
     bad = np.nonzero(one_minus_s >= 1.0)[0]
     if bad.size == 0:
         return math.pi
     return float(thetas[bad[0]])
 
 
-def compute_theta_m(scheme: SchemeSpec, lam: Number, grid: int = DEFAULT_GRID) -> float:
-    """Largest theta* <= pi such that |1 - S| < 1 at every grid point below
-    theta*; returns pi when the contraction inequality holds on all of [0, pi]."""
-    if grid < 64:
-        raise ValueError("theta grid must have at least 64 points")
-    thetas = theta_grid(grid)
-    s = eval_symbol(scheme, lam, thetas)
-    return _theta_m_from_values(thetas, np.abs(1.0 - s))
+def _polyval_into(out: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
+    """out = sum_k c[k] x^k by ``np.polynomial.polynomial.polyval``'s own
+    float steps, c[-1] + x*0, then *x and +c[k], but in place."""
+    np.multiply(x, 0, out=out)
+    out += c[-1]
+    for ck in c[-2::-1]:
+        out *= x
+        out += ck
 
 
 def _theta_coeffs(modeq: ModifiedEq, lam: Number, order: int) -> np.ndarray:
@@ -124,7 +142,7 @@ def _theta_coeffs(modeq: ModifiedEq, lam: Number, order: int) -> np.ndarray:
     out = np.zeros(order + 1, dtype=complex)
     for p in range(1, order + 1):
         try:
-            c = float(modeq.coeff(p)(x))
+            c = modeq.coeff(p).float_at(x)
         except OverflowError as exc:
             raise ValueError(
                 f"scheme {modeq.scheme_name}: c_{p} at lambda = {lam} "
@@ -203,37 +221,44 @@ def region_scan(
     max |S| <= 1 + tol over the theta grid, and inside the contraction region
     when max |1 - S| < 1 - tol.  For each requested truncation order N, the
     truncation is marked stable when Re P_N(theta) <= tol on the whole grid.
+    theta_m is the grid point where |1 - S| first reaches 1, or pi.
     """
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     if count < 2:
         raise ValueError("need at least two lambda samples")
+    if grid < 64:
+        raise ValueError("theta grid must have at least 64 points")
     orders = tuple(sorted(set(int(n) for n in orders)))
     if orders:
         modeq = derive_log(scheme, max(orders))
 
     thetas = theta_grid(grid)
+    basis = _symbol_basis(scheme, thetas)
+    re_p = np.empty_like(thetas)
     lams = np.linspace(float(lo), float(hi), int(count))
     samples = []
     for lam in lams:
-        s = eval_symbol(scheme, float(lam), thetas)
+        s = _symbol_sum(symbol_weights(scheme, float(lam)), basis)
         abs_s = np.abs(s)
         abs_oms = np.abs(1.0 - s)
         trunc = {}
         if orders:
             re_g = _theta_coeffs(modeq, lam, orders[-1]).real
             for n in orders:
-                re_p = np.polynomial.polynomial.polyval(thetas, re_g[: n + 1])
+                _polyval_into(re_p, thetas, re_g[: n + 1])
                 trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
+        max_abs_s = float(np.max(abs_s))
+        max_abs_oms = float(np.max(abs_oms))
         samples.append(
             LambdaSample(
                 lam=float(lam),
-                max_abs_s=float(np.max(abs_s)),
-                max_abs_one_minus_s=float(np.max(abs_oms)),
+                max_abs_s=max_abs_s,
+                max_abs_one_minus_s=max_abs_oms,
                 theta_m=_theta_m_from_values(thetas, abs_oms),
-                in_rs=bool(np.max(abs_s) <= 1.0 + DEFAULT_TOL),
-                in_omega_c=bool(np.max(abs_oms) < 1.0 - DEFAULT_TOL),
+                in_rs=max_abs_s <= 1.0 + DEFAULT_TOL,
+                in_omega_c=max_abs_oms < 1.0 - DEFAULT_TOL,
                 trunc_stable=trunc,
             )
         )

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
-from modeq.cli import main
+from modeq.cli import _fmt, main
 from modeq.exactalg import LP_ONE
 
 HEAT = ["--catalog", "heat_centered"]
@@ -238,6 +240,13 @@ class TestRegionsCommand:
         code, _, err = run(capsys, "regions", *HEAT, "--lambda-range", "0:0:5")
         assert code == 1
 
+    def test_grid_below_64_points_exits_1(self, capsys, tmp_path):
+        code, _, err = run(capsys, "regions", *HEAT, "--lambda-range", "0:0.6:5",
+                           "--grid", "32", "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and "at least 64 points" in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestRadiusCommand:
     def test_heat_estimates(self, capsys):
@@ -378,6 +387,16 @@ class TestSymmetryCommand:
         assert "violated" in err
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [(True, "true"), (False, "false"), (math.inf, "inf"), (-math.inf, "-inf"),
+     (math.nan, "nan"), (-0.0, "-0"), (0.1, "0.10000000000000001"), (7, "7"),
+     (Fraction(-2, 3), "-2/3")],
+)
+def test_fmt(value, text):
+    assert _fmt(value) == text
+
+
 class TestDeterminism:
     def test_identical_config_byte_identical_outputs(self, tmp_path, capsys):
         args = [
@@ -439,3 +458,39 @@ class TestDeterminism:
         code, out, _ = run(capsys, "modeq", "--catalog", name, "-N", "64", "--verify")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # sha256 of the regions JSON and CSV.  Their floats come from numpy's
+    # complex exp and from rounding exact a_p and c_p, so they pin the float
+    # scan: a faster scan must reproduce every byte.  Unlike the modeq
+    # goldens they can depend on the numpy build.
+    @pytest.mark.parametrize(
+        "lambda_range, orders, name, json_digest, csv_digest",
+        [
+            ("0:1.5:301", "2,8,24,32", "heat_centered",
+             "b0dde41ac333bacfb6eb95a9d3f7f214282c2ecbf7cdc04baa15bba98b916662",
+             "97a1927f48b73e6c1cb41530fc1fd933785cf9e8fd48461f99bb2ec586ce9349"),
+            ("0:1.5:301", "2,8,24,32", "upwind_euler",
+             "50d9e4a25fffa5be2a7e61059327c058acc6d0c24cd08bcac9551de30435a963",
+             "7323c26fb11c5f925dc0704ad4584cccc808fddde1bd3adb7841930ceffbce8d"),
+            ("0:1.5:301", "2,8,24,32", "lax_wendroff",
+             "512c069f2e7afeabbde02a71ad370c853a9158f6a10f4531d1727fa5d22ffa8b",
+             "c4ae2044202f6b2454756537be5ebb60e2aa0477aec59fb65a5dafa9c6344124"),
+            ("0:1.2:601", "2,4,8", "heat_centered",
+             "5de37bc8a459b94d8c1eb53e69cd283048f676d11147d0e9a8d51c53d9cf2b26",
+             "ff000b1a8da8db497c204767e409a679c081a93d6544537f4f319bbf7c4ed9d1"),
+            ("0:1.2:601", "2,4,8", "upwind_euler",
+             "e54c234b1419fee97ebb403937f610c18137612300449763285c5690b5f45262",
+             "5e032da88e67eeef61dfd8e20a23759b00b7e2d723f4120b92a8b51167fc974b"),
+            ("0:1.2:601", "2,4,8", "lax_wendroff",
+             "4678ff6f754a123a4c412a9fab9f43c91a240c5924d93bf7d2aa5852cfdb3897",
+             "8fcd774c34f31580fc0d6d691cf8570a9ff209aae4da33be5cf8cac2ace19ce0"),
+        ],
+    )
+    def test_regions_report_bytes_golden(self, capsys, tmp_path, lambda_range, orders,
+                                         name, json_digest, csv_digest):
+        code, _, _ = run(capsys, "regions", "--catalog", name, "--lambda-range", lambda_range,
+                         "-N", orders, "--out", str(tmp_path))
+        assert code == 0
+        for ext, digest in (("json", json_digest), ("csv", csv_digest)):
+            data = (tmp_path / f"{name}_regions.{ext}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, ext

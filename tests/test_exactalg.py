@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import lp
 from modeq.exactalg import (
@@ -61,6 +61,21 @@ class TestLambdaPoly:
         p = lp("1/12", "-1/2")
         assert p(Fraction(1, 6)) == 0
         assert p(0) == Fraction(1, 12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.fractions(), st.integers(-10**320, 10**320)), max_size=5),
+           st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.fractions()))
+    @example([10**400], 1)
+    @example([Fraction(-1, 10**400)], Fraction(1, 3))
+    def test_float_at_is_the_rounded_exact_value(self, coeffs, x):
+        p = LambdaPoly(coeffs)
+        try:
+            expected = float(p(x))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                p.float_at(x)
+            return
+        assert p.float_at(x).hex() == expected.hex()  # hex tells -0.0 from 0.0
 
     def test_divide_by_lambda(self):
         assert lp(0, 2, 3).divide_by_lambda() == lp(2, 3)

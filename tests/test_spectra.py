@@ -17,8 +17,8 @@ from modeq.spectra import (
     DEFAULT_TOL,
     CertificateRefusal,
     _modulus_table,
+    _polyval_into,
     _theta_coeffs,
-    compute_theta_m,
     eval_symbol,
     figure_data,
     truncation_certificate,
@@ -83,21 +83,22 @@ class TestSymbolTable:
 
 
 class TestThetaM:
+    # region_scan over (0, 1/2, 3) samples lambda = 0, 1/4 and 1/2 exactly
     def test_heat_quarter_full_interval(self, heat):
-        assert compute_theta_m(heat, Fraction(1, 4)) == math.pi
+        assert region_scan(heat, (0.0, 0.5, 3)).samples[1].theta_m == math.pi
 
     def test_heat_half_crosses_at_pi_over_two(self, heat):
         grid = 4096
-        theta_star = compute_theta_m(heat, Fraction(1, 2), grid=grid)
+        theta_star = region_scan(heat, (0.0, 0.5, 3), grid=grid).samples[2].theta_m
         step = math.pi / (grid - 1)
         assert 0.0 <= theta_star - math.pi / 2 <= step + 1e-12
 
     def test_upwind_half_full_interval(self, upwind):
-        assert compute_theta_m(upwind, Fraction(1, 2)) == math.pi
+        assert region_scan(upwind, (0.0, 0.5, 3)).samples[2].theta_m == math.pi
 
     def test_grid_validation(self, heat):
-        with pytest.raises(ValueError):
-            compute_theta_m(heat, 0.1, grid=32)
+        with pytest.raises(ValueError, match="at least 64 points"):
+            region_scan(heat, (0.0, 0.1, 2), grid=32)
 
 
 class TestRegionScan:
@@ -123,6 +124,43 @@ class TestRegionScan:
             region_scan(heat, (-0.1, 0.5, 10))
         with pytest.raises(ValueError):
             region_scan(heat, (0.0, 0.5, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=33), st.integers(2, 200))
+    def test_horner_in_place_is_polyval(self, coeffs, grid):
+        thetas, c = theta_grid(grid), np.array(coeffs)
+        out = np.empty_like(thetas)
+        _polyval_into(out, thetas, c)
+        expected = np.polynomial.polynomial.polyval(thetas, c)
+        assert out.tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_stencils(), st.lists(st.integers(1, 32), max_size=3),
+           st.floats(0.01, 1.5), st.integers(2, 5), st.integers(64, 300))
+    def test_scan_equals_per_lambda_reference(self, scheme, orders, hi, count, grid):
+        # the scan shares the basis and runs Horner in place; each sample
+        # must equal eval_symbol and polyval at that lambda, bit for bit
+        report = region_scan(scheme, (0.0, hi, count), grid=grid, orders=orders)
+        orders = sorted(set(orders))
+        modeq = derive_log(scheme, orders[-1]) if orders else None
+        thetas = theta_grid(grid)
+        expected = []
+        for lam in np.linspace(0.0, hi, count):
+            s = eval_symbol(scheme, float(lam), thetas)
+            abs_s, abs_oms = np.abs(s), np.abs(1.0 - s)
+            bad = np.nonzero(abs_oms >= 1.0)[0]
+            trunc = {}
+            if orders:
+                re_g = _theta_coeffs(modeq, lam, orders[-1]).real
+                for n in orders:
+                    re_p = np.polynomial.polynomial.polyval(thetas, re_g[: n + 1])
+                    trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
+            expected.append((float(lam), float(np.max(abs_s)), float(np.max(abs_oms)),
+                             float(thetas[bad[0]]) if bad.size else math.pi,
+                             bool(np.max(abs_s) <= 1.0 + DEFAULT_TOL),
+                             bool(np.max(abs_oms) < 1.0 - DEFAULT_TOL), trunc))
+        assert [(x.lam, x.max_abs_s, x.max_abs_one_minus_s, x.theta_m, x.in_rs,
+                 x.in_omega_c, x.trunc_stable) for x in report.samples] == expected
 
 
 class TestTruncatedAmplification:
