@@ -7,13 +7,13 @@ contraction scan), ``radius`` (convergence-radius estimates), ``figures``
 
 Exit codes: 0 success, 1 input/validation error (bad command-line input
 included), 2 internal cross-check failure.  Outputs are deterministic: fixed
-key order, floats rendered with up to 17 significant digits.
+key order, floats rendered with up to 17 significant digits.  A CSV row is
+its ``_fmt`` fields joined by commas, as ``csv.writer`` would write them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -127,10 +127,8 @@ def _emit_json(obj, args: argparse.Namespace, filename: str) -> None:
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
     print(f"wrote {path}")
 
 
@@ -175,12 +173,11 @@ def cmd_regions(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{scheme.name}_regions.json"
-    json_path.write_text(
-        json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    payload = report.to_json_dict()
+    json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {json_path}")
     # the CSV columns are the sample's JSON fields, trunc_stable flattened
-    rows = [s.to_json_dict() for s in report.samples]
+    rows = payload["lambda_samples"]
     for row in rows:
         for n, stable in row.pop("trunc_stable").items():
             row[f"trunc_stable_N{n}"] = stable

@@ -8,7 +8,8 @@ to double-precision rounding; larger deviations indicate a broken stencil
 application rather than discretization error.  A step applies the rounded
 symbol coefficients a_p(lambda) of ``SchemeSpec.symbol`` directly, each
 evaluated at the lambda the caller gave (a rational lambda exactly) and
-rounded once: the same floats ``spectra.eval_symbol`` sums.
+rounded once: the same floats ``spectra.eval_symbol`` sums.  A step shifts
+the grid by two slices per offset, the values of ``np.roll``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,15 @@ def step(scheme: SchemeSpec, lam: Number, u) -> np.ndarray:
         )
     acc = np.zeros_like(u)
     for p, a in symbol_weights(scheme, lam):
-        # np.roll(u, -p, axis=-1)[..., j] == u[..., (j + p) mod M]
-        acc += a * np.roll(u, -p, axis=-1)
+        acc += a * _shifted(u, p)
     return acc
+
+
+def _shifted(u: np.ndarray, p: int) -> np.ndarray:
+    """u[..., (j + p) mod M], |p| < M, as ``np.roll(u, -p, axis=-1)``; u at p = 0."""
+    if p == 0:
+        return u
+    return np.concatenate((u[..., p:], u[..., :p]), axis=-1)
 
 
 def mode_grid(m, size: int) -> np.ndarray:

@@ -15,8 +15,10 @@ nothing.
 
 A region scan does its lambda-free work once: it builds the basis
 e^{i p theta} on the theta grid once per scan and, per lambda, sums a_p
-times that basis and runs Horner's scheme for Re P_N in one reused buffer,
-with the same float operations as ``eval_symbol`` and ``polyval``.
+times that basis, rounds only the even c_p (all that Re P_N reads) and runs
+Horner's scheme for Re P_N in one reused buffer.  Its floats are those of
+``eval_symbol`` and ``polyval``: the Horner steps are ``polyval``'s, less
+the adds of +0.0 at odd powers.
 """
 
 from __future__ import annotations
@@ -124,23 +126,25 @@ def _theta_m_from_values(thetas: np.ndarray, one_minus_s: np.ndarray) -> float:
     return float(thetas[bad[0]])
 
 
-def _polyval_into(out: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
-    """out = sum_k c[k] x^k by ``np.polynomial.polynomial.polyval``'s own
-    float steps, c[-1] + x*0, then *x and +c[k], but in place."""
-    np.multiply(x, 0, out=out)
-    out += c[-1]
-    for ck in c[-2::-1]:
-        out *= x
-        out += ck
+def _even_horner_into(out: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
+    """out = sum_k c[k] x^k, c of length >= 2 with +0.0 at odd k, by
+    ``polyval``'s float steps in place less its ``+= 0.0`` at odd k: those
+    change only a -0.0, and the kept ``+= c[0]`` gives the same zero anyway."""
+    np.multiply(x, c[-1], out=out)  # x*0 + c[-1] is c[-1], then *x
+    for k in range(len(c) - 2, -1, -1):
+        if k % 2 == 0:
+            out += c[k]
+        if k:
+            out *= x
 
 
-def _theta_coeffs(modeq: ModifiedEq, lam: Number, order: int) -> np.ndarray:
-    """The theta^p coefficients i^p c_p(lambda) of G at dx = 1, p = 0..order,
-    each c_p evaluated exactly at ``Fraction(lam)`` and rounded once: its
-    large coefficients of both signs cancel to noise in a float sum."""
+def _signed_coeffs(modeq: ModifiedEq, lam: Number, ps) -> list[float]:
+    """c_p(lambda) with the sign of i^p, for each p in ``ps``: each c_p is
+    evaluated exactly at ``Fraction(lam)`` and rounded once, since its large
+    coefficients of both signs cancel to noise in a float sum."""
     x = Fraction(lam)
-    out = np.zeros(order + 1, dtype=complex)
-    for p in range(1, order + 1):
+    out = []
+    for p in ps:
         try:
             c = modeq.coeff(p).float_at(x)
         except OverflowError as exc:
@@ -148,9 +152,15 @@ def _theta_coeffs(modeq: ModifiedEq, lam: Number, order: int) -> np.ndarray:
                 f"scheme {modeq.scheme_name}: c_{p} at lambda = {lam} "
                 f"is beyond the float range"
             ) from exc
-        if p & 2:
-            c = 0.0 - c  # the sign of i^p; a zero stays +0.0
-        out[p] = complex(c, 0.0) if p % 2 == 0 else complex(0.0, c)
+        out.append(0.0 - c if p & 2 else c)  # the sign of i^p; a zero stays +0.0
+    return out
+
+
+def _theta_coeffs(modeq: ModifiedEq, lam: Number, order: int) -> np.ndarray:
+    """The theta^p coefficients i^p c_p(lambda) of G at dx = 1, p = 0..order."""
+    g = _signed_coeffs(modeq, lam, range(1, order + 1))
+    out = np.zeros(order + 1, dtype=complex)
+    out.real[2::2], out.imag[1::2] = g[1::2], g[::2]
     return out
 
 
@@ -245,9 +255,10 @@ def region_scan(
         abs_oms = np.abs(1.0 - s)
         trunc = {}
         if orders:
-            re_g = _theta_coeffs(modeq, lam, orders[-1]).real
+            re_g = np.zeros(orders[-1] + 1)
+            re_g[2::2] = _signed_coeffs(modeq, lam, range(2, orders[-1] + 1, 2))
             for n in orders:
-                _polyval_into(re_p, thetas, re_g[: n + 1])
+                _even_horner_into(re_p, thetas, re_g[: n + 1])
                 trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
         max_abs_s = float(np.max(abs_s))
         max_abs_oms = float(np.max(abs_oms))
@@ -490,8 +501,7 @@ class FigureTable:
         columns = [self.thetas, self.abs_s] + [
             self.abs_s_trunc[n] for n in sorted(self.abs_s_trunc)
         ]
-        for values in zip(*columns):
-            yield list(values)
+        return zip(*(col.tolist() for col in columns))
 
 
 def figure_data(

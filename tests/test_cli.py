@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modeq.cli import _fmt, main
+from modeq.cli import _fmt, _write_csv, main
 from modeq.exactalg import LP_ONE
 
 HEAT = ["--catalog", "heat_centered"]
@@ -397,6 +400,29 @@ def test_fmt(value, text):
     assert _fmt(value) == text
 
 
+_CSV_FIELDS = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.fractions(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_CSV_FIELDS, min_size=1, max_size=6), max_size=8))
+def test_write_csv_bytes_match_csv_writer(tmp_path_factory, rows):
+    header = ["theta", "abs_S", "trunc_stable_N2"]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    _write_csv(path, header, iter(rows))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 class TestDeterminism:
     def test_identical_config_byte_identical_outputs(self, tmp_path, capsys):
         args = [
@@ -494,3 +520,40 @@ class TestDeterminism:
         for ext, digest in (("json", json_digest), ("csv", csv_digest)):
             data = (tmp_path / f"{name}_regions.{ext}").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, ext
+
+    # sha256 of the figures curve CSV and evolve CSV at default --grid,
+    # --steps and --gridsize, at one lambda inside R_s and one outside it.
+    # They pin the |S| and |S_N| curves, the periodic-grid evolution and the
+    # CSV writer to the byte; like the regions goldens they can depend on
+    # the numpy build.
+    @pytest.mark.parametrize(
+        "name, lam, curve_digest, evolve_digest",
+        [
+            ("heat_centered", "0.4",
+             "266b4c09b0b3a263928ba8cc5a25cca84e52ef45a60be32115d5c0738875c92b",
+             "b71a8e5152a1b9eed9042bf1eaa32a8227835ca589d9eedc3a990c29ab938ef1"),
+            ("heat_centered", "0.6",
+             "6e16d24e922a8bcb9aa4ec101da2dbf1330a2de986c8c9f816a00ccc96cd01b7",
+             "033166429b8d0b9fb799514b4400b48bd652a2a81aec30caad746b1210405949"),
+            ("upwind_euler", "0.5",
+             "f91c3a1ab2df93df9903ea04d6b99eac09190127138a88b7547a27cf05be55e8",
+             "5a5177271ce833fc404cda1bee851d3f29ab7b18055383bbc134218c295dd08f"),
+            ("upwind_euler", "1.2",
+             "c07bf9342e162249a128c3f49d8bfe0833b6bf64e8071b6c374c4dc13f6e6be6",
+             "e688fd5f33c4977007652d2b5203868da203938f302f29cd3ec89b3c242d8422"),
+            ("lax_wendroff", "0.5",
+             "76ab21e0c68985f96b9eed243b9593cdbb0e1be59d2e5984bebfc4aa8c3b0844",
+             "c0133d28526e4c396fbdd241f930ef85de562065d56edb3d9532be7d52946c96"),
+            ("lax_wendroff", "1.2",
+             "116d183ef6dfc338950ecb58508e2b8b07e202489ab68a182f678d61aa1204e5",
+             "0dfaefcfd17b7cc1fa45a079494d44d64ad0d3e0b305c183ef40753b07d683bd"),
+        ],
+    )
+    def test_figures_report_bytes_golden(self, capsys, tmp_path, name, lam,
+                                         curve_digest, evolve_digest):
+        code, _, _ = run(capsys, "figures", "--catalog", name, "--lambdas", lam,
+                         "-N", "2,8", "--out", str(tmp_path))
+        assert code == 0
+        for stem, digest in (("", curve_digest), ("evolve_", evolve_digest)):
+            data = (tmp_path / f"{name}_{stem}lambda{lam}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, stem or "curve"

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modeq.derivation import derive_log
 from modeq.empirics import (
+    _shifted,
     evolve_and_compare,
     measured_amplification,
     mode_grid,
@@ -36,6 +38,15 @@ class TestStep:
         u0 = np.arange(12, dtype=complex)
         out = step(upwind, 1.0, u0)
         assert np.max(np.abs(out - np.roll(u0, 1))) < 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-3, 3), st.integers(4, 20), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_slice_shift_is_roll(self, p, m, rows, seed):
+        # rows = 0 is a 1-D grid; the stencil-width check keeps |p| < m
+        rng = np.random.default_rng(seed)
+        shape = (rows, m) if rows else (m,)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert _shifted(u, p).tobytes() == np.roll(u, -p, axis=-1).tobytes()
 
     def test_no_aliasing(self, heat):
         u = np.ones(8, dtype=complex)

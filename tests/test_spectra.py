@@ -17,7 +17,7 @@ from modeq.spectra import (
     DEFAULT_TOL,
     CertificateRefusal,
     _modulus_table,
-    _polyval_into,
+    _even_horner_into,
     _theta_coeffs,
     eval_symbol,
     figure_data,
@@ -125,14 +125,41 @@ class TestRegionScan:
         with pytest.raises(ValueError):
             region_scan(heat, (0.0, 0.5, 1))
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=33), st.integers(2, 200))
-    def test_horner_in_place_is_polyval(self, coeffs, grid):
-        thetas, c = theta_grid(grid), np.array(coeffs)
+    # coefficients as the scan makes them: rounded exact values, never -0.0
+    # (0.0 - c and float_at give +0.0 for a zero), with +0.0 at odd powers;
+    # n covers odd orders and N = 1, whose top entry is an odd +0.0
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 65).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+               st.one_of(st.just(0.0), st.floats(-1e6, 1e6).map(lambda v: v + 0.0)),
+               min_size=n // 2 + 1, max_size=n // 2 + 1))),
+           st.integers(2, 200))
+    def test_even_horner_is_polyval(self, n_evens, grid):
+        n, evens = n_evens
+        c = np.zeros(n + 1)
+        c[::2] = evens
+        thetas = theta_grid(grid)
         out = np.empty_like(thetas)
-        _polyval_into(out, thetas, c)
+        _even_horner_into(out, thetas, c)
         expected = np.polynomial.polynomial.polyval(thetas, c)
         assert out.tobytes() == expected.tobytes()
+
+    def test_scan_rounds_only_the_even_coefficients(self, upwind, monkeypatch):
+        # Re P_N reads c_p at even p only: 301 samples of 2 a_p and 32 even c_p
+        calls = []
+        float_at = LambdaPoly.float_at
+        monkeypatch.setattr(LambdaPoly, "float_at",
+                            lambda self, x: calls.append(x) or float_at(self, x))
+        region_scan(upwind, (0.0, 1.5, 301), orders=range(2, 65, 2))
+        assert len(calls) == 301 * (2 + 32)
+
+    def test_scan_reads_no_odd_coefficient(self, heat, monkeypatch):
+        # c_1 is beyond the float range, but Re P_2 = -c_2 theta^2 never reads it
+        modeq = ModifiedEq("huge", 1, (LambdaPoly.const(10**400), LP_ONE))
+        monkeypatch.setattr("modeq.spectra.derive_log", lambda scheme, order: modeq)
+        report = region_scan(heat, (0.0, 0.5, 3), grid=64, orders=(2,))
+        assert all(s.trunc_stable == {2: True} for s in report.samples)
+        with pytest.raises(ValueError, match=r"scheme huge: c_1 at lambda = 0.5 "):
+            _theta_coeffs(modeq, 0.5, 2)
 
     @settings(max_examples=30, deadline=None)
     @given(random_stencils(), st.lists(st.integers(1, 32), max_size=3),
