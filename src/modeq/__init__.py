@@ -6,7 +6,13 @@ independent engines), evaluates the one-step symbol numerically, scans
 stability and series-contraction regions over the mesh ratio, estimates the
 convergence radius of the Fourier generator series, and validates the whole
 chain against the scheme run on an actual periodic grid.
+
+The exact layers load with the package.  The names of the numeric layers
+(``spectra``, ``radius``, ``empirics``) load on first access: those import
+numpy and mpmath, most of a cold start, which a derivation never needs.
 """
+
+from importlib import import_module as _import_module
 
 from .exactalg import (
     InexactDivisionError,
@@ -38,34 +44,30 @@ from .derivation import (
     derive_log,
     symbol_series,
 )
-from .spectra import (
-    CertificateRefusal,
-    FigureTable,
-    RegionReport,
-    StabilityCertificate,
-    SymmetryReport,
-    TruncationEval,
-    eval_symbol,
-    figure_data,
-    truncation_certificate,
-    region_scan,
-    truncated_amplification,
-    upwind_symmetry_check,
-)
-from .radius import (
-    RadiusEstimate,
-    ZeroSearchError,
-    bernoulli,
-    euler_poly_at_zero,
-    heat_closed_form_radius,
-    radius_root_test,
-    radius_zero_search,
-)
-from .empirics import (
-    EvolutionTable,
-    evolve_and_compare,
-    measured_amplification,
-    step,
-)
+
+# name -> the numeric module that defines it, imported on first access (PEP 562)
+_LAZY = {name: module for module, names in (
+    ("spectra", "CertificateRefusal FigureTable RegionReport StabilityCertificate"
+                " SymmetryReport TruncationEval eval_symbol figure_data truncation_certificate"
+                " region_scan truncated_amplification upwind_symmetry_check"),
+    ("radius", "RadiusEstimate ZeroSearchError bernoulli euler_poly_at_zero"
+               " heat_closed_form_radius radius_root_test radius_zero_search"),
+    ("empirics", "EvolutionTable evolve_and_compare measured_amplification step"),
+) for name in names.split()}
+# the classes and functions imported above, and the lazy names
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and callable(value)] + list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

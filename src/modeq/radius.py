@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 from mpmath import mp
 
-from .derivation import ModifiedEq
+from .derivation import CrossCheckError, ModifiedEq
 from .schemes import SchemeSpec
 from .spectra import eval_symbol
 
@@ -45,7 +45,7 @@ __all__ = [
 Number = Union[int, float, Fraction]
 
 
-class ZeroSearchError(RuntimeError):
+class ZeroSearchError(CrossCheckError):
     """The root finder did not converge on the symbol polynomial Q."""
 
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .derivation import ModifiedEq, derive_log
-from .schemes import SchemeSpec, catalog_scheme
+from .schemes import DEFAULT_GRID, SchemeSpec, catalog_scheme
 
 __all__ = [
     "DEFAULT_GRID",
@@ -53,7 +53,6 @@ __all__ = [
     "figure_data",
 ]
 
-DEFAULT_GRID = 4096
 DEFAULT_TOL = 1e-12
 
 Number = Union[int, float, Fraction]
@@ -290,6 +289,13 @@ class TruncationEval:
     s_value: complex
 
 
+def _truncation(th: np.ndarray, coeffs: np.ndarray, lam_f: float) -> tuple:
+    """P_N = polyval(theta, coeffs) and S_N = exp(lambda P_N)."""
+    p_val = np.polynomial.polynomial.polyval(th, coeffs)
+    with np.errstate(over="ignore"):  # a growing truncation's |S_N| is inf
+        return p_val, np.exp(lam_f * p_val)
+
+
 def truncated_amplification(
     modeq: ModifiedEq,
     lam: Number,
@@ -307,9 +313,7 @@ def truncated_amplification(
             f"truncation order {order} exceeds stored order {modeq.order}"
         )
     th = np.asarray(theta, dtype=complex)
-    p_val = np.polynomial.polynomial.polyval(th, _theta_coeffs(modeq, lam, order))
-    with np.errstate(over="ignore"):  # a growing truncation's |S_N| is inf
-        s_val = np.exp(float(lam) * p_val)
+    p_val, s_val = _truncation(th, _theta_coeffs(modeq, lam, order), float(lam))
     if np.ndim(theta) == 0:
         return TruncationEval(order=order, p_value=complex(p_val), s_value=complex(s_val))
     return TruncationEval(order=order, p_value=p_val, s_value=s_val)
@@ -349,26 +353,28 @@ def truncation_certificate(
     scheme: SchemeSpec,
     modeq: ModifiedEq,
     lam: Number,
-    order: int,
+    orders: Sequence[int],
     support_m: float,
     horizon_t: float,
     grid: int = DEFAULT_GRID,
-) -> StabilityCertificate:
-    """Assemble the e^{CT} e^{A T M^{N+1}/lambda} bound at dx = 1.
+) -> list[StabilityCertificate]:
+    """Assemble the e^{CT} e^{A T M^{N+1}/lambda} bound at dx = 1, one
+    certificate per truncation order N in ``orders``.
 
     The partial sum of ``modeq`` at its full order is the reference for the
-    tail constant A, so ``modeq.order`` must exceed ``order``.  Refuses when
+    tail constant A, so ``modeq.order`` must exceed every order.  Refuses when
     lambda is outside the contraction region (max |1-S| >= 1 - DEFAULT_TOL
     on the grid), which is the hypothesis the bound rests on.  S and the
-    c_p of P_N are evaluated at ``lam`` as given; its float value enters
-    only the formulas for C and the bound.
+    reference's coefficients are computed once, and each P_N sums a prefix of
+    them.  S and the c_p are evaluated at ``lam`` as given; its float value
+    enters only the formulas for C and the bound.
     """
     lam_f = float(lam)
     if lam_f <= 0:
         raise ValueError("lambda must be positive")
-    if modeq.order <= order:
+    if modeq.order <= max(orders, default=0):
         raise ValueError(
-            f"reference order {modeq.order} must exceed the truncation order {order}"
+            f"reference order {modeq.order} must exceed the truncation order {max(orders)}"
         )
 
     thetas = theta_grid(grid)
@@ -379,28 +385,23 @@ def truncation_certificate(
             f"the truncation bound does not apply"
         )
 
-    trunc = truncated_amplification(modeq, lam, thetas, order)
-    growth_c = max(0.0, (float(np.max(np.abs(trunc.s_value))) - 1.0) / lam_f)
-
-    p_n = trunc.p_value
-    p_ref = truncated_amplification(modeq, lam, thetas, modeq.order).p_value
+    th = np.asarray(thetas, dtype=complex)
+    coeffs = _theta_coeffs(modeq, lam, modeq.order)
     positive = thetas > 0
-    tail_a = float(
-        np.max(np.abs(p_ref[positive] - p_n[positive]) / thetas[positive] ** (order + 1))
-    )
-
-    bound = math.exp(growth_c * horizon_t) * math.exp(
-        tail_a * horizon_t * support_m ** (order + 1) / lam_f
-    )
-    return StabilityCertificate(
-        order=order,
-        lam=lam_f,
-        growth_c=growth_c,
-        tail_a=tail_a,
-        support_m=float(support_m),
-        horizon_t=float(horizon_t),
-        bound=bound,
-    )
+    p_ref = np.polynomial.polynomial.polyval(th, coeffs)[positive]
+    certificates = []
+    for order in orders:
+        p_n, s_n = _truncation(th, coeffs[: order + 1], lam_f)
+        growth_c = max(0.0, (float(np.max(np.abs(s_n))) - 1.0) / lam_f)
+        tail_a = float(
+            np.max(np.abs(p_ref - p_n[positive]) / thetas[positive] ** (order + 1))
+        )
+        bound = math.exp(growth_c * horizon_t) * math.exp(
+            tail_a * horizon_t * support_m ** (order + 1) / lam_f
+        )
+        certificates.append(StabilityCertificate(
+            order, lam_f, growth_c, tail_a, float(support_m), float(horizon_t), bound))
+    return certificates
 
 
 @dataclass(frozen=True)

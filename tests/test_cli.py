@@ -300,6 +300,19 @@ class TestRadiusCommand:
             assert closed["value"] == pytest.approx(entry["zero_search"]["value"], abs=1e-10)
 
 
+    def test_zero_search_error_exits_2(self, capsys, monkeypatch):
+        from modeq.radius import ZeroSearchError
+
+        def fail(scheme, lam):
+            raise ZeroSearchError(f"forced at lambda = {lam}")
+
+        monkeypatch.setattr("modeq.radius.radius_zero_search", fail)
+        code, out, err = run(capsys, "radius", *HEAT, "--lambdas", "1/4", "-N", "16")
+        assert code == 2
+        assert out == ""
+        assert err == "cross-check failure: forced at lambda = 1/4\n"
+
+
 class TestFiguresCommand:
     def test_emits_expected_files(self, tmp_path, capsys):
         code, _, _ = run(
@@ -352,6 +365,18 @@ class TestCertifyCommand:
         assert code == 1
         assert "contraction region" in err
 
+    def test_refusal_raised_inside_exits_1(self, capsys, monkeypatch):
+        from modeq.spectra import CertificateRefusal
+
+        def refuse(*args, **kwargs):
+            raise CertificateRefusal("forced refusal")
+
+        monkeypatch.setattr("modeq.spectra.truncation_certificate", refuse)
+        code, out, err = run(capsys, "certify", *HEAT, "--lambdas", "1/5", "-N", "4")
+        assert code == 1
+        assert out == ""
+        assert err == "error: forced refusal\n"
+
     def test_reference_order_0_exits_1(self, capsys):
         code, out, err = run(
             capsys, "certify", *HEAT, "--lambdas", "1/5", "-N", "4", "--reference-order", "0"
@@ -377,14 +402,14 @@ class TestSymmetryCommand:
     def test_identity_violation_exits_2(self, capsys, monkeypatch):
         import dataclasses
 
-        import modeq.cli as cli
+        import modeq.spectra
         from modeq.spectra import upwind_symmetry_check as real_check
 
         def broken(lam, modeq):
             report = real_check(lam, modeq)
             return dataclasses.replace(report, coefficient_ok=False, first_violation=2)
 
-        monkeypatch.setattr(cli.spectra, "upwind_symmetry_check", broken)
+        monkeypatch.setattr(modeq.spectra, "upwind_symmetry_check", broken)
         code, _, err = run(capsys, "symmetry", "--lambdas", "1/4")
         assert code == 2
         assert "violated" in err
@@ -557,3 +582,24 @@ class TestDeterminism:
         for stem, digest in (("", curve_digest), ("evolve_", evolve_digest)):
             data = (tmp_path / f"{name}_{stem}lambda{lam}.csv").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, stem or "curve"
+
+    # sha256 of certify reports with two lambdas or two orders, at the default
+    # --grid, M, T and reference order 4 max(N).  The orders of one lambda
+    # share S and the reference partial sum, so these pin that sharing to
+    # the bytes of one certificate per call.
+    @pytest.mark.parametrize(
+        "name, lambdas, orders, digest",
+        [
+            ("heat_centered", "1/5,1/10", "4,8",
+             "6c98a26e000f9ada734882c0e24a176c59bea89da4e9159fe156799025b8b51f"),
+            ("upwind_euler", "1/4,0.3", "2,6",
+             "832c8bd7b7d06461dff7a85e9ad7a231926eccb97d136e830d295796bb06f401"),
+            ("lax_wendroff", "1/10", "2,4",
+             "57b4c2e33bac0e1a47be4c677d7b45fdb6f552c1c676b74f395575ce316bf7ff"),
+        ],
+    )
+    def test_certify_report_bytes_golden(self, capsys, name, lambdas, orders, digest):
+        code, out, _ = run(capsys, "certify", "--catalog", name, "--lambdas", lambdas,
+                           "-N", orders)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

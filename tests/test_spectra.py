@@ -356,8 +356,8 @@ def test_truncation_within_horner_bound(partial_sum_references, name, lam, theta
 class TestCertificate:
     def test_heat_inside_contraction_region(self, heat):
         modeq = derive_log(heat, 16)
-        cert = truncation_certificate(
-            heat, modeq, Fraction(1, 5), 4, support_m=math.pi, horizon_t=1.0
+        [cert] = truncation_certificate(
+            heat, modeq, Fraction(1, 5), (4,), support_m=math.pi, horizon_t=1.0
         )
         assert cert.growth_c == 0.0
         assert math.isfinite(cert.bound) and cert.bound >= 1.0
@@ -365,17 +365,17 @@ class TestCertificate:
     def test_refusal_outside(self, heat):
         modeq = derive_log(heat, 16)
         with pytest.raises(CertificateRefusal):
-            truncation_certificate(heat, modeq, 0.6, 4, math.pi, 1.0)
+            truncation_certificate(heat, modeq, 0.6, (4,), math.pi, 1.0)
 
     def test_zero_support_collapses_to_growth_factor(self, heat):
         modeq = derive_log(heat, 16)
-        cert = truncation_certificate(heat, modeq, Fraction(1, 5), 4, 0.0, 1.0)
+        [cert] = truncation_certificate(heat, modeq, Fraction(1, 5), (4,), 0.0, 1.0)
         assert cert.bound == pytest.approx(math.exp(cert.growth_c * 1.0))
 
     def test_reference_order_must_exceed_truncation_order(self, heat):
         for order in (4, 5):
             with pytest.raises(ValueError, match="reference order"):
-                truncation_certificate(heat, derive_log(heat, 4), Fraction(1, 5), order,
+                truncation_certificate(heat, derive_log(heat, 4), Fraction(1, 5), (order,),
                                        math.pi, 1.0)
 
     def test_tail_constant_reads_the_rational_lambda(self, lax):
@@ -383,7 +383,7 @@ class TestCertificate:
         # the last bits from the c_p at 1/5
         m16 = derive_log(lax, 16)
         lam = Fraction(1, 5)
-        cert = truncation_certificate(lax, m16, lam, 2, math.pi, 1.0)
+        [cert] = truncation_certificate(lax, m16, lam, (2,), math.pi, 1.0)
         thetas = theta_grid(DEFAULT_GRID)
         p_n = truncated_amplification(m16, lam, thetas, 2).p_value
         p_ref = truncated_amplification(m16, lam, thetas, 16).p_value
@@ -392,6 +392,25 @@ class TestCertificate:
             np.max(np.abs(p_ref[positive] - p_n[positive]) / thetas[positive] ** 3)
         )
         assert cert.tail_a == tail_a
+
+    def test_orders_share_one_reference(self, heat, monkeypatch):
+        # 3 a_p for S and 32 c_p for the reference; each P_N reads a prefix
+        calls = []
+        float_at = LambdaPoly.float_at
+        monkeypatch.setattr(LambdaPoly, "float_at",
+                            lambda self, x: calls.append(x) or float_at(self, x))
+        modeq = derive_log(heat, 32)
+        certs = truncation_certificate(heat, modeq, Fraction(1, 5), (4, 8), math.pi, 1.0)
+        assert len(calls) == 3 + 32
+        for cert in certs:
+            [alone] = truncation_certificate(heat, modeq, Fraction(1, 5), (cert.order,),
+                                             math.pi, 1.0)
+            assert alone == cert
+
+    def test_reference_order_names_the_highest_order(self, heat):
+        with pytest.raises(ValueError, match="truncation order 8"):
+            truncation_certificate(heat, derive_log(heat, 6), Fraction(1, 5), (2, 8, 7),
+                                   math.pi, 1.0)
 
 
 class TestModulusTable:
