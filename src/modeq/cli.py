@@ -11,6 +11,12 @@ Exit codes: 0 success, 1 input/validation error (bad command-line input
 included), 2 internal cross-check failure.  Outputs are deterministic: fixed
 key order, floats rendered with up to 17 significant digits.  A CSV row is
 its ``_fmt`` fields joined by commas, as ``csv.writer`` would write them.
+The writer renders a run of consecutive rows with the same field types by
+one ``%`` over a repeated row template: ``%.17g`` for a float, which
+renders every float as ``format(x, ".17g")`` does, and ``%s`` for any other
+field, with bools first mapped to ``true``/``false``.  A run is cut at
+``_CSV_RUN_ROWS`` rows, so a long table never holds more than that many
+rows' text at once, and each piece is written as soon as it is complete.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,6 +36,9 @@ from .schemes import DEFAULT_GRID, catalog_scheme, parse_scheme
 # the highest series order -N accepts; it bounds the cost of the exact derivation
 MAX_ORDER = 64
 DEFAULT_ROOT_TEST_ORDER = 40
+# rows per '%' call of the CSV writer: a memory bound, since a call holds
+# its rows' fields and their text at once
+_CSV_RUN_ROWS = 1024
 
 
 class UsageError(ValueError):
@@ -129,7 +139,14 @@ def _emit_json(obj, args: argparse.Namespace, filename: str) -> None:
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
+        for kinds, run in groupby(rows, key=lambda row: tuple(map(type, row))):
+            template = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in kinds) + "\r\n"
+            while part := list(islice(run, _CSV_RUN_ROWS)):
+                if bool in kinds:
+                    part = [[_fmt(v) if t is bool else v for t, v in zip(kinds, row)]
+                            for row in part]
+                fh.write(template * len(part) % tuple(chain.from_iterable(part)))
     print(f"wrote {path}")
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .derivation import CrossCheckError, ModifiedEq
 from .schemes import SchemeSpec
-from .spectra import eval_symbol, symbol_weights, truncated_amplification
+from .spectra import (_symbol_basis, _symbol_sum, eval_symbol, symbol_weights,
+                      truncated_amplification)
 
 __all__ = [
     "ModeComparison",
@@ -184,12 +185,16 @@ def evolve_and_compare(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if lam < 0:
+        raise ValueError("mesh ratio must be nonnegative")
     thetas = 2.0 * math.pi * np.arange(gridsize) / gridsize
     thetas[thetas > math.pi] -= 2.0 * math.pi
     # |S_N| on the theta array costs one exact evaluation of the c_p, not one
-    # per mode; |S| stays at scalar theta, which keeps predicted_S to the bit
-    # of a one-mode evaluation (an array exp can differ in the last bit)
+    # per mode; S sums the a_p, rounded once, at each scalar theta, which
+    # keeps predicted_S to the bit of ``eval_symbol`` at that mode (an array
+    # exp can differ in the last bit)
     abs_sn = np.abs(truncated_amplification(modeq, lam, thetas, order).s_value)
+    weights = symbol_weights(scheme, lam)
     rows = []
     for start in range(0, gridsize, _BLOCK_MODES):
         modes = np.arange(start, min(start + _BLOCK_MODES, gridsize))
@@ -206,7 +211,8 @@ def evolve_and_compare(
         for mode, first, amplitude in zip(modes.tolist(), diverged_at.tolist(), amplitudes):
             theta = float(thetas[mode])
             measured = math.inf if first else float(amplitude)
-            predicted_s = _power(abs(eval_symbol(scheme, lam, theta)), steps)
+            s = complex(_symbol_sum(weights, _symbol_basis(scheme, theta)))
+            predicted_s = _power(abs(s), steps)
             predicted_sn = _power(float(abs_sn[mode]), steps)
             rows.append(
                 ModeComparison(

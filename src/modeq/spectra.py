@@ -16,9 +16,11 @@ nothing.
 A region scan does its lambda-free work once: it builds the basis
 e^{i p theta} on the theta grid once per scan and, per lambda, sums a_p
 times that basis, rounds only the even c_p (all that Re P_N reads) and runs
-Horner's scheme for Re P_N in one reused buffer.  Its floats are those of
-``eval_symbol`` and ``polyval``: the Horner steps are ``polyval``'s, less
-the adds of +0.0 at odd powers.
+Horner's scheme for Re P_N.  Each lambda writes S, the products
+a_p e^{i p theta}, 1 - S, |S|, |1 - S| and Re P_N into six arrays made once
+per scan, so a sample allocates no grid-sized array.  Its floats are those
+of ``eval_symbol`` and ``polyval``: the same ufuncs in the same order, and
+the Horner steps are ``polyval``'s, less the adds of +0.0 at odd powers.
 """
 
 from __future__ import annotations
@@ -108,11 +110,17 @@ def _symbol_basis(scheme: SchemeSpec, theta) -> list:
     return [None if p == 0 else np.exp(1j * p * th) for p, _ in scheme.symbol]
 
 
-def _symbol_sum(weights: list, basis: list):
-    """sum_p a_p basis_p in offset order, from int 0; a_0 is added as is."""
-    acc = 0
+def _symbol_sum(weights: list, basis: list, out: Optional[tuple] = None):
+    """sum_p a_p basis_p in offset order, from 0 (so a -0.0 sum reads +0.0);
+    a_0 is added as is.  ``out = (acc, term)``, two complex arrays of the
+    basis's shape, makes the sum in acc and each product in term."""
+    acc, term = (0, None) if out is None else out
+    if out is not None:
+        acc.fill(0)
     for (_, a), e in zip(weights, basis):
-        acc = acc + (a if e is None else a * e)
+        if e is not None:
+            a = a * e if term is None else np.multiply(a, e, out=term)
+        acc += a  # in place once acc is an array
     return acc
 
 
@@ -245,22 +253,23 @@ def region_scan(
 
     thetas = theta_grid(grid)
     basis = _symbol_basis(scheme, thetas)
-    re_p = np.empty_like(thetas)
+    s, term, oms = (np.empty(grid, dtype=complex) for _ in range(3))
+    abs_s, abs_oms, re_p = (np.empty(grid) for _ in range(3))
     lams = np.linspace(float(lo), float(hi), int(count))
     samples = []
     for lam in lams:
-        s = _symbol_sum(symbol_weights(scheme, float(lam)), basis)
-        abs_s = np.abs(s)
-        abs_oms = np.abs(1.0 - s)
+        _symbol_sum(symbol_weights(scheme, float(lam)), basis, out=(s, term))
+        np.abs(s, out=abs_s)
+        np.abs(np.subtract(1.0, s, out=oms), out=abs_oms)
         trunc = {}
         if orders:
             re_g = np.zeros(orders[-1] + 1)
             re_g[2::2] = _signed_coeffs(modeq, lam, range(2, orders[-1] + 1, 2))
             for n in orders:
                 _even_horner_into(re_p, thetas, re_g[: n + 1])
-                trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
-        max_abs_s = float(np.max(abs_s))
-        max_abs_oms = float(np.max(abs_oms))
+                trunc[n] = bool(re_p.max() <= DEFAULT_TOL)
+        max_abs_s = float(abs_s.max())
+        max_abs_oms = float(abs_oms.max())
         samples.append(
             LambdaSample(
                 lam=float(lam),
@@ -513,19 +522,23 @@ def figure_data(
     grid: int = DEFAULT_GRID,
 ) -> list[FigureTable]:
     """Amplification-factor curves |S| and |S_N| per requested lambda, with
-    S_N truncated from ``modeq``."""
+    S_N truncated from ``modeq``.  Each lambda rounds the c_p of the highest
+    order once, and each P_N sums a prefix of them."""
     orders = tuple(sorted(set(int(n) for n in orders)))
     if not lambdas:
         return []
+    if orders and orders[-1] > modeq.order:
+        raise ValueError(
+            f"truncation order {orders[-1]} exceeds stored order {modeq.order}"
+        )
     thetas = theta_grid(grid)
+    th = thetas.astype(complex)
     tables = []
     for lam in lambdas:
         abs_s = np.abs(eval_symbol(scheme, lam, thetas))
-        trunc = {}
-        for n in orders:
-            trunc[n] = np.abs(
-                truncated_amplification(modeq, lam, thetas, n).s_value
-            )
+        coeffs = _theta_coeffs(modeq, lam, orders[-1]) if orders else None
+        trunc = {n: np.abs(_truncation(th, coeffs[: n + 1], float(lam))[1])
+                 for n in orders}
         tables.append(
             FigureTable(
                 scheme_name=scheme.name,

@@ -8,10 +8,11 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modeq.cli import _fmt, _write_csv, main
+from modeq.cli import _CSV_RUN_ROWS, _fmt, _write_csv, main
 from modeq.exactalg import LP_ONE
 
 HEAT = ["--catalog", "heat_centered"]
@@ -446,6 +447,71 @@ def test_write_csv_bytes_match_csv_writer(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     _write_csv(path, header, iter(rows))
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_percent_template_renders_floats_as_fmt(x):
+    assert "%.17g" % x == format(x, ".17g") == "%.17g" % np.float64(x)
+
+
+# fields of the types the report tables hold, numpy scalars included
+_TABLE_FIELDS = st.one_of(
+    _CSV_FIELDS,
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+
+
+def _nth(value, i):
+    """``value`` moved by the row index i, keeping its type."""
+    if isinstance(value, (bool, np.bool_)):
+        return type(value)(bool(value) != bool(i % 2))
+    return value + (i / 7 if isinstance(value, float) else i)
+
+
+# segments of rows with one type signature each, some longer than the run cap
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(
+    st.lists(_TABLE_FIELDS, min_size=1, max_size=4),
+    st.one_of(st.integers(1, 5), st.sampled_from(
+        [_CSV_RUN_ROWS - 1, _CSV_RUN_ROWS, _CSV_RUN_ROWS + 1, 2 * _CSV_RUN_ROWS + 3]))),
+    min_size=1, max_size=4))
+def test_write_csv_long_tables_match_csv_writer(tmp_path_factory, segments):
+    rows = [[_nth(v, i) for v in row] for row, count in segments for i in range(count)]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["a"])
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    _write_csv(path, ["a"], iter(rows))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_write_csv_writes_each_run_when_complete(capsys):
+    # the cap is a memory bound: no write holds more than _CSV_RUN_ROWS rows,
+    # and a row is read only after the rows before its part are written
+    writes, written_before = [], []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(text.count("\r\n"))
+            return super().write(text)
+
+    class SinkPath:
+        def open(self, *args, **kwargs):
+            return Sink()
+
+    def rows(n):
+        for i in range(n):
+            written_before.append(len(writes))
+            yield (i / 7, i)
+
+    n = 2 * _CSV_RUN_ROWS + 3
+    _write_csv(SinkPath(), ["x", "i"], rows(n))
+    assert writes == [1, _CSV_RUN_ROWS, _CSV_RUN_ROWS, 3]
+    assert written_before == [1 + i // _CSV_RUN_ROWS for i in range(n)]
 
 
 class TestDeterminism:

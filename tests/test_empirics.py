@@ -15,6 +15,7 @@ from modeq.empirics import (
     mode_grid,
     step,
 )
+from modeq.exactalg import LambdaPoly
 from modeq.schemes import builtin_catalog, catalog_scheme, parse_scheme
 from modeq.spectra import eval_symbol, symbol_weights
 
@@ -124,6 +125,22 @@ class TestEvolveAndCompare:
         assert diverged[8] == min(diverged.values())
         pi_row = table.rows[8]
         assert math.isinf(pi_row.measured)
+
+    def test_symbol_rounded_once_per_lambda(self, heat, monkeypatch):
+        # 3 a_p per step of each 32-mode block, 8 c_p for S_N and 3 a_p for S
+        calls = []
+        float_at = LambdaPoly.float_at
+        monkeypatch.setattr(LambdaPoly, "float_at",
+                            lambda self, x: calls.append(x) or float_at(self, x))
+        modeq = derive_log(heat, 8)
+        table = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
+        assert len(calls) == 2 * 100 * 3 + 8 + 3
+        for r in table.rows:
+            assert r.predicted_s == abs(eval_symbol(heat, Fraction(1, 4), r.theta)) ** 100
+
+    def test_negative_lambda_refused(self, heat):
+        with pytest.raises(ValueError, match="nonnegative"):
+            evolve_and_compare(heat, derive_log(heat, 4), -0.25, 4, 10, 16)
 
     def test_zero_steps_gives_ones(self, heat):
         modeq = derive_log(heat, 8)

@@ -473,6 +473,23 @@ class TestFigureData:
             assert len(rows) == 128
             assert rows[0][0] == 0.0 and rows[-1][0] == math.pi
 
+    def test_orders_share_one_rounding(self, heat, monkeypatch):
+        # 3 a_p for S and the 32 c_p of the highest order; each P_N reads a prefix
+        calls = []
+        float_at = LambdaPoly.float_at
+        monkeypatch.setattr(LambdaPoly, "float_at",
+                            lambda self, x: calls.append(x) or float_at(self, x))
+        modeq = derive_log(heat, 32)
+        [table] = figure_data(heat, modeq, [Fraction(1, 2)], [2, 8, 16, 32])
+        assert len(calls) == 3 + 32
+        for n, abs_sn in table.abs_s_trunc.items():
+            alone = truncated_amplification(modeq, Fraction(1, 2), table.thetas, n)
+            assert abs_sn.tobytes() == np.abs(alone.s_value).tobytes()
+
+    def test_order_beyond_the_table(self, heat):
+        with pytest.raises(ValueError, match="truncation order 9 exceeds stored order 8"):
+            figure_data(heat, derive_log(heat, 8), [Fraction(1, 2)], (2, 9))
+
     def test_grid_endpoints_exact(self):
         thetas = theta_grid(64)
         assert thetas[0] == 0.0
