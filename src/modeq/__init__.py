@@ -1,11 +1,12 @@
 """Modified-equation and von Neumann stability analysis for explicit linear
 scalar finite-difference schemes, in exact rational arithmetic.
 
-The package derives a scheme's modified equation symbolically (two
-independent engines), evaluates the one-step symbol numerically, scans
-stability and series-contraction regions over the mesh ratio, estimates the
-convergence radius of the Fourier generator series, and validates the whole
-chain against the scheme run on an actual periodic grid.
+The package derives a scheme's modified equation symbolically, from the
+principal logarithm of the symbol, and proves it by exp(lambda G) = S on
+request.  It evaluates the one-step symbol numerically, scans stability and
+series-contraction regions over the mesh ratio, estimates the convergence
+radius of the Fourier generator series, and validates the whole chain
+against the scheme run on an actual periodic grid.
 
 The exact layers load with the package.  The names of the numeric layers
 (``spectra``, ``radius``, ``empirics``) load on first access: those import
@@ -40,7 +41,6 @@ from .derivation import (
     CrossCheckError,
     ModifiedEq,
     consistency_report,
-    derive_elimination,
     derive_log,
     symbol_series,
 )
@@ -50,8 +50,8 @@ _LAZY = {name: module for module, names in (
     ("spectra", "CertificateRefusal FigureTable RegionReport StabilityCertificate"
                 " SymmetryReport TruncationEval eval_symbol figure_data truncation_certificate"
                 " region_scan truncated_amplification upwind_symmetry_check"),
-    ("radius", "RadiusEstimate ZeroSearchError bernoulli euler_poly_at_zero"
-               " heat_closed_form_radius radius_root_test radius_zero_search"),
+    ("radius", "RadiusEstimate ZeroSearchError heat_closed_form_radius radius_root_test"
+               " radius_zero_search"),
     ("empirics", "EvolutionTable evolve_and_compare measured_amplification step"),
 ) for name in names.split()}
 # the classes and functions imported above, and the lazy names

@@ -30,7 +30,8 @@ from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .derivation import CrossCheckError, consistency_report, derive_elimination, derive_log
+from .derivation import CrossCheckError, consistency_report, derive_log, symbol_series
+from .exactalg import series_exp
 from .schemes import DEFAULT_GRID, catalog_scheme, parse_scheme
 
 # the highest series order -N accepts; it bounds the cost of the exact derivation
@@ -163,15 +164,14 @@ def cmd_modeq(args: argparse.Namespace) -> int:
     order = _single_order(args, 8)
     modeq = derive_log(scheme, order)
     if args.verify:
-        other = derive_elimination(scheme, order)
-        if other != modeq:
-            bad = [
-                p
-                for p in range(1, order + 1)
-                if modeq.coeff(p) != other.coeff(p)
-            ]
+        # ln S is unique for S with constant term 1, so exp(lambda G) = S
+        # proves the table
+        got, want = series_exp(modeq.dt_g_series()).coeffs, symbol_series(scheme, order).coeffs
+        bad = next((p for p, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        if bad is not None:
             raise CrossCheckError(
-                f"log and elimination engines disagree at theta-orders {bad}"
+                f"scheme {scheme.name}, N = {order}: exp(lambda G) differs from the "
+                f"symbol S first at theta-order {bad}"
             )
     payload = modeq.to_json_dict()
     payload["consistency"] = consistency_report(scheme, modeq).to_json_dict()
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modeq", help="derive the modified-equation table")
     _add_flags(p, "--catalog", "--file", "-N", "--out")
     p.add_argument("--verify", action="store_true",
-                   help="cross-check the log engine against elimination")
+                   help="prove exp(lambda G) = S")
     p.set_defaults(func=cmd_modeq)
 
     p = sub.add_parser("regions", help="scan stability/contraction regions")

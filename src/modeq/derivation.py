@@ -1,21 +1,19 @@
 """Modified-equation derivation.
 
-Two independent engines produce the modified equation of a scheme:
-
-* ``derive_log`` expands the principal logarithm of the one-step symbol
-  S(theta) and divides out the mesh ratio;
-* ``derive_elimination`` solves exp(D) = S order by order for the series
-  D = dt * G, mirroring the classical elimination of time derivatives.
-
-Both return the coefficients c_p of
+``derive_log`` produces the modified equation of a scheme: it expands the
+principal logarithm of the one-step symbol S(theta) and divides out the mesh
+ratio, giving the coefficients c_p of
 
     u_t = sum_p c_p(lambda) dx^(p-q) d^p u / dx^p
 
 with dx normalized to 1 in the symbolic computation; the dx-dependence is
 carried by the integer grading p - q.  Series are expanded in x = i*theta
 (see ``exactalg``), so c_p is read directly as [x^p](ln S) / lambda, a real
-polynomial in lambda.  Everything here is exact; a float value of c_p is its
-exact value at the rational lambda, rounded once (``spectra``).
+polynomial in lambda.  The logarithm of a series with constant term 1 is
+unique, so the exact equality exp(lambda G) = S, with ``series_exp`` on
+``ModifiedEq.dt_g_series``, proves a table right (``modeq modeq --verify``).
+Everything here is exact; a float value of c_p is its exact value at the
+rational lambda, rounded once (``spectra``).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ __all__ = [
     "CrossCheckError",
     "symbol_series",
     "derive_log",
-    "derive_elimination",
     "consistency_report",
 ]
 
@@ -73,13 +70,10 @@ class ModifiedEq:
         """Power of dx multiplying c_p in the physical coefficient."""
         return p - self.q
 
-    def dt_g_series(self, order: Optional[int] = None) -> ThetaSeries:
+    def dt_g_series(self) -> ThetaSeries:
         """The series dt*G = ln S in x = i*theta (lambda symbolic): its x^p
         coefficient is lambda * c_p."""
-        n = self.order if order is None else order
-        if n > self.order:
-            raise ValueError(f"requested order {n} exceeds stored order {self.order}")
-        return ThetaSeries((LP_ZERO,) + tuple(c.shift_up(1) for c in self.coeffs[:n]))
+        return ThetaSeries((LP_ZERO,) + tuple(c.shift_up(1) for c in self.coeffs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,55 +113,21 @@ def symbol_series(scheme: SchemeSpec, order: int) -> ThetaSeries:
         for r in range(order + 1)])
 
 
-def _normalize(scheme: SchemeSpec, dt_g: list, engine: str) -> ModifiedEq:
-    """Convert x-coefficients of dt*G into modified-equation c_p."""
-    out = []
-    for p, poly in enumerate(dt_g, start=1):
+def derive_log(scheme: SchemeSpec, order: int) -> ModifiedEq:
+    """Modified equation via the principal logarithm of the symbol: c_p is
+    [x^p] ln S divided by lambda, an exact polynomial division."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    coeffs = []
+    for p, poly in enumerate(series_log(symbol_series(scheme, order)).coeffs[1:], start=1):
         try:
-            out.append(poly.divide_by_lambda())
+            coeffs.append(poly.divide_by_lambda())
         except InexactDivisionError as exc:
             raise CrossCheckError(
-                f"{engine}: x^{p} coefficient not divisible by lambda; "
-                f"the consistency invariant is broken upstream"
+                f"derive_log: scheme {scheme.name}, N = {order}: the x^{p} coefficient of ln S "
+                f"is not divisible by lambda; the consistency invariant is broken upstream"
             ) from exc
-    return ModifiedEq(scheme_name=scheme.name, q=scheme.q, coeffs=tuple(out))
-
-
-def derive_log(scheme: SchemeSpec, order: int) -> ModifiedEq:
-    """Modified equation via the principal logarithm of the symbol."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    log_s = series_log(symbol_series(scheme, order))
-    return _normalize(scheme, list(log_s.coeffs[1:]), "derive_log")
-
-
-def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
-    """Modified equation via order-by-order elimination.
-
-    Solves exp(D) = S for D = sum_p d_p x^p.  At order p the unknown d_p
-    enters [x^p] exp(D) = sum_m [x^p] D^m / m! only through the m = 1 term,
-    and for m >= 2 the power column P_m[p] = [x^p] D^m needs only
-    d_1..d_{p-1}:
-
-        P_m[p] = sum_k d_k * P_{m-1}[p-k],    d_p = s_p - sum_{m>=2} P_m[p] / m!
-
-    Filling the columns as p advances costs O(N^3) polynomial products.  This
-    engine never takes a logarithm and shares no recurrence with
-    ``derive_log``; it only multiplies and adds polynomials.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    s = symbol_series(scheme, order).coeffs
-    cols = [[LP_ZERO] * (order + 1) for _ in range(order + 1)]  # cols[m][p] = P_m[p]
-    for p in range(1, order + 1):
-        for m in range(2, p + 1):
-            # P_{m-1} first: dot skips its m-1 leading zero coefficients
-            cols[m][p] = LambdaPoly.dot((1, cols[m - 1][p - k], cols[1][k])
-                                        for k in range(1, p - m + 2))
-        cols[1][p] = LambdaPoly.dot(
-            [(1, s[p], LP_ONE)] +
-            [(Fraction(-1, math.factorial(m)), cols[m][p], LP_ONE) for m in range(2, p + 1)])
-    return _normalize(scheme, cols[1][1:], "derive_elimination")
+    return ModifiedEq(scheme_name=scheme.name, q=scheme.q, coeffs=tuple(coeffs))
 
 
 @dataclass(frozen=True)

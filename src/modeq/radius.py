@@ -12,9 +12,8 @@ Two deliberately independent methods:
   the roots of Q: there is no search box, and an infinite radius (Q without
   nonzero roots) is proven, not inferred.
 
-Disagreement between the two flags a bug.  Exact Bernoulli numbers and
-Euler-polynomial values are provided as an arithmetic cross-check for the
-heat-scheme closed forms.
+Disagreement between the two flags a bug.  For the heat scheme a closed
+form gives a third value.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ __all__ = [
     "RadiusDiagnostics",
     "RadiusEstimate",
     "ZeroSearchError",
-    "bernoulli",
-    "euler_poly_at_zero",
     "radius_root_test",
     "radius_zero_search",
     "heat_closed_form_radius",
@@ -83,42 +80,6 @@ class RadiusEstimate:
             "method": self.method,
             "diagnostics": self.diagnostics.to_json_dict(),
         }
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli numbers and Euler polynomial values, exact
-# ---------------------------------------------------------------------------
-
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-_EULER_AT_ZERO: list[Fraction] = [Fraction(1)]
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (convention B_1 = -1/2), from the
-    recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * _BERNOULLI[k]
-        _BERNOULLI.append(-acc / (m + 1))
-    return _BERNOULLI[n]
-
-
-def euler_poly_at_zero(n: int) -> Fraction:
-    """Exact value E_n(0) of the n-th Euler polynomial at zero, from the
-    generating function 2/(e^t + 1): E_m(0) = -(1/2) sum_{k<m} C(m,k) E_k(0)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(_EULER_AT_ZERO) <= n:
-        m = len(_EULER_AT_ZERO)
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m, k) * _EULER_AT_ZERO[k]
-        _EULER_AT_ZERO.append(-acc / 2)
-    return _EULER_AT_ZERO[n]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,79 @@
+"""Independent references that only the tests read.
+
+``derive_elimination`` is a second derivation engine: it never takes a
+logarithm and shares no recurrence with ``modeq.derivation.derive_log``, so
+agreement of the two checks the log engine from outside.  ``bernoulli`` and
+``euler_poly_at_zero`` give the exact numbers behind the heat scheme's
+closed-form log coefficients.  Tests import them as ``from oracles import
+...``, as they import ``conftest``.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from modeq.derivation import ModifiedEq, symbol_series
+from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
+from modeq.schemes import SchemeSpec
+
+
+def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
+    """Modified equation via order-by-order elimination.
+
+    Solves exp(D) = S for D = sum_p d_p x^p.  At order p the unknown d_p
+    enters [x^p] exp(D) = sum_m [x^p] D^m / m! only through the m = 1 term,
+    and for m >= 2 the power column P_m[p] = [x^p] D^m needs only
+    d_1..d_{p-1}:
+
+        P_m[p] = sum_k d_k * P_{m-1}[p-k],    d_p = s_p - sum_{m>=2} P_m[p] / m!
+
+    Filling the columns as p advances costs O(N^3) polynomial products.
+    c_p is d_p divided by lambda.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    s = symbol_series(scheme, order).coeffs
+    cols = [[LP_ZERO] * (order + 1) for _ in range(order + 1)]  # cols[m][p] = P_m[p]
+    for p in range(1, order + 1):
+        for m in range(2, p + 1):
+            # P_{m-1} first: dot skips its m-1 leading zero coefficients
+            cols[m][p] = LambdaPoly.dot((1, cols[m - 1][p - k], cols[1][k])
+                                        for k in range(1, p - m + 2))
+        cols[1][p] = LambdaPoly.dot(
+            [(1, s[p], LP_ONE)] +
+            [(Fraction(-1, math.factorial(m)), cols[m][p], LP_ONE) for m in range(2, p + 1)])
+    return ModifiedEq(scheme_name=scheme.name, q=scheme.q,
+                      coeffs=tuple(d.divide_by_lambda() for d in cols[1][1:]))
+
+
+_BERNOULLI: list[Fraction] = [Fraction(1)]
+_EULER_AT_ZERO: list[Fraction] = [Fraction(1)]
+
+
+def bernoulli(n: int) -> Fraction:
+    """Exact Bernoulli number B_n (convention B_1 = -1/2), from the
+    recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    while len(_BERNOULLI) <= n:
+        m = len(_BERNOULLI)
+        acc = Fraction(0)
+        for k in range(m):
+            acc += math.comb(m + 1, k) * _BERNOULLI[k]
+        _BERNOULLI.append(-acc / (m + 1))
+    return _BERNOULLI[n]
+
+
+def euler_poly_at_zero(n: int) -> Fraction:
+    """Exact value E_n(0) of the n-th Euler polynomial at zero, from the
+    generating function 2/(e^t + 1): E_m(0) = -(1/2) sum_{k<m} C(m,k) E_k(0)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    while len(_EULER_AT_ZERO) <= n:
+        m = len(_EULER_AT_ZERO)
+        acc = Fraction(0)
+        for k in range(m):
+            acc += math.comb(m, k) * _EULER_AT_ZERO[k]
+        _EULER_AT_ZERO.append(-acc / 2)
+    return _EULER_AT_ZERO[n]

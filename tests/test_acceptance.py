@@ -17,16 +17,10 @@ import numpy as np
 import pytest
 
 from conftest import lp
-from modeq.derivation import derive_elimination, derive_log
+from modeq.derivation import derive_log, symbol_series
 from modeq.empirics import measured_amplification
 from modeq.exactalg import series_exp
-from modeq.derivation import symbol_series
-from modeq.radius import (
-    bernoulli,
-    euler_poly_at_zero,
-    radius_root_test,
-    radius_zero_search,
-)
+from modeq.radius import radius_root_test, radius_zero_search
 from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import (
     eval_symbol,
@@ -35,6 +29,7 @@ from modeq.spectra import (
     truncated_amplification,
     upwind_symmetry_check,
 )
+from oracles import bernoulli, derive_elimination, euler_poly_at_zero
 
 GRID = 4096
 

@@ -138,20 +138,38 @@ class TestModeqCommand:
         assert code == 1
         assert "series order 65 exceeds the cap MAX_ORDER = 64" in err
 
-    def test_engine_mismatch_exits_2(self, capsys, monkeypatch):
+    # c_3 is past q = 2, where consistency_report checks nothing; c_1 is the
+    # first order
+    @pytest.mark.parametrize("p", [3, 1], ids=["c3", "c1"])
+    def test_engine_mismatch_exits_2(self, capsys, monkeypatch, p):
         import modeq.cli as cli
         from modeq.derivation import derive_log as real_derive_log
 
         def skewed(scheme, order):
-            other = real_derive_log(scheme, order)
-            coeffs = list(other.coeffs)
-            coeffs[0] = coeffs[0] + LP_ONE
-            return type(other)(scheme_name=other.scheme_name, q=other.q, coeffs=tuple(coeffs))
+            modeq = real_derive_log(scheme, order)
+            coeffs = list(modeq.coeffs)
+            coeffs[p - 1] = coeffs[p - 1] + LP_ONE
+            return type(modeq)(scheme_name=modeq.scheme_name, q=modeq.q, coeffs=tuple(coeffs))
 
-        monkeypatch.setattr(cli, "derive_elimination", skewed)
-        code, _, err = run(capsys, "modeq", *HEAT, "-N", "4", "--verify")
-        assert code == 2
-        assert "disagree" in err
+        monkeypatch.setattr(cli, "derive_log", skewed)
+        code, out, err = run(capsys, "modeq", *HEAT, "-N", "4", "--verify")
+        assert code == 2 and out == ""
+        assert err.startswith("cross-check failure: scheme heat_centered, N = 4: ")
+        assert err.rstrip().endswith(f"first at theta-order {p}")
+
+    def test_verify_bounded_on_high_lambda_powers(self, tmp_path, capsys):
+        # weights up to lambda^16 give c_p of degree ~16p; the exp round trip
+        # costs O(N^2) products at the order cap
+        f = tmp_path / "lam16.scheme"
+        f.write_text("scheme lam16\nq = 1\npde A[1] = 1\n"
+                     "stencil B[-1] = 1/3 + 2/7*lambda^16 + 5/11*lambda^15\n"
+                     "stencil B[0] = -2/3 - 4/7*lambda^16 + 1/13*lambda^3\n"
+                     "stencil B[1] = 1/3 + 2/7*lambda^16 - 5/11*lambda^15 - 1/13*lambda^3\n")
+        code, verified, _ = run(capsys, "modeq", "--file", str(f), "-N", "64", "--verify")
+        assert code == 0
+        code, plain, _ = run(capsys, "modeq", "--file", str(f), "-N", "64")
+        assert code == 0
+        assert verified == plain
 
 
 class TestCommandLineErrors:
@@ -562,7 +580,7 @@ class TestDeterminism:
 
     # The same at N=64, recorded with the earlier Fraction-coefficient
     # kernel, so they tie the integer kernel to its output; --verify also
-    # runs the elimination engine at the order cap MAX_ORDER.
+    # runs the exp round trip at the order cap MAX_ORDER.
     @pytest.mark.parametrize(
         "name, digest",
         [

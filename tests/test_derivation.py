@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lp, random_stencils
-from modeq.exactalg import LP_ONE, series_exp
-from modeq.derivation import (
-    consistency_report,
-    derive_elimination,
-    derive_log,
-    symbol_series,
-)
+from modeq.exactalg import LP_ONE, series_exp, series_log
+from modeq.derivation import CrossCheckError, consistency_report, derive_log, symbol_series
 from modeq.schemes import SchemeSpec, builtin_catalog
 from modeq.spectra import eval_symbol
+from oracles import derive_elimination
 
 # printed coefficient tables for the two reference schemes
 HEAT_TABLE = {
@@ -91,6 +87,19 @@ class TestDeriveLog:
         modeq = derive_log(heat, 8)
         assert modeq.coeff(4)(0) == Fraction(1, 12)
         assert modeq.coeff(8)(0) == Fraction(1, 20160)
+
+    def test_indivisible_coefficient_names_scheme_and_order(self, heat, monkeypatch):
+        import modeq.derivation as derivation
+
+        def skewed(s):
+            coeffs = list(series_log(s).coeffs)
+            coeffs[3] = coeffs[3] + LP_ONE
+            return type(s)(tuple(coeffs))
+
+        monkeypatch.setattr(derivation, "series_log", skewed)
+        with pytest.raises(CrossCheckError,
+                           match=r"^derive_log: scheme heat_centered, N = 4: the x\^3 "):
+            derive_log(heat, 4)
 
 
 class TestDeriveElimination:

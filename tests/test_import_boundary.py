@@ -20,17 +20,17 @@ import modeq
 
 SRC = str(Path(modeq.__file__).resolve().parents[1])
 
-# every name the package exported when it imported all six layers eagerly
+# every name the package exports from its six layers
 EXPORTED = (
     "InexactDivisionError LambdaPoly SeriesPreconditionError ThetaSeries series_exp "
     "series_log CatalogEntry GoldenData SchemeConsistencyError SchemeError "
     "SchemeParseError SchemeSpec builtin_catalog catalog_entry catalog_scheme "
     "parse_scheme render_scheme ConsistencyReport CrossCheckError ModifiedEq "
-    "consistency_report derive_elimination derive_log symbol_series "
+    "consistency_report derive_log symbol_series "
     "CertificateRefusal FigureTable RegionReport StabilityCertificate SymmetryReport "
     "TruncationEval eval_symbol figure_data truncation_certificate region_scan "
     "truncated_amplification upwind_symmetry_check RadiusEstimate ZeroSearchError "
-    "bernoulli euler_poly_at_zero heat_closed_form_radius radius_root_test "
+    "heat_closed_form_radius radius_root_test "
     "radius_zero_search EvolutionTable evolve_and_compare measured_amplification step"
 ).split()
 

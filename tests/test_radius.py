@@ -10,15 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from modeq.cli import main
 from modeq.derivation import derive_log
-from modeq.radius import (
-    bernoulli,
-    euler_poly_at_zero,
-    heat_closed_form_radius,
-    radius_root_test,
-    radius_zero_search,
-)
+from modeq.radius import heat_closed_form_radius, radius_root_test, radius_zero_search
 from modeq.schemes import catalog_scheme, parse_scheme
 from modeq.spectra import region_scan
+from oracles import bernoulli, euler_poly_at_zero
 
 
 def _theta_m(scheme, lam):
