@@ -1,8 +1,10 @@
 """Modified-equation and von Neumann stability analysis for explicit linear
 scalar finite-difference schemes, in exact rational arithmetic.
 
-The package derives a scheme's modified equation symbolically, from the
-principal logarithm of the symbol, and proves it by exp(lambda G) = S on
+The package reads schemes in a line-oriented text format; the builtin
+catalog is three texts in it.  It derives a scheme's modified equation
+symbolically, from the principal logarithm of the symbol's series (a tuple
+of lambda-polynomial coefficients), and proves it by exp(lambda G) = S on
 request.  It evaluates the one-step symbol numerically, scans stability and
 series-contraction regions over the mesh ratio, estimates the convergence
 radius of the Fourier generator series, and validates the whole chain
@@ -19,19 +21,15 @@ from .exactalg import (
     InexactDivisionError,
     LambdaPoly,
     SeriesPreconditionError,
-    ThetaSeries,
     series_exp,
     series_log,
 )
 from .schemes import (
-    CatalogEntry,
-    GoldenData,
     SchemeConsistencyError,
     SchemeError,
     SchemeParseError,
     SchemeSpec,
     builtin_catalog,
-    catalog_entry,
     catalog_scheme,
     parse_scheme,
     render_scheme,

@@ -119,22 +119,40 @@ def _parse_lambdas(args: argparse.Namespace) -> list[Fraction]:
 def _parse_range(raw: str) -> tuple:
     try:
         lo, hi, count = raw.split(":")
-        return (float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
-        raise UsageError(
-            f"--lambda-range expects LO:HI:COUNT, got {raw!r}"
-        ) from exc
+        raise UsageError(f"--lambda-range expects LO:HI:COUNT, got {raw!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--lambda-range LO and HI must be finite, got {raw!r}")
+    return lo, hi, count
 
 
-def _emit_json(obj, args: argparse.Namespace, filename: str) -> None:
+def _finite_nonnegative(text: str) -> float:
+    """A flag value that must be a finite float >= 0."""
+    try:
+        if 0 <= (value := float(text)) < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expects a finite number >= 0, got {text!r}")
+
+
+def _out_dir(args: argparse.Namespace, default: Optional[str] = None) -> Optional[Path]:
+    """The --out directory, else ``default`` (None: stdout), created if missing."""
+    if (raw := args.out or default) is None:
+        return None
+    Path(raw).mkdir(parents=True, exist_ok=True)
+    return Path(raw)
+
+
+def _emit_json(obj, out_dir: Optional[Path], filename: str) -> None:
+    """Write ``obj`` as JSON to ``out_dir / filename``, or to stdout for None."""
     text = json.dumps(obj, indent=2) + "\n"
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(text, encoding="utf-8")
-        print(f"wrote {out_dir / filename}")
-    else:
+    if out_dir is None:
         sys.stdout.write(text)
+        return
+    (out_dir / filename).write_text(text, encoding="utf-8")
+    print(f"wrote {out_dir / filename}")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -166,16 +184,16 @@ def cmd_modeq(args: argparse.Namespace) -> int:
     if args.verify:
         # ln S is unique for S with constant term 1, so exp(lambda G) = S
         # proves the table
-        got, want = series_exp(modeq.dt_g_series()).coeffs, symbol_series(scheme, order).coeffs
-        bad = next((p for p, (g, w) in enumerate(zip(got, want)) if g != w), None)
-        if bad is not None:
+        got, want = series_exp(modeq.dt_g_series()), symbol_series(scheme, order)
+        if got != want:
+            bad = next(p for p, (g, w) in enumerate(zip(got, want)) if g != w)
             raise CrossCheckError(
                 f"scheme {scheme.name}, N = {order}: exp(lambda G) differs from the "
                 f"symbol S first at theta-order {bad}"
             )
     payload = modeq.to_json_dict()
     payload["consistency"] = consistency_report(scheme, modeq).to_json_dict()
-    _emit_json(payload, args, f"{scheme.name}_modeq.json")
+    _emit_json(payload, _out_dir(args), f"{scheme.name}_modeq.json")
     return 0
 
 
@@ -189,12 +207,9 @@ def cmd_regions(args: argparse.Namespace) -> int:
     report = spectra.region_scan(
         scheme, lambda_range, grid=args.grid, orders=orders
     )
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / f"{scheme.name}_regions.json"
+    out_dir = _out_dir(args, ".")
     payload = report.to_json_dict()
-    json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {json_path}")
+    _emit_json(payload, out_dir, f"{scheme.name}_regions.json")
     # the CSV columns are the sample's JSON fields, trunc_stable flattened
     rows = payload["lambda_samples"]
     for row in rows:
@@ -233,7 +248,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
         else:
             entry["closed_form"] = None
         results.append(entry)
-    _emit_json({"scheme": scheme.name, "estimates": results}, args,
+    _emit_json({"scheme": scheme.name, "estimates": results}, _out_dir(args),
                f"{scheme.name}_radius.json")
     return 0
 
@@ -243,8 +258,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
     orders = _parse_orders(args.orders, default=None)
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, ".")
     modeq = derive_log(scheme, max(orders))
     tables = spectra.figure_data(scheme, modeq, lambdas, orders, grid=args.grid)
     for table in tables:
@@ -274,7 +288,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             horizon_t=args.horizon_t, grid=args.grid,
         )
         certificates += [cert.to_json_dict() for cert in certs]
-    _emit_json({"scheme": scheme.name, "certificates": certificates}, args,
+    _emit_json({"scheme": scheme.name, "certificates": certificates}, _out_dir(args),
                f"{scheme.name}_certify.json")
     return 0
 
@@ -289,7 +303,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
         report = spectra.upwind_symmetry_check(lam, modeq)
         reports.append(report.to_json_dict())
         failed = failed or not report.ok
-    _emit_json({"scheme": "upwind_euler", "reports": reports}, args,
+    _emit_json({"scheme": "upwind_euler", "reports": reports}, _out_dir(args),
                "upwind_euler_symmetry.json")
     if failed:
         print("symmetry identity violated; see report", file=sys.stderr)
@@ -359,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="finite-horizon truncation certificate")
     _add_flags(p, "--catalog", "--file", "-N LIST", "--lambdas", "--grid", "--out")
-    p.add_argument("--support-M", dest="support_m", type=float, default=math.pi,
+    p.add_argument("--support-M", dest="support_m", type=_finite_nonnegative, default=math.pi,
                    help="frequency support bound (default pi)")
-    p.add_argument("--horizon-T", dest="horizon_t", type=float, default=1.0,
+    p.add_argument("--horizon-T", dest="horizon_t", type=_finite_nonnegative, default=1.0,
                    help="time horizon (default 1.0)")
     p.add_argument("--reference-order", type=int, default=None,
                    help="partial-sum order for the tail estimate (default 4N)")

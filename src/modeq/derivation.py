@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactalg import LP_ONE, LP_ZERO, InexactDivisionError, LambdaPoly, ThetaSeries, series_log
+from .exactalg import LP_ONE, LP_ZERO, InexactDivisionError, LambdaPoly, series_log
 from .schemes import SchemeSpec
 
 __all__ = [
@@ -70,10 +70,10 @@ class ModifiedEq:
         """Power of dx multiplying c_p in the physical coefficient."""
         return p - self.q
 
-    def dt_g_series(self) -> ThetaSeries:
+    def dt_g_series(self) -> tuple:
         """The series dt*G = ln S in x = i*theta (lambda symbolic): its x^p
         coefficient is lambda * c_p."""
-        return ThetaSeries((LP_ZERO,) + tuple(c.shift_up(1) for c in self.coeffs))
+        return (LP_ZERO, *[c.shift_up(1) for c in self.coeffs])
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,7 +92,7 @@ class ModifiedEq:
 
     def _render(self, p: int) -> str:
         try:
-            return self.coeff(p).to_string()
+            return str(self.coeff(p))
         except ValueError as exc:  # str() of an int beyond Python's digit limit
             raise ValueError(
                 f"scheme {self.scheme_name}: c_{p} of the N = {self.order} modified "
@@ -101,14 +101,14 @@ class ModifiedEq:
             ) from exc
 
 
-def symbol_series(scheme: SchemeSpec, order: int) -> ThetaSeries:
+def symbol_series(scheme: SchemeSpec, order: int) -> tuple:
     """Taylor expansion in x = i*theta of the one-step symbol
     S = sum_p a_p(lambda) e^{p x}: the x^r coefficient is
     sum_p a_p(lambda) p^r / r!, which is exactly 1 at r = 0.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    return ThetaSeries([
+    return tuple([
         LambdaPoly.dot([(Fraction(p**r, math.factorial(r)), a, LP_ONE) for p, a in scheme.symbol])
         for r in range(order + 1)])
 
@@ -119,7 +119,7 @@ def derive_log(scheme: SchemeSpec, order: int) -> ModifiedEq:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     coeffs = []
-    for p, poly in enumerate(series_log(symbol_series(scheme, order)).coeffs[1:], start=1):
+    for p, poly in enumerate(series_log(symbol_series(scheme, order))[1:], start=1):
         try:
             coeffs.append(poly.divide_by_lambda())
         except InexactDivisionError as exc:
@@ -152,7 +152,7 @@ class ConsistencyReport:
             "scheme": self.scheme_name,
             "ok": self.ok,
             "failures": [
-                {"p": f.p, "residual": f.residual.to_string(), "message": f.message}
+                {"p": f.p, "residual": str(f.residual), "message": f.message}
                 for f in self.failures
             ],
             "matched_orders": list(self.matched_orders),
@@ -178,7 +178,7 @@ def consistency_report(scheme: SchemeSpec, modeq: ModifiedEq) -> ConsistencyRepo
 
     for p in range(1, q):
         c = modeq.coeff(p)
-        if not c.is_zero:
+        if c:
             failures.append(
                 ConsistencyFailure(
                     p=p,
@@ -187,10 +187,10 @@ def consistency_report(scheme: SchemeSpec, modeq: ModifiedEq) -> ConsistencyRepo
                 )
             )
 
-    declared = scheme.pde_map()
+    declared = dict(scheme.pde)
     target = LambdaPoly.const(-declared.get(q, Fraction(0)))
     residual = modeq.coeff(q) - target
-    if residual.is_zero:
+    if not residual:
         matched.append(q)
     else:
         failures.append(
@@ -218,7 +218,7 @@ def consistency_report(scheme: SchemeSpec, modeq: ModifiedEq) -> ConsistencyRepo
 
     leading: Optional[int] = None
     for p in range(q + 1, modeq.order + 1):
-        if not modeq.coeff(p).is_zero:
+        if modeq.coeff(p):
             leading = p - q
             break
 

@@ -1,6 +1,6 @@
 """Exact arithmetic kernel: polynomials in the mesh ratio lambda with
 rational coefficients, and power series in x = i*theta truncated at a fixed
-order.
+order N, held as the tuple of their N+1 coefficients by increasing power.
 
 For a real stencil the one-step symbol is S(theta) = F(i*theta), where F is
 a power series whose coefficients are real polynomials in lambda; so are
@@ -30,13 +30,11 @@ exact value with one integer division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 __all__ = [
     "LambdaPoly",
-    "ThetaSeries",
     "SeriesPreconditionError",
     "InexactDivisionError",
     "series_log",
@@ -128,10 +126,6 @@ class LambdaPoly:
         """The coefficients as reduced Fractions, by increasing power."""
         return tuple([Fraction(a, self.den) for a in self.nums])
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def __bool__(self) -> bool:
         return bool(self.nums)
 
@@ -198,12 +192,9 @@ class LambdaPoly:
         return num / den
 
     def __str__(self) -> str:
-        return self.to_string()
-
-    def to_string(self, var: str = "lambda") -> str:
         """Canonical rendering over the common integer denominator,
         e.g. ``(1-6*lambda)/12``."""
-        if self.is_zero:
+        if not self:
             return "0"
         parts: list[str] = []
         for k, a in enumerate(self.nums):
@@ -213,7 +204,7 @@ class LambdaPoly:
             if k == 0:
                 term = coeff
             else:
-                power = var if k == 1 else f"{var}^{k}"
+                power = "lambda" if k == 1 else f"lambda^{k}"
                 term = power if coeff == "1" else f"{coeff}*{power}"
             parts.append(("-" if a < 0 else "+") + term)
         body = "".join(parts).lstrip("+")
@@ -228,28 +219,7 @@ LP_ZERO = LambdaPoly()
 LP_ONE = LambdaPoly.const(1)
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaSeries:
-    """Power series in x = i*theta truncated at a fixed order N.
-
-    ``coeffs[p]`` is the LambdaPoly multiplying x**p; the tuple always has
-    length N+1.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self) -> None:
-        cs = tuple([c if isinstance(c, LambdaPoly) else LambdaPoly.const(c) for c in self.coeffs])
-        if not cs:
-            raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def series_log(s: ThetaSeries) -> ThetaSeries:
+def series_log(s: tuple) -> tuple:
     """Logarithm of a series with constant term 1.
 
     L = ln S satisfies x*L' * S = x*S', whose x^p coefficient gives
@@ -259,24 +229,24 @@ def series_log(s: ThetaSeries) -> ThetaSeries:
     so each l_p is one sum of products of known coefficients: O(N^2)
     polynomial products for order N.
     """
-    if s.coeffs[0] != LP_ONE:
+    if not s or s[0] != LP_ONE:
         raise SeriesPreconditionError("series_log requires constant term 1")
-    c, out = s.coeffs, [LP_ZERO]
-    for p in range(1, s.order + 1):
-        out.append(LambdaPoly.dot([(1, c[p], LP_ONE)] +
-                                  [(Fraction(-k, p), out[k], c[p - k]) for k in range(1, p)]))
-    return ThetaSeries(tuple(out))
+    out = [LP_ZERO]
+    for p in range(1, len(s)):
+        out.append(LambdaPoly.dot([(1, s[p], LP_ONE)] +
+                                  [(Fraction(-k, p), out[k], s[p - k]) for k in range(1, p)]))
+    return tuple(out)
 
 
-def series_exp(s: ThetaSeries) -> ThetaSeries:
+def series_exp(s: tuple) -> tuple:
     """Exponential of a series with constant term 0.
 
     E = exp(S) satisfies x*E' = x*S' * E, so p*e_p = sum_{0<k<=p} k*s_k*e_{p-k}
     with e_0 = 1: O(N^2) polynomial products for order N.
     """
-    if not s.coeffs[0].is_zero:
+    if not s or s[0]:
         raise SeriesPreconditionError("series_exp requires constant term 0")
-    c, out = s.coeffs, [LP_ONE]
-    for p in range(1, s.order + 1):
-        out.append(LambdaPoly.dot((Fraction(k, p), c[k], out[p - k]) for k in range(1, p + 1)))
-    return ThetaSeries(tuple(out))
+    out = [LP_ONE]
+    for p in range(1, len(s)):
+        out.append(LambdaPoly.dot((Fraction(k, p), s[k], out[p - k]) for k in range(1, p + 1)))
+    return tuple(out)

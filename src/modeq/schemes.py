@@ -1,4 +1,5 @@
-"""Scheme model, text-format parser/renderer, and the builtin catalog.
+"""Scheme model, text-format parser/renderer, and the builtin catalog,
+whose schemes are texts in that format read by the same parser.
 
 A scheme is the explicit one-step update
 
@@ -24,21 +25,18 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .exactalg import LP_ONE, LP_ZERO, LambdaPoly
 
 __all__ = [
     "SchemeSpec",
-    "CatalogEntry",
-    "GoldenData",
     "SchemeError",
     "SchemeParseError",
     "SchemeConsistencyError",
     "parse_scheme",
     "render_scheme",
     "builtin_catalog",
-    "catalog_entry",
     "catalog_scheme",
 ]
 
@@ -97,7 +95,7 @@ class SchemeSpec:
         offsets = [p for p, _ in self.stencil]
         if len(set(offsets)) != len(offsets):
             raise SchemeError("duplicate stencil offset")
-        if all(w.is_zero for _, w in self.stencil):
+        if not any(w for _, w in self.stencil):
             raise SchemeError("stencil has no nonzero weight")
         if not self.pde:
             raise SchemeError("no target PDE coefficient declared")
@@ -109,7 +107,7 @@ class SchemeSpec:
         total = LP_ZERO
         for _, w in self.stencil:
             total = total + w
-        if not total.is_zero:
+        if total:
             raise SchemeConsistencyError(
                 f"stencil weights must sum to zero, got {total}"
             )
@@ -126,9 +124,6 @@ class SchemeSpec:
         table[0] = table.get(0, LP_ZERO) + LP_ONE
         return tuple(sorted(table.items()))
 
-    def pde_map(self) -> dict:
-        return dict(self.pde)
-
     @property
     def pde_order(self) -> int:
         return max(p for p, _ in self.pde)
@@ -140,21 +135,6 @@ class SchemeSpec:
     @property
     def n_right(self) -> int:
         return self.symbol[-1][0]
-
-
-@dataclass(frozen=True)
-class GoldenData:
-    """Reference values for a scheme whose analysis is known in closed form."""
-
-    mu_table: tuple = ()            # ((p, LambdaPoly), ...)
-    stability_bound: Optional[Fraction] = None    # von Neumann: lambda <= bound
-    contraction_bound: Optional[Fraction] = None  # |1 - S| < 1: lambda <= bound
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    scheme: SchemeSpec
-    expected: Optional[GoldenData] = None
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +274,7 @@ def parse_scheme(text: str) -> SchemeSpec:
 
 
 def _render_stencil_poly(poly: LambdaPoly) -> str:
-    if poly.is_zero:
+    if not poly:
         return "0"
     parts = []
     for k, r in enumerate(poly.coeffs):
@@ -322,80 +302,44 @@ def render_scheme(spec: SchemeSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Builtin catalog
+# Builtin catalog: scheme texts, parsed on lookup like a --file scheme and
+# keyed by the name on their first line
 # ---------------------------------------------------------------------------
 
-def _poly(*rationals: Union[int, str, Fraction]) -> LambdaPoly:
-    return LambdaPoly(tuple(Fraction(r) for r in rationals))
+_CATALOG = {text.split(None, 2)[1]: text for text in (
+    """\
+scheme heat_centered
+q = 2
+pde A[2] = -1
+stencil B[-1] = 1
+stencil B[0] = -2
+stencil B[1] = 1
+""",
+    """\
+scheme upwind_euler
+q = 1
+pde A[1] = 1
+stencil B[-1] = 1
+stencil B[0] = -1
+""",
+    """\
+scheme lax_wendroff   # its stencil weights depend on lambda
+q = 1
+pde A[1] = 1
+stencil B[-1] = 1/2 + 1/2*lambda
+stencil B[0] = -lambda
+stencil B[1] = -1/2 + 1/2*lambda
+""",
+)}
 
 
-def _heat_centered() -> CatalogEntry:
-    scheme = SchemeSpec(
-        name="heat_centered",
-        q=2,
-        stencil={-1: _poly(1), 0: _poly(-2), 1: _poly(1)},
-        pde={2: Fraction(-1)},
-    )
-    golden = GoldenData(
-        mu_table=(
-            (2, _poly(1)),
-            (4, _poly("1/12", "-1/2")),
-            (6, _poly("1/360", "-1/12", "1/3")),
-            (8, _poly("1/20160", "-1/160", "1/12", "-1/4")),
-        ),
-        stability_bound=Fraction(1, 2),
-        contraction_bound=Fraction(1, 4),
-    )
-    return CatalogEntry(scheme=scheme, expected=golden)
-
-
-def _upwind_euler() -> CatalogEntry:
-    scheme = SchemeSpec(
-        name="upwind_euler",
-        q=1,
-        stencil={-1: _poly(1), 0: _poly(-1)},
-        pde={1: Fraction(1)},
-    )
-    golden = GoldenData(
-        mu_table=(
-            (1, _poly(-1)),
-            (2, _poly("1/2", "-1/2")),
-            (3, _poly("-1/6", "1/2", "-1/3")),
-            (4, _poly("1/24", "-7/24", "1/2", "-1/4")),
-        ),
-        stability_bound=Fraction(1),
-        contraction_bound=Fraction(1, 2),
-    )
-    return CatalogEntry(scheme=scheme, expected=golden)
-
-
-def _lax_wendroff() -> CatalogEntry:
-    # lambda-dependent stencil stress case; no closed-form reference data
-    scheme = SchemeSpec(
-        name="lax_wendroff",
-        q=1,
-        stencil={
-            -1: _poly("1/2", "1/2"),
-            0: _poly(0, -1),
-            1: _poly("-1/2", "1/2"),
-        },
-        pde={1: Fraction(1)},
-    )
-    return CatalogEntry(scheme=scheme, expected=None)
-
-
-def builtin_catalog() -> list[CatalogEntry]:
+def builtin_catalog() -> list[SchemeSpec]:
     """The builtin schemes, in a fixed order."""
-    return [_heat_centered(), _upwind_euler(), _lax_wendroff()]
-
-
-def catalog_entry(name: str) -> CatalogEntry:
-    for entry in builtin_catalog():
-        if entry.scheme.name == name:
-            return entry
-    known = ", ".join(e.scheme.name for e in builtin_catalog())
-    raise SchemeError(f"unknown catalog scheme {name!r} (known: {known})")
+    return [parse_scheme(text) for text in _CATALOG.values()]
 
 
 def catalog_scheme(name: str) -> SchemeSpec:
-    return catalog_entry(name).scheme
+    """The builtin scheme ``name``, parsed from its text."""
+    if name not in _CATALOG:
+        raise SchemeError(f"unknown catalog scheme {name!r} (known: {', '.join(_CATALOG)})")
+    return parse_scheme(_CATALOG[name])

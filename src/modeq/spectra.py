@@ -72,23 +72,28 @@ def theta_grid(n: int = DEFAULT_GRID) -> np.ndarray:
     return np.linspace(0.0, math.pi, n)
 
 
-def symbol_weights(scheme: SchemeSpec, lam: Number) -> list[tuple[int, float]]:
-    """The symbol coefficients a_p(lambda) as floats, by offset.
-
-    Each a_p is evaluated exactly at ``Fraction(lam)`` (a float lambda at
-    its binary value) and rounded once.
-    """
+def _rounded(terms, lam: Number, scheme_name: str, label: str) -> list[float]:
+    """The polynomial of each (p, poly) in ``terms`` evaluated exactly at
+    ``Fraction(lam)`` (a float lambda at its binary value) and rounded once.
+    A value beyond the float range raises the ValueError "scheme NAME:
+    LABEL_p at lambda = LAM is beyond the float range"."""
     x = Fraction(lam)
     out = []
-    for p, a in scheme.symbol:
-        try:
-            out.append((p, a.float_at(x)))
-        except OverflowError as exc:
-            raise ValueError(
-                f"scheme {scheme.name}: symbol coefficient a_{p} at lambda = {lam} "
-                f"is beyond the float range"
-            ) from exc
+    try:
+        for p, poly in terms:
+            out.append(poly.float_at(x))
+    except OverflowError as exc:
+        raise ValueError(
+            f"scheme {scheme_name}: {label}_{p} at lambda = {lam} is beyond the float range"
+        ) from exc
     return out
+
+
+def symbol_weights(scheme: SchemeSpec, lam: Number) -> list[tuple[int, float]]:
+    """The symbol coefficients a_p(lambda) as floats, by offset, each rounded
+    once from its exact value."""
+    return list(zip([p for p, _ in scheme.symbol],
+                    _rounded(scheme.symbol, lam, scheme.name, "symbol coefficient a")))
 
 
 def eval_symbol(scheme: SchemeSpec, lam: Number, theta) -> complex:
@@ -147,24 +152,17 @@ def _even_horner_into(out: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
 
 def _signed_coeffs(modeq: ModifiedEq, lam: Number, ps) -> list[float]:
     """c_p(lambda) with the sign of i^p, for each p in ``ps``: each c_p is
-    evaluated exactly at ``Fraction(lam)`` and rounded once, since its large
-    coefficients of both signs cancel to noise in a float sum."""
-    x = Fraction(lam)
-    out = []
-    for p in ps:
-        try:
-            c = modeq.coeff(p).float_at(x)
-        except OverflowError as exc:
-            raise ValueError(
-                f"scheme {modeq.scheme_name}: c_{p} at lambda = {lam} "
-                f"is beyond the float range"
-            ) from exc
-        out.append(0.0 - c if p & 2 else c)  # the sign of i^p; a zero stays +0.0
-    return out
+    rounded once from its exact value, since its large coefficients of both
+    signs cancel to noise in a float sum."""
+    cs = _rounded([(p, modeq.coeffs[p - 1]) for p in ps], lam, modeq.scheme_name, "c")
+    # the sign of i^p; a zero stays +0.0
+    return [0.0 - c if p & 2 else c for p, c in zip(ps, cs)]
 
 
 def _theta_coeffs(modeq: ModifiedEq, lam: Number, order: int) -> np.ndarray:
     """The theta^p coefficients i^p c_p(lambda) of G at dx = 1, p = 0..order."""
+    if order > modeq.order:
+        raise ValueError(f"truncation order {order} exceeds stored order {modeq.order}")
     g = _signed_coeffs(modeq, lam, range(1, order + 1))
     out = np.zeros(order + 1, dtype=complex)
     out.real[2::2], out.imag[1::2] = g[1::2], g[::2]
@@ -317,10 +315,6 @@ def truncated_amplification(
     ``theta`` may be scalar (complex allowed) or an ndarray, in which case
     the fields hold arrays.
     """
-    if order > modeq.order:
-        raise ValueError(
-            f"truncation order {order} exceeds stored order {modeq.order}"
-        )
     th = np.asarray(theta, dtype=complex)
     p_val, s_val = _truncation(th, _theta_coeffs(modeq, lam, order), float(lam))
     if np.ndim(theta) == 0:
@@ -527,10 +521,6 @@ def figure_data(
     orders = tuple(sorted(set(int(n) for n in orders)))
     if not lambdas:
         return []
-    if orders and orders[-1] > modeq.order:
-        raise ValueError(
-            f"truncation order {orders[-1]} exceeds stored order {modeq.order}"
-        )
     thetas = theta_grid(grid)
     th = thetas.astype(complex)
     tables = []

@@ -4,15 +4,18 @@
 logarithm and shares no recurrence with ``modeq.derivation.derive_log``, so
 agreement of the two checks the log engine from outside.  ``bernoulli`` and
 ``euler_poly_at_zero`` give the exact numbers behind the heat scheme's
-closed-form log coefficients.  Tests import them as ``from oracles import
-...``, as they import ``conftest``.
+closed-form log coefficients.  ``GOLDEN`` holds the closed-form tables
+of the catalog schemes whose analysis is known by hand.  Tests import them
+as ``from oracles import ...``, as they import ``conftest``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+from conftest import lp
 from modeq.derivation import ModifiedEq, symbol_series
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
 from modeq.schemes import SchemeSpec
@@ -33,7 +36,7 @@ def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    s = symbol_series(scheme, order).coeffs
+    s = symbol_series(scheme, order)
     cols = [[LP_ZERO] * (order + 1) for _ in range(order + 1)]  # cols[m][p] = P_m[p]
     for p in range(1, order + 1):
         for m in range(2, p + 1):
@@ -77,3 +80,37 @@ def euler_poly_at_zero(n: int) -> Fraction:
             acc += math.comb(m, k) * _EULER_AT_ZERO[k]
         _EULER_AT_ZERO.append(-acc / 2)
     return _EULER_AT_ZERO[n]
+
+
+@dataclass(frozen=True)
+class GoldenData:
+    """Reference values for a scheme whose analysis is known in closed form."""
+
+    mu_table: dict                # p -> c_p, the modified-equation coefficient
+    stability_bound: Fraction     # von Neumann: lambda <= bound
+    contraction_bound: Fraction   # |1 - S| < 1: lambda < bound
+
+
+# Lax-Wendroff, the lambda-dependent stencil, has no closed-form reference data.
+GOLDEN = {
+    "heat_centered": GoldenData(
+        mu_table={
+            2: lp(1),
+            4: lp("1/12", "-1/2"),
+            6: lp("1/360", "-1/12", "1/3"),
+            8: lp("1/20160", "-1/160", "1/12", "-1/4"),
+        },
+        stability_bound=Fraction(1, 2),
+        contraction_bound=Fraction(1, 4),
+    ),
+    "upwind_euler": GoldenData(
+        mu_table={
+            1: lp(-1),
+            2: lp("1/2", "-1/2"),
+            3: lp("-1/6", "1/2", "-1/3"),
+            4: lp("1/24", "-7/24", "1/2", "-1/4"),
+        },
+        stability_bound=Fraction(1),
+        contraction_bound=Fraction(1, 2),
+    ),
+}

@@ -203,11 +203,11 @@ def test_criterion_07_upwind_mirror_symmetry():
 
 def test_criterion_08_empirical_exactness():
     worst = 0.0
-    for entry in builtin_catalog():
+    for scheme in builtin_catalog():
         for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             for mode in range(64):
-                measured = measured_amplification(entry.scheme, lam, mode, 64)
-                predicted = eval_symbol(entry.scheme, lam, 2 * math.pi * mode / 64)
+                measured = measured_amplification(scheme, lam, mode, 64)
+                predicted = eval_symbol(scheme, lam, 2 * math.pi * mode / 64)
                 worst = max(worst, abs(measured - predicted))
     ok = worst <= 1e-12
     _report(8, ok, f"measured amplification matches the symbol, worst gap {worst:.2e} <= 1e-12")
@@ -283,8 +283,8 @@ def test_criterion_09_figure_reproduction(heat, upwind):
 
 def test_criterion_10_exponential_round_trip():
     ok = True
-    for entry in builtin_catalog():
-        modeq = derive_log(entry.scheme, 16)
-        ok = ok and series_exp(modeq.dt_g_series()) == symbol_series(entry.scheme, 16)
+    for scheme in builtin_catalog():
+        modeq = derive_log(scheme, 16)
+        ok = ok and series_exp(modeq.dt_g_series()) == symbol_series(scheme, 16)
     _report(10, ok, "exp of the generator series equals the symbol series at order 16, exactly")
     assert ok

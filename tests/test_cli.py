@@ -269,6 +269,14 @@ class TestRegionsCommand:
         assert err.startswith("error: ") and "at least 64 points" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("lambda_range", ["0:inf:3", "nan:1:3", "0:nan:3", "-inf:1:3"])
+    def test_non_finite_range_exits_1(self, capsys, tmp_path, lambda_range):
+        code, out, err = run(capsys, "regions", *HEAT, f"--lambda-range={lambda_range}",
+                             "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err == f"error: --lambda-range LO and HI must be finite, got {lambda_range!r}\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestRadiusCommand:
     def test_heat_estimates(self, capsys):
@@ -403,6 +411,23 @@ class TestCertifyCommand:
         assert code == 1
         assert out == ""
         assert "series order must be >= 1" in err
+
+    # M and T enter the bound; inf and nan would write non-JSON Infinity or
+    # NaN, and a negative value a meaningless bound
+    @pytest.mark.parametrize("flag", ["--support-M", "--horizon-T"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "-1", "x"])
+    def test_non_finite_or_negative_exits_1(self, capsys, flag, value):
+        code, out, err = run(capsys, "certify", *HEAT, "--lambdas", "1/5", f"{flag}={value}")
+        assert code == 1 and out == ""
+        assert err == (f"error: modeq certify: argument {flag}: expects a finite number "
+                       f">= 0, got {value!r}\n")
+
+    def test_zero_support_and_horizon_accepted(self, capsys):
+        code, out, _ = run(capsys, "certify", *HEAT, "--lambdas", "1/5",
+                           "--support-M", "0", "--horizon-T", "0")
+        assert code == 0
+        cert = json.loads(out)["certificates"][0]
+        assert (cert["M"], cert["T"], cert["bound"]) == (0.0, 0.0, 1.0)
 
 
 class TestSymmetryCommand:
@@ -687,3 +712,28 @@ class TestDeterminism:
                            "-N", orders)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # sha256 of radius reports on six lambdas: the root test, the zero
+    # search and, for heat, the closed form, at lambdas inside and outside
+    # R_s and at the R = pi and R = inf points.  Like the regions goldens
+    # they can depend on the numpy and mpmath builds.
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("heat_centered", "a833bdc127b0c642c64994860b92ef2be339ad5c52af78e58801d423f6280888"),
+            ("upwind_euler", "8b34e934a6a0214a0a027ce16cfe415b23be4fa712f37ca717d403dc74275676"),
+            ("lax_wendroff", "782a8398d7157ba9ce414a76e54014b8d625b9469f40f94a1a03d2908139fff9"),
+        ],
+    )
+    def test_radius_report_bytes_golden(self, capsys, name, digest):
+        code, out, _ = run(capsys, "radius", "--catalog", name,
+                           "--lambdas", "1/1000,1/5,1/4,1/2,1,3/2", "-N", "24")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # sha256 of the symmetry report: exact rational checks only
+    def test_symmetry_report_bytes_golden(self, capsys):
+        code, out, _ = run(capsys, "symmetry", "--lambdas", "1/10,1/4,2/5", "-N", "12")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "aa43fd8b55d81e67bf0a6c9660355bb5f09a35aee80f492058578a0072e59bd2")

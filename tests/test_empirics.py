@@ -101,11 +101,11 @@ class TestMeasuredAmplification:
             measured_amplification(heat, 0.5, 64, 64)
 
     def test_matches_symbol_for_all_modes(self):
-        for entry in builtin_catalog():
+        for scheme in builtin_catalog():
             for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
                 for m in range(0, 64, 7):
-                    measured = measured_amplification(entry.scheme, lam, m, 64)
-                    predicted = eval_symbol(entry.scheme, lam, 2 * math.pi * m / 64)
+                    measured = measured_amplification(scheme, lam, m, 64)
+                    predicted = eval_symbol(scheme, lam, 2 * math.pi * m / 64)
                     assert abs(measured - predicted) <= 1e-12
 
 

@@ -13,7 +13,6 @@ from modeq.exactalg import (
     InexactDivisionError,
     LambdaPoly,
     SeriesPreconditionError,
-    ThetaSeries,
     series_exp,
     series_log,
 )
@@ -25,7 +24,7 @@ LAM = LambdaPoly((0, 1))
 
 def series(coeffs, order):
     """The series of the given order with these leading coefficients."""
-    return ThetaSeries(tuple(coeffs) + (ZERO,) * (order + 1 - len(coeffs)))
+    return tuple(coeffs) + (ZERO,) * (order + 1 - len(coeffs))
 
 
 class TestLambdaPoly:
@@ -55,7 +54,7 @@ class TestLambdaPoly:
 
     def test_trimming(self):
         assert LambdaPoly((1, 0, 0)).nums == (1,)
-        assert ZERO.nums == () and ZERO.is_zero
+        assert ZERO.nums == () and not ZERO
 
     def test_exact_evaluation(self):
         p = lp("1/12", "-1/2")
@@ -95,7 +94,7 @@ class TestLambdaPoly:
         ],
     )
     def test_rendering(self, poly, text):
-        assert poly.to_string() == text
+        assert str(poly) == text
 
 
 class TestSeriesLog:
@@ -120,6 +119,12 @@ class TestSeriesLog:
     def test_precondition(self):
         with pytest.raises(SeriesPreconditionError):
             series_log(series([], 3))
+
+
+@pytest.mark.parametrize("op", [series_log, series_exp])
+def test_empty_series_refused(op):
+    with pytest.raises(SeriesPreconditionError):
+        op(())
 
 
 class TestSeriesExp:
@@ -157,7 +162,7 @@ def unit_series(draw, max_order=16):
     coeffs = [LP_ONE] + [
         draw(lambda_polys()) for _ in range(order)
     ]
-    return ThetaSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,9 +22,9 @@ SRC = str(Path(modeq.__file__).resolve().parents[1])
 
 # every name the package exports from its six layers
 EXPORTED = (
-    "InexactDivisionError LambdaPoly SeriesPreconditionError ThetaSeries series_exp "
-    "series_log CatalogEntry GoldenData SchemeConsistencyError SchemeError "
-    "SchemeParseError SchemeSpec builtin_catalog catalog_entry catalog_scheme "
+    "InexactDivisionError LambdaPoly SeriesPreconditionError series_exp "
+    "series_log SchemeConsistencyError SchemeError "
+    "SchemeParseError SchemeSpec builtin_catalog catalog_scheme "
     "parse_scheme render_scheme ConsistencyReport CrossCheckError ModifiedEq "
     "consistency_report derive_log symbol_series "
     "CertificateRefusal FigureTable RegionReport StabilityCertificate SymmetryReport "

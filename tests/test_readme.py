@@ -1,7 +1,8 @@
 """Every command in README's "Command line" block runs and exits 0, the
 flag table lists exactly the flags each subcommand registers, and the
-"Library" example prints what its comments say, so a flag or name removed
-from the package cannot linger in the documentation."""
+"Library" example prints what its comments say, and the scheme-file example
+is the catalog's Lax-Wendroff scheme, so a flag, name or format change in
+the package cannot linger in the documentation."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from modeq.cli import build_parser, main
+from modeq.schemes import catalog_scheme, parse_scheme
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -79,3 +81,9 @@ def test_library_example_prints_its_comments(capsys):
             assert abs(float(got) - math.pi / 2) <= 1e-15
         else:
             assert got == want
+
+
+def test_scheme_file_example_is_the_catalog_scheme():
+    section = README.read_text(encoding="utf-8").split("## Scheme file format", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert parse_scheme(block) == catalog_scheme("lax_wendroff")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import lp
 from modeq.exactalg import LP_ZERO, LambdaPoly
+from oracles import GOLDEN
 from modeq.schemes import (
     MAX_LAMBDA_POWER,
     MAX_STENCIL_OFFSET,
@@ -15,7 +17,6 @@ from modeq.schemes import (
     SchemeParseError,
     SchemeSpec,
     builtin_catalog,
-    catalog_entry,
     catalog_scheme,
     parse_scheme,
     _parse_poly,
@@ -56,7 +57,7 @@ class TestParser:
         assert spec.name == "upwind_euler"
         assert spec.q == 1
         assert dict(spec.stencil) == {-1: lp(1), 0: lp(-1)}
-        assert spec.pde_map() == {1: 1}
+        assert dict(spec.pde) == {1: 1}
         assert spec == catalog_scheme("upwind_euler")
 
     def test_heat_file(self):
@@ -194,10 +195,22 @@ class TestRoundTrip:
         spec = parse_scheme(text)
         assert parse_scheme(render_scheme(spec)) == spec
 
+    # sha256 of each catalog scheme rendered in the text format
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("heat_centered", "f957e555a9419975c4fe6dc021954e17972bbc417b12557dd129a6dccf405a50"),
+            ("upwind_euler", "d14929d422b217f26ec4aaa71a45708ae7aac5becdb06c17f83152eef538d91c"),
+            ("lax_wendroff", "2893ae64c7c37df2fd9ba4a4c2075b21db727da1e241373ce0e24745ce637b4b"),
+        ],
+    )
+    def test_catalog_render_golden(self, name, digest):
+        text = render_scheme(catalog_scheme(name))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     def test_catalog_round_trips(self):
-        for entry in builtin_catalog():
-            rendered = render_scheme(entry.scheme)
-            assert parse_scheme(rendered) == entry.scheme
+        for scheme in builtin_catalog():
+            assert parse_scheme(render_scheme(scheme)) == scheme
 
 
 _WEIGHT = st.lists(
@@ -247,16 +260,14 @@ class TestSchemeSpec:
 
 class TestCatalog:
     def test_heat_entry(self):
-        entry = catalog_entry("heat_centered")
-        assert entry.scheme.q == 2
-        assert entry.expected.stability_bound == Fraction(1, 2)
-        assert entry.expected.contraction_bound == Fraction(1, 4)
+        assert catalog_scheme("heat_centered").q == 2
+        assert GOLDEN["heat_centered"].stability_bound == Fraction(1, 2)
+        assert GOLDEN["heat_centered"].contraction_bound == Fraction(1, 4)
 
     def test_upwind_entry(self):
-        entry = catalog_entry("upwind_euler")
-        assert entry.scheme.q == 1
-        assert entry.expected.stability_bound == Fraction(1)
-        assert entry.expected.contraction_bound == Fraction(1, 2)
+        assert catalog_scheme("upwind_euler").q == 1
+        assert GOLDEN["upwind_euler"].stability_bound == Fraction(1)
+        assert GOLDEN["upwind_euler"].contraction_bound == Fraction(1, 2)
 
     def test_lax_wendroff_sums_to_zero(self):
         # hand check: (1/2 + lam/2) + (-lam) + (-1/2 + lam/2) = 0
@@ -264,14 +275,14 @@ class TestCatalog:
         total = LP_ZERO
         for _, w in scheme.stencil:
             total = total + w
-        assert total.is_zero
+        assert not total
 
     def test_every_entry_consistent_exactly(self):
-        for entry in builtin_catalog():
+        for scheme in builtin_catalog():
             total = LP_ZERO
-            for _, w in entry.scheme.stencil:
+            for _, w in scheme.stencil:
                 total = total + w
-            assert total.is_zero
+            assert not total
 
     def test_unknown_name(self):
         with pytest.raises(SchemeError):

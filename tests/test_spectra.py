@@ -35,8 +35,8 @@ class TestEvalSymbol:
         assert eval_symbol(heat, Fraction(1, 2), math.pi) == pytest.approx(-1.0, abs=1e-15)
 
     def test_consistency_at_zero(self):
-        for entry in builtin_catalog():
-            assert eval_symbol(entry.scheme, 0.37, 0.0) == pytest.approx(1.0, abs=1e-15)
+        for scheme in builtin_catalog():
+            assert eval_symbol(scheme, 0.37, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_upwind_unit_circle_at_full_ratio(self, upwind):
         thetas = theta_grid(257)
@@ -45,10 +45,10 @@ class TestEvalSymbol:
 
     def test_modulus_is_even(self):
         thetas = theta_grid(513)
-        for entry in builtin_catalog():
+        for scheme in builtin_catalog():
             for lam in (Fraction(1, 4), Fraction(1, 2)):
-                plus = np.abs(eval_symbol(entry.scheme, lam, thetas))
-                minus = np.abs(eval_symbol(entry.scheme, lam, -thetas))
+                plus = np.abs(eval_symbol(scheme, lam, thetas))
+                minus = np.abs(eval_symbol(scheme, lam, -thetas))
                 assert np.max(np.abs(plus - minus)) <= 1e-14
 
     def test_upwind_full_ratio_is_an_exact_shift(self, upwind):
@@ -198,8 +198,8 @@ class TestTruncatedAmplification:
         assert abs(te.s_value) == pytest.approx(math.exp(-math.pi**2 / 4), rel=1e-12)
 
     def test_unity_at_zero(self):
-        for entry in builtin_catalog():
-            modeq = derive_log(entry.scheme, 6)
+        for scheme in builtin_catalog():
+            modeq = derive_log(scheme, 6)
             te = truncated_amplification(modeq, 0.3, 0.0, 6)
             assert te.s_value == 1.0
 
