@@ -46,14 +46,6 @@ class UsageError(ValueError):
     """Bad command-line input; maps to exit code 1."""
 
 
-def _check_order(n: int) -> int:
-    if n > MAX_ORDER:
-        raise UsageError(f"series order {n} exceeds the cap MAX_ORDER = {MAX_ORDER}")
-    if n < 1:
-        raise UsageError(f"series order must be >= 1, got {n}")
-    return n
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -88,7 +80,10 @@ def _parse_orders(raw: Optional[str], default: Optional[Sequence[int]] = None) -
     if not orders:
         raise UsageError("-N list is empty")
     for n in orders:
-        _check_order(n)
+        if n > MAX_ORDER:
+            raise UsageError(f"series order {n} exceeds the cap MAX_ORDER = {MAX_ORDER}")
+        if n < 1:
+            raise UsageError(f"series order must be >= 1, got {n}")
     return orders
 
 
@@ -217,10 +212,8 @@ def cmd_regions(args: argparse.Namespace) -> int:
             row[f"trunc_stable_N{n}"] = stable
     _write_csv(out_dir / f"{scheme.name}_regions.csv", list(rows[0]),
                (row.values() for row in rows))
-    rs = report.rs_boundary()
-    oc = report.omega_c_boundary()
-    print(f"R_s boundary: {'none' if rs is None else _fmt(rs)}")
-    print(f"Omega_c boundary: {'none' if oc is None else _fmt(oc)}")
+    for label, key in (("R_s", "Rs_boundary"), ("Omega_c", "Omega_c_boundary")):
+        print(f"{label} boundary: {'none' if payload[key] is None else _fmt(payload[key])}")
     return 0
 
 
@@ -258,16 +251,22 @@ def cmd_figures(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
     orders = _parse_orders(args.orders, default=None)
-    out_dir = _out_dir(args, ".")
+    tags = {}
+    for lam in lambdas:
+        first = tags.setdefault(_lambda_tag(lam), lam)
+        if first != lam:
+            raise UsageError(f"--lambdas {first} and {lam} would both write "
+                             f"{scheme.name}_lambda{_lambda_tag(lam)}.csv")
+    # every table is computed before the first file is written
     modeq = derive_log(scheme, max(orders))
     tables = spectra.figure_data(scheme, modeq, lambdas, orders, grid=args.grid)
+    evolutions = [empirics.evolve_and_compare(scheme, modeq, lam, max(orders), args.steps,
+                                              args.gridsize) for lam in lambdas]
+    out_dir = _out_dir(args, ".")
     for table in tables:
         path = out_dir / f"{scheme.name}_lambda{_lambda_tag(table.lam)}.csv"
         _write_csv(path, table.csv_header(), table.csv_rows())
-    for lam in lambdas:
-        evo = empirics.evolve_and_compare(
-            scheme, modeq, lam, max(orders), args.steps, args.gridsize
-        )
+    for lam, evo in zip(lambdas, evolutions):
         path = out_dir / f"{scheme.name}_evolve_lambda{_lambda_tag(lam)}.csv"
         _write_csv(path, evo.CSV_HEADER, evo.csv_rows())
     return 0
@@ -278,8 +277,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
     orders = _parse_orders(args.orders, default=(4,))
-    reference = 4 * max(orders) if args.reference_order is None else args.reference_order
-    _check_order(reference)
+    # the tail estimate reads the partial sum of order 4N
+    if (reference := 4 * max(orders)) > MAX_ORDER:
+        raise UsageError(f"certify -N {max(orders)} needs the reference order 4N = {reference}, "
+                         f"above the cap MAX_ORDER = {MAX_ORDER}; -N is at most {MAX_ORDER // 4}")
     modeq = derive_log(scheme, reference)
     certificates = []
     for lam in lambdas:
@@ -377,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frequency support bound (default pi)")
     p.add_argument("--horizon-T", dest="horizon_t", type=_finite_nonnegative, default=1.0,
                    help="time horizon (default 1.0)")
-    p.add_argument("--reference-order", type=int, default=None,
-                   help="partial-sum order for the tail estimate (default 4N)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("symmetry", help="upwind mirror-symmetry check")
@@ -392,7 +391,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # UsageError, SchemeError and CertificateRefusal too
+    except (ValueError, OSError) as exc:  # UsageError, SchemeError, CertificateRefusal; --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CrossCheckError as exc:  # radius.ZeroSearchError too

@@ -116,8 +116,6 @@ def symbol_series(scheme: SchemeSpec, order: int) -> tuple:
 def derive_log(scheme: SchemeSpec, order: int) -> ModifiedEq:
     """Modified equation via the principal logarithm of the symbol: c_p is
     [x^p] ln S divided by lambda, an exact polynomial division."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     coeffs = []
     for p, poly in enumerate(series_log(symbol_series(scheme, order))[1:], start=1):
         try:

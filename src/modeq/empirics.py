@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .derivation import CrossCheckError, ModifiedEq
 from .schemes import SchemeSpec
-from .spectra import (_symbol_basis, _symbol_sum, eval_symbol, symbol_weights,
+from .spectra import (Number, _symbol_basis, _symbol_sum, eval_symbol, symbol_weights,
                       truncated_amplification)
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "measured_amplification",
     "evolve_and_compare",
 ]
-
-Number = Union[int, float, Fraction]
 
 _OVERFLOW_LIMIT = 1e300
 _RATIO_TOL = 1e-12
@@ -103,8 +100,10 @@ def measured_amplification(
     return ratio
 
 
-@dataclass(frozen=True)
-class ModeComparison:
+class ModeComparison(NamedTuple):
+    """One mode of an ``EvolutionTable``; the fields before ``diverged_at``
+    are its CSV columns, in order."""
+
     mode: int
     theta: float
     measured: float
@@ -134,16 +133,8 @@ class EvolutionTable:
     ]
 
     def csv_rows(self):
-        for r in self.rows:
-            yield [
-                r.mode,
-                r.theta,
-                r.measured,
-                r.predicted_s,
-                r.predicted_sn,
-                r.gap_s,
-                r.gap_sn,
-            ]
+        for row in self.rows:
+            yield row[:7]
 
 
 def _power(base: float, n: int) -> float:

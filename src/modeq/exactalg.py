@@ -191,26 +191,29 @@ class LambdaPoly:
         num, den = self._num_den(_as_fraction(lam))
         return num / den
 
+    @staticmethod
+    def render_terms(coeffs: Iterable[ScalarLike]) -> str:
+        """The sum of c*lambda^k over the coefficients c by increasing power
+        k, e.g. ``1/2-lambda^2``: zero terms and a coefficient of 1 are left
+        out, and no term at all renders as ``0``."""
+        parts: list[str] = []
+        for k, c in enumerate(coeffs):
+            if not c:
+                continue
+            term = str(abs(c))
+            if k:
+                power = "lambda" if k == 1 else f"lambda^{k}"
+                term = power if term == "1" else f"{term}*{power}"
+            parts.append(("-" if c < 0 else "+") + term)
+        return "".join(parts).lstrip("+") or "0"
+
     def __str__(self) -> str:
         """Canonical rendering over the common integer denominator,
         e.g. ``(1-6*lambda)/12``."""
-        if not self:
-            return "0"
-        parts: list[str] = []
-        for k, a in enumerate(self.nums):
-            if a == 0:
-                continue
-            coeff = str(abs(a))
-            if k == 0:
-                term = coeff
-            else:
-                power = "lambda" if k == 1 else f"lambda^{k}"
-                term = power if coeff == "1" else f"{coeff}*{power}"
-            parts.append(("-" if a < 0 else "+") + term)
-        body = "".join(parts).lstrip("+")
+        body = self.render_terms(self.nums)
         if self.den == 1:
             return body
-        if len(parts) > 1:
+        if len(self.nums) - self.nums.count(0) > 1:
             body = f"({body})"
         return f"{body}/{self.den}"
 

@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from mpmath import mp
 
 from .derivation import CrossCheckError, ModifiedEq
 from .schemes import SchemeSpec
-from .spectra import eval_symbol
+from .spectra import Number, eval_symbol
 
 __all__ = [
     "RadiusDiagnostics",
@@ -38,8 +38,6 @@ __all__ = [
     "radius_zero_search",
     "heat_closed_form_radius",
 ]
-
-Number = Union[int, float, Fraction]
 
 
 class ZeroSearchError(CrossCheckError):
@@ -94,7 +92,7 @@ def _log_fraction(x: Fraction) -> float:
     ) - math.log(den / (1 << den.bit_length()))
 
 
-def radius_root_test(modeq: ModifiedEq, lam: Union[int, Fraction]) -> RadiusEstimate:
+def radius_root_test(modeq: ModifiedEq, lam: Number) -> RadiusEstimate:
     """Radius from the decay of the generator coefficients c_p(lambda).
 
     |c_p|^(1/p) -> 1/R, so log|c_p| is fitted against p by least squares
@@ -103,7 +101,8 @@ def radius_root_test(modeq: ModifiedEq, lam: Union[int, Fraction]) -> RadiusEsti
     computed from exact rationals before any float conversion.
     """
     if modeq.order < 16:
-        raise ValueError("root test needs a modified equation of order >= 16")
+        raise ValueError(f"scheme {modeq.scheme_name}: the root test needs a modified "
+                         f"equation of order >= 16, got N = {modeq.order}")
     lam = Fraction(lam)
     indices: list[int] = []
     logs: list[float] = []
@@ -113,21 +112,15 @@ def radius_root_test(modeq: ModifiedEq, lam: Union[int, Fraction]) -> RadiusEsti
             continue
         indices.append(p)
         logs.append(0.5 * _log_fraction(c * c))
-    if not indices:
+    if not indices or indices[-1] <= modeq.order // 2:
+        # no nonzero c_p, or the series terminates: the generator is a
+        # polynomial, radius infinite
         return RadiusEstimate(
             value=math.inf,
             method="root_test",
             diagnostics=RadiusDiagnostics(
-                coefficients_used=0, residual=0.0, all_coefficients_zero=True
-            ),
-        )
-    if indices[-1] <= modeq.order // 2:
-        # the series terminates: the generator is a polynomial, radius infinite
-        return RadiusEstimate(
-            value=math.inf,
-            method="root_test",
-            diagnostics=RadiusDiagnostics(
-                coefficients_used=len(indices), residual=0.0, polynomial_tail=True
+                coefficients_used=len(indices), residual=0.0,
+                all_coefficients_zero=not indices, polynomial_tail=bool(indices),
             ),
         )
     used = max(4, len(indices) // 3)

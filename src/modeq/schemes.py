@@ -273,31 +273,13 @@ def parse_scheme(text: str) -> SchemeSpec:
     return SchemeSpec(name=name, q=q, stencil=stencil, pde=pde)
 
 
-def _render_stencil_poly(poly: LambdaPoly) -> str:
-    if not poly:
-        return "0"
-    parts = []
-    for k, r in enumerate(poly.coeffs):
-        if not r:
-            continue
-        mag = str(abs(r))
-        if k == 0:
-            term = mag
-        elif k == 1:
-            term = "lambda" if mag == "1" else f"{mag}*lambda"
-        else:
-            term = f"lambda^{k}" if mag == "1" else f"{mag}*lambda^{k}"
-        parts.append(("-" if r < 0 else "+") + term)
-    return "".join(parts).lstrip("+")
-
-
 def render_scheme(spec: SchemeSpec) -> str:
     """Render a SchemeSpec back to the text format (parse/render round trip)."""
     lines = [f"scheme {spec.name}", f"q = {spec.q}"]
     for order, a in spec.pde:
         lines.append(f"pde A[{order}] = {a}")
     for offset, w in spec.stencil:
-        lines.append(f"stencil B[{offset}] = {_render_stencil_poly(w)}")
+        lines.append(f"stencil B[{offset}] = {LambdaPoly.render_terms(w.coeffs)}")
     return "\n".join(lines) + "\n"
 
 

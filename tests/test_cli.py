@@ -206,6 +206,17 @@ class TestCommandLineErrors:
         assert code == 1
         assert err.startswith("error: ") and "at least 4 points" in err
 
+    @pytest.mark.parametrize("argv", [["modeq", *HEAT], ["figures", *HEAT, "--lambdas", "1/4",
+                                                         "-N", "2", "--grid", "64"]])
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys, argv):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        code, out, err = run(capsys, *argv, "--out", str(taken))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err
+        assert taken.read_text() == "kept\n"
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "stability", *HEAT)
         assert code == 1
@@ -289,6 +300,13 @@ class TestRadiusCommand:
         assert entry["zero_search"]["value"] == pytest.approx(1.5707963267948966)
         assert entry["closed_form"]["value"] == pytest.approx(1.5707963267948966)
         assert entry["root_test"]["method"] == "root_test"
+
+    def test_root_test_order_below_16_names_scheme_and_order(self, capsys):
+        code, out, err = run(capsys, "radius", *HEAT, "--lambdas", "1/2", "-N", "8")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: scheme heat_centered: the root test needs a modified equation "
+                       "of order >= 16, got N = 8\n")
 
     def test_infinite_radius_serializes_as_string(self, capsys):
         code, out, _ = run(
@@ -376,6 +394,34 @@ class TestFiguresCommand:
         code, _, err = run(capsys, "figures", *HEAT, "-N", "2")
         assert code == 1 and "--lambdas" in err
 
+    # 1/3 and 0.3333334 both format as 0.333333, so one file would replace the other
+    def test_lambdas_sharing_a_file_tag_exit_1_without_files(self, tmp_path, capsys):
+        out_dir = tmp_path / "figs"
+        code, out, err = run(capsys, "figures", *HEAT, "--lambdas", "1/3,0.3333334",
+                             "-N", "2", "--out", str(out_dir))
+        assert code == 1
+        assert out == "" and not out_dir.exists()
+        assert err == ("error: --lambdas 1/3 and 1666667/5000000 would both write "
+                       "heat_centered_lambda0.333333.csv\n")
+
+    def test_repeated_lambda_accepted(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "figures", *HEAT, "--lambdas", "1/4,0.25", "-N", "2",
+                           "--grid", "64", "--gridsize", "16", "--out", str(tmp_path))
+        assert code == 0
+        assert out.count("wrote ") == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "heat_centered_evolve_lambda0.25.csv", "heat_centered_lambda0.25.csv"]
+
+    # every table is computed before the output directory is made
+    @pytest.mark.parametrize("flag, value", [("--steps", "-1"), ("--gridsize", "3")])
+    def test_failed_table_exits_1_without_files(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "figs"
+        code, out, err = run(capsys, "figures", *HEAT, "--lambdas", "1/4", "-N", "2",
+                             "--grid", "64", flag, value, "--out", str(out_dir))
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
+        assert not out_dir.exists()
+
 
 class TestCertifyCommand:
     def test_inside_contraction_region(self, capsys):
@@ -404,13 +450,13 @@ class TestCertifyCommand:
         assert out == ""
         assert err == "error: forced refusal\n"
 
-    def test_reference_order_0_exits_1(self, capsys):
-        code, out, err = run(
-            capsys, "certify", *HEAT, "--lambdas", "1/5", "-N", "4", "--reference-order", "0"
-        )
+    # the reference order is 4N, so N = 16 is the largest under the cap 64
+    def test_order_above_16_names_the_flag_and_reference(self, capsys):
+        code, out, err = run(capsys, "certify", *HEAT, "--lambdas", "1/5", "-N", "2,17")
         assert code == 1
         assert out == ""
-        assert "series order must be >= 1" in err
+        assert err == ("error: certify -N 17 needs the reference order 4N = 68, above the "
+                       "cap MAX_ORDER = 64; -N is at most 16\n")
 
     # M and T enter the bound; inf and nan would write non-JSON Infinity or
     # NaN, and a negative value a meaningless bound

@@ -168,6 +168,21 @@ class TestConsistency:
         assert not report.ok
         assert any(f.p == 1 for f in report.failures)
 
+    def test_nonzero_first_moment_fails_negative_grading(self):
+        # q = 2, but sum_p p B_p = -1, so c_1 = -1 is an advection term
+        spec = SchemeSpec(
+            name="drifting_heat",
+            q=2,
+            stencil={-1: lp(1), 0: lp(-2), 1: lp(1), 2: lp(1), 3: lp(-1)},
+            pde={2: Fraction(-1)},
+        )
+        report = consistency_report(spec, derive_log(spec, 6))
+        assert not report.ok
+        first = report.failures[0]
+        assert (first.p, first.residual) == (1, lp(-1))
+        assert first.message == "c_1 must vanish (grading -1 < 0)"
+        assert report.to_json_dict()["failures"][0]["message"] == first.message
+
     def test_order_precondition(self, heat):
         with pytest.raises(ValueError):
             consistency_report(heat, derive_log(heat, 1))

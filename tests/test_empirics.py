@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modeq.derivation import derive_log
+from modeq.derivation import CrossCheckError, derive_log
 from modeq.empirics import (
     _shifted,
     evolve_and_compare,
@@ -99,6 +99,19 @@ class TestMeasuredAmplification:
     def test_mode_range(self, heat):
         with pytest.raises(ValueError):
             measured_amplification(heat, 0.5, 64, 64)
+
+    def test_ratio_varying_across_grid_raises(self, heat, monkeypatch):
+        def uneven(scheme, lam, u):
+            return u * (1.0 + 1e-9 * np.arange(u.shape[-1]))
+
+        monkeypatch.setattr("modeq.empirics.step", uneven)
+        with pytest.raises(CrossCheckError, match="mode 3: amplification varies"):
+            measured_amplification(heat, Fraction(1, 4), 3, 16)
+
+    def test_ratio_off_the_symbol_raises(self, heat, monkeypatch):
+        monkeypatch.setattr("modeq.empirics.step", lambda scheme, lam, u: 2.0 * u)
+        with pytest.raises(CrossCheckError, match="mode 3: measured .* vs symbol"):
+            measured_amplification(heat, Fraction(1, 4), 3, 16)
 
     def test_matches_symbol_for_all_modes(self):
         for scheme in builtin_catalog():

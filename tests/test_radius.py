@@ -109,6 +109,17 @@ class TestRootTest:
         with pytest.raises(ValueError):
             radius_root_test(derive_log(heat, 8), Fraction(1, 2))
 
+    def test_all_coefficients_zero_is_infinite(self):
+        # S = 1 + lambda (2 sinh(x/2))^64, so c_1 .. c_63 vanish at every lambda
+        text = "scheme diff64\nq = 64\npde A[64] = -1\n" + "".join(
+            f"stencil B[{k - 32}] = {(-1) ** k * math.comb(64, k)}\n" for k in range(65))
+        est = radius_root_test(derive_log(parse_scheme(text), 16), Fraction(1, 2))
+        assert math.isinf(est.value)
+        assert est.to_json_dict()["value"] == "inf"
+        assert est.diagnostics.all_coefficients_zero
+        assert not est.diagnostics.polynomial_tail
+        assert est.diagnostics.coefficients_used == 0
+
 
 class TestZeroSearch:
     def test_heat_half(self, heat):
