@@ -7,6 +7,13 @@ contraction scan), ``radius`` (convergence-radius estimates), ``figures``
 Each but ``modeq`` imports the numeric modules it reads when it runs, so
 ``modeq`` loads neither numpy nor mpmath, and only ``radius`` loads mpmath.
 
+The argument parser and the catalog schemes are built on first use and
+kept for the life of the process: ``build_parser`` on the first ``main``
+call, ``catalog_scheme`` on the first lookup of each name.  A one-shot
+shell command builds each once, as it always did; a caller that runs
+``main`` many times in one process pays for them once.  Nothing derived
+from a request's input is kept between requests.
+
 Exit codes: 0 success, 1 input/validation error (bad command-line input
 included), 2 internal cross-check failure.  Outputs are deterministic: fixed
 key order, floats rendered with up to 17 significant digits.  A CSV row is
@@ -22,6 +29,7 @@ rows' text at once, and each piece is written as soon as it is complete.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -257,6 +265,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         if first != lam:
             raise UsageError(f"--lambdas {first} and {lam} would both write "
                              f"{scheme.name}_lambda{_lambda_tag(lam)}.csv")
+    lambdas = list(tags.values())  # a repeated lambda is computed and written once
     # every table is computed before the first file is written
     modeq = derive_log(scheme, max(orders))
     tables = spectra.figure_data(scheme, modeq, lambdas, orders, grid=args.grid)
@@ -342,7 +351,9 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name.split()[0], **_FLAGS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = _Parser(
         prog="modeq",
         description="Modified-equation and von Neumann stability analysis "

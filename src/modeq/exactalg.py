@@ -101,9 +101,10 @@ class LambdaPoly:
 
     @staticmethod
     def dot(terms: Iterable[tuple]) -> "LambdaPoly":
-        """sum of c * a * b over the triples (c, a, b) of a rational c and
-        two polynomials, over one common denominator and reduced once.  Zero
-        coefficients of ``a`` are skipped, so the sparser factor goes first."""
+        """sum of c * a * b over the triples (c, a, b) of a rational c (an
+        int or a Fraction) and two polynomials, over one common denominator
+        and reduced once.  Zero coefficients of ``a`` are skipped, so the
+        sparser factor goes first."""
         terms = [(c, a, b) for c, a, b in terms if c and a.nums and b.nums]
         den = math.lcm(*[c.denominator * a.den * b.den for c, a, b in terms])
         out = [0] * max((len(a.nums) + len(b.nums) - 1 for _, a, b in terms), default=0)
@@ -229,15 +230,16 @@ def series_log(s: tuple) -> tuple:
 
         p*l_p = p*s_p - sum_{0<k<p} k*l_k*s_{p-k}
 
-    so each l_p is one sum of products of known coefficients: O(N^2)
-    polynomial products for order N.
+    so each p*l_p is one sum of products of known coefficients with integer
+    weights, divided by p once: O(N^2) polynomial products for order N.
     """
     if not s or s[0] != LP_ONE:
         raise SeriesPreconditionError("series_log requires constant term 1")
     out = [LP_ZERO]
     for p in range(1, len(s)):
-        out.append(LambdaPoly.dot([(1, s[p], LP_ONE)] +
-                                  [(Fraction(-k, p), out[k], s[p - k]) for k in range(1, p)]))
+        pl = LambdaPoly.dot([(p, s[p], LP_ONE)] +
+                            [(-k, out[k], s[p - k]) for k in range(1, p)])
+        out.append(LambdaPoly._of(list(pl.nums), pl.den * p))
     return tuple(out)
 
 
@@ -245,11 +247,13 @@ def series_exp(s: tuple) -> tuple:
     """Exponential of a series with constant term 0.
 
     E = exp(S) satisfies x*E' = x*S' * E, so p*e_p = sum_{0<k<=p} k*s_k*e_{p-k}
-    with e_0 = 1: O(N^2) polynomial products for order N.
+    with e_0 = 1, an integer-weighted sum divided by p once: O(N^2)
+    polynomial products for order N.
     """
     if not s or s[0]:
         raise SeriesPreconditionError("series_exp requires constant term 0")
     out = [LP_ONE]
     for p in range(1, len(s)):
-        out.append(LambdaPoly.dot((Fraction(k, p), s[k], out[p - k]) for k in range(1, p + 1)))
+        pe = LambdaPoly.dot([(k, s[k], out[p - k]) for k in range(1, p + 1)])
+        out.append(LambdaPoly._of(list(pe.nums), pe.den * p))
     return tuple(out)

@@ -284,8 +284,8 @@ def render_scheme(spec: SchemeSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Builtin catalog: scheme texts, parsed on lookup like a --file scheme and
-# keyed by the name on their first line
+# Builtin catalog: scheme texts, parsed once per process like a --file
+# scheme and keyed by the name on their first line
 # ---------------------------------------------------------------------------
 
 _CATALOG = {text.split(None, 2)[1]: text for text in (
@@ -317,11 +317,14 @@ stencil B[1] = -1/2 + 1/2*lambda
 
 def builtin_catalog() -> list[SchemeSpec]:
     """The builtin schemes, in a fixed order."""
-    return [parse_scheme(text) for text in _CATALOG.values()]
+    return [catalog_scheme(name) for name in _CATALOG]
 
 
+@functools.cache
 def catalog_scheme(name: str) -> SchemeSpec:
-    """The builtin scheme ``name``, parsed from its text."""
+    """The builtin scheme ``name``, parsed from its text on the first lookup;
+    later lookups share that immutable value.  An unknown name raises on
+    every call, since a raising call is not cached."""
     if name not in _CATALOG:
         raise SchemeError(f"unknown catalog scheme {name!r} (known: {', '.join(_CATALOG)})")
     return parse_scheme(_CATALOG[name])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modeq.cli import _CSV_RUN_ROWS, _fmt, _write_csv, main
+from modeq.cli import _CSV_RUN_ROWS, _fmt, _write_csv, build_parser, main
 from modeq.exactalg import LP_ONE
 
 HEAT = ["--catalog", "heat_centered"]
@@ -408,7 +409,7 @@ class TestFiguresCommand:
         code, out, _ = run(capsys, "figures", *HEAT, "--lambdas", "1/4,0.25", "-N", "2",
                            "--grid", "64", "--gridsize", "16", "--out", str(tmp_path))
         assert code == 0
-        assert out.count("wrote ") == 4
+        assert out.count("wrote ") == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "heat_centered_evolve_lambda0.25.csv", "heat_centered_lambda0.25.csv"]
 
@@ -474,6 +475,59 @@ class TestCertifyCommand:
         assert code == 0
         cert = json.loads(out)["certificates"][0]
         assert (cert["M"], cert["T"], cert["bound"]) == (0.0, 0.0, 1.0)
+
+
+class TestSharedConstants:
+    """The parser and the catalog schemes are built once per process, and
+    no request leaves state behind for the next one."""
+
+    SYMMETRY = ("symmetry", "--lambdas", "1/10,1/4,2/5", "-N", "12")
+    SYMMETRY_DIGEST = "aa43fd8b55d81e67bf0a6c9660355bb5f09a35aee80f492058578a0072e59bd2"
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        run(capsys, "modeq", *HEAT, "-N", "2")
+        added = []
+        real = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        code, _, _ = run(capsys, "modeq", *HEAT, "-N", "2")
+        assert code == 0 and added == []
+        assert build_parser() is build_parser()
+
+    def test_certify_default_m_after_explicit_m(self, capsys):
+        argv = ("certify", *HEAT, "--lambdas", "1/5", "-N", "2")
+        for extra, m in ((("--support-M", "1"), 1.0), ((), math.pi)):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            assert json.loads(out)["certificates"][0]["M"] == m
+
+    def test_regions_default_grid_after_explicit_grid(self, capsys, tmp_path):
+        argv = ("regions", *HEAT, "--lambda-range", "0:1:3", "--out", str(tmp_path))
+        for extra, grid in ((("--grid", "64"), 64), ((), 4096)):
+            code, _, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            report = json.loads((tmp_path / "heat_centered_regions.json").read_text())
+            assert report["grid"] == grid
+
+    # failures inside argparse (unknown flag, bad flag value, missing
+    # subcommand) and in a subcommand after parsing
+    @pytest.mark.parametrize("bad", [
+        ("symmetry", "--lambdas", "1/4", "--bogus"),
+        ("certify", *HEAT, "--lambdas", "1/4", "--support-M", "-1"),
+        (),
+        ("symmetry", "--lambdas", "1/4", "-N", "2,3"),
+        ("symmetry", "-N", "12"),
+    ], ids=["unknown-flag", "bad-value", "no-command", "two-orders", "no-lambdas"])
+    def test_failed_request_then_golden_bytes(self, capsys, bad):
+        code, out, err = run(capsys, *bad)
+        assert code == 1 and out == "" and err.startswith("error: ")
+        code, out, _ = run(capsys, *self.SYMMETRY)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.SYMMETRY_DIGEST
 
 
 class TestSymmetryCommand:

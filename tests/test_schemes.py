@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -287,3 +288,16 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(SchemeError):
             catalog_scheme("nope")
+
+    def test_unknown_name_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(SchemeError, match="unknown catalog scheme 'nope'"):
+                catalog_scheme("nope")
+
+    def test_lookup_shares_one_frozen_value(self):
+        scheme = catalog_scheme("heat_centered")
+        assert scheme is catalog_scheme("heat_centered")
+        assert builtin_catalog()[0] is scheme
+        assert scheme.symbol is catalog_scheme("heat_centered").symbol
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scheme.name = "other"
