@@ -50,7 +50,7 @@ _LAZY = {name: module for module, names in (
                 " region_scan truncated_amplification upwind_symmetry_check"),
     ("radius", "RadiusEstimate ZeroSearchError heat_closed_form_radius radius_root_test"
                " radius_zero_search"),
-    ("empirics", "EvolutionTable evolve_and_compare measured_amplification step"),
+    ("empirics", "evolve_and_compare measured_amplification step"),
 ) for name in names.split()}
 # the classes and functions imported above, and the lazy names
 __all__ = [name for name, value in globals().items()

@@ -18,12 +18,13 @@ Exit codes: 0 success, 1 input/validation error (bad command-line input
 included), 2 internal cross-check failure.  Outputs are deterministic: fixed
 key order, floats rendered with up to 17 significant digits.  A CSV row is
 its ``_fmt`` fields joined by commas, as ``csv.writer`` would write them.
-The writer renders a run of consecutive rows with the same field types by
-one ``%`` over a repeated row template: ``%.17g`` for a float, which
-renders every float as ``format(x, ".17g")`` does, and ``%s`` for any other
-field, with bools first mapped to ``true``/``false``.  A run is cut at
-``_CSV_RUN_ROWS`` rows, so a long table never holds more than that many
-rows' text at once, and each piece is written as soon as it is complete.
+Each table hands the writer its columns, a mapping from each header to
+that column's values.  A column of floats only is rendered by ``%.17g``,
+which renders every float as ``format(x, ".17g")`` does; any other column
+goes value by value through ``_fmt``, so a bool reads ``true``/``false``.
+The rows are written in parts of at most ``_CSV_RUN_ROWS``, each by one
+``%`` over a repeated row template, so a long table never holds more than
+that many rows' text at once.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, groupby, islice
+from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .derivation import CrossCheckError, consistency_report, derive_log, symbol_series
 from .exactalg import series_exp
@@ -158,17 +159,17 @@ def _emit_json(obj, out_dir: Optional[Path], filename: str) -> None:
     print(f"wrote {out_dir / filename}")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+def _write_csv(path: Path, columns: Mapping[str, Sequence]) -> None:
+    """Write ``columns``, a mapping from each header to its column's values,
+    as CSV: a column of floats only by ``%.17g``, any other through ``_fmt``."""
+    floats = [all(isinstance(v, float) for v in col) for col in columns.values()]
+    cols = [col if f else [_fmt(v) for v in col] for f, col in zip(floats, columns.values())]
+    template = ",".join("%.17g" if f else "%s" for f in floats) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for kinds, run in groupby(rows, key=lambda row: tuple(map(type, row))):
-            template = ",".join(
-                "%.17g" if issubclass(t, float) else "%s" for t in kinds) + "\r\n"
-            while part := list(islice(run, _CSV_RUN_ROWS)):
-                if bool in kinds:
-                    part = [[_fmt(v) if t is bool else v for t, v in zip(kinds, row)]
-                            for row in part]
-                fh.write(template * len(part) % tuple(chain.from_iterable(part)))
+        fh.write(",".join(columns) + "\r\n")
+        for start in range(0, len(cols[0]), _CSV_RUN_ROWS):
+            part = [col[start:start + _CSV_RUN_ROWS] for col in cols]
+            fh.write(template * len(part[0]) % tuple(chain.from_iterable(zip(*part))))
     print(f"wrote {path}")
 
 
@@ -218,8 +219,8 @@ def cmd_regions(args: argparse.Namespace) -> int:
     for row in rows:
         for n, stable in row.pop("trunc_stable").items():
             row[f"trunc_stable_N{n}"] = stable
-    _write_csv(out_dir / f"{scheme.name}_regions.csv", list(rows[0]),
-               (row.values() for row in rows))
+    _write_csv(out_dir / f"{scheme.name}_regions.csv",
+               {key: [row[key] for row in rows] for key in rows[0]})
     for label, key in (("R_s", "Rs_boundary"), ("Omega_c", "Omega_c_boundary")):
         print(f"{label} boundary: {'none' if payload[key] is None else _fmt(payload[key])}")
     return 0
@@ -273,11 +274,12 @@ def cmd_figures(args: argparse.Namespace) -> int:
                                               args.gridsize) for lam in lambdas]
     out_dir = _out_dir(args, ".")
     for table in tables:
-        path = out_dir / f"{scheme.name}_lambda{_lambda_tag(table.lam)}.csv"
-        _write_csv(path, table.csv_header(), table.csv_rows())
-    for lam, evo in zip(lambdas, evolutions):
-        path = out_dir / f"{scheme.name}_evolve_lambda{_lambda_tag(lam)}.csv"
-        _write_csv(path, evo.CSV_HEADER, evo.csv_rows())
+        _write_csv(out_dir / f"{scheme.name}_lambda{_lambda_tag(table.lam)}.csv",
+                   table.csv_columns())
+    for lam, rows in zip(lambdas, evolutions):
+        _write_csv(out_dir / f"{scheme.name}_evolve_lambda{_lambda_tag(lam)}.csv",
+                   {name: [row[i] for row in rows]
+                    for i, name in enumerate(empirics.ModeComparison.CSV_HEADER)})
     return 0
 
 

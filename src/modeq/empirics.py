@@ -10,12 +10,14 @@ symbol coefficients a_p(lambda) of ``SchemeSpec.symbol`` directly, each
 evaluated at the lambda the caller gave (a rational lambda exactly) and
 rounded once: the same floats ``spectra.eval_symbol`` sums.  A step shifts
 the grid by two slices per offset, the values of ``np.roll``.
+
+``evolve_and_compare`` returns its table as a tuple of ``ModeComparison``
+rows, and ``ModeComparison.CSV_HEADER`` names the columns the CLI writes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -27,7 +29,6 @@ from .spectra import (Number, _symbol_basis, _symbol_sum, eval_symbol, symbol_we
 
 __all__ = [
     "ModeComparison",
-    "EvolutionTable",
     "step",
     "measured_amplification",
     "evolve_and_compare",
@@ -101,8 +102,8 @@ def measured_amplification(
 
 
 class ModeComparison(NamedTuple):
-    """One mode of an ``EvolutionTable``; the fields before ``diverged_at``
-    are its CSV columns, in order."""
+    """One mode of an ``evolve_and_compare`` table.  The fields before
+    ``diverged_at`` are its CSV columns, in order, headed by ``CSV_HEADER``."""
 
     mode: int
     theta: float
@@ -113,16 +114,7 @@ class ModeComparison(NamedTuple):
     gap_sn: float
     diverged_at: Optional[int] = None
 
-
-@dataclass(frozen=True)
-class EvolutionTable:
-    scheme_name: str
-    lam: float
-    order: int
-    steps: int
-    rows: tuple
-
-    CSV_HEADER = [
+    CSV_HEADER = (
         "mode",
         "theta",
         "measured",
@@ -130,11 +122,7 @@ class EvolutionTable:
         "predicted_SN",
         "gap_S",
         "gap_SN",
-    ]
-
-    def csv_rows(self):
-        for row in self.rows:
-            yield row[:7]
+    )
 
 
 def _power(base: float, n: int) -> float:
@@ -159,9 +147,10 @@ def evolve_and_compare(
     order: int,
     steps: int,
     gridsize: int,
-) -> EvolutionTable:
+) -> tuple[ModeComparison, ...]:
     """Evolve every Fourier mode for ``steps`` steps and compare the measured
-    modulus growth with |S|^steps and |S_N|^steps.
+    modulus growth with |S|^steps and |S_N|^steps: one ``ModeComparison``
+    per mode, in mode order.
 
     The modes are stepped together, ``_BLOCK_MODES`` grid rows at a time.
     Modes whose amplitude passes 1e300 are flagged as diverged with the step
@@ -177,7 +166,7 @@ def evolve_and_compare(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if lam < 0:
-        raise ValueError("mesh ratio must be nonnegative")
+        raise ValueError(f"scheme {scheme.name}: lambda must be nonnegative, got {lam}")
     thetas = 2.0 * math.pi * np.arange(gridsize) / gridsize
     thetas[thetas > math.pi] -= 2.0 * math.pi
     # |S_N| on the theta array costs one exact evaluation of the c_p, not one
@@ -217,10 +206,4 @@ def evolve_and_compare(
                     diverged_at=first or None,
                 )
             )
-    return EvolutionTable(
-        scheme_name=scheme.name,
-        lam=float(lam),
-        order=order,
-        steps=steps,
-        rows=tuple(rows),
-    )
+    return tuple(rows)

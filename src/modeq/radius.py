@@ -198,7 +198,7 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     when the root finder does not converge.
     """
     if float(lam) <= 0:
-        raise ValueError("lambda must be positive")
+        raise ValueError(f"scheme {scheme.name}: lambda must be positive, got {lam}")
     q = _symbol_polynomial(scheme, Fraction(lam))
     zeros = []
     with mp.workdps(_ROOT_DPS):
@@ -245,7 +245,7 @@ def heat_closed_form_radius(lam: Number) -> RadiusEstimate:
     """
     lam_f = float(lam)
     if lam_f <= 0:
-        raise ValueError("lambda must be positive")
+        raise ValueError(f"lambda must be positive, got {lam}")
     if lam_f < 0.25:
         zero = complex(math.pi, 2.0 * math.acosh(1.0 / (2.0 * math.sqrt(lam_f))))
     else:

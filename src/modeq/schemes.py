@@ -62,8 +62,10 @@ class SchemeConsistencyError(SchemeError):
 class SchemeSpec:
     """Validated scheme: name, exponent q, stencil weights and target PDE.
 
-    ``stencil`` and ``pde`` may be passed as mappings; they are normalized
-    to sorted tuples so the value is immutable and hashable.
+    ``stencil`` and ``pde`` may be passed as mappings or as tuples of
+    pairs, in any order; both are normalized to tuples sorted by offset or
+    order, so the value is immutable and hashable and equal to its parsed
+    rendering.
     """
 
     name: str
@@ -72,19 +74,15 @@ class SchemeSpec:
     pde: tuple      # ((order, Fraction), ...) sorted by order
 
     def __post_init__(self) -> None:
-        if isinstance(self.stencil, Mapping):
-            object.__setattr__(
-                self, "stencil", tuple(sorted(self.stencil.items()))
-            )
-        if isinstance(self.pde, Mapping):
-            object.__setattr__(self, "pde", tuple(sorted(self.pde.items())))
-        stencil = tuple(
-            (int(p), w if isinstance(w, LambdaPoly) else LambdaPoly.const(w))
-            for p, w in self.stencil
-        )
-        pde = tuple((int(p), Fraction(a)) for p, a in self.pde)
-        object.__setattr__(self, "stencil", stencil)
-        object.__setattr__(self, "pde", pde)
+        stencil, pde = (terms.items() if isinstance(terms, Mapping) else terms
+                        for terms in (self.stencil, self.pde))
+        # sorted by key alone, so a duplicate offset or order reaches _validate
+        stencil = sorted(
+            ((int(p), w if isinstance(w, LambdaPoly) else LambdaPoly.const(w))
+             for p, w in stencil), key=lambda term: term[0])
+        pde = sorted(((int(p), Fraction(a)) for p, a in pde), key=lambda term: term[0])
+        object.__setattr__(self, "stencil", tuple(stencil))
+        object.__setattr__(self, "pde", tuple(pde))
         self._validate()
 
     def _validate(self) -> None:

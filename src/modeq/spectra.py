@@ -102,7 +102,7 @@ def eval_symbol(scheme: SchemeSpec, lam: Number, theta) -> complex:
     ``theta`` may be a real or complex scalar, or an ndarray.
     """
     if lam < 0:
-        raise ValueError("mesh ratio must be nonnegative")
+        raise ValueError(f"scheme {scheme.name}: lambda must be nonnegative, got {lam}")
     acc = _symbol_sum(symbol_weights(scheme, lam), _symbol_basis(scheme, theta))
     if np.ndim(theta) == 0:
         return complex(acc)
@@ -291,7 +291,6 @@ def region_scan(
 class TruncationEval:
     """P_N and the truncated amplification S_N = exp(dt P_N) at one theta."""
 
-    order: int
     p_value: complex
     s_value: complex
 
@@ -318,8 +317,8 @@ def truncated_amplification(
     th = np.asarray(theta, dtype=complex)
     p_val, s_val = _truncation(th, _theta_coeffs(modeq, lam, order), float(lam))
     if np.ndim(theta) == 0:
-        return TruncationEval(order=order, p_value=complex(p_val), s_value=complex(s_val))
-    return TruncationEval(order=order, p_value=p_val, s_value=s_val)
+        return TruncationEval(p_value=complex(p_val), s_value=complex(s_val))
+    return TruncationEval(p_value=p_val, s_value=s_val)
 
 
 @dataclass(frozen=True)
@@ -374,7 +373,7 @@ def truncation_certificate(
     """
     lam_f = float(lam)
     if lam_f <= 0:
-        raise ValueError("lambda must be positive")
+        raise ValueError(f"scheme {scheme.name}: lambda must be positive, got {lam}")
     if modeq.order <= max(orders, default=0):
         raise ValueError(
             f"reference order {modeq.order} must exceed the truncation order {max(orders)}"
@@ -490,22 +489,18 @@ def upwind_symmetry_check(lam: Union[Fraction, int], modeq: ModifiedEq) -> Symme
 
 @dataclass(frozen=True)
 class FigureTable:
-    """|S| and |S_N| sampled on [0, pi] for one mesh-ratio value."""
+    """|S| and |S_N| sampled on [0, pi] for one mesh-ratio value.
+    ``csv_columns`` maps each CSV header to its column, as a list of floats."""
 
-    scheme_name: str
     lam: float
     thetas: np.ndarray
     abs_s: np.ndarray
     abs_s_trunc: dict  # order -> ndarray
 
-    def csv_header(self) -> list[str]:
-        return ["theta", "abs_S"] + [f"abs_S_N{n}" for n in sorted(self.abs_s_trunc)]
-
-    def csv_rows(self):
-        columns = [self.thetas, self.abs_s] + [
-            self.abs_s_trunc[n] for n in sorted(self.abs_s_trunc)
-        ]
-        return zip(*(col.tolist() for col in columns))
+    def csv_columns(self) -> dict[str, list]:
+        columns = {"theta": self.thetas, "abs_S": self.abs_s}
+        columns.update((f"abs_S_N{n}", self.abs_s_trunc[n]) for n in sorted(self.abs_s_trunc))
+        return {name: col.tolist() for name, col in columns.items()}
 
 
 def figure_data(
@@ -531,7 +526,6 @@ def figure_data(
                  for n in orders}
         tables.append(
             FigureTable(
-                scheme_name=scheme.name,
                 lam=float(lam),
                 thetas=thetas,
                 abs_s=abs_s,

@@ -218,6 +218,48 @@ class TestCommandLineErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["modeq", *HEAT, "-N", "x"], "-N expects a comma-separated integer list, got 'x'"),
+            (["modeq", *HEAT, "-N", ","], "-N list is empty"),
+            (["modeq", *HEAT, "-N", "0"], "series order must be >= 1, got 0"),
+            (["figures", *HEAT, "--lambdas", "1/4"], "-N is required for this subcommand"),
+            (["radius", *HEAT, "--lambdas", "1/0", "-N", "16"], "bad lambda value '1/0'"),
+            (["radius", *HEAT, "--lambdas", ",", "-N", "16"], "--lambdas list is empty"),
+            (["regions", *HEAT, "--lambda-range", "0:1"],
+             "--lambda-range expects LO:HI:COUNT, got '0:1'"),
+            (["modeq", "--file", "MISSING"], "cannot read"),
+        ],
+        ids=["N-not-integer", "N-empty", "N-zero", "N-missing", "lambda-zero-denominator",
+             "lambdas-empty", "range-two-fields", "file-missing"],
+    )
+    def test_input_error_exits_1_without_output(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / "missing.scheme") if a == "MISSING" else a for a in argv]
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert out == "" and not out_dir.exists()
+
+    # the '=' keeps argparse from reading -1/4 as an option
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["radius", *HEAT, "--lambdas", "0", "-N", "16"], "lambda must be positive, got 0"),
+            (["certify", *HEAT, "--lambdas", "0"], "lambda must be positive, got 0"),
+            (["figures", *HEAT, "--lambdas=-1/4", "-N", "2", "--grid", "64"],
+             "lambda must be nonnegative, got -1/4"),
+        ],
+        ids=["radius", "certify", "figures"],
+    )
+    def test_lambda_domain_error_names_scheme_and_value(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 1
+        assert err == f"error: scheme heat_centered: {message}\n"
+        assert out == "" and not out_dir.exists()
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "stability", *HEAT)
         assert code == 1
@@ -390,6 +432,14 @@ class TestFiguresCommand:
         assert curve[0] == "theta,abs_S,abs_S_N2,abs_S_N8"
         evolve = (tmp_path / "heat_centered_evolve_lambda0.5.csv").read_text().splitlines()
         assert evolve[0] == "mode,theta,measured,predicted_S,predicted_SN,gap_S,gap_SN"
+
+    # --gridsize 0 has no modes; its evolve table is the header alone
+    def test_table_of_no_modes_keeps_its_header(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--grid", "64",
+                         "--gridsize", "0", "--steps", "0", "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "heat_centered_evolve_lambda0.25.csv").read_bytes() == (
+            b"mode,theta,measured,predicted_S,predicted_SN,gap_S,gap_SN\r\n")
 
     def test_missing_lambdas_exits_1(self, capsys):
         code, _, err = run(capsys, "figures", *HEAT, "-N", "2")
@@ -578,18 +628,27 @@ _CSV_FIELDS = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(_CSV_FIELDS, min_size=1, max_size=6), max_size=8))
-def test_write_csv_bytes_match_csv_writer(tmp_path_factory, rows):
-    header = ["theta", "abs_S", "trunc_stable_N2"]
+def _csv_writer_bytes(header, columns) -> bytes:
+    """The bytes ``csv.writer`` writes for the rows of ``columns``, each field by ``_fmt``."""
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(header)
-    for row in rows:
+    for row in zip(*columns):
         writer.writerow([_fmt(v) for v in row])
+    return expected.getvalue().encode("utf-8")
+
+
+# one to six columns of equal length, each of floats only or of any fields
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(st.one_of(
+    st.lists(_CSV_FIELDS, min_size=n, max_size=n),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n)),
+    min_size=1, max_size=6)))
+def test_write_csv_bytes_match_csv_writer(tmp_path_factory, columns):
+    header = [f"c{i}" for i in range(len(columns))]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    _write_csv(path, header, iter(rows))
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    _write_csv(path, dict(zip(header, columns)))
+    assert path.read_bytes() == _csv_writer_bytes(header, columns)
 
 
 @settings(max_examples=500, deadline=None)
@@ -613,29 +672,23 @@ def _nth(value, i):
     return value + (i / 7 if isinstance(value, float) else i)
 
 
-# segments of rows with one type signature each, some longer than the run cap
+# columns that cycle through one to three seed fields, so a column holds
+# floats only or mixes types, in tables some longer than the run cap
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(
-    st.lists(_TABLE_FIELDS, min_size=1, max_size=4),
-    st.one_of(st.integers(1, 5), st.sampled_from(
-        [_CSV_RUN_ROWS - 1, _CSV_RUN_ROWS, _CSV_RUN_ROWS + 1, 2 * _CSV_RUN_ROWS + 3]))),
-    min_size=1, max_size=4))
-def test_write_csv_long_tables_match_csv_writer(tmp_path_factory, segments):
-    rows = [[_nth(v, i) for v in row] for row, count in segments for i in range(count)]
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected)
-    writer.writerow(["a"])
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+@given(st.one_of(st.integers(1, 5), st.sampled_from(
+           [_CSV_RUN_ROWS - 1, _CSV_RUN_ROWS, _CSV_RUN_ROWS + 1, 2 * _CSV_RUN_ROWS + 3])),
+       st.lists(st.lists(_TABLE_FIELDS, min_size=1, max_size=3), min_size=1, max_size=4))
+def test_write_csv_long_tables_match_csv_writer(tmp_path_factory, count, seeds):
+    columns = [[_nth(seed[i % len(seed)], i) for i in range(count)] for seed in seeds]
+    header = [f"c{i}" for i in range(len(columns))]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    _write_csv(path, ["a"], iter(rows))
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    _write_csv(path, dict(zip(header, columns)))
+    assert path.read_bytes() == _csv_writer_bytes(header, columns)
 
 
 def test_write_csv_writes_each_run_when_complete(capsys):
-    # the cap is a memory bound: no write holds more than _CSV_RUN_ROWS rows,
-    # and a row is read only after the rows before its part are written
-    writes, written_before = [], []
+    # the cap is a memory bound: no write holds more than _CSV_RUN_ROWS rows
+    writes = []
 
     class Sink(io.StringIO):
         def write(self, text):
@@ -646,15 +699,9 @@ def test_write_csv_writes_each_run_when_complete(capsys):
         def open(self, *args, **kwargs):
             return Sink()
 
-    def rows(n):
-        for i in range(n):
-            written_before.append(len(writes))
-            yield (i / 7, i)
-
     n = 2 * _CSV_RUN_ROWS + 3
-    _write_csv(SinkPath(), ["x", "i"], rows(n))
+    _write_csv(SinkPath(), {"x": [i / 7 for i in range(n)], "i": list(range(n))})
     assert writes == [1, _CSV_RUN_ROWS, _CSV_RUN_ROWS, 3]
-    assert written_before == [1 + i // _CSV_RUN_ROWS for i in range(n)]
 
 
 class TestDeterminism:

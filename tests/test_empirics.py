@@ -125,18 +125,18 @@ class TestMeasuredAmplification:
 class TestEvolveAndCompare:
     def test_decaying_run_tracks_truncation(self, heat):
         modeq = derive_log(heat, 8)
-        table = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
-        assert len(table.rows) == 64
-        assert max(r.gap_sn for r in table.rows) < 1e-3
-        assert max(r.gap_s for r in table.rows) < 1e-12
+        rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
+        assert len(rows) == 64
+        assert max(r.gap_sn for r in rows) < 1e-3
+        assert max(r.gap_s for r in rows) < 1e-12
 
     def test_unstable_ratio_flags_pi_mode_first(self, heat):
         modeq = derive_log(heat, 4)
-        table = evolve_and_compare(heat, modeq, 0.6, 4, 2500, 16)
-        diverged = {r.mode: r.diverged_at for r in table.rows if r.diverged_at}
+        rows = evolve_and_compare(heat, modeq, 0.6, 4, 2500, 16)
+        diverged = {r.mode: r.diverged_at for r in rows if r.diverged_at}
         assert 8 in diverged  # theta = pi
         assert diverged[8] == min(diverged.values())
-        pi_row = table.rows[8]
+        pi_row = rows[8]
         assert math.isinf(pi_row.measured)
 
     def test_symbol_rounded_once_per_lambda(self, heat, monkeypatch):
@@ -146,34 +146,39 @@ class TestEvolveAndCompare:
         monkeypatch.setattr(LambdaPoly, "float_at",
                             lambda self, x: calls.append(x) or float_at(self, x))
         modeq = derive_log(heat, 8)
-        table = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
+        rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
         assert len(calls) == 2 * 100 * 3 + 8 + 3
-        for r in table.rows:
+        for r in rows:
             assert r.predicted_s == abs(eval_symbol(heat, Fraction(1, 4), r.theta)) ** 100
 
     def test_negative_lambda_refused(self, heat):
         with pytest.raises(ValueError, match="nonnegative"):
             evolve_and_compare(heat, derive_log(heat, 4), -0.25, 4, 10, 16)
 
+    def test_negative_lambda_names_scheme_and_value(self, heat):
+        with pytest.raises(ValueError,
+                           match=r"^scheme heat_centered: lambda must be nonnegative, got -1/4$"):
+            evolve_and_compare(heat, derive_log(heat, 4), Fraction(-1, 4), 4, 10, 16)
+
     def test_zero_steps_gives_ones(self, heat):
         modeq = derive_log(heat, 8)
-        table = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 0, 8)
-        for r in table.rows:
+        rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 0, 8)
+        for r in rows:
             assert r.measured == 1.0
             assert r.predicted_s == 1.0
             assert r.predicted_sn == 1.0
 
     def test_theta_folding(self, heat):
         modeq = derive_log(heat, 8)
-        table = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 1, 8)
-        assert [round(r.theta, 6) for r in table.rows[:5]] == [
+        rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 1, 8)
+        assert [round(r.theta, 6) for r in rows[:5]] == [
             0.0,
             round(math.pi / 4, 6),
             round(math.pi / 2, 6),
             round(3 * math.pi / 4, 6),
             round(math.pi, 6),
         ]
-        assert table.rows[5].theta == pytest.approx(-3 * math.pi / 4)
+        assert rows[5].theta == pytest.approx(-3 * math.pi / 4)
 
 
 def _per_mode_evolution(scheme, lam, steps, gridsize):
@@ -209,8 +214,8 @@ BATCH_CASES = [
 def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
     # 80 modes span three blocks of rows
     scheme = catalog_scheme(name)
-    table = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, steps, 80)
-    batched = [(r.measured, r.diverged_at) for r in table.rows]
+    rows = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, steps, 80)
+    batched = [(r.measured, r.diverged_at) for r in rows]
     assert batched == _per_mode_evolution(scheme, lam, steps, 80)
     first = [d for _, d in batched if d]
     assert bool(first) == diverges and all(d < steps for d in first)

@@ -31,7 +31,7 @@ EXPORTED = (
     "TruncationEval eval_symbol figure_data truncation_certificate region_scan "
     "truncated_amplification upwind_symmetry_check RadiusEstimate ZeroSearchError "
     "heat_closed_form_radius radius_root_test "
-    "radius_zero_search EvolutionTable evolve_and_compare measured_amplification step"
+    "radius_zero_search evolve_and_compare measured_amplification step"
 ).split()
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -273,6 +274,22 @@ class TestClosedForm:
         est = heat_closed_form_radius(1)
         other = radius_zero_search(heat, 1)
         assert est.value == pytest.approx(other.value, abs=1e-10)
+
+    def test_lambda_domain_names_the_value(self):
+        with pytest.raises(ValueError, match=r"^lambda must be positive, got 0$"):
+            heat_closed_form_radius(Fraction(0))
+
+
+def test_beam_warming_unit_ratio_is_a_shift(tmp_path, capsys):
+    # at lambda = 1, a_-2 = a_0 = 0 and S = e^{-i theta}: Q(w) = w^2 S loses
+    # its vanishing constant and leading coefficients, leaving no nonzero root
+    f = tmp_path / "beam_warming.scheme"
+    f.write_text("scheme beam_warming\nq = 1\npde A[1] = 1\n"
+                 "stencil B[-2] = -1/2 + 1/2*lambda\nstencil B[-1] = 2 - lambda\n"
+                 "stencil B[0] = -3/2 + 1/2*lambda\n")
+    assert main(["radius", "--file", str(f), "--lambdas", "1", "-N", "16"]) == 0
+    entry = json.loads(capsys.readouterr().out)["estimates"][0]
+    assert entry["zero_search"]["value"] == entry["root_test"]["value"] == "inf"
 
 
 class TestMethodAgreement:

@@ -1,5 +1,6 @@
 """Every command in README's "Command line" block runs and exits 0, the
-flag table lists exactly the flags each subcommand registers, and the
+flag table lists exactly the flags each subcommand registers, the CSV column
+lists name the columns the tables write, and the
 "Library" example prints what its comments say, and the scheme-file example
 is the catalog's Lax-Wendroff scheme, so a flag, name or format change in
 the package cannot linger in the documentation."""
@@ -15,7 +16,10 @@ from pathlib import Path
 import pytest
 
 from modeq.cli import build_parser, main
+from modeq.derivation import derive_log
+from modeq.empirics import ModeComparison
 from modeq.schemes import catalog_scheme, parse_scheme
+from modeq.spectra import figure_data
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,6 +52,12 @@ def _parser_flags() -> dict:
     }
 
 
+def _csv_column_lists() -> list:
+    """The column lists of README's "Output formats" section, in order."""
+    section = README.read_text(encoding="utf-8").split("## Output formats", 1)[1]
+    return [cols.split(",") for cols in re.findall(r"columns\s+`([^`]+)`", section)]
+
+
 def _library_block() -> str:
     section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
@@ -66,6 +76,16 @@ def test_readme_command_exits_0(line, tmp_path, capsys):
 
 def test_flag_table_matches_parser():
     assert _table_flags() == _parser_flags()
+
+
+def test_csv_columns_match_the_code():
+    curve, evolve = _csv_column_lists()
+    heat = catalog_scheme("heat_centered")
+    [table] = figure_data(heat, derive_log(heat, 8), [0.5], (2, 8), grid=64)
+    # the last curve column, abs_S_N{N}..., repeats once per order
+    per_order = curve.pop().removesuffix("...")
+    assert curve + [per_order.format(N=n) for n in (2, 8)] == list(table.csv_columns())
+    assert evolve == list(ModeComparison.CSV_HEADER)
 
 
 def test_library_example_prints_its_comments(capsys):

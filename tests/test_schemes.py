@@ -232,6 +232,9 @@ def test_random_scheme_round_trips(offsets, weights, pde):
     assume(any(stencil.values()))
     spec = SchemeSpec(name="random", q=2, stencil=stencil, pde=pde)
     assert parse_scheme(render_scheme(spec)) == spec
+    # the same terms as tuples, highest offset first, normalize to the same value
+    reversed_stencil = tuple(sorted(stencil.items(), key=lambda term: -term[0]))
+    assert SchemeSpec(name="random", q=2, stencil=reversed_stencil, pde=pde) == spec
 
 
 class TestSchemeSpec:

@@ -31,6 +31,11 @@ from modeq.spectra import (
 
 
 class TestEvalSymbol:
+    def test_negative_lambda_names_scheme_and_value(self, heat):
+        with pytest.raises(ValueError,
+                           match=r"^scheme heat_centered: lambda must be nonnegative, got -0.25$"):
+            eval_symbol(heat, -0.25, 0.0)
+
     def test_heat_at_pi(self, heat):
         assert eval_symbol(heat, Fraction(1, 2), math.pi) == pytest.approx(-1.0, abs=1e-15)
 
@@ -457,6 +462,16 @@ class TestUpwindSymmetry:
         with pytest.raises(ValueError):
             upwind_symmetry_check(Fraction(3, 4), derive_log(upwind, 8))
 
+    def test_violation_names_the_first_order(self, upwind):
+        # c_4 + 1 breaks the even-order identity at 2p = 4 and nowhere before
+        modeq = derive_log(upwind, 8)
+        coeffs = list(modeq.coeffs)
+        coeffs[3] = coeffs[3] + LP_ONE
+        broken = ModifiedEq(scheme_name=modeq.scheme_name, q=modeq.q, coeffs=tuple(coeffs))
+        report = upwind_symmetry_check(Fraction(1, 4), broken)
+        assert report.modulus_ok and not report.coefficient_ok and not report.ok
+        assert report.first_violation == 4
+
 
 class TestFigureData:
     def test_empty_lambda_list(self, heat):
@@ -468,10 +483,10 @@ class TestFigureData:
         )
         assert [t.lam for t in tables] == [0.5, 0.25]
         for t in tables:
-            assert t.csv_header() == ["theta", "abs_S", "abs_S_N2", "abs_S_N8"]
-            rows = list(t.csv_rows())
-            assert len(rows) == 128
-            assert rows[0][0] == 0.0 and rows[-1][0] == math.pi
+            columns = t.csv_columns()
+            assert list(columns) == ["theta", "abs_S", "abs_S_N2", "abs_S_N8"]
+            assert all(len(col) == 128 for col in columns.values())
+            assert columns["theta"][0] == 0.0 and columns["theta"][-1] == math.pi
 
     def test_orders_share_one_rounding(self, heat, monkeypatch):
         # 3 a_p for S and the 32 c_p of the highest order; each P_N reads a prefix
