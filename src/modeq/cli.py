@@ -41,7 +41,7 @@ from typing import Mapping, Optional, Sequence
 
 from .derivation import CrossCheckError, consistency_report, derive_log, symbol_series
 from .exactalg import series_exp
-from .schemes import DEFAULT_GRID, catalog_scheme, parse_scheme
+from .schemes import DEFAULT_GRID, SchemeSpec, catalog_scheme, parse_scheme
 
 # the highest series order -N accepts; it bounds the cost of the exact derivation
 MAX_ORDER = 64
@@ -141,6 +141,14 @@ def _finite_nonnegative(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expects a finite number >= 0, got {text!r}")
 
 
+def _require_positive(scheme: SchemeSpec, lambdas: Sequence[Fraction]) -> None:
+    """Refuse lambda <= 0 before anything is derived, in the words of the
+    layers that refuse it (``radius``, ``spectra``)."""
+    for lam in lambdas:
+        if lam <= 0:
+            raise ValueError(f"scheme {scheme.name}: lambda must be positive, got {lam}")
+
+
 def _out_dir(args: argparse.Namespace, default: Optional[str] = None) -> Optional[Path]:
     """The --out directory, else ``default`` (None: stdout), created if missing."""
     if (raw := args.out or default) is None:
@@ -231,6 +239,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
     order = _single_order(args, DEFAULT_ROOT_TEST_ORDER)
+    _require_positive(scheme, lambdas)
     for lam in lambdas:
         # a symbol beyond the float range fails here, before the derivation
         spectra.symbol_weights(scheme, lam)
@@ -292,6 +301,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if (reference := 4 * max(orders)) > MAX_ORDER:
         raise UsageError(f"certify -N {max(orders)} needs the reference order 4N = {reference}, "
                          f"above the cap MAX_ORDER = {MAX_ORDER}; -N is at most {MAX_ORDER // 4}")
+    _require_positive(scheme, lambdas)
     modeq = derive_log(scheme, reference)
     certificates = []
     for lam in lambdas:

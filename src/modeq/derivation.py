@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactalg import LP_ONE, LP_ZERO, InexactDivisionError, LambdaPoly, series_log
+from .exactalg import LP_ZERO, InexactDivisionError, LambdaPoly, series_log
 from .schemes import SchemeSpec
 
 __all__ = [
@@ -104,13 +104,24 @@ class ModifiedEq:
 def symbol_series(scheme: SchemeSpec, order: int) -> tuple:
     """Taylor expansion in x = i*theta of the one-step symbol
     S = sum_p a_p(lambda) e^{p x}: the x^r coefficient is
-    sum_p a_p(lambda) p^r / r!, which is exactly 1 at r = 0.
+    sum_p a_p(lambda) p^r / r!, which is exactly 1 at r = 0.  Each moment
+    sum_p p^r (D a_p) is summed on the integer numerators over the stencil's
+    common denominator D and reduced once over D r!.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    return tuple([
-        LambdaPoly.dot([(Fraction(p**r, math.factorial(r)), a, LP_ONE) for p, a in scheme.symbol])
-        for r in range(order + 1)])
+    den = math.lcm(*[a.den for _, a in scheme.symbol])
+    weights = [(p, [x * (den // a.den) for x in a.nums]) for p, a in scheme.symbol]
+    width = max([len(nums) for _, nums in weights])
+    out = []
+    for r in range(order + 1):
+        moment = [0] * width
+        for p, nums in weights:
+            w = p**r
+            for k, x in enumerate(nums):
+                moment[k] += w * x
+        out.append(LambdaPoly.from_nums(moment, den * math.factorial(r)))
+    return tuple(out)
 
 
 def derive_log(scheme: SchemeSpec, order: int) -> ModifiedEq:

@@ -165,6 +165,8 @@ def evolve_and_compare(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if gridsize < 4:
+        raise ValueError(f"the grid needs at least 4 points, got gridsize = {gridsize}")
     if lam < 0:
         raise ValueError(f"scheme {scheme.name}: lambda must be nonnegative, got {lam}")
     thetas = 2.0 * math.pi * np.arange(gridsize) / gridsize

@@ -13,7 +13,10 @@ A ``LambdaPoly`` stores integer numerators over one positive denominator and
 is reduced by a single gcd, so arithmetic runs on Python ints and equal
 polynomials have equal fields.  A sum of products, the inner step of every
 series recurrence, is formed by ``LambdaPoly.dot`` over one common
-denominator and reduced once.
+denominator and reduced once.  In each product the factor with fewer nonzero
+coefficients runs the outer loop: in the series recurrences one factor is a
+long c_p and the other a symbol coefficient of a few terms, and the cost is
+the outer factor's nonzero count times the inner factor's length.
 
 The series logarithm and exponential are coefficient recurrences from
 x*L' = x*S'/S (Brent and Kung 1978, "Fast algorithms for manipulating
@@ -21,10 +24,16 @@ formal power series"): each order costs one sum of products, so a series of
 order N costs O(N^2) polynomial products.
 
 Everything here is exact, so polynomial identities can be tested by literal
-equality.  A float is made from an exact value by rounding it once, and that
-happens outside this module: c_p(lambda) is evaluated exactly at the
-rational value of lambda first, and ``LambdaPoly.float_at`` rounds that
-exact value with one integer division.
+equality.  A float is made from an exact value by rounding it once:
+``LambdaPoly.float_at`` returns the correctly rounded value at a rational
+lambda.  It first encloses the value by fixed-point Horner with an integer
+error bound and returns the double that both ends of the enclosure round to,
+doubling the precision while they differ (Ziv 1991, "Fast evaluation of
+elementary mathematical functions with correctly rounded last bit").  When
+the precision reaches the size of the exact value, or the exact value is
+small to begin with (every c_p of the catalog schemes up to order 16 is),
+it rounds the exact value by one integer division instead.  Either way the
+float is that of the exact fraction, so the two paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -90,8 +99,9 @@ class LambdaPoly:
         object.__setattr__(self, "den", den // g if nums else 1)
 
     @classmethod
-    def _of(cls, nums: list, den: int = 1) -> "LambdaPoly":
-        """sum_k nums[k]/den * lambda^k for integers nums and den > 0."""
+    def from_nums(cls, nums: list, den: int = 1) -> "LambdaPoly":
+        """sum_k nums[k]/den * lambda^k for integers nums and den > 0.  The
+        list becomes the polynomial's, so the caller must not reuse it."""
         poly = object.__new__(cls)
         poly._reduce(nums, den)
         return poly
@@ -103,9 +113,11 @@ class LambdaPoly:
     def dot(terms: Iterable[tuple]) -> "LambdaPoly":
         """sum of c * a * b over the triples (c, a, b) of a rational c (an
         int or a Fraction) and two polynomials, over one common denominator
-        and reduced once.  Zero coefficients of ``a`` are skipped, so the
-        sparser factor goes first."""
-        terms = [(c, a, b) for c, a, b in terms if c and a.nums and b.nums]
+        and reduced once.  In each product the factor with fewer nonzero
+        coefficients runs the outer loop and its zero coefficients are
+        skipped, so the order of ``a`` and ``b`` never matters to the cost."""
+        terms = [(c, a, b) if len(a.nums) - a.nums.count(0) <= len(b.nums) - b.nums.count(0)
+                 else (c, b, a) for c, a, b in terms if c and a.nums and b.nums]
         den = math.lcm(*[c.denominator * a.den * b.den for c, a, b in terms])
         out = [0] * max((len(a.nums) + len(b.nums) - 1 for _, a, b in terms), default=0)
         for c, a, b in terms:
@@ -115,12 +127,12 @@ class LambdaPoly:
                     x *= f
                     for k, y in enumerate(b.nums, j):
                         out[k] += x * y
-        return LambdaPoly._of(out, den)
+        return LambdaPoly.from_nums(out, den)
 
     @classmethod
     def const(cls, value: ScalarLike) -> "LambdaPoly":
         value = _as_fraction(value)
-        return cls._of([value.numerator], value.denominator)
+        return cls.from_nums([value.numerator], value.denominator)
 
     @property
     def coeffs(self) -> tuple:
@@ -148,14 +160,14 @@ class LambdaPoly:
         return LambdaPoly.dot(((1, self, LP_ONE), (-1, other, LP_ONE)))
 
     def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly._of([-a for a in self.nums], self.den)
+        return LambdaPoly.from_nums([-a for a in self.nums], self.den)
 
     def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
         return LambdaPoly.dot(((1, self, other),))
 
     def shift_up(self, k: int = 1) -> "LambdaPoly":
         """Multiply by lambda**k."""
-        return LambdaPoly._of([0] * k + list(self.nums), self.den) if self else self
+        return LambdaPoly.from_nums([0] * k + list(self.nums), self.den) if self else self
 
     def divide_by_lambda(self) -> "LambdaPoly":
         """Exact division by lambda; the constant term must vanish."""
@@ -165,12 +177,12 @@ class LambdaPoly:
             raise InexactDivisionError(
                 f"polynomial {self} has nonzero constant term, not divisible by lambda"
             )
-        return LambdaPoly._of(list(self.nums[1:]), self.den)
+        return LambdaPoly.from_nums(list(self.nums[1:]), self.den)
 
-    def _num_den(self, x: Fraction) -> tuple:
-        """Integers (n, d) with d > 0 and n/d = self(x), unreduced: an
-        integer Horner scheme on the homogenized numerator."""
-        n, d = x.numerator, x.denominator
+    def _num_den(self, n: int, d: int) -> tuple:
+        """Integers (num, den) with den > 0 and num/den = self(n/d) for
+        d > 0, unreduced: an integer Horner scheme on the homogenized
+        numerator."""
         acc, dpow = 0, 1
         for a in reversed(self.nums):
             acc = acc * n + a * dpow
@@ -181,15 +193,49 @@ class LambdaPoly:
         """Exact evaluation at a rational point."""
         if not self:
             return Fraction(0)
-        return Fraction(*self._num_den(_as_fraction(lam)))
+        return Fraction(*self._num_den(*_as_fraction(lam).as_integer_ratio()))
 
     def float_at(self, lam: ScalarLike) -> float:
-        """``float(self(lam))`` by one int / int division, which Python
-        rounds correctly, so no gcd reduces the fraction first.  Raises
+        """``float(self(lam))``, correctly rounded, by Ziv's rising precision.
+
+        Horner runs on the integer numerators in ``prec``-bit fixed point
+        with an integer bound on its error.  When both ends of that enclosure
+        round to the same double, the value does too, since rounding is
+        monotonic.  Otherwise ``prec`` doubles.  Once it reaches ``size``,
+        the degree times the bits of lambda's numerator and denominator
+        together, which is what the exact Horner integers grow by, the exact
+        value from ``_num_den`` is rounded by one int / int division, which
+        Python rounds correctly.  Below a ``size`` of ``_ZIV_MIN_BITS`` the
+        exact path is the cheaper one and is taken at once.  Raises
         ``OverflowError`` where the value is beyond the float range."""
-        if not self:
+        nums = self.nums
+        if not nums:
             return 0.0
-        num, den = self._num_den(_as_fraction(lam))
+        n, d = _as_fraction(lam).as_integer_ratio()
+        size = (len(nums) - 1) * (n.bit_length() + d.bit_length())
+        prec = _ZIV_START_BITS if size >= _ZIV_MIN_BITS else size
+        while prec < size:
+            # xf = floor(2^prec x) misses 2^prec x by less than t, where t = 1
+            # unless the division is exact
+            xf, rem = divmod(n << prec, d)
+            t = 1 if rem else 0
+            xb = abs(xf) + 3 * t
+            # acc = 2^prec h + e with |e| <= err for the Horner value h; then
+            # acc xf / 2^prec misses 2^prec h x by at most
+            # (err (|xf| + 3t) + t |acc|) / 2^prec, and the shift's floor by < 1
+            acc, err = nums[-1] << prec, 0
+            for a in reversed(nums[:-1]):
+                err = ((err * xb + (abs(acc) if t else 0)) >> prec) + 2
+                acc = (acc * xf >> prec) + (a << prec)
+            den = self.den << prec
+            try:
+                lo, hi = (acc - err) / den, (acc + err) / den
+            except OverflowError:
+                break
+            if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+                return lo
+            prec *= 2
+        num, den = self._num_den(n, d)
         return num / den
 
     @staticmethod
@@ -219,6 +265,12 @@ class LambdaPoly:
         return f"{body}/{self.den}"
 
 
+# float_at's first fixed-point precision, and the size below which it rounds
+# the exact value at once: measured on catalog and lambda^16 stencils, the
+# exact path was the faster one below it and the slower one above it
+_ZIV_START_BITS = 64
+_ZIV_MIN_BITS = 2048
+
 LP_ZERO = LambdaPoly()
 LP_ONE = LambdaPoly.const(1)
 
@@ -239,7 +291,7 @@ def series_log(s: tuple) -> tuple:
     for p in range(1, len(s)):
         pl = LambdaPoly.dot([(p, s[p], LP_ONE)] +
                             [(-k, out[k], s[p - k]) for k in range(1, p)])
-        out.append(LambdaPoly._of(list(pl.nums), pl.den * p))
+        out.append(LambdaPoly.from_nums(list(pl.nums), pl.den * p))
     return tuple(out)
 
 
@@ -255,5 +307,5 @@ def series_exp(s: tuple) -> tuple:
     out = [LP_ONE]
     for p in range(1, len(s)):
         pe = LambdaPoly.dot([(k, s[k], out[p - k]) for k in range(1, p + 1)])
-        out.append(LambdaPoly._of(list(pe.nums), pe.den * p))
+        out.append(LambdaPoly.from_nums(list(pe.nums), pe.den * p))
     return tuple(out)

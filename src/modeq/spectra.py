@@ -8,7 +8,7 @@ the upwind mirror-symmetry check, and figure-data tables.
 Exact first, then round: the symbol coefficients a_p(lambda) of
 ``SchemeSpec.symbol`` and the modified-equation coefficients c_p(lambda) are
 evaluated exactly at the lambda the caller gave (a float at its binary
-value) and each is rounded to a float once, by one integer division
+value) and each is rounded to a float once, correctly
 (``LambdaPoly.float_at``); no float lambda multiplies a rounded weight.  The
 upwind mirror check compares the exact |S|^2 cosine coefficients and rounds
 nothing.

@@ -1,5 +1,7 @@
 """Independent references that only the tests read.
 
+``fraction_symbol_series`` forms the symbol's series over Fraction weights,
+not over integer moments as ``modeq.derivation.symbol_series`` does.
 ``derive_elimination`` is a second derivation engine: it never takes a
 logarithm and shares no recurrence with ``modeq.derivation.derive_log``, so
 agreement of the two checks the log engine from outside.  ``bernoulli`` and
@@ -21,6 +23,15 @@ from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
 from modeq.schemes import SchemeSpec
 
 
+def fraction_symbol_series(scheme: SchemeSpec, order: int) -> tuple:
+    """The symbol's Taylor series in x = i*theta as ``symbol_series`` gives it,
+    each x^r coefficient sum_p a_p(lambda) p^r / r! formed as one
+    ``LambdaPoly.dot`` over the Fraction weights p^r / r!."""
+    return tuple([
+        LambdaPoly.dot([(Fraction(p**r, math.factorial(r)), a, LP_ONE) for p, a in scheme.symbol])
+        for r in range(order + 1)])
+
+
 def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
     """Modified equation via order-by-order elimination.
 
@@ -40,7 +51,6 @@ def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
     cols = [[LP_ZERO] * (order + 1) for _ in range(order + 1)]  # cols[m][p] = P_m[p]
     for p in range(1, order + 1):
         for m in range(2, p + 1):
-            # P_{m-1} first: dot skips its m-1 leading zero coefficients
             cols[m][p] = LambdaPoly.dot((1, cols[m - 1][p - k], cols[1][k])
                                         for k in range(1, p - m + 2))
         cols[1][p] = LambdaPoly.dot(

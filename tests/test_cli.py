@@ -14,9 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modeq.cli import _CSV_RUN_ROWS, _fmt, _write_csv, build_parser, main
-from modeq.exactalg import LP_ONE
+from modeq.exactalg import LP_ONE, LambdaPoly
 
 HEAT = ["--catalog", "heat_centered"]
+# weights up to lambda^16, the parser's cap: c_64 has lambda-degree 1023
+LAM16 = ("scheme lam16\nq = 1\npde A[1] = 1\n"
+         "stencil B[-1] = 1/3 + 2/7*lambda^16 + 5/11*lambda^15\n"
+         "stencil B[0] = -2/3 - 4/7*lambda^16 + 1/13*lambda^3\n"
+         "stencil B[1] = 1/3 + 2/7*lambda^16 - 5/11*lambda^15 - 1/13*lambda^3\n")
 
 
 def run(capsys, *argv):
@@ -162,10 +167,7 @@ class TestModeqCommand:
         # weights up to lambda^16 give c_p of degree ~16p; the exp round trip
         # costs O(N^2) products at the order cap
         f = tmp_path / "lam16.scheme"
-        f.write_text("scheme lam16\nq = 1\npde A[1] = 1\n"
-                     "stencil B[-1] = 1/3 + 2/7*lambda^16 + 5/11*lambda^15\n"
-                     "stencil B[0] = -2/3 - 4/7*lambda^16 + 1/13*lambda^3\n"
-                     "stencil B[1] = 1/3 + 2/7*lambda^16 - 5/11*lambda^15 - 1/13*lambda^3\n")
+        f.write_text(LAM16)
         code, verified, _ = run(capsys, "modeq", "--file", str(f), "-N", "64", "--verify")
         assert code == 0
         code, plain, _ = run(capsys, "modeq", "--file", str(f), "-N", "64")
@@ -260,6 +262,21 @@ class TestCommandLineErrors:
         assert err == f"error: scheme heat_centered: {message}\n"
         assert out == "" and not out_dir.exists()
 
+    # a derivation that cannot run shows that lambda is refused before it
+    @pytest.mark.parametrize("argv, value",
+                             [(["radius", *HEAT, "--lambdas", "1/2,0", "-N", "64"], "0"),
+                              (["certify", *HEAT, "--lambdas", "1/5,-1/4", "-N", "16"], "-1/4")],
+                             ids=["radius", "certify"])
+    def test_lambda_domain_refused_before_deriving(self, capsys, monkeypatch, argv, value):
+        def derive_log(*_):
+            raise AssertionError("derived before lambda was checked")
+
+        monkeypatch.setattr("modeq.cli.derive_log", derive_log)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: scheme heat_centered: lambda must be positive, got {value}\n"
+        assert out == ""
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "stability", *HEAT)
         assert code == 1
@@ -307,6 +324,31 @@ class TestRegionsCommand:
         header = csv_text.splitlines()[0]
         assert header == "lambda,max_abs_S,max_abs_one_minus_S,theta_m,in_Rs,in_Omega_c,trunc_stable_N4"
         assert len(csv_text.splitlines()) == 62
+
+    # at the caps c_p(lambda) is rounded in fixed point; the files must be
+    # those of rounding each exact value once
+    def test_caps_write_the_bytes_of_exact_rounding(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "lam16.scheme"
+        f.write_text(LAM16)
+        float_at, num_den = LambdaPoly.float_at, LambdaPoly._num_den
+        runs = {}
+        for name, rounding in (("fast", float_at), ("exact", lambda self, x: float(self(x)))):
+            values, exact_calls = [], []
+            monkeypatch.setattr(LambdaPoly, "float_at",
+                                lambda self, x: values.append(rounding(self, x)) or values[-1])
+            monkeypatch.setattr(LambdaPoly, "_num_den",
+                                lambda self, n, d: exact_calls.append(d) or num_den(self, n, d))
+            out = tmp_path / name
+            code, _, _ = run(capsys, "regions", "--file", str(f), "--lambda-range", "0.1:1.3:3",
+                             "-N", "2,8,64", "--grid", "64", "--out", str(out))
+            assert code == 0
+            runs[name] = (values, len(exact_calls),
+                          [(p.name, p.read_bytes()) for p in sorted(out.iterdir())])
+        (fast, fast_exact, fast_files), (exact, _, exact_files) = runs["fast"], runs["exact"]
+        assert fast_files == exact_files
+        assert [v.hex() for v in fast] == [v.hex() for v in exact]
+        # the fixed-point path, not the exact one, rounded most of the c_p
+        assert len(fast) > 90 and fast_exact < len(fast) // 2
 
     def test_missing_range_exits_1(self, capsys):
         code, _, err = run(capsys, "regions", *HEAT)
@@ -433,14 +475,6 @@ class TestFiguresCommand:
         evolve = (tmp_path / "heat_centered_evolve_lambda0.5.csv").read_text().splitlines()
         assert evolve[0] == "mode,theta,measured,predicted_S,predicted_SN,gap_S,gap_SN"
 
-    # --gridsize 0 has no modes; its evolve table is the header alone
-    def test_table_of_no_modes_keeps_its_header(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--grid", "64",
-                         "--gridsize", "0", "--steps", "0", "--out", str(tmp_path))
-        assert code == 0
-        assert (tmp_path / "heat_centered_evolve_lambda0.25.csv").read_bytes() == (
-            b"mode,theta,measured,predicted_S,predicted_SN,gap_S,gap_SN\r\n")
-
     def test_missing_lambdas_exits_1(self, capsys):
         code, _, err = run(capsys, "figures", *HEAT, "-N", "2")
         assert code == 1 and "--lambdas" in err
@@ -464,7 +498,8 @@ class TestFiguresCommand:
             "heat_centered_evolve_lambda0.25.csv", "heat_centered_lambda0.25.csv"]
 
     # every table is computed before the output directory is made
-    @pytest.mark.parametrize("flag, value", [("--steps", "-1"), ("--gridsize", "3")])
+    @pytest.mark.parametrize("flag, value", [("--steps", "-1"), ("--gridsize", "3"),
+                                             ("--gridsize", "0"), ("--gridsize", "-5")])
     def test_failed_table_exits_1_without_files(self, tmp_path, capsys, flag, value):
         out_dir = tmp_path / "figs"
         code, out, err = run(capsys, "figures", *HEAT, "--lambdas", "1/4", "-N", "2",

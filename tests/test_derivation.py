@@ -11,7 +11,7 @@ from modeq.exactalg import LP_ONE, series_exp, series_log
 from modeq.derivation import CrossCheckError, consistency_report, derive_log, symbol_series
 from modeq.schemes import SchemeSpec, builtin_catalog, catalog_scheme
 from modeq.spectra import eval_symbol
-from oracles import GOLDEN, derive_elimination
+from oracles import GOLDEN, derive_elimination, fraction_symbol_series
 
 # printed coefficient tables for the two reference schemes
 HEAT_TABLE = GOLDEN["heat_centered"].mu_table
@@ -44,6 +44,11 @@ class TestSymbolSeries:
             )
             exact = eval_symbol(scheme, lam, theta)
             assert abs(partial - exact) <= 1e-12, scheme.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_stencils(), st.integers(1, 24))
+    def test_integer_moments_equal_fraction_weights(self, scheme, order):
+        assert symbol_series(scheme, order) == fraction_symbol_series(scheme, order)
 
     def test_constant_term_is_one_for_all_catalog(self):
         for scheme in builtin_catalog():

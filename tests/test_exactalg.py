@@ -27,6 +27,30 @@ def series(coeffs, order):
     return tuple(coeffs) + (ZERO,) * (order + 1 - len(coeffs))
 
 
+@st.composite
+def sparse_polys(draw):
+    """Polynomials of degree < 8, most of whose coefficients are zero, the
+    leading ones too."""
+    zeros = draw(st.integers(0, 3))
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.just(0), st.fractions(max_denominator=30)),
+                           max_size=8 - zeros))
+    return LambdaPoly([0] * zeros + coeffs)
+
+
+@st.composite
+def near_midpoints(draw):
+    """A rational of either sign at, or within a small fraction of an ulp
+    of, the midpoint between two adjacent doubles.  The pairs include 0.0
+    and the smallest subnormal, and the largest double and 2^1024, whose
+    midpoint 2^1024 - 2^970 is the overflow threshold."""
+    f = draw(st.floats(min_value=0.0, allow_infinity=False))
+    up = math.nextafter(f, math.inf)
+    ulp = Fraction(up) - Fraction(f) if math.isfinite(up) else Fraction(2**971)
+    mid = Fraction(f) + ulp / 2
+    offset = draw(st.sampled_from([-1, 0, 1])) * ulp / 2 ** draw(st.integers(1, 400))
+    return draw(st.sampled_from([1, -1])) * (mid + offset)
+
+
 class TestLambdaPoly:
     def test_canonical_integer_form(self):
         p = LambdaPoly((Fraction(2, 4), 3, Fraction(-5, 6), 0, 0))
@@ -75,6 +99,43 @@ class TestLambdaPoly:
                 p.float_at(x)
             return
         assert p.float_at(x).hex() == expected.hex()  # hex tells -0.0 from 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.integers(-5, 5), st.fractions(max_denominator=9)),
+                              sparse_polys(), sparse_polys()), max_size=5))
+    def test_dot_is_the_schoolbook_sum_in_either_factor_order(self, terms):
+        out = [Fraction(0)] * 16
+        for c, a, b in terms:
+            for j, x in enumerate(a.coeffs):
+                for k, y in enumerate(b.coeffs):
+                    out[j + k] += c * x * y
+        expected = LambdaPoly(out)
+        assert LambdaPoly.dot(terms) == expected
+        assert LambdaPoly.dot([(c, b, a) for c, a, b in terms]) == expected
+
+    # c0 is set so that the value at x is ``target``: a point within a tiny
+    # fraction of an ulp of a rounding midpoint, or of the overflow threshold
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2**80, 2**80), min_size=40, max_size=70),
+           st.integers(1, 2**60), near_midpoints(),
+           st.one_of(st.floats(-2, 2, allow_nan=False),
+                     st.fractions(-2, 2, max_denominator=2**70)))
+    @example([3] * 40, 7, Fraction(2**1024 - 2**970), 0.3)  # rounds up to 2^1024: overflow
+    @example([3] * 40, 7, -Fraction(2**1024 - 2**970 - 1), 0.3)
+    @example([3] * 40, 7, Fraction(1, 2**1075), 0.3)  # ties to even: 0.0
+    @example([3] * 40, 7, -Fraction(1, 2**1075) - Fraction(1, 2**1400), 0.3)
+    def test_float_at_near_rounding_boundaries(self, nums, den, target, x):
+        cs = [Fraction(a, den) for a in nums]
+        x = Fraction(x)
+        p = LambdaPoly([cs[0] + target - LambdaPoly(cs)(x), *cs[1:]])
+        assert p(x) == target
+        try:
+            expected = float(p(x))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                p.float_at(x)
+            return
+        assert p.float_at(x).hex() == expected.hex()
 
     def test_divide_by_lambda(self):
         assert lp(0, 2, 3).divide_by_lambda() == lp(2, 3)
