@@ -45,6 +45,13 @@ from .schemes import DEFAULT_GRID, SchemeSpec, catalog_scheme, parse_scheme
 
 # the highest series order -N accepts; it bounds the cost of the exact derivation
 MAX_ORDER = 64
+# the largest sizes the float flags accept; each bounds a scan's time and memory
+# (README, "Command line"): --lambda-range COUNT and --grid for the theta scans,
+# --steps and --gridsize for the figures mode evolution
+MAX_LAMBDA_SAMPLES = 10_000
+MAX_GRID = 65_536
+MAX_STEPS = 10_000
+MAX_GRIDSIZE = 1_024
 DEFAULT_ROOT_TEST_ORDER = 40
 # rows per '%' call of the CSV writer: a memory bound, since a call holds
 # its rows' fields and their text at once
@@ -128,6 +135,9 @@ def _parse_range(raw: str) -> tuple:
         raise UsageError(f"--lambda-range expects LO:HI:COUNT, got {raw!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError(f"--lambda-range LO and HI must be finite, got {raw!r}")
+    if count > MAX_LAMBDA_SAMPLES:
+        raise UsageError(f"--lambda-range COUNT {count} is above the cap "
+                         f"MAX_LAMBDA_SAMPLES = {MAX_LAMBDA_SAMPLES}")
     return lo, hi, count
 
 
@@ -139,6 +149,16 @@ def _finite_nonnegative(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expects a finite number >= 0, got {text!r}")
+
+
+def _at_most(name: str, cap: int):
+    """A flag type: an int no larger than ``cap``, the constant ``name``."""
+    def parse(text: str) -> int:
+        if (value := int(text)) > cap:
+            raise argparse.ArgumentTypeError(f"{value} is above the cap {name} = {cap}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def _require_positive(scheme: SchemeSpec, lambdas: Sequence[Fraction]) -> None:
@@ -352,7 +372,7 @@ _FLAGS = {
     "-N LIST": dict(dest="orders", metavar="LIST", help="comma-separated truncation orders"),
     "--lambdas": dict(metavar="LIST", help="comma-separated mesh ratios (rationals or decimals)"),
     "--lambda-range": dict(metavar="LO:HI:COUNT", help="uniform mesh-ratio sweep"),
-    "--grid": dict(type=int, default=DEFAULT_GRID,
+    "--grid": dict(type=_at_most("MAX_GRID", MAX_GRID), default=DEFAULT_GRID,
                    help="theta grid size on [0, pi] (default %(default)s)"),
     "--out": dict(metavar="DIR", help="output directory"),
 }
@@ -389,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="emit |S| vs |S_N| curve data")
     _add_flags(p, "--catalog", "--file", "-N LIST", "--lambdas", "--grid", "--out")
-    p.add_argument("--steps", type=int, default=100,
+    p.add_argument("--steps", type=_at_most("MAX_STEPS", MAX_STEPS), default=100,
                    help="evolution steps for the mode-decay table")
-    p.add_argument("--gridsize", type=int, default=64,
+    p.add_argument("--gridsize", type=_at_most("MAX_GRIDSIZE", MAX_GRIDSIZE), default=64,
                    help="periodic grid size for the mode-decay table")
     p.set_defaults(func=cmd_figures)
 

@@ -36,7 +36,8 @@ __all__ = [
 
 _OVERFLOW_LIMIT = 1e300
 _RATIO_TOL = 1e-12
-_BLOCK_MODES = 32
+# grid values per block of mode rows: the default 64-mode grid is one block
+_BLOCK_VALUES = 4096
 
 
 def step(scheme: SchemeSpec, lam: Number, u) -> np.ndarray:
@@ -152,7 +153,8 @@ def evolve_and_compare(
     modulus growth with |S|^steps and |S_N|^steps: one ``ModeComparison``
     per mode, in mode order.
 
-    The modes are stepped together, ``_BLOCK_MODES`` grid rows at a time.
+    The modes are stepped together, in blocks of as many grid rows as fit
+    in ``_BLOCK_VALUES`` values, and at least one row.
     Modes whose amplitude passes 1e300 are flagged as diverged with the step
     index at which that happened.  theta is folded into (-pi, pi] so the
     polynomial truncation is evaluated at an admissible wavenumber.
@@ -178,8 +180,9 @@ def evolve_and_compare(
     abs_sn = np.abs(truncated_amplification(modeq, lam, thetas, order).s_value)
     weights = symbol_weights(scheme, lam)
     rows = []
-    for start in range(0, gridsize, _BLOCK_MODES):
-        modes = np.arange(start, min(start + _BLOCK_MODES, gridsize))
+    block = max(1, _BLOCK_VALUES // gridsize)
+    for start in range(0, gridsize, block):
+        modes = np.arange(start, min(start + block, gridsize))
         u = mode_grid(modes, gridsize)
         diverged_at = np.zeros(modes.size, dtype=int)  # 0: not diverged
         # a diverged row may overflow to inf or nan; it is recorded already

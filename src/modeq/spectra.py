@@ -15,12 +15,27 @@ nothing.
 
 A region scan does its lambda-free work once: it builds the basis
 e^{i p theta} on the theta grid once per scan and, per lambda, sums a_p
-times that basis, rounds only the even c_p (all that Re P_N reads) and runs
-Horner's scheme for Re P_N.  Each lambda writes S, the products
-a_p e^{i p theta}, 1 - S, |S|, |1 - S| and Re P_N into six arrays made once
-per scan, so a sample allocates no grid-sized array.  Its floats are those
-of ``eval_symbol`` and ``polyval``: the same ufuncs in the same order, and
-the Horner steps are ``polyval``'s, less the adds of +0.0 at odd powers.
+times that basis and rounds only the even c_p (all that Re P_N reads).
+Each lambda writes S, the products a_p e^{i p theta}, 1 - S, |S|, |1 - S|
+and Re P_N into six arrays made once per scan, so a sample allocates no
+grid-sized array.  Its floats are those of ``eval_symbol`` and ``polyval``:
+the same ufuncs in the same order, and the Horner steps are ``polyval``'s,
+less the adds of +0.0 at odd powers.
+
+A truncation verdict, Re P_N <= tol at every grid point, is what the
+Horner sweep of the whole grid would give, decided in four steps
+(``_truncation_stable``).  The grid lies in [0, pi] with pi its last
+point, the row's even entries d (the signed c_{2k}) are finite and its odd
+ones +0.0, and IEEE rounding is monotone, so each rounded * and + by a
+value of one sign keeps that sign and, for x >= 0, its order in x:
+  1. every d <= 0: every Horner value is <= 0, so stable;
+  2. the Horner value at pi, by the same float steps on Python floats, is
+     > tol: that grid value exceeds tol, so unstable;
+  3. every d >= 0: the values are non-decreasing in theta, so the one at
+     pi, <= tol by step 2, is the grid maximum, and stable;
+  4. else the signs are mixed, and the full sweep decides.
+With one sign, Horner can overflow to an infinity of that sign but never
+reach NaN; a NaN at pi (from inf - inf) fails step 2 and goes to step 4.
 """
 
 from __future__ import annotations
@@ -138,16 +153,33 @@ def _theta_m_from_values(thetas: np.ndarray, one_minus_s: np.ndarray) -> float:
     return float(thetas[bad[0]])
 
 
-def _even_horner_into(out: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
-    """out = sum_k c[k] x^k, c of length >= 2 with +0.0 at odd k, by
-    ``polyval``'s float steps in place less its ``+= 0.0`` at odd k: those
-    change only a -0.0, and the kept ``+= c[0]`` gives the same zero anyway."""
-    np.multiply(x, c[-1], out=out)  # x*0 + c[-1] is c[-1], then *x
+def _even_horner(x, c: list, out: Optional[np.ndarray] = None):
+    """sum_k c[k] x^k, c of length >= 2 with +0.0 at odd k, by ``polyval``'s
+    float steps less its ``+= 0.0`` at odd k: those change only a -0.0, and
+    the kept ``+= c[0]`` gives the same zero anyway.  ``x`` is a float, or
+    an array whose values are written into ``out``."""
+    v = x * c[-1] if out is None else np.multiply(x, c[-1], out=out)  # x*0 + c[-1], *x
     for k in range(len(c) - 2, -1, -1):
         if k % 2 == 0:
-            out += c[k]
+            v += c[k]  # in place on an array
         if k:
-            out *= x
+            v *= x
+    return v
+
+
+def _truncation_stable(thetas: np.ndarray, c: list, out: np.ndarray) -> bool:
+    """Whether sum_k c[k] theta^k <= DEFAULT_TOL at every point of
+    ``thetas``, a ``theta_grid``, as the sweep ``_even_horner(thetas, c,
+    out)`` would say, by the four steps of the module docstring.  ``c``
+    holds finite floats, +0.0 at odd k; a sweep writes its values into ``out``."""
+    evens = c[::2]
+    if all(d <= 0 for d in evens):
+        return True
+    if _even_horner(thetas[-1].item(), c) > DEFAULT_TOL:
+        return False
+    if all(d >= 0 for d in evens):
+        return True
+    return bool(_even_horner(thetas, c, out).max() <= DEFAULT_TOL)
 
 
 def _signed_coeffs(modeq: ModifiedEq, lam: Number, ps) -> list[float]:
@@ -235,8 +267,10 @@ def region_scan(
     With tol = DEFAULT_TOL, a sample is von Neumann stable when
     max |S| <= 1 + tol over the theta grid, and inside the contraction region
     when max |1 - S| < 1 - tol.  For each requested truncation order N, the
-    truncation is marked stable when Re P_N(theta) <= tol on the whole grid.
-    theta_m is the grid point where |1 - S| first reaches 1, or pi.
+    truncation is marked stable when Re P_N(theta) <= tol on the whole grid,
+    decided from the signs of its coefficients and its value at pi where
+    they suffice (see the module docstring).  theta_m is the grid point
+    where |1 - S| first reaches 1, or pi.
     """
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
@@ -261,11 +295,10 @@ def region_scan(
         np.abs(np.subtract(1.0, s, out=oms), out=abs_oms)
         trunc = {}
         if orders:
-            re_g = np.zeros(orders[-1] + 1)
+            re_g = [0.0] * (orders[-1] + 1)
             re_g[2::2] = _signed_coeffs(modeq, lam, range(2, orders[-1] + 1, 2))
             for n in orders:
-                _even_horner_into(re_p, thetas, re_g[: n + 1])
-                trunc[n] = bool(re_p.max() <= DEFAULT_TOL)
+                trunc[n] = _truncation_stable(thetas, re_g[: n + 1], re_p)
         max_abs_s = float(abs_s.max())
         max_abs_oms = float(abs_oms.max())
         samples.append(
@@ -273,7 +306,8 @@ def region_scan(
                 lam=float(lam),
                 max_abs_s=max_abs_s,
                 max_abs_one_minus_s=max_abs_oms,
-                theta_m=_theta_m_from_values(thetas, abs_oms),
+                # below 1 everywhere (a NaN maximum is not): no grid point to find
+                theta_m=math.pi if max_abs_oms < 1.0 else _theta_m_from_values(thetas, abs_oms),
                 in_rs=max_abs_s <= 1.0 + DEFAULT_TOL,
                 in_omega_c=max_abs_oms < 1.0 - DEFAULT_TOL,
                 trunc_stable=trunc,

@@ -7,8 +7,10 @@ logarithm and shares no recurrence with ``modeq.derivation.derive_log``, so
 agreement of the two checks the log engine from outside.  ``bernoulli`` and
 ``euler_poly_at_zero`` give the exact numbers behind the heat scheme's
 closed-form log coefficients.  ``GOLDEN`` holds the closed-form tables
-of the catalog schemes whose analysis is known by hand.  Tests import them
-as ``from oracles import ...``, as they import ``conftest``.
+of the catalog schemes whose analysis is known by hand.  ``sweep_region_scan``
+is ``modeq.spectra.region_scan`` one lambda at a time, with every truncation
+verdict read off the full grid sweep.  Tests import them as
+``from oracles import ...``, as they import ``conftest``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from conftest import lp
-from modeq.derivation import ModifiedEq, symbol_series
+from modeq.derivation import ModifiedEq, derive_log, symbol_series
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
 from modeq.schemes import SchemeSpec
+from modeq.spectra import DEFAULT_TOL, LambdaSample, _signed_coeffs, eval_symbol, theta_grid
 
 
 def fraction_symbol_series(scheme: SchemeSpec, order: int) -> tuple:
@@ -58,6 +63,41 @@ def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
             [(Fraction(-1, math.factorial(m)), cols[m][p], LP_ONE) for m in range(2, p + 1)])
     return ModifiedEq(scheme_name=scheme.name, q=scheme.q,
                       coeffs=tuple(d.divide_by_lambda() for d in cols[1][1:]))
+
+
+def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, grid: int,
+                      orders) -> list[LambdaSample]:
+    """The samples of ``region_scan(scheme, lambda_range, grid, orders)``,
+    each lambda on its own: S from ``eval_symbol``, theta_m from the first
+    grid point where |1 - S| >= 1, and each truncation verdict from
+    ``polyval`` of Re P_N over the whole grid, its maximum <= DEFAULT_TOL."""
+    lo, hi, count = lambda_range
+    orders = sorted(set(orders))
+    modeq = derive_log(scheme, orders[-1]) if orders else None
+    thetas = theta_grid(grid)
+    samples = []
+    for lam in np.linspace(float(lo), float(hi), int(count)):
+        s = eval_symbol(scheme, float(lam), thetas)
+        abs_s, abs_oms = np.abs(s), np.abs(1.0 - s)
+        bad = np.nonzero(abs_oms >= 1.0)[0]
+        trunc = {}
+        if orders:
+            re_g = np.zeros(orders[-1] + 1)
+            re_g[2::2] = _signed_coeffs(modeq, lam, range(2, orders[-1] + 1, 2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for n in orders:
+                    re_p = np.polynomial.polynomial.polyval(thetas, re_g[: n + 1])
+                    trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
+        samples.append(LambdaSample(
+            lam=float(lam),
+            max_abs_s=float(np.max(abs_s)),
+            max_abs_one_minus_s=float(np.max(abs_oms)),
+            theta_m=float(thetas[bad[0]]) if bad.size else math.pi,
+            in_rs=bool(np.max(abs_s) <= 1.0 + DEFAULT_TOL),
+            in_omega_c=bool(np.max(abs_oms) < 1.0 - DEFAULT_TOL),
+            trunc_stable=trunc,
+        ))
+    return samples
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]

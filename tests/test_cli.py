@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modeq.cli import _CSV_RUN_ROWS, _fmt, _write_csv, build_parser, main
+from modeq.cli import _CSV_RUN_ROWS, _fmt, _parse_range, _write_csv, build_parser, main
 from modeq.exactalg import LP_ONE, LambdaPoly
 
 HEAT = ["--catalog", "heat_centered"]
@@ -243,6 +243,49 @@ class TestCommandLineErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert out == "" and not out_dir.exists()
+
+    # sizes above the caps: refused before any scan, step or file, so the
+    # first three (once a traceback, an out-of-memory kill and an endless
+    # loop) fail at once
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["regions", *HEAT, "--lambda-range", "0:1:1000000000000", "-N", "2"],
+             "--lambda-range COUNT 1000000000000 is above the cap MAX_LAMBDA_SAMPLES = 10000"),
+            (["regions", *HEAT, "--lambda-range", "0:1:601", "--grid", "100000000"],
+             "argument --grid: 100000000 is above the cap MAX_GRID = 65536"),
+            (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--steps",
+              "100000000000000000000", "--gridsize", "4"],
+             "argument --steps: 100000000000000000000 is above the cap MAX_STEPS = 10000"),
+            (["regions", *HEAT, "--lambda-range", "0:1:10001"],
+             "--lambda-range COUNT 10001 is above the cap MAX_LAMBDA_SAMPLES = 10000"),
+            (["certify", *HEAT, "--lambdas", "1/5", "--grid", "65537"],
+             "argument --grid: 65537 is above the cap MAX_GRID = 65536"),
+            (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--steps", "10001"],
+             "argument --steps: 10001 is above the cap MAX_STEPS = 10000"),
+            (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--gridsize", "1025"],
+             "argument --gridsize: 1025 is above the cap MAX_GRIDSIZE = 1024"),
+        ],
+        ids=["count-huge", "grid-huge", "steps-huge", "count", "grid", "steps", "gridsize"],
+    )
+    def test_size_above_its_cap_exits_1_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                        argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+        monkeypatch.setattr("modeq.cli.derive_log", refuse)
+        monkeypatch.setattr("modeq.spectra.region_scan", refuse)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert out == "" and not out_dir.exists()
+
+    def test_caps_admit_their_own_values(self):
+        args = build_parser().parse_args(["figures", *HEAT, "--lambdas", "1/4", "-N", "2",
+                                          "--grid", "65536", "--steps", "10000",
+                                          "--gridsize", "1024"])
+        assert (args.grid, args.steps, args.gridsize) == (65536, 10000, 1024)
+        assert _parse_range("0:1:10000") == (0.0, 1.0, 10000)
 
     # the '=' keeps argparse from reading -1/4 as an option
     @pytest.mark.parametrize(

@@ -140,14 +140,14 @@ class TestEvolveAndCompare:
         assert math.isinf(pi_row.measured)
 
     def test_symbol_rounded_once_per_lambda(self, heat, monkeypatch):
-        # 3 a_p per step of each 32-mode block, 8 c_p for S_N and 3 a_p for S
+        # 3 a_p per step of the one 64-mode block, 8 c_p for S_N and 3 a_p for S
         calls = []
         float_at = LambdaPoly.float_at
         monkeypatch.setattr(LambdaPoly, "float_at",
                             lambda self, x: calls.append(x) or float_at(self, x))
         modeq = derive_log(heat, 8)
         rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
-        assert len(calls) == 2 * 100 * 3 + 8 + 3
+        assert len(calls) == 1 * 100 * 3 + 8 + 3
         for r in rows:
             assert r.predicted_s == abs(eval_symbol(heat, Fraction(1, 4), r.theta)) ** 100
 
@@ -220,6 +220,24 @@ def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
     first = [d for _, d in batched if d]
     assert bool(first) == diverges and all(d < steps for d in first)
     assert not diverges or any(math.isfinite(m) for m, _ in batched)
+
+
+def _row_bits(rows) -> list:
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+# a stable lambda, and one outside R_s whose fastest modes diverge
+@pytest.mark.parametrize("name, lam, steps", [("lax_wendroff", Fraction(1, 2), 30),
+                                               ("heat_centered", Fraction(10), 200)])
+@pytest.mark.parametrize("gridsize", [64, 100])
+def test_rows_do_not_depend_on_the_block_size(monkeypatch, name, lam, steps, gridsize):
+    scheme = catalog_scheme(name)
+    modeq = derive_log(scheme, 4)
+    rows = evolve_and_compare(scheme, modeq, lam, 4, steps, gridsize)
+    monkeypatch.setattr("modeq.empirics._BLOCK_VALUES", 1)  # one row per block
+    assert _row_bits(evolve_and_compare(scheme, modeq, lam, 4, steps, gridsize)) == \
+        _row_bits(rows)
+    assert any(r.diverged_at for r in rows) == (lam == 10)
 
 
 class TestStabilityDichotomy:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from conftest import lp, random_stencils
@@ -17,7 +18,8 @@ from modeq.spectra import (
     DEFAULT_TOL,
     CertificateRefusal,
     _modulus_table,
-    _even_horner_into,
+    _even_horner,
+    _truncation_stable,
     _theta_coeffs,
     eval_symbol,
     figure_data,
@@ -28,6 +30,7 @@ from modeq.spectra import (
     truncated_amplification,
     upwind_symmetry_check,
 )
+from oracles import sweep_region_scan
 
 
 class TestEvalSymbol:
@@ -144,9 +147,11 @@ class TestRegionScan:
         c[::2] = evens
         thetas = theta_grid(grid)
         out = np.empty_like(thetas)
-        _even_horner_into(out, thetas, c)
+        _even_horner(thetas, c.tolist(), out)
         expected = np.polynomial.polynomial.polyval(thetas, c)
         assert out.tobytes() == expected.tobytes()
+        # the same steps on Python floats, as the verdict runs them at pi
+        assert _even_horner(thetas[-1].item(), c.tolist()).hex() == out[-1].item().hex()
 
     def test_scan_rounds_only_the_even_coefficients(self, upwind, monkeypatch):
         # Re P_N reads c_p at even p only: 301 samples of 2 a_p and 32 even c_p
@@ -167,32 +172,89 @@ class TestRegionScan:
             _theta_coeffs(modeq, 0.5, 2)
 
     @settings(max_examples=30, deadline=None)
-    @given(random_stencils(), st.lists(st.integers(1, 32), max_size=3),
-           st.floats(0.01, 1.5), st.integers(2, 5), st.integers(64, 300))
+    @given(random_stencils(), st.lists(st.integers(1, 64), max_size=3),
+           st.floats(0.01, 2.0), st.integers(2, 5), st.integers(64, 300))
     def test_scan_equals_per_lambda_reference(self, scheme, orders, hi, count, grid):
-        # the scan shares the basis and runs Horner in place; each sample
-        # must equal eval_symbol and polyval at that lambda, bit for bit
+        # the scan shares the basis, runs Horner in place and decides most
+        # verdicts without a sweep; each sample must equal the per-lambda
+        # full sweep, bit for bit
+        try:
+            expected = sweep_region_scan(scheme, (0.0, hi, count), grid, orders)
+        except ValueError as exc:  # a c_p beyond the float range
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                region_scan(scheme, (0.0, hi, count), grid=grid, orders=orders)
+            return
         report = region_scan(scheme, (0.0, hi, count), grid=grid, orders=orders)
-        orders = sorted(set(orders))
-        modeq = derive_log(scheme, orders[-1]) if orders else None
+        assert _sample_bits(report.samples) == _sample_bits(expected)
+
+    @pytest.mark.parametrize("name, hi", [("heat_centered", 1.0), ("upwind_euler", 2.5),
+                                          ("lax_wendroff", 2.5)])
+    def test_catalog_scan_equals_full_sweep(self, name, hi):
+        # lambda runs past R_s; orders cover N = 1, odd N and the cap N = 64
+        scheme = catalog_scheme(name)
+        orders = (1, 2, 3, 4, 8, 15, 16, 31, 32, 63, 64)
+        report = region_scan(scheme, (0.0, hi, 101), grid=512, orders=orders)
+        assert _sample_bits(report.samples) == _sample_bits(
+            sweep_region_scan(scheme, (0.0, hi, 101), 512, orders))
+
+
+def _sample_bits(samples) -> list:
+    """Each sample's fields, floats by ``hex`` so that a -0.0 or a NaN
+    compares by its bits."""
+    return [(s.lam.hex(), s.max_abs_s.hex(), s.max_abs_one_minus_s.hex(), s.theta_m.hex(),
+             s.in_rs, s.in_omega_c, s.trunc_stable) for s in samples]
+
+
+# the even entries of a Re P_N row: all <= 0, all >= 0 or of mixed signs,
+# with +-0.0, values near DEFAULT_TOL and magnitudes up to 1e300, where
+# Horner overflows to +-inf and, with mixed signs, to NaN
+_EDGE_VALUES = [0.0, -0.0, DEFAULT_TOL, -DEFAULT_TOL, 5e-324, 1.0, 1e300, -1e300]
+_SIGNS = {"nonpositive": lambda v: -abs(v), "nonnegative": abs, "mixed": lambda v: v}
+
+
+@st.composite
+def _even_rows(draw) -> list:
+    n = draw(st.integers(1, 65))
+    scale = draw(st.sampled_from([1e-11, 1e3, 1e300]))  # one magnitude class per row
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-scale, scale))
+    sign = _SIGNS[draw(st.sampled_from(sorted(_SIGNS)))]
+    row = [0.0] * (n + 1)
+    row[::2] = [sign(v) for v in draw(st.lists(value, min_size=n // 2 + 1,
+                                               max_size=n // 2 + 1))]
+    return row
+
+
+class TestTruncationVerdict:
+    # the grid maximum exactly DEFAULT_TOL, at theta = 0 only and everywhere;
+    # an entry in (0, tol] that pi^2 lifts above tol; an entry in (-tol, 0)
+    # that pulls the value at pi, not the maximum, below tol
+    @example([DEFAULT_TOL, 0.0, -1.0], 64)
+    @example([DEFAULT_TOL, 0.0, 0.0], 64)
+    @example([0.0, 0.0, DEFAULT_TOL], 64)
+    @example([0.0, 0.0, 1e-12, 0.0, -1e-13], 64)
+    @settings(max_examples=400, deadline=None)
+    @given(_even_rows(), st.integers(64, 4097))
+    def test_verdict_equals_full_sweep(self, row, grid):
         thetas = theta_grid(grid)
-        expected = []
-        for lam in np.linspace(0.0, hi, count):
-            s = eval_symbol(scheme, float(lam), thetas)
-            abs_s, abs_oms = np.abs(s), np.abs(1.0 - s)
-            bad = np.nonzero(abs_oms >= 1.0)[0]
-            trunc = {}
-            if orders:
-                re_g = _theta_coeffs(modeq, lam, orders[-1]).real
-                for n in orders:
-                    re_p = np.polynomial.polynomial.polyval(thetas, re_g[: n + 1])
-                    trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
-            expected.append((float(lam), float(np.max(abs_s)), float(np.max(abs_oms)),
-                             float(thetas[bad[0]]) if bad.size else math.pi,
-                             bool(np.max(abs_s) <= 1.0 + DEFAULT_TOL),
-                             bool(np.max(abs_oms) < 1.0 - DEFAULT_TOL), trunc))
-        assert [(x.lam, x.max_abs_s, x.max_abs_one_minus_s, x.theta_m, x.in_rs,
-                 x.in_omega_c, x.trunc_stable) for x in report.samples] == expected
+        out = np.empty(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = bool(_even_horner(thetas, row, out).max() <= DEFAULT_TOL)
+            assert _truncation_stable(thetas, row, out) == expected
+
+    def test_sweep_runs_only_for_mixed_signs(self, monkeypatch):
+        swept = []
+        sweep = _even_horner
+        monkeypatch.setattr("modeq.spectra._even_horner",
+                            lambda x, c, out=None: (swept.append(out is not None)
+                                                    or sweep(x, c, out)))
+        thetas, out = theta_grid(64), np.empty(64)
+        assert _truncation_stable(thetas, [0.0, 0.0, -1.0, 0.0, -2.0], out)
+        assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -0.01], out)
+        assert _truncation_stable(thetas, [0.0, 0.0, DEFAULT_TOL / 20, 0.0, 0.0], out)
+        assert swept == [False, False]
+        # theta^2 - theta^4 is positive below theta = 1 and negative at pi
+        assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -1.0], out)
+        assert swept == [False, False, False, True]
 
 
 class TestTruncatedAmplification:
