@@ -8,7 +8,8 @@ to double-precision rounding; larger deviations indicate a broken stencil
 application rather than discretization error.  A step applies the rounded
 symbol coefficients a_p(lambda) of ``SchemeSpec.symbol`` directly, each
 evaluated at the lambda the caller gave (a rational lambda exactly) and
-rounded once: the same floats ``spectra.eval_symbol`` sums.  A step shifts
+rounded once: the same floats ``spectra.eval_symbol`` sums, which an
+evolution rounds once per lambda (``spectra.symbol_weights``).  A step shifts
 the grid by two slices per offset, the values of ``np.roll``.
 
 ``evolve_and_compare`` returns its table as a tuple of ``ModeComparison``
@@ -40,21 +41,19 @@ _RATIO_TOL = 1e-12
 _BLOCK_VALUES = 4096
 
 
-def step(scheme: SchemeSpec, lam: Number, u) -> np.ndarray:
-    """One explicit update u_j <- sum_p a_p(lambda) u_{(j+p) mod M} of a
-    periodic grid of complex samples u_j, j in [0, M), or of each row of a
-    2-D array, into a fresh array (no in-place aliasing)."""
+def step(weights: list, u) -> np.ndarray:
+    """One explicit update u_j <- sum_p a_p u_{(j+p) mod M} of a periodic
+    grid of complex samples u_j, j in [0, M), or of each row of a 2-D array,
+    into a fresh array (no in-place aliasing).  ``weights`` is the list of
+    (p, a_p) by offset that ``spectra.symbol_weights`` gives."""
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (1, 2) or u.shape[-1] < 4:
         raise ValueError("grid must be one row, or rows, of at least 4 points")
-    m = u.shape[-1]
-    if scheme.n_left + scheme.n_right >= m:
-        raise ValueError(
-            f"stencil width {scheme.n_left + scheme.n_right} does not fit a "
-            f"grid of {m} points"
-        )
+    width = weights[-1][0] - weights[0][0]
+    if width >= u.shape[-1]:
+        raise ValueError(f"stencil width {width} does not fit a grid of {u.shape[-1]} points")
     acc = np.zeros_like(u)
-    for p, a in symbol_weights(scheme, lam):
+    for p, a in weights:
         acc += a * _shifted(u, p)
     return acc
 
@@ -86,7 +85,7 @@ def measured_amplification(
     if not 0 <= mode < gridsize:
         raise ValueError(f"mode {mode} outside [0, {gridsize})")
     u = mode_grid(mode, gridsize)
-    ratios = step(scheme, lam, u) / u
+    ratios = step(symbol_weights(scheme, lam), u) / u
     ratio = complex(ratios[0])
     spread = float(np.max(np.abs(ratios - ratio)))
     if spread > _RATIO_TOL:
@@ -189,7 +188,7 @@ def evolve_and_compare(
         # and its values are never read
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(steps):
-                u = step(scheme, lam, u)
+                u = step(weights, u)
                 peak = np.max(np.abs(u), axis=-1)
                 diverged_at[(diverged_at == 0) & (peak > _OVERFLOW_LIMIT)] = n + 1
             amplitudes = np.mean(np.abs(u), axis=-1)

@@ -11,12 +11,16 @@ evaluation substitutes x = i*theta.
 
 A ``LambdaPoly`` stores integer numerators over one positive denominator and
 is reduced by a single gcd, so arithmetic runs on Python ints and equal
-polynomials have equal fields.  A sum of products, the inner step of every
-series recurrence, is formed by ``LambdaPoly.dot`` over one common
-denominator and reduced once.  In each product the factor with fewer nonzero
-coefficients runs the outer loop: in the series recurrences one factor is a
-long c_p and the other a symbol coefficient of a few terms, and the cost is
-the outer factor's nonzero count times the inner factor's length.
+polynomials have equal fields.  It is the package's one exact polynomial
+type: the mirror-symmetry proof compares |S|^2 cosine coefficients with
+their reflections p(1 - lambda), and the zero search finds the roots of
+the square-free part of the symbol polynomial Q(w).  A sum of products,
+the inner step of every series recurrence, is formed by ``LambdaPoly.dot``
+over one common denominator and reduced once.  In each product the factor
+with fewer nonzero coefficients runs the outer loop: in the series
+recurrences one factor is a long c_p and the other a symbol coefficient of
+a few terms, and the cost is the outer factor's nonzero count times the
+inner factor's length.
 
 The series logarithm and exponential are coefficient recurrences from
 x*L' = x*S'/S (Brent and Kung 1978, "Fast algorithms for manipulating
@@ -73,7 +77,8 @@ def _as_fraction(x: ScalarLike) -> Fraction:
 
 class LambdaPoly:
     """Univariate polynomial in the mesh ratio lambda with rational
-    coefficients, built from coefficients by increasing power.
+    coefficients, built from coefficients by increasing power.  In the
+    radius zero search the variable is w = e^{i theta} instead.
 
     Stored canonically as integer numerators ``nums`` by increasing power
     over one denominator ``den`` > 0, with trailing zeros trimmed and
@@ -179,6 +184,25 @@ class LambdaPoly:
             )
         return LambdaPoly.from_nums(list(self.nums[1:]), self.den)
 
+    def reflect(self) -> "LambdaPoly":
+        """p(1 - lambda): a Taylor shift by 1 on the integer numerators, then
+        the odd powers negated."""
+        a = list(self.nums)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += a[j + 1]
+        return LambdaPoly.from_nums([-c if k & 1 else c for k, c in enumerate(a)], self.den)
+
+    def square_free(self) -> "LambdaPoly":
+        """p / gcd(p, p') up to a positive rational factor, for p nonzero: the
+        roots of p, each simple.  Euclid runs on primitive integer
+        pseudo-remainders, so no Fraction is formed."""
+        a, b = self.nums, [k * c for k, c in enumerate(self.nums)][1:]
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        quot = _pseudo_divmod(self.nums, a if a[-1] > 0 else [-c for c in a])[0]
+        return LambdaPoly.from_nums(_primitive(quot))
+
     def _num_den(self, n: int, d: int) -> tuple:
         """Integers (num, den) with den > 0 and num/den = self(n/d) for
         d > 0, unreduced: an integer Horner scheme on the homogenized
@@ -270,6 +294,29 @@ class LambdaPoly:
 # exact path was the faster one below it and the slower one above it
 _ZIV_START_BITS = 64
 _ZIV_MIN_BITS = 2048
+
+
+def _primitive(nums: list) -> list:
+    """Integers divided by their gcd."""
+    g = math.gcd(*nums)
+    return [c // g for c in nums] if g > 1 else nums
+
+
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """(q, r) with m a = q b + r, deg r < deg b, for integer polynomials by
+    increasing power, where m is a power of b's leading coefficient."""
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(r) >= len(b):
+        shift, lead = len(r) - len(b), r.pop()
+        q = [b[-1] * c for c in q]
+        q[shift] += lead
+        r = [b[-1] * x for x in r]
+        for k, y in enumerate(b[:-1], shift):
+            r[k] -= lead * y
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
 
 LP_ZERO = LambdaPoly()
 LP_ONE = LambdaPoly.const(1)

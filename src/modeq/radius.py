@@ -8,9 +8,11 @@ Two deliberately independent methods:
   origin (only the symbol is consulted) -- S is entire, so the principal
   logarithm is obstructed exactly at zeros of S.  With w = e^{i theta} the
   symbol times a power of w is a polynomial Q(w) whose coefficients are the
-  exact a_p(lambda) of ``SchemeSpec.symbol``, so the zeros are mapped from
-  the roots of Q: there is no search box, and an infinite radius (Q without
-  nonzero roots) is proven, not inferred.
+  exact a_p(lambda) of ``SchemeSpec.symbol``, held as a ``LambdaPoly`` in w,
+  so the zeros are mapped from the roots of Q: there is no search box, and
+  an infinite radius (Q without nonzero roots) is proven, not inferred.
+  The root finder gets the integer coefficients of Q's square-free part
+  (``LambdaPoly.square_free``), so a multiple zero of S is a simple root.
 
 Disagreement between the two flags a bug.  For the heat scheme a closed
 form gives a third value.
@@ -27,6 +29,7 @@ import numpy as np
 from mpmath import mp
 
 from .derivation import CrossCheckError, ModifiedEq
+from .exactalg import LambdaPoly
 from .schemes import SchemeSpec
 from .spectra import Number, eval_symbol
 
@@ -143,43 +146,13 @@ def radius_root_test(modeq: ModifiedEq, lam: Number) -> RadiusEstimate:
 _ROOT_DPS = 50  # working digits for the roots of Q
 
 
-def _symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> list[Fraction]:
-    """Exact real coefficients, highest power first, of Q(w) = w^n * S with
-    w = e^{i theta} and n = ``scheme.n_left``, zero roots stripped."""
-    n = scheme.n_left
-    coeffs = [Fraction(0)] * (n + scheme.n_right + 1)
-    for p, a in scheme.symbol:
-        coeffs[p + n] = a(lam)
-    # the a_p sum to one, so Q(1) = S(0) = 1 and Q is never zero
-    while not coeffs[0]:
-        coeffs.pop(0)
-    while not coeffs[-1]:
-        coeffs.pop()
-    return coeffs[::-1]
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    """Exact quotient and remainder of polynomials, highest power first."""
-    quot = []
-    while len(a) >= len(b):
-        quot.append(a[0] / b[0])
-        a = [x - quot[-1] * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
-    while a and not a[0]:
-        a = a[1:]
-    return quot, a
-
-
-def _square_free(q: list) -> list:
-    """q / gcd(q, q'): the roots of q, each simple, which Durand-Kerner
-    finds to full precision even where S has a multiple zero."""
-    a, b = q, [c * (len(q) - 1 - k) for k, c in enumerate(q[:-1])]
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return _poly_divmod(q, a)[0]
-
-
-def _mp_fraction(x: Fraction):
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+def _symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> LambdaPoly:
+    """Q(w) = w^n * S with w = e^{i theta}, exact at lambda, where -n is the
+    lowest offset p with a_p(lambda) nonzero, so Q has no zero root."""
+    a = {p: c(lam) for p, c in scheme.symbol}
+    # the a_p sum to one, so Q(1) = S(0) = 1 and some a_p is nonzero
+    low = min(p for p, v in a.items() if v)
+    return LambdaPoly([a.get(p, 0) for p in range(low, scheme.n_right + 1)])
 
 
 def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
@@ -202,7 +175,9 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     q = _symbol_polynomial(scheme, Fraction(lam))
     zeros = []
     with mp.workdps(_ROOT_DPS):
-        coeffs = [_mp_fraction(c) for c in _square_free(q)]
+        # the roots of Q, each simple, which polyroots finds to full
+        # precision even where S has a multiple zero; it makes them monic
+        coeffs = [mp.mpf(c) for c in reversed(q.square_free().nums)]
         # polyroots stops on an absolute step size: carry the bits of the
         # Cauchy bound on |w| as extra precision
         bound = 1 + max(abs(c) for c in coeffs) / abs(coeffs[0])
@@ -210,7 +185,7 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
             roots = mp.polyroots(coeffs, maxsteps=200, extraprec=10 + int(mp.log(bound, 2)))
         except mp.NoConvergence as exc:
             raise ZeroSearchError(
-                f"zero search: no convergence on the degree-{len(q) - 1} symbol "
+                f"zero search: no convergence on the degree-{len(q.nums) - 1} symbol "
                 f"polynomial of scheme {scheme.name} at lambda={lam}"
             ) from exc
         for w in roots:
@@ -229,7 +204,7 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
         value=abs(best),
         method="zero_search",
         diagnostics=RadiusDiagnostics(
-            coefficients_used=len(q) - 1, residual=residual, zero=best
+            coefficients_used=len(q.nums) - 1, residual=residual, zero=best
         ),
     )
 

@@ -10,8 +10,8 @@ Exact first, then round: the symbol coefficients a_p(lambda) of
 evaluated exactly at the lambda the caller gave (a float at its binary
 value) and each is rounded to a float once, correctly
 (``LambdaPoly.float_at``); no float lambda multiplies a rounded weight.  The
-upwind mirror check compares the exact |S|^2 cosine coefficients and rounds
-nothing.
+upwind mirror check takes no lambda: it proves its identities for every
+lambda as polynomial equalities p(1 - lambda) = p(lambda), rounding nothing.
 
 A region scan does its lambda-free work once: it builds the basis
 e^{i p theta} on the theta grid once per scan and, per lambda, sums a_p
@@ -48,6 +48,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .derivation import ModifiedEq, derive_log
+from .exactalg import LambdaPoly
 from .schemes import DEFAULT_GRID, SchemeSpec, catalog_scheme
 
 __all__ = [
@@ -442,11 +443,8 @@ def truncation_certificate(
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Mirror symmetry of the upwind scheme about lambda = 1/2."""
+    """Mirror symmetry of the upwind scheme about lambda = 1/2, for every lambda."""
 
-    lam: Fraction
-    lam_low: Fraction
-    lam_high: Fraction
     modulus_ok: bool
     orders: tuple
     coefficient_ok: bool
@@ -458,9 +456,6 @@ class SymmetryReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "lambda": str(self.lam),
-            "lambda_low": str(self.lam_low),
-            "lambda_high": str(self.lam_high),
             "modulus_ok": self.modulus_ok,
             "orders": list(self.orders),
             "coefficient_ok": self.coefficient_ok,
@@ -469,52 +464,35 @@ class SymmetryReport:
         }
 
 
-def _modulus_table(scheme: SchemeSpec, lam: Number) -> tuple:
-    """m_d = sum_p a_p(lambda) a_{p+d}(lambda) for d = 0..n_left+n_right, exact
-    at ``Fraction(lam)``, so that for a real stencil
+def _modulus_table(scheme: SchemeSpec) -> tuple:
+    """m_d(lambda) = sum_p a_p(lambda) a_{p+d}(lambda) for d = 0..n_left+n_right,
+    one ``LambdaPoly.dot`` each, so that for a real stencil
 
         |S(theta)|^2 = m_0 + 2 sum_{d>0} m_d cos(d theta).
     """
-    x = Fraction(lam)
-    a = {p: c(x) for p, c in scheme.symbol}
+    a = dict(scheme.symbol)
     return tuple(
-        sum(a[p] * a.get(p + d, 0) for p in a)
+        LambdaPoly.dot([(1, a[p], a[p + d]) for p in a if p + d in a])
         for d in range(scheme.n_left + scheme.n_right + 1)
     )
 
 
-def upwind_symmetry_check(lam: Union[Fraction, int], modeq: ModifiedEq) -> SymmetryReport:
-    """Check, exactly, the modulus identity |S(theta, 1/2-lambda)| =
-    |S(theta, 1/2+lambda)| as equality of the |S|^2 cosine coefficients
-    (``_modulus_table``), and the even-order coefficient identity
+def upwind_symmetry_check(modeq: ModifiedEq) -> SymmetryReport:
+    """Prove, for every lambda, the modulus identity |S(theta, 1/2-lambda)| =
+    |S(theta, 1/2+lambda)| as m.reflect() == m for each |S|^2 cosine
+    coefficient m (``_modulus_table``), and, for the upwind scheme's
+    modified-equation coefficients ``modeq`` and 2p <= modeq.order,
 
         (1/2-lambda) c_{2p}(1/2-lambda) = (1/2+lambda) c_{2p}(1/2+lambda)
 
-    for the upwind scheme's modified-equation coefficients ``modeq``, for
-    2p <= modeq.order.  The generator's theta^{2p} coefficient is
-    (-1)^p c_{2p}, a sign common to both sides.
+    as f.reflect() == f for f = lambda c_{2p}.  The generator's theta^{2p}
+    coefficient is (-1)^p c_{2p}, a sign common to both sides.
     """
-    lam = Fraction(lam)
-    if not 0 <= lam <= Fraction(1, 2):
-        raise ValueError(f"lambda must lie in [0, 1/2], got {lam}")
-    scheme = catalog_scheme("upwind_euler")
-    lam_low = Fraction(1, 2) - lam
-    lam_high = Fraction(1, 2) + lam
-
     orders = tuple(range(2, modeq.order + 1, 2))
-    first_violation: Optional[int] = None
-    for p in orders:
-        lhs = lam_low * modeq.coeff(p)(lam_low)
-        rhs = lam_high * modeq.coeff(p)(lam_high)
-        if lhs != rhs:
-            first_violation = p
-            break
-
+    first_violation = next((p for p in orders
+                            if (f := modeq.coeff(p).shift_up()).reflect() != f), None)
     return SymmetryReport(
-        lam=lam,
-        lam_low=lam_low,
-        lam_high=lam_high,
-        modulus_ok=_modulus_table(scheme, lam_low) == _modulus_table(scheme, lam_high),
+        modulus_ok=all(m.reflect() == m for m in _modulus_table(catalog_scheme("upwind_euler"))),
         orders=orders,
         coefficient_ok=first_violation is None,
         first_violation=first_violation,

@@ -9,7 +9,9 @@ agreement of the two checks the log engine from outside.  ``bernoulli`` and
 closed-form log coefficients.  ``GOLDEN`` holds the closed-form tables
 of the catalog schemes whose analysis is known by hand.  ``sweep_region_scan``
 is ``modeq.spectra.region_scan`` one lambda at a time, with every truncation
-verdict read off the full grid sweep.  Tests import them as
+verdict read off the full grid sweep.  ``fraction_square_free`` is
+p / gcd(p, p') by Euclid on Fraction lists, the reference for
+``LambdaPoly.square_free``.  Tests import them as
 ``from oracles import ...``, as they import ``conftest``.
 """
 
@@ -98,6 +100,26 @@ def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, grid: int,
             trunc_stable=trunc,
         ))
     return samples
+
+
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Exact quotient and remainder of Fraction polynomials, highest power first."""
+    quot = []
+    while len(a) >= len(b):
+        quot.append(a[0] / b[0])
+        a = [x - quot[-1] * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+    while a and not a[0]:
+        a = a[1:]
+    return quot, a
+
+
+def fraction_square_free(q: list) -> list:
+    """q / gcd(q, q') for a Fraction polynomial q, highest power first, by
+    Euclid's algorithm over the rationals."""
+    a, b = q, [c * (len(q) - 1 - k) for k, c in enumerate(q[:-1])]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return _poly_divmod(q, a)[0]
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]

@@ -677,14 +677,42 @@ class TestSymmetryCommand:
         import modeq.spectra
         from modeq.spectra import upwind_symmetry_check as real_check
 
-        def broken(lam, modeq):
-            report = real_check(lam, modeq)
-            return dataclasses.replace(report, coefficient_ok=False, first_violation=2)
+        calls = []
+
+        def broken(modeq):
+            calls.append(modeq.order)
+            return dataclasses.replace(real_check(modeq), coefficient_ok=False,
+                                       first_violation=2)
 
         monkeypatch.setattr(modeq.spectra, "upwind_symmetry_check", broken)
-        code, _, err = run(capsys, "symmetry", "--lambdas", "1/4")
+        code, out, err = run(capsys, "symmetry", "--lambdas", "1/4,1/10")
         assert code == 2
         assert "violated" in err
+        # one proof for the request, reported in every lambda's row
+        assert calls == [8]
+        reports = json.loads(out)["reports"]
+        assert [r["lambda"] for r in reports] == ["1/4", "1/10"]
+        assert all(not r["ok"] and r["first_violation"] == 2 for r in reports)
+
+    def test_endpoint_rows(self, capsys):
+        code, out, _ = run(capsys, "symmetry", "--lambdas", "0,1/2", "-N", "4")
+        assert code == 0
+        rows = json.loads(out)["reports"]
+        assert [(r["lambda"], r["lambda_low"], r["lambda_high"]) for r in rows] == \
+            [("0", "1/2", "1/2"), ("1/2", "0", "1")]
+        for r in rows:
+            assert r["modulus_ok"] and r["coefficient_ok"] and r["ok"]
+            assert r["orders"] == [2, 4] and r["first_violation"] is None
+
+    @pytest.mark.parametrize("lambdas", ["0.9", "1/4,-1/10", "1/2,0.5000001"])
+    def test_domain_refused_before_deriving(self, capsys, monkeypatch, lambdas):
+        def never(*args):
+            raise AssertionError("derived a modified equation")
+
+        monkeypatch.setattr("modeq.cli.derive_log", never)
+        code, out, err = run(capsys, "symmetry", f"--lambdas={lambdas}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: lambda must lie in [0, 1/2], got ")
 
 
 @pytest.mark.parametrize(

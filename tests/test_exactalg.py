@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import lp
+from oracles import fraction_square_free
 from modeq.exactalg import (
     LP_ONE,
     LP_ZERO,
@@ -35,6 +36,11 @@ def sparse_polys(draw):
     coeffs = draw(st.lists(st.one_of(st.just(0), st.just(0), st.fractions(max_denominator=30)),
                            max_size=8 - zeros))
     return LambdaPoly([0] * zeros + coeffs)
+
+
+def integer_polys():
+    """Polynomials of degree < 5 with small integer coefficients."""
+    return st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(LambdaPoly)
 
 
 @st.composite
@@ -141,6 +147,38 @@ class TestLambdaPoly:
         assert lp(0, 2, 3).divide_by_lambda() == lp(2, 3)
         with pytest.raises(InexactDivisionError):
             lp(1, 2).divide_by_lambda()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=50), max_size=12), st.fractions())
+    def test_reflect_is_p_at_one_minus_lambda(self, coeffs, x):
+        p = LambdaPoly(coeffs)
+        assert p.reflect()(x) == p(1 - x)
+        assert p.reflect().reflect() == p
+
+    def test_reflect_examples(self):
+        assert ZERO.reflect() == ZERO and ONE.reflect() == ONE
+        assert LAM.reflect() == lp(1, -1)
+        assert lp(0, 0, "1/3").reflect() == lp("1/3", "-2/3", "1/3")
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_polys(), integer_polys())
+    def test_square_free_matches_fraction_euclid(self, g, h):
+        p = g * g * h
+        assume(p)
+        sf = p.square_free()
+        ref = LambdaPoly(fraction_square_free(list(p.coeffs)[::-1])[::-1])
+        # equal up to a rational factor: cross-multiplied by the leading coefficients
+        assert sf * LambdaPoly.const(ref.coeffs[-1]) == ref * LambdaPoly.const(sf.coeffs[-1])
+        # a positive factor, integer coefficients, and no multiple root left
+        assert sf.den == 1 and (sf.nums[-1] > 0) == (p.nums[-1] > 0)
+        assert sf.square_free() == sf
+
+    def test_square_free_of_a_double_root(self):
+        # the heat symbol polynomial at lambda = 1/4: Q(w) = (w + 1)^2 / 4
+        assert lp("1/4", "1/2", "1/4").square_free() == lp(1, 1)
+        assert lp("-1/4", "-1/2", "-1/4").square_free() == lp(-1, -1)
+        assert lp(5).square_free() == ONE
+        assert lp(0, 0, 0, 7).square_free() == LAM
 
     @pytest.mark.parametrize(
         "poly, text",

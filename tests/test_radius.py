@@ -9,9 +9,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import lp
 from modeq.cli import main
 from modeq.derivation import derive_log
-from modeq.radius import heat_closed_form_radius, radius_root_test, radius_zero_search
+from modeq.radius import (_symbol_polynomial, heat_closed_form_radius, radius_root_test,
+                          radius_zero_search)
 from modeq.schemes import catalog_scheme, parse_scheme
 from modeq.spectra import region_scan
 from oracles import bernoulli, euler_poly_at_zero
@@ -131,6 +133,8 @@ class TestZeroSearch:
         assert est.diagnostics.residual <= 1e-10
 
     def test_heat_quarter_double_zero(self, heat):
+        # Q(w) = (w + 1)^2 / 4, whose square-free part w + 1 has the root -1
+        assert _symbol_polynomial(heat, Fraction(1, 4)) == lp("1/4", "1/2", "1/4")
         est = radius_zero_search(heat, Fraction(1, 4))
         assert est.value == pytest.approx(math.pi, abs=1e-10)
 

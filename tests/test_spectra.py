@@ -484,15 +484,18 @@ class TestModulusTable:
     @settings(max_examples=60, deadline=None)
     @given(st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=10**6))
     def test_upwind_tables_equal_about_one_half(self, lam):
-        upwind = catalog_scheme("upwind_euler")
         half = Fraction(1, 2)
-        assert _modulus_table(upwind, half - lam) == _modulus_table(upwind, half + lam)
+        for m in _modulus_table(catalog_scheme("upwind_euler")):
+            assert m.reflect() == m
+            assert m(half - lam) == m(half + lam)
 
     def test_heat_tables_differ_about_one_half(self, heat):
         # a = (lambda, 1 - 2 lambda, lambda)
-        quarter = _modulus_table(heat, Fraction(1, 4))
-        assert quarter == (Fraction(3, 8), Fraction(1, 4), Fraction(1, 16))
-        assert _modulus_table(heat, Fraction(3, 4)) != quarter
+        table = _modulus_table(heat)
+        assert table == (lp(1, -4, 6), lp(0, 2, -4), lp(0, 0, 1))
+        assert [m(Fraction(1, 4)) for m in table] == \
+            [Fraction(3, 8), Fraction(1, 4), Fraction(1, 16)]
+        assert [m.reflect() == m for m in table] == [False, False, False]
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["heat_centered", "upwind_euler", "lax_wendroff"]),
@@ -500,39 +503,72 @@ class TestModulusTable:
            st.floats(-math.pi, math.pi))
     def test_cosine_sum_is_the_squared_modulus(self, name, lam, theta):
         scheme = catalog_scheme(name)
-        m = _modulus_table(scheme, lam)
+        m = [c(lam) for c in _modulus_table(scheme)]
         cosine_sum = float(m[0]) + 2 * sum(float(c) * math.cos(d * theta)
                                            for d, c in enumerate(m) if d)
         assert abs(cosine_sum - abs(eval_symbol(scheme, lam, theta)) ** 2) <= 1e-14
 
 
+def _with_coefficient(modeq: ModifiedEq, p: int, extra: LambdaPoly) -> ModifiedEq:
+    """``modeq`` with ``extra`` added to c_p."""
+    coeffs = list(modeq.coeffs)
+    coeffs[p - 1] = coeffs[p - 1] + extra
+    return ModifiedEq(scheme_name=modeq.scheme_name, q=modeq.q, coeffs=tuple(coeffs))
+
+
+@pytest.fixture(scope="module")
+def upwind_64(upwind):
+    return derive_log(upwind, 64)
+
+
 class TestUpwindSymmetry:
     def test_quarter(self, upwind):
-        report = upwind_symmetry_check(Fraction(1, 4), derive_log(upwind, 8))
+        # the proof holds at every lambda, so at 1/2 -+ 1/4 in particular
+        modeq = derive_log(upwind, 8)
+        report = upwind_symmetry_check(modeq)
         assert report.ok and report.modulus_ok
         assert report.orders == (2, 4, 6, 8)
+        for p in report.orders:
+            c = modeq.coeff(p)
+            assert Fraction(1, 4) * c(Fraction(1, 4)) == Fraction(3, 4) * c(Fraction(3, 4))
 
     def test_fixed_point(self, upwind):
-        report = upwind_symmetry_check(0, derive_log(upwind, 6))
-        assert report.ok and report.lam_low == report.lam_high
+        # lambda = 1/2 is its own mirror image, so an odd c_p (p >= 3), whose
+        # lambda c_p changes sign under the reflection, vanishes there
+        modeq = derive_log(upwind, 7)
+        assert upwind_symmetry_check(modeq).ok
+        assert [modeq.coeff(p)(Fraction(1, 2)) for p in (3, 5, 7)] == [0, 0, 0]
 
     def test_edge_compares_frozen_and_unit_transport(self, upwind):
-        report = upwind_symmetry_check(Fraction(1, 2), derive_log(upwind, 8))
-        assert report.ok
-
-    def test_domain(self, upwind):
-        with pytest.raises(ValueError):
-            upwind_symmetry_check(Fraction(3, 4), derive_log(upwind, 8))
-
-    def test_violation_names_the_first_order(self, upwind):
-        # c_4 + 1 breaks the even-order identity at 2p = 4 and nowhere before
+        # at 1/2 +- 1/2 the identity compares lambda = 0 (no update, so the
+        # factor lambda vanishes) with lambda = 1 (an exact shift, so c_p(1) = 0)
         modeq = derive_log(upwind, 8)
-        coeffs = list(modeq.coeffs)
-        coeffs[3] = coeffs[3] + LP_ONE
-        broken = ModifiedEq(scheme_name=modeq.scheme_name, q=modeq.q, coeffs=tuple(coeffs))
-        report = upwind_symmetry_check(Fraction(1, 4), broken)
+        assert upwind_symmetry_check(modeq).ok
+        assert all(modeq.coeff(p)(1) == 0 for p in range(2, 9))
+
+    def test_even_identity_proved_through_order_64(self, upwind_64):
+        report = upwind_symmetry_check(upwind_64)
+        assert report.ok and report.orders == tuple(range(2, 65, 2))
+
+    def test_odd_orders_are_antisymmetric(self, upwind_64):
+        # f_p = lambda c_p changes sign under lambda -> 1 - lambda for odd
+        # p >= 3; c_1 = -1 is the transport term itself
+        for p in range(3, 65, 2):
+            f = upwind_64.coeff(p).shift_up()
+            assert f.reflect() == -f, p
+        f = upwind_64.coeff(1).shift_up()
+        assert f.reflect() != -f
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 16))
+    def test_violation_names_the_first_order(self, upwind, half_p, k):
+        # lambda^k added to c_p breaks the identity at p (lambda^(k+1) is not
+        # its own reflection) and nowhere before
+        p = 2 * half_p
+        modeq = _with_coefficient(derive_log(upwind, 12), p, LambdaPoly([0] * k + [1]))
+        report = upwind_symmetry_check(modeq)
         assert report.modulus_ok and not report.coefficient_ok and not report.ok
-        assert report.first_violation == 4
+        assert report.first_violation == p
 
 
 class TestFigureData:
