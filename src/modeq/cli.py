@@ -263,15 +263,17 @@ def cmd_radius(args: argparse.Namespace) -> int:
     for lam in lambdas:
         # a symbol beyond the float range fails here, before the derivation
         spectra.symbol_weights(scheme, lam)
-    modeq = derive_log(scheme, order)
+    radius.require_root_test_order(scheme.name, order)
     # the radius depends only on the symbol, so the heat closed form applies
     # to every scheme with the heat stencil, whatever its name
     heat_stencil = scheme.stencil == catalog_scheme("heat_centered").stencil
     results = []
     for lam in lambdas:
+        # the root test reads the c_p at lam only: derive them at lam
         entry = {
             "lambda": str(lam),
-            "root_test": radius.radius_root_test(modeq, lam).to_json_dict(),
+            "root_test": radius.radius_root_test(derive_log(scheme, order, lam),
+                                                 lam).to_json_dict(),
             "zero_search": radius.radius_zero_search(scheme, lam).to_json_dict(),
         }
         if heat_stencil:
@@ -322,11 +324,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise UsageError(f"certify -N {max(orders)} needs the reference order 4N = {reference}, "
                          f"above the cap MAX_ORDER = {MAX_ORDER}; -N is at most {MAX_ORDER // 4}")
     _require_positive(scheme, lambdas)
-    modeq = derive_log(scheme, reference)
     certificates = []
     for lam in lambdas:
+        # the certificate reads the c_p at lam only: derive them at lam
         certs = spectra.truncation_certificate(
-            scheme, modeq, lam, orders, support_m=args.support_m,
+            scheme, derive_log(scheme, reference, lam), lam, orders, support_m=args.support_m,
             horizon_t=args.horizon_t, grid=args.grid,
         )
         certificates += [cert.to_json_dict() for cert in certs]

@@ -12,8 +12,16 @@ carried by the integer grading p - q.  Series are expanded in x = i*theta
 polynomial in lambda.  The logarithm of a series with constant term 1 is
 unique, so the exact equality exp(lambda G) = S, with ``series_exp`` on
 ``ModifiedEq.dt_g_series``, proves a table right (``modeq modeq --verify``).
-Everything here is exact; a float value of c_p is its exact value at the
-rational lambda, rounded once (``spectra``).
+
+``derive_log(scheme, N, lam)`` runs the same ``series_log`` on the symbol's
+series taken at one rational lambda, each coefficient an integer moment
+over one denominator, and divides by lambda exactly: the table holds the
+numbers c_p(lam), the rationals the symbolic table gives at lam.  A caller
+that reads the c_p at a few given lambdas only (``radius``, ``certify``)
+derives one such table per lambda.  A fixed table records its lambda and
+refuses any other (``ModifiedEq.at``), and every use that needs c_p as a
+polynomial.  Everything here is exact; a float value of c_p is its exact
+value at the rational lambda, rounded once (``spectra``).
 """
 
 from __future__ import annotations
@@ -50,11 +58,16 @@ class ModifiedEq:
     the equation is sum_p c_p(lambda) x^p at dx = 1 with x = i*theta, so its
     theta^p coefficient is i^p c_p(lambda), and the one-step symbol satisfies
     ln S = lambda * sum_p c_p x^p.
+
+    A table derived at a fixed lambda_0 (``lam``) holds each c_p(lambda_0)
+    as a constant.  It serves ``at(lambda_0)`` only, and refuses every other
+    lambda and every use that needs c_p as a polynomial.
     """
 
     scheme_name: str
     q: int
     coeffs: tuple  # (LambdaPoly, ...) for p = 1..N
+    lam: Optional[Fraction] = None  # the fixed lambda_0, None when symbolic
 
     @property
     def order(self) -> int:
@@ -66,6 +79,24 @@ class ModifiedEq:
             raise ValueError(f"order p={p} outside 1..{self.order}")
         return self.coeffs[p - 1]
 
+    def at(self, lam) -> tuple:
+        """The c_p, p = 1..N, as polynomials whose value at ``lam`` is
+        c_p(lam): the table itself when lambda is symbolic, its constants
+        when it is fixed at ``lam``.  A table fixed at another lambda raises
+        ``ValueError``."""
+        if self.lam is not None and Fraction(lam) != self.lam:
+            raise ValueError(f"{self._fixed()}, not at lambda = {lam}")
+        return self.coeffs
+
+    def _fixed(self) -> str:
+        return (f"scheme {self.scheme_name}: the N = {self.order} modified equation "
+                f"is fixed at lambda = {self.lam}")
+
+    def require_symbolic(self, use: str) -> None:
+        """Raise ``ValueError`` naming ``use`` when the table is fixed at a lambda."""
+        if self.lam is not None:
+            raise ValueError(f"{self._fixed()}; {use} needs it for every lambda")
+
     def grading(self, p: int) -> int:
         """Power of dx multiplying c_p in the physical coefficient."""
         return p - self.q
@@ -73,9 +104,11 @@ class ModifiedEq:
     def dt_g_series(self) -> tuple:
         """The series dt*G = ln S in x = i*theta (lambda symbolic): its x^p
         coefficient is lambda * c_p."""
+        self.require_symbolic("dt_g_series")
         return (LP_ZERO, *[c.shift_up(1) for c in self.coeffs])
 
     def to_json_dict(self) -> dict:
+        self.require_symbolic("to_json_dict")
         return {
             "scheme": self.scheme_name,
             "N": self.order,
@@ -101,18 +134,27 @@ class ModifiedEq:
             ) from exc
 
 
-def symbol_series(scheme: SchemeSpec, order: int) -> tuple:
+def symbol_series(scheme: SchemeSpec, order: int, lam: Optional[Fraction] = None) -> tuple:
     """Taylor expansion in x = i*theta of the one-step symbol
     S = sum_p a_p(lambda) e^{p x}: the x^r coefficient is
     sum_p a_p(lambda) p^r / r!, which is exactly 1 at r = 0.  Each moment
     sum_p p^r (D a_p) is summed on the integer numerators over the stencil's
     common denominator D and reduced once over D r!.
+
+    With a rational ``lam`` = n/d given, each D a_p is first taken at lam as
+    the integer D d^e a_p(n/d), e the highest power of lambda in the a_p, so
+    each coefficient is a constant: one integer moment over D d^e r!.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     den = math.lcm(*[a.den for _, a in scheme.symbol])
     weights = [(p, [x * (den // a.den) for x in a.nums]) for p, a in scheme.symbol]
     width = max([len(nums) for _, nums in weights])
+    if lam is not None:
+        n, d = Fraction(lam).as_integer_ratio()
+        powers = [n**k * d ** (width - 1 - k) for k in range(width)]
+        weights = [(p, [sum([x * y for x, y in zip(nums, powers)])]) for p, nums in weights]
+        den, width = den * d ** (width - 1), 1
     out = []
     for r in range(order + 1):
         moment = [0] * width
@@ -124,11 +166,26 @@ def symbol_series(scheme: SchemeSpec, order: int) -> tuple:
     return tuple(out)
 
 
-def derive_log(scheme: SchemeSpec, order: int) -> ModifiedEq:
+def derive_log(scheme: SchemeSpec, order: int, lam: Optional[Fraction] = None) -> ModifiedEq:
     """Modified equation via the principal logarithm of the symbol: c_p is
-    [x^p] ln S divided by lambda, an exact polynomial division."""
+    [x^p] ln S divided by lambda.
+
+    With lambda symbolic (``lam`` None) each c_p is an exact polynomial
+    division, and a remainder is a ``CrossCheckError``.  With a nonzero
+    rational ``lam`` the same ``series_log`` runs on the symbol's series at
+    lam, each coefficient a constant, and each is divided by lam exactly:
+    the table holds c_p(lam) and records lam (``ModifiedEq.at``).
+    """
+    if lam is not None and not (lam := Fraction(lam)):
+        raise ValueError(f"scheme {scheme.name}: a fixed-lambda derivation needs lambda != 0")
+    logs = series_log(symbol_series(scheme, order, lam))[1:]
+    if lam is not None:
+        n, d = lam.as_integer_ratio()
+        d, n = (d, n) if n > 0 else (-d, -n)
+        return ModifiedEq(scheme_name=scheme.name, q=scheme.q, lam=lam, coeffs=tuple(
+            [LambdaPoly.from_nums([x * d for x in poly.nums], poly.den * n) for poly in logs]))
     coeffs = []
-    for p, poly in enumerate(series_log(symbol_series(scheme, order))[1:], start=1):
+    for p, poly in enumerate(logs, start=1):
         try:
             coeffs.append(poly.divide_by_lambda())
         except InexactDivisionError as exc:
@@ -176,6 +233,7 @@ def consistency_report(scheme: SchemeSpec, modeq: ModifiedEq) -> ConsistencyRepo
     lambda-independent polynomial identity.  The leading numerical-error
     order is the smallest positive grading among the remaining nonzero terms.
     """
+    modeq.require_symbolic("consistency_report")
     if modeq.order < scheme.pde_order:
         raise ValueError(
             f"modified equation order {modeq.order} is below the PDE order "

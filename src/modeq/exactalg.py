@@ -14,18 +14,27 @@ is reduced by a single gcd, so arithmetic runs on Python ints and equal
 polynomials have equal fields.  It is the package's one exact polynomial
 type: the mirror-symmetry proof compares |S|^2 cosine coefficients with
 their reflections p(1 - lambda), and the zero search finds the roots of
-the square-free part of the symbol polynomial Q(w).  A sum of products,
-the inner step of every series recurrence, is formed by ``LambdaPoly.dot``
-over one common denominator and reduced once.  In each product the factor
-with fewer nonzero coefficients runs the outer loop: in the series
-recurrences one factor is a long c_p and the other a symbol coefficient of
-a few terms, and the cost is the outer factor's nonzero count times the
-inner factor's length.
+the square-free part of the symbol polynomial Q(w).  A sum of products is
+formed by ``LambdaPoly.dot`` over one common denominator and reduced once.
+Every polynomial product here, in ``dot`` and in the series logarithm, is
+one integer loop (``_add_product``) in which the factor with fewer nonzero
+coefficients runs the outer loop: in the series recurrences one factor is a
+long coefficient of the result and the other a symbol coefficient of a few
+terms, and the cost is the outer factor's nonzero count times the inner
+factor's length.
 
 The series logarithm and exponential are coefficient recurrences from
-x*L' = x*S'/S (Brent and Kung 1978, "Fast algorithms for manipulating
-formal power series"): each order costs one sum of products, so a series of
-order N costs O(N^2) polynomial products.
+L' S = S' (Brent and Kung 1978, "Fast algorithms for manipulating formal
+power series"): each order costs one sum of products, so a series of order
+N costs O(N^2) polynomial products.  ``series_exp`` forms each order by
+``LambdaPoly.dot``.  ``series_log`` runs on exponential-generating
+coefficients over one denominator D fixed before the loop, an integer
+recurrence with no lcm or gcd inside it; the coefficients may be
+polynomials, or constants for a series taken at a fixed lambda, and the
+same loop serves both.  Its integers carry D^p p!, of which the reduced
+l_p keep only part, so on a lambda^16 stencil it runs about as fast as a
+``dot`` recurrence on reduced polynomials, and on the catalog schemes
+faster (README, "Command line").
 
 Everything here is exact, so polynomial identities can be tested by literal
 equality.  A float is made from an exact value by rounding it once:
@@ -118,20 +127,16 @@ class LambdaPoly:
     def dot(terms: Iterable[tuple]) -> "LambdaPoly":
         """sum of c * a * b over the triples (c, a, b) of a rational c (an
         int or a Fraction) and two polynomials, over one common denominator
-        and reduced once.  In each product the factor with fewer nonzero
-        coefficients runs the outer loop and its zero coefficients are
-        skipped, so the order of ``a`` and ``b`` never matters to the cost."""
-        terms = [(c, a, b) if len(a.nums) - a.nums.count(0) <= len(b.nums) - b.nums.count(0)
-                 else (c, b, a) for c, a, b in terms if c and a.nums and b.nums]
+        and reduced once.  Each product is ``_add_product`` on the integer
+        numerators with the factor of fewer nonzero coefficients outside, so
+        the order of ``a`` and ``b`` never matters to the cost."""
+        terms = [(c, a, b) if _nonzeros(a.nums) <= _nonzeros(b.nums) else (c, b, a)
+                 for c, a, b in terms if c and a.nums and b.nums]
         den = math.lcm(*[c.denominator * a.den * b.den for c, a, b in terms])
         out = [0] * max((len(a.nums) + len(b.nums) - 1 for _, a, b in terms), default=0)
         for c, a, b in terms:
-            f = c.numerator * (den // (c.denominator * a.den * b.den))
-            for j, x in enumerate(a.nums):
-                if x:
-                    x *= f
-                    for k, y in enumerate(b.nums, j):
-                        out[k] += x * y
+            _add_product(out, c.numerator * (den // (c.denominator * a.den * b.den)),
+                         a.nums, b.nums)
         return LambdaPoly.from_nums(out, den)
 
     @classmethod
@@ -296,6 +301,23 @@ _ZIV_START_BITS = 64
 _ZIV_MIN_BITS = 2048
 
 
+def _add_product(out: list, f: int, a, b) -> None:
+    """out += f * a * b in place, for an int f and integer coefficient
+    sequences by increasing power, ``out`` at least len(a) + len(b) - 1
+    long.  ``a`` runs the outer loop and its zero coefficients are skipped,
+    so the product costs a's nonzero count times b's length: callers put
+    the sparser factor first."""
+    for j, x in enumerate(a):
+        if x:
+            x *= f
+            for k, y in enumerate(b, j):
+                out[k] += x * y
+
+
+def _nonzeros(nums) -> int:
+    return len(nums) - nums.count(0)
+
+
 def _primitive(nums: list) -> list:
     """Integers divided by their gcd."""
     g = math.gcd(*nums)
@@ -323,22 +345,60 @@ LP_ONE = LambdaPoly.const(1)
 
 
 def series_log(s: tuple) -> tuple:
-    """Logarithm of a series with constant term 1.
+    """Logarithm of a series with constant term 1, by one integer recurrence
+    on exponential-generating coefficients.
 
-    L = ln S satisfies x*L' * S = x*S', whose x^p coefficient gives
+    Every coefficient is s_r = M_r / (D r!) for integer polynomials M_r and
+    one common denominator D > 0: for a symbol series D divides the
+    stencil's denominator, times d^e when lambda = n/d is fixed.  With
+    p! l_p = Lam_p / D^p, the x^(p-1) coefficient of L' S = S' gives
 
-        p*l_p = p*s_p - sum_{0<k<p} k*l_k*s_{p-k}
+        Lam_p = M_p D^(p-1) - sum_{0<k<p} C(p-1, k-1) Lam_k M_{p-k} D^(p-k-1)
 
-    so each p*l_p is one sum of products of known coefficients with integer
-    weights, divided by p once: O(N^2) polynomial products for order N.
+    in integers.  It is summed by Horner's rule in D from k = 1, so each
+    product's weight is a binomial and D multiplies the partial sum.  No lcm
+    or gcd is taken inside the loop; each l_p = Lam_p / (D^p p!) is reduced
+    once.  O(N^2) polynomial products for order N.
     """
     if not s or s[0] != LP_ONE:
         raise SeriesPreconditionError("series_log requires constant term 1")
+    facts = [1]
+    for r in range(1, len(s)):
+        facts.append(facts[-1] * r)
+    den = math.lcm(*[c.den // math.gcd(c.den, f) for c, f in zip(s, facts)])
+    m = [[a * (f * den // c.den) for a in c.nums] for c, f in zip(s, facts)]
+    m_nonzeros = [_nonzeros(x) for x in m]
+    dpow = [1]
+    for _ in s:
+        dpow.append(dpow[-1] * den)
+    # every product fits in the longest Lam_k times the longest M_r
+    m_width = max([len(x) for x in m])
+    scaled, nonzeros, width = [[]], [0], 0  # the Lam_p, their nonzero counts, longest
     out = [LP_ZERO]
     for p in range(1, len(s)):
-        pl = LambdaPoly.dot([(p, s[p], LP_ONE)] +
-                            [(-k, out[k], s[p - k]) for k in range(1, p)])
-        out.append(LambdaPoly.from_nums(list(pl.nums), pl.den * p))
+        row = m[p] + [0] * (width + m_width - 1 - len(m[p]))
+        # Horner's rule: the row is due a factor D^shift, paid before a
+        # product is added and at the end, so a zero product costs nothing
+        shift = 0
+        for k in range(1, p):
+            shift += 1
+            if not (nonzeros[k] and m_nonzeros[p - k]):
+                continue
+            if den != 1:
+                row = [x * dpow[shift] for x in row]
+            shift = 0
+            if nonzeros[k] <= m_nonzeros[p - k]:
+                _add_product(row, -math.comb(p - 1, k - 1), scaled[k], m[p - k])
+            else:
+                _add_product(row, -math.comb(p - 1, k - 1), m[p - k], scaled[k])
+        if shift and den != 1:
+            row = [x * dpow[shift] for x in row]
+        while row and not row[-1]:
+            row.pop()
+        scaled.append(row)
+        nonzeros.append(_nonzeros(row))
+        width = max(width, len(row))
+        out.append(LambdaPoly.from_nums(list(row), dpow[p] * facts[p]))
     return tuple(out)
 
 

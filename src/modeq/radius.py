@@ -38,6 +38,7 @@ __all__ = [
     "RadiusEstimate",
     "ZeroSearchError",
     "radius_root_test",
+    "require_root_test_order",
     "radius_zero_search",
     "heat_closed_form_radius",
 ]
@@ -87,12 +88,22 @@ class RadiusEstimate:
 # Root test
 # ---------------------------------------------------------------------------
 
-def _log_fraction(x: Fraction) -> float:
-    """log of a positive rational, robust to huge numerators/denominators."""
-    num, den = x.numerator, x.denominator
+def _log_fraction(num: int, den: int) -> float:
+    """log(num/den) for positive integers, robust to huge numerators/denominators."""
     return (num.bit_length() - den.bit_length()) * math.log(2) + math.log(
         num / (1 << num.bit_length())
     ) - math.log(den / (1 << den.bit_length()))
+
+
+# the fewest coefficients the root test fits a decay rate to
+ROOT_TEST_MIN_ORDER = 16
+
+
+def require_root_test_order(scheme_name: str, order: int) -> None:
+    """Raise ``ValueError`` when ``order`` is below ``ROOT_TEST_MIN_ORDER``."""
+    if order < ROOT_TEST_MIN_ORDER:
+        raise ValueError(f"scheme {scheme_name}: the root test needs a modified "
+                         f"equation of order >= {ROOT_TEST_MIN_ORDER}, got N = {order}")
 
 
 def radius_root_test(modeq: ModifiedEq, lam: Number) -> RadiusEstimate:
@@ -103,18 +114,17 @@ def radius_root_test(modeq: ModifiedEq, lam: Number) -> RadiusEstimate:
     coefficients are skipped but keep their true index).  Magnitudes are
     computed from exact rationals before any float conversion.
     """
-    if modeq.order < 16:
-        raise ValueError(f"scheme {modeq.scheme_name}: the root test needs a modified "
-                         f"equation of order >= 16, got N = {modeq.order}")
+    require_root_test_order(modeq.scheme_name, modeq.order)
     lam = Fraction(lam)
     indices: list[int] = []
     logs: list[float] = []
-    for p in range(1, modeq.order + 1):
-        c = modeq.coeff(p)(lam)
+    for p, poly in enumerate(modeq.at(lam), start=1):
+        c = poly(lam)
         if not c:
             continue
         indices.append(p)
-        logs.append(0.5 * _log_fraction(c * c))
+        # log |c| = log(c^2) / 2 from the reduced c's integers
+        logs.append(0.5 * _log_fraction(c.numerator ** 2, c.denominator ** 2))
     if not indices or indices[-1] <= modeq.order // 2:
         # no nonzero c_p, or the series terminates: the generator is a
         # polynomial, radius infinite

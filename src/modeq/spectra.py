@@ -187,7 +187,8 @@ def _signed_coeffs(modeq: ModifiedEq, lam: Number, ps) -> list[float]:
     """c_p(lambda) with the sign of i^p, for each p in ``ps``: each c_p is
     rounded once from its exact value, since its large coefficients of both
     signs cancel to noise in a float sum."""
-    cs = _rounded([(p, modeq.coeffs[p - 1]) for p in ps], lam, modeq.scheme_name, "c")
+    coeffs = modeq.at(lam)
+    cs = _rounded([(p, coeffs[p - 1]) for p in ps], lam, modeq.scheme_name, "c")
     # the sign of i^p; a zero stays +0.0
     return [0.0 - c if p & 2 else c for p, c in zip(ps, cs)]
 
@@ -488,6 +489,7 @@ def upwind_symmetry_check(modeq: ModifiedEq) -> SymmetryReport:
     as f.reflect() == f for f = lambda c_{2p}.  The generator's theta^{2p}
     coefficient is (-1)^p c_{2p}, a sign common to both sides.
     """
+    modeq.require_symbolic("upwind_symmetry_check")
     orders = tuple(range(2, modeq.order + 1, 2))
     first_violation = next((p for p in orders
                             if (f := modeq.coeff(p).shift_up()).reflect() != f), None)

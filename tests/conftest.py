@@ -9,6 +9,13 @@ from modeq.exactalg import LP_ZERO, LambdaPoly
 from modeq.schemes import SchemeSpec, catalog_scheme
 
 
+# weights up to lambda^16, the parser's cap: c_64 has lambda-degree 1023
+LAM16 = ("scheme lam16\nq = 1\npde A[1] = 1\n"
+         "stencil B[-1] = 1/3 + 2/7*lambda^16 + 5/11*lambda^15\n"
+         "stencil B[0] = -2/3 - 4/7*lambda^16 + 1/13*lambda^3\n"
+         "stencil B[1] = 1/3 + 2/7*lambda^16 - 5/11*lambda^15 - 1/13*lambda^3\n")
+
+
 def lp(*coeffs) -> LambdaPoly:
     """LambdaPoly from rational literals, e.g. lp("1/12", "-1/2")."""
     return LambdaPoly(tuple(Fraction(str(c)) for c in coeffs))

@@ -11,8 +11,12 @@ of the catalog schemes whose analysis is known by hand.  ``sweep_region_scan``
 is ``modeq.spectra.region_scan`` one lambda at a time, with every truncation
 verdict read off the full grid sweep.  ``fraction_square_free`` is
 p / gcd(p, p') by Euclid on Fraction lists, the reference for
-``LambdaPoly.square_free``.  Tests import them as
-``from oracles import ...``, as they import ``conftest``.
+``LambdaPoly.square_free``.  ``dot_series_log`` is the series logarithm
+by the ordinary-coefficient recurrence, one ``LambdaPoly.dot`` per order,
+the reference for ``modeq.exactalg.series_log``.  ``fraction_log`` is log x
+of a positive Fraction, the reference for the root test's log from
+integers.  Tests import them as ``from oracles import ...``, as they import
+``conftest``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,28 @@ def fraction_symbol_series(scheme: SchemeSpec, order: int) -> tuple:
     return tuple([
         LambdaPoly.dot([(Fraction(p**r, math.factorial(r)), a, LP_ONE) for p, a in scheme.symbol])
         for r in range(order + 1)])
+
+
+def dot_series_log(s: tuple) -> tuple:
+    """Logarithm of a series with constant term 1: the x^p coefficient of
+    x*L' * S = x*S' gives p*l_p = p*s_p - sum_{0<k<p} k*l_k*s_{p-k}, one
+    ``LambdaPoly.dot`` per order, divided by p once."""
+    assert s and s[0] == LP_ONE
+    out = [LP_ZERO]
+    for p in range(1, len(s)):
+        pl = LambdaPoly.dot([(p, s[p], LP_ONE)] +
+                            [(-k, out[k], s[p - k]) for k in range(1, p)])
+        out.append(LambdaPoly.from_nums(list(pl.nums), pl.den * p))
+    return tuple(out)
+
+
+def fraction_log(x: Fraction) -> float:
+    """log x for a positive rational, from its numerator and denominator
+    scaled into [1/2, 1) by their bit lengths."""
+    num, den = x.numerator, x.denominator
+    return (num.bit_length() - den.bit_length()) * math.log(2) + math.log(
+        num / (1 << num.bit_length())
+    ) - math.log(den / (1 << den.bit_length()))
 
 
 def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:

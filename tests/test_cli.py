@@ -13,15 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import LAM16
 from modeq.cli import _CSV_RUN_ROWS, _fmt, _parse_range, _write_csv, build_parser, main
 from modeq.exactalg import LP_ONE, LambdaPoly
 
 HEAT = ["--catalog", "heat_centered"]
-# weights up to lambda^16, the parser's cap: c_64 has lambda-degree 1023
-LAM16 = ("scheme lam16\nq = 1\npde A[1] = 1\n"
-         "stencil B[-1] = 1/3 + 2/7*lambda^16 + 5/11*lambda^15\n"
-         "stencil B[0] = -2/3 - 4/7*lambda^16 + 1/13*lambda^3\n"
-         "stencil B[1] = 1/3 + 2/7*lambda^16 - 5/11*lambda^15 - 1/13*lambda^3\n")
 
 
 def run(capsys, *argv):
@@ -435,6 +431,18 @@ class TestRadiusCommand:
         assert out == ""
         assert err == ("error: scheme heat_centered: the root test needs a modified equation "
                        "of order >= 16, got N = 8\n")
+
+    # a derivation that cannot run shows that the order is refused before it
+    def test_root_test_order_below_16_refused_before_deriving(self, capsys, monkeypatch):
+        def derive_log(*_):
+            raise AssertionError("derived before the order was checked")
+
+        monkeypatch.setattr("modeq.cli.derive_log", derive_log)
+        code, out, err = run(capsys, "radius", *HEAT, "--lambdas", "1/2,1/4", "-N", "15")
+        assert code == 1
+        assert err == ("error: scheme heat_centered: the root test needs a modified equation "
+                       "of order >= 16, got N = 15\n")
+        assert out == ""
 
     def test_infinite_radius_serializes_as_string(self, capsys):
         code, out, _ = run(
@@ -990,3 +998,65 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "aa43fd8b55d81e67bf0a6c9660355bb5f09a35aee80f492058578a0072e59bd2")
+
+
+class TestDerivedAtEachLambda:
+    """``radius`` and ``certify`` read the c_p at the given lambdas only, so
+    they derive each table at its lambda and never the symbolic one."""
+
+    COMMANDS = [
+        ("radius", "1/1000,1/5,1/4,1/2,1,3/2", "24"),
+        ("certify", "1/10,1/5", "2,4"),
+    ]
+
+    @staticmethod
+    def _sources(tmp_path):
+        f = tmp_path / "lam16.scheme"
+        f.write_text(LAM16)
+        return [["--catalog", name] for name in ("heat_centered", "upwind_euler",
+                                                   "lax_wendroff")] + [["--file", str(f)]]
+
+    def test_symbolic_derivation_never_runs(self, capsys, monkeypatch, tmp_path):
+        from modeq import cli
+
+        derive_log, calls = cli.derive_log, []
+
+        def fixed_only(scheme, order, lam=None):
+            assert lam is not None, "derived the symbolic table"
+            calls.append(lam)
+            return derive_log(scheme, order, lam)
+
+        monkeypatch.setattr(cli, "derive_log", fixed_only)
+        for source in self._sources(tmp_path):
+            for command, lambdas, orders in self.COMMANDS:
+                code, _, err = run(capsys, command, *source, "--lambdas", lambdas, "-N", orders)
+                assert code == 0, err
+        assert calls and all(isinstance(lam, Fraction) for lam in calls)
+
+    def test_same_bytes_as_the_symbolic_table(self, capsys, monkeypatch, tmp_path):
+        from modeq import cli
+
+        derive_log = cli.derive_log
+        for source in self._sources(tmp_path):
+            for command, lambdas, orders in self.COMMANDS:
+                argv = (command, *source, "--lambdas", lambdas, "-N", orders)
+                fixed = run(capsys, *argv)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, "derive_log",
+                                  lambda scheme, order, lam=None: derive_log(scheme, order))
+                    symbolic = run(capsys, *argv)
+                assert fixed == symbolic, argv
+
+    # sha256 of reports on the lambda^16 stencil, as the symbolic path wrote them
+    @pytest.mark.parametrize("argv, digest", [
+        (["radius", "--lambdas", "1/5,301/400", "-N", "32"],
+         "23d925128e6e5157399a7ff6392ff8b11ad467b07eceac43ceccf86e5dbc865c"),
+        (["certify", "--lambdas", "1/5,301/400", "-N", "2,8"],
+         "26734f5f92e6f8cfc48594348aa1500aeeb17650f822319c94b21fbfb72e6989"),
+    ], ids=["radius", "certify"])
+    def test_lambda16_report_bytes_golden(self, capsys, tmp_path, argv, digest):
+        f = tmp_path / "lam16.scheme"
+        f.write_text(LAM16)
+        code, out, _ = run(capsys, *argv, "--file", str(f))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

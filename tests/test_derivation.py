@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lp, random_stencils
-from modeq.exactalg import LP_ONE, series_exp, series_log
+from conftest import LAM16, lp, random_stencils
+from modeq.exactalg import LP_ONE, LambdaPoly, series_exp, series_log
 from modeq.derivation import CrossCheckError, consistency_report, derive_log, symbol_series
-from modeq.schemes import SchemeSpec, builtin_catalog, catalog_scheme
+from modeq.schemes import SchemeSpec, builtin_catalog, catalog_scheme, parse_scheme
 from modeq.spectra import eval_symbol
 from oracles import GOLDEN, derive_elimination, fraction_symbol_series
 
@@ -95,6 +95,64 @@ class TestDeriveLog:
         with pytest.raises(CrossCheckError,
                            match=r"^derive_log: scheme heat_centered, N = 4: the x\^3 "):
             derive_log(heat, 4)
+
+
+class TestFixedLambda:
+    @settings(max_examples=60, deadline=None)
+    @given(random_stencils(), st.integers(1, 20),
+           st.fractions(min_value=-4, max_value=4, max_denominator=400).filter(bool))
+    def test_equals_the_symbolic_table_at_lambda(self, scheme, order, lam):
+        fixed = derive_log(scheme, order, lam)
+        symbolic = derive_log(scheme, order)
+        assert fixed.lam == lam and symbolic.lam is None
+        assert (fixed.scheme_name, fixed.q, fixed.order) == (scheme.name, scheme.q, order)
+        assert [c(lam) for c in fixed.at(lam)] == [c(lam) for c in symbolic.coeffs]
+        # each fixed c_p is a constant
+        assert all(len(c.nums) <= 1 for c in fixed.coeffs)
+
+    # the lambda^16 stencil, where D = 3003 d^17 at lambda = n/d
+    @pytest.mark.parametrize("order", [8, 32])
+    def test_lambda16_stencil(self, order):
+        scheme = parse_scheme(LAM16)
+        symbolic = derive_log(scheme, order)
+        for lam in (Fraction(1, 5), Fraction(301, 400)):
+            fixed = derive_log(scheme, order, lam)
+            assert [c(lam) for c in fixed.coeffs] == [c(lam) for c in symbolic.coeffs]
+
+    def test_series_at_lambda_is_the_series_evaluated(self, lax):
+        lam = Fraction(-7, 3)
+        assert symbol_series(lax, 10, lam) == tuple(
+            LambdaPoly.const(c(lam)) for c in symbol_series(lax, 10))
+
+    def test_lambda_zero_refused(self, heat):
+        with pytest.raises(ValueError, match="^scheme heat_centered: a fixed-lambda "
+                                             "derivation needs lambda != 0$"):
+            derive_log(heat, 4, Fraction(0))
+
+    def test_another_lambda_refused(self, heat):
+        modeq = derive_log(heat, 16, Fraction(1, 5))
+        assert modeq.at(Fraction(1, 5)) is modeq.coeffs
+        # 0.2 is its binary value, not 1/5
+        for other in (Fraction(1, 4), 0.2):
+            with pytest.raises(ValueError, match=(
+                    r"^scheme heat_centered: the N = 16 modified equation is fixed at "
+                    rf"lambda = 1/5, not at lambda = {other}$")):
+                modeq.at(other)
+
+    @pytest.mark.parametrize("use", ["dt_g_series", "to_json_dict", "consistency_report"])
+    def test_symbolic_uses_refused(self, heat, use):
+        modeq = derive_log(heat, 8, Fraction(1, 5))
+        call = {"dt_g_series": modeq.dt_g_series, "to_json_dict": modeq.to_json_dict,
+                "consistency_report": lambda: consistency_report(heat, modeq)}[use]
+        with pytest.raises(ValueError, match=(
+                rf"^scheme heat_centered: the N = 8 modified equation is fixed at "
+                rf"lambda = 1/5; {use} needs it for every lambda$")):
+            call()
+
+    def test_symbolic_table_serves_every_lambda(self, heat):
+        modeq = derive_log(heat, 8)
+        assert modeq.at(Fraction(1, 5)) is modeq.coeffs
+        assert modeq.at(0.7) is modeq.coeffs
 
 
 class TestDeriveElimination:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import lp
-from oracles import fraction_square_free
+from oracles import dot_series_log, fraction_square_free
 from modeq.exactalg import (
     LP_ONE,
     LP_ZERO,
@@ -275,3 +275,25 @@ def test_exp_log_round_trip(s):
 def test_log_exp_round_trip(s):
     u = series_log(s)
     assert series_log(series_exp(u)) == u
+
+
+@st.composite
+def sparse_unit_series(draw, max_order=14):
+    """Series with constant term 1 whose coefficients are sparse
+    polynomials with denominators up to 30, or constants."""
+    coeffs = draw(st.lists(st.one_of(sparse_polys(), rationals.map(LambdaPoly.const)),
+                           min_size=1, max_size=max_order))
+    return (LP_ONE, *coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(unit_series(), sparse_unit_series()))
+def test_log_equals_the_dot_recurrence(s):
+    assert series_log(s) == dot_series_log(s)
+
+
+def test_log_of_one_plus_x():
+    # 1 + x: l_p = (-1)^(p+1) / p, where D = 1 and Lam_p = (-1)^(p+1) (p-1)!
+    s = series([ONE, ONE], 8)
+    assert series_log(s) == (ZERO, *[LambdaPoly.const(Fraction((-1) ** (p + 1), p))
+                                     for p in range(1, 9)])

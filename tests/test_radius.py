@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import lp
 from modeq.cli import main
 from modeq.derivation import derive_log
-from modeq.radius import (_symbol_polynomial, heat_closed_form_radius, radius_root_test,
-                          radius_zero_search)
+from modeq.radius import (_log_fraction, _symbol_polynomial, heat_closed_form_radius,
+                          radius_root_test, radius_zero_search)
 from modeq.schemes import catalog_scheme, parse_scheme
 from modeq.spectra import region_scan
-from oracles import bernoulli, euler_poly_at_zero
+from oracles import bernoulli, euler_poly_at_zero, fraction_log
 
 
 def _theta_m(scheme, lam):
@@ -122,6 +122,32 @@ class TestRootTest:
         assert est.diagnostics.all_coefficients_zero
         assert not est.diagnostics.polynomial_tail
         assert est.diagnostics.coefficients_used == 0
+
+    @pytest.mark.parametrize("name", ["heat_centered", "upwind_euler", "lax_wendroff"])
+    @pytest.mark.parametrize("lam", [Fraction(1, 1000), Fraction(3127, 10000), Fraction(3, 2)])
+    def test_fixed_table_gives_the_symbolic_estimate(self, name, lam):
+        scheme = catalog_scheme(name)
+        fixed = radius_root_test(derive_log(scheme, 24, lam), lam)
+        assert fixed == radius_root_test(derive_log(scheme, 24), lam)
+
+    def test_fixed_table_refuses_another_lambda(self, heat):
+        with pytest.raises(ValueError, match=r"^scheme heat_centered: the N = 16 modified "
+                                             r"equation is fixed at lambda = 1/5, not at "
+                                             r"lambda = 1/4$"):
+            radius_root_test(derive_log(heat, 16, Fraction(1, 5)), Fraction(1, 4))
+
+
+# numerators and denominators of up to a few thousand bits, either sign
+big_rationals = st.builds(Fraction, st.integers(-(2**5000), 2**5000).filter(bool),
+                          st.integers(1, 2**5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(big_rationals, st.fractions().filter(bool)))
+def test_log_from_integers_is_the_fraction_formula(c):
+    # the root test's log |c|, from the reduced c's integers, bit for bit
+    assert 0.5 * _log_fraction(c.numerator ** 2, c.denominator ** 2) == \
+        0.5 * fraction_log(c * c)
 
 
 class TestZeroSearch:

@@ -429,6 +429,23 @@ class TestCertificate:
         assert cert.growth_c == 0.0
         assert math.isfinite(cert.bound) and cert.bound >= 1.0
 
+    @pytest.mark.parametrize("name, lam", [("heat_centered", Fraction(1, 5)),
+                                           ("upwind_euler", Fraction(3, 10)),
+                                           ("lax_wendroff", Fraction(1, 10))])
+    def test_fixed_table_gives_the_symbolic_certificates(self, name, lam):
+        scheme = catalog_scheme(name)
+        fixed, symbolic = derive_log(scheme, 32, lam), derive_log(scheme, 32)
+        assert np.array_equal(_theta_coeffs(fixed, lam, 32), _theta_coeffs(symbolic, lam, 32))
+        assert truncation_certificate(scheme, fixed, lam, (2, 8), math.pi, 1.0) == \
+            truncation_certificate(scheme, symbolic, lam, (2, 8), math.pi, 1.0)
+
+    def test_fixed_table_refuses_another_lambda(self, heat):
+        modeq = derive_log(heat, 16, Fraction(1, 5))
+        with pytest.raises(ValueError, match=r"^scheme heat_centered: the N = 16 modified "
+                                             r"equation is fixed at lambda = 1/5, not at "
+                                             r"lambda = 0.2$"):
+            truncation_certificate(heat, modeq, 0.2, (4,), math.pi, 1.0)
+
     def test_refusal_outside(self, heat):
         modeq = derive_log(heat, 16)
         with pytest.raises(CertificateRefusal):
@@ -522,6 +539,12 @@ def upwind_64(upwind):
 
 
 class TestUpwindSymmetry:
+    def test_fixed_table_refused(self, upwind):
+        with pytest.raises(ValueError, match=r"^scheme upwind_euler: the N = 8 modified "
+                                             r"equation is fixed at lambda = 1/4; "
+                                             r"upwind_symmetry_check needs it"):
+            upwind_symmetry_check(derive_log(upwind, 8, Fraction(1, 4)))
+
     def test_quarter(self, upwind):
         # the proof holds at every lambda, so at 1/2 -+ 1/4 in particular
         modeq = derive_log(upwind, 8)
