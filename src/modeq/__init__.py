@@ -4,15 +4,15 @@ scalar finite-difference schemes, in exact rational arithmetic.
 The package reads schemes in a line-oriented text format; the builtin
 catalog is three texts in it.  It derives a scheme's modified equation
 symbolically, from the principal logarithm of the symbol's series (a tuple
-of lambda-polynomial coefficients), and proves it by exp(lambda G) = S on
+of lambda-polynomial coefficients), and proves it by (lambda G)' S = S' on
 request.  It evaluates the one-step symbol numerically, scans stability and
 series-contraction regions over the mesh ratio, estimates the convergence
 radius of the Fourier generator series, and validates the whole chain
 against the scheme run on an actual periodic grid.
 
-The exact layers load with the package.  The names of the numeric layers
-(``spectra``, ``radius``, ``empirics``) load on first access: those import
-numpy and mpmath, most of a cold start, which a derivation never needs.
+The exact layers, with every proof, load with the package.  The names of
+the numeric layers (``spectra``, ``radius``, ``empirics``) load on first
+access: those import numpy and mpmath, most of a cold start, never needed.
 """
 
 from importlib import import_module as _import_module
@@ -21,7 +21,6 @@ from .exactalg import (
     InexactDivisionError,
     LambdaPoly,
     SeriesPreconditionError,
-    series_exp,
     series_log,
 )
 from .schemes import (
@@ -38,16 +37,18 @@ from .derivation import (
     ConsistencyReport,
     CrossCheckError,
     ModifiedEq,
+    SymmetryReport,
     consistency_report,
     derive_log,
     symbol_series,
+    upwind_symmetry_check,
 )
 
 # name -> the numeric module that defines it, imported on first access (PEP 562)
 _LAZY = {name: module for module, names in (
     ("spectra", "CertificateRefusal FigureTable RegionReport StabilityCertificate"
-                " SymmetryReport TruncationEval eval_symbol figure_data truncation_certificate"
-                " region_scan truncated_amplification upwind_symmetry_check"),
+                " TruncationEval eval_symbol figure_data truncation_certificate"
+                " region_scan truncated_amplification"),
     ("radius", "RadiusEstimate ZeroSearchError heat_closed_form_radius radius_root_test"
                " radius_zero_search"),
     ("empirics", "evolve_and_compare measured_amplification step"),

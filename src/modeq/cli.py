@@ -4,8 +4,9 @@ Subcommands: ``modeq`` (modified-equation table), ``regions`` (stability and
 contraction scan), ``radius`` (convergence-radius estimates), ``figures``
 (amplification-curve and mode-evolution CSV data), ``certify``
 (finite-horizon truncation certificate), ``symmetry`` (upwind mirror check).
-Each but ``modeq`` imports the numeric modules it reads when it runs, so
-``modeq`` loads neither numpy nor mpmath, and only ``radius`` loads mpmath.
+Each but ``modeq`` and ``symmetry``, which run in exact arithmetic only,
+imports the numeric modules it reads when it runs; only ``radius`` loads
+mpmath.
 
 The argument parser and the catalog schemes are built on first use and
 kept for the life of the process: ``build_parser`` on the first ``main``
@@ -39,8 +40,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .derivation import CrossCheckError, consistency_report, derive_log, symbol_series
-from .exactalg import series_exp
+from .derivation import (CrossCheckError, consistency_report, derive_log,
+                         upwind_symmetry_check, verify_log)
 from .schemes import DEFAULT_GRID, SchemeSpec, catalog_scheme, parse_scheme
 
 # the highest series order -N accepts; it bounds the cost of the exact derivation
@@ -214,15 +215,7 @@ def cmd_modeq(args: argparse.Namespace) -> int:
     order = _single_order(args, 8)
     modeq = derive_log(scheme, order)
     if args.verify:
-        # ln S is unique for S with constant term 1, so exp(lambda G) = S
-        # proves the table
-        got, want = series_exp(modeq.dt_g_series()), symbol_series(scheme, order)
-        if got != want:
-            bad = next(p for p, (g, w) in enumerate(zip(got, want)) if g != w)
-            raise CrossCheckError(
-                f"scheme {scheme.name}, N = {order}: exp(lambda G) differs from the "
-                f"symbol S first at theta-order {bad}"
-            )
+        verify_log(scheme, modeq)
     payload = modeq.to_json_dict()
     payload["consistency"] = consistency_report(scheme, modeq).to_json_dict()
     _emit_json(payload, _out_dir(args), f"{scheme.name}_modeq.json")
@@ -338,13 +331,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_symmetry(args: argparse.Namespace) -> int:
-    from . import spectra
     lambdas, half = _parse_lambdas(args), Fraction(1, 2)
     if bad := [lam for lam in lambdas if not 0 <= lam <= half]:
         raise UsageError(f"lambda must lie in [0, 1/2], got {bad[0]}")
-    modeq = derive_log(catalog_scheme("upwind_euler"), _single_order(args, 8))
+    if (order := _single_order(args, 8)) < 2:
+        raise UsageError(f"symmetry -N must be at least 2, got {order}: no even order to prove")
+    modeq = derive_log(catalog_scheme("upwind_euler"), order)
     # the identities are proved for every lambda; each --lambdas value names a row
-    report = spectra.upwind_symmetry_check(modeq).to_json_dict()
+    report = upwind_symmetry_check(modeq).to_json_dict()
     reports = [{"lambda": str(lam), "lambda_low": str(half - lam),
                 "lambda_high": str(half + lam), **report} for lam in lambdas]
     _emit_json({"scheme": "upwind_euler", "reports": reports}, _out_dir(args),
@@ -398,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modeq", help="derive the modified-equation table")
     _add_flags(p, "--catalog", "--file", "-N", "--out")
     p.add_argument("--verify", action="store_true",
-                   help="prove exp(lambda G) = S")
+                   help="prove (lambda G)' S = S'")
     p.set_defaults(func=cmd_modeq)
 
     p = sub.add_parser("regions", help="scan stability/contraction regions")

@@ -1,4 +1,4 @@
-"""Modified-equation derivation.
+"""Modified-equation derivation, and every exact proof about the symbol.
 
 ``derive_log`` produces the modified equation of a scheme: it expands the
 principal logarithm of the one-step symbol S(theta) and divides out the mesh
@@ -10,8 +10,7 @@ with dx normalized to 1 in the symbolic computation; the dx-dependence is
 carried by the integer grading p - q.  Series are expanded in x = i*theta
 (see ``exactalg``), so c_p is read directly as [x^p](ln S) / lambda, a real
 polynomial in lambda.  The logarithm of a series with constant term 1 is
-unique, so the exact equality exp(lambda G) = S, with ``series_exp`` on
-``ModifiedEq.dt_g_series``, proves a table right (``modeq modeq --verify``).
+unique, so (lambda G)' S = S' proves a table right (``verify_log``).
 
 ``derive_log(scheme, N, lam)`` runs the same ``series_log`` on the symbol's
 series taken at one rational lambda, each coefficient an integer moment
@@ -22,6 +21,9 @@ derives one such table per lambda.  A fixed table records its lambda and
 refuses any other (``ModifiedEq.at``), and every use that needs c_p as a
 polynomial.  Everything here is exact; a float value of c_p is its exact
 value at the rational lambda, rounded once (``spectra``).
+
+The numeric layers only round, sample and find roots: the exact forms of
+the symbol they read, and the upwind mirror proof, are here too.
 """
 
 from __future__ import annotations
@@ -32,16 +34,20 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactalg import LP_ZERO, InexactDivisionError, LambdaPoly, series_log
-from .schemes import SchemeSpec
+from .schemes import SchemeSpec, catalog_scheme
 
 __all__ = [
     "ModifiedEq",
     "ConsistencyFailure",
     "ConsistencyReport",
     "CrossCheckError",
+    "SymmetryReport",
     "symbol_series",
+    "symbol_polynomial",
     "derive_log",
+    "verify_log",
     "consistency_report",
+    "upwind_symmetry_check",
 ]
 
 
@@ -166,6 +172,16 @@ def symbol_series(scheme: SchemeSpec, order: int, lam: Optional[Fraction] = None
     return tuple(out)
 
 
+def symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> LambdaPoly:
+    """Q(w) = w^n * S with w = e^{i theta}, exact at a rational lambda and
+    held as a ``LambdaPoly`` in w, where -n is the lowest offset p with
+    a_p(lambda) nonzero, so Q has no zero root."""
+    a = {p: c(lam) for p, c in scheme.symbol}
+    # the a_p sum to one, so Q(1) = S(0) = 1 and some a_p is nonzero
+    low = min(p for p, v in a.items() if v)
+    return LambdaPoly([a.get(p, 0) for p in range(low, scheme.n_right + 1)])
+
+
 def derive_log(scheme: SchemeSpec, order: int, lam: Optional[Fraction] = None) -> ModifiedEq:
     """Modified equation via the principal logarithm of the symbol: c_p is
     [x^p] ln S divided by lambda.
@@ -194,6 +210,20 @@ def derive_log(scheme: SchemeSpec, order: int, lam: Optional[Fraction] = None) -
                 f"is not divisible by lambda; the consistency invariant is broken upstream"
             ) from exc
     return ModifiedEq(scheme_name=scheme.name, q=scheme.q, coeffs=tuple(coeffs))
+
+
+def verify_log(scheme: SchemeSpec, modeq: ModifiedEq) -> None:
+    """Prove lambda G = ln S to order N: for p = 1..N, the x^(p-1)
+    coefficient of (lambda G)' S = S', p s_p = sum_{0<k<=p} k (lambda c_k)
+    s_{p-k}.  Since s_0 = 1, each equation fixes lambda c_p from the lower
+    orders, so only ln S passes.  Raises ``CrossCheckError`` at the first p
+    that fails, where lambda G first differs from ln S."""
+    lam_g, s = modeq.dt_g_series(), symbol_series(scheme, modeq.order)
+    for p in range(1, modeq.order + 1):
+        got = LambdaPoly.dot([(k, lam_g[k], s[p - k]) for k in range(1, p + 1)])
+        if got != LambdaPoly.from_nums([p * x for x in s[p].nums], s[p].den):
+            raise CrossCheckError(f"scheme {scheme.name}, N = {modeq.order}: lambda G "
+                                  f"differs from ln S first at theta-order {p}")
 
 
 @dataclass(frozen=True)
@@ -295,4 +325,63 @@ def consistency_report(scheme: SchemeSpec, modeq: ModifiedEq) -> ConsistencyRepo
         failures=tuple(failures),
         matched_orders=tuple(matched),
         leading_error_order=leading,
+    )
+
+
+@dataclass(frozen=True)
+class SymmetryReport:
+    """Mirror symmetry of the upwind scheme about lambda = 1/2, for every lambda."""
+
+    modulus_ok: bool
+    orders: tuple
+    coefficient_ok: bool
+    first_violation: Optional[int]
+
+    @property
+    def ok(self) -> bool:
+        return self.modulus_ok and self.coefficient_ok
+
+    def to_json_dict(self) -> dict:
+        return {
+            "modulus_ok": self.modulus_ok,
+            "orders": list(self.orders),
+            "coefficient_ok": self.coefficient_ok,
+            "first_violation": self.first_violation,
+            "ok": self.ok,
+        }
+
+
+def _modulus_table(scheme: SchemeSpec) -> tuple:
+    """m_d(lambda) = sum_p a_p(lambda) a_{p+d}(lambda) for d = 0..n_left+n_right,
+    one ``LambdaPoly.dot`` each, so that for a real stencil
+
+        |S(theta)|^2 = m_0 + 2 sum_{d>0} m_d cos(d theta).
+    """
+    a = dict(scheme.symbol)
+    return tuple(
+        LambdaPoly.dot([(1, a[p], a[p + d]) for p in a if p + d in a])
+        for d in range(scheme.n_left + scheme.n_right + 1)
+    )
+
+
+def upwind_symmetry_check(modeq: ModifiedEq) -> SymmetryReport:
+    """Prove, for every lambda, the modulus identity |S(theta, 1/2-lambda)| =
+    |S(theta, 1/2+lambda)| as m.reflect() == m for each |S|^2 cosine
+    coefficient m (``_modulus_table``), and, for the upwind scheme's
+    modified-equation coefficients ``modeq`` and 2p <= modeq.order,
+
+        (1/2-lambda) c_{2p}(1/2-lambda) = (1/2+lambda) c_{2p}(1/2+lambda)
+
+    as f.reflect() == f for f = lambda c_{2p}.  The generator's theta^{2p}
+    coefficient is (-1)^p c_{2p}, a sign common to both sides.
+    """
+    modeq.require_symbolic("upwind_symmetry_check")
+    orders = tuple(range(2, modeq.order + 1, 2))
+    first_violation = next((p for p in orders
+                            if (f := modeq.coeff(p).shift_up()).reflect() != f), None)
+    return SymmetryReport(
+        modulus_ok=all(m.reflect() == m for m in _modulus_table(catalog_scheme("upwind_euler"))),
+        orders=orders,
+        coefficient_ok=first_violation is None,
+        first_violation=first_violation,
     )

@@ -165,9 +165,10 @@ def evolve_and_compare(
     ``measured`` with the symbol only inside R_s.
     """
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise ValueError(f"scheme {scheme.name}: steps must be >= 0")
     if gridsize < 4:
-        raise ValueError(f"the grid needs at least 4 points, got gridsize = {gridsize}")
+        raise ValueError(f"scheme {scheme.name}: the grid needs at least 4 points, "
+                         f"got gridsize = {gridsize}")
     if lam < 0:
         raise ValueError(f"scheme {scheme.name}: lambda must be nonnegative, got {lam}")
     thetas = 2.0 * math.pi * np.arange(gridsize) / gridsize

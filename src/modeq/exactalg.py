@@ -12,10 +12,10 @@ evaluation substitutes x = i*theta.
 A ``LambdaPoly`` stores integer numerators over one positive denominator and
 is reduced by a single gcd, so arithmetic runs on Python ints and equal
 polynomials have equal fields.  It is the package's one exact polynomial
-type: the mirror-symmetry proof compares |S|^2 cosine coefficients with
-their reflections p(1 - lambda), and the zero search finds the roots of
-the square-free part of the symbol polynomial Q(w).  A sum of products is
-formed by ``LambdaPoly.dot`` over one common denominator and reduced once.
+type: ``derivation`` builds every exact form of the symbol on it, such as
+the |S|^2 cosine table and the symbol polynomial Q(w) whose square-free
+part the zero search solves.  A sum of products is formed by
+``LambdaPoly.dot`` over one common denominator and reduced once.
 Every polynomial product here, in ``dot`` and in the series logarithm, is
 one integer loop (``_add_product``) in which the factor with fewer nonzero
 coefficients runs the outer loop: in the series recurrences one factor is a
@@ -23,11 +23,10 @@ long coefficient of the result and the other a symbol coefficient of a few
 terms, and the cost is the outer factor's nonzero count times the inner
 factor's length.
 
-The series logarithm and exponential are coefficient recurrences from
-L' S = S' (Brent and Kung 1978, "Fast algorithms for manipulating formal
-power series"): each order costs one sum of products, so a series of order
-N costs O(N^2) polynomial products.  ``series_exp`` forms each order by
-``LambdaPoly.dot``.  ``series_log`` runs on exponential-generating
+The series logarithm is a coefficient recurrence from L' S = S' (Brent and
+Kung 1978, "Fast algorithms for manipulating formal power series"): each
+order costs one sum of products, so a series of order N costs O(N^2)
+polynomial products.  ``series_log`` runs on exponential-generating
 coefficients over one denominator D fixed before the loop, an integer
 recurrence with no lcm or gcd inside it; the coefficients may be
 polynomials, or constants for a series taken at a fixed lambda, and the
@@ -60,7 +59,6 @@ __all__ = [
     "SeriesPreconditionError",
     "InexactDivisionError",
     "series_log",
-    "series_exp",
 ]
 
 ScalarLike = Union[int, Fraction]
@@ -401,18 +399,3 @@ def series_log(s: tuple) -> tuple:
         out.append(LambdaPoly.from_nums(list(row), dpow[p] * facts[p]))
     return tuple(out)
 
-
-def series_exp(s: tuple) -> tuple:
-    """Exponential of a series with constant term 0.
-
-    E = exp(S) satisfies x*E' = x*S' * E, so p*e_p = sum_{0<k<=p} k*s_k*e_{p-k}
-    with e_0 = 1, an integer-weighted sum divided by p once: O(N^2)
-    polynomial products for order N.
-    """
-    if not s or s[0]:
-        raise SeriesPreconditionError("series_exp requires constant term 0")
-    out = [LP_ONE]
-    for p in range(1, len(s)):
-        pe = LambdaPoly.dot([(k, s[k], out[p - k]) for k in range(1, p + 1)])
-        out.append(LambdaPoly.from_nums(list(pe.nums), pe.den * p))
-    return tuple(out)

@@ -8,7 +8,7 @@ Two deliberately independent methods:
   origin (only the symbol is consulted) -- S is entire, so the principal
   logarithm is obstructed exactly at zeros of S.  With w = e^{i theta} the
   symbol times a power of w is a polynomial Q(w) whose coefficients are the
-  exact a_p(lambda) of ``SchemeSpec.symbol``, held as a ``LambdaPoly`` in w,
+  exact a_p(lambda), built in ``derivation`` (``symbol_polynomial``),
   so the zeros are mapped from the roots of Q: there is no search box, and
   an infinite radius (Q without nonzero roots) is proven, not inferred.
   The root finder gets the integer coefficients of Q's square-free part
@@ -28,8 +28,7 @@ from typing import Optional
 import numpy as np
 from mpmath import mp
 
-from .derivation import CrossCheckError, ModifiedEq
-from .exactalg import LambdaPoly
+from .derivation import CrossCheckError, ModifiedEq, symbol_polynomial
 from .schemes import SchemeSpec
 from .spectra import Number, eval_symbol
 
@@ -156,15 +155,6 @@ def radius_root_test(modeq: ModifiedEq, lam: Number) -> RadiusEstimate:
 _ROOT_DPS = 50  # working digits for the roots of Q
 
 
-def _symbol_polynomial(scheme: SchemeSpec, lam: Fraction) -> LambdaPoly:
-    """Q(w) = w^n * S with w = e^{i theta}, exact at lambda, where -n is the
-    lowest offset p with a_p(lambda) nonzero, so Q has no zero root."""
-    a = {p: c(lam) for p, c in scheme.symbol}
-    # the a_p sum to one, so Q(1) = S(0) = 1 and some a_p is nonzero
-    low = min(p for p, v in a.items() if v)
-    return LambdaPoly([a.get(p, 0) for p in range(low, scheme.n_right + 1)])
-
-
 def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     """Radius as the modulus of the symbol zero nearest the origin.
 
@@ -182,7 +172,7 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     """
     if float(lam) <= 0:
         raise ValueError(f"scheme {scheme.name}: lambda must be positive, got {lam}")
-    q = _symbol_polynomial(scheme, Fraction(lam))
+    q = symbol_polynomial(scheme, Fraction(lam))
     zeros = []
     with mp.workdps(_ROOT_DPS):
         # the roots of Q, each simple, which polyroots finds to full

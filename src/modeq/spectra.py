@@ -3,15 +3,14 @@
 Covers: pointwise/grid evaluation of S(theta), the contraction angle
 theta_m, stability and contraction region scans over the mesh ratio,
 truncated amplification factors, finite-horizon stability certificates,
-the upwind mirror-symmetry check, and figure-data tables.
+and figure-data tables.  The exact forms of the symbol, and every proof
+about them, are ``derivation``'s; this module rounds and samples them.
 
 Exact first, then round: the symbol coefficients a_p(lambda) of
 ``SchemeSpec.symbol`` and the modified-equation coefficients c_p(lambda) are
 evaluated exactly at the lambda the caller gave (a float at its binary
 value) and each is rounded to a float once, correctly
-(``LambdaPoly.float_at``); no float lambda multiplies a rounded weight.  The
-upwind mirror check takes no lambda: it proves its identities for every
-lambda as polynomial equalities p(1 - lambda) = p(lambda), rounding nothing.
+(``LambdaPoly.float_at``); no float lambda multiplies a rounded weight.
 
 A region scan does its lambda-free work once: it builds the basis
 e^{i p theta} on the theta grid once per scan and, per lambda, sums a_p
@@ -48,8 +47,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .derivation import ModifiedEq, derive_log
-from .exactalg import LambdaPoly
-from .schemes import DEFAULT_GRID, SchemeSpec, catalog_scheme
+from .schemes import DEFAULT_GRID, SchemeSpec
 
 __all__ = [
     "DEFAULT_GRID",
@@ -59,7 +57,6 @@ __all__ = [
     "RegionReport",
     "TruncationEval",
     "StabilityCertificate",
-    "SymmetryReport",
     "FigureTable",
     "theta_grid",
     "symbol_weights",
@@ -67,7 +64,6 @@ __all__ = [
     "region_scan",
     "truncated_amplification",
     "truncation_certificate",
-    "upwind_symmetry_check",
     "figure_data",
 ]
 
@@ -81,10 +77,12 @@ class CertificateRefusal(ValueError):
     does not hold, so no bound is issued."""
 
 
-def theta_grid(n: int = DEFAULT_GRID) -> np.ndarray:
-    """n uniform points on [0, pi]; both endpoints are exact grid members."""
+def theta_grid(n: int = DEFAULT_GRID, scheme_name: Optional[str] = None) -> np.ndarray:
+    """n uniform points on [0, pi]; both endpoints are exact grid members.
+    An error for n < 2 names ``scheme_name`` when it is given."""
     if n < 2:
-        raise ValueError("grid needs at least the two endpoints")
+        prefix = "" if scheme_name is None else f"scheme {scheme_name}: "
+        raise ValueError(f"{prefix}grid needs at least the two endpoints")
     return np.linspace(0.0, math.pi, n)
 
 
@@ -276,11 +274,11 @@ def region_scan(
     """
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
-        raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
+        raise ValueError(f"scheme {scheme.name}: need 0 <= lo < hi, got ({lo}, {hi})")
     if count < 2:
-        raise ValueError("need at least two lambda samples")
+        raise ValueError(f"scheme {scheme.name}: need at least two lambda samples")
     if grid < 64:
-        raise ValueError("theta grid must have at least 64 points")
+        raise ValueError(f"scheme {scheme.name}: theta grid must have at least 64 points")
     orders = tuple(sorted(set(int(n) for n in orders)))
     if orders:
         modeq = derive_log(scheme, max(orders))
@@ -411,11 +409,10 @@ def truncation_certificate(
     if lam_f <= 0:
         raise ValueError(f"scheme {scheme.name}: lambda must be positive, got {lam}")
     if modeq.order <= max(orders, default=0):
-        raise ValueError(
-            f"reference order {modeq.order} must exceed the truncation order {max(orders)}"
-        )
+        raise ValueError(f"scheme {scheme.name}: reference order {modeq.order} must exceed "
+                         f"the truncation order {max(orders)}")
 
-    thetas = theta_grid(grid)
+    thetas = theta_grid(grid, scheme.name)
     s = eval_symbol(scheme, lam, thetas)
     if float(np.max(np.abs(1.0 - s))) >= 1.0 - DEFAULT_TOL:
         raise CertificateRefusal(
@@ -440,65 +437,6 @@ def truncation_certificate(
         certificates.append(StabilityCertificate(
             order, lam_f, growth_c, tail_a, float(support_m), float(horizon_t), bound))
     return certificates
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Mirror symmetry of the upwind scheme about lambda = 1/2, for every lambda."""
-
-    modulus_ok: bool
-    orders: tuple
-    coefficient_ok: bool
-    first_violation: Optional[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.modulus_ok and self.coefficient_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "modulus_ok": self.modulus_ok,
-            "orders": list(self.orders),
-            "coefficient_ok": self.coefficient_ok,
-            "first_violation": self.first_violation,
-            "ok": self.ok,
-        }
-
-
-def _modulus_table(scheme: SchemeSpec) -> tuple:
-    """m_d(lambda) = sum_p a_p(lambda) a_{p+d}(lambda) for d = 0..n_left+n_right,
-    one ``LambdaPoly.dot`` each, so that for a real stencil
-
-        |S(theta)|^2 = m_0 + 2 sum_{d>0} m_d cos(d theta).
-    """
-    a = dict(scheme.symbol)
-    return tuple(
-        LambdaPoly.dot([(1, a[p], a[p + d]) for p in a if p + d in a])
-        for d in range(scheme.n_left + scheme.n_right + 1)
-    )
-
-
-def upwind_symmetry_check(modeq: ModifiedEq) -> SymmetryReport:
-    """Prove, for every lambda, the modulus identity |S(theta, 1/2-lambda)| =
-    |S(theta, 1/2+lambda)| as m.reflect() == m for each |S|^2 cosine
-    coefficient m (``_modulus_table``), and, for the upwind scheme's
-    modified-equation coefficients ``modeq`` and 2p <= modeq.order,
-
-        (1/2-lambda) c_{2p}(1/2-lambda) = (1/2+lambda) c_{2p}(1/2+lambda)
-
-    as f.reflect() == f for f = lambda c_{2p}.  The generator's theta^{2p}
-    coefficient is (-1)^p c_{2p}, a sign common to both sides.
-    """
-    modeq.require_symbolic("upwind_symmetry_check")
-    orders = tuple(range(2, modeq.order + 1, 2))
-    first_violation = next((p for p in orders
-                            if (f := modeq.coeff(p).shift_up()).reflect() != f), None)
-    return SymmetryReport(
-        modulus_ok=all(m.reflect() == m for m in _modulus_table(catalog_scheme("upwind_euler"))),
-        orders=orders,
-        coefficient_ok=first_violation is None,
-        first_violation=first_violation,
-    )
 
 
 @dataclass(frozen=True)
@@ -530,7 +468,7 @@ def figure_data(
     orders = tuple(sorted(set(int(n) for n in orders)))
     if not lambdas:
         return []
-    thetas = theta_grid(grid)
+    thetas = theta_grid(grid, scheme.name)
     th = thetas.astype(complex)
     tables = []
     for lam in lambdas:

@@ -13,9 +13,11 @@ verdict read off the full grid sweep.  ``fraction_square_free`` is
 p / gcd(p, p') by Euclid on Fraction lists, the reference for
 ``LambdaPoly.square_free``.  ``dot_series_log`` is the series logarithm
 by the ordinary-coefficient recurrence, one ``LambdaPoly.dot`` per order,
-the reference for ``modeq.exactalg.series_log``.  ``fraction_log`` is log x
-of a positive Fraction, the reference for the root test's log from
-integers.  Tests import them as ``from oracles import ...``, as they import
+the reference for ``modeq.exactalg.series_log``.  ``series_exp`` is the
+series exponential by the same kind of recurrence, the inverse that the
+round trips with ``series_log`` check.  ``fraction_log`` is log x of a
+positive Fraction, the reference for the root test's log from integers.
+Tests import them as ``from oracles import ...``, as they import
 ``conftest``.
 """
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from conftest import lp
 from modeq.derivation import ModifiedEq, derive_log, symbol_series
-from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
+from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly, SeriesPreconditionError
 from modeq.schemes import SchemeSpec
 from modeq.spectra import DEFAULT_TOL, LambdaSample, _signed_coeffs, eval_symbol, theta_grid
 
@@ -53,6 +55,22 @@ def dot_series_log(s: tuple) -> tuple:
         pl = LambdaPoly.dot([(p, s[p], LP_ONE)] +
                             [(-k, out[k], s[p - k]) for k in range(1, p)])
         out.append(LambdaPoly.from_nums(list(pl.nums), pl.den * p))
+    return tuple(out)
+
+
+def series_exp(s: tuple) -> tuple:
+    """Exponential of a series with constant term 0.
+
+    E = exp(S) satisfies x*E' = x*S' * E, so p*e_p = sum_{0<k<=p} k*s_k*e_{p-k}
+    with e_0 = 1, an integer-weighted sum divided by p once: O(N^2)
+    polynomial products for order N.
+    """
+    if not s or s[0]:
+        raise SeriesPreconditionError("series_exp requires constant term 0")
+    out = [LP_ONE]
+    for p in range(1, len(s)):
+        pe = LambdaPoly.dot([(k, s[k], out[p - k]) for k in range(1, p + 1)])
+        out.append(LambdaPoly.from_nums(list(pe.nums), pe.den * p))
     return tuple(out)
 
 

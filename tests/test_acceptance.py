@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import lp
-from modeq.derivation import derive_log, symbol_series
+from modeq.derivation import derive_log, symbol_series, upwind_symmetry_check
 from modeq.empirics import measured_amplification
-from modeq.exactalg import series_exp
 from modeq.radius import radius_root_test, radius_zero_search
 from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import (
@@ -27,9 +26,8 @@ from modeq.spectra import (
     region_scan,
     theta_grid,
     truncated_amplification,
-    upwind_symmetry_check,
 )
-from oracles import bernoulli, derive_elimination, euler_poly_at_zero
+from oracles import bernoulli, derive_elimination, euler_poly_at_zero, series_exp
 
 GRID = 4096
 

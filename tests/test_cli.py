@@ -301,6 +301,34 @@ class TestCommandLineErrors:
         assert err == f"error: scheme heat_centered: {message}\n"
         assert out == "" and not out_dir.exists()
 
+    # the numeric layers' input errors name the scheme, as the lambda errors do
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["regions", *HEAT, "--lambda-range", "0.5:0.1:5"],
+             "need 0 <= lo < hi, got (0.5, 0.1)"),
+            (["regions", *HEAT, "--lambda-range", "0:1:1"], "need at least two lambda samples"),
+            (["regions", *HEAT, "--lambda-range", "0:1:5", "--grid", "10"],
+             "theta grid must have at least 64 points"),
+            (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--steps", "-1"],
+             "steps must be >= 0"),
+            (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--gridsize", "3"],
+             "the grid needs at least 4 points, got gridsize = 3"),
+            (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--grid", "1"],
+             "grid needs at least the two endpoints"),
+            (["certify", *HEAT, "--lambdas", "1/5", "--grid", "1"],
+             "grid needs at least the two endpoints"),
+        ],
+        ids=["regions-range", "regions-count", "regions-grid", "figures-steps",
+             "figures-gridsize", "figures-grid", "certify-grid"],
+    )
+    def test_layer_input_error_names_scheme(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 1
+        assert err == f"error: scheme heat_centered: {message}\n"
+        assert out == "" and not out_dir.exists()
+
     # a derivation that cannot run shows that lambda is refused before it
     @pytest.mark.parametrize("argv, value",
                              [(["radius", *HEAT, "--lambdas", "1/2,0", "-N", "64"], "0"),
@@ -682,8 +710,8 @@ class TestSymmetryCommand:
     def test_identity_violation_exits_2(self, capsys, monkeypatch):
         import dataclasses
 
-        import modeq.spectra
-        from modeq.spectra import upwind_symmetry_check as real_check
+        import modeq.cli
+        from modeq.derivation import upwind_symmetry_check as real_check
 
         calls = []
 
@@ -692,7 +720,7 @@ class TestSymmetryCommand:
             return dataclasses.replace(real_check(modeq), coefficient_ok=False,
                                        first_violation=2)
 
-        monkeypatch.setattr(modeq.spectra, "upwind_symmetry_check", broken)
+        monkeypatch.setattr(modeq.cli, "upwind_symmetry_check", broken)
         code, out, err = run(capsys, "symmetry", "--lambdas", "1/4,1/10")
         assert code == 2
         assert "violated" in err
@@ -711,6 +739,17 @@ class TestSymmetryCommand:
         for r in rows:
             assert r["modulus_ok"] and r["coefficient_ok"] and r["ok"]
             assert r["orders"] == [2, 4] and r["first_violation"] is None
+
+    # -N 1 has no even order, so it would prove nothing
+    def test_order_below_two_refused_before_deriving(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("derived a modified equation")
+
+        monkeypatch.setattr("modeq.cli.derive_log", never)
+        code, out, err = run(capsys, "symmetry", "--lambdas", "1/4", "-N", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: symmetry -N must be at least 2, got 1")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("lambdas", ["0.9", "1/4,-1/10", "1/2,0.5000001"])
     def test_domain_refused_before_deriving(self, capsys, monkeypatch, lambdas):

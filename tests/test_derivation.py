@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import LAM16, lp, random_stencils
-from modeq.exactalg import LP_ONE, LambdaPoly, series_exp, series_log
-from modeq.derivation import CrossCheckError, consistency_report, derive_log, symbol_series
+from modeq.exactalg import LP_ONE, LambdaPoly, series_log
+from modeq.derivation import (CrossCheckError, consistency_report, derive_log, symbol_series,
+                              verify_log)
 from modeq.schemes import SchemeSpec, builtin_catalog, catalog_scheme, parse_scheme
 from modeq.spectra import eval_symbol
-from oracles import GOLDEN, derive_elimination, fraction_symbol_series
+from oracles import GOLDEN, derive_elimination, fraction_symbol_series, series_exp
 
 # printed coefficient tables for the two reference schemes
 HEAT_TABLE = GOLDEN["heat_centered"].mu_table
@@ -173,6 +175,27 @@ class TestDeriveElimination:
 @given(random_stencils(), st.integers(1, 20))
 def test_engines_agree_on_random_stencils(scheme, order):
     assert derive_log(scheme, order) == derive_elimination(scheme, order)
+
+
+class TestVerifyLog:
+    # (lambda G)' S = S' holds for the derived table, and a change of c_p
+    # first breaks it at order p, since the equation there reads p lambda c_p
+    @settings(max_examples=40, deadline=None)
+    @given(random_stencils(), st.integers(1, 16), st.data())
+    def test_accepts_the_log_and_names_a_shifted_order(self, scheme, order, data):
+        modeq = derive_log(scheme, order)
+        verify_log(scheme, modeq)
+        p = data.draw(st.integers(1, order), label="p")
+        shift = data.draw(st.fractions(-5, 5, max_denominator=30).filter(bool), label="shift")
+        coeffs = list(modeq.coeffs)
+        coeffs[p - 1] += LambdaPoly.const(shift)
+        with pytest.raises(CrossCheckError, match=rf"^scheme random, N = {order}: .* "
+                                                  rf"first at theta-order {p}$"):
+            verify_log(scheme, dataclasses.replace(modeq, coeffs=tuple(coeffs)))
+
+    def test_fixed_table_refused(self, heat):
+        with pytest.raises(ValueError, match="dt_g_series needs it for every lambda"):
+            verify_log(heat, derive_log(heat, 8, Fraction(1, 5)))
 
 
 class TestRoundTrip:

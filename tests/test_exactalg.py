@@ -7,14 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import lp
-from oracles import dot_series_log, fraction_square_free
+from oracles import dot_series_log, fraction_square_free, series_exp
 from modeq.exactalg import (
     LP_ONE,
     LP_ZERO,
     InexactDivisionError,
     LambdaPoly,
     SeriesPreconditionError,
-    series_exp,
     series_log,
 )
 

@@ -1,9 +1,10 @@
 """Which third-party packages a request loads.
 
 The exact layers need neither numpy nor mpmath, so ``import modeq`` and a
-``modeq modeq`` request must not load them; the numeric subcommands load
-what they read on first use.  Each case runs in a fresh interpreter, since
-this test process shares ``sys.modules`` with every other test.
+``modeq`` or ``symmetry`` request must not load them; the numeric
+subcommands load what they read on first use.  Each case runs in a fresh
+interpreter, since this test process shares ``sys.modules`` with every
+other test.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ SRC = str(Path(modeq.__file__).resolve().parents[1])
 
 # every name the package exports from its six layers
 EXPORTED = (
-    "InexactDivisionError LambdaPoly SeriesPreconditionError series_exp "
+    "InexactDivisionError LambdaPoly SeriesPreconditionError "
     "series_log SchemeConsistencyError SchemeError "
     "SchemeParseError SchemeSpec builtin_catalog catalog_scheme "
     "parse_scheme render_scheme ConsistencyReport CrossCheckError ModifiedEq "
@@ -62,8 +63,13 @@ print(json.dumps({{"code": code, "numpy": "numpy" in sys.modules,
           "-N", "2", "--grid", "64"], True, False),
         (["radius", "--catalog", "heat_centered", "--lambdas", "1/4", "-N", "16"],
          True, True),
+        (["figures", "--catalog", "heat_centered", "--lambdas", "1/4", "-N", "2",
+          "--grid", "64", "--steps", "2", "--gridsize", "8"], True, False),
+        (["certify", "--catalog", "heat_centered", "--lambdas", "1/5", "-N", "2",
+          "--grid", "64"], True, False),
+        (["symmetry", "--lambdas", "1/4", "-N", "8"], False, False),
     ],
-    ids=["modeq", "regions", "radius"],
+    ids=["modeq", "regions", "radius", "figures", "certify", "symmetry"],
 )
 def test_a_request_loads_only_what_it_reads(tmp_path, argv, numpy, mpmath):
     loaded = fresh_python(REQUEST.format(argv=argv + ["--out", str(tmp_path)]), tmp_path)

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lp
 from modeq.cli import main
-from modeq.derivation import derive_log
-from modeq.radius import (_log_fraction, _symbol_polynomial, heat_closed_form_radius,
-                          radius_root_test, radius_zero_search)
+from modeq.derivation import derive_log, symbol_polynomial
+from modeq.radius import (_log_fraction, heat_closed_form_radius, radius_root_test,
+                          radius_zero_search)
 from modeq.schemes import catalog_scheme, parse_scheme
 from modeq.spectra import region_scan
 from oracles import bernoulli, euler_poly_at_zero, fraction_log
@@ -160,7 +160,7 @@ class TestZeroSearch:
 
     def test_heat_quarter_double_zero(self, heat):
         # Q(w) = (w + 1)^2 / 4, whose square-free part w + 1 has the root -1
-        assert _symbol_polynomial(heat, Fraction(1, 4)) == lp("1/4", "1/2", "1/4")
+        assert symbol_polynomial(heat, Fraction(1, 4)) == lp("1/4", "1/2", "1/4")
         est = radius_zero_search(heat, Fraction(1, 4))
         assert est.value == pytest.approx(math.pi, abs=1e-10)
 

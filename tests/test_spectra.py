@@ -10,14 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from conftest import lp, random_stencils
-from modeq.derivation import ModifiedEq, derive_log
+from modeq.derivation import ModifiedEq, _modulus_table, derive_log, upwind_symmetry_check
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
 from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import (
     DEFAULT_GRID,
     DEFAULT_TOL,
     CertificateRefusal,
-    _modulus_table,
     _even_horner,
     _truncation_stable,
     _theta_coeffs,
@@ -28,7 +27,6 @@ from modeq.spectra import (
     symbol_weights,
     theta_grid,
     truncated_amplification,
-    upwind_symmetry_check,
 )
 from oracles import sweep_region_scan
 
