@@ -291,6 +291,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
             raise UsageError(f"--lambdas {first} and {lam} would both write "
                              f"{scheme.name}_lambda{_lambda_tag(lam)}.csv")
     lambdas = list(tags.values())  # a repeated lambda is computed and written once
+    # the size flags are refused before the derivation, in the layers' words
+    spectra.theta_grid(args.grid, scheme.name)
+    empirics.require_evolution_sizes(scheme.name, args.steps, args.gridsize)
     # every table is computed before the first file is written
     modeq = derive_log(scheme, max(orders))
     tables = spectra.figure_data(scheme, modeq, lambdas, orders, grid=args.grid)
@@ -317,6 +320,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise UsageError(f"certify -N {max(orders)} needs the reference order 4N = {reference}, "
                          f"above the cap MAX_ORDER = {MAX_ORDER}; -N is at most {MAX_ORDER // 4}")
     _require_positive(scheme, lambdas)
+    spectra.theta_grid(args.grid, scheme.name)  # a bad --grid is refused before deriving
     certificates = []
     for lam in lambdas:
         # the certificate reads the c_p at lam only: derive them at lam

@@ -33,6 +33,7 @@ __all__ = [
     "step",
     "measured_amplification",
     "evolve_and_compare",
+    "require_evolution_sizes",
 ]
 
 _OVERFLOW_LIMIT = 1e300
@@ -140,6 +141,15 @@ def _relative_gap(predicted: float, measured: float) -> float:
     return abs(predicted - measured) / max(measured, 1.0)
 
 
+def require_evolution_sizes(scheme_name: str, steps: int, gridsize: int) -> None:
+    """Raise ``ValueError`` for ``steps`` < 0 or ``gridsize`` < 4."""
+    if steps < 0:
+        raise ValueError(f"scheme {scheme_name}: steps must be >= 0")
+    if gridsize < 4:
+        raise ValueError(f"scheme {scheme_name}: the grid needs at least 4 points, "
+                         f"got gridsize = {gridsize}")
+
+
 def evolve_and_compare(
     scheme: SchemeSpec,
     modeq: ModifiedEq,
@@ -164,11 +174,7 @@ def evolve_and_compare(
     reads 5.5e13 for mode 22, against ``predicted_S`` 3.7e-13.  Compare
     ``measured`` with the symbol only inside R_s.
     """
-    if steps < 0:
-        raise ValueError(f"scheme {scheme.name}: steps must be >= 0")
-    if gridsize < 4:
-        raise ValueError(f"scheme {scheme.name}: the grid needs at least 4 points, "
-                         f"got gridsize = {gridsize}")
+    require_evolution_sizes(scheme.name, steps, gridsize)
     if lam < 0:
         raise ValueError(f"scheme {scheme.name}: lambda must be nonnegative, got {lam}")
     thetas = 2.0 * math.pi * np.arange(gridsize) / gridsize

@@ -28,12 +28,12 @@ Kung 1978, "Fast algorithms for manipulating formal power series"): each
 order costs one sum of products, so a series of order N costs O(N^2)
 polynomial products.  ``series_log`` runs on exponential-generating
 coefficients over one denominator D fixed before the loop, an integer
-recurrence with no lcm or gcd inside it; the coefficients may be
-polynomials, or constants for a series taken at a fixed lambda, and the
-same loop serves both.  Its integers carry D^p p!, of which the reduced
-l_p keep only part, so on a lambda^16 stencil it runs about as fast as a
-``dot`` recurrence on reduced polynomials, and on the catalog schemes
-faster (README, "Command line").
+recurrence with no lcm or gcd inside it.  The coefficients may be
+polynomials, or constants for a series taken at a fixed lambda, which run
+the same recurrence on plain integers.  Its integers carry D^p p!, of
+which the reduced l_p keep only part, so on a lambda^16 stencil it runs
+about as fast as a ``dot`` recurrence on reduced polynomials, and on the
+catalog schemes faster (README, "Command line").
 
 Everything here is exact, so polynomial identities can be tested by literal
 equality.  A float is made from an exact value by rounding it once:
@@ -356,7 +356,8 @@ def series_log(s: tuple) -> tuple:
     in integers.  It is summed by Horner's rule in D from k = 1, so each
     product's weight is a binomial and D multiplies the partial sum.  No lcm
     or gcd is taken inside the loop; each l_p = Lam_p / (D^p p!) is reduced
-    once.  O(N^2) polynomial products for order N.
+    once.  O(N^2) polynomial products for order N; for a series of
+    constants they are products of plain ints, with no list or call.
     """
     if not s or s[0] != LP_ONE:
         raise SeriesPreconditionError("series_log requires constant term 1")
@@ -365,10 +366,24 @@ def series_log(s: tuple) -> tuple:
         facts.append(facts[-1] * r)
     den = math.lcm(*[c.den // math.gcd(c.den, f) for c, f in zip(s, facts)])
     m = [[a * (f * den // c.den) for a in c.nums] for c, f in zip(s, facts)]
-    m_nonzeros = [_nonzeros(x) for x in m]
     dpow = [1]
     for _ in s:
         dpow.append(dpow[-1] * den)
+    if all([len(x) <= 1 for x in m]):
+        # constants, as for a series at a fixed lambda: the same recurrence
+        # on plain integers
+        mc, lams, out = [x[0] if x else 0 for x in m], [0], [LP_ZERO]
+        for p in range(1, len(s)):
+            row, shift = mc[p], 0
+            for k in range(1, p):
+                shift += 1
+                if lams[k] and mc[p - k]:
+                    row = row * dpow[shift] - math.comb(p - 1, k - 1) * lams[k] * mc[p - k]
+                    shift = 0
+            lams.append(row * dpow[shift])
+            out.append(LambdaPoly.from_nums([lams[p]], dpow[p] * facts[p]))
+        return tuple(out)
+    m_nonzeros = [_nonzeros(x) for x in m]
     # every product fits in the longest Lam_k times the longest M_r
     m_width = max([len(x) for x in m])
     scaled, nonzeros, width = [[]], [0], 0  # the Lam_p, their nonzero counts, longest

@@ -13,6 +13,8 @@ Two deliberately independent methods:
   an infinite radius (Q without nonzero roots) is proven, not inferred.
   The root finder gets the integer coefficients of Q's square-free part
   (``LambdaPoly.square_free``), so a multiple zero of S is a simple root.
+  Its Durand-Kerner iteration starts from float roots of that part, so it
+  only refines them to 50 digits, unless two of them nearly coincide.
 
 Disagreement between the two flags a bug.  For the heat scheme a closed
 form gives a third value.
@@ -118,12 +120,14 @@ def radius_root_test(modeq: ModifiedEq, lam: Number) -> RadiusEstimate:
     indices: list[int] = []
     logs: list[float] = []
     for p, poly in enumerate(modeq.at(lam), start=1):
-        c = poly(lam)
-        if not c:
+        # a constant's integers are reduced already, as a Fraction's would be
+        num, den = (poly.nums[0], poly.den) if len(poly.nums) == 1 else \
+            poly(lam).as_integer_ratio()
+        if not num:
             continue
         indices.append(p)
         # log |c| = log(c^2) / 2 from the reduced c's integers
-        logs.append(0.5 * _log_fraction(c.numerator ** 2, c.denominator ** 2))
+        logs.append(0.5 * _log_fraction(num ** 2, den ** 2))
     if not indices or indices[-1] <= modeq.order // 2:
         # no nonzero c_p, or the series terminates: the generator is a
         # polynomial, radius infinite
@@ -152,7 +156,30 @@ def radius_root_test(modeq: ModifiedEq, lam: Number) -> RadiusEstimate:
 # Zero search
 # ---------------------------------------------------------------------------
 
-_ROOT_DPS = 50  # working digits for the roots of Q
+# working digits for the roots of Q: the first, then each later one only
+# after the root finder failed to converge at the one before
+_ROOT_DPS = (50, 100, 200)
+# float seeds closer than this, relative to the larger of 1 and their
+# moduli, mark a near multiple root: the root finder then starts from its
+# own points
+_SEED_SEPARATION = 1e-6
+
+
+def _float_seeds(nums: tuple) -> Optional[list]:
+    """Durand-Kerner starting points for the integer polynomial ``nums`` (by
+    increasing power): its float roots, from ``numpy.roots`` on the
+    coefficients divided by the largest.  None unless there are as many as
+    its degree, all finite and each pair apart by more than
+    ``_SEED_SEPARATION`` * max(1, |r_i|, |r_j|)."""
+    big = max([abs(c) for c in nums])
+    roots = np.roots([c / big for c in reversed(nums)])
+    if len(roots) != len(nums) - 1 or not np.all(np.isfinite(roots)):
+        return None
+    gaps = np.abs(np.subtract.outer(roots, roots)) + np.diag(np.full(len(roots), np.inf))
+    sizes = np.maximum(1.0, np.abs(roots))
+    if not np.all(gaps > _SEED_SEPARATION * np.maximum.outer(sizes, sizes)):
+        return None
+    return [mp.mpc(r) for r in roots.tolist()]
 
 
 def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
@@ -161,37 +188,48 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     With w = e^{i theta}, Q(w) = w^n * S is a polynomial with exact rational
     coefficients at rational lambda (a float lambda is taken at its exact
     binary value).  The zeros of S are theta = -i ln w + 2 pi k for the
-    nonzero roots w of Q, found by ``mpmath.polyroots`` at raised precision.
+    nonzero roots w of Q, found by ``mpmath.polyroots`` (Durand-Kerner) at
+    raised precision.  It starts from Q's float roots (``_float_seeds``),
+    or from its own points where two of them nearly coincide, and it is
+    retried at 100 and then 200 digits when it does not converge at 50.
     There is no search box: a Q without nonzero roots proves R infinite.
 
     Ties in modulus go to the smaller real part, then the smaller imaginary
     part (so -pi rather than +pi).  ``coefficients_used`` is the number of
     nonzero roots of Q with multiplicity; ``residual`` is |S| at the zero in
     double precision, an independent check.  Raises ``ZeroSearchError``
-    when the root finder does not converge.
+    when the root finder does not converge at any of the digits.
     """
     if float(lam) <= 0:
         raise ValueError(f"scheme {scheme.name}: lambda must be positive, got {lam}")
     q = symbol_polynomial(scheme, Fraction(lam))
+    # the roots of Q, each simple, which polyroots finds to full precision
+    # even where S has a multiple zero; it makes them monic
+    nums = q.square_free().nums
+    seeds = _float_seeds(nums)
     zeros = []
-    with mp.workdps(_ROOT_DPS):
-        # the roots of Q, each simple, which polyroots finds to full
-        # precision even where S has a multiple zero; it makes them monic
-        coeffs = [mp.mpf(c) for c in reversed(q.square_free().nums)]
-        # polyroots stops on an absolute step size: carry the bits of the
-        # Cauchy bound on |w| as extra precision
-        bound = 1 + max(abs(c) for c in coeffs) / abs(coeffs[0])
-        try:
-            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=10 + int(mp.log(bound, 2)))
-        except mp.NoConvergence as exc:
-            raise ZeroSearchError(
-                f"zero search: no convergence on the degree-{len(q.nums) - 1} symbol "
-                f"polynomial of scheme {scheme.name} at lambda={lam}"
-            ) from exc
-        for w in roots:
-            theta = mp.mpc(mp.arg(w), -mp.log(abs(w)))
-            for z in (theta - 2 * mp.pi, theta, theta + 2 * mp.pi):
-                zeros.append(complex(float(z.real), float(z.imag)))
+    for dps in _ROOT_DPS:
+        with mp.workdps(dps):
+            coeffs = [mp.mpf(c) for c in reversed(nums)]
+            # polyroots stops on an absolute step size: carry the bits of the
+            # Cauchy bound on |w| as extra precision
+            bound = 1 + max(abs(c) for c in coeffs) / abs(coeffs[0])
+            try:
+                roots = mp.polyroots(coeffs, maxsteps=200, roots_init=seeds,
+                                     extraprec=10 + int(mp.log(bound, 2)))
+            except mp.NoConvergence as exc:
+                error = exc
+                continue
+            for w in roots:
+                theta = mp.mpc(mp.arg(w), -mp.log(abs(w)))
+                for z in (theta - 2 * mp.pi, theta, theta + 2 * mp.pi):
+                    zeros.append(complex(float(z.real), float(z.imag)))
+        break
+    else:
+        raise ZeroSearchError(
+            f"zero search: no convergence on the degree-{len(q.nums) - 1} symbol "
+            f"polynomial of scheme {scheme.name} at lambda={lam}"
+        ) from error
     if not zeros:
         return RadiusEstimate(
             value=math.inf,

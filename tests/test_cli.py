@@ -344,6 +344,30 @@ class TestCommandLineErrors:
         assert err == f"error: scheme heat_centered: lambda must be positive, got {value}\n"
         assert out == ""
 
+    # the size flags too, on the stencil whose derivation costs most
+    @pytest.mark.parametrize("argv, message", [
+        (["figures", "--lambdas", "1/4", "-N", "64", "--steps", "-1"], "steps must be >= 0"),
+        (["figures", "--lambdas", "1/4", "-N", "64", "--gridsize", "3"],
+         "the grid needs at least 4 points, got gridsize = 3"),
+        (["figures", "--lambdas", "1/4", "-N", "64", "--grid", "1"],
+         "grid needs at least the two endpoints"),
+        (["certify", "--lambdas", "1/5,1/4", "-N", "16", "--grid", "1"],
+         "grid needs at least the two endpoints"),
+    ], ids=["figures-steps", "figures-gridsize", "figures-grid", "certify-grid"])
+    def test_size_flags_refused_before_deriving(self, capsys, monkeypatch, tmp_path, argv,
+                                                message):
+        def derive_log(*_):
+            raise AssertionError("derived before the size flags were checked")
+
+        monkeypatch.setattr("modeq.cli.derive_log", derive_log)
+        f = tmp_path / "lam16.scheme"
+        f.write_text(LAM16)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--file", str(f), "--out", str(out_dir))
+        assert code == 1
+        assert err == f"error: scheme lam16: {message}\n"
+        assert out == "" and not out_dir.exists()
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "stability", *HEAT)
         assert code == 1

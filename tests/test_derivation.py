@@ -113,13 +113,25 @@ class TestFixedLambda:
         assert all(len(c.nums) <= 1 for c in fixed.coeffs)
 
     # the lambda^16 stencil, where D = 3003 d^17 at lambda = n/d
-    @pytest.mark.parametrize("order", [8, 32])
+    @pytest.mark.parametrize("order", [8, 32, 64])
     def test_lambda16_stencil(self, order):
         scheme = parse_scheme(LAM16)
         symbolic = derive_log(scheme, order)
         for lam in (Fraction(1, 5), Fraction(301, 400)):
             fixed = derive_log(scheme, order, lam)
             assert [c(lam) for c in fixed.coeffs] == [c(lam) for c in symbolic.coeffs]
+
+    @pytest.mark.parametrize("name", ["heat_centered", "upwind_euler", "lax_wendroff"])
+    def test_fixed_path_runs_on_plain_integers(self, monkeypatch, name):
+        def no_product(*_):
+            raise AssertionError("a polynomial product ran")
+
+        scheme, lam = catalog_scheme(name), Fraction(3127, 10000)
+        expected = derive_log(scheme, 24, lam)
+        monkeypatch.setattr("modeq.exactalg._add_product", no_product)
+        assert derive_log(scheme, 24, lam) == expected
+        with pytest.raises(AssertionError, match="a polynomial product ran"):
+            derive_log(scheme, 24)
 
     def test_series_at_lambda_is_the_series_evaluated(self, lax):
         lam = Fraction(-7, 3)

@@ -296,3 +296,25 @@ def test_log_of_one_plus_x():
     s = series([ONE, ONE], 8)
     assert series_log(s) == (ZERO, *[LambdaPoly.const(Fraction((-1) ** (p + 1), p))
                                      for p in range(1, 9)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.just(0), st.fractions(max_denominator=30)),
+                min_size=1, max_size=20))
+def test_log_of_constants_equals_the_dot_recurrence(coeffs):
+    # constants run on plain ints; the zeros skip products, whose powers of
+    # D the next product or the end must still pay
+    s = (LP_ONE, *[LambdaPoly.const(c) for c in coeffs])
+    assert series_log(s) == dot_series_log(s)
+
+
+def test_log_of_constants_runs_on_plain_integers(monkeypatch):
+    def no_product(*_):
+        raise AssertionError("a polynomial product ran")
+
+    constants = (LP_ONE, *[LambdaPoly.const(Fraction(k, 7)) for k in (3, 0, -2, 0, 5)])
+    expected = series_log(constants)
+    monkeypatch.setattr("modeq.exactalg._add_product", no_product)
+    assert series_log(constants) == expected
+    with pytest.raises(AssertionError, match="a polynomial product ran"):
+        series_log((LP_ONE, LAM, LAM))

@@ -4,17 +4,19 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import lp
+from conftest import LAM16, lp, random_stencils
 from modeq.cli import main
 from modeq.derivation import derive_log, symbol_polynomial
-from modeq.radius import (_log_fraction, heat_closed_form_radius, radius_root_test,
-                          radius_zero_search)
-from modeq.schemes import catalog_scheme, parse_scheme
+from modeq.exactalg import LP_ZERO, LambdaPoly
+from modeq.radius import (ZeroSearchError, _log_fraction, heat_closed_form_radius,
+                          radius_root_test, radius_zero_search)
+from modeq.schemes import SchemeSpec, catalog_scheme, parse_scheme
 from modeq.spectra import region_scan
 from oracles import bernoulli, euler_poly_at_zero, fraction_log
 
@@ -262,6 +264,106 @@ def test_lax_wendroff_unit_ratio_infinite(lax):
     est = radius_zero_search(lax, 1)
     assert math.isinf(est.value)
     assert est.diagnostics.coefficients_used == 0
+
+
+def _search(scheme, lam, seeded=True, digits=None):
+    """``radius_zero_search``'s JSON dict, or the text of its
+    ``ZeroSearchError``.  Unseeded, Durand-Kerner starts from mpmath's own
+    points; ``digits`` replaces the working digits it tries in turn."""
+    from modeq import radius
+
+    seeds = mock.Mock(wraps=radius._float_seeds if seeded else lambda nums: None)
+    with mock.patch.object(radius, "_ROOT_DPS", digits or radius._ROOT_DPS), \
+            mock.patch.object(radius, "_float_seeds", seeds):
+        try:
+            result = radius_zero_search(scheme, lam).to_json_dict()
+        except ZeroSearchError as exc:
+            result = str(exc)
+    assert seeds.call_count == 1
+    return result
+
+
+@st.composite
+def wide_stencils(draw):
+    """A stencil on offsets -3..3 whose weights are linear in lambda and
+    sum to zero."""
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    offsets = sorted(draw(st.sets(st.integers(-3, 3), min_size=2, max_size=7)))
+    weights = {p: LambdaPoly([draw(rationals), draw(rationals)]) for p in offsets[1:]}
+    weights[offsets[0]] = -sum(weights.values(), LP_ZERO)
+    assume(any(weights.values()))
+    return SchemeSpec(name="wide", q=1, stencil=weights, pde={1: Fraction(1)})
+
+
+class TestSeededZeroSearch:
+    """Durand-Kerner starts from float roots of Q; the roots it converges
+    to round to the floats of a search from mpmath's own start."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_stencils(), wide_stencils()),
+           st.fractions(min_value=0, max_value=4, max_denominator=1000).filter(bool))
+    def test_same_report_as_the_unseeded_search(self, scheme, lam):
+        assert _search(scheme, lam) == _search(scheme, lam, seeded=False)
+
+    @pytest.mark.parametrize("name", ["heat_centered", "upwind_euler", "lax_wendroff"])
+    def test_catalog_and_lambda16(self, name):
+        schemes = [catalog_scheme(name), parse_scheme(LAM16)]
+        for lam in (Fraction(1, 1000), Fraction(1, 5), Fraction(3127, 10000), Fraction(1, 2),
+                    Fraction(301, 400), Fraction(3, 2), Fraction(7, 3)):
+            for scheme in schemes:
+                assert _search(scheme, lam) == _search(scheme, lam, seeded=False)
+
+    # heat's Q has a double root at lambda = 1/4, and Lax-Wendroff's leading
+    # coefficient vanishes at lambda = 1: near them two seeds nearly coincide
+    # or one is far out.  Where the search at 50 digits from mpmath's own
+    # start converges, the report is its report.
+    @pytest.mark.parametrize("name, center, converged", [
+        ("heat_centered", Fraction(1, 4), 77), ("lax_wendroff", Fraction(1), 80)])
+    def test_near_double_roots_keep_the_report(self, name, center, converged):
+        scheme, compared = catalog_scheme(name), 0
+        for k in range(1, 41):
+            for lam in (center - Fraction(1, 10**k), center + Fraction(1, 10**k)):
+                today = _search(scheme, lam, seeded=False, digits=(50,))
+                if isinstance(today, dict):
+                    assert _search(scheme, lam) == today, lam
+                    compared += 1
+        assert compared == converged
+
+    def test_seeds_of_a_near_double_root_are_refused(self, heat):
+        from modeq.radius import _float_seeds
+
+        # the roots -1 +/- 4 sqrt(eps) + O(eps) lie 8e-6 and 8e-7 apart
+        for k, seeded in ((12, True), (14, False)):
+            q = symbol_polynomial(heat, Fraction(1, 4) - Fraction(1, 10**k))
+            assert (_float_seeds(q.nums) is not None) == seeded
+        assert _float_seeds((1,)) == []
+        assert len(_float_seeds((2, -3, 1))) == 2
+
+
+class TestNearQuarterHeat:
+    """Heat at lambda = 1/4 - eps, where the two roots of Q lie about
+    8 sqrt(eps) apart: 50 digits do not converge, and the retry does."""
+
+    @pytest.mark.parametrize("k", [13, 21, 40])
+    def test_matches_the_closed_form_in_mpmath(self, heat, k):
+        lam = Fraction(1, 4) - Fraction(1, 10**k)
+        with mpmath.workdps(120):
+            im = 2 * mpmath.acosh(1 / (2 * mpmath.sqrt(mpmath.mpf(lam.numerator)
+                                                       / lam.denominator)))
+            value = float(mpmath.hypot(mpmath.pi, im))
+        est = radius_zero_search(heat, lam)
+        assert est.diagnostics.zero.real == -math.pi
+        assert est.diagnostics.zero.imag == pytest.approx(-float(im), rel=1e-12)
+        assert est.value == pytest.approx(value, rel=1e-15)
+
+    def test_cli_writes_the_report(self, capsys):
+        code = main(["radius", "--catalog", "heat_centered",
+                     "--lambdas", "2499999999999/10000000000000", "-N", "16"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        (entry,) = json.loads(captured.out)["estimates"]
+        assert entry["zero_search"]["diagnostics"]["zero"]["im"] == \
+            pytest.approx(-1.2649110640675204e-06, rel=1e-12)
 
 
 class TestZeroSearchFailure:
