@@ -42,15 +42,14 @@ from typing import Mapping, Optional, Sequence
 
 from .derivation import (CrossCheckError, consistency_report, derive_log,
                          upwind_symmetry_check, verify_log)
-from .schemes import DEFAULT_GRID, SchemeSpec, catalog_scheme, parse_scheme
+from .schemes import catalog_scheme, parse_scheme
 
 # the highest series order -N accepts; it bounds the cost of the exact derivation
 MAX_ORDER = 64
 # the largest sizes the float flags accept; each bounds a scan's time and memory
-# (README, "Command line"): --lambda-range COUNT and --grid for the theta scans,
-# --steps and --gridsize for the figures mode evolution
+# (README, "Command line"): --lambda-range COUNT for the theta scans, --steps
+# and --gridsize for the figures mode evolution
 MAX_LAMBDA_SAMPLES = 10_000
-MAX_GRID = 65_536
 MAX_STEPS = 10_000
 MAX_GRIDSIZE = 1_024
 DEFAULT_ROOT_TEST_ORDER = 40
@@ -162,14 +161,6 @@ def _at_most(name: str, cap: int):
     return parse
 
 
-def _require_positive(scheme: SchemeSpec, lambdas: Sequence[Fraction]) -> None:
-    """Refuse lambda <= 0 before anything is derived, in the words of the
-    layers that refuse it (``radius``, ``spectra``)."""
-    for lam in lambdas:
-        if lam <= 0:
-            raise ValueError(f"scheme {scheme.name}: lambda must be positive, got {lam}")
-
-
 def _out_dir(args: argparse.Namespace, default: Optional[str] = None) -> Optional[Path]:
     """The --out directory, else ``default`` (None: stdout), created if missing."""
     if (raw := args.out or default) is None:
@@ -229,9 +220,7 @@ def cmd_regions(args: argparse.Namespace) -> int:
         raise UsageError("--lambda-range LO:HI:COUNT is required")
     lambda_range = _parse_range(args.lambda_range)
     orders = _parse_orders(args.orders, default=())
-    report = spectra.region_scan(
-        scheme, lambda_range, grid=args.grid, orders=orders
-    )
+    report = spectra.region_scan(scheme, lambda_range, orders=orders)
     out_dir = _out_dir(args, ".")
     payload = report.to_json_dict()
     _emit_json(payload, out_dir, f"{scheme.name}_regions.json")
@@ -252,9 +241,10 @@ def cmd_radius(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
     order = _single_order(args, DEFAULT_ROOT_TEST_ORDER)
-    _require_positive(scheme, lambdas)
     for lam in lambdas:
-        # a symbol beyond the float range fails here, before the derivation
+        # a lambda outside the domain, or a symbol beyond the float range,
+        # fails here, before the derivation
+        spectra.require_lambda(scheme.name, lam, positive=True)
         spectra.symbol_weights(scheme, lam)
     radius.require_root_test_order(scheme.name, order)
     # the radius depends only on the symbol, so the heat closed form applies
@@ -291,12 +281,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
             raise UsageError(f"--lambdas {first} and {lam} would both write "
                              f"{scheme.name}_lambda{_lambda_tag(lam)}.csv")
     lambdas = list(tags.values())  # a repeated lambda is computed and written once
-    # the size flags are refused before the derivation, in the layers' words
-    spectra.theta_grid(args.grid, scheme.name)
+    # lambda and the size flags are refused before the derivation, in the layers' words
+    for lam in lambdas:
+        spectra.require_lambda(scheme.name, lam, positive=False)
     empirics.require_evolution_sizes(scheme.name, args.steps, args.gridsize)
     # every table is computed before the first file is written
     modeq = derive_log(scheme, max(orders))
-    tables = spectra.figure_data(scheme, modeq, lambdas, orders, grid=args.grid)
+    tables = spectra.figure_data(scheme, modeq, lambdas, orders)
     evolutions = [empirics.evolve_and_compare(scheme, modeq, lam, max(orders), args.steps,
                                               args.gridsize) for lam in lambdas]
     out_dir = _out_dir(args, ".")
@@ -319,14 +310,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if (reference := 4 * max(orders)) > MAX_ORDER:
         raise UsageError(f"certify -N {max(orders)} needs the reference order 4N = {reference}, "
                          f"above the cap MAX_ORDER = {MAX_ORDER}; -N is at most {MAX_ORDER // 4}")
-    _require_positive(scheme, lambdas)
-    spectra.theta_grid(args.grid, scheme.name)  # a bad --grid is refused before deriving
+    for lam in lambdas:
+        spectra.require_lambda(scheme.name, lam, positive=True)  # before deriving
     certificates = []
     for lam in lambdas:
         # the certificate reads the c_p at lam only: derive them at lam
         certs = spectra.truncation_certificate(
             scheme, derive_log(scheme, reference, lam), lam, orders, support_m=args.support_m,
-            horizon_t=args.horizon_t, grid=args.grid,
+            horizon_t=args.horizon_t,
         )
         certificates += [cert.to_json_dict() for cert in certs]
     _emit_json({"scheme": scheme.name, "certificates": certificates}, _out_dir(args),
@@ -358,6 +349,11 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    # a flag is read only by its full name: an abbreviation would, for one,
+    # read a --grid given to figures as --gridsize
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad input, but 2 means a failed cross-check
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")
@@ -372,8 +368,6 @@ _FLAGS = {
     "-N LIST": dict(dest="orders", metavar="LIST", help="comma-separated truncation orders"),
     "--lambdas": dict(metavar="LIST", help="comma-separated mesh ratios (rationals or decimals)"),
     "--lambda-range": dict(metavar="LO:HI:COUNT", help="uniform mesh-ratio sweep"),
-    "--grid": dict(type=_at_most("MAX_GRID", MAX_GRID), default=DEFAULT_GRID,
-                   help="theta grid size on [0, pi] (default %(default)s)"),
     "--out": dict(metavar="DIR", help="output directory"),
 }
 
@@ -400,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_modeq)
 
     p = sub.add_parser("regions", help="scan stability/contraction regions")
-    _add_flags(p, "--catalog", "--file", "-N LIST", "--lambda-range", "--grid", "--out")
+    _add_flags(p, "--catalog", "--file", "-N LIST", "--lambda-range", "--out")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("radius", help="estimate the generator series radius")
@@ -408,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("figures", help="emit |S| vs |S_N| curve data")
-    _add_flags(p, "--catalog", "--file", "-N LIST", "--lambdas", "--grid", "--out")
+    _add_flags(p, "--catalog", "--file", "-N LIST", "--lambdas", "--out")
     p.add_argument("--steps", type=_at_most("MAX_STEPS", MAX_STEPS), default=100,
                    help="evolution steps for the mode-decay table")
     p.add_argument("--gridsize", type=_at_most("MAX_GRIDSIZE", MAX_GRIDSIZE), default=64,
@@ -416,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("certify", help="finite-horizon truncation certificate")
-    _add_flags(p, "--catalog", "--file", "-N LIST", "--lambdas", "--grid", "--out")
+    _add_flags(p, "--catalog", "--file", "-N LIST", "--lambdas", "--out")
     p.add_argument("--support-M", dest="support_m", type=_finite_nonnegative, default=math.pi,
                    help="frequency support bound (default pi)")
     p.add_argument("--horizon-T", dest="horizon_t", type=_finite_nonnegative, default=1.0,

@@ -25,8 +25,8 @@ import numpy as np
 
 from .derivation import CrossCheckError, ModifiedEq
 from .schemes import SchemeSpec
-from .spectra import (Number, _symbol_basis, _symbol_sum, eval_symbol, symbol_weights,
-                      truncated_amplification)
+from .spectra import (Number, _symbol_basis, _symbol_sum, eval_symbol, require_lambda,
+                      symbol_weights, truncated_amplification)
 
 __all__ = [
     "ModeComparison",
@@ -175,8 +175,7 @@ def evolve_and_compare(
     ``measured`` with the symbol only inside R_s.
     """
     require_evolution_sizes(scheme.name, steps, gridsize)
-    if lam < 0:
-        raise ValueError(f"scheme {scheme.name}: lambda must be nonnegative, got {lam}")
+    require_lambda(scheme.name, lam, positive=False)
     thetas = 2.0 * math.pi * np.arange(gridsize) / gridsize
     thetas[thetas > math.pi] -= 2.0 * math.pi
     # |S_N| on the theta array costs one exact evaluation of the c_p, not one

@@ -32,7 +32,7 @@ from mpmath import mp
 
 from .derivation import CrossCheckError, ModifiedEq, symbol_polynomial
 from .schemes import SchemeSpec
-from .spectra import Number, eval_symbol
+from .spectra import Number, eval_symbol, require_lambda
 
 __all__ = [
     "RadiusDiagnostics",
@@ -192,7 +192,9 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     raised precision.  It starts from Q's float roots (``_float_seeds``),
     or from its own points where two of them nearly coincide, and it is
     retried at 100 and then 200 digits when it does not converge at 50.
-    There is no search box: a Q without nonzero roots proves R infinite.
+    Each rung carries the digits by which Q's roots may lie below 1, less
+    ten.  There is no search box: a Q without nonzero roots proves R
+    infinite.
 
     Ties in modulus go to the smaller real part, then the smaller imaginary
     part (so -pi rather than +pi).  ``coefficients_used`` is the number of
@@ -200,16 +202,22 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     double precision, an independent check.  Raises ``ZeroSearchError``
     when the root finder does not converge at any of the digits.
     """
-    if float(lam) <= 0:
-        raise ValueError(f"scheme {scheme.name}: lambda must be positive, got {lam}")
+    require_lambda(scheme.name, lam, positive=True)
     q = symbol_polynomial(scheme, Fraction(lam))
     # the roots of Q, each simple, which polyroots finds to full precision
     # even where S has a multiple zero; it makes them monic
     nums = q.square_free().nums
     seeds = _float_seeds(nums)
+    # polyroots stops on an absolute step size and rounds a root below
+    # 10^-dps to 0: add the digits by which the Cauchy lower bound
+    # |a_0| / (|a_0| + max_k |a_k|) on |w| lies below 1, past the ten every
+    # rung resolves anyway
+    low = abs(nums[0])
+    extra = max(0, math.ceil(math.log10(low + max(map(abs, nums[1:]), default=0))
+                             - math.log10(low)) - 10)
     zeros = []
     for dps in _ROOT_DPS:
-        with mp.workdps(dps):
+        with mp.workdps(dps + extra):
             coeffs = [mp.mpf(c) for c in reversed(nums)]
             # polyroots stops on an absolute step size: carry the bits of the
             # Cauchy bound on |w| as extra precision
@@ -253,18 +261,24 @@ def heat_closed_form_radius(lam: Number) -> RadiusEstimate:
     The symbol 1 - 4 lambda sin^2(theta/2) vanishes where
     sin(theta/2) = 1/(2 sqrt(lambda)).  For lambda >= 1/4 that is the real
     zero 2 asin(1/(2 sqrt(lambda))); below 1/4 the nearest zeros are
-    pi +/- 2i acosh(1/(2 sqrt(lambda))).  The symbol is never consulted, so
-    this is a third route independent of the root test and the zero search.
+    pi +/- 2i acosh(1/(2 sqrt(lambda))).  The branch is taken on the exact
+    lambda (a float at its binary value), and the zero and its modulus are
+    evaluated at 50 digits and each rounded once.  The symbol is never
+    consulted, so this is a third route independent of the root test and
+    the zero search.
     """
-    lam_f = float(lam)
-    if lam_f <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if lam_f < 0.25:
-        zero = complex(math.pi, 2.0 * math.acosh(1.0 / (2.0 * math.sqrt(lam_f))))
-    else:
-        zero = complex(2.0 * math.asin(1.0 / (2.0 * math.sqrt(lam_f))), 0.0)
+    require_lambda(None, lam, positive=True)
+    x = Fraction(lam)
+    with mp.workdps(50):
+        u = 1 / (2 * mp.sqrt(mp.mpf(x.numerator) / x.denominator))
+        if x < Fraction(1, 4):
+            zero = mp.mpc(mp.pi, 2 * mp.acosh(u))
+        else:
+            zero = mp.mpc(2 * mp.asin(u), 0)
+        value = float(abs(zero))
+        zero = complex(float(zero.real), float(zero.imag))
     return RadiusEstimate(
-        value=abs(zero),
+        value=value,
         method="closed_form",
         diagnostics=RadiusDiagnostics(coefficients_used=0, residual=0.0, zero=zero),
     )

@@ -162,8 +162,6 @@ MAX_LAMBDA_POWER = 16
 # Largest stencil offset |p|: the zero search solves a polynomial of degree
 # up to twice this, and the grid evolution needs the stencil to fit its grid.
 MAX_STENCIL_OFFSET = 32
-# Theta grid size of the float evaluations; the CLI parser reads it without numpy.
-DEFAULT_GRID = 4096
 
 # one term of <poly>; '*' may only join a rational to lambda
 _TERM = re.compile(

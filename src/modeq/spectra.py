@@ -40,6 +40,7 @@ reach NaN; a NaN at pi (from inf - inf) fails step 2 and goes to step 4.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -47,7 +48,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .derivation import ModifiedEq, derive_log
-from .schemes import DEFAULT_GRID, SchemeSpec
+from .schemes import SchemeSpec
 
 __all__ = [
     "DEFAULT_GRID",
@@ -58,6 +59,7 @@ __all__ = [
     "TruncationEval",
     "StabilityCertificate",
     "FigureTable",
+    "require_lambda",
     "theta_grid",
     "symbol_weights",
     "eval_symbol",
@@ -67,6 +69,8 @@ __all__ = [
     "figure_data",
 ]
 
+# theta grid size of the float scans, figures and certificates
+DEFAULT_GRID = 4096
 DEFAULT_TOL = 1e-12
 
 Number = Union[int, float, Fraction]
@@ -75,6 +79,23 @@ Number = Union[int, float, Fraction]
 class CertificateRefusal(ValueError):
     """The certificate's hypothesis (lambda inside the contraction region)
     does not hold, so no bound is issued."""
+
+
+def require_lambda(scheme_name: Optional[str], lam: Number, *, positive: bool) -> None:
+    """The domain of the mesh ratio, decided on its exact value (a float at
+    its binary value): lambda >= 0, or with ``positive`` lambda > 0 and at
+    least the smallest normal double, below which float(lambda), which the
+    zero search's residual and the certificate's bound read, loses its
+    precision.  An error names ``scheme_name`` when it is given."""
+    prefix = "" if scheme_name is None else f"scheme {scheme_name}: "
+    if not positive:
+        if lam < 0:
+            raise ValueError(f"{prefix}lambda must be nonnegative, got {lam}")
+    elif lam <= 0:
+        raise ValueError(f"{prefix}lambda must be positive, got {lam}")
+    elif lam < sys.float_info.min:
+        raise ValueError(f"{prefix}lambda = {lam} lies below the smallest normal double "
+                         f"{sys.float_info.min!r}")
 
 
 def theta_grid(n: int = DEFAULT_GRID, scheme_name: Optional[str] = None) -> np.ndarray:
@@ -115,8 +136,7 @@ def eval_symbol(scheme: SchemeSpec, lam: Number, theta) -> complex:
 
     ``theta`` may be a real or complex scalar, or an ndarray.
     """
-    if lam < 0:
-        raise ValueError(f"scheme {scheme.name}: lambda must be nonnegative, got {lam}")
+    require_lambda(scheme.name, lam, positive=False)
     acc = _symbol_sum(symbol_weights(scheme, lam), _symbol_basis(scheme, theta))
     if np.ndim(theta) == 0:
         return complex(acc)
@@ -405,9 +425,8 @@ def truncation_certificate(
     them.  S and the c_p are evaluated at ``lam`` as given; its float value
     enters only the formulas for C and the bound.
     """
+    require_lambda(scheme.name, lam, positive=True)
     lam_f = float(lam)
-    if lam_f <= 0:
-        raise ValueError(f"scheme {scheme.name}: lambda must be positive, got {lam}")
     if modeq.order <= max(orders, default=0):
         raise ValueError(f"scheme {scheme.name}: reference order {modeq.order} must exceed "
                          f"the truncation order {max(orders)}")
@@ -416,7 +435,7 @@ def truncation_certificate(
     s = eval_symbol(scheme, lam, thetas)
     if float(np.max(np.abs(1.0 - s))) >= 1.0 - DEFAULT_TOL:
         raise CertificateRefusal(
-            f"lambda = {lam_f} lies outside the contraction region; "
+            f"scheme {scheme.name}: lambda = {lam_f} lies outside the contraction region; "
             f"the truncation bound does not apply"
         )
 

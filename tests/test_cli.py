@@ -185,8 +185,13 @@ class TestCommandLineErrors:
              "--lambda-range"),
             (["symmetry", "--lambdas", "1/4", "--catalog", "upwind_euler"], "--catalog"),
             (["symmetry", "--lambdas", "1/4", "--grid", "256"], "--grid"),
+            # the theta grid is the library's default, not a flag
+            (["regions", *HEAT, "--lambda-range", "0:1:601", "--grid", "100000000"], "--grid"),
+            (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--grid", "64"], "--grid"),
+            (["certify", *HEAT, "--lambdas", "1/5", "--grid", "65537"], "--grid"),
         ],
-        ids=["modeq", "regions", "radius", "figures", "certify", "symmetry", "symmetry-grid"],
+        ids=["modeq", "regions", "radius", "figures", "certify", "symmetry", "symmetry-grid",
+             "regions-grid", "figures-grid", "certify-grid"],
     )
     def test_unread_flag_exits_1(self, capsys, tmp_path, argv, flag):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -195,9 +200,10 @@ class TestCommandLineErrors:
         assert out == "" and not any(tmp_path.iterdir())
 
     def test_bad_flag_value_exits_1(self, capsys):
-        code, _, err = run(capsys, "radius", *HEAT, "--lambdas", "1/2", "--grid", "x")
+        code, _, err = run(capsys, "figures", *HEAT, "--lambdas", "1/2", "-N", "2",
+                           "--steps", "x")
         assert code == 1
-        assert err.startswith("error: ") and "--grid" in err
+        assert err.startswith("error: ") and "--steps" in err
 
     def test_grid_below_four_points_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "figures", *HEAT, "--lambdas", "1/4", "-N", "2",
@@ -205,8 +211,8 @@ class TestCommandLineErrors:
         assert code == 1
         assert err.startswith("error: ") and "at least 4 points" in err
 
-    @pytest.mark.parametrize("argv", [["modeq", *HEAT], ["figures", *HEAT, "--lambdas", "1/4",
-                                                         "-N", "2", "--grid", "64"]])
+    @pytest.mark.parametrize("argv", [["modeq", *HEAT],
+                                      ["figures", *HEAT, "--lambdas", "1/4", "-N", "2"]])
     def test_out_naming_a_file_exits_1(self, tmp_path, capsys, argv):
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
@@ -248,21 +254,17 @@ class TestCommandLineErrors:
         [
             (["regions", *HEAT, "--lambda-range", "0:1:1000000000000", "-N", "2"],
              "--lambda-range COUNT 1000000000000 is above the cap MAX_LAMBDA_SAMPLES = 10000"),
-            (["regions", *HEAT, "--lambda-range", "0:1:601", "--grid", "100000000"],
-             "argument --grid: 100000000 is above the cap MAX_GRID = 65536"),
             (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--steps",
               "100000000000000000000", "--gridsize", "4"],
              "argument --steps: 100000000000000000000 is above the cap MAX_STEPS = 10000"),
             (["regions", *HEAT, "--lambda-range", "0:1:10001"],
              "--lambda-range COUNT 10001 is above the cap MAX_LAMBDA_SAMPLES = 10000"),
-            (["certify", *HEAT, "--lambdas", "1/5", "--grid", "65537"],
-             "argument --grid: 65537 is above the cap MAX_GRID = 65536"),
             (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--steps", "10001"],
              "argument --steps: 10001 is above the cap MAX_STEPS = 10000"),
             (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--gridsize", "1025"],
              "argument --gridsize: 1025 is above the cap MAX_GRIDSIZE = 1024"),
         ],
-        ids=["count-huge", "grid-huge", "steps-huge", "count", "grid", "steps", "gridsize"],
+        ids=["count-huge", "steps-huge", "count", "steps", "gridsize"],
     )
     def test_size_above_its_cap_exits_1_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                         argv, message):
@@ -278,9 +280,8 @@ class TestCommandLineErrors:
 
     def test_caps_admit_their_own_values(self):
         args = build_parser().parse_args(["figures", *HEAT, "--lambdas", "1/4", "-N", "2",
-                                          "--grid", "65536", "--steps", "10000",
-                                          "--gridsize", "1024"])
-        assert (args.grid, args.steps, args.gridsize) == (65536, 10000, 1024)
+                                          "--steps", "10000", "--gridsize", "1024"])
+        assert (args.steps, args.gridsize) == (10000, 1024)
         assert _parse_range("0:1:10000") == (0.0, 1.0, 10000)
 
     # the '=' keeps argparse from reading -1/4 as an option
@@ -289,7 +290,7 @@ class TestCommandLineErrors:
         [
             (["radius", *HEAT, "--lambdas", "0", "-N", "16"], "lambda must be positive, got 0"),
             (["certify", *HEAT, "--lambdas", "0"], "lambda must be positive, got 0"),
-            (["figures", *HEAT, "--lambdas=-1/4", "-N", "2", "--grid", "64"],
+            (["figures", *HEAT, "--lambdas=-1/4", "-N", "2"],
              "lambda must be nonnegative, got -1/4"),
         ],
         ids=["radius", "certify", "figures"],
@@ -308,19 +309,12 @@ class TestCommandLineErrors:
             (["regions", *HEAT, "--lambda-range", "0.5:0.1:5"],
              "need 0 <= lo < hi, got (0.5, 0.1)"),
             (["regions", *HEAT, "--lambda-range", "0:1:1"], "need at least two lambda samples"),
-            (["regions", *HEAT, "--lambda-range", "0:1:5", "--grid", "10"],
-             "theta grid must have at least 64 points"),
             (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--steps", "-1"],
              "steps must be >= 0"),
             (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--gridsize", "3"],
              "the grid needs at least 4 points, got gridsize = 3"),
-            (["figures", *HEAT, "--lambdas", "1/4", "-N", "2", "--grid", "1"],
-             "grid needs at least the two endpoints"),
-            (["certify", *HEAT, "--lambdas", "1/5", "--grid", "1"],
-             "grid needs at least the two endpoints"),
         ],
-        ids=["regions-range", "regions-count", "regions-grid", "figures-steps",
-             "figures-gridsize", "figures-grid", "certify-grid"],
+        ids=["regions-range", "regions-count", "figures-steps", "figures-gridsize"],
     )
     def test_layer_input_error_names_scheme(self, capsys, tmp_path, argv, message):
         out_dir = tmp_path / "out"
@@ -329,31 +323,47 @@ class TestCommandLineErrors:
         assert err == f"error: scheme heat_centered: {message}\n"
         assert out == "" and not out_dir.exists()
 
-    # a derivation that cannot run shows that lambda is refused before it
-    @pytest.mark.parametrize("argv, value",
-                             [(["radius", *HEAT, "--lambdas", "1/2,0", "-N", "64"], "0"),
-                              (["certify", *HEAT, "--lambdas", "1/5,-1/4", "-N", "16"], "-1/4")],
-                             ids=["radius", "certify"])
-    def test_lambda_domain_refused_before_deriving(self, capsys, monkeypatch, argv, value):
+    # a derivation that cannot run shows that lambda is refused before it;
+    # radius and certify read float(lambda), so they refuse one below the
+    # smallest normal double too
+    @pytest.mark.parametrize("argv, message", [
+        (["radius", *HEAT, "--lambdas", "1/2,0", "-N", "64"], "lambda must be positive, got 0"),
+        (["certify", *HEAT, "--lambdas", "1/5,-1/4", "-N", "16"],
+         "lambda must be positive, got -1/4"),
+        (["radius", *HEAT, "--lambdas", "1/2,1e-310", "-N", "64"],
+         f"lambda = 1/{10 ** 310} lies below the smallest normal double "
+         "2.2250738585072014e-308"),
+        (["radius", *HEAT, "--lambdas", "1e-400", "-N", "16"],
+         f"lambda = 1/{10 ** 400} lies below the smallest normal double "
+         "2.2250738585072014e-308"),
+        (["certify", *HEAT, "--lambdas", "1/5,1e-310", "-N", "2"],
+         f"lambda = 1/{10 ** 310} lies below the smallest normal double "
+         "2.2250738585072014e-308"),
+        (["certify", *HEAT, "--lambdas", "1e-400", "-N", "2"],
+         f"lambda = 1/{10 ** 400} lies below the smallest normal double "
+         "2.2250738585072014e-308"),
+        (["figures", *HEAT, "--lambdas=1/4,-1/4", "-N", "64"],
+         "lambda must be nonnegative, got -1/4"),
+    ], ids=["radius", "certify", "radius-subnormal", "radius-below-double", "certify-subnormal",
+            "certify-below-double", "figures"])
+    def test_lambda_domain_refused_before_deriving(self, capsys, monkeypatch, tmp_path, argv,
+                                                   message):
         def derive_log(*_):
             raise AssertionError("derived before lambda was checked")
 
         monkeypatch.setattr("modeq.cli.derive_log", derive_log)
-        code, out, err = run(capsys, *argv)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
         assert code == 1
-        assert err == f"error: scheme heat_centered: lambda must be positive, got {value}\n"
-        assert out == ""
+        assert err == f"error: scheme heat_centered: {message}\n"
+        assert out == "" and not out_dir.exists()
 
     # the size flags too, on the stencil whose derivation costs most
     @pytest.mark.parametrize("argv, message", [
         (["figures", "--lambdas", "1/4", "-N", "64", "--steps", "-1"], "steps must be >= 0"),
         (["figures", "--lambdas", "1/4", "-N", "64", "--gridsize", "3"],
          "the grid needs at least 4 points, got gridsize = 3"),
-        (["figures", "--lambdas", "1/4", "-N", "64", "--grid", "1"],
-         "grid needs at least the two endpoints"),
-        (["certify", "--lambdas", "1/5,1/4", "-N", "16", "--grid", "1"],
-         "grid needs at least the two endpoints"),
-    ], ids=["figures-steps", "figures-gridsize", "figures-grid", "certify-grid"])
+    ], ids=["figures-steps", "figures-gridsize"])
     def test_size_flags_refused_before_deriving(self, capsys, monkeypatch, tmp_path, argv,
                                                 message):
         def derive_log(*_):
@@ -399,8 +409,6 @@ class TestRegionsCommand:
             *HEAT,
             "--lambda-range",
             "0:0.6:61",
-            "--grid",
-            "512",
             "-N",
             "4",
             "--out",
@@ -431,7 +439,7 @@ class TestRegionsCommand:
                                 lambda self, n, d: exact_calls.append(d) or num_den(self, n, d))
             out = tmp_path / name
             code, _, _ = run(capsys, "regions", "--file", str(f), "--lambda-range", "0.1:1.3:3",
-                             "-N", "2,8,64", "--grid", "64", "--out", str(out))
+                             "-N", "2,8,64", "--out", str(out))
             assert code == 0
             runs[name] = (values, len(exact_calls),
                           [(p.name, p.read_bytes()) for p in sorted(out.iterdir())])
@@ -449,11 +457,12 @@ class TestRegionsCommand:
         code, _, err = run(capsys, "regions", *HEAT, "--lambda-range", "0:0:5")
         assert code == 1
 
+    # the theta grid is not a flag: a request for another grid is refused
     def test_grid_below_64_points_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "regions", *HEAT, "--lambda-range", "0:0.6:5",
                            "--grid", "32", "--out", str(tmp_path))
         assert code == 1
-        assert err.startswith("error: ") and "at least 64 points" in err
+        assert err == "error: modeq: unrecognized arguments: --grid 32\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("lambda_range", ["0:inf:3", "nan:1:3", "0:nan:3", "-inf:1:3"])
@@ -556,8 +565,6 @@ class TestFiguresCommand:
             "0.5,0.25",
             "-N",
             "2,8",
-            "--grid",
-            "64",
             "--gridsize",
             "16",
             "--steps",
@@ -594,7 +601,7 @@ class TestFiguresCommand:
 
     def test_repeated_lambda_accepted(self, tmp_path, capsys):
         code, out, _ = run(capsys, "figures", *HEAT, "--lambdas", "1/4,0.25", "-N", "2",
-                           "--grid", "64", "--gridsize", "16", "--out", str(tmp_path))
+                           "--gridsize", "16", "--out", str(tmp_path))
         assert code == 0
         assert out.count("wrote ") == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -606,7 +613,7 @@ class TestFiguresCommand:
     def test_failed_table_exits_1_without_files(self, tmp_path, capsys, flag, value):
         out_dir = tmp_path / "figs"
         code, out, err = run(capsys, "figures", *HEAT, "--lambdas", "1/4", "-N", "2",
-                             "--grid", "64", flag, value, "--out", str(out_dir))
+                             flag, value, "--out", str(out_dir))
         assert code == 1
         assert out == "" and err.startswith("error: ")
         assert not out_dir.exists()
@@ -615,7 +622,7 @@ class TestFiguresCommand:
 class TestCertifyCommand:
     def test_inside_contraction_region(self, capsys):
         code, out, _ = run(
-            capsys, "certify", *HEAT, "--lambdas", "1/5", "-N", "4", "--grid", "512"
+            capsys, "certify", *HEAT, "--lambdas", "1/5", "-N", "4"
         )
         assert code == 0
         cert = json.loads(out)["certificates"][0]
@@ -626,6 +633,12 @@ class TestCertifyCommand:
         code, _, err = run(capsys, "certify", *HEAT, "--lambdas", "0.6", "-N", "4")
         assert code == 1
         assert "contraction region" in err
+
+    def test_refusal_names_the_scheme(self, capsys):
+        code, out, err = run(capsys, "certify", *HEAT, "--lambdas", "1/5,3/5", "-N", "4")
+        assert (code, out) == (1, "")
+        assert err == ("error: scheme heat_centered: lambda = 0.6 lies outside the "
+                       "contraction region; the truncation bound does not apply\n")
 
     def test_refusal_raised_inside_exits_1(self, capsys, monkeypatch):
         from modeq.spectra import CertificateRefusal
@@ -693,13 +706,13 @@ class TestSharedConstants:
             assert code == 0
             assert json.loads(out)["certificates"][0]["M"] == m
 
+    # a refused --grid leaves the next request the library's grid
     def test_regions_default_grid_after_explicit_grid(self, capsys, tmp_path):
         argv = ("regions", *HEAT, "--lambda-range", "0:1:3", "--out", str(tmp_path))
-        for extra, grid in ((("--grid", "64"), 64), ((), 4096)):
-            code, _, _ = run(capsys, *argv, *extra)
-            assert code == 0
-            report = json.loads((tmp_path / "heat_centered_regions.json").read_text())
-            assert report["grid"] == grid
+        for extra, code in ((("--grid", "64"), 1), ((), 0)):
+            assert run(capsys, *argv, *extra)[0] == code
+        report = json.loads((tmp_path / "heat_centered_regions.json").read_text())
+        assert report["grid"] == 4096
 
     # failures inside argparse (unknown flag, bad flag value, missing
     # subcommand) and in a subcommand after parsing
@@ -889,8 +902,6 @@ class TestDeterminism:
             "upwind_euler",
             "--lambda-range",
             "0:1.2:25",
-            "--grid",
-            "256",
         ]
         outputs = []
         for sub in ("a", "b"):
@@ -979,8 +990,8 @@ class TestDeterminism:
             data = (tmp_path / f"{name}_regions.{ext}").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, ext
 
-    # sha256 of the figures curve CSV and evolve CSV at default --grid,
-    # --steps and --gridsize, at one lambda inside R_s and one outside it.
+    # sha256 of the figures curve CSV and evolve CSV at the default theta
+    # grid, --steps and --gridsize, at one lambda inside R_s and one outside it.
     # They pin the |S| and |S_N| curves, the periodic-grid evolution and the
     # CSV writer to the byte; like the regions goldens they can depend on
     # the numpy build.
@@ -1017,7 +1028,7 @@ class TestDeterminism:
             assert hashlib.sha256(data).hexdigest() == digest, stem or "curve"
 
     # sha256 of certify reports with two lambdas or two orders, at the default
-    # --grid, M, T and reference order 4 max(N).  The orders of one lambda
+    # theta grid, M, T and reference order 4 max(N).  The orders of one lambda
     # share S and the reference partial sum, so these pin that sharing to
     # the bytes of one certificate per call.
     @pytest.mark.parametrize(
@@ -1044,7 +1055,7 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("heat_centered", "a833bdc127b0c642c64994860b92ef2be339ad5c52af78e58801d423f6280888"),
+            ("heat_centered", "eb73c6968a85cb323234d6cabe02df786e7136979ada4eaeb2160109a362e2ec"),
             ("upwind_euler", "8b34e934a6a0214a0a027ce16cfe415b23be4fa712f37ca717d403dc74275676"),
             ("lax_wendroff", "782a8398d7157ba9ce414a76e54014b8d625b9469f40f94a1a03d2908139fff9"),
         ],

@@ -60,13 +60,13 @@ print(json.dumps({{"code": code, "numpy": "numpy" in sys.modules,
     [
         (["modeq", "--catalog", "heat_centered", "-N", "8"], False, False),
         (["regions", "--catalog", "heat_centered", "--lambda-range", "0:1:5",
-          "-N", "2", "--grid", "64"], True, False),
+          "-N", "2"], True, False),
         (["radius", "--catalog", "heat_centered", "--lambdas", "1/4", "-N", "16"],
          True, True),
         (["figures", "--catalog", "heat_centered", "--lambdas", "1/4", "-N", "2",
-          "--grid", "64", "--steps", "2", "--gridsize", "8"], True, False),
-        (["certify", "--catalog", "heat_centered", "--lambdas", "1/5", "-N", "2",
-          "--grid", "64"], True, False),
+          "--steps", "2", "--gridsize", "8"], True, False),
+        (["certify", "--catalog", "heat_centered", "--lambdas", "1/5", "-N", "2"],
+         True, False),
         (["symmetry", "--lambdas", "1/4", "-N", "8"], False, False),
     ],
     ids=["modeq", "regions", "radius", "figures", "certify", "symmetry"],

@@ -366,6 +366,53 @@ class TestNearQuarterHeat:
             pytest.approx(-1.2649110640675204e-06, rel=1e-12)
 
 
+class TestTinyLambda:
+    """lambda far below 10^-50, where Q's small root lies below the absolute
+    10^-50 at which the root finder stops and rounds a root to 0: the search
+    carries the digits it needs.  Against the closed forms (heat, upwind)
+    and a 700-digit search (Lax-Wendroff)."""
+
+    POWERS = [52, 100, 200, 300]
+
+    @staticmethod
+    def _nearest(roots) -> float:
+        # theta = arg w - i ln |w|, with arg in (-pi, pi] the nearest branch
+        return float(min(mpmath.hypot(mpmath.arg(w), mpmath.log(abs(w))) for w in roots))
+
+    @pytest.mark.parametrize("k", POWERS)
+    def test_heat_and_upwind_equal_their_closed_forms(self, heat, upwind, k):
+        lam = Fraction(1, 10**k)
+        with mpmath.workdps(400):
+            x = mpmath.mpf(lam.numerator) / lam.denominator
+            # heat's zero is pi + 2i acosh(1/(2 sqrt x)), upwind's pi + i ln((1-x)/x)
+            heat_r = float(mpmath.hypot(mpmath.pi, 2 * mpmath.acosh(1 / (2 * mpmath.sqrt(x)))))
+            upwind_r = float(mpmath.hypot(mpmath.pi, mpmath.log((1 - x) / x)))
+        assert radius_zero_search(heat, lam).value == pytest.approx(heat_r, rel=1e-15)
+        assert radius_zero_search(upwind, lam).value == pytest.approx(upwind_r, rel=1e-15)
+        assert heat_closed_form_radius(lam).value == heat_r
+
+    @pytest.mark.parametrize("k", POWERS)
+    def test_lax_wendroff_equals_a_700_digit_search(self, lax, k):
+        lam = Fraction(1, 10**k)
+        nums = symbol_polynomial(lax, lam).nums
+        with mpmath.workdps(700):
+            # the large root lies near 2 * 10^k: carry its bits too
+            expected = self._nearest(mpmath.polyroots(
+                [mpmath.mpf(c) for c in reversed(nums)], maxsteps=200, extraprec=1100))
+        assert radius_zero_search(lax, lam).value == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["heat_centered", "upwind_euler", "lax_wendroff"])
+    @pytest.mark.parametrize("k", POWERS)
+    def test_cli_writes_the_report(self, capsys, name, k):
+        code = main(["radius", "--catalog", name, "--lambdas", f"1e-{k}", "-N", "16"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        (entry,) = json.loads(captured.out)["estimates"]
+        if entry["closed_form"] is not None:
+            assert entry["zero_search"]["value"] == \
+                pytest.approx(entry["closed_form"]["value"], rel=1e-15)
+
+
 class TestZeroSearchFailure:
     def test_no_convergence_exits_2_and_names_the_case(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -410,6 +457,24 @@ class TestClosedForm:
     def test_lambda_domain_names_the_value(self):
         with pytest.raises(ValueError, match=r"^lambda must be positive, got 0$"):
             heat_closed_form_radius(Fraction(0))
+
+    # the branch is taken on the exact lambda, and each field is the
+    # formula's value rounded once; at 1/4 - 10^-21 the zero is not real
+    @pytest.mark.parametrize("lam", [
+        Fraction(1, 4) - Fraction(1, 10**21), Fraction(1, 4) - Fraction(1, 10**13),
+        Fraction(1, 1000), Fraction(1, 5), Fraction(1, 4), Fraction(1, 2), Fraction(1),
+        Fraction(3, 2), 0.3,
+    ])
+    def test_fields_are_the_formula_rounded_once(self, lam):
+        x = Fraction(lam)
+        with mpmath.workdps(120):
+            u = 1 / (2 * mpmath.sqrt(mpmath.mpf(x.numerator) / x.denominator))
+            re, im = (mpmath.pi, 2 * mpmath.acosh(u)) if x < Fraction(1, 4) else \
+                (2 * mpmath.asin(u), mpmath.mpf(0))
+            value, zero = float(mpmath.hypot(re, im)), complex(float(re), float(im))
+        est = heat_closed_form_radius(lam)
+        assert (est.value, est.diagnostics.zero) == (value, zero)
+        assert (zero.imag > 0) == (x < Fraction(1, 4))
 
 
 def test_beam_warming_unit_ratio_is_a_shift(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Every command in README's "Command line" block runs and exits 0, the
-flag table lists exactly the flags each subcommand registers, the CSV column
+flag table lists exactly the flags each subcommand registers, the caps it
+names are the package's, the CSV column
 lists name the columns the tables write, and the
 "Library" example prints what its comments say, and the scheme-file example
-is the catalog's Lax-Wendroff scheme, so a flag, name or format change in
-the package cannot linger in the documentation."""
+is the catalog's Lax-Wendroff scheme, so a flag, cap, name or format change
+in the package cannot linger in the documentation."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from modeq import cli, schemes
 from modeq.cli import build_parser, main
 from modeq.derivation import derive_log
 from modeq.empirics import ModeComparison
@@ -52,6 +54,19 @@ def _parser_flags() -> dict:
     }
 
 
+def _command_line_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def _stated_caps() -> dict:
+    """Cap name -> the values README states for it, as "64 (`MAX_ORDER`)"."""
+    stated = {name: set() for name in re.findall(r"`(MAX_\w+)`", _command_line_section())}
+    for value, name in re.findall(r"(\d+)\s+\(`(MAX_\w+)`\)", _command_line_section()):
+        stated[name].add(int(value))
+    return stated
+
+
 def _csv_column_lists() -> list:
     """The column lists of README's "Output formats" section, in order."""
     section = README.read_text(encoding="utf-8").split("## Output formats", 1)[1]
@@ -76,6 +91,15 @@ def test_readme_command_exits_0(line, tmp_path, capsys):
 
 def test_flag_table_matches_parser():
     assert _table_flags() == _parser_flags()
+
+
+def test_caps_named_are_the_package_caps():
+    stated = _stated_caps()
+    for name, values in stated.items():
+        # one value, the constant's in modeq.cli or modeq.schemes
+        assert len(values) == 1, name
+        assert values == {getattr(m, name) for m in (cli, schemes) if hasattr(m, name)}, name
+    assert {name for name in vars(cli) if name.startswith("MAX_")} <= set(stated)
 
 
 def test_csv_columns_match_the_code():

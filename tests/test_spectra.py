@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from modeq.spectra import (
     _theta_coeffs,
     eval_symbol,
     figure_data,
+    require_lambda,
     truncation_certificate,
     region_scan,
     symbol_weights,
@@ -29,6 +31,45 @@ from modeq.spectra import (
     truncated_amplification,
 )
 from oracles import sweep_region_scan
+
+
+class TestLambdaDomain:
+    """One rule for the mesh ratio, on its exact value."""
+
+    @pytest.mark.parametrize("lam", [0, 0.0, Fraction(0), 1e-300, Fraction(1, 10**400)])
+    def test_nonnegative_admits_zero_and_tiny(self, lam):
+        require_lambda("heat_centered", lam, positive=False)
+
+    @pytest.mark.parametrize("lam", [-1, -5e-324, Fraction(-1, 10**400)])
+    def test_negative_refused(self, lam):
+        with pytest.raises(ValueError, match=rf"^scheme s: lambda must be nonnegative, "
+                                             rf"got {lam}$"):
+            require_lambda("s", lam, positive=False)
+
+    @pytest.mark.parametrize("lam", [0, 0.0, -0.5, Fraction(-1, 4)])
+    def test_positive_refuses_zero_and_below(self, lam):
+        with pytest.raises(ValueError, match=rf"^scheme s: lambda must be positive, got {lam}$"):
+            require_lambda("s", lam, positive=True)
+
+    # the smallest normal double is admitted, anything below it refused
+    def test_positive_refuses_below_the_smallest_normal_double(self):
+        tiny = sys.float_info.min
+        require_lambda("s", tiny, positive=True)
+        require_lambda("s", Fraction(tiny), positive=True)
+        for lam in (Fraction(tiny) - Fraction(1, 10**400), tiny / 2, 5e-324):
+            with pytest.raises(ValueError, match=r"^scheme s: lambda = .* lies below the "
+                                                 r"smallest normal double "
+                                                 r"2\.2250738585072014e-308$"):
+                require_lambda("s", lam, positive=True)
+
+    def test_message_without_a_scheme(self):
+        with pytest.raises(ValueError, match=r"^lambda must be positive, got 0$"):
+            require_lambda(None, 0, positive=True)
+
+    def test_certificate_refuses_a_subnormal_lambda(self, heat):
+        modeq = derive_log(heat, 16)
+        with pytest.raises(ValueError, match="smallest normal double"):
+            truncation_certificate(heat, modeq, 1e-310, (4,), math.pi, 1.0)
 
 
 class TestEvalSymbol:
@@ -595,6 +636,16 @@ class TestUpwindSymmetry:
 class TestFigureData:
     def test_empty_lambda_list(self, heat):
         assert figure_data(heat, derive_log(heat, 8), [], (2, 8)) == []
+
+    # the theta grid is a library argument; a grid without both endpoints
+    # is refused in the scheme's name, by the figures and the certificate
+    def test_grid_below_two_points_names_the_scheme(self, heat):
+        modeq = derive_log(heat, 16)
+        message = r"^scheme heat_centered: grid needs at least the two endpoints$"
+        with pytest.raises(ValueError, match=message):
+            figure_data(heat, modeq, [Fraction(1, 4)], (2,), grid=1)
+        with pytest.raises(ValueError, match=message):
+            truncation_certificate(heat, modeq, Fraction(1, 5), (4,), math.pi, 1.0, grid=1)
 
     def test_table_shape(self, heat):
         tables = figure_data(
