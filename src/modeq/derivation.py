@@ -196,10 +196,8 @@ def derive_log(scheme: SchemeSpec, order: int, lam: Optional[Fraction] = None) -
         raise ValueError(f"scheme {scheme.name}: a fixed-lambda derivation needs lambda != 0")
     logs = series_log(symbol_series(scheme, order, lam))[1:]
     if lam is not None:
-        n, d = lam.as_integer_ratio()
-        d, n = (d, n) if n > 0 else (-d, -n)
-        return ModifiedEq(scheme_name=scheme.name, q=scheme.q, lam=lam, coeffs=tuple(
-            [LambdaPoly.from_nums([x * d for x in poly.nums], poly.den * n) for poly in logs]))
+        return ModifiedEq(scheme_name=scheme.name, q=scheme.q, lam=lam,
+                          coeffs=tuple([_over_lambda(poly, lam) for poly in logs]))
     coeffs = []
     for p, poly in enumerate(logs, start=1):
         try:
@@ -210,6 +208,21 @@ def derive_log(scheme: SchemeSpec, order: int, lam: Optional[Fraction] = None) -
                 f"is not divisible by lambda; the consistency invariant is broken upstream"
             ) from exc
     return ModifiedEq(scheme_name=scheme.name, q=scheme.q, coeffs=tuple(coeffs))
+
+
+def _over_lambda(l: LambdaPoly, lam: Fraction) -> LambdaPoly:
+    """The constant l / lam, for a constant l = m/D and lam = n/d, each in
+    lowest terms: with g1 = gcd(m, n) and g2 = gcd(d, D), the parts
+    (m/g1 * d/g2) / (D/g2 * n/g1) are coprime already, so no gcd of the
+    product is taken."""
+    if not l:
+        return l
+    (m,), big_d = l.nums, l.den
+    n, d = lam.as_integer_ratio()
+    if n < 0:
+        n, d = -n, -d
+    g1, g2 = math.gcd(m, n), math.gcd(d, big_d)
+    return LambdaPoly._from_reduced(((m // g1) * (d // g2),), (big_d // g2) * (n // g1))
 
 
 def verify_log(scheme: SchemeSpec, modeq: ModifiedEq) -> None:

@@ -76,6 +76,18 @@ def _as_fraction(x: ScalarLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _ratio(x: ScalarLike) -> tuple:
+    """Python ints (n, d) in lowest terms with d > 0 and n/d = x, from x's
+    own ``as_integer_ratio`` (an int, a float at its binary value, a
+    Fraction), through a Fraction for a type without one: a numpy int, whose
+    Fraction keeps numpy ints as its parts."""
+    ratio = getattr(x, "as_integer_ratio", None)
+    if ratio:
+        return ratio()
+    x = _as_fraction(x)
+    return int(x.numerator), int(x.denominator)
+
+
 # Tuples, including star-arguments, are built from lists here, not from
 # generators: CPython allocates a generator's tuple at a guessed length and
 # resizes it, which moves memory from one tuple free list to another, so the
@@ -116,6 +128,15 @@ class LambdaPoly:
         list becomes the polynomial's, so the caller must not reuse it."""
         poly = object.__new__(cls)
         poly._reduce(nums, den)
+        return poly
+
+    @classmethod
+    def _from_reduced(cls, nums: tuple, den: int) -> "LambdaPoly":
+        """The polynomial whose fields are ``nums`` and ``den``, which the
+        caller has put in the canonical form already: no gcd is taken."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nums", nums)
+        object.__setattr__(poly, "den", den)
         return poly
 
     def __setattr__(self, name, value) -> None:
@@ -220,7 +241,7 @@ class LambdaPoly:
         """Exact evaluation at a rational point."""
         if not self:
             return Fraction(0)
-        return Fraction(*self._num_den(*_as_fraction(lam).as_integer_ratio()))
+        return Fraction(*self._num_den(*_ratio(lam)))
 
     def float_at(self, lam: ScalarLike) -> float:
         """``float(self(lam))``, correctly rounded, by Ziv's rising precision.
@@ -238,7 +259,7 @@ class LambdaPoly:
         nums = self.nums
         if not nums:
             return 0.0
-        n, d = _as_fraction(lam).as_integer_ratio()
+        n, d = _ratio(lam)
         size = (len(nums) - 1) * (n.bit_length() + d.bit_length())
         prec = _ZIV_START_BITS if size >= _ZIV_MIN_BITS else size
         while prec < size:

@@ -197,7 +197,9 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
     infinite.
 
     Ties in modulus go to the smaller real part, then the smaller imaginary
-    part (so -pi rather than +pi).  ``coefficients_used`` is the number of
+    part (so -pi rather than +pi).  The radius is the modulus of that zero
+    taken at the root finder's digits and rounded once, not the modulus of
+    its rounded parts.  ``coefficients_used`` is the number of
     nonzero roots of Q with multiplicity; ``residual`` is |S| at the zero in
     double precision, an independent check.  Raises ``ZeroSearchError``
     when the root finder does not converge at any of the digits.
@@ -231,7 +233,7 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
             for w in roots:
                 theta = mp.mpc(mp.arg(w), -mp.log(abs(w)))
                 for z in (theta - 2 * mp.pi, theta, theta + 2 * mp.pi):
-                    zeros.append(complex(float(z.real), float(z.imag)))
+                    zeros.append((complex(float(z.real), float(z.imag)), z))
         break
     else:
         raise ZeroSearchError(
@@ -244,10 +246,12 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
             method="zero_search",
             diagnostics=RadiusDiagnostics(coefficients_used=0, residual=0.0),
         )
-    best = min(zeros, key=lambda z: (round(abs(z) / 1e-9), z.real, z.imag))
+    best, exact = min(zeros, key=lambda z: (round(abs(z[0]) / 1e-9), z[0].real, z[0].imag))
+    with mp.workdps(dps + extra):
+        value = float(abs(exact))
     residual = abs(eval_symbol(scheme, lam, best))
     return RadiusEstimate(
-        value=abs(best),
+        value=value,
         method="zero_search",
         diagnostics=RadiusDiagnostics(
             coefficients_used=len(q.nums) - 1, residual=residual, zero=best

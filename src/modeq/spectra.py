@@ -14,15 +14,18 @@ value) and each is rounded to a float once, correctly
 
 A region scan does its lambda-free work once: it builds the basis
 e^{i p theta} on the theta grid once per scan and, per lambda, sums a_p
-times that basis and rounds only the even c_p (all that Re P_N reads).
-Each lambda writes S, the products a_p e^{i p theta}, 1 - S, |S|, |1 - S|
-and Re P_N into six arrays made once per scan, so a sample allocates no
-grid-sized array.  Its floats are those of ``eval_symbol`` and ``polyval``:
-the same ufuncs in the same order, and the Horner steps are ``polyval``'s,
-less the adds of +0.0 at odd powers.
+times that basis and rounds only the even c_p (all that Re P_N reads),
+each from the float lambda's own integer ratio.  Each lambda writes S, the
+products a_p e^{i p theta}, 1 - S, |S|, |1 - S|, the test |1 - S| >= 1 and
+Re P_N into arrays made once per scan, so a sample allocates no grid-sized
+array.  Its floats are those of ``eval_symbol`` and ``polyval``: the same
+ufuncs in the same order, and the Horner steps are ``polyval``'s, less the
+adds of +0.0 at odd powers.  S starts from its first term rather than from
+0, which changes only the sign of a zero, and the scan reads only |S| and
+|1 - S|.
 
 A truncation verdict, Re P_N <= tol at every grid point, is what the
-Horner sweep of the whole grid would give, decided in four steps
+Horner sweep of the whole grid would give, decided in six steps
 (``_truncation_stable``).  The grid lies in [0, pi] with pi its last
 point, the row's even entries d (the signed c_{2k}) are finite and its odd
 ones +0.0, and IEEE rounding is monotone, so each rounded * and + by a
@@ -32,9 +35,19 @@ value of one sign keeps that sign and, for x >= 0, its order in x:
      > tol: that grid value exceeds tol, so unstable;
   3. every d >= 0: the values are non-decreasing in theta, so the one at
      pi, <= tol by step 2, is the grid maximum, and stable;
-  4. else the signs are mixed, and the full sweep decides.
-With one sign, Horner can overflow to an infinity of that sign but never
-reach NaN; a NaN at pi (from inf - inf) fails step 2 and goes to step 4.
+  4. the same Horner steps run on the interval x in [0, pi] end at an
+     upper bound <= tol: stable.  For x >= 0 a rounded v * x is
+     non-decreasing in v and monotone in x, so over v <= hi it is at most
+     its larger corner: 0 at x = 0, where every value is finite, or
+     hi * pi; a rounded v + d is non-decreasing in v;
+  5. the Horner value at the grid point where this row's previous sweep
+     peaked, by the same float steps on Python floats, is > tol: that grid
+     value exceeds tol, so unstable;
+  6. else the full sweep decides.
+No step meets NaN: the d are finite, so an infinity plus d stays that
+infinity, and at x = 0, where an infinity times x would be NaN, every
+value is finite.  So an overflow needs no guard: -inf is a value or a
+bound like any other, and +inf fails the test of its step.
 """
 
 from __future__ import annotations
@@ -109,15 +122,17 @@ def theta_grid(n: int = DEFAULT_GRID, scheme_name: Optional[str] = None) -> np.n
 
 def _rounded(terms, lam: Number, scheme_name: str, label: str) -> list[float]:
     """The polynomial of each (p, poly) in ``terms`` evaluated exactly at
-    ``Fraction(lam)`` (a float lambda at its binary value) and rounded once.
-    A value beyond the float range raises the ValueError "scheme NAME:
-    LABEL_p at lambda = LAM is beyond the float range"."""
-    x = Fraction(lam)
+    ``lam`` (a float lambda at its binary value) and rounded once.  A value
+    beyond the float range raises the ValueError "scheme NAME: LABEL_p at
+    lambda = LAM is beyond the float range"; an infinite lambda, which has
+    no exact value, raises the OverflowError of ``Fraction(lam)``."""
     out = []
     try:
         for p, poly in terms:
-            out.append(poly.float_at(x))
+            out.append(poly.float_at(lam))
     except OverflowError as exc:
+        if lam in (math.inf, -math.inf):
+            raise
         raise ValueError(
             f"scheme {scheme_name}: {label}_{p} at lambda = {lam} is beyond the float range"
         ) from exc
@@ -149,27 +164,13 @@ def _symbol_basis(scheme: SchemeSpec, theta) -> list:
     return [None if p == 0 else np.exp(1j * p * th) for p, _ in scheme.symbol]
 
 
-def _symbol_sum(weights: list, basis: list, out: Optional[tuple] = None):
+def _symbol_sum(weights: list, basis: list):
     """sum_p a_p basis_p in offset order, from 0 (so a -0.0 sum reads +0.0);
-    a_0 is added as is.  ``out = (acc, term)``, two complex arrays of the
-    basis's shape, makes the sum in acc and each product in term."""
-    acc, term = (0, None) if out is None else out
-    if out is not None:
-        acc.fill(0)
+    a_0 is added as is."""
+    acc = 0
     for (_, a), e in zip(weights, basis):
-        if e is not None:
-            a = a * e if term is None else np.multiply(a, e, out=term)
-        acc += a  # in place once acc is an array
+        acc += a if e is None else a * e  # in place once acc is an array
     return acc
-
-
-def _theta_m_from_values(thetas: np.ndarray, one_minus_s: np.ndarray) -> float:
-    """Largest theta* <= pi such that |1 - S| < 1 at every grid point below
-    theta*; pi when the contraction inequality holds on all of [0, pi]."""
-    bad = np.nonzero(one_minus_s >= 1.0)[0]
-    if bad.size == 0:
-        return math.pi
-    return float(thetas[bad[0]])
 
 
 def _even_horner(x, c: list, out: Optional[np.ndarray] = None):
@@ -186,18 +187,47 @@ def _even_horner(x, c: list, out: Optional[np.ndarray] = None):
     return v
 
 
-def _truncation_stable(thetas: np.ndarray, c: list, out: np.ndarray) -> bool:
+def _horner_upper(c: list, x_max: float) -> float:
+    """The upper end of ``_even_horner``'s steps run on the interval
+    x in [0, x_max]: each product's upper end is the larger of its corners
+    at x = 0 (a zero, since every value there is finite) and at x_max, and
+    each add shifts it by c[k].  The lower end never enters it."""
+    hi = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        hi *= x_max
+        if hi < 0.0:
+            hi = 0.0
+        if k % 2 == 0:
+            hi += c[k]
+    return hi
+
+
+def _truncation_stable(thetas: np.ndarray, c: list, out: np.ndarray,
+                       signs: Optional[tuple] = None) -> bool:
     """Whether sum_k c[k] theta^k <= DEFAULT_TOL at every point of
     ``thetas``, a ``theta_grid``, as the sweep ``_even_horner(thetas, c,
-    out)`` would say, by the four steps of the module docstring.  ``c``
-    holds finite floats, +0.0 at odd k; a sweep writes its values into ``out``."""
-    evens = c[::2]
-    if all(d <= 0 for d in evens):
+    out)`` would say, by the six steps of the module docstring.  ``c``
+    holds finite floats, +0.0 at odd k; ``signs`` is (every even entry
+    <= 0, every even entry >= 0) when the caller knows it.
+
+    Step 4's bound (``_horner_upper``) is at least every grid value, since
+    each of its steps is a corner of the rounded step over the grid's
+    values, so a bound <= tol means a grid maximum <= tol.  Step 5's
+    witness is the grid point where ``out`` peaks; the Python-float steps
+    give the sweep's own value there, bit for bit, so a value > tol means
+    a grid maximum > tol whatever ``out`` held.  In a scan ``out`` holds
+    this row's previous sweep; a sweep writes its values into it."""
+    nonpositive, nonnegative = signs or (all(d <= 0 for d in c[::2]),
+                                         all(d >= 0 for d in c[::2]))
+    if nonpositive:
         return True
-    if _even_horner(thetas[-1].item(), c) > DEFAULT_TOL:
+    x_max = thetas[-1].item()
+    if _even_horner(x_max, c) > DEFAULT_TOL:
         return False
-    if all(d >= 0 for d in evens):
+    if nonnegative or _horner_upper(c, x_max) <= DEFAULT_TOL:
         return True
+    if _even_horner(thetas[out.argmax()].item(), c) > DEFAULT_TOL:
+        return False
     return bool(_even_horner(thetas, c, out).max() <= DEFAULT_TOL)
 
 
@@ -288,9 +318,10 @@ def region_scan(
     max |S| <= 1 + tol over the theta grid, and inside the contraction region
     when max |1 - S| < 1 - tol.  For each requested truncation order N, the
     truncation is marked stable when Re P_N(theta) <= tol on the whole grid,
-    decided from the signs of its coefficients and its value at pi where
-    they suffice (see the module docstring).  theta_m is the grid point
-    where |1 - S| first reaches 1, or pi.
+    decided without a sweep of the grid where the signs of its
+    coefficients, its value at pi, an interval bound or a witness suffice
+    (see the module docstring).  theta_m is the grid point where |1 - S|
+    first reaches 1, or pi.
     """
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
@@ -306,28 +337,51 @@ def region_scan(
     thetas = theta_grid(grid)
     basis = _symbol_basis(scheme, thetas)
     s, term, oms = (np.empty(grid, dtype=complex) for _ in range(3))
-    abs_s, abs_oms, re_p = (np.empty(grid) for _ in range(3))
-    lams = np.linspace(float(lo), float(hi), int(count))
+    abs_s, abs_oms = np.empty(grid), np.empty(grid)
+    bad = np.empty(grid, dtype=bool)
+    # one Re P_N row per order, holding its last sweep, whose peak is the
+    # next witness
+    re_p = np.zeros((len(orders), grid))
+    top = orders[-1] if orders else 0
+    row = [0.0] * (top + 1)
     samples = []
-    for lam in lams:
-        _symbol_sum(symbol_weights(scheme, float(lam)), basis, out=(s, term))
+    for lam in np.linspace(float(lo), float(hi), int(count)).tolist():
+        # S from its first term, not from a zero fill: only a zero's sign
+        # differs, and the scan reads |S| and |1 - S|
+        weights = _rounded(scheme.symbol, lam, scheme.name, "symbol coefficient a")
+        for k, (a, e) in enumerate(zip(weights, basis)):
+            if k:
+                s += a if e is None else np.multiply(a, e, out=term)
+            elif e is None:
+                s.fill(a)
+            else:
+                np.multiply(a, e, out=s)
         np.abs(s, out=abs_s)
         np.abs(np.subtract(1.0, s, out=oms), out=abs_oms)
+        max_abs_s = abs_s.max().item()
+        max_abs_oms = abs_oms.max().item()
+        # below 1 everywhere (a NaN maximum is not): no grid point to find
+        theta_m = math.pi
+        if not max_abs_oms < 1.0:
+            i = np.greater_equal(abs_oms, 1.0, out=bad).argmax()
+            if bad[i]:
+                theta_m = thetas[i].item()
         trunc = {}
         if orders:
-            re_g = [0.0] * (orders[-1] + 1)
-            re_g[2::2] = _signed_coeffs(modeq, lam, range(2, orders[-1] + 1, 2))
-            for n in orders:
-                trunc[n] = _truncation_stable(thetas, re_g[: n + 1], re_p)
-        max_abs_s = float(abs_s.max())
-        max_abs_oms = float(abs_oms.max())
+            row[2::2] = _signed_coeffs(modeq, lam, range(2, top + 1, 2))
+            # the nested rows' sign facts: the first positive and first
+            # negative entry of the longest row
+            first_pos = next((k for k, d in enumerate(row) if d > 0), top + 1)
+            first_neg = next((k for k, d in enumerate(row) if d < 0), top + 1)
+            for n, out in zip(orders, re_p):
+                trunc[n] = _truncation_stable(thetas, row[: n + 1], out,
+                                              (first_pos > n, first_neg > n))
         samples.append(
             LambdaSample(
-                lam=float(lam),
+                lam=lam,
                 max_abs_s=max_abs_s,
                 max_abs_one_minus_s=max_abs_oms,
-                # below 1 everywhere (a NaN maximum is not): no grid point to find
-                theta_m=math.pi if max_abs_oms < 1.0 else _theta_m_from_values(thetas, abs_oms),
+                theta_m=theta_m,
                 in_rs=max_abs_s <= 1.0 + DEFAULT_TOL,
                 in_omega_c=max_abs_oms < 1.0 - DEFAULT_TOL,
                 trunc_stable=trunc,

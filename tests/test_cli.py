@@ -1056,7 +1056,7 @@ class TestDeterminism:
         "name, digest",
         [
             ("heat_centered", "eb73c6968a85cb323234d6cabe02df786e7136979ada4eaeb2160109a362e2ec"),
-            ("upwind_euler", "8b34e934a6a0214a0a027ce16cfe415b23be4fa712f37ca717d403dc74275676"),
+            ("upwind_euler", "bdd922edf9b405487c0eac5d27d2df108a83918f10970fa6cd14ccf7d94f236b"),
             ("lax_wendroff", "782a8398d7157ba9ce414a76e54014b8d625b9469f40f94a1a03d2908139fff9"),
         ],
     )

@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import LAM16, lp, random_stencils
 from modeq.exactalg import LP_ONE, LambdaPoly, series_log
@@ -111,6 +111,21 @@ class TestFixedLambda:
         assert [c(lam) for c in fixed.at(lam)] == [c(lam) for c in symbolic.coeffs]
         # each fixed c_p is a constant
         assert all(len(c.nums) <= 1 for c in fixed.coeffs)
+
+    # c_p = l_p / lambda is put together from the reduced parts of both and
+    # never reduced again: its fields must be those of the canonical form,
+    # also for lambda < 0 and for a c_p that is zero (heat's odd orders)
+    @settings(max_examples=60, deadline=None)
+    @example(catalog_scheme("heat_centered"), 9, Fraction(-3, 7))
+    @given(random_stencils(), st.integers(1, 16),
+           st.fractions(min_value=-4, max_value=4, max_denominator=10**6).filter(bool))
+    def test_each_coefficient_is_canonical(self, scheme, order, lam):
+        logs = series_log(symbol_series(scheme, order, lam))[1:]
+        n, d = lam.as_integer_ratio()
+        canonical = [LambdaPoly.from_nums([x * d * (1 if n > 0 else -1) for x in l.nums],
+                                          l.den * abs(n)) for l in logs]
+        fixed = derive_log(scheme, order, lam).coeffs
+        assert [(c.nums, c.den) for c in fixed] == [(c.nums, c.den) for c in canonical]
 
     # the lambda^16 stencil, where D = 3003 d^17 at lambda = n/d
     @pytest.mark.parametrize("order", [8, 32, 64])

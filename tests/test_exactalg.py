@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -89,6 +90,14 @@ class TestLambdaPoly:
         p = lp("1/12", "-1/2")
         assert p(Fraction(1, 6)) == 0
         assert p(0) == Fraction(1, 12)
+
+    # lambda's own integer ratio where it has one; a numpy int has none and
+    # goes through a Fraction
+    @pytest.mark.parametrize("x", [3, Fraction(3, 7), 0.3, np.float64(0.3), np.int64(3)])
+    def test_float_at_reads_every_rational_type(self, x):
+        p = lp("1/3", "-2", "5/7")
+        exact = sum(c * Fraction(x) ** k for k, c in enumerate(p.coeffs))
+        assert (p.float_at(x), p(x)) == (float(exact), exact)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.fractions(), st.integers(-10**320, 10**320)), max_size=5),

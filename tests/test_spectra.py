@@ -66,6 +66,12 @@ class TestLambdaDomain:
         with pytest.raises(ValueError, match=r"^lambda must be positive, got 0$"):
             require_lambda(None, 0, positive=True)
 
+    # an infinite lambda has no exact value to round: the OverflowError of
+    # its integer ratio, not the "beyond the float range" of a rounded term
+    def test_infinite_lambda_has_no_exact_value(self, heat):
+        with pytest.raises(OverflowError, match="^cannot convert Infinity to integer ratio$"):
+            eval_symbol(heat, math.inf, 0.0)
+
     def test_certificate_refuses_a_subnormal_lambda(self, heat):
         modeq = derive_log(heat, 16)
         with pytest.raises(ValueError, match="smallest normal double"):
@@ -189,8 +195,10 @@ class TestRegionScan:
         _even_horner(thetas, c.tolist(), out)
         expected = np.polynomial.polynomial.polyval(thetas, c)
         assert out.tobytes() == expected.tobytes()
-        # the same steps on Python floats, as the verdict runs them at pi
-        assert _even_horner(thetas[-1].item(), c.tolist()).hex() == out[-1].item().hex()
+        # the same steps on Python floats, as the verdict runs them at pi and
+        # at its witness, give the sweep's value at every grid point
+        assert [_even_horner(x, c.tolist()).hex() for x in thetas.tolist()] == \
+            [v.hex() for v in out.tolist()]
 
     def test_scan_rounds_only_the_even_coefficients(self, upwind, monkeypatch):
         # Re P_N reads c_p at even p only: 301 samples of 2 a_p and 32 even c_p
@@ -246,7 +254,7 @@ def _sample_bits(samples) -> list:
 
 # the even entries of a Re P_N row: all <= 0, all >= 0 or of mixed signs,
 # with +-0.0, values near DEFAULT_TOL and magnitudes up to 1e300, where
-# Horner overflows to +-inf and, with mixed signs, to NaN
+# Horner overflows to +-inf (never to NaN: the entries are finite)
 _EDGE_VALUES = [0.0, -0.0, DEFAULT_TOL, -DEFAULT_TOL, 5e-324, 1.0, 1e300, -1e300]
 _SIGNS = {"nonpositive": lambda v: -abs(v), "nonnegative": abs, "mixed": lambda v: v}
 
@@ -271,6 +279,11 @@ class TestTruncationVerdict:
     @example([DEFAULT_TOL, 0.0, 0.0], 64)
     @example([0.0, 0.0, DEFAULT_TOL], 64)
     @example([0.0, 0.0, 1e-12, 0.0, -1e-13], 64)
+    # Horner overflows to -inf at pi, and the interval bound decides: stable
+    @example([0.0, 0.0, 1e-14] + [0.0] * 33 + [-1e300], 64)
+    # the value at pi overflows to -inf and the interval's upper end to +inf,
+    # so neither decides; theta^34 outgrows theta^36 below 1
+    @example([0.0] * 34 + [1e300, 0.0, -1e300], 64)
     @settings(max_examples=400, deadline=None)
     @given(_even_rows(), st.integers(64, 4097))
     def test_verdict_equals_full_sweep(self, row, grid):
@@ -280,20 +293,55 @@ class TestTruncationVerdict:
             expected = bool(_even_horner(thetas, row, out).max() <= DEFAULT_TOL)
             assert _truncation_stable(thetas, row, out) == expected
 
+    # the buffer's peak is only where the witness is taken: whatever it
+    # holds, a NaN or an infinity included, the verdict is the sweep's
+    @example([0.0, 0.0, 1.0, 0.0, -1.0], 64, 14, math.nan)  # theta^2 - theta^4 > tol there
+    @example([0.0, 0.0, 1.0, 0.0, -1.0], 64, 0, math.nan)  # 0 at theta = 0: swept
+    @settings(max_examples=200, deadline=None)
+    @given(_even_rows(), st.integers(64, 4097), st.integers(0, 4096),
+           st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0]))
+    def test_verdict_reads_any_buffer(self, row, grid, peak, value):
+        thetas = theta_grid(grid)
+        out = np.zeros(grid)
+        out[peak % grid] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = bool(_even_horner(thetas, row, np.empty(grid)).max() <= DEFAULT_TOL)
+            assert _truncation_stable(thetas, row, out) == expected
+
     def test_sweep_runs_only_for_mixed_signs(self, monkeypatch):
         swept = []
         sweep = _even_horner
         monkeypatch.setattr("modeq.spectra._even_horner",
                             lambda x, c, out=None: (swept.append(out is not None)
                                                     or sweep(x, c, out)))
-        thetas, out = theta_grid(64), np.empty(64)
+        thetas, out = theta_grid(64), np.zeros(64)
         assert _truncation_stable(thetas, [0.0, 0.0, -1.0, 0.0, -2.0], out)
         assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -0.01], out)
         assert _truncation_stable(thetas, [0.0, 0.0, DEFAULT_TOL / 20, 0.0, 0.0], out)
         assert swept == [False, False]
-        # theta^2 - theta^4 is positive below theta = 1 and negative at pi
+        # mixed signs, decided by the interval bound: 1e-14 pi^2 <= tol
+        assert _truncation_stable(thetas, [0.0, 0.0, 1e-14, 0.0, -1.0], out)
+        assert swept == [False, False, False]
+        # theta^2 - theta^4 is positive below theta = 1 and negative at pi;
+        # the zero buffer's peak, theta = 0, is no witness, so the grid is swept
         assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -1.0], out)
-        assert swept == [False, False, False, True]
+        assert swept == [False, False, False, False, False, True]
+        # the sweep left in out peaks where the row does: the witness decides
+        assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -1.0], out)
+        assert swept == [False, False, False, False, False, True, False, False]
+
+    def test_catalog_scans_sweep_rarely(self, monkeypatch):
+        # 1803 verdicts per scan; the sign and pi steps alone leave 1726 of
+        # the 5409 to the sweep
+        swept = []
+        sweep = _even_horner
+        monkeypatch.setattr("modeq.spectra._even_horner",
+                            lambda x, c, out=None: (swept.append(out is not None)
+                                                    or sweep(x, c, out)))
+        for name, hi in (("heat_centered", 0.8), ("upwind_euler", 1.6),
+                         ("lax_wendroff", 1.6)):
+            region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
+        assert sum(swept) <= 400
 
 
 class TestTruncatedAmplification:
