@@ -26,6 +26,14 @@ goes value by value through ``_fmt``, so a bool reads ``true``/``false``.
 The rows are written in parts of at most ``_CSV_RUN_ROWS``, each by one
 ``%`` over a repeated row template, so a long table never holds more than
 that many rows' text at once.
+
+The ``regions`` JSON is the text of ``json.dumps(report, indent=2)``, byte
+for byte, rendered without the pure-Python indenting encoder: its head by
+``json.dumps(indent=2)``, and every sample scalar by one ``json.dumps`` of a
+flat list, which the C encoder writes with the same ``float.__repr__``,
+``NaN``, ``Infinity`` and ``true``/``false`` text, laid into a sample
+template repeated once per sample (``_regions_json``).  The CSV reads the
+same columns (``_region_columns``).
 """
 
 from __future__ import annotations
@@ -56,6 +64,11 @@ DEFAULT_ROOT_TEST_ORDER = 40
 # rows per '%' call of the CSV writer: a memory bound, since a call holds
 # its rows' fields and their text at once
 _CSV_RUN_ROWS = 1024
+# each regions sample field as (JSON key and CSV header, LambdaSample attribute),
+# in report order; the truncation verdicts follow them
+_SAMPLE_FIELDS = (("lambda", "lam"), ("max_abs_S", "max_abs_s"),
+                  ("max_abs_one_minus_S", "max_abs_one_minus_s"), ("theta_m", "theta_m"),
+                  ("in_Rs", "in_rs"), ("in_Omega_c", "in_omega_c"))
 
 
 class UsageError(ValueError):
@@ -122,6 +135,11 @@ def _parse_lambdas(args: argparse.Namespace) -> list[Fraction]:
             values.append(Fraction(tok))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad lambda value {tok!r}") from exc
+        # every subcommand reads float(lambda): in a file name, a bound or a scan
+        try:
+            float(values[-1])
+        except OverflowError as exc:
+            raise UsageError(f"lambda value {tok!r} is beyond the float range") from exc
     if not values:
         raise UsageError("--lambdas list is empty")
     return values
@@ -171,7 +189,11 @@ def _out_dir(args: argparse.Namespace, default: Optional[str] = None) -> Optiona
 
 def _emit_json(obj, out_dir: Optional[Path], filename: str) -> None:
     """Write ``obj`` as JSON to ``out_dir / filename``, or to stdout for None."""
-    text = json.dumps(obj, indent=2) + "\n"
+    _emit_text(json.dumps(obj, indent=2) + "\n", out_dir, filename)
+
+
+def _emit_text(text: str, out_dir: Optional[Path], filename: str) -> None:
+    """Write ``text`` to ``out_dir / filename``, or to stdout for None."""
     if out_dir is None:
         sys.stdout.write(text)
         return
@@ -191,6 +213,40 @@ def _write_csv(path: Path, columns: Mapping[str, Sequence]) -> None:
             part = [col[start:start + _CSV_RUN_ROWS] for col in cols]
             fh.write(template * len(part[0]) % tuple(chain.from_iterable(zip(*part))))
     print(f"wrote {path}")
+
+
+def _region_columns(report) -> dict[str, list]:
+    """The regions CSV columns of a ``spectra.RegionReport``, by header: the
+    ``_SAMPLE_FIELDS``, then ``trunc_stable_N<n>`` for each order."""
+    samples = report.samples
+    columns = {key: [getattr(s, field) for s in samples] for key, field in _SAMPLE_FIELDS}
+    columns.update((f"trunc_stable_N{n}", [s.trunc_stable[n] for s in samples])
+                   for n in report.orders)
+    return columns
+
+
+def _regions_json(report, columns: Mapping[str, list]) -> str:
+    """The regions report as ``json.dumps(report, indent=2) + "\\n"`` writes
+    it, from its ``_region_columns``: the head, then one object per sample
+    (a scan has at least two), its verdicts keyed by order in numeric order."""
+    from .spectra import DEFAULT_TOL
+    text = json.dumps({
+        "scheme": report.scheme_name,
+        "grid": report.grid,
+        "tolerance": DEFAULT_TOL,
+        "orders": list(report.orders),
+        "Rs_boundary": report.rs_boundary(),
+        "Omega_c_boundary": report.omega_c_boundary(),
+        "lambda_samples": [],
+    }, indent=2)
+    verdicts = ",".join(f'\n        "{n}": %s' for n in report.orders)
+    sample = ("    {" + "".join(f'\n      "{key}": %s,' for key, _ in _SAMPLE_FIELDS)
+              + '\n      "trunc_stable": ' + ("{" + verdicts + "\n      }" if verdicts else "{}")
+              + "\n    }")
+    # the C encoder's ", " separator occurs in no float or bool text
+    values = json.dumps(list(chain.from_iterable(zip(*columns.values()))))[1:-1].split(", ")
+    return (text[:-len("[]\n}")] + "[\n"
+            + ",\n".join([sample] * len(report.samples)) % tuple(values) + "\n  ]\n}\n")
 
 
 def _lambda_tag(lam) -> str:
@@ -222,17 +278,12 @@ def cmd_regions(args: argparse.Namespace) -> int:
     orders = _parse_orders(args.orders, default=())
     report = spectra.region_scan(scheme, lambda_range, orders=orders)
     out_dir = _out_dir(args, ".")
-    payload = report.to_json_dict()
-    _emit_json(payload, out_dir, f"{scheme.name}_regions.json")
-    # the CSV columns are the sample's JSON fields, trunc_stable flattened
-    rows = payload["lambda_samples"]
-    for row in rows:
-        for n, stable in row.pop("trunc_stable").items():
-            row[f"trunc_stable_N{n}"] = stable
-    _write_csv(out_dir / f"{scheme.name}_regions.csv",
-               {key: [row[key] for row in rows] for key in rows[0]})
-    for label, key in (("R_s", "Rs_boundary"), ("Omega_c", "Omega_c_boundary")):
-        print(f"{label} boundary: {'none' if payload[key] is None else _fmt(payload[key])}")
+    columns = _region_columns(report)
+    _emit_text(_regions_json(report, columns), out_dir, f"{scheme.name}_regions.json")
+    _write_csv(out_dir / f"{scheme.name}_regions.csv", columns)
+    for label, boundary in (("R_s", report.rs_boundary()),
+                            ("Omega_c", report.omega_c_boundary())):
+        print(f"{label} boundary: {'none' if boundary is None else _fmt(boundary)}")
     return 0
 
 

@@ -52,6 +52,7 @@ bound like any other, and +inf fails the test of its step.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -133,10 +134,20 @@ def _rounded(terms, lam: Number, scheme_name: str, label: str) -> list[float]:
     except OverflowError as exc:
         if lam in (math.inf, -math.inf):
             raise
-        raise ValueError(
-            f"scheme {scheme_name}: {label}_{p} at lambda = {lam} is beyond the float range"
-        ) from exc
+        raise ValueError(f"scheme {scheme_name}: {label}_{p} at lambda = {_lambda_text(lam)} "
+                         f"is beyond the float range") from exc
     return out
+
+
+def _lambda_text(lam: Number) -> str:
+    """``str(lam)``, or for an int or Fraction of more than about 40 digits
+    its value to 17 significant digits, as ``1e+308``."""
+    if isinstance(lam, (int, Fraction)):
+        q = Fraction(lam)
+        if q.numerator.bit_length() + q.denominator.bit_length() > 133:
+            return format(decimal.Context(prec=17).divide(q.numerator, q.denominator)
+                          .normalize(), "e")
+    return str(lam)
 
 
 def symbol_weights(scheme: SchemeSpec, lam: Number) -> list[tuple[int, float]]:
@@ -168,8 +179,9 @@ def _symbol_sum(weights: list, basis: list):
     """sum_p a_p basis_p in offset order, from 0 (so a -0.0 sum reads +0.0);
     a_0 is added as is."""
     acc = 0
-    for (_, a), e in zip(weights, basis):
-        acc += a if e is None else a * e  # in place once acc is an array
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge lambda's S is inf or nan
+        for (_, a), e in zip(weights, basis):
+            acc += a if e is None else a * e  # in place once acc is an array
     return acc
 
 
@@ -261,18 +273,7 @@ class LambdaSample:
     theta_m: float
     in_rs: bool
     in_omega_c: bool
-    trunc_stable: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "max_abs_S": self.max_abs_s,
-            "max_abs_one_minus_S": self.max_abs_one_minus_s,
-            "theta_m": self.theta_m,
-            "in_Rs": self.in_rs,
-            "in_Omega_c": self.in_omega_c,
-            "trunc_stable": {str(n): v for n, v in sorted(self.trunc_stable.items())},
-        }
+    trunc_stable: dict  # order -> verdict
 
 
 @dataclass(frozen=True)
@@ -293,17 +294,6 @@ class RegionReport:
         """Largest sampled lambda still inside the contraction region."""
         inside = [s.lam for s in self.samples if s.in_omega_c]
         return max(inside) if inside else None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme_name,
-            "grid": self.grid,
-            "tolerance": DEFAULT_TOL,
-            "orders": list(self.orders),
-            "Rs_boundary": self.rs_boundary(),
-            "Omega_c_boundary": self.omega_c_boundary(),
-            "lambda_samples": [s.to_json_dict() for s in self.samples],
-        }
 
 
 def region_scan(
@@ -345,48 +335,51 @@ def region_scan(
     top = orders[-1] if orders else 0
     row = [0.0] * (top + 1)
     samples = []
-    for lam in np.linspace(float(lo), float(hi), int(count)).tolist():
-        # S from its first term, not from a zero fill: only a zero's sign
-        # differs, and the scan reads |S| and |1 - S|
-        weights = _rounded(scheme.symbol, lam, scheme.name, "symbol coefficient a")
-        for k, (a, e) in enumerate(zip(weights, basis)):
-            if k:
-                s += a if e is None else np.multiply(a, e, out=term)
-            elif e is None:
-                s.fill(a)
-            else:
-                np.multiply(a, e, out=s)
-        np.abs(s, out=abs_s)
-        np.abs(np.subtract(1.0, s, out=oms), out=abs_oms)
-        max_abs_s = abs_s.max().item()
-        max_abs_oms = abs_oms.max().item()
-        # below 1 everywhere (a NaN maximum is not): no grid point to find
-        theta_m = math.pi
-        if not max_abs_oms < 1.0:
-            i = np.greater_equal(abs_oms, 1.0, out=bad).argmax()
-            if bad[i]:
-                theta_m = thetas[i].item()
-        trunc = {}
-        if orders:
-            row[2::2] = _signed_coeffs(modeq, lam, range(2, top + 1, 2))
-            # the nested rows' sign facts: the first positive and first
-            # negative entry of the longest row
-            first_pos = next((k for k, d in enumerate(row) if d > 0), top + 1)
-            first_neg = next((k for k, d in enumerate(row) if d < 0), top + 1)
-            for n, out in zip(orders, re_p):
-                trunc[n] = _truncation_stable(thetas, row[: n + 1], out,
-                                              (first_pos > n, first_neg > n))
-        samples.append(
-            LambdaSample(
-                lam=lam,
-                max_abs_s=max_abs_s,
-                max_abs_one_minus_s=max_abs_oms,
-                theta_m=theta_m,
-                in_rs=max_abs_s <= 1.0 + DEFAULT_TOL,
-                in_omega_c=max_abs_oms < 1.0 - DEFAULT_TOL,
-                trunc_stable=trunc,
+    # a huge lambda's S overflows to inf or nan, and a sweep of a growing
+    # truncation to inf: values that the verdicts read like any other
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in np.linspace(float(lo), float(hi), int(count)).tolist():
+            # S from its first term, not from a zero fill: only a zero's sign
+            # differs, and the scan reads |S| and |1 - S|
+            weights = _rounded(scheme.symbol, lam, scheme.name, "symbol coefficient a")
+            for k, (a, e) in enumerate(zip(weights, basis)):
+                if k:
+                    s += a if e is None else np.multiply(a, e, out=term)
+                elif e is None:
+                    s.fill(a)
+                else:
+                    np.multiply(a, e, out=s)
+            np.abs(s, out=abs_s)
+            np.abs(np.subtract(1.0, s, out=oms), out=abs_oms)
+            max_abs_s = abs_s.max().item()
+            max_abs_oms = abs_oms.max().item()
+            # below 1 everywhere (a NaN maximum is not): no grid point to find
+            theta_m = math.pi
+            if not max_abs_oms < 1.0:
+                i = np.greater_equal(abs_oms, 1.0, out=bad).argmax()
+                if bad[i]:
+                    theta_m = thetas[i].item()
+            trunc = {}
+            if orders:
+                row[2::2] = _signed_coeffs(modeq, lam, range(2, top + 1, 2))
+                # the nested rows' sign facts: the first positive and first
+                # negative entry of the longest row
+                first_pos = next((k for k, d in enumerate(row) if d > 0), top + 1)
+                first_neg = next((k for k, d in enumerate(row) if d < 0), top + 1)
+                for n, out in zip(orders, re_p):
+                    trunc[n] = _truncation_stable(thetas, row[: n + 1], out,
+                                                  (first_pos > n, first_neg > n))
+            samples.append(
+                LambdaSample(
+                    lam=lam,
+                    max_abs_s=max_abs_s,
+                    max_abs_one_minus_s=max_abs_oms,
+                    theta_m=theta_m,
+                    in_rs=max_abs_s <= 1.0 + DEFAULT_TOL,
+                    in_omega_c=max_abs_oms < 1.0 - DEFAULT_TOL,
+                    trunc_stable=trunc,
+                )
             )
-        )
     return RegionReport(
         scheme_name=scheme.name,
         grid=grid,

@@ -9,7 +9,9 @@ agreement of the two checks the log engine from outside.  ``bernoulli`` and
 closed-form log coefficients.  ``GOLDEN`` holds the closed-form tables
 of the catalog schemes whose analysis is known by hand.  ``sweep_region_scan``
 is ``modeq.spectra.region_scan`` one lambda at a time, with every truncation
-verdict read off the full grid sweep.  ``fraction_square_free`` is
+verdict read off the full grid sweep.  ``region_report_json_dict`` is the
+dict whose ``json.dumps(indent=2)`` is the regions report, the reference
+for ``modeq.cli``'s renderer.  ``fraction_square_free`` is
 p / gcd(p, p') by Euclid on Fraction lists, the reference for
 ``LambdaPoly.square_free``.  ``dot_series_log`` is the series logarithm
 by the ordinary-coefficient recurrence, one ``LambdaPoly.dot`` per order,
@@ -33,7 +35,8 @@ from conftest import lp
 from modeq.derivation import ModifiedEq, derive_log, symbol_series
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly, SeriesPreconditionError
 from modeq.schemes import SchemeSpec
-from modeq.spectra import DEFAULT_TOL, LambdaSample, _signed_coeffs, eval_symbol, theta_grid
+from modeq.spectra import (DEFAULT_TOL, LambdaSample, RegionReport, _signed_coeffs, eval_symbol,
+                           theta_grid)
 
 
 def fraction_symbol_series(scheme: SchemeSpec, order: int) -> tuple:
@@ -144,6 +147,34 @@ def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, grid: int,
             trunc_stable=trunc,
         ))
     return samples
+
+
+def lambda_sample_json_dict(sample: LambdaSample) -> dict:
+    """One sample of the regions report, its verdicts keyed by order in
+    numeric order."""
+    return {
+        "lambda": sample.lam,
+        "max_abs_S": sample.max_abs_s,
+        "max_abs_one_minus_S": sample.max_abs_one_minus_s,
+        "theta_m": sample.theta_m,
+        "in_Rs": sample.in_rs,
+        "in_Omega_c": sample.in_omega_c,
+        "trunc_stable": {str(n): v for n, v in sorted(sample.trunc_stable.items())},
+    }
+
+
+def region_report_json_dict(report: RegionReport) -> dict:
+    """The regions report as a dict: ``json.dumps(indent=2)`` of it is the
+    text the ``regions`` JSON file holds, less its final newline."""
+    return {
+        "scheme": report.scheme_name,
+        "grid": report.grid,
+        "tolerance": DEFAULT_TOL,
+        "orders": list(report.orders),
+        "Rs_boundary": report.rs_boundary(),
+        "Omega_c_boundary": report.omega_c_boundary(),
+        "lambda_samples": [lambda_sample_json_dict(s) for s in report.samples],
+    }
 
 
 def _poly_divmod(a: list, b: list) -> tuple[list, list]:

@@ -7,15 +7,19 @@ import io
 import json
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import LAM16
-from modeq.cli import _CSV_RUN_ROWS, _fmt, _parse_range, _write_csv, build_parser, main
+from modeq.cli import (_CSV_RUN_ROWS, _fmt, _parse_range, _region_columns, _regions_json,
+                       _write_csv, build_parser, main)
 from modeq.exactalg import LP_ONE, LambdaPoly
+from modeq.spectra import LambdaSample, RegionReport
+from oracles import region_report_json_dict
 
 HEAT = ["--catalog", "heat_centered"]
 
@@ -357,6 +361,36 @@ class TestCommandLineErrors:
         assert code == 1
         assert err == f"error: scheme heat_centered: {message}\n"
         assert out == "" and not out_dir.exists()
+
+    # every subcommand reads float(lambda), so a lambda beyond the float
+    # range is refused as it is parsed (it once ended in an OverflowError
+    # traceback, or printed lambda as a 401-digit integer)
+    @pytest.mark.parametrize("argv", [
+        ["figures", *HEAT, "--lambdas", "1/4,1e400", "-N", "2"],
+        ["certify", *HEAT, "--lambdas", "1e400", "-N", "2"],
+        ["radius", *HEAT, "--lambdas", "1e400", "-N", "16"],
+        ["symmetry", "--lambdas=-1e400"],
+    ], ids=["figures", "certify", "radius", "symmetry"])
+    def test_lambda_beyond_the_float_range_refused_before_deriving(self, capsys, monkeypatch,
+                                                                   tmp_path, argv):
+        def derive_log(*_):
+            raise AssertionError("derived before lambda was checked")
+
+        monkeypatch.setattr("modeq.cli.derive_log", derive_log)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        value = argv[argv.index("--lambdas") + 1] if "--lambdas" in argv else "-1e400"
+        assert code == 1
+        assert err == f"error: lambda value {value.split(',')[-1]!r} is beyond the float range\n"
+        assert out == "" and not out_dir.exists()
+
+    # a lambda inside the float range whose symbol is not prints in short form
+    def test_symbol_beyond_the_float_range_prints_lambda_short(self, capsys, tmp_path):
+        code, out, err = run(capsys, "radius", *HEAT, "--lambdas", "1e308", "-N", "16",
+                             "--out", str(tmp_path / "out"))
+        assert code == 1 and out == ""
+        assert err == ("error: scheme heat_centered: symbol coefficient a_0 at lambda = 1e+308 "
+                       "is beyond the float range\n")
 
     # the size flags too, on the stencil whose derivation costs most
     @pytest.mark.parametrize("argv, message", [
@@ -894,6 +928,40 @@ def test_write_csv_writes_each_run_when_complete(capsys):
     assert writes == [1, _CSV_RUN_ROWS, _CSV_RUN_ROWS, 3]
 
 
+_JSON_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1e-7]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@st.composite
+def _region_reports(draw):
+    """A ``RegionReport`` of one to four samples of any floats and verdicts."""
+    orders = draw(st.sampled_from([(), (2, 8, 24, 32), (1,), (4, 10)]))
+    samples = tuple(
+        LambdaSample(*draw(st.tuples(*[_JSON_FLOATS] * 4, st.booleans(), st.booleans())),
+                     trunc_stable={n: draw(st.booleans()) for n in orders})
+        for _ in range(draw(st.integers(1, 4))))
+    return RegionReport(scheme_name=draw(st.sampled_from(["heat_centered", "s%d \u00e9"])),
+                        grid=draw(st.integers(64, 8192)), orders=orders, samples=samples)
+
+
+def _sample(lam, *, orders=(), value=0.0):
+    return LambdaSample(lam, value, value, value, True, False, {n: n % 3 == 0 for n in orders})
+
+
+# the renderer writes the bytes of json.dumps(indent=2) of the report dict
+@settings(max_examples=200, deadline=None)
+@given(_region_reports())
+@example(RegionReport("s", 4096, (), (_sample(0.0), _sample(0.5, value=math.nan))))
+@example(RegionReport("s", 4096, (2, 8, 24, 32),
+                      (_sample(-0.0, orders=(2, 8, 24, 32), value=math.inf),
+                       _sample(5e-324, orders=(2, 8, 24, 32), value=-math.inf))))
+def test_regions_json_is_json_dumps_of_the_report(report):
+    assert _regions_json(report, _region_columns(report)) == \
+        json.dumps(region_report_json_dict(report), indent=2) + "\n"
+
+
 class TestDeterminism:
     def test_identical_config_byte_identical_outputs(self, tmp_path, capsys):
         args = [
@@ -989,6 +1057,53 @@ class TestDeterminism:
         for ext, digest in (("json", json_digest), ("csv", csv_digest)):
             data = (tmp_path / f"{name}_regions.{ext}").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, ext
+
+    # without -N every sample's "trunc_stable" is {}
+    @pytest.mark.parametrize(
+        "name, json_digest, csv_digest",
+        [
+            ("heat_centered",
+             "e207ef64eb4a5edcf8f474c79a344cc6610cf65197e6f6284bc066652c83986a",
+             "45984a0b955715c9a6515a7a2d55ccf248217d6216a6450f05fe269798ab0b42"),
+            ("lax_wendroff",
+             "bb92b1ff4c3d6ffed86bfe030605915d2303978866a5ab0cd07cf3c205cd3d0a",
+             "a7dba79d825855968245bfb08038d8b7b5cd57c4be455bda8c7c3358f9cc08b4"),
+        ],
+    )
+    def test_regions_report_bytes_golden_without_orders(self, capsys, tmp_path, name,
+                                                        json_digest, csv_digest):
+        code, _, _ = run(capsys, "regions", "--catalog", name, "--lambda-range", "0:1.5:301",
+                         "--out", str(tmp_path))
+        assert code == 0
+        for ext, digest in (("json", json_digest), ("csv", csv_digest)):
+            data = (tmp_path / f"{name}_regions.{ext}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, ext
+
+    # a lambda whose S overflows: inf and nan are written as before, and
+    # numpy warns of nothing on stderr
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (["regions", *HEAT, "--lambda-range", "0:8e307:3", "-N", "2"],
+             {"heat_centered_regions.json":
+              "492e95e6732f9fdc4c8bc093c80e264bf0158e3135edae6fe92c17005be43fb8",
+              "heat_centered_regions.csv":
+              "c798e270925c872fda3284eac84473de11432d4181ad999ad6a25cce0025820e"}),
+            (["figures", *HEAT, "--lambdas", "8e307", "-N", "2", "--steps", "3"],
+             {"heat_centered_lambda8e+307.csv":
+              "c66fbadbf31a7b7585183a7b3492a683d06d3e03e2fc0da77aa5d38f94bf5d59",
+              "heat_centered_evolve_lambda8e+307.csv":
+              "aa15c296c080275f65088cc0f4670f4df65823f9a29b372f8acac681f68d0d9b"}),
+        ],
+        ids=["regions", "figures"],
+    )
+    def test_overflowing_symbol_writes_without_warnings(self, capsys, tmp_path, argv, digests):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0 and err == ""
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == digests
 
     # sha256 of the figures curve CSV and evolve CSV at the default theta
     # grid, --steps and --gridsize, at one lambda inside R_s and one outside it.

@@ -182,17 +182,19 @@ class TestEvolveAndCompare:
 
 
 def _per_mode_evolution(scheme, lam, steps, gridsize):
-    """(measured, diverged_at) per mode, stepping one mode at a time."""
+    """(measured, diverged_at) per mode, stepping one mode at a time and
+    testing every |u| after every step."""
     weights = symbol_weights(scheme, lam)
     out = []
     for mode in range(gridsize):
         u = mode_grid(mode, gridsize)
         diverged_at = None
-        for n in range(steps):
-            u = step(weights, u)
-            if float(np.max(np.abs(u))) > 1e300:
-                diverged_at = n + 1
-                break
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging mode's step overflows
+            for n in range(steps):
+                u = step(weights, u)
+                if float(np.max(np.abs(u))) > 1e300:
+                    diverged_at = n + 1
+                    break
         measured = math.inf if diverged_at else float(np.mean(np.abs(u)))
         out.append((measured, diverged_at))
     return out
@@ -200,7 +202,11 @@ def _per_mode_evolution(scheme, lam, steps, gridsize):
 
 # per scheme: a stable lambda, and an unstable one whose fastest modes pass
 # 1e300 well before the last step (heat at 10 after 189 steps), while the
-# slowest do not
+# slowest do not; the last two overflow the parts of every mode but 0 to
+# inf and nan (at step 33 for heat, at steps 30 and 31 for Lax-Wendroff),
+# which the overflow screen must pass to the per-row test.  There a mode
+# whose modulus turns nan without passing 1e300 first reads measured nan,
+# diverged_at None, in the reference as in the batch.
 BATCH_CASES = [
     ("heat_centered", Fraction(1, 4), 30, False),
     ("heat_centered", Fraction(10), 200, True),
@@ -208,6 +214,8 @@ BATCH_CASES = [
     ("upwind_euler", Fraction(10), 250, True),
     ("lax_wendroff", Fraction(1, 2), 30, False),
     ("lax_wendroff", Fraction(4), 220, True),
+    ("heat_centered", Fraction(10**9), 40, True),
+    ("lax_wendroff", Fraction(10**5), 40, True),
 ]
 
 
@@ -217,10 +225,23 @@ def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
     scheme = catalog_scheme(name)
     rows = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, steps, 80)
     batched = [(r.measured, r.diverged_at) for r in rows]
-    assert batched == _per_mode_evolution(scheme, lam, steps, 80)
+    # to the bit, so that a nan equals a nan
+    assert _row_bits(batched) == _row_bits(_per_mode_evolution(scheme, lam, steps, 80))
     first = [d for _, d in batched if d]
     assert bool(first) == diverges and all(d < steps for d in first)
     assert not diverges or any(math.isfinite(m) for m, _ in batched)
+
+
+# the overflow screen reads the parts of both signs: a step that moves
+# every value by a real shift passes 1e300 only beyond it, and a shift
+# between 1e300 / 1.5 and 1e300 fails the screen but flags nothing
+@pytest.mark.parametrize("shift, flagged", [(2e300, True), (-2e300, True),
+                                            (0.9e300, False), (-0.9e300, False)])
+def test_overflow_screen_reads_both_signs(monkeypatch, heat, shift, flagged):
+    monkeypatch.setattr("modeq.empirics.step", lambda weights, u: u + shift)
+    rows = evolve_and_compare(heat, derive_log(heat, 2), Fraction(1, 4), 2, 1, 8)
+    assert [r.diverged_at for r in rows] == [1 if flagged else None] * 8
+    assert all(math.isinf(r.measured) == flagged for r in rows)
 
 
 def _row_bits(rows) -> list:
