@@ -229,10 +229,10 @@ def _regions_json(report, columns: Mapping[str, list]) -> str:
     """The regions report as ``json.dumps(report, indent=2) + "\\n"`` writes
     it, from its ``_region_columns``: the head, then one object per sample
     (a scan has at least two), its verdicts keyed by order in numeric order."""
-    from .spectra import DEFAULT_TOL
+    from .spectra import DEFAULT_GRID, DEFAULT_TOL
     text = json.dumps({
         "scheme": report.scheme_name,
-        "grid": report.grid,
+        "grid": DEFAULT_GRID,
         "tolerance": DEFAULT_TOL,
         "orders": list(report.orders),
         "Rs_boundary": report.rs_boundary(),
@@ -378,6 +378,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_symmetry(args: argparse.Namespace) -> int:
     lambdas, half = _parse_lambdas(args), Fraction(1, 2)
+    try:  # each row writes lambda and 1/2 -+ lambda in full
+        texts = [(str(lam), str(half - lam), str(half + lam)) for lam in lambdas]
+    except ValueError as exc:  # an int of more digits than str() writes
+        raise UsageError(f"--lambdas takes values of at most {sys.get_int_max_str_digits()} "
+                         f"digits, which the report writes in full") from exc
     if bad := [lam for lam in lambdas if not 0 <= lam <= half]:
         raise UsageError(f"lambda must lie in [0, 1/2], got {bad[0]}")
     if (order := _single_order(args, 8)) < 2:
@@ -385,8 +390,8 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     modeq = derive_log(catalog_scheme("upwind_euler"), order)
     # the identities are proved for every lambda; each --lambdas value names a row
     report = upwind_symmetry_check(modeq).to_json_dict()
-    reports = [{"lambda": str(lam), "lambda_low": str(half - lam),
-                "lambda_high": str(half + lam), **report} for lam in lambdas]
+    reports = [{"lambda": lam, "lambda_low": low, "lambda_high": high, **report}
+               for lam, low, high in texts]
     _emit_json({"scheme": "upwind_euler", "reports": reports}, _out_dir(args),
                "upwind_euler_symmetry.json")
     if not report["ok"]:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .derivation import CrossCheckError, ModifiedEq
 from .schemes import SchemeSpec
-from .spectra import (Number, _symbol_basis, _symbol_sum, eval_symbol, require_lambda,
-                      symbol_weights, truncated_amplification)
+from .spectra import (Number, _symbol_basis, _symbol_sum, _theta_coeffs, _truncation,
+                      eval_symbol, require_lambda, symbol_weights)
 
 __all__ = [
     "ModeComparison",
@@ -166,8 +166,9 @@ def evolve_and_compare(
 
     The modes are stepped together, in blocks of as many grid rows as fit
     in ``_BLOCK_VALUES`` values, and at least one row.
-    Modes whose amplitude passes 1e300 are flagged as diverged with the step
-    index at which that happened.  theta is folded into (-pi, pi] so the
+    Modes whose amplitude passes 1e300, or turns NaN (a step whose products
+    overflow to infinities of both signs), are flagged as diverged with the
+    step index at which that happened.  theta is folded into (-pi, pi] so the
     polynomial truncation is evaluated at an admissible wavenumber.
 
     After each step a block is screened first: when every real and
@@ -194,7 +195,8 @@ def evolve_and_compare(
     # per mode; S sums the a_p, rounded once, at each scalar theta, which
     # keeps predicted_S to the bit of ``eval_symbol`` at that mode (an array
     # exp can differ in the last bit)
-    abs_sn = np.abs(truncated_amplification(modeq, lam, thetas, order).s_value)
+    abs_sn = np.abs(_truncation(thetas.astype(complex), _theta_coeffs(modeq, lam, order),
+                                float(lam))[1])
     weights = symbol_weights(scheme, lam)
     rows = []
     block = max(1, _BLOCK_VALUES // gridsize)
@@ -211,7 +213,8 @@ def evolve_and_compare(
                 if parts.max() < _SCREEN_LIMIT and -parts.min() < _SCREEN_LIMIT:
                     continue
                 peak = np.max(np.abs(u), axis=-1)
-                diverged_at[(diverged_at == 0) & (peak > _OVERFLOW_LIMIT)] = n + 1
+                # a NaN peak is not <= the limit either
+                diverged_at[(diverged_at == 0) & ~(peak <= _OVERFLOW_LIMIT)] = n + 1
             amplitudes = np.mean(np.abs(u), axis=-1)
         for mode, first, amplitude in zip(modes.tolist(), diverged_at.tolist(), amplitudes):
             theta = float(thetas[mode])

@@ -3,7 +3,9 @@
 Covers: pointwise/grid evaluation of S(theta), the contraction angle
 theta_m, stability and contraction region scans over the mesh ratio,
 truncated amplification factors, finite-horizon stability certificates,
-and figure-data tables.  The exact forms of the symbol, and every proof
+and figure-data tables.  Every scan, figure and certificate samples theta
+on one read-only grid, ``THETAS``: DEFAULT_GRID uniform points on [0, pi],
+both endpoints exact.  The exact forms of the symbol, and every proof
 about them, are ``derivation``'s; this module rounds and samples them.
 
 Exact first, then round: the symbol coefficients a_p(lambda) of
@@ -67,24 +69,24 @@ from .schemes import SchemeSpec
 __all__ = [
     "DEFAULT_GRID",
     "DEFAULT_TOL",
+    "THETAS",
     "CertificateRefusal",
     "LambdaSample",
     "RegionReport",
-    "TruncationEval",
     "StabilityCertificate",
     "FigureTable",
     "require_lambda",
-    "theta_grid",
     "symbol_weights",
     "eval_symbol",
     "region_scan",
-    "truncated_amplification",
     "truncation_certificate",
     "figure_data",
 ]
 
-# theta grid size of the float scans, figures and certificates
+# the theta grid of the float scans, figures and certificates
 DEFAULT_GRID = 4096
+THETAS = np.linspace(0.0, math.pi, DEFAULT_GRID)
+THETAS.flags.writeable = False
 DEFAULT_TOL = 1e-12
 
 Number = Union[int, float, Fraction]
@@ -104,21 +106,12 @@ def require_lambda(scheme_name: Optional[str], lam: Number, *, positive: bool) -
     prefix = "" if scheme_name is None else f"scheme {scheme_name}: "
     if not positive:
         if lam < 0:
-            raise ValueError(f"{prefix}lambda must be nonnegative, got {lam}")
+            raise ValueError(f"{prefix}lambda must be nonnegative, got {_lambda_text(lam)}")
     elif lam <= 0:
-        raise ValueError(f"{prefix}lambda must be positive, got {lam}")
+        raise ValueError(f"{prefix}lambda must be positive, got {_lambda_text(lam)}")
     elif lam < sys.float_info.min:
-        raise ValueError(f"{prefix}lambda = {lam} lies below the smallest normal double "
-                         f"{sys.float_info.min!r}")
-
-
-def theta_grid(n: int = DEFAULT_GRID, scheme_name: Optional[str] = None) -> np.ndarray:
-    """n uniform points on [0, pi]; both endpoints are exact grid members.
-    An error for n < 2 names ``scheme_name`` when it is given."""
-    if n < 2:
-        prefix = "" if scheme_name is None else f"scheme {scheme_name}: "
-        raise ValueError(f"{prefix}grid needs at least the two endpoints")
-    return np.linspace(0.0, math.pi, n)
+        raise ValueError(f"{prefix}lambda = {_lambda_text(lam)} lies below the smallest "
+                         f"normal double {sys.float_info.min!r}")
 
 
 def _rounded(terms, lam: Number, scheme_name: str, label: str) -> list[float]:
@@ -217,10 +210,11 @@ def _horner_upper(c: list, x_max: float) -> float:
 def _truncation_stable(thetas: np.ndarray, c: list, out: np.ndarray,
                        signs: Optional[tuple] = None) -> bool:
     """Whether sum_k c[k] theta^k <= DEFAULT_TOL at every point of
-    ``thetas``, a ``theta_grid``, as the sweep ``_even_horner(thetas, c,
-    out)`` would say, by the six steps of the module docstring.  ``c``
-    holds finite floats, +0.0 at odd k; ``signs`` is (every even entry
-    <= 0, every even entry >= 0) when the caller knows it.
+    ``thetas``, a grid on [0, pi] whose last point is pi (``THETAS`` in a
+    scan), as the sweep ``_even_horner(thetas, c, out)`` would say, by the
+    six steps of the module docstring.  ``c`` holds finite floats, +0.0 at
+    odd k; ``signs`` is (every even entry <= 0, every even entry >= 0)
+    when the caller knows it.
 
     Step 4's bound (``_horner_upper``) is at least every grid value, since
     each of its steps is a corner of the rounded step over the grid's
@@ -281,7 +275,6 @@ class RegionReport:
     """Per-lambda stability/contraction classification over a lambda range."""
 
     scheme_name: str
-    grid: int
     orders: tuple
     samples: tuple
 
@@ -299,7 +292,6 @@ class RegionReport:
 def region_scan(
     scheme: SchemeSpec,
     lambda_range: tuple,
-    grid: int = DEFAULT_GRID,
     orders: Sequence[int] = (),
 ) -> RegionReport:
     """Classify each lambda in ``lambda_range = (lo, hi, count)``.
@@ -318,20 +310,17 @@ def region_scan(
         raise ValueError(f"scheme {scheme.name}: need 0 <= lo < hi, got ({lo}, {hi})")
     if count < 2:
         raise ValueError(f"scheme {scheme.name}: need at least two lambda samples")
-    if grid < 64:
-        raise ValueError(f"scheme {scheme.name}: theta grid must have at least 64 points")
     orders = tuple(sorted(set(int(n) for n in orders)))
     if orders:
         modeq = derive_log(scheme, max(orders))
 
-    thetas = theta_grid(grid)
-    basis = _symbol_basis(scheme, thetas)
-    s, term, oms = (np.empty(grid, dtype=complex) for _ in range(3))
-    abs_s, abs_oms = np.empty(grid), np.empty(grid)
-    bad = np.empty(grid, dtype=bool)
+    basis = _symbol_basis(scheme, THETAS)
+    s, term, oms = (np.empty(DEFAULT_GRID, dtype=complex) for _ in range(3))
+    abs_s, abs_oms = np.empty(DEFAULT_GRID), np.empty(DEFAULT_GRID)
+    bad = np.empty(DEFAULT_GRID, dtype=bool)
     # one Re P_N row per order, holding its last sweep, whose peak is the
     # next witness
-    re_p = np.zeros((len(orders), grid))
+    re_p = np.zeros((len(orders), DEFAULT_GRID))
     top = orders[-1] if orders else 0
     row = [0.0] * (top + 1)
     samples = []
@@ -358,7 +347,7 @@ def region_scan(
             if not max_abs_oms < 1.0:
                 i = np.greater_equal(abs_oms, 1.0, out=bad).argmax()
                 if bad[i]:
-                    theta_m = thetas[i].item()
+                    theta_m = THETAS[i].item()
             trunc = {}
             if orders:
                 row[2::2] = _signed_coeffs(modeq, lam, range(2, top + 1, 2))
@@ -367,7 +356,7 @@ def region_scan(
                 first_pos = next((k for k, d in enumerate(row) if d > 0), top + 1)
                 first_neg = next((k for k, d in enumerate(row) if d < 0), top + 1)
                 for n, out in zip(orders, re_p):
-                    trunc[n] = _truncation_stable(thetas, row[: n + 1], out,
+                    trunc[n] = _truncation_stable(THETAS, row[: n + 1], out,
                                                   (first_pos > n, first_neg > n))
             samples.append(
                 LambdaSample(
@@ -380,20 +369,7 @@ def region_scan(
                     trunc_stable=trunc,
                 )
             )
-    return RegionReport(
-        scheme_name=scheme.name,
-        grid=grid,
-        orders=orders,
-        samples=tuple(samples),
-    )
-
-
-@dataclass(frozen=True)
-class TruncationEval:
-    """P_N and the truncated amplification S_N = exp(dt P_N) at one theta."""
-
-    p_value: complex
-    s_value: complex
+    return RegionReport(scheme_name=scheme.name, orders=orders, samples=tuple(samples))
 
 
 def _truncation(th: np.ndarray, coeffs: np.ndarray, lam_f: float) -> tuple:
@@ -401,25 +377,6 @@ def _truncation(th: np.ndarray, coeffs: np.ndarray, lam_f: float) -> tuple:
     p_val = np.polynomial.polynomial.polyval(th, coeffs)
     with np.errstate(over="ignore"):  # a growing truncation's |S_N| is inf
         return p_val, np.exp(lam_f * p_val)
-
-
-def truncated_amplification(
-    modeq: ModifiedEq,
-    lam: Number,
-    theta,
-    order: int,
-) -> TruncationEval:
-    """Evaluate the degree-``order`` truncation P_N of the generator at dx = 1
-    and its one-step amplification S_N = exp(lambda P_N).
-
-    ``theta`` may be scalar (complex allowed) or an ndarray, in which case
-    the fields hold arrays.
-    """
-    th = np.asarray(theta, dtype=complex)
-    p_val, s_val = _truncation(th, _theta_coeffs(modeq, lam, order), float(lam))
-    if np.ndim(theta) == 0:
-        return TruncationEval(p_value=complex(p_val), s_value=complex(s_val))
-    return TruncationEval(p_value=p_val, s_value=s_val)
 
 
 @dataclass(frozen=True)
@@ -459,7 +416,6 @@ def truncation_certificate(
     orders: Sequence[int],
     support_m: float,
     horizon_t: float,
-    grid: int = DEFAULT_GRID,
 ) -> list[StabilityCertificate]:
     """Assemble the e^{CT} e^{A T M^{N+1}/lambda} bound at dx = 1, one
     certificate per truncation order N in ``orders``.
@@ -478,24 +434,23 @@ def truncation_certificate(
         raise ValueError(f"scheme {scheme.name}: reference order {modeq.order} must exceed "
                          f"the truncation order {max(orders)}")
 
-    thetas = theta_grid(grid, scheme.name)
-    s = eval_symbol(scheme, lam, thetas)
+    s = eval_symbol(scheme, lam, THETAS)
     if float(np.max(np.abs(1.0 - s))) >= 1.0 - DEFAULT_TOL:
         raise CertificateRefusal(
             f"scheme {scheme.name}: lambda = {lam_f} lies outside the contraction region; "
             f"the truncation bound does not apply"
         )
 
-    th = np.asarray(thetas, dtype=complex)
+    th = THETAS.astype(complex)
     coeffs = _theta_coeffs(modeq, lam, modeq.order)
-    positive = thetas > 0
+    positive = THETAS > 0
     p_ref = np.polynomial.polynomial.polyval(th, coeffs)[positive]
     certificates = []
     for order in orders:
         p_n, s_n = _truncation(th, coeffs[: order + 1], lam_f)
         growth_c = max(0.0, (float(np.max(np.abs(s_n))) - 1.0) / lam_f)
         tail_a = float(
-            np.max(np.abs(p_ref - p_n[positive]) / thetas[positive] ** (order + 1))
+            np.max(np.abs(p_ref - p_n[positive]) / THETAS[positive] ** (order + 1))
         )
         bound = math.exp(growth_c * horizon_t) * math.exp(
             tail_a * horizon_t * support_m ** (order + 1) / lam_f
@@ -507,16 +462,15 @@ def truncation_certificate(
 
 @dataclass(frozen=True)
 class FigureTable:
-    """|S| and |S_N| sampled on [0, pi] for one mesh-ratio value.
+    """|S| and |S_N| sampled on ``THETAS`` for one mesh-ratio value.
     ``csv_columns`` maps each CSV header to its column, as a list of floats."""
 
     lam: float
-    thetas: np.ndarray
     abs_s: np.ndarray
     abs_s_trunc: dict  # order -> ndarray
 
     def csv_columns(self) -> dict[str, list]:
-        columns = {"theta": self.thetas, "abs_S": self.abs_s}
+        columns = {"theta": THETAS, "abs_S": self.abs_s}
         columns.update((f"abs_S_N{n}", self.abs_s_trunc[n]) for n in sorted(self.abs_s_trunc))
         return {name: col.tolist() for name, col in columns.items()}
 
@@ -526,7 +480,6 @@ def figure_data(
     modeq: ModifiedEq,
     lambdas: Sequence[Number],
     orders: Sequence[int],
-    grid: int = DEFAULT_GRID,
 ) -> list[FigureTable]:
     """Amplification-factor curves |S| and |S_N| per requested lambda, with
     S_N truncated from ``modeq``.  Each lambda rounds the c_p of the highest
@@ -534,20 +487,12 @@ def figure_data(
     orders = tuple(sorted(set(int(n) for n in orders)))
     if not lambdas:
         return []
-    thetas = theta_grid(grid, scheme.name)
-    th = thetas.astype(complex)
+    th = THETAS.astype(complex)
     tables = []
     for lam in lambdas:
-        abs_s = np.abs(eval_symbol(scheme, lam, thetas))
+        abs_s = np.abs(eval_symbol(scheme, lam, THETAS))
         coeffs = _theta_coeffs(modeq, lam, orders[-1]) if orders else None
         trunc = {n: np.abs(_truncation(th, coeffs[: n + 1], float(lam))[1])
                  for n in orders}
-        tables.append(
-            FigureTable(
-                lam=float(lam),
-                thetas=thetas,
-                abs_s=abs_s,
-                abs_s_trunc=trunc,
-            )
-        )
+        tables.append(FigureTable(lam=float(lam), abs_s=abs_s, abs_s_trunc=trunc))
     return tables

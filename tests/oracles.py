@@ -35,8 +35,8 @@ from conftest import lp
 from modeq.derivation import ModifiedEq, derive_log, symbol_series
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly, SeriesPreconditionError
 from modeq.schemes import SchemeSpec
-from modeq.spectra import (DEFAULT_TOL, LambdaSample, RegionReport, _signed_coeffs, eval_symbol,
-                           theta_grid)
+from modeq.spectra import (DEFAULT_GRID, DEFAULT_TOL, THETAS, LambdaSample, RegionReport,
+                           _signed_coeffs, eval_symbol)
 
 
 def fraction_symbol_series(scheme: SchemeSpec, order: int) -> tuple:
@@ -114,19 +114,17 @@ def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
                       coeffs=tuple(d.divide_by_lambda() for d in cols[1][1:]))
 
 
-def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, grid: int,
-                      orders) -> list[LambdaSample]:
-    """The samples of ``region_scan(scheme, lambda_range, grid, orders)``,
+def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, orders) -> list[LambdaSample]:
+    """The samples of ``region_scan(scheme, lambda_range, orders)``,
     each lambda on its own: S from ``eval_symbol``, theta_m from the first
     grid point where |1 - S| >= 1, and each truncation verdict from
     ``polyval`` of Re P_N over the whole grid, its maximum <= DEFAULT_TOL."""
     lo, hi, count = lambda_range
     orders = sorted(set(orders))
     modeq = derive_log(scheme, orders[-1]) if orders else None
-    thetas = theta_grid(grid)
     samples = []
     for lam in np.linspace(float(lo), float(hi), int(count)):
-        s = eval_symbol(scheme, float(lam), thetas)
+        s = eval_symbol(scheme, float(lam), THETAS)
         abs_s, abs_oms = np.abs(s), np.abs(1.0 - s)
         bad = np.nonzero(abs_oms >= 1.0)[0]
         trunc = {}
@@ -135,13 +133,13 @@ def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, grid: int,
             re_g[2::2] = _signed_coeffs(modeq, lam, range(2, orders[-1] + 1, 2))
             with np.errstate(over="ignore", invalid="ignore"):
                 for n in orders:
-                    re_p = np.polynomial.polynomial.polyval(thetas, re_g[: n + 1])
+                    re_p = np.polynomial.polynomial.polyval(THETAS, re_g[: n + 1])
                     trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
         samples.append(LambdaSample(
             lam=float(lam),
             max_abs_s=float(np.max(abs_s)),
             max_abs_one_minus_s=float(np.max(abs_oms)),
-            theta_m=float(thetas[bad[0]]) if bad.size else math.pi,
+            theta_m=float(THETAS[bad[0]]) if bad.size else math.pi,
             in_rs=bool(np.max(abs_s) <= 1.0 + DEFAULT_TOL),
             in_omega_c=bool(np.max(abs_oms) < 1.0 - DEFAULT_TOL),
             trunc_stable=trunc,
@@ -168,7 +166,7 @@ def region_report_json_dict(report: RegionReport) -> dict:
     text the ``regions`` JSON file holds, less its final newline."""
     return {
         "scheme": report.scheme_name,
-        "grid": report.grid,
+        "grid": DEFAULT_GRID,
         "tolerance": DEFAULT_TOL,
         "orders": list(report.orders),
         "Rs_boundary": report.rs_boundary(),

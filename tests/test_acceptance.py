@@ -21,15 +21,8 @@ from modeq.derivation import derive_log, symbol_series, upwind_symmetry_check
 from modeq.empirics import measured_amplification
 from modeq.radius import radius_root_test, radius_zero_search
 from modeq.schemes import builtin_catalog, catalog_scheme
-from modeq.spectra import (
-    eval_symbol,
-    region_scan,
-    theta_grid,
-    truncated_amplification,
-)
+from modeq.spectra import THETAS, _theta_coeffs, _truncation, eval_symbol, region_scan
 from oracles import bernoulli, derive_elimination, euler_poly_at_zero, series_exp
-
-GRID = 4096
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -48,7 +41,7 @@ def upwind():
 
 @pytest.fixture(scope="module")
 def heat_region_report(heat):
-    return region_scan(heat, (0.0, 0.6, 601), grid=GRID, orders=(4,))
+    return region_scan(heat, (0.0, 0.6, 601), orders=(4,))
 
 
 def test_criterion_01_golden_modified_equation_tables(heat, upwind):
@@ -97,7 +90,7 @@ def test_criterion_03_region_boundaries(heat_region_report, upwind):
     step = 0.001
     rs_heat = heat_region_report.rs_boundary()
     oc_heat = heat_region_report.omega_c_boundary()
-    upwind_report = region_scan(upwind, (0.0, 1.2, 1201), grid=GRID)
+    upwind_report = region_scan(upwind, (0.0, 1.2, 1201))
     rs_up = upwind_report.rs_boundary()
     oc_up = upwind_report.omega_c_boundary()
     ok = (
@@ -210,11 +203,12 @@ def test_criterion_08_empirical_exactness():
 
 
 def test_criterion_09_figure_reproduction(heat, upwind):
-    thetas = theta_grid(GRID)
+    thetas = THETAS
 
     def gap_curve(scheme, modeq, lam, order, ts):
         s = np.abs(eval_symbol(scheme, lam, ts))
-        sn = np.abs(truncated_amplification(modeq, lam, ts, order).s_value)
+        sn = np.abs(_truncation(np.asarray(ts, dtype=complex), _theta_coeffs(modeq, lam, order),
+                                float(lam))[1])
         return np.abs(sn - s)
 
     heat_meq = derive_log(heat, 8)

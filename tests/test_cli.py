@@ -329,27 +329,26 @@ class TestCommandLineErrors:
 
     # a derivation that cannot run shows that lambda is refused before it;
     # radius and certify read float(lambda), so they refuse one below the
-    # smallest normal double too
+    # smallest normal double too, and print a lambda of many digits to 17
+    # significant digits (1e-5000 has more digits than str() writes)
     @pytest.mark.parametrize("argv, message", [
         (["radius", *HEAT, "--lambdas", "1/2,0", "-N", "64"], "lambda must be positive, got 0"),
         (["certify", *HEAT, "--lambdas", "1/5,-1/4", "-N", "16"],
          "lambda must be positive, got -1/4"),
         (["radius", *HEAT, "--lambdas", "1/2,1e-310", "-N", "64"],
-         f"lambda = 1/{10 ** 310} lies below the smallest normal double "
-         "2.2250738585072014e-308"),
+         "lambda = 1e-310 lies below the smallest normal double 2.2250738585072014e-308"),
         (["radius", *HEAT, "--lambdas", "1e-400", "-N", "16"],
-         f"lambda = 1/{10 ** 400} lies below the smallest normal double "
-         "2.2250738585072014e-308"),
+         "lambda = 1e-400 lies below the smallest normal double 2.2250738585072014e-308"),
         (["certify", *HEAT, "--lambdas", "1/5,1e-310", "-N", "2"],
-         f"lambda = 1/{10 ** 310} lies below the smallest normal double "
-         "2.2250738585072014e-308"),
+         "lambda = 1e-310 lies below the smallest normal double 2.2250738585072014e-308"),
         (["certify", *HEAT, "--lambdas", "1e-400", "-N", "2"],
-         f"lambda = 1/{10 ** 400} lies below the smallest normal double "
-         "2.2250738585072014e-308"),
+         "lambda = 1e-400 lies below the smallest normal double 2.2250738585072014e-308"),
         (["figures", *HEAT, "--lambdas=1/4,-1/4", "-N", "64"],
          "lambda must be nonnegative, got -1/4"),
+        (["radius", *HEAT, "--lambdas", "1e-5000", "-N", "16"],
+         "lambda = 1e-5000 lies below the smallest normal double 2.2250738585072014e-308"),
     ], ids=["radius", "certify", "radius-subnormal", "radius-below-double", "certify-subnormal",
-            "certify-below-double", "figures"])
+            "certify-below-double", "figures", "radius-many-digits"])
     def test_lambda_domain_refused_before_deriving(self, capsys, monkeypatch, tmp_path, argv,
                                                    message):
         def derive_log(*_):
@@ -832,6 +831,20 @@ class TestSymmetryCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: lambda must lie in [0, 1/2], got ")
 
+    # a row writes lambda and 1/2 -+ lambda in full, so a lambda with more
+    # digits than str() writes is refused, in [0, 1/2] or outside it
+    @pytest.mark.parametrize("lambdas", ["1/4,1e-5000", "-1e-5000", "3e-4300"])
+    def test_lambda_of_too_many_digits_refused_before_deriving(self, capsys, monkeypatch,
+                                                               lambdas):
+        def never(*args):
+            raise AssertionError("derived a modified equation")
+
+        monkeypatch.setattr("modeq.cli.derive_log", never)
+        code, out, err = run(capsys, "symmetry", f"--lambdas={lambdas}", "-N", "8")
+        assert code == 1 and out == ""
+        assert err == ("error: --lambdas takes values of at most 4300 digits, "
+                       "which the report writes in full\n")
+
 
 @pytest.mark.parametrize(
     "value, text",
@@ -943,7 +956,7 @@ def _region_reports(draw):
                      trunc_stable={n: draw(st.booleans()) for n in orders})
         for _ in range(draw(st.integers(1, 4))))
     return RegionReport(scheme_name=draw(st.sampled_from(["heat_centered", "s%d \u00e9"])),
-                        grid=draw(st.integers(64, 8192)), orders=orders, samples=samples)
+                        orders=orders, samples=samples)
 
 
 def _sample(lam, *, orders=(), value=0.0):
@@ -953,8 +966,8 @@ def _sample(lam, *, orders=(), value=0.0):
 # the renderer writes the bytes of json.dumps(indent=2) of the report dict
 @settings(max_examples=200, deadline=None)
 @given(_region_reports())
-@example(RegionReport("s", 4096, (), (_sample(0.0), _sample(0.5, value=math.nan))))
-@example(RegionReport("s", 4096, (2, 8, 24, 32),
+@example(RegionReport("s", (), (_sample(0.0), _sample(0.5, value=math.nan))))
+@example(RegionReport("s", (2, 8, 24, 32),
                       (_sample(-0.0, orders=(2, 8, 24, 32), value=math.inf),
                        _sample(5e-324, orders=(2, 8, 24, 32), value=-math.inf))))
 def test_regions_json_is_json_dumps_of_the_report(report):

@@ -183,7 +183,7 @@ class TestEvolveAndCompare:
 
 def _per_mode_evolution(scheme, lam, steps, gridsize):
     """(measured, diverged_at) per mode, stepping one mode at a time and
-    testing every |u| after every step."""
+    testing every |u| after every step: above 1e300, or NaN, diverges."""
     weights = symbol_weights(scheme, lam)
     out = []
     for mode in range(gridsize):
@@ -192,7 +192,7 @@ def _per_mode_evolution(scheme, lam, steps, gridsize):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging mode's step overflows
             for n in range(steps):
                 u = step(weights, u)
-                if float(np.max(np.abs(u))) > 1e300:
+                if not float(np.max(np.abs(u))) <= 1e300:
                     diverged_at = n + 1
                     break
         measured = math.inf if diverged_at else float(np.mean(np.abs(u)))
@@ -205,8 +205,8 @@ def _per_mode_evolution(scheme, lam, steps, gridsize):
 # slowest do not; the last two overflow the parts of every mode but 0 to
 # inf and nan (at step 33 for heat, at steps 30 and 31 for Lax-Wendroff),
 # which the overflow screen must pass to the per-row test.  There a mode
-# whose modulus turns nan without passing 1e300 first reads measured nan,
-# diverged_at None, in the reference as in the batch.
+# whose modulus turns nan without passing 1e300 first is flagged at that
+# step, in the reference as in the batch.
 BATCH_CASES = [
     ("heat_centered", Fraction(1, 4), 30, False),
     ("heat_centered", Fraction(10), 200, True),
@@ -225,7 +225,7 @@ def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
     scheme = catalog_scheme(name)
     rows = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, steps, 80)
     batched = [(r.measured, r.diverged_at) for r in rows]
-    # to the bit, so that a nan equals a nan
+    # to the bit
     assert _row_bits(batched) == _row_bits(_per_mode_evolution(scheme, lam, steps, 80))
     first = [d for _, d in batched if d]
     assert bool(first) == diverges and all(d < steps for d in first)
@@ -242,6 +242,21 @@ def test_overflow_screen_reads_both_signs(monkeypatch, heat, shift, flagged):
     rows = evolve_and_compare(heat, derive_log(heat, 2), Fraction(1, 4), 2, 1, 8)
     assert [r.diverged_at for r in rows] == [1 if flagged else None] * 8
     assert all(math.isinf(r.measured) == flagged for r in rows)
+
+
+# a step whose products overflow to infinities of both signs turns a mode
+# nan (inf - inf) without its modulus passing 1e300 first: such a mode is
+# flagged at that step and reads measured inf, never nan
+@pytest.mark.parametrize("name, lam, nan_modes", [
+    ("heat_centered", Fraction(10**9), {22: 33, 58: 33}),
+    ("lax_wendroff", Fraction(10**5), {19: 31, 61: 31}),
+])
+def test_mode_turning_nan_is_flagged(name, lam, nan_modes):
+    scheme = catalog_scheme(name)
+    rows = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, 40, 80)
+    assert {m: rows[m].diverged_at for m in nan_modes} == nan_modes
+    assert not any(math.isnan(r.measured) for r in rows)
+    assert [r.mode for r in rows if r.diverged_at is None] == [0]
 
 
 def _row_bits(rows) -> list:

@@ -29,8 +29,8 @@ EXPORTED = (
     "parse_scheme render_scheme ConsistencyReport CrossCheckError ModifiedEq "
     "consistency_report derive_log symbol_series "
     "CertificateRefusal FigureTable RegionReport StabilityCertificate SymmetryReport "
-    "TruncationEval eval_symbol figure_data truncation_certificate region_scan "
-    "truncated_amplification upwind_symmetry_check RadiusEstimate ZeroSearchError "
+    "eval_symbol figure_data truncation_certificate region_scan "
+    "upwind_symmetry_check RadiusEstimate ZeroSearchError "
     "heat_closed_form_radius radius_root_test "
     "radius_zero_search evolve_and_compare measured_amplification step"
 ).split()

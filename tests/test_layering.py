@@ -3,6 +3,11 @@ the symbol, and every proof about them, are ``modeq.derivation``'s.  So
 ``spectra``, ``radius`` and ``empirics`` import nothing from
 ``modeq.exactalg``; they reach exact values through ``derivation`` and
 ``schemes``.  Function-local imports count too.
+
+Each function a numeric layer exports is read by the package itself: a
+public function whose only callers are tests is surface to delete.
+``measured_amplification`` is the one exception, the acceptance suite's
+cross-check of the symbol against the stepped scheme.
 """
 
 from __future__ import annotations
@@ -51,3 +56,44 @@ def test_numeric_layer_imports_nothing_from_exactalg(name):
 ])
 def test_checker_flags_exactalg_imports(source, found):
     assert exactalg_imports(source) == found
+
+
+# functions a numeric layer exports for the tests alone
+TEST_ONLY = {"measured_amplification"}
+
+
+def unreferenced_exports(module: str, sources: dict) -> list[str]:
+    """The functions defined in ``sources[module]`` and named in its
+    ``__all__`` that no source of ``sources`` (module name -> text) reads
+    by name or as an attribute; a read inside the defining module counts."""
+    tree = ast.parse(sources[module])
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in exported if name in functions and name not in read]
+
+
+@pytest.mark.parametrize("name", NUMERIC)
+def test_every_exported_function_has_a_package_caller(name):
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert set(unreferenced_exports(name, sources)) <= TEST_ONLY
+    assert TEST_ONLY <= {n for m in NUMERIC for n in unreferenced_exports(m, sources)}
+
+
+@pytest.mark.parametrize("sources, found", [
+    ({"a": '__all__ = ["f", "g", "C"]\ndef f(): pass\ndef g(): f()\nclass C: pass\n'},
+     ["g"]),
+    ({"a": '__all__ = ["f"]\ndef f(): pass\n', "b": "from .a import f\nf()\n"}, []),
+    ({"a": '__all__ = ["f"]\ndef f(): pass\n', "b": "from . import a\na.f()\n"}, []),
+    ({"a": '__all__ = ["f"]\ndef f(): pass\n', "b": 'NAMES = "f"\n'}, ["f"]),
+])
+def test_checker_flags_unreferenced_exports(sources, found):
+    assert unreferenced_exports("a", sources) == found

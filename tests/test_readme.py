@@ -105,7 +105,7 @@ def test_caps_named_are_the_package_caps():
 def test_csv_columns_match_the_code():
     curve, evolve = _csv_column_lists()
     heat = catalog_scheme("heat_centered")
-    [table] = figure_data(heat, derive_log(heat, 8), [0.5], (2, 8), grid=64)
+    [table] = figure_data(heat, derive_log(heat, 8), [0.5], (2, 8))
     # the last curve column, abs_S_N{N}..., repeats once per order
     per_order = curve.pop().removesuffix("...")
     assert curve + [per_order.format(N=n) for n in (2, 8)] == list(table.csv_columns())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -11,14 +12,17 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from conftest import lp, random_stencils
+from modeq.cli import main
 from modeq.derivation import ModifiedEq, _modulus_table, derive_log, upwind_symmetry_check
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
 from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import (
     DEFAULT_GRID,
     DEFAULT_TOL,
+    THETAS,
     CertificateRefusal,
     _even_horner,
+    _truncation,
     _truncation_stable,
     _theta_coeffs,
     eval_symbol,
@@ -27,10 +31,15 @@ from modeq.spectra import (
     truncation_certificate,
     region_scan,
     symbol_weights,
-    theta_grid,
-    truncated_amplification,
 )
 from oracles import sweep_region_scan
+
+
+def _truncated(modeq: ModifiedEq, lam, theta, order: int) -> tuple:
+    """P_N and S_N = exp(lambda P_N) at ``theta``, a scalar or an array, by
+    the path the figures, certificates and evolutions share."""
+    return _truncation(np.asarray(theta, dtype=complex), _theta_coeffs(modeq, lam, order),
+                       float(lam))
 
 
 class TestLambdaDomain:
@@ -40,10 +49,12 @@ class TestLambdaDomain:
     def test_nonnegative_admits_zero_and_tiny(self, lam):
         require_lambda("heat_centered", lam, positive=False)
 
+    # a lambda of many digits is printed to 17 significant digits
     @pytest.mark.parametrize("lam", [-1, -5e-324, Fraction(-1, 10**400)])
     def test_negative_refused(self, lam):
+        text = "-1e-400" if isinstance(lam, Fraction) else str(lam)
         with pytest.raises(ValueError, match=rf"^scheme s: lambda must be nonnegative, "
-                                             rf"got {lam}$"):
+                                             rf"got {text}$"):
             require_lambda("s", lam, positive=False)
 
     @pytest.mark.parametrize("lam", [0, 0.0, -0.5, Fraction(-1, 4)])
@@ -92,12 +103,12 @@ class TestEvalSymbol:
             assert eval_symbol(scheme, 0.37, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_upwind_unit_circle_at_full_ratio(self, upwind):
-        thetas = theta_grid(257)
+        thetas = np.linspace(0.0, math.pi, 257)
         s = eval_symbol(upwind, 1, thetas)
         assert np.max(np.abs(np.abs(s) - 1.0)) < 1e-14
 
     def test_modulus_is_even(self):
-        thetas = theta_grid(513)
+        thetas = np.linspace(0.0, math.pi, 513)
         for scheme in builtin_catalog():
             for lam in (Fraction(1, 4), Fraction(1, 2)):
                 plus = np.abs(eval_symbol(scheme, lam, thetas))
@@ -106,7 +117,7 @@ class TestEvalSymbol:
 
     def test_upwind_full_ratio_is_an_exact_shift(self, upwind):
         # a_0 = 1 - lambda vanishes and a_{-1} = lambda is 1 at lambda = 1
-        thetas = theta_grid(257)
+        thetas = np.linspace(0.0, math.pi, 257)
         assert np.array_equal(eval_symbol(upwind, 1, thetas), np.exp(-1j * thetas))
         assert eval_symbol(upwind, 1, 0.3) == np.exp(-0.3j)
 
@@ -141,33 +152,28 @@ class TestThetaM:
         assert region_scan(heat, (0.0, 0.5, 3)).samples[1].theta_m == math.pi
 
     def test_heat_half_crosses_at_pi_over_two(self, heat):
-        grid = 4096
-        theta_star = region_scan(heat, (0.0, 0.5, 3), grid=grid).samples[2].theta_m
-        step = math.pi / (grid - 1)
+        theta_star = region_scan(heat, (0.0, 0.5, 3)).samples[2].theta_m
+        step = math.pi / (DEFAULT_GRID - 1)
         assert 0.0 <= theta_star - math.pi / 2 <= step + 1e-12
 
     def test_upwind_half_full_interval(self, upwind):
         assert region_scan(upwind, (0.0, 0.5, 3)).samples[2].theta_m == math.pi
 
-    def test_grid_validation(self, heat):
-        with pytest.raises(ValueError, match="at least 64 points"):
-            region_scan(heat, (0.0, 0.1, 2), grid=32)
-
 
 class TestRegionScan:
     def test_heat_boundaries(self, heat):
-        report = region_scan(heat, (0.0, 0.6, 61), grid=1024, orders=(4,))
+        report = region_scan(heat, (0.0, 0.6, 61), orders=(4,))
         assert report.rs_boundary() == pytest.approx(0.5, abs=1e-12)
         assert report.omega_c_boundary() == pytest.approx(0.24, abs=1e-12)
         assert all(s.trunc_stable[4] for s in report.samples)
 
     def test_upwind_boundaries(self, upwind):
-        report = region_scan(upwind, (0.0, 1.2, 61), grid=1024)
+        report = region_scan(upwind, (0.0, 1.2, 61))
         assert report.rs_boundary() == pytest.approx(1.0, abs=1e-12)
         assert report.omega_c_boundary() == pytest.approx(0.48, abs=1e-12)
 
     def test_membership_flags_are_consistent(self, heat):
-        report = region_scan(heat, (0.0, 0.6, 31), grid=512)
+        report = region_scan(heat, (0.0, 0.6, 31))
         for s in report.samples:
             assert s.in_rs == (s.max_abs_s <= 1.0 + DEFAULT_TOL)
             assert s.in_omega_c == (s.max_abs_one_minus_s < 1.0 - DEFAULT_TOL)
@@ -190,7 +196,7 @@ class TestRegionScan:
         n, evens = n_evens
         c = np.zeros(n + 1)
         c[::2] = evens
-        thetas = theta_grid(grid)
+        thetas = np.linspace(0.0, math.pi, grid)
         out = np.empty_like(thetas)
         _even_horner(thetas, c.tolist(), out)
         expected = np.polynomial.polynomial.polyval(thetas, c)
@@ -213,25 +219,25 @@ class TestRegionScan:
         # c_1 is beyond the float range, but Re P_2 = -c_2 theta^2 never reads it
         modeq = ModifiedEq("huge", 1, (LambdaPoly.const(10**400), LP_ONE))
         monkeypatch.setattr("modeq.spectra.derive_log", lambda scheme, order: modeq)
-        report = region_scan(heat, (0.0, 0.5, 3), grid=64, orders=(2,))
+        report = region_scan(heat, (0.0, 0.5, 3), orders=(2,))
         assert all(s.trunc_stable == {2: True} for s in report.samples)
         with pytest.raises(ValueError, match=r"scheme huge: c_1 at lambda = 0.5 "):
             _theta_coeffs(modeq, 0.5, 2)
 
     @settings(max_examples=30, deadline=None)
     @given(random_stencils(), st.lists(st.integers(1, 64), max_size=3),
-           st.floats(0.01, 2.0), st.integers(2, 5), st.integers(64, 300))
-    def test_scan_equals_per_lambda_reference(self, scheme, orders, hi, count, grid):
+           st.floats(0.01, 2.0), st.integers(2, 5))
+    def test_scan_equals_per_lambda_reference(self, scheme, orders, hi, count):
         # the scan shares the basis, runs Horner in place and decides most
         # verdicts without a sweep; each sample must equal the per-lambda
         # full sweep, bit for bit
         try:
-            expected = sweep_region_scan(scheme, (0.0, hi, count), grid, orders)
+            expected = sweep_region_scan(scheme, (0.0, hi, count), orders)
         except ValueError as exc:  # a c_p beyond the float range
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                region_scan(scheme, (0.0, hi, count), grid=grid, orders=orders)
+                region_scan(scheme, (0.0, hi, count), orders=orders)
             return
-        report = region_scan(scheme, (0.0, hi, count), grid=grid, orders=orders)
+        report = region_scan(scheme, (0.0, hi, count), orders=orders)
         assert _sample_bits(report.samples) == _sample_bits(expected)
 
     @pytest.mark.parametrize("name, hi", [("heat_centered", 1.0), ("upwind_euler", 2.5),
@@ -240,9 +246,9 @@ class TestRegionScan:
         # lambda runs past R_s; orders cover N = 1, odd N and the cap N = 64
         scheme = catalog_scheme(name)
         orders = (1, 2, 3, 4, 8, 15, 16, 31, 32, 63, 64)
-        report = region_scan(scheme, (0.0, hi, 101), grid=512, orders=orders)
+        report = region_scan(scheme, (0.0, hi, 101), orders=orders)
         assert _sample_bits(report.samples) == _sample_bits(
-            sweep_region_scan(scheme, (0.0, hi, 101), 512, orders))
+            sweep_region_scan(scheme, (0.0, hi, 101), orders))
 
 
 def _sample_bits(samples) -> list:
@@ -287,7 +293,7 @@ class TestTruncationVerdict:
     @settings(max_examples=400, deadline=None)
     @given(_even_rows(), st.integers(64, 4097))
     def test_verdict_equals_full_sweep(self, row, grid):
-        thetas = theta_grid(grid)
+        thetas = np.linspace(0.0, math.pi, grid)
         out = np.empty(grid)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = bool(_even_horner(thetas, row, out).max() <= DEFAULT_TOL)
@@ -301,7 +307,7 @@ class TestTruncationVerdict:
     @given(_even_rows(), st.integers(64, 4097), st.integers(0, 4096),
            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0]))
     def test_verdict_reads_any_buffer(self, row, grid, peak, value):
-        thetas = theta_grid(grid)
+        thetas = np.linspace(0.0, math.pi, grid)
         out = np.zeros(grid)
         out[peak % grid] = value
         with np.errstate(over="ignore", invalid="ignore"):
@@ -314,7 +320,7 @@ class TestTruncationVerdict:
         monkeypatch.setattr("modeq.spectra._even_horner",
                             lambda x, c, out=None: (swept.append(out is not None)
                                                     or sweep(x, c, out)))
-        thetas, out = theta_grid(64), np.zeros(64)
+        thetas, out = np.linspace(0.0, math.pi, 64), np.zeros(64)
         assert _truncation_stable(thetas, [0.0, 0.0, -1.0, 0.0, -2.0], out)
         assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -0.01], out)
         assert _truncation_stable(thetas, [0.0, 0.0, DEFAULT_TOL / 20, 0.0, 0.0], out)
@@ -347,35 +353,33 @@ class TestTruncationVerdict:
 class TestTruncatedAmplification:
     def test_heat_second_order_at_pi(self, heat):
         modeq = derive_log(heat, 8)
-        te = truncated_amplification(modeq, Fraction(1, 4), math.pi, 2)
-        assert te.p_value == pytest.approx(-math.pi**2)
-        assert abs(te.s_value) == pytest.approx(math.exp(-math.pi**2 / 4), rel=1e-12)
+        p_val, s_val = _truncated(modeq, Fraction(1, 4), math.pi, 2)
+        assert p_val == pytest.approx(-math.pi**2)
+        assert abs(s_val) == pytest.approx(math.exp(-math.pi**2 / 4), rel=1e-12)
 
     def test_unity_at_zero(self):
         for scheme in builtin_catalog():
             modeq = derive_log(scheme, 6)
-            te = truncated_amplification(modeq, 0.3, 0.0, 6)
-            assert te.s_value == 1.0
+            assert _truncated(modeq, 0.3, 0.0, 6)[1] == 1.0
 
     def test_order_cap(self, heat):
         modeq = derive_log(heat, 4)
         with pytest.raises(ValueError):
-            truncated_amplification(modeq, 0.25, 1.0, 6)
+            _theta_coeffs(modeq, 0.25, 6)
 
     def test_modulus_follows_real_part(self, upwind):
         modeq = derive_log(upwind, 6)
         for theta in (0.3, 1.1, 2.9):
-            te = truncated_amplification(modeq, 0.4, theta, 6)
-            assert abs(te.s_value) == pytest.approx(math.exp(0.4 * te.p_value.real), rel=1e-14)
+            p_val, s_val = _truncated(modeq, 0.4, theta, 6)
+            assert abs(s_val) == pytest.approx(math.exp(0.4 * p_val.real), rel=1e-14)
 
     def test_higher_order_tracks_symbol_better(self, heat):
         # inside the contraction region the N=8 curve improves on N=2
         modeq = derive_log(heat, 8)
-        thetas = theta_grid(1024)
-        s = np.abs(eval_symbol(heat, Fraction(1, 4), thetas))
+        s = np.abs(eval_symbol(heat, Fraction(1, 4), THETAS))
         gap = {}
         for n in (2, 8):
-            sn = np.abs(truncated_amplification(modeq, Fraction(1, 4), thetas, n).s_value)
+            sn = np.abs(_truncated(modeq, Fraction(1, 4), THETAS, n)[1])
             gap[n] = np.max(np.abs(sn - s))
         assert gap[8] < gap[2]
 
@@ -438,12 +442,12 @@ class TestHighOrderTruncation:
 
     def test_upwind_order_32_amplification_bounded(self, upwind):
         modeq = derive_log(upwind, 32)
-        te = truncated_amplification(modeq, 0.75, theta_grid(), 32)
-        assert float(np.max(np.abs(te.s_value))) <= 1 + 1e-12
+        s_val = _truncated(modeq, 0.75, THETAS, 32)[1]
+        assert float(np.max(np.abs(s_val))) <= 1 + 1e-12
 
     def test_upwind_order_32_real_part_negative_at_pi(self, upwind):
         modeq = derive_log(upwind, 32)
-        assert truncated_amplification(modeq, 0.735, math.pi, 32).p_value.real < 0
+        assert _truncated(modeq, 0.735, math.pi, 32)[0].real < 0
 
 
 def _exact_partial_sum(modeq: ModifiedEq, lam: float, theta: float, order: int):
@@ -485,11 +489,9 @@ def test_partial_sums_reproduce_symbol_to_1e8(partial_sum_references):
         scheme = catalog_scheme(name)
         thetas = np.linspace(0.0, theta_max, 257)
         # the hypothesis: lambda inside the contraction region
-        assert float(np.max(np.abs(1.0 - eval_symbol(scheme, lam, theta_grid(512))))) < 1.0
+        assert float(np.max(np.abs(1.0 - eval_symbol(scheme, lam, THETAS)))) < 1.0
         s = eval_symbol(scheme, lam, thetas)
-        s_ref = truncated_amplification(
-            partial_sum_references[name], lam, thetas, 64
-        ).s_value
+        s_ref = _truncated(partial_sum_references[name], lam, thetas, 64)[1]
         assert float(np.max(np.abs(s_ref - s))) <= 1e-8, (name, lam)
 
 
@@ -502,7 +504,7 @@ def test_truncation_within_horner_bound(partial_sum_references, name, lam, theta
     # Higham (2002), section 5.1: Horner on exact-then-rounded coefficients
     # errs by at most gamma_2N * sum_p |c_p| theta^p
     modeq = partial_sum_references[name]
-    p_value = truncated_amplification(modeq, lam, theta, order).p_value
+    p_value = _truncated(modeq, lam, theta, order)[0]
     exact, scale = _exact_partial_sum(modeq, lam, theta, order)
     assert abs(p_value - exact) <= 4 * order * np.finfo(float).eps * scale
 
@@ -555,12 +557,11 @@ class TestCertificate:
         m16 = derive_log(lax, 16)
         lam = Fraction(1, 5)
         [cert] = truncation_certificate(lax, m16, lam, (2,), math.pi, 1.0)
-        thetas = theta_grid(DEFAULT_GRID)
-        p_n = truncated_amplification(m16, lam, thetas, 2).p_value
-        p_ref = truncated_amplification(m16, lam, thetas, 16).p_value
-        positive = thetas > 0
+        p_n = _truncated(m16, lam, THETAS, 2)[0]
+        p_ref = _truncated(m16, lam, THETAS, 16)[0]
+        positive = THETAS > 0
         tail_a = float(
-            np.max(np.abs(p_ref[positive] - p_n[positive]) / thetas[positive] ** 3)
+            np.max(np.abs(p_ref[positive] - p_n[positive]) / THETAS[positive] ** 3)
         )
         assert cert.tail_a == tail_a
 
@@ -685,25 +686,13 @@ class TestFigureData:
     def test_empty_lambda_list(self, heat):
         assert figure_data(heat, derive_log(heat, 8), [], (2, 8)) == []
 
-    # the theta grid is a library argument; a grid without both endpoints
-    # is refused in the scheme's name, by the figures and the certificate
-    def test_grid_below_two_points_names_the_scheme(self, heat):
-        modeq = derive_log(heat, 16)
-        message = r"^scheme heat_centered: grid needs at least the two endpoints$"
-        with pytest.raises(ValueError, match=message):
-            figure_data(heat, modeq, [Fraction(1, 4)], (2,), grid=1)
-        with pytest.raises(ValueError, match=message):
-            truncation_certificate(heat, modeq, Fraction(1, 5), (4,), math.pi, 1.0, grid=1)
-
     def test_table_shape(self, heat):
-        tables = figure_data(
-            heat, derive_log(heat, 8), [Fraction(1, 2), Fraction(1, 4)], (2, 8), grid=128
-        )
+        tables = figure_data(heat, derive_log(heat, 8), [Fraction(1, 2), Fraction(1, 4)], (2, 8))
         assert [t.lam for t in tables] == [0.5, 0.25]
         for t in tables:
             columns = t.csv_columns()
             assert list(columns) == ["theta", "abs_S", "abs_S_N2", "abs_S_N8"]
-            assert all(len(col) == 128 for col in columns.values())
+            assert all(len(col) == DEFAULT_GRID for col in columns.values())
             assert columns["theta"][0] == 0.0 and columns["theta"][-1] == math.pi
 
     def test_orders_share_one_rounding(self, heat, monkeypatch):
@@ -716,14 +705,26 @@ class TestFigureData:
         [table] = figure_data(heat, modeq, [Fraction(1, 2)], [2, 8, 16, 32])
         assert len(calls) == 3 + 32
         for n, abs_sn in table.abs_s_trunc.items():
-            alone = truncated_amplification(modeq, Fraction(1, 2), table.thetas, n)
-            assert abs_sn.tobytes() == np.abs(alone.s_value).tobytes()
+            alone = _truncated(modeq, Fraction(1, 2), THETAS, n)[1]
+            assert abs_sn.tobytes() == np.abs(alone).tobytes()
 
     def test_order_beyond_the_table(self, heat):
         with pytest.raises(ValueError, match="truncation order 9 exceeds stored order 8"):
             figure_data(heat, derive_log(heat, 8), [Fraction(1, 2)], (2, 9))
 
     def test_grid_endpoints_exact(self):
-        thetas = theta_grid(64)
-        assert thetas[0] == 0.0
-        assert thetas[-1] == math.pi
+        assert THETAS[0] == 0.0
+        assert THETAS[-1] == math.pi
+
+
+# one theta grid for every scan, figure and certificate: no caller can
+# write into it, and the regions report names its size
+def test_theta_grid_is_fixed_and_read_only(tmp_path, capsys):
+    assert THETAS.tobytes() == np.linspace(0.0, math.pi, 4096).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        THETAS[1] = 0.5
+    assert main(["regions", "--catalog", "heat_centered", "--lambda-range", "0:0.5:3",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "heat_centered_regions.json").read_text())
+    assert report["grid"] == 4096
