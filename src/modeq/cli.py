@@ -249,6 +249,16 @@ def _regions_json(report, columns: Mapping[str, list]) -> str:
             + ",\n".join([sample] * len(report.samples)) % tuple(values) + "\n  ]\n}\n")
 
 
+def _require_lambdas(scheme, lambdas: Sequence[Fraction], *, positive: bool) -> None:
+    """Refuse, before any derivation, a lambda outside the domain
+    (``spectra.require_lambda``) or one whose symbol coefficients are
+    beyond the float range."""
+    from .spectra import require_lambda, symbol_weights
+    for lam in lambdas:
+        require_lambda(scheme.name, lam, positive=positive)
+        symbol_weights(scheme, lam)
+
+
 def _lambda_tag(lam) -> str:
     return format(float(lam), "g")
 
@@ -288,15 +298,11 @@ def cmd_regions(args: argparse.Namespace) -> int:
 
 
 def cmd_radius(args: argparse.Namespace) -> int:
-    from . import radius, spectra
+    from . import radius
     scheme = _load_scheme(args)
     lambdas = _parse_lambdas(args)
     order = _single_order(args, DEFAULT_ROOT_TEST_ORDER)
-    for lam in lambdas:
-        # a lambda outside the domain, or a symbol beyond the float range,
-        # fails here, before the derivation
-        spectra.require_lambda(scheme.name, lam, positive=True)
-        spectra.symbol_weights(scheme, lam)
+    _require_lambdas(scheme, lambdas, positive=True)
     radius.require_root_test_order(scheme.name, order)
     # the radius depends only on the symbol, so the heat closed form applies
     # to every scheme with the heat stencil, whatever its name
@@ -333,9 +339,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
                              f"{scheme.name}_lambda{_lambda_tag(lam)}.csv")
     lambdas = list(tags.values())  # a repeated lambda is computed and written once
     # lambda and the size flags are refused before the derivation, in the layers' words
-    for lam in lambdas:
-        spectra.require_lambda(scheme.name, lam, positive=False)
-    empirics.require_evolution_sizes(scheme.name, args.steps, args.gridsize)
+    _require_lambdas(scheme, lambdas, positive=False)
+    empirics.require_evolution_sizes(scheme, args.steps, args.gridsize)
     # every table is computed before the first file is written
     modeq = derive_log(scheme, max(orders))
     tables = spectra.figure_data(scheme, modeq, lambdas, orders)
@@ -361,8 +366,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if (reference := 4 * max(orders)) > MAX_ORDER:
         raise UsageError(f"certify -N {max(orders)} needs the reference order 4N = {reference}, "
                          f"above the cap MAX_ORDER = {MAX_ORDER}; -N is at most {MAX_ORDER // 4}")
-    for lam in lambdas:
-        spectra.require_lambda(scheme.name, lam, positive=True)  # before deriving
+    _require_lambdas(scheme, lambdas, positive=True)
     certificates = []
     for lam in lambdas:
         # the certificate reads the c_p at lam only: derive them at lam

@@ -143,13 +143,17 @@ def _relative_gap(predicted: float, measured: float) -> float:
     return abs(predicted - measured) / max(measured, 1.0)
 
 
-def require_evolution_sizes(scheme_name: str, steps: int, gridsize: int) -> None:
-    """Raise ``ValueError`` for ``steps`` < 0 or ``gridsize`` < 4."""
+def require_evolution_sizes(scheme: SchemeSpec, steps: int, gridsize: int) -> None:
+    """Raise ``ValueError`` for ``steps`` < 0, ``gridsize`` < 4 or a stencil
+    as wide as the grid, which ``step`` would refuse."""
     if steps < 0:
-        raise ValueError(f"scheme {scheme_name}: steps must be >= 0")
+        raise ValueError(f"scheme {scheme.name}: steps must be >= 0")
     if gridsize < 4:
-        raise ValueError(f"scheme {scheme_name}: the grid needs at least 4 points, "
+        raise ValueError(f"scheme {scheme.name}: the grid needs at least 4 points, "
                          f"got gridsize = {gridsize}")
+    if (width := scheme.n_left + scheme.n_right) >= gridsize:
+        raise ValueError(f"scheme {scheme.name}: stencil width {width} does not fit a grid "
+                         f"of {gridsize} points")
 
 
 def evolve_and_compare(
@@ -187,7 +191,7 @@ def evolve_and_compare(
     reads 5.5e13 for mode 22, against ``predicted_S`` 3.7e-13.  Compare
     ``measured`` with the symbol only inside R_s.
     """
-    require_evolution_sizes(scheme.name, steps, gridsize)
+    require_evolution_sizes(scheme, steps, gridsize)
     require_lambda(scheme.name, lam, positive=False)
     thetas = 2.0 * math.pi * np.arange(gridsize) / gridsize
     thetas[thetas > math.pi] -= 2.0 * math.pi

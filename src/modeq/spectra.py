@@ -27,25 +27,26 @@ adds of +0.0 at odd powers.  S starts from its first term rather than from
 |1 - S|.
 
 A truncation verdict, Re P_N <= tol at every grid point, is what the
-Horner sweep of the whole grid would give, decided in six steps
+Horner sweep of the whole grid would give, decided in four steps
 (``_truncation_stable``).  The grid lies in [0, pi] with pi its last
 point, the row's even entries d (the signed c_{2k}) are finite and its odd
 ones +0.0, and IEEE rounding is monotone, so each rounded * and + by a
 value of one sign keeps that sign and, for x >= 0, its order in x:
-  1. every d <= 0: every Horner value is <= 0, so stable;
-  2. the Horner value at pi, by the same float steps on Python floats, is
+  1. the Horner value at pi, by the same float steps on Python floats, is
      > tol: that grid value exceeds tol, so unstable;
-  3. every d >= 0: the values are non-decreasing in theta, so the one at
-     pi, <= tol by step 2, is the grid maximum, and stable;
-  4. the same Horner steps run on the interval x in [0, pi] end at an
+  2. the same Horner steps run on the interval x in [0, pi] end at an
      upper bound <= tol: stable.  For x >= 0 a rounded v * x is
      non-decreasing in v and monotone in x, so over v <= hi it is at most
      its larger corner: 0 at x = 0, where every value is finite, or
      hi * pi; a rounded v + d is non-decreasing in v;
-  5. the Horner value at the grid point where this row's previous sweep
+  3. the Horner value at the grid point where this row's previous sweep
      peaked, by the same float steps on Python floats, is > tol: that grid
      value exceeds tol, so unstable;
-  6. else the full sweep decides.
+  4. else the full sweep decides.
+Step 2 decides every row whose d share a sign.  With every d <= 0 the
+bound is <= 0.  With every d >= 0 no corner is negative, so the bound's
+steps are those of the value at pi, in the same order, and the two are
+equal bit for bit: <= tol once step 1 has passed.
 No step meets NaN: the d are finite, so an infinity plus d stays that
 infinity, and at x = 0, where an infinity times x would be NaN, every
 value is finite.  So an overflow needs no guard: -inf is a value or a
@@ -192,45 +193,37 @@ def _even_horner(x, c: list, out: Optional[np.ndarray] = None):
     return v
 
 
-def _horner_upper(c: list, x_max: float) -> float:
-    """The upper end of ``_even_horner``'s steps run on the interval
-    x in [0, x_max]: each product's upper end is the larger of its corners
-    at x = 0 (a zero, since every value there is finite) and at x_max, and
-    each add shifts it by c[k].  The lower end never enters it."""
-    hi = c[-1]
+def _value_and_bound(c: list, x_max: float) -> tuple[float, float]:
+    """``_even_horner(x_max, c)`` by its float steps, and the upper end of
+    those steps run on x in [0, x_max]: each product's upper end is its
+    larger corner, 0 at x = 0 (every value there is finite) or at x_max,
+    and each add shifts it by c[k]."""
+    v = hi = c[-1]
     for k in range(len(c) - 2, -1, -1):
+        v *= x_max
         hi *= x_max
         if hi < 0.0:
             hi = 0.0
         if k % 2 == 0:
+            v += c[k]
             hi += c[k]
-    return hi
+    return v, hi
 
 
-def _truncation_stable(thetas: np.ndarray, c: list, out: np.ndarray,
-                       signs: Optional[tuple] = None) -> bool:
+def _truncation_stable(thetas: np.ndarray, c: list, out: np.ndarray) -> bool:
     """Whether sum_k c[k] theta^k <= DEFAULT_TOL at every point of
     ``thetas``, a grid on [0, pi] whose last point is pi (``THETAS`` in a
     scan), as the sweep ``_even_horner(thetas, c, out)`` would say, by the
-    six steps of the module docstring.  ``c`` holds finite floats, +0.0 at
-    odd k; ``signs`` is (every even entry <= 0, every even entry >= 0)
-    when the caller knows it.
-
-    Step 4's bound (``_horner_upper``) is at least every grid value, since
-    each of its steps is a corner of the rounded step over the grid's
-    values, so a bound <= tol means a grid maximum <= tol.  Step 5's
-    witness is the grid point where ``out`` peaks; the Python-float steps
-    give the sweep's own value there, bit for bit, so a value > tol means
-    a grid maximum > tol whatever ``out`` held.  In a scan ``out`` holds
-    this row's previous sweep; a sweep writes its values into it."""
-    nonpositive, nonnegative = signs or (all(d <= 0 for d in c[::2]),
-                                         all(d >= 0 for d in c[::2]))
-    if nonpositive:
-        return True
-    x_max = thetas[-1].item()
-    if _even_horner(x_max, c) > DEFAULT_TOL:
+    four steps of the module docstring; ``c`` holds finite floats, +0.0 at
+    odd k.  Step 2's bound is at least every grid value, since each of its
+    steps is a corner of the rounded step over the grid's values.  Step 3's
+    witness is the grid point where ``out`` peaks, whose value the
+    Python-float steps give bit for bit, whatever ``out`` held.  In a scan
+    ``out`` holds this row's previous sweep; a sweep writes into it."""
+    value, upper = _value_and_bound(c, thetas[-1].item())
+    if value > DEFAULT_TOL:
         return False
-    if nonnegative or _horner_upper(c, x_max) <= DEFAULT_TOL:
+    if upper <= DEFAULT_TOL:
         return True
     if _even_horner(thetas[out.argmax()].item(), c) > DEFAULT_TOL:
         return False
@@ -300,10 +293,9 @@ def region_scan(
     max |S| <= 1 + tol over the theta grid, and inside the contraction region
     when max |1 - S| < 1 - tol.  For each requested truncation order N, the
     truncation is marked stable when Re P_N(theta) <= tol on the whole grid,
-    decided without a sweep of the grid where the signs of its
-    coefficients, its value at pi, an interval bound or a witness suffice
-    (see the module docstring).  theta_m is the grid point where |1 - S|
-    first reaches 1, or pi.
+    decided without a sweep of the grid where its value at pi, an interval
+    bound or a witness suffices (see the module docstring).  theta_m is the
+    grid point where |1 - S| first reaches 1, or pi.
     """
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
@@ -351,13 +343,8 @@ def region_scan(
             trunc = {}
             if orders:
                 row[2::2] = _signed_coeffs(modeq, lam, range(2, top + 1, 2))
-                # the nested rows' sign facts: the first positive and first
-                # negative entry of the longest row
-                first_pos = next((k for k, d in enumerate(row) if d > 0), top + 1)
-                first_neg = next((k for k, d in enumerate(row) if d < 0), top + 1)
                 for n, out in zip(orders, re_p):
-                    trunc[n] = _truncation_stable(THETAS, row[: n + 1], out,
-                                                  (first_pos > n, first_neg > n))
+                    trunc[n] = _truncation_stable(THETAS, row[: n + 1], out)
             samples.append(
                 LambdaSample(
                     lam=lam,
@@ -418,7 +405,7 @@ def truncation_certificate(
     horizon_t: float,
 ) -> list[StabilityCertificate]:
     """Assemble the e^{CT} e^{A T M^{N+1}/lambda} bound at dx = 1, one
-    certificate per truncation order N in ``orders``.
+    certificate per distinct order N in ``orders``, in increasing order.
 
     The partial sum of ``modeq`` at its full order is the reference for the
     tail constant A, so ``modeq.order`` must exceed every order.  Refuses when
@@ -430,6 +417,7 @@ def truncation_certificate(
     """
     require_lambda(scheme.name, lam, positive=True)
     lam_f = float(lam)
+    orders = tuple(sorted(set(int(n) for n in orders)))
     if modeq.order <= max(orders, default=0):
         raise ValueError(f"scheme {scheme.name}: reference order {modeq.order} must exceed "
                          f"the truncation order {max(orders)}")

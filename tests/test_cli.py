@@ -383,13 +383,22 @@ class TestCommandLineErrors:
         assert err == f"error: lambda value {value.split(',')[-1]!r} is beyond the float range\n"
         assert out == "" and not out_dir.exists()
 
-    # a lambda inside the float range whose symbol is not prints in short form
-    def test_symbol_beyond_the_float_range_prints_lambda_short(self, capsys, tmp_path):
-        code, out, err = run(capsys, "radius", *HEAT, "--lambdas", "1e308", "-N", "16",
-                             "--out", str(tmp_path / "out"))
-        assert code == 1 and out == ""
-        assert err == ("error: scheme heat_centered: symbol coefficient a_0 at lambda = 1e+308 "
-                       "is beyond the float range\n")
+    # a lambda inside the float range whose symbol is not prints in short
+    # form, and is refused before the derivation by every subcommand that
+    # reads the symbol at given lambdas
+    def test_symbol_beyond_the_float_range_prints_lambda_short(self, capsys, monkeypatch,
+                                                               tmp_path):
+        def derive_log(*_):
+            raise AssertionError("derived before the symbol was checked")
+
+        monkeypatch.setattr("modeq.cli.derive_log", derive_log)
+        for argv in (["radius", "-N", "16"], ["figures", "-N", "64"], ["certify", "-N", "16"]):
+            code, out, err = run(capsys, *argv, *HEAT, "--lambdas", "1/4,1e308",
+                                 "--out", str(tmp_path / "out"))
+            assert code == 1 and out == "", argv
+            assert err == ("error: scheme heat_centered: symbol coefficient a_0 at "
+                           "lambda = 1e+308 is beyond the float range\n"), argv
+            assert not (tmp_path / "out").exists()
 
     # the size flags too, on the stencil whose derivation costs most
     @pytest.mark.parametrize("argv, message", [
@@ -409,6 +418,21 @@ class TestCommandLineErrors:
         code, out, err = run(capsys, *argv, "--file", str(f), "--out", str(out_dir))
         assert code == 1
         assert err == f"error: scheme lam16: {message}\n"
+        assert out == "" and not out_dir.exists()
+
+    # a stencil as wide as the evolution grid, which a step would refuse
+    def test_wide_stencil_refused_before_deriving(self, capsys, monkeypatch, tmp_path):
+        def derive_log(*_):
+            raise AssertionError("derived before the stencil width was checked")
+
+        monkeypatch.setattr("modeq.cli.derive_log", derive_log)
+        f = tmp_path / "wide.scheme"
+        f.write_text("scheme wide\nq = 1\npde A[1] = 1\nstencil B[-2] = 1\nstencil B[2] = -1\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "figures", "--file", str(f), "--lambdas", "1/4", "-N", "2",
+                             "--gridsize", "4", "--out", str(out_dir))
+        assert code == 1
+        assert err == "error: scheme wide: stencil width 4 does not fit a grid of 4 points\n"
         assert out == "" and not out_dir.exists()
 
     def test_unknown_subcommand_exits_1(self, capsys):
@@ -684,6 +708,13 @@ class TestCertifyCommand:
         assert code == 1
         assert out == ""
         assert err == "error: forced refusal\n"
+
+    # the orders are written sorted and each once, as regions and figures read them
+    def test_orders_sorted_without_repeats(self, capsys):
+        code, out, _ = run(capsys, "certify", *HEAT, "--lambdas", "1/5", "-N", "4,2,4")
+        assert code == 0
+        assert [c["N"] for c in json.loads(out)["certificates"]] == [2, 4]
+        assert out == run(capsys, "certify", *HEAT, "--lambdas", "1/5", "-N", "2,4")[1]
 
     # the reference order is 4N, so N = 16 is the largest under the cap 64
     def test_order_above_16_names_the_flag_and_reference(self, capsys):

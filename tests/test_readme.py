@@ -2,9 +2,10 @@
 flag table lists exactly the flags each subcommand registers, the caps it
 names are the package's, the CSV column
 lists name the columns the tables write, and the
-"Library" example prints what its comments say, and the scheme-file example
-is the catalog's Lax-Wendroff scheme, so a flag, cap, name or format change
-in the package cannot linger in the documentation."""
+"Library" example prints what its comments say, the scheme-file example
+is the catalog's Lax-Wendroff scheme, and the truncation-verdict counts in
+"Notes on the methods" are the scans' own, so a flag, cap, name, format or
+verdict-step change in the package cannot linger in the documentation."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from modeq import cli, schemes
+from modeq import cli, schemes, spectra
 from modeq.cli import build_parser, main
 from modeq.derivation import derive_log
 from modeq.empirics import ModeComparison
@@ -131,3 +132,35 @@ def test_scheme_file_example_is_the_catalog_scheme():
     section = README.read_text(encoding="utf-8").split("## Scheme file format", 1)[1]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     assert parse_scheme(block) == catalog_scheme("lax_wendroff")
+
+
+def _verdict_step_counts() -> dict:
+    """Scheme -> (hi, the verdicts that steps 1-4 decide) as README's
+    "Notes on the methods" states them for the 601-lambda scans on [0, hi]."""
+    section = README.read_text(encoding="utf-8").split("## Notes on the methods", 1)[1]
+    rows = re.findall(r"^  - `(\w+)` on `\[0, ([\d.]+)\]`: (\d+) / (\d+) / (\d+) / (\d+)[;.]$",
+                      section, re.M)
+    return {name: (float(hi), tuple(map(int, counts))) for name, hi, *counts in rows}
+
+
+def test_verdict_step_counts_match_the_scans(monkeypatch):
+    stated = _verdict_step_counts()
+    assert set(stated) == {"heat_centered", "upwind_euler", "lax_wendroff"}
+    # steps 1 and 2 read the pair of one loop, once per verdict; step 3 is
+    # a Horner value at one float, step 4 a sweep into an array
+    pairs, sweeps = [], []
+    value_and_bound, horner = spectra._value_and_bound, spectra._even_horner
+    monkeypatch.setattr(spectra, "_value_and_bound",
+                        lambda c, x: pairs.append(value_and_bound(c, x)) or pairs[-1])
+    monkeypatch.setattr(spectra, "_even_horner",
+                        lambda x, c, out=None: (sweeps.append(out is not None)
+                                                or horner(x, c, out)))
+    tol = spectra.DEFAULT_TOL
+    for name, (hi, counts) in stated.items():
+        pairs.clear()
+        sweeps.clear()
+        spectra.region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
+        first = sum(value > tol for value, _ in pairs)
+        second = sum(value <= tol and upper <= tol for value, upper in pairs)
+        assert (first, second, len(pairs) - first - second - sum(sweeps), sum(sweeps)) == \
+            counts, name

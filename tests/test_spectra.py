@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 from conftest import lp, random_stencils
@@ -25,6 +25,7 @@ from modeq.spectra import (
     _truncation,
     _truncation_stable,
     _theta_coeffs,
+    _value_and_bound,
     eval_symbol,
     figure_data,
     require_lambda,
@@ -324,17 +325,37 @@ class TestTruncationVerdict:
         assert _truncation_stable(thetas, [0.0, 0.0, -1.0, 0.0, -2.0], out)
         assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -0.01], out)
         assert _truncation_stable(thetas, [0.0, 0.0, DEFAULT_TOL / 20, 0.0, 0.0], out)
-        assert swept == [False, False]
+        assert swept == []
         # mixed signs, decided by the interval bound: 1e-14 pi^2 <= tol
         assert _truncation_stable(thetas, [0.0, 0.0, 1e-14, 0.0, -1.0], out)
-        assert swept == [False, False, False]
+        assert swept == []
         # theta^2 - theta^4 is positive below theta = 1 and negative at pi;
         # the zero buffer's peak, theta = 0, is no witness, so the grid is swept
         assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -1.0], out)
-        assert swept == [False, False, False, False, False, True]
+        assert swept == [False, True]
         # the sweep left in out peaks where the row does: the witness decides
         assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -1.0], out)
-        assert swept == [False, False, False, False, False, True, False, False]
+        assert swept == [False, True, False]
+
+    # a row whose even entries share a sign is decided by the value at pi or
+    # by the interval bound: no witness is read and no grid is swept
+    @example([DEFAULT_TOL, 0.0, 0.0], 64)  # value and bound exactly tol
+    @settings(max_examples=200, deadline=None)
+    @given(_even_rows(), st.integers(64, 4097))
+    def test_one_signed_rows_need_no_witness(self, row, grid):
+        evens = row[::2]
+        assume(all(d <= 0 for d in evens) or all(d >= 0 for d in evens))
+        value, upper = _value_and_bound(row, math.pi)
+        assert value > DEFAULT_TOL or upper <= DEFAULT_TOL
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("modeq.spectra._even_horner", None)  # a witness or a sweep fails
+            _truncation_stable(np.linspace(0.0, math.pi, grid), row, np.zeros(grid))
+
+    # the loop's value half is the Python-float Horner at pi, bit for bit
+    @settings(max_examples=200, deadline=None)
+    @given(_even_rows())
+    def test_value_is_the_horner_value_at_pi(self, row):
+        assert _value_and_bound(row, math.pi)[0].hex() == _even_horner(math.pi, row).hex()
 
     def test_catalog_scans_sweep_rarely(self, monkeypatch):
         # 1803 verdicts per scan; the sign and pi steps alone leave 1726 of
