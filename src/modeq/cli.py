@@ -203,9 +203,11 @@ def _emit_text(text: str, out_dir: Optional[Path], filename: str) -> None:
 
 def _write_csv(path: Path, columns: Mapping[str, Sequence]) -> None:
     """Write ``columns``, a mapping from each header to its column's values,
-    as CSV: a column of floats only by ``%.17g``, any other through ``_fmt``."""
+    as CSV: a column of floats only by ``%.17g``, a column of str only as it
+    is (as ``_fmt`` would write it), any other through ``_fmt``."""
     floats = [all(isinstance(v, float) for v in col) for col in columns.values()]
-    cols = [col if f else [_fmt(v) for v in col] for f, col in zip(floats, columns.values())]
+    cols = [col if f or all(isinstance(v, str) for v in col) else [_fmt(v) for v in col]
+            for f, col in zip(floats, columns.values())]
     template = ",".join("%.17g" if f else "%s" for f in floats) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\r\n")
@@ -347,9 +349,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
     evolutions = [empirics.evolve_and_compare(scheme, modeq, lam, max(orders), args.steps,
                                               args.gridsize) for lam in lambdas]
     out_dir = _out_dir(args, ".")
+    theta = ["%.17g" % x for x in spectra.THETAS.tolist()]  # rendered once, for every table
     for table in tables:
         _write_csv(out_dir / f"{scheme.name}_lambda{_lambda_tag(table.lam)}.csv",
-                   table.csv_columns())
+                   {**table.csv_columns(), "theta": theta})
     for lam, rows in zip(lambdas, evolutions):
         _write_csv(out_dir / f"{scheme.name}_evolve_lambda{_lambda_tag(lam)}.csv",
                    {name: [row[i] for row in rows]

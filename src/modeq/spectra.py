@@ -27,30 +27,32 @@ adds of +0.0 at odd powers.  S starts from its first term rather than from
 |1 - S|.
 
 A truncation verdict, Re P_N <= tol at every grid point, is what the
-Horner sweep of the whole grid would give, decided in four steps
-(``_truncation_stable``).  The grid lies in [0, pi] with pi its last
-point, the row's even entries d (the signed c_{2k}) are finite and its odd
-ones +0.0, and IEEE rounding is monotone, so each rounded * and + by a
-value of one sign keeps that sign and, for x >= 0, its order in x:
-  1. the Horner value at pi, by the same float steps on Python floats, is
-     > tol: that grid value exceeds tol, so unstable;
-  2. the same Horner steps run on the interval x in [0, pi] end at an
-     upper bound <= tol: stable.  For x >= 0 a rounded v * x is
-     non-decreasing in v and monotone in x, so over v <= hi it is at most
-     its larger corner: 0 at x = 0, where every value is finite, or
-     hi * pi; a rounded v + d is non-decreasing in v;
-  3. the Horner value at the grid point where this row's previous sweep
+Horner sweep of the whole grid would give, decided for all the lambdas of
+a scan at once (``_truncation_verdicts``).  The grid lies in [0, pi] with
+pi its last point, each row's even entries d (the signed c_{2k}) are
+finite and its odd ones +0.0, and IEEE rounding is monotone, so each
+rounded * and + by a value of one sign keeps that sign and, for x >= 0,
+its order in x:
+  1. the Horner value at pi, by numpy float64 steps on each coefficient's
+     column, is > tol: that grid value exceeds tol, so unstable;
+  2. the same steps run on each of four pieces [x_a, x_b] of [0, pi], with
+     grid points as ends, give upper ends all <= tol: stable.  For x >= 0
+     a rounded v * x is non-decreasing in v and monotone in x, so over
+     v <= hi its upper end is hi * x_b if hi >= 0, else hi * x_a; a
+     rounded v + d is non-decreasing in v;
+  3. the Horner value at the grid point where this order's previous sweep
      peaked, by the same float steps on Python floats, is > tol: that grid
      value exceeds tol, so unstable;
   4. else the full sweep decides.
-Step 2 decides every row whose d share a sign.  With every d <= 0 the
-bound is <= 0.  With every d >= 0 no corner is negative, so the bound's
-steps are those of the value at pi, in the same order, and the two are
-equal bit for bit: <= tol once step 1 has passed.
+Step 2 decides every row whose d share a sign.  With every d <= 0 each
+upper end is <= 0.  With every d >= 0 no corner is negative, so the last
+piece's steps are those of the value at pi, bit for bit (<= tol once step
+1 has passed), and no other piece's upper end exceeds it.
 No step meets NaN: the d are finite, so an infinity plus d stays that
-infinity, and at x = 0, where an infinity times x would be NaN, every
-value is finite.  So an overflow needs no guard: -inf is a value or a
-bound like any other, and +inf fails the test of its step.
+infinity, and a negative upper end on the piece from 0 is clamped to
+hi * 0, a zero, so it never meets -inf * 0.  So an overflow needs no
+guard: -inf is a value or a bound like any other, and +inf fails the test
+of its step.
 """
 
 from __future__ import annotations
@@ -193,41 +195,41 @@ def _even_horner(x, c: list, out: Optional[np.ndarray] = None):
     return v
 
 
-def _value_and_bound(c: list, x_max: float) -> tuple[float, float]:
-    """``_even_horner(x_max, c)`` by its float steps, and the upper end of
-    those steps run on x in [0, x_max]: each product's upper end is its
-    larger corner, 0 at x = 0 (every value there is finite) or at x_max,
-    and each add shifts it by c[k]."""
-    v = hi = c[-1]
+def _value_and_bound(thetas: np.ndarray, rows: np.ndarray) -> tuple:
+    """For each row c of ``rows`` (count, n + 1): ``_even_horner(x_max, c)``
+    at the last point x_max of ``thetas``, by its float steps, and the
+    largest upper end of those steps run on four pieces of [0, x_max] whose
+    ends are grid points.  A piece [x_a, x_b] takes each product's upper
+    end at its corner hi * x_b for hi >= 0, else hi * x_a; the loop runs
+    the degenerate piece [x_max, x_max] as the value."""
+    last = len(thetas) - 1
+    ends = thetas[[k * last // 4 for k in range(5)] + [last]]
+    x_a, x_b = ends[:-1, None], ends[1:, None]
+    c = rows.T
+    hi = np.repeat(c[-1][None], len(x_a), axis=0)
     for k in range(len(c) - 2, -1, -1):
-        v *= x_max
-        hi *= x_max
-        if hi < 0.0:
-            hi = 0.0
+        hi = np.where(hi >= 0.0, hi * x_b, hi * x_a)  # the unused corner may be inf * 0
         if k % 2 == 0:
-            v += c[k]
             hi += c[k]
-    return v, hi
+    return hi[-1], hi[:-1].max(axis=0)
 
 
-def _truncation_stable(thetas: np.ndarray, c: list, out: np.ndarray) -> bool:
+def _truncation_verdicts(thetas: np.ndarray, rows: np.ndarray, out: np.ndarray) -> list:
     """Whether sum_k c[k] theta^k <= DEFAULT_TOL at every point of
     ``thetas``, a grid on [0, pi] whose last point is pi (``THETAS`` in a
-    scan), as the sweep ``_even_horner(thetas, c, out)`` would say, by the
-    four steps of the module docstring; ``c`` holds finite floats, +0.0 at
-    odd k.  Step 2's bound is at least every grid value, since each of its
-    steps is a corner of the rounded step over the grid's values.  Step 3's
-    witness is the grid point where ``out`` peaks, whose value the
-    Python-float steps give bit for bit, whatever ``out`` held.  In a scan
-    ``out`` holds this row's previous sweep; a sweep writes into it."""
-    value, upper = _value_and_bound(c, thetas[-1].item())
-    if value > DEFAULT_TOL:
-        return False
-    if upper <= DEFAULT_TOL:
-        return True
-    if _even_horner(thetas[out.argmax()].item(), c) > DEFAULT_TOL:
-        return False
-    return bool(_even_horner(thetas, c, out).max() <= DEFAULT_TOL)
+    scan), for each row c of ``rows``, as the sweep ``_even_horner(thetas,
+    c, out)`` would say, by the four steps of the module docstring; the
+    rows hold finite floats, +0.0 at odd k.  Step 3's witness is the grid
+    point where ``out`` peaks, whose value the Python-float steps give bit
+    for bit, whatever ``out`` held.  In a scan ``out`` holds the order's
+    previous sweep; a sweep writes into it."""
+    value, upper = _value_and_bound(thetas, rows)
+    verdicts = (upper <= DEFAULT_TOL).tolist()  # upper >= value, so step 1's rows read False
+    for i in np.flatnonzero((value <= DEFAULT_TOL) & (upper > DEFAULT_TOL)).tolist():
+        c = rows[i].tolist()
+        verdicts[i] = (_even_horner(thetas[out.argmax()].item(), c) <= DEFAULT_TOL
+                       and bool(_even_horner(thetas, c, out).max() <= DEFAULT_TOL))
+    return verdicts
 
 
 def _signed_coeffs(modeq: ModifiedEq, lam: Number, ps) -> list[float]:
@@ -293,9 +295,10 @@ def region_scan(
     max |S| <= 1 + tol over the theta grid, and inside the contraction region
     when max |1 - S| < 1 - tol.  For each requested truncation order N, the
     truncation is marked stable when Re P_N(theta) <= tol on the whole grid,
-    decided without a sweep of the grid where its value at pi, an interval
-    bound or a witness suffices (see the module docstring).  theta_m is the
-    grid point where |1 - S| first reaches 1, or pi.
+    decided for all lambdas at once after the loop that rounds their c_p,
+    without a sweep where the value at pi, a four-piece interval bound or a
+    witness suffices (see the module docstring).  theta_m is the grid point
+    where |1 - S| first reaches 1, or pi.
     """
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
@@ -314,12 +317,14 @@ def region_scan(
     # next witness
     re_p = np.zeros((len(orders), DEFAULT_GRID))
     top = orders[-1] if orders else 0
-    row = [0.0] * (top + 1)
+    lams = np.linspace(float(lo), float(hi), int(count)).tolist()
+    # the even c_p of each lambda, +0.0 at odd p: all that Re P_N reads
+    rows = np.zeros((len(lams), top + 1))
     samples = []
     # a huge lambda's S overflows to inf or nan, and a sweep of a growing
     # truncation to inf: values that the verdicts read like any other
     with np.errstate(over="ignore", invalid="ignore"):
-        for lam in np.linspace(float(lo), float(hi), int(count)).tolist():
+        for row, lam in zip(rows, lams):
             # S from its first term, not from a zero fill: only a zero's sign
             # differs, and the scan reads |S| and |1 - S|
             weights = _rounded(scheme.symbol, lam, scheme.name, "symbol coefficient a")
@@ -340,11 +345,8 @@ def region_scan(
                 i = np.greater_equal(abs_oms, 1.0, out=bad).argmax()
                 if bad[i]:
                     theta_m = THETAS[i].item()
-            trunc = {}
             if orders:
                 row[2::2] = _signed_coeffs(modeq, lam, range(2, top + 1, 2))
-                for n, out in zip(orders, re_p):
-                    trunc[n] = _truncation_stable(THETAS, row[: n + 1], out)
             samples.append(
                 LambdaSample(
                     lam=lam,
@@ -353,9 +355,13 @@ def region_scan(
                     theta_m=theta_m,
                     in_rs=max_abs_s <= 1.0 + DEFAULT_TOL,
                     in_omega_c=max_abs_oms < 1.0 - DEFAULT_TOL,
-                    trunc_stable=trunc,
+                    trunc_stable={},
                 )
             )
+        for n, out in zip(orders, re_p):
+            verdicts = _truncation_verdicts(THETAS, rows[:, : n + 1], out)
+            for sample, stable in zip(samples, verdicts):
+                sample.trunc_stable[n] = stable
     return RegionReport(scheme_name=scheme.name, orders=orders, samples=tuple(samples))
 
 

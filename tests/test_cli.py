@@ -906,10 +906,16 @@ def _csv_writer_bytes(header, columns) -> bytes:
     return expected.getvalue().encode("utf-8")
 
 
-# one to six columns of equal length, each of floats only or of any fields
+# text that csv.writer writes unquoted, as a pre-rendered column holds
+_CSV_TEXT = st.text("0123456789.+-einfa", min_size=1)
+
+
+# one to six columns of equal length, each of floats only, of str only or
+# of any fields
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 8).flatmap(lambda n: st.lists(st.one_of(
     st.lists(_CSV_FIELDS, min_size=n, max_size=n),
+    st.lists(_CSV_TEXT, min_size=n, max_size=n),
     st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n)),
     min_size=1, max_size=6)))
 def test_write_csv_bytes_match_csv_writer(tmp_path_factory, columns):

@@ -146,12 +146,17 @@ def _verdict_step_counts() -> dict:
 def test_verdict_step_counts_match_the_scans(monkeypatch):
     stated = _verdict_step_counts()
     assert set(stated) == {"heat_centered", "upwind_euler", "lax_wendroff"}
-    # steps 1 and 2 read the pair of one loop, once per verdict; step 3 is
-    # a Horner value at one float, step 4 a sweep into an array
+    # steps 1 and 2 read the columns of one loop, an entry per verdict;
+    # step 3 is a Horner value at one float, step 4 a sweep into an array
     pairs, sweeps = [], []
     value_and_bound, horner = spectra._value_and_bound, spectra._even_horner
-    monkeypatch.setattr(spectra, "_value_and_bound",
-                        lambda c, x: pairs.append(value_and_bound(c, x)) or pairs[-1])
+
+    def record(thetas, rows):
+        value, upper = value_and_bound(thetas, rows)
+        pairs.extend(zip(value.tolist(), upper.tolist()))
+        return value, upper
+
+    monkeypatch.setattr(spectra, "_value_and_bound", record)
     monkeypatch.setattr(spectra, "_even_horner",
                         lambda x, c, out=None: (sweeps.append(out is not None)
                                                 or horner(x, c, out)))

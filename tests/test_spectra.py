@@ -23,7 +23,7 @@ from modeq.spectra import (
     CertificateRefusal,
     _even_horner,
     _truncation,
-    _truncation_stable,
+    _truncation_verdicts,
     _theta_coeffs,
     _value_and_bound,
     eval_symbol,
@@ -267,8 +267,7 @@ _SIGNS = {"nonpositive": lambda v: -abs(v), "nonnegative": abs, "mixed": lambda 
 
 
 @st.composite
-def _even_rows(draw) -> list:
-    n = draw(st.integers(1, 65))
+def _even_rows(draw, n: int) -> list:
     scale = draw(st.sampled_from([1e-11, 1e3, 1e300]))  # one magnitude class per row
     value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-scale, scale))
     sign = _SIGNS[draw(st.sampled_from(sorted(_SIGNS)))]
@@ -278,42 +277,61 @@ def _even_rows(draw) -> list:
     return row
 
 
+# the rows of one order, stacked as a scan stacks its lambdas
+_ROW_BATCHES = st.integers(1, 65).flatmap(
+    lambda n: st.lists(_even_rows(n), min_size=1, max_size=6))
+
+
+def _swept_verdicts(thetas: np.ndarray, rows: list) -> list:
+    """Each row's verdict by the full sweep of ``thetas``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [bool(_even_horner(thetas, row, np.empty(len(thetas))).max() <= DEFAULT_TOL)
+                for row in rows]
+
+
 class TestTruncationVerdict:
     # the grid maximum exactly DEFAULT_TOL, at theta = 0 only and everywhere;
     # an entry in (0, tol] that pi^2 lifts above tol; an entry in (-tol, 0)
     # that pulls the value at pi, not the maximum, below tol
-    @example([DEFAULT_TOL, 0.0, -1.0], 64)
-    @example([DEFAULT_TOL, 0.0, 0.0], 64)
-    @example([0.0, 0.0, DEFAULT_TOL], 64)
-    @example([0.0, 0.0, 1e-12, 0.0, -1e-13], 64)
-    # Horner overflows to -inf at pi, and the interval bound decides: stable
-    @example([0.0, 0.0, 1e-14] + [0.0] * 33 + [-1e300], 64)
-    # the value at pi overflows to -inf and the interval's upper end to +inf,
-    # so neither decides; theta^34 outgrows theta^36 below 1
-    @example([0.0] * 34 + [1e300, 0.0, -1e300], 64)
+    @example([[DEFAULT_TOL, 0.0, -1.0], [DEFAULT_TOL, 0.0, 0.0], [0.0, 0.0, DEFAULT_TOL]], 64)
+    @example([[0.0, 0.0, 1e-12, 0.0, -1e-13]], 64)
+    # Horner overflows to -inf at pi, and so does the last piece's upper
+    # end; the first piece's clamp keeps its upper end finite, where
+    # -inf * 0 would be NaN (its right end is below 1, so that end itself
+    # never reaches -inf): stable
+    @example([[0.0, 0.0, 1e-14] + [0.0] * 33 + [-1e300]], 64)
+    # the value at pi overflows to -inf and the upper ends to +inf, so
+    # neither decides; theta^34 outgrows theta^36 below 1
+    @example([[0.0] * 34 + [1e300, 0.0, -1e300]], 64)
+    # (pi^2/4 - theta^2)^2 < 0.1 near pi/2: only the interior pieces' upper
+    # ends exceed tol, so the witness or the sweep decides: unstable
+    @example([[0.1 - math.pi ** 4 / 16, 0.0, math.pi ** 2 / 2, 0.0, -1.0]], 64)
+    # lax_wendroff at lambda = 0.8, N = 8: stable, and the pieces decide it
+    # where one bound on all of [0, pi] exceeds tol
+    @example([[0.0, 0.0, 0.0, 0.0, -0.03599999999999998, 0.0, 0.005999999999999997, 0.0,
+               -0.0014867999999999988]], 64)
     @settings(max_examples=400, deadline=None)
-    @given(_even_rows(), st.integers(64, 4097))
-    def test_verdict_equals_full_sweep(self, row, grid):
+    @given(_ROW_BATCHES, st.integers(64, 4097))
+    def test_verdict_equals_full_sweep(self, rows, grid):
         thetas = np.linspace(0.0, math.pi, grid)
-        out = np.empty(grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = bool(_even_horner(thetas, row, out).max() <= DEFAULT_TOL)
-            assert _truncation_stable(thetas, row, out) == expected
+            verdicts = _truncation_verdicts(thetas, np.array(rows), np.empty(grid))
+        assert verdicts == _swept_verdicts(thetas, rows)
 
     # the buffer's peak is only where the witness is taken: whatever it
-    # holds, a NaN or an infinity included, the verdict is the sweep's
-    @example([0.0, 0.0, 1.0, 0.0, -1.0], 64, 14, math.nan)  # theta^2 - theta^4 > tol there
-    @example([0.0, 0.0, 1.0, 0.0, -1.0], 64, 0, math.nan)  # 0 at theta = 0: swept
+    # holds, a NaN or an infinity included, the verdicts are the sweep's
+    @example([[0.0, 0.0, 1.0, 0.0, -1.0]], 64, 14, math.nan)  # theta^2 - theta^4 > tol there
+    @example([[0.0, 0.0, 1.0, 0.0, -1.0]], 64, 0, math.nan)  # 0 at theta = 0: swept
     @settings(max_examples=200, deadline=None)
-    @given(_even_rows(), st.integers(64, 4097), st.integers(0, 4096),
+    @given(_ROW_BATCHES, st.integers(64, 4097), st.integers(0, 4096),
            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0]))
-    def test_verdict_reads_any_buffer(self, row, grid, peak, value):
+    def test_verdict_reads_any_buffer(self, rows, grid, peak, value):
         thetas = np.linspace(0.0, math.pi, grid)
         out = np.zeros(grid)
         out[peak % grid] = value
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = bool(_even_horner(thetas, row, np.empty(grid)).max() <= DEFAULT_TOL)
-            assert _truncation_stable(thetas, row, out) == expected
+            verdicts = _truncation_verdicts(thetas, np.array(rows), out)
+        assert verdicts == _swept_verdicts(thetas, rows)
 
     def test_sweep_runs_only_for_mixed_signs(self, monkeypatch):
         swept = []
@@ -322,53 +340,69 @@ class TestTruncationVerdict:
                             lambda x, c, out=None: (swept.append(out is not None)
                                                     or sweep(x, c, out)))
         thetas, out = np.linspace(0.0, math.pi, 64), np.zeros(64)
-        assert _truncation_stable(thetas, [0.0, 0.0, -1.0, 0.0, -2.0], out)
-        assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -0.01], out)
-        assert _truncation_stable(thetas, [0.0, 0.0, DEFAULT_TOL / 20, 0.0, 0.0], out)
-        assert swept == []
-        # mixed signs, decided by the interval bound: 1e-14 pi^2 <= tol
-        assert _truncation_stable(thetas, [0.0, 0.0, 1e-14, 0.0, -1.0], out)
+        # one-signed, then mixed signs decided by the interval bound
+        rows = [[0.0, 0.0, -1.0, 0.0, -2.0], [0.0, 0.0, 1.0, 0.0, -0.01],
+                [0.0, 0.0, DEFAULT_TOL / 20, 0.0, 0.0], [0.0, 0.0, 1e-14, 0.0, -1.0]]
+        assert _truncation_verdicts(thetas, np.array(rows), out) == [True, False, True, True]
         assert swept == []
         # theta^2 - theta^4 is positive below theta = 1 and negative at pi;
-        # the zero buffer's peak, theta = 0, is no witness, so the grid is swept
-        assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -1.0], out)
-        assert swept == [False, True]
-        # the sweep left in out peaks where the row does: the witness decides
-        assert not _truncation_stable(thetas, [0.0, 0.0, 1.0, 0.0, -1.0], out)
+        # the zero buffer's peak, theta = 0, is no witness, so the grid is
+        # swept, and that sweep peaks where the row does: the witness
+        # decides the same row at the next lambda
+        row = [0.0, 0.0, 1.0, 0.0, -1.0]
+        assert _truncation_verdicts(thetas, np.array([row, row]), out) == [False, False]
         assert swept == [False, True, False]
 
     # a row whose even entries share a sign is decided by the value at pi or
     # by the interval bound: no witness is read and no grid is swept
-    @example([DEFAULT_TOL, 0.0, 0.0], 64)  # value and bound exactly tol
+    @example([[DEFAULT_TOL, 0.0, 0.0]], 64)  # value and bound exactly tol
     @settings(max_examples=200, deadline=None)
-    @given(_even_rows(), st.integers(64, 4097))
-    def test_one_signed_rows_need_no_witness(self, row, grid):
-        evens = row[::2]
-        assume(all(d <= 0 for d in evens) or all(d >= 0 for d in evens))
-        value, upper = _value_and_bound(row, math.pi)
-        assert value > DEFAULT_TOL or upper <= DEFAULT_TOL
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("modeq.spectra._even_horner", None)  # a witness or a sweep fails
-            _truncation_stable(np.linspace(0.0, math.pi, grid), row, np.zeros(grid))
+    @given(_ROW_BATCHES, st.integers(64, 4097))
+    def test_one_signed_rows_need_no_witness(self, rows, grid):
+        rows = [row for row in rows
+                if all(d <= 0 for d in row[::2]) or all(d >= 0 for d in row[::2])]
+        assume(rows)
+        thetas = np.linspace(0.0, math.pi, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, upper = _value_and_bound(thetas, np.array(rows))
+            assert all((value > DEFAULT_TOL) | (upper <= DEFAULT_TOL))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("modeq.spectra._even_horner", None)  # a witness or a sweep fails
+                _truncation_verdicts(thetas, np.array(rows), np.zeros(grid))
 
-    # the loop's value half is the Python-float Horner at pi, bit for bit
+    # the value column is the Python-float Horner at pi, bit for bit
     @settings(max_examples=200, deadline=None)
-    @given(_even_rows())
-    def test_value_is_the_horner_value_at_pi(self, row):
-        assert _value_and_bound(row, math.pi)[0].hex() == _even_horner(math.pi, row).hex()
+    @given(_ROW_BATCHES, st.integers(64, 4097))
+    def test_value_is_the_horner_value_at_pi(self, rows, grid):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, _ = _value_and_bound(np.linspace(0.0, math.pi, grid), np.array(rows))
+        assert [v.hex() for v in value.tolist()] == \
+            [_even_horner(math.pi, row).hex() for row in rows]
 
     def test_catalog_scans_sweep_rarely(self, monkeypatch):
-        # 1803 verdicts per scan; the sign and pi steps alone leave 1726 of
-        # the 5409 to the sweep
-        swept = []
-        sweep = _even_horner
+        # 1803 verdicts per scan; the value at pi and one interval bound on
+        # all of [0, pi] left 386 of the 5409 to the sweep
+        calls, batches = [], []
+        sweep, verdicts = _even_horner, _truncation_verdicts
         monkeypatch.setattr("modeq.spectra._even_horner",
-                            lambda x, c, out=None: (swept.append(out is not None)
+                            lambda x, c, out=None: (calls.append((out is not None, tuple(c)))
                                                     or sweep(x, c, out)))
-        for name, hi in (("heat_centered", 0.8), ("upwind_euler", 1.6),
-                         ("lax_wendroff", 1.6)):
-            region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
-        assert sum(swept) <= 400
+        monkeypatch.setattr("modeq.spectra._truncation_verdicts",
+                            lambda thetas, rows, out: (batches.append(rows)
+                                                       or verdicts(thetas, rows, out)))
+        reports = [region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
+                   for name, hi in (("heat_centered", 0.8), ("upwind_euler", 1.6),
+                                    ("lax_wendroff", 1.6))]
+        assert sum(swept for swept, _ in calls) <= 12
+        # lax_wendroff's stable rows at N = 8 that one bound on all of
+        # [0, pi] leaves undecided; on a two-point grid the four pieces are
+        # [0, 0] three times and [0, pi], so their bound is that one
+        rows = batches[-1]
+        stable = np.array([s.trunc_stable[8] for s in reports[-1].samples])
+        _, upper = _value_and_bound(np.array([0.0, math.pi]), rows)
+        undecided = {tuple(row) for row in rows[stable & (upper > DEFAULT_TOL)].tolist()}
+        assert len(undecided) == 374
+        assert undecided.isdisjoint(c for _, c in calls)
 
 
 class TestTruncatedAmplification:
