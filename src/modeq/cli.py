@@ -352,7 +352,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     theta = ["%.17g" % x for x in spectra.THETAS.tolist()]  # rendered once, for every table
     for table in tables:
         _write_csv(out_dir / f"{scheme.name}_lambda{_lambda_tag(table.lam)}.csv",
-                   {**table.csv_columns(), "theta": theta})
+                   {"theta": theta, **table.csv_columns()})
     for lam, rows in zip(lambdas, evolutions):
         _write_csv(out_dir / f"{scheme.name}_evolve_lambda{_lambda_tag(lam)}.csv",
                    {name: [row[i] for row in rows]

@@ -2,11 +2,11 @@
 
 Covers: pointwise/grid evaluation of S(theta), the contraction angle
 theta_m, stability and contraction region scans over the mesh ratio,
-truncated amplification factors, finite-horizon stability certificates,
-and figure-data tables.  Every scan, figure and certificate samples theta
-on one read-only grid, ``THETAS``: DEFAULT_GRID uniform points on [0, pi],
-both endpoints exact.  The exact forms of the symbol, and every proof
-about them, are ``derivation``'s; this module rounds and samples them.
+finite-horizon stability certificates, and figure-data tables.  Every
+scan, figure and certificate samples theta on one read-only grid,
+``THETAS``: DEFAULT_GRID uniform points on [0, pi], both endpoints exact.
+The exact forms of the symbol, and every proof about them, are
+``derivation``'s; this module rounds and samples them.
 
 Exact first, then round: the symbol coefficients a_p(lambda) of
 ``SchemeSpec.symbol`` and the modified-equation coefficients c_p(lambda) are
@@ -18,32 +18,32 @@ A region scan does its lambda-free work once: it builds the basis
 e^{i p theta} on the theta grid once per scan and, per lambda, sums a_p
 times that basis and rounds only the even c_p (all that Re P_N reads),
 each from the float lambda's own integer ratio.  Each lambda writes S, the
-products a_p e^{i p theta}, 1 - S, |S|, |1 - S|, the test |1 - S| >= 1 and
-Re P_N into arrays made once per scan, so a sample allocates no grid-sized
-array.  Its floats are those of ``eval_symbol`` and ``polyval``: the same
-ufuncs in the same order, and the Horner steps are ``polyval``'s, less the
-adds of +0.0 at odd powers.  S starts from its first term rather than from
-0, which changes only the sign of a zero, and the scan reads only |S| and
+products a_p e^{i p theta}, 1 - S, |S|, |1 - S| and the test |1 - S| >= 1
+into arrays made once per scan, so a sample allocates no grid-sized array.
+Its floats are those of ``eval_symbol`` and ``polyval``: the same ufuncs in
+the same order, and the Horner steps are ``polyval``'s, less the adds of
++0.0 at odd powers.  S starts from its first term rather than from 0,
+which changes only the sign of a zero, and the scan reads only |S| and
 |1 - S|.
 
 A truncation verdict, Re P_N <= tol at every grid point, is what the
 Horner sweep of the whole grid would give, decided for all the lambdas of
-a scan at once (``_truncation_verdicts``).  The grid lies in [0, pi] with
-pi its last point, each row's even entries d (the signed c_{2k}) are
-finite and its odd ones +0.0, and IEEE rounding is monotone, so each
-rounded * and + by a value of one sign keeps that sign and, for x >= 0,
-its order in x:
-  1. the Horner value at pi, by numpy float64 steps on each coefficient's
-     column, is > tol: that grid value exceeds tol, so unstable;
-  2. the same steps run on each of four pieces [x_a, x_b] of [0, pi], with
-     grid points as ends, give upper ends all <= tol: stable.  For x >= 0
-     a rounded v * x is non-decreasing in v and monotone in x, so over
-     v <= hi its upper end is hi * x_b if hi >= 0, else hi * x_a; a
-     rounded v + d is non-decreasing in v;
-  3. the Horner value at the grid point where this order's previous sweep
-     peaked, by the same float steps on Python floats, is > tol: that grid
-     value exceeds tol, so unstable;
-  4. else the full sweep decides.
+a scan at once, each from its own row (``_truncation_verdicts``), by one
+kernel (``_horner_upper``): the Horner steps as numpy float64 steps on
+each coefficient's column, over intervals [x_a, x_b] of grid points.  On
+a degenerate interval [x, x] both corners of each product are v * x, the
+sweep's own step, so its result is the sweep's value at x, bit for bit.
+The grid lies in [0, pi] with pi its last point, each row's even entries
+d (the signed c_{2k}) are finite and its odd ones +0.0, and IEEE rounding
+is monotone, so:
+  1. the value at one of the 17 grid points k * last // 16 (pi among
+     them) is > tol: unstable;
+  2. else the upper ends on the 16 pieces between those points are all
+     <= tol: stable.  For x >= 0 a rounded v * x is non-decreasing in v and
+     monotone in x, so over v <= hi its upper end is hi * x_b if hi >= 0,
+     else hi * x_a; a rounded v + d is non-decreasing in v;
+  3. else the kernel evaluates the row at every grid point of the pieces
+     whose upper end exceeds tol.
 Step 2 decides every row whose d share a sign.  With every d <= 0 each
 upper end is <= 0.  With every d >= 0 no corner is negative, so the last
 piece's steps are those of the value at pi, bit for bit (<= tol once step
@@ -181,54 +181,47 @@ def _symbol_sum(weights: list, basis: list):
     return acc
 
 
-def _even_horner(x, c: list, out: Optional[np.ndarray] = None):
-    """sum_k c[k] x^k, c of length >= 2 with +0.0 at odd k, by ``polyval``'s
-    float steps less its ``+= 0.0`` at odd k: those change only a -0.0, and
-    the kept ``+= c[0]`` gives the same zero anyway.  ``x`` is a float, or
-    an array whose values are written into ``out``."""
-    v = x * c[-1] if out is None else np.multiply(x, c[-1], out=out)  # x*0 + c[-1], *x
-    for k in range(len(c) - 2, -1, -1):
-        if k % 2 == 0:
-            v += c[k]  # in place on an array
-        if k:
-            v *= x
-    return v
-
-
-def _value_and_bound(thetas: np.ndarray, rows: np.ndarray) -> tuple:
-    """For each row c of ``rows`` (count, n + 1): ``_even_horner(x_max, c)``
-    at the last point x_max of ``thetas``, by its float steps, and the
-    largest upper end of those steps run on four pieces of [0, x_max] whose
-    ends are grid points.  A piece [x_a, x_b] takes each product's upper
-    end at its corner hi * x_b for hi >= 0, else hi * x_a; the loop runs
-    the degenerate piece [x_max, x_max] as the value."""
-    last = len(thetas) - 1
-    ends = thetas[[k * last // 4 for k in range(5)] + [last]]
-    x_a, x_b = ends[:-1, None], ends[1:, None]
+def _horner_upper(x_a: np.ndarray, x_b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each interval [x_a[j], x_b[j]] in [0, pi] and each row c of
+    ``rows`` (count, n + 1), n >= 1, +0.0 at odd k: the upper end of
+    sum_k c[k] x^k over the interval by ``polyval``'s float steps, less its
+    adds of +0.0 at odd k (those change only a -0.0, and the kept add of
+    c[0] gives the same zero anyway), as a (len(x_a), count) array.  Each
+    product takes its larger corner, hi * x_b for hi >= 0, else hi * x_a,
+    so at [x, x] the result is polyval's value at x, bit for bit."""
+    x_a, x_b = x_a[:, None], x_b[:, None]
     c = rows.T
     hi = np.repeat(c[-1][None], len(x_a), axis=0)
     for k in range(len(c) - 2, -1, -1):
-        hi = np.where(hi >= 0.0, hi * x_b, hi * x_a)  # the unused corner may be inf * 0
+        hi = np.fmax(hi * x_a, hi * x_b)  # fmax drops the NaN of an unused corner inf * 0
         if k % 2 == 0:
             hi += c[k]
-    return hi[-1], hi[:-1].max(axis=0)
+    return hi
 
 
-def _truncation_verdicts(thetas: np.ndarray, rows: np.ndarray, out: np.ndarray) -> list:
+def _truncation_verdicts(thetas: np.ndarray, rows: np.ndarray) -> list:
     """Whether sum_k c[k] theta^k <= DEFAULT_TOL at every point of
     ``thetas``, a grid on [0, pi] whose last point is pi (``THETAS`` in a
-    scan), for each row c of ``rows``, as the sweep ``_even_horner(thetas,
-    c, out)`` would say, by the four steps of the module docstring; the
-    rows hold finite floats, +0.0 at odd k.  Step 3's witness is the grid
-    point where ``out`` peaks, whose value the Python-float steps give bit
-    for bit, whatever ``out`` held.  In a scan ``out`` holds the order's
-    previous sweep; a sweep writes into it."""
-    value, upper = _value_and_bound(thetas, rows)
-    verdicts = (upper <= DEFAULT_TOL).tolist()  # upper >= value, so step 1's rows read False
-    for i in np.flatnonzero((value <= DEFAULT_TOL) & (upper > DEFAULT_TOL)).tolist():
-        c = rows[i].tolist()
-        verdicts[i] = (_even_horner(thetas[out.argmax()].item(), c) <= DEFAULT_TOL
-                       and bool(_even_horner(thetas, c, out).max() <= DEFAULT_TOL))
+    scan), for each row c of ``rows`` (finite, +0.0 at odd k), as the sweep
+    of the whole grid would say, by the three steps of the module
+    docstring: steps 1 and 2 in one kernel call per block of at most 1024
+    rows, step 3 in one call per row they leave undecided."""
+    last = len(thetas) - 1
+    index = [k * last // 16 for k in range(17)]
+    ends = thetas[index]
+    # the 17 points as degenerate intervals, then the 16 pieces between them
+    x_a, x_b = np.concatenate([ends, ends[:-1]]), np.concatenate([ends, ends[1:]])
+    verdicts = []
+    for start in range(0, len(rows), 1024):
+        block = rows[start:start + 1024]
+        hi = _horner_upper(x_a, x_b, block)
+        value, upper = hi[:17].max(axis=0), hi[17:]
+        stable = upper.max(axis=0) <= DEFAULT_TOL  # upper >= value: step 1's rows read False
+        for i in np.flatnonzero((value <= DEFAULT_TOL) & ~stable).tolist():
+            x = np.concatenate([thetas[index[j]:index[j + 1] + 1]
+                                for j in np.flatnonzero(upper[:, i] > DEFAULT_TOL).tolist()])
+            stable[i] = _horner_upper(x, x, block[i:i + 1]).max() <= DEFAULT_TOL
+        verdicts += stable.tolist()
     return verdicts
 
 
@@ -295,10 +288,13 @@ def region_scan(
     max |S| <= 1 + tol over the theta grid, and inside the contraction region
     when max |1 - S| < 1 - tol.  For each requested truncation order N, the
     truncation is marked stable when Re P_N(theta) <= tol on the whole grid,
-    decided for all lambdas at once after the loop that rounds their c_p,
-    without a sweep where the value at pi, a four-piece interval bound or a
-    witness suffices (see the module docstring).  theta_m is the grid point
-    where |1 - S| first reaches 1, or pi.
+    decided for all lambdas at once after the loop that rounds their c_p, by
+    one Horner kernel in three steps (see the module docstring): its values
+    at 17 grid points, pi among them, each the sweep's value there bit for
+    bit since a point is a degenerate interval; its upper ends on the 16
+    pieces between those points; and, where neither decides, its values at
+    every grid point of the pieces whose upper end exceeds tol.  theta_m is
+    the grid point where |1 - S| first reaches 1, or pi.
     """
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
@@ -313,16 +309,13 @@ def region_scan(
     s, term, oms = (np.empty(DEFAULT_GRID, dtype=complex) for _ in range(3))
     abs_s, abs_oms = np.empty(DEFAULT_GRID), np.empty(DEFAULT_GRID)
     bad = np.empty(DEFAULT_GRID, dtype=bool)
-    # one Re P_N row per order, holding its last sweep, whose peak is the
-    # next witness
-    re_p = np.zeros((len(orders), DEFAULT_GRID))
     top = orders[-1] if orders else 0
     lams = np.linspace(float(lo), float(hi), int(count)).tolist()
     # the even c_p of each lambda, +0.0 at odd p: all that Re P_N reads
     rows = np.zeros((len(lams), top + 1))
     samples = []
-    # a huge lambda's S overflows to inf or nan, and a sweep of a growing
-    # truncation to inf: values that the verdicts read like any other
+    # a huge lambda's S overflows to inf or nan, and the Horner steps of a
+    # growing truncation to inf: values that the verdicts read like any other
     with np.errstate(over="ignore", invalid="ignore"):
         for row, lam in zip(rows, lams):
             # S from its first term, not from a zero fill: only a zero's sign
@@ -358,8 +351,8 @@ def region_scan(
                     trunc_stable={},
                 )
             )
-        for n, out in zip(orders, re_p):
-            verdicts = _truncation_verdicts(THETAS, rows[:, : n + 1], out)
+        for n in orders:
+            verdicts = _truncation_verdicts(THETAS, rows[:, : n + 1])
             for sample, stable in zip(samples, verdicts):
                 sample.trunc_stable[n] = stable
     return RegionReport(scheme_name=scheme.name, orders=orders, samples=tuple(samples))
@@ -457,14 +450,16 @@ def truncation_certificate(
 @dataclass(frozen=True)
 class FigureTable:
     """|S| and |S_N| sampled on ``THETAS`` for one mesh-ratio value.
-    ``csv_columns`` maps each CSV header to its column, as a list of floats."""
+    ``csv_columns`` maps each curve's CSV header to its column, as a list of
+    floats; the theta column before them, the same for every table, is the
+    writer's."""
 
     lam: float
     abs_s: np.ndarray
     abs_s_trunc: dict  # order -> ndarray
 
     def csv_columns(self) -> dict[str, list]:
-        columns = {"theta": THETAS, "abs_S": self.abs_s}
+        columns = {"abs_S": self.abs_s}
         columns.update((f"abs_S_N{n}", self.abs_s_trunc[n]) for n in sorted(self.abs_s_trunc))
         return {name: col.tolist() for name, col in columns.items()}
 

@@ -109,7 +109,9 @@ def test_csv_columns_match_the_code():
     [table] = figure_data(heat, derive_log(heat, 8), [0.5], (2, 8))
     # the last curve column, abs_S_N{N}..., repeats once per order
     per_order = curve.pop().removesuffix("...")
-    assert curve + [per_order.format(N=n) for n in (2, 8)] == list(table.csv_columns())
+    # the writer puts the theta column, the same for every table, first
+    assert curve + [per_order.format(N=n) for n in (2, 8)] == \
+        ["theta", *table.csv_columns()]
     assert evolve == list(ModeComparison.CSV_HEADER)
 
 
@@ -135,10 +137,10 @@ def test_scheme_file_example_is_the_catalog_scheme():
 
 
 def _verdict_step_counts() -> dict:
-    """Scheme -> (hi, the verdicts that steps 1-4 decide) as README's
+    """Scheme -> (hi, the verdicts that steps 1-3 decide) as README's
     "Notes on the methods" states them for the 601-lambda scans on [0, hi]."""
     section = README.read_text(encoding="utf-8").split("## Notes on the methods", 1)[1]
-    rows = re.findall(r"^  - `(\w+)` on `\[0, ([\d.]+)\]`: (\d+) / (\d+) / (\d+) / (\d+)[;.]$",
+    rows = re.findall(r"^  - `(\w+)` on `\[0, ([\d.]+)\]`: (\d+) / (\d+) / (\d+)[;.]$",
                       section, re.M)
     return {name: (float(hi), tuple(map(int, counts))) for name, hi, *counts in rows}
 
@@ -146,20 +148,22 @@ def _verdict_step_counts() -> dict:
 def test_verdict_step_counts_match_the_scans(monkeypatch):
     stated = _verdict_step_counts()
     assert set(stated) == {"heat_centered", "upwind_euler", "lax_wendroff"}
-    # steps 1 and 2 read the columns of one loop, an entry per verdict;
-    # step 3 is a Horner value at one float, step 4 a sweep into an array
+    # steps 1 and 2 read one kernel call on 33 intervals, an entry per
+    # verdict: the largest of the 17 values and of the 16 pieces' upper
+    # ends; step 3 is a kernel call on grid points, each a degenerate
+    # interval
     pairs, sweeps = [], []
-    value_and_bound, horner = spectra._value_and_bound, spectra._even_horner
+    kernel = spectra._horner_upper
 
-    def record(thetas, rows):
-        value, upper = value_and_bound(thetas, rows)
-        pairs.extend(zip(value.tolist(), upper.tolist()))
-        return value, upper
+    def record(x_a, x_b, rows):
+        hi = kernel(x_a, x_b, rows)
+        if x_a is x_b:
+            sweeps.append(rows)
+        else:
+            pairs.extend(zip(hi[:17].max(axis=0).tolist(), hi[17:].max(axis=0).tolist()))
+        return hi
 
-    monkeypatch.setattr(spectra, "_value_and_bound", record)
-    monkeypatch.setattr(spectra, "_even_horner",
-                        lambda x, c, out=None: (sweeps.append(out is not None)
-                                                or horner(x, c, out)))
+    monkeypatch.setattr(spectra, "_horner_upper", record)
     tol = spectra.DEFAULT_TOL
     for name, (hi, counts) in stated.items():
         pairs.clear()
@@ -167,5 +171,5 @@ def test_verdict_step_counts_match_the_scans(monkeypatch):
         spectra.region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
         first = sum(value > tol for value, _ in pairs)
         second = sum(value <= tol and upper <= tol for value, upper in pairs)
-        assert (first, second, len(pairs) - first - second - sum(sweeps), sum(sweeps)) == \
-            counts, name
+        assert len(pairs) - first - second == len(sweeps)
+        assert (first, second, len(sweeps)) == counts, name

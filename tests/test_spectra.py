@@ -21,11 +21,10 @@ from modeq.spectra import (
     DEFAULT_TOL,
     THETAS,
     CertificateRefusal,
-    _even_horner,
+    _horner_upper,
     _truncation,
     _truncation_verdicts,
     _theta_coeffs,
-    _value_and_bound,
     eval_symbol,
     figure_data,
     require_lambda,
@@ -193,19 +192,15 @@ class TestRegionScan:
                st.one_of(st.just(0.0), st.floats(-1e6, 1e6).map(lambda v: v + 0.0)),
                min_size=n // 2 + 1, max_size=n // 2 + 1))),
            st.integers(2, 200))
-    def test_even_horner_is_polyval(self, n_evens, grid):
+    def test_kernel_at_a_point_is_polyval(self, n_evens, grid):
         n, evens = n_evens
         c = np.zeros(n + 1)
         c[::2] = evens
         thetas = np.linspace(0.0, math.pi, grid)
-        out = np.empty_like(thetas)
-        _even_horner(thetas, c.tolist(), out)
+        # each grid point as the degenerate interval [x, x]
+        values = _horner_upper(thetas, thetas, c[None])[:, 0]
         expected = np.polynomial.polynomial.polyval(thetas, c)
-        assert out.tobytes() == expected.tobytes()
-        # the same steps on Python floats, as the verdict runs them at pi and
-        # at its witness, give the sweep's value at every grid point
-        assert [_even_horner(x, c.tolist()).hex() for x in thetas.tolist()] == \
-            [v.hex() for v in out.tolist()]
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.tolist()]
 
     def test_scan_rounds_only_the_even_coefficients(self, upwind, monkeypatch):
         # Re P_N reads c_p at even p only: 301 samples of 2 a_p and 32 even c_p
@@ -283,10 +278,38 @@ _ROW_BATCHES = st.integers(1, 65).flatmap(
 
 
 def _swept_verdicts(thetas: np.ndarray, rows: list) -> list:
-    """Each row's verdict by the full sweep of ``thetas``."""
+    """Each row's verdict by ``polyval`` over the whole of ``thetas``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return [bool(_even_horner(thetas, row, np.empty(len(thetas))).max() <= DEFAULT_TOL)
+        return [bool(np.polynomial.polynomial.polyval(thetas, row).max() <= DEFAULT_TOL)
                 for row in rows]
+
+
+# rows that only step 3 decides on a 64-point grid: -(theta^2 - 1)^2,
+# stable, and 1e-6 - (theta^2 - a)^2, unstable at theta = sqrt(a), the grid
+# point 5, between the points 3 and 7 of step 1
+_A = np.linspace(0.0, math.pi, 64)[5].item() ** 2
+_STEP3_ROWS = ([-1.0, 0.0, 2.0, 0.0, -1.0], [1e-6 - _A * _A, 0.0, 2 * _A, 0.0, -1.0])
+
+
+def _float_horner(x: float, c: list) -> float:
+    """sum_k c[k] x^k by ``polyval``'s steps on Python floats, less its adds
+    of +0.0 at odd k."""
+    v = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        v *= x
+        if k % 2 == 0:
+            v += c[k]
+    return v
+
+
+def _recording_kernel(monkeypatch, calls: list) -> None:
+    """Patch the verdicts' kernel to append, per call, whether it evaluates
+    a row at grid points only (step 3) rather than at the 17 points and on
+    the 16 pieces."""
+    kernel = _horner_upper
+    monkeypatch.setattr("modeq.spectra._horner_upper",
+                        lambda x_a, x_b, rows: (calls.append(x_a is x_b)
+                                                or kernel(x_a, x_b, rows)))
 
 
 class TestTruncationVerdict:
@@ -300,12 +323,16 @@ class TestTruncationVerdict:
     # -inf * 0 would be NaN (its right end is below 1, so that end itself
     # never reaches -inf): stable
     @example([[0.0, 0.0, 1e-14] + [0.0] * 33 + [-1e300]], 64)
-    # the value at pi overflows to -inf and the upper ends to +inf, so
-    # neither decides; theta^34 outgrows theta^36 below 1
+    # the value at pi overflows to -inf, but theta^34 outgrows theta^36
+    # below 1, so a point below 1 decides: unstable
     @example([[0.0] * 34 + [1e300, 0.0, -1e300]], 64)
-    # (pi^2/4 - theta^2)^2 < 0.1 near pi/2: only the interior pieces' upper
-    # ends exceed tol, so the witness or the sweep decides: unstable
+    # 0.1 - (pi^2/4 - theta^2)^2 exceeds tol only near pi/2, far from 0
+    # and pi: the point nearest pi/2 decides, unstable
     @example([[0.1 - math.pi ** 4 / 16, 0.0, math.pi ** 2 / 2, 0.0, -1.0]], 64)
+    # -(theta^2 - 1)^2 is at most 0, but the piece bound around theta = 1
+    # sees no cancellation: the grid is evaluated, stable; and a bump above
+    # tol between two points of step 1: the grid is evaluated, unstable
+    @example(list(_STEP3_ROWS), 64)
     # lax_wendroff at lambda = 0.8, N = 8: stable, and the pieces decide it
     # where one bound on all of [0, pi] exceeds tol
     @example([[0.0, 0.0, 0.0, 0.0, -0.03599999999999998, 0.0, 0.005999999999999997, 0.0,
@@ -315,94 +342,91 @@ class TestTruncationVerdict:
     def test_verdict_equals_full_sweep(self, rows, grid):
         thetas = np.linspace(0.0, math.pi, grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            verdicts = _truncation_verdicts(thetas, np.array(rows), np.empty(grid))
+            verdicts = _truncation_verdicts(thetas, np.array(rows))
         assert verdicts == _swept_verdicts(thetas, rows)
 
-    # the buffer's peak is only where the witness is taken: whatever it
-    # holds, a NaN or an infinity included, the verdicts are the sweep's
-    @example([[0.0, 0.0, 1.0, 0.0, -1.0]], 64, 14, math.nan)  # theta^2 - theta^4 > tol there
-    @example([[0.0, 0.0, 1.0, 0.0, -1.0]], 64, 0, math.nan)  # 0 at theta = 0: swept
-    @settings(max_examples=200, deadline=None)
-    @given(_ROW_BATCHES, st.integers(64, 4097), st.integers(0, 4096),
-           st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0]))
-    def test_verdict_reads_any_buffer(self, rows, grid, peak, value):
-        thetas = np.linspace(0.0, math.pi, grid)
-        out = np.zeros(grid)
-        out[peak % grid] = value
+    # a verdict reads only its own row: a batch of more than 1024 rows, which
+    # the kernel takes in blocks, gets the per-row sweep's verdicts, and a
+    # shuffled batch the shuffled verdicts; the drawn rows are mixed with
+    # _STEP3_ROWS, so that some rows in every block reach step 3
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 65).flatmap(lambda n: st.lists(_even_rows(n), min_size=1, max_size=6)),
+           st.integers(1025, 1100), st.integers(0, 2**32 - 1))
+    def test_verdicts_are_per_row(self, rows, size, seed):
+        thetas = np.linspace(0.0, math.pi, 64)
+        rows = rows + [row + [0.0] * (len(rows[0]) - len(row)) for row in _STEP3_ROWS]
+        rng = np.random.default_rng(seed)
+        batch = [rows[i] for i in rng.integers(len(rows), size=size).tolist()]
+        order = rng.permutation(size).tolist()
         with np.errstate(over="ignore", invalid="ignore"):
-            verdicts = _truncation_verdicts(thetas, np.array(rows), out)
-        assert verdicts == _swept_verdicts(thetas, rows)
+            verdicts = _truncation_verdicts(thetas, np.array(batch))
+            shuffled = _truncation_verdicts(thetas, np.array([batch[i] for i in order]))
+        assert verdicts == _swept_verdicts(thetas, batch)
+        assert shuffled == [verdicts[i] for i in order]
 
     def test_sweep_runs_only_for_mixed_signs(self, monkeypatch):
         swept = []
-        sweep = _even_horner
-        monkeypatch.setattr("modeq.spectra._even_horner",
-                            lambda x, c, out=None: (swept.append(out is not None)
-                                                    or sweep(x, c, out)))
-        thetas, out = np.linspace(0.0, math.pi, 64), np.zeros(64)
-        # one-signed, then mixed signs decided by the interval bound
+        _recording_kernel(monkeypatch, swept)
+        thetas = np.linspace(0.0, math.pi, 64)
+        # one-signed, then mixed signs decided by the points or the pieces
         rows = [[0.0, 0.0, -1.0, 0.0, -2.0], [0.0, 0.0, 1.0, 0.0, -0.01],
                 [0.0, 0.0, DEFAULT_TOL / 20, 0.0, 0.0], [0.0, 0.0, 1e-14, 0.0, -1.0]]
-        assert _truncation_verdicts(thetas, np.array(rows), out) == [True, False, True, True]
-        assert swept == []
-        # theta^2 - theta^4 is positive below theta = 1 and negative at pi;
-        # the zero buffer's peak, theta = 0, is no witness, so the grid is
-        # swept, and that sweep peaks where the row does: the witness
-        # decides the same row at the next lambda
-        row = [0.0, 0.0, 1.0, 0.0, -1.0]
-        assert _truncation_verdicts(thetas, np.array([row, row]), out) == [False, False]
-        assert swept == [False, True, False]
+        assert _truncation_verdicts(thetas, np.array(rows)) == [True, False, True, True]
+        assert swept == [False]
+        # mixed signs that only the grid decides
+        swept.clear()
+        assert _truncation_verdicts(thetas, np.array(_STEP3_ROWS)) == [True, False]
+        assert swept == [False, True, True]
 
-    # a row whose even entries share a sign is decided by the value at pi or
-    # by the interval bound: no witness is read and no grid is swept
+    # a row whose even entries share a sign is decided by the values at the
+    # points or by the pieces' upper ends: the grid is never evaluated
     @example([[DEFAULT_TOL, 0.0, 0.0]], 64)  # value and bound exactly tol
     @settings(max_examples=200, deadline=None)
     @given(_ROW_BATCHES, st.integers(64, 4097))
-    def test_one_signed_rows_need_no_witness(self, rows, grid):
+    def test_one_signed_rows_need_no_sweep(self, rows, grid):
         rows = [row for row in rows
                 if all(d <= 0 for d in row[::2]) or all(d >= 0 for d in row[::2])]
         assume(rows)
-        thetas = np.linspace(0.0, math.pi, grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, upper = _value_and_bound(thetas, np.array(rows))
-            assert all((value > DEFAULT_TOL) | (upper <= DEFAULT_TOL))
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr("modeq.spectra._even_horner", None)  # a witness or a sweep fails
-                _truncation_verdicts(thetas, np.array(rows), np.zeros(grid))
+        swept = []
+        with pytest.MonkeyPatch.context() as patch, \
+                np.errstate(over="ignore", invalid="ignore"):
+            _recording_kernel(patch, swept)
+            _truncation_verdicts(np.linspace(0.0, math.pi, grid), np.array(rows))
+        assert swept == [False]
 
-    # the value column is the Python-float Horner at pi, bit for bit
+    # the kernel's value at the degenerate interval [pi, pi] is the
+    # Python-float Horner value at pi, bit for bit
     @settings(max_examples=200, deadline=None)
-    @given(_ROW_BATCHES, st.integers(64, 4097))
-    def test_value_is_the_horner_value_at_pi(self, rows, grid):
+    @given(_ROW_BATCHES)
+    def test_value_is_the_horner_value_at_pi(self, rows):
+        pi = np.array([math.pi])
         with np.errstate(over="ignore", invalid="ignore"):
-            value, _ = _value_and_bound(np.linspace(0.0, math.pi, grid), np.array(rows))
+            [value] = _horner_upper(pi, pi, np.array(rows))
         assert [v.hex() for v in value.tolist()] == \
-            [_even_horner(math.pi, row).hex() for row in rows]
+            [_float_horner(math.pi, row).hex() for row in rows]
 
     def test_catalog_scans_sweep_rarely(self, monkeypatch):
-        # 1803 verdicts per scan; the value at pi and one interval bound on
-        # all of [0, pi] left 386 of the 5409 to the sweep
-        calls, batches = [], []
-        sweep, verdicts = _even_horner, _truncation_verdicts
-        monkeypatch.setattr("modeq.spectra._even_horner",
-                            lambda x, c, out=None: (calls.append((out is not None, tuple(c)))
-                                                    or sweep(x, c, out)))
+        # 1803 verdicts per scan; the values at 17 points and the upper ends
+        # on the 16 pieces between them decide all 5409
+        swept, batches = [], []
+        _recording_kernel(monkeypatch, swept)
+        verdicts = _truncation_verdicts
         monkeypatch.setattr("modeq.spectra._truncation_verdicts",
-                            lambda thetas, rows, out: (batches.append(rows)
-                                                       or verdicts(thetas, rows, out)))
+                            lambda thetas, rows: (batches.append(rows)
+                                                  or verdicts(thetas, rows)))
         reports = [region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
                    for name, hi in (("heat_centered", 0.8), ("upwind_euler", 1.6),
                                     ("lax_wendroff", 1.6))]
-        assert sum(swept for swept, _ in calls) <= 12
-        # lax_wendroff's stable rows at N = 8 that one bound on all of
-        # [0, pi] leaves undecided; on a two-point grid the four pieces are
-        # [0, 0] three times and [0, pi], so their bound is that one
+        assert sum(swept) == 0
+        # lax_wendroff's stable rows at N = 8: one bound on all of [0, pi]
+        # leaves 374 of them undecided, the 16 pieces none
         rows = batches[-1]
         stable = np.array([s.trunc_stable[8] for s in reports[-1].samples])
-        _, upper = _value_and_bound(np.array([0.0, math.pi]), rows)
-        undecided = {tuple(row) for row in rows[stable & (upper > DEFAULT_TOL)].tolist()}
-        assert len(undecided) == 374
-        assert undecided.isdisjoint(c for _, c in calls)
+        ends = THETAS[[k * (DEFAULT_GRID - 1) // 16 for k in range(17)]]
+        whole = _horner_upper(ends[:1], ends[-1:], rows)[0]
+        pieces = _horner_upper(ends[:-1], ends[1:], rows).max(axis=0)
+        assert np.count_nonzero(stable & (whole > DEFAULT_TOL)) == 374
+        assert np.all(pieces[stable] <= DEFAULT_TOL)
 
 
 class TestTruncatedAmplification:
@@ -745,10 +769,10 @@ class TestFigureData:
         tables = figure_data(heat, derive_log(heat, 8), [Fraction(1, 2), Fraction(1, 4)], (2, 8))
         assert [t.lam for t in tables] == [0.5, 0.25]
         for t in tables:
+            # the theta column, the same for every table, is the writer's
             columns = t.csv_columns()
-            assert list(columns) == ["theta", "abs_S", "abs_S_N2", "abs_S_N8"]
+            assert list(columns) == ["abs_S", "abs_S_N2", "abs_S_N8"]
             assert all(len(col) == DEFAULT_GRID for col in columns.values())
-            assert columns["theta"][0] == 0.0 and columns["theta"][-1] == math.pi
 
     def test_orders_share_one_rounding(self, heat, monkeypatch):
         # 3 a_p for S and the 32 c_p of the highest order; each P_N reads a prefix
