@@ -50,6 +50,10 @@ __all__ = [
     "upwind_symmetry_check",
 ]
 
+# the one exact-rounding kernel, which the numeric layers reach through this
+# module: for each lambda in order, every polynomial's value rounded once
+float_rows = LambdaPoly.float_rows
+
 
 class CrossCheckError(RuntimeError):
     """An internal mathematical invariant failed; indicates a bug upstream."""

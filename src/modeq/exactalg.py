@@ -36,15 +36,16 @@ about as fast as a ``dot`` recurrence on reduced polynomials, and on the
 catalog schemes faster (README, "Command line").
 
 Everything here is exact, so polynomial identities can be tested by literal
-equality.  A float is made from an exact value by rounding it once:
-``LambdaPoly.float_at`` returns the correctly rounded value at a rational
-lambda.  It first encloses the value by fixed-point Horner with an integer
-error bound and returns the double that both ends of the enclosure round to,
-doubling the precision while they differ (Ziv 1991, "Fast evaluation of
-elementary mathematical functions with correctly rounded last bit").  When
-the precision reaches the size of the exact value, or the exact value is
-small to begin with (every c_p of the catalog schemes up to order 16 is),
-it rounds the exact value by one integer division instead.  Either way the
+equality.  A float is made from an exact value by rounding it once, by one
+kernel: ``LambdaPoly.float_rows`` rounds every polynomial of a list at
+each rational lambda of a sequence, and ``float_at`` is its one-value case.
+A value of moderate size (every c_p of the catalog schemes up to order 16)
+is the exact value rounded by one integer division.  A larger one is first
+enclosed by fixed-point Horner with an integer error bound: the double
+that both ends round to is the answer, and the precision doubles while
+they differ (Ziv 1991, "Fast evaluation of elementary mathematical
+functions with correctly rounded last bit"), until it reaches the size of
+the exact value, which the exact division then rounds.  Either way the
 float is that of the exact fraction, so the two paths give the same bytes.
 """
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "LambdaPoly",
@@ -244,47 +245,40 @@ class LambdaPoly:
         return Fraction(*self._num_den(*_ratio(lam)))
 
     def float_at(self, lam: ScalarLike) -> float:
-        """``float(self(lam))``, correctly rounded, by Ziv's rising precision.
+        """``float(self(lam))``, correctly rounded: ``float_rows`` at one
+        polynomial and one lambda."""
+        return next(LambdaPoly.float_rows((self,), (lam,)))[0]
 
-        Horner runs on the integer numerators in ``prec``-bit fixed point
-        with an integer bound on its error.  When both ends of that enclosure
-        round to the same double, the value does too, since rounding is
-        monotonic.  Otherwise ``prec`` doubles.  Once it reaches ``size``,
-        the degree times the bits of lambda's numerator and denominator
-        together, which is what the exact Horner integers grow by, the exact
-        value from ``_num_den`` is rounded by one int / int division, which
-        Python rounds correctly.  Below a ``size`` of ``_ZIV_MIN_BITS`` the
-        exact path is the cheaper one and is taken at once.  Raises
-        ``OverflowError`` where the value is beyond the float range."""
-        nums = self.nums
-        if not nums:
-            return 0.0
-        n, d = _ratio(lam)
-        size = (len(nums) - 1) * (n.bit_length() + d.bit_length())
-        prec = _ZIV_START_BITS if size >= _ZIV_MIN_BITS else size
-        while prec < size:
-            # xf = floor(2^prec x) misses 2^prec x by less than t, where t = 1
-            # unless the division is exact
-            xf, rem = divmod(n << prec, d)
-            t = 1 if rem else 0
-            xb = abs(xf) + 3 * t
-            # acc = 2^prec h + e with |e| <= err for the Horner value h; then
-            # acc xf / 2^prec misses 2^prec h x by at most
-            # (err (|xf| + 3t) + t |acc|) / 2^prec, and the shift's floor by < 1
-            acc, err = nums[-1] << prec, 0
-            for a in reversed(nums[:-1]):
-                err = ((err * xb + (abs(acc) if t else 0)) >> prec) + 2
-                acc = (acc * xf >> prec) + (a << prec)
-            den = self.den << prec
-            try:
-                lo, hi = (acc - err) / den, (acc + err) / den
-            except OverflowError:
-                break
-            if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
-                return lo
-            prec *= 2
-        num, den = self._num_den(n, d)
-        return num / den
+    @staticmethod
+    def float_rows(polys: Iterable["LambdaPoly"], lams: Iterable[ScalarLike]) -> Iterator[list]:
+        """For each lambda of ``lams`` in order, the list of the values of
+        ``polys`` at it, each exact value rounded once, as a generator.  The
+        ratio n/d of lambda is taken once.  A value whose ``size``, its degree
+        times the bits of n and d, is below ``_ZIV_MIN_BITS`` is the exact
+        value, homogenized integer Horner over den * d^degree, rounded by one
+        int / int division, which Python rounds correctly; a larger one tries
+        ``_ziv`` first.  Raises ``OverflowError`` at the first value beyond
+        the float range."""
+        # each polynomial's leading coefficient, then the others by decreasing
+        # power; the zero polynomial as the constant 0, which rounds to +0.0
+        terms = [(rev[0], rev[1:], p.den) for p in polys for rev in [p.nums[::-1] or (0,)]]
+        for lam in lams:
+            n, d = _ratio(lam)
+            bits = n.bit_length() + d.bit_length()
+            row = []
+            for acc, rest, den in terms:
+                size = len(rest) * bits
+                if size >= _ZIV_MIN_BITS:
+                    value = _ziv(acc, rest, den, n, d, size)
+                    if value is not None:
+                        row.append(value)
+                        continue
+                dpow = 1
+                for a in rest:
+                    dpow *= d
+                    acc = acc * n + a * dpow
+                row.append(acc / (den * dpow))
+            yield row
 
     @staticmethod
     def render_terms(coeffs: Iterable[ScalarLike]) -> str:
@@ -313,11 +307,44 @@ class LambdaPoly:
         return f"{body}/{self.den}"
 
 
-# float_at's first fixed-point precision, and the size below which it rounds
-# the exact value at once: measured on catalog and lambda^16 stencils, the
-# exact path was the faster one below it and the slower one above it
+# _ziv's first fixed-point precision, and the size below which float_rows
+# rounds the exact value at once: measured on catalog and lambda^16 stencils,
+# the exact path was the faster one below it and the slower one above it
 _ZIV_START_BITS = 64
 _ZIV_MIN_BITS = 2048
+
+
+def _ziv(lead: int, rest: tuple, den: int, n: int, d: int, size: int):
+    """The double that the polynomial of integer coefficients ``lead``, then
+    ``rest`` by decreasing power, over ``den`` rounds to at n/d, by Ziv's
+    rising precision: Horner in ``prec``-bit fixed point with an integer
+    error bound, ``prec`` doubling until both ends of the enclosure round to
+    one double, which the value then rounds to too, since rounding is
+    monotonic.  None once ``prec`` reaches ``size`` or the enclosure leaves
+    the float range."""
+    prec = _ZIV_START_BITS
+    while prec < size:
+        # xf = floor(2^prec x) misses 2^prec x by less than t, where t = 1
+        # unless the division is exact
+        xf, rem = divmod(n << prec, d)
+        t = 1 if rem else 0
+        xb = abs(xf) + 3 * t
+        # acc = 2^prec h + e with |e| <= err for the Horner value h; then
+        # acc xf / 2^prec misses 2^prec h x by at most
+        # (err (|xf| + 3t) + t |acc|) / 2^prec, and the shift's floor by < 1
+        acc, err = lead << prec, 0
+        for a in rest:
+            err = ((err * xb + (abs(acc) if t else 0)) >> prec) + 2
+            acc = (acc * xf >> prec) + (a << prec)
+        shifted = den << prec
+        try:
+            lo, hi = (acc - err) / shifted, (acc + err) / shifted
+        except OverflowError:
+            return None
+        if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+            return lo
+        prec *= 2
+    return None
 
 
 def _add_product(out: list, f: int, a, b) -> None:

@@ -11,15 +11,19 @@ The exact forms of the symbol, and every proof about them, are
 Exact first, then round: the symbol coefficients a_p(lambda) of
 ``SchemeSpec.symbol`` and the modified-equation coefficients c_p(lambda) are
 evaluated exactly at the lambda the caller gave (a float at its binary
-value) and each is rounded to a float once, correctly
-(``LambdaPoly.float_at``); no float lambda multiplies a rounded weight.
+value) and each is rounded to a float once, correctly, by one kernel
+(``derivation.float_rows``): for each lambda in order it takes lambda's
+integer ratio once and gives every polynomial's value.  No float lambda
+multiplies a rounded weight.
 
 A region scan does its lambda-free work once: it builds the basis
-e^{i p theta} on the theta grid once per scan and, per lambda, sums a_p
-times that basis and rounds only the even c_p (all that Re P_N reads),
-each from the float lambda's own integer ratio.  Each lambda writes S, the
-products a_p e^{i p theta}, 1 - S, |S|, |1 - S| and the test |1 - S| >= 1
-into arrays made once per scan, so a sample allocates no grid-sized array.
+e^{i p theta} on the theta grid once per scan, and rounds in one kernel
+pass per scan, lambda by lambda as the loop reads them, the a_p and only
+the even c_p (all that Re P_N reads), each from the float lambda's own
+integer ratio.  Per lambda it sums a_p times that basis.  Each lambda
+writes S, the products a_p e^{i p theta}, 1 - S, |S|, |1 - S| and the
+test |1 - S| >= 1 into arrays made once per scan, so a sample allocates
+no grid-sized array.
 Its floats are those of ``eval_symbol`` and ``polyval``: the same ufuncs in
 the same order, and the Horner steps are ``polyval``'s, less the adds of
 +0.0 at odd powers.  S starts from its first term rather than from 0,
@@ -36,9 +40,9 @@ sweep's own step, so its result is the sweep's value at x, bit for bit.
 The grid lies in [0, pi] with pi its last point, each row's even entries
 d (the signed c_{2k}) are finite and its odd ones +0.0, and IEEE rounding
 is monotone, so:
-  1. the value at one of the 17 grid points k * last // 16 (pi among
-     them) is > tol: unstable;
-  2. else the upper ends on the 16 pieces between those points are all
+  1. the value at one of the 18 grid points, index 1 and the indices
+     k * last // 16 (pi among them), is > tol: unstable;
+  2. else the upper ends on the 17 pieces between those points are all
      <= tol: stable.  For x >= 0 a rounded v * x is non-decreasing in v and
      monotone in x, so over v <= hi its upper end is hi * x_b if hi >= 0,
      else hi * x_a; a rounded v + d is non-decreasing in v;
@@ -66,7 +70,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .derivation import ModifiedEq, derive_log
+from .derivation import ModifiedEq, derive_log, float_rows
 from .schemes import SchemeSpec
 
 __all__ = [
@@ -117,22 +121,32 @@ def require_lambda(scheme_name: Optional[str], lam: Number, *, positive: bool) -
                          f"normal double {sys.float_info.min!r}")
 
 
-def _rounded(terms, lam: Number, scheme_name: str, label: str) -> list[float]:
-    """The polynomial of each (p, poly) in ``terms`` evaluated exactly at
-    ``lam`` (a float lambda at its binary value) and rounded once.  A value
-    beyond the float range raises the ValueError "scheme NAME: LABEL_p at
-    lambda = LAM is beyond the float range"; an infinite lambda, which has
-    no exact value, raises the OverflowError of ``Fraction(lam)``."""
-    out = []
-    try:
-        for p, poly in terms:
-            out.append(poly.float_at(lam))
-    except OverflowError as exc:
-        if lam in (math.inf, -math.inf):
+def _rounded(groups, lams: Sequence[Number], scheme_name: str):
+    """For each lambda of ``lams`` in order, the list of the polynomials of
+    every (label, terms) in ``groups``, terms (p, poly) pairs, evaluated
+    exactly at lambda (a float at its binary value) and rounded once, by one
+    pass of the rounding kernel; a generator, so a row is made when it is
+    read.  The first value beyond the float range, in row order, raises the
+    ValueError "scheme NAME: LABEL_p at lambda = LAM is beyond the float
+    range"; an infinite lambda, which has no exact value, raises the
+    OverflowError of ``Fraction(lam)``."""
+    terms = [(label, p, poly) for label, group in groups for p, poly in group]
+    rows = float_rows([poly for _, _, poly in terms], lams)
+    for lam in lams:
+        try:
+            yield next(rows)
+        except OverflowError as exc:
+            if lam in (math.inf, -math.inf):
+                raise
+            # the kernel's error does not say which value it was: round each
+            # value of this lambda alone up to the first that overflows
+            for label, p, poly in terms:
+                try:
+                    next(float_rows((poly,), (lam,)))
+                except OverflowError:
+                    raise ValueError(f"scheme {scheme_name}: {label}_{p} at lambda = "
+                                     f"{_lambda_text(lam)} is beyond the float range") from exc
             raise
-        raise ValueError(f"scheme {scheme_name}: {label}_{p} at lambda = {_lambda_text(lam)} "
-                         f"is beyond the float range") from exc
-    return out
 
 
 def _lambda_text(lam: Number) -> str:
@@ -149,8 +163,9 @@ def _lambda_text(lam: Number) -> str:
 def symbol_weights(scheme: SchemeSpec, lam: Number) -> list[tuple[int, float]]:
     """The symbol coefficients a_p(lambda) as floats, by offset, each rounded
     once from its exact value."""
-    return list(zip([p for p, _ in scheme.symbol],
-                    _rounded(scheme.symbol, lam, scheme.name, "symbol coefficient a")))
+    [weights] = _rounded([("symbol coefficient a", scheme.symbol)], [lam],
+                         scheme.name)
+    return list(zip([p for p, _ in scheme.symbol], weights))
 
 
 def eval_symbol(scheme: SchemeSpec, lam: Number, theta) -> complex:
@@ -207,15 +222,18 @@ def _truncation_verdicts(thetas: np.ndarray, rows: np.ndarray) -> list:
     docstring: steps 1 and 2 in one kernel call per block of at most 1024
     rows, step 3 in one call per row they leave undecided."""
     last = len(thetas) - 1
-    index = [k * last // 16 for k in range(17)]
+    # index 1, next to 0, picked by measurement: a row whose maximum lies in
+    # [0, thetas[last // 16]], where the other point is 0 and the value 0,
+    # is then mostly decided by step 1, not point by point in step 3
+    index = [0, 1] + [k * last // 16 for k in range(1, 17)]
     ends = thetas[index]
-    # the 17 points as degenerate intervals, then the 16 pieces between them
+    # the 18 points as degenerate intervals, then the 17 pieces between them
     x_a, x_b = np.concatenate([ends, ends[:-1]]), np.concatenate([ends, ends[1:]])
     verdicts = []
     for start in range(0, len(rows), 1024):
         block = rows[start:start + 1024]
         hi = _horner_upper(x_a, x_b, block)
-        value, upper = hi[:17].max(axis=0), hi[17:]
+        value, upper = hi[:len(index)].max(axis=0), hi[len(index):]
         stable = upper.max(axis=0) <= DEFAULT_TOL  # upper >= value: step 1's rows read False
         for i in np.flatnonzero((value <= DEFAULT_TOL) & ~stable).tolist():
             x = np.concatenate([thetas[index[j]:index[j + 1] + 1]
@@ -230,7 +248,7 @@ def _signed_coeffs(modeq: ModifiedEq, lam: Number, ps) -> list[float]:
     rounded once from its exact value, since its large coefficients of both
     signs cancel to noise in a float sum."""
     coeffs = modeq.at(lam)
-    cs = _rounded([(p, coeffs[p - 1]) for p in ps], lam, modeq.scheme_name, "c")
+    [cs] = _rounded([("c", [(p, coeffs[p - 1]) for p in ps])], [lam], modeq.scheme_name)
     # the sign of i^p; a zero stays +0.0
     return [0.0 - c if p & 2 else c for p, c in zip(ps, cs)]
 
@@ -290,8 +308,8 @@ def region_scan(
     truncation is marked stable when Re P_N(theta) <= tol on the whole grid,
     decided for all lambdas at once after the loop that rounds their c_p, by
     one Horner kernel in three steps (see the module docstring): its values
-    at 17 grid points, pi among them, each the sweep's value there bit for
-    bit since a point is a degenerate interval; its upper ends on the 16
+    at 18 grid points, pi among them, each the sweep's value there bit for
+    bit since a point is a degenerate interval; its upper ends on the 17
     pieces between those points; and, where neither decides, its values at
     every grid point of the pieces whose upper end exceeds tol.  theta_m is
     the grid point where |1 - S| first reaches 1, or pi.
@@ -302,8 +320,10 @@ def region_scan(
     if count < 2:
         raise ValueError(f"scheme {scheme.name}: need at least two lambda samples")
     orders = tuple(sorted(set(int(n) for n in orders)))
+    evens = []
     if orders:
         modeq = derive_log(scheme, max(orders))
+        evens = [(p, modeq.coeff(p)) for p in range(2, modeq.order + 1, 2)]
 
     basis = _symbol_basis(scheme, THETAS)
     s, term, oms = (np.empty(DEFAULT_GRID, dtype=complex) for _ in range(3))
@@ -313,14 +333,17 @@ def region_scan(
     lams = np.linspace(float(lo), float(hi), int(count)).tolist()
     # the even c_p of each lambda, +0.0 at odd p: all that Re P_N reads
     rows = np.zeros((len(lams), top + 1))
+    # each lambda's a_p, then its even c_p, from one pass of the kernel
+    values = _rounded([("symbol coefficient a", scheme.symbol), ("c", evens)], lams,
+                      scheme.name)
+    n_a = len(scheme.symbol)
     samples = []
     # a huge lambda's S overflows to inf or nan, and the Horner steps of a
     # growing truncation to inf: values that the verdicts read like any other
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, lam in zip(rows, lams):
+        for row, lam, weights in zip(rows, lams, values):
             # S from its first term, not from a zero fill: only a zero's sign
             # differs, and the scan reads |S| and |1 - S|
-            weights = _rounded(scheme.symbol, lam, scheme.name, "symbol coefficient a")
             for k, (a, e) in enumerate(zip(weights, basis)):
                 if k:
                     s += a if e is None else np.multiply(a, e, out=term)
@@ -338,8 +361,7 @@ def region_scan(
                 i = np.greater_equal(abs_oms, 1.0, out=bad).argmax()
                 if bad[i]:
                     theta_m = THETAS[i].item()
-            if orders:
-                row[2::2] = _signed_coeffs(modeq, lam, range(2, top + 1, 2))
+            row[2::2] = weights[n_a:]
             samples.append(
                 LambdaSample(
                     lam=lam,
@@ -351,6 +373,8 @@ def region_scan(
                     trunc_stable={},
                 )
             )
+        # the sign of i^p, as _signed_coeffs gives it: 0.0 - c, so a zero stays +0.0
+        np.subtract(0.0, rows[:, 2::4], out=rows[:, 2::4])
         for n in orders:
             verdicts = _truncation_verdicts(THETAS, rows[:, : n + 1])
             for sample, stable in zip(samples, verdicts):

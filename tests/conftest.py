@@ -48,3 +48,20 @@ def upwind():
 @pytest.fixture(scope="session")
 def lax():
     return catalog_scheme("lax_wendroff")
+
+
+@pytest.fixture
+def rounded_values(monkeypatch):
+    """The lambda of every value that ``spectra`` rounds, one entry per
+    value in the rounding kernel's order: the kernel, wrapped to count."""
+    import modeq.spectra
+
+    float_rows, seen = modeq.spectra.float_rows, []
+
+    def counted(polys, lams):
+        for lam, row in zip(lams, float_rows(polys, lams)):
+            seen.extend([lam] * len(row))
+            yield row
+
+    monkeypatch.setattr(modeq.spectra, "float_rows", counted)
+    return seen

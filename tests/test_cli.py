@@ -15,9 +15,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import LAM16
+from modeq import exactalg, spectra
 from modeq.cli import (_CSV_RUN_ROWS, _fmt, _parse_range, _region_columns, _regions_json,
                        _write_csv, build_parser, main)
-from modeq.exactalg import LP_ONE, LambdaPoly
+from modeq.derivation import derive_log
+from modeq.exactalg import LP_ONE
+from modeq.schemes import parse_scheme
 from modeq.spectra import LambdaSample, RegionReport
 from oracles import region_report_json_dict
 
@@ -486,25 +489,51 @@ class TestRegionsCommand:
     def test_caps_write_the_bytes_of_exact_rounding(self, tmp_path, capsys, monkeypatch):
         f = tmp_path / "lam16.scheme"
         f.write_text(LAM16)
-        float_at, num_den = LambdaPoly.float_at, LambdaPoly._num_den
+        ziv, kernel = exactalg._ziv, spectra.float_rows
         runs = {}
-        for name, rounding in (("fast", float_at), ("exact", lambda self, x: float(self(x)))):
-            values, exact_calls = [], []
-            monkeypatch.setattr(LambdaPoly, "float_at",
-                                lambda self, x: values.append(rounding(self, x)) or values[-1])
-            monkeypatch.setattr(LambdaPoly, "_num_den",
-                                lambda self, n, d: exact_calls.append(d) or num_den(self, n, d))
+        for name, rounding in (("fast", kernel),
+                               ("exact", lambda polys, lams: ([float(p(x)) for p in polys]
+                                                              for x in lams))):
+            values, settled = [], []
+            monkeypatch.setattr(spectra, "float_rows", lambda polys, lams: (
+                values.extend(row) or row for row in rounding(polys, lams)))
+            monkeypatch.setattr(exactalg, "_ziv", lambda *args: settled.append(ziv(*args))
+                                or settled[-1])
             out = tmp_path / name
             code, _, _ = run(capsys, "regions", "--file", str(f), "--lambda-range", "0.1:1.3:3",
                              "-N", "2,8,64", "--out", str(out))
             assert code == 0
-            runs[name] = (values, len(exact_calls),
+            runs[name] = (values, len(values) - sum(v is not None for v in settled),
                           [(p.name, p.read_bytes()) for p in sorted(out.iterdir())])
         (fast, fast_exact, fast_files), (exact, _, exact_files) = runs["fast"], runs["exact"]
         assert fast_files == exact_files
         assert [v.hex() for v in fast] == [v.hex() for v in exact]
         # the fixed-point path, not the exact one, rounded most of the c_p
         assert len(fast) > 90 and fast_exact < len(fast) // 2
+
+    # a scan names the first value beyond the float range: the first lambda
+    # in order, and at that lambda an a_p before any c_p
+    def test_scan_names_the_first_c_p_beyond_the_float_range(self, capsys, tmp_path):
+        code, out, err = run(capsys, "regions", "--catalog", "lax_wendroff", "--lambda-range",
+                             "0:240000:3", "-N", "64", "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == ("error: scheme lax_wendroff: c_64 at lambda = 120000.0 is beyond the "
+                       "float range\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_scan_names_a_p_before_c_p_at_one_lambda(self, capsys, tmp_path):
+        f = tmp_path / "lam16.scheme"
+        f.write_text(LAM16)
+        # c_2 too first leaves the float range at 1e20
+        c_2 = derive_log(parse_scheme(LAM16), 2).coeff(2)
+        c_2.float_at(0.0)
+        with pytest.raises(OverflowError):
+            c_2.float_at(1e20)
+        code, out, err = run(capsys, "regions", "--file", str(f), "--lambda-range", "0:1e20:2",
+                             "-N", "2", "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == ("error: scheme lam16: symbol coefficient a_-1 at lambda = 1e+20 is "
+                       "beyond the float range\n")
 
     def test_missing_range_exits_1(self, capsys):
         code, _, err = run(capsys, "regions", *HEAT)

@@ -15,7 +15,6 @@ from modeq.empirics import (
     mode_grid,
     step,
 )
-from modeq.exactalg import LambdaPoly
 from modeq.schemes import builtin_catalog, catalog_scheme, parse_scheme
 from modeq.spectra import eval_symbol, symbol_weights
 
@@ -139,15 +138,11 @@ class TestEvolveAndCompare:
         pi_row = rows[8]
         assert math.isinf(pi_row.measured)
 
-    def test_symbol_rounded_once_per_lambda(self, heat, monkeypatch):
+    def test_symbol_rounded_once_per_lambda(self, heat, rounded_values):
         # 3 a_p for the steps and for S, and 8 c_p for S_N
-        calls = []
-        float_at = LambdaPoly.float_at
-        monkeypatch.setattr(LambdaPoly, "float_at",
-                            lambda self, x: calls.append(x) or float_at(self, x))
         modeq = derive_log(heat, 8)
         rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
-        assert len(calls) == 3 + 8
+        assert len(rounded_values) == 3 + 8
         for r in rows:
             assert r.predicted_s == abs(eval_symbol(heat, Fraction(1, 4), r.theta)) ** 100
 

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import lp
 from oracles import dot_series_log, fraction_square_free, series_exp
+from modeq import exactalg
 from modeq.exactalg import (
     LP_ONE,
     LP_ZERO,
@@ -150,6 +151,50 @@ class TestLambdaPoly:
                 p.float_at(x)
             return
         assert p.float_at(x).hex() == expected.hex()
+
+    # a row of small polynomials, which round exactly, beside one of degree
+    # 39-69 made to take a near-tie value at the first lambda, which takes the
+    # fixed-point path at a lambda of many bits, and the zero polynomial
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**80, 2**80), min_size=40, max_size=70),
+           st.integers(1, 2**60), near_midpoints(),
+           st.lists(st.lists(st.one_of(st.fractions(), st.integers(-10**320, 10**320)),
+                             max_size=5), max_size=3),
+           st.lists(st.one_of(st.integers(-10**6, 10**6),
+                              st.floats(-2, 2, allow_nan=False),
+                              st.fractions(-2, 2, max_denominator=2**70)),
+                    min_size=1, max_size=4))
+    @example([3] * 40, 7, Fraction(2**1024 - 2**970), [[1, 2]], [0.3, 0.1])  # overflow first
+    @example([3] * 40, 7, Fraction(1, 2**1075), [[10**400]], [0.3])  # a later overflow
+    def test_float_rows_are_the_rounded_exact_values(self, nums, den, target, smalls, lams):
+        cs = [Fraction(a, den) for a in nums]
+        x = Fraction(lams[0])
+        tie = LambdaPoly([cs[0] + target - LambdaPoly(cs)(x), *cs[1:]])
+        polys = [LambdaPoly(c) for c in smalls]
+        polys[1:1] = [tie, ZERO]
+        rows = LambdaPoly.float_rows(polys, lams)
+        for lam in lams:
+            try:
+                expected = [float(p(lam)) for p in polys]
+            except OverflowError:
+                # the first lambda with a value beyond the float range
+                with pytest.raises(OverflowError):
+                    next(rows)
+                return
+            assert [v.hex() for v in next(rows)] == [v.hex() for v in expected]
+        assert next(rows, None) is None
+
+    def test_float_rows_round_each_value_on_its_own_path(self, monkeypatch):
+        # the degree-39 polynomial's size at 0.3 (53 + 55 bits per degree)
+        # is above _ZIV_MIN_BITS, the others' are below it or zero
+        calls = []
+        ziv = exactalg._ziv
+        monkeypatch.setattr(exactalg, "_ziv", lambda *args: calls.append(args) or ziv(*args))
+        polys = [lp(1, 2, 3), LambdaPoly([Fraction(k, 7) for k in range(1, 41)]), ZERO, ONE]
+        [row] = LambdaPoly.float_rows(polys, [0.3])
+        assert [v.hex() for v in row] == [float(p(0.3)).hex() for p in polys]
+        assert row[2].hex() == "0x0.0p+0"
+        assert len(calls) == 1 and calls[0][:2] == (40, tuple(range(39, 0, -1)))
 
     def test_divide_by_lambda(self):
         assert lp(0, 2, 3).divide_by_lambda() == lp(2, 3)

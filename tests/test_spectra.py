@@ -202,14 +202,10 @@ class TestRegionScan:
         expected = np.polynomial.polynomial.polyval(thetas, c)
         assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.tolist()]
 
-    def test_scan_rounds_only_the_even_coefficients(self, upwind, monkeypatch):
+    def test_scan_rounds_only_the_even_coefficients(self, upwind, rounded_values):
         # Re P_N reads c_p at even p only: 301 samples of 2 a_p and 32 even c_p
-        calls = []
-        float_at = LambdaPoly.float_at
-        monkeypatch.setattr(LambdaPoly, "float_at",
-                            lambda self, x: calls.append(x) or float_at(self, x))
         region_scan(upwind, (0.0, 1.5, 301), orders=range(2, 65, 2))
-        assert len(calls) == 301 * (2 + 32)
+        assert len(rounded_values) == 301 * (2 + 32)
 
     def test_scan_reads_no_odd_coefficient(self, heat, monkeypatch):
         # c_1 is beyond the float range, but Re P_2 = -c_2 theta^2 never reads it
@@ -644,15 +640,11 @@ class TestCertificate:
         )
         assert cert.tail_a == tail_a
 
-    def test_orders_share_one_reference(self, heat, monkeypatch):
+    def test_orders_share_one_reference(self, heat, rounded_values):
         # 3 a_p for S and 32 c_p for the reference; each P_N reads a prefix
-        calls = []
-        float_at = LambdaPoly.float_at
-        monkeypatch.setattr(LambdaPoly, "float_at",
-                            lambda self, x: calls.append(x) or float_at(self, x))
         modeq = derive_log(heat, 32)
         certs = truncation_certificate(heat, modeq, Fraction(1, 5), (4, 8), math.pi, 1.0)
-        assert len(calls) == 3 + 32
+        assert len(rounded_values) == 3 + 32
         for cert in certs:
             [alone] = truncation_certificate(heat, modeq, Fraction(1, 5), (cert.order,),
                                              math.pi, 1.0)
@@ -774,15 +766,11 @@ class TestFigureData:
             assert list(columns) == ["abs_S", "abs_S_N2", "abs_S_N8"]
             assert all(len(col) == DEFAULT_GRID for col in columns.values())
 
-    def test_orders_share_one_rounding(self, heat, monkeypatch):
+    def test_orders_share_one_rounding(self, heat, rounded_values):
         # 3 a_p for S and the 32 c_p of the highest order; each P_N reads a prefix
-        calls = []
-        float_at = LambdaPoly.float_at
-        monkeypatch.setattr(LambdaPoly, "float_at",
-                            lambda self, x: calls.append(x) or float_at(self, x))
         modeq = derive_log(heat, 32)
         [table] = figure_data(heat, modeq, [Fraction(1, 2)], [2, 8, 16, 32])
-        assert len(calls) == 3 + 32
+        assert len(rounded_values) == 3 + 32
         for n, abs_sn in table.abs_s_trunc.items():
             alone = _truncated(modeq, Fraction(1, 2), THETAS, n)[1]
             assert abs_sn.tobytes() == np.abs(alone).tobytes()
