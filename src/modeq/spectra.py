@@ -18,17 +18,40 @@ multiplies a rounded weight.
 
 A region scan does its lambda-free work once: it builds the basis
 e^{i p theta} on the theta grid once per scan, and rounds in one kernel
-pass per scan, lambda by lambda as the loop reads them, the a_p and only
-the even c_p (all that Re P_N reads), each from the float lambda's own
-integer ratio.  Per lambda it sums a_p times that basis.  Each lambda
-writes S, the products a_p e^{i p theta}, 1 - S, |S|, |1 - S| and the
-test |1 - S| >= 1 into arrays made once per scan, so a sample allocates
-no grid-sized array.
-Its floats are those of ``eval_symbol`` and ``polyval``: the same ufuncs in
-the same order, and the Horner steps are ``polyval``'s, less the adds of
-+0.0 at odd powers.  S starts from its first term rather than from 0,
-which changes only the sign of a zero, and the scan reads only |S| and
-|1 - S|.
+pass per scan the a_p and only the even c_p (all that Re P_N reads), each
+from the float lambda's own integer ratio.  Its max |S|, max |1 - S| and
+theta_m are the sweep's of the whole grid, whose floats are
+``eval_symbol``'s, but read from fewer points.  For each block of _BLOCK
+lambdas it evaluates |S| and |1 - S| at every 16th grid index and the
+last, the ends of 256 pieces of at most 17 points, and then at every point
+of the pieces that a bound cannot rule out.  A value it evaluates is the
+sweep's at that index, bit for bit: the same basis entry, products and
+adds in offset order (from an array of zeros, which changes only the sign
+of a zero), then 1 - S and numpy's modulus, whose result does not depend
+on the array's shape.  A piece is ruled out when no grid value on it can
+exceed its cap, the largest value at the ends, nor, for |1 - S| on a
+piece that starts before theta_m's end (the first end where
+|1 - S| >= 1, else pi), reach 1; so skipping it changes no maximum and
+no theta_m.  With u = 2^-53 and A = sum_p |a_p|:
+  1. f = |S|^2 = sum_{p,q} a_p a_q cos((p - q) theta), so |f''| <= F_2 =
+     sum_{p,q} (p - q)^2 |a_p| |a_q|; on a piece [x_a, x_b] of width h
+     f lies below its chord plus F_2 h^2 / 8, so below max(f(x_a), f(x_b))
+     + F_2 h^2 / 8.  |1 - S|^2 likewise, with the weights 1 - a_0 and -a_p.
+  2. A computed value is within 2^-45 (1 + A) of the exact modulus at its
+     float grid point: the basis entry is within 104 u (p theta rounded
+     once, |p| <= 32; cos and sin within 2 ulps), the at most 65 products
+     and adds add 131 u A, and 1 - S and the modulus 5 u (1 + A).
+  3. With E = 2^-40 (1 + A), the piece's float bound B = (max(v_a, v_b) +
+     E)^2 + F_2 h^2 / 8, from the values v at its ends, is a sum of
+     nonnegative numbers rounded at most 65^2 + 5 times on any path, so it
+     is at least the exact one times 1 - 2^-40.9; B < (cap - E)^2 then puts
+     every grid value on the piece below the cap, as E covers step 2's
+     error and that rounding with room.  A cap below E rules out nothing:
+     rounding is monotone, so (cap - E)^2 <= E^2 <= B.
+  4. An inf or NaN end value, E or F_2 makes B inf or NaN, and a NaN cap
+     fails the test, so none rules anything out; a finite B needs
+     A < 2^552, far below any overflow of S, so a lambda whose S overflows
+     anywhere on the grid is swept at every point.
 
 A truncation verdict, Re P_N <= tol at every grid point, is what the
 Horner sweep of the whole grid would give, decided for all the lambdas of
@@ -62,6 +85,7 @@ of its step.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -95,6 +119,10 @@ DEFAULT_GRID = 4096
 THETAS = np.linspace(0.0, math.pi, DEFAULT_GRID)
 THETAS.flags.writeable = False
 DEFAULT_TOL = 1e-12
+# a region scan's pieces end at every _STEP-th grid index and the last; it
+# bounds and sweeps its lambdas _BLOCK at a time
+_STEP = 16
+_BLOCK = 32
 
 Number = Union[int, float, Fraction]
 
@@ -186,14 +214,24 @@ def _symbol_basis(scheme: SchemeSpec, theta) -> list:
     return [None if p == 0 else np.exp(1j * p * th) for p, _ in scheme.symbol]
 
 
-def _symbol_sum(weights: list, basis: list):
-    """sum_p a_p basis_p in offset order, from 0 (so a -0.0 sum reads +0.0);
-    a_0 is added as is."""
-    acc = 0
+def _symbol_sum(weights, basis, acc=0):
+    """sum_p a_p basis_p in offset order, from ``acc``, 0 or an array of zeros
+    (so a -0.0 sum reads +0.0); a_0 is added as is."""
     with np.errstate(over="ignore", invalid="ignore"):  # a huge lambda's S is inf or nan
         for (_, a), e in zip(weights, basis):
             acc += a if e is None else a * e  # in place once acc is an array
     return acc
+
+
+def _moduli(a: np.ndarray, basis, shape: tuple) -> np.ndarray:
+    """|S| and |1 - S|, stacked, for each row of weights ``a`` (rows, terms)
+    on ``basis`` entries of ``shape`` (rows, points): _symbol_sum's floats
+    from an array of zeros, then 1 - S and numpy's modulus."""
+    s = _symbol_sum(enumerate(a.T[..., None]), basis, np.zeros(shape, dtype=complex))
+    v = np.empty((2,) + shape)
+    np.abs(s, out=v[0])
+    np.abs(np.subtract(1.0, s, out=s), out=v[1])
+    return v
 
 
 def _horner_upper(x_a: np.ndarray, x_b: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -312,7 +350,12 @@ def region_scan(
     bit since a point is a degenerate interval; its upper ends on the 17
     pieces between those points; and, where neither decides, its values at
     every grid point of the pieces whose upper end exceeds tol.  theta_m is
-    the grid point where |1 - S| first reaches 1, or pi.
+    the grid point where |1 - S| first reaches 1, or pi.  The maxima and
+    theta_m are the sweep's of the whole grid, bit for bit, read by the
+    piece filter of the module docstring: |S| and |1 - S| at the 257 ends
+    of 256 pieces, then at every grid point of each piece whose bound
+    max(f_a, f_b) + F_2 h^2 / 8 on f = |S|^2 or |1 - S|^2, widened by the
+    float-error margin E, does not keep it below its cap.
     """
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
@@ -326,9 +369,15 @@ def region_scan(
         evens = [(p, modeq.coeff(p)) for p in range(2, modeq.order + 1, 2)]
 
     basis = _symbol_basis(scheme, THETAS)
-    s, term, oms = (np.empty(DEFAULT_GRID, dtype=complex) for _ in range(3))
-    abs_s, abs_oms = np.empty(DEFAULT_GRID), np.empty(DEFAULT_GRID)
-    bad = np.empty(DEFAULT_GRID, dtype=bool)
+    offsets = [p for p, _ in scheme.symbol]
+    zero = offsets.index(0)
+    dist2 = np.subtract.outer(offsets, offsets) ** 2.0  # the (p - q)^2 of F_2
+    # the pieces' ends, every _STEP-th grid index and the last; each piece's
+    # grid indices, the last piece's end repeated to fill its row
+    ends = np.append(np.arange(0, DEFAULT_GRID - 1, _STEP), DEFAULT_GRID - 1)
+    pieces = np.minimum(ends[:-1, None] + np.arange(_STEP + 1), DEFAULT_GRID - 1)
+    ends_basis = [None if e is None else e[ends] for e in basis]
+    width2 = np.diff(THETAS[ends]) ** 2 / 8  # h^2 / 8
     top = orders[-1] if orders else 0
     lams = np.linspace(float(lo), float(hi), int(count)).tolist()
     # the even c_p of each lambda, +0.0 at odd p: all that Re P_N reads
@@ -339,40 +388,52 @@ def region_scan(
     n_a = len(scheme.symbol)
     samples = []
     # a huge lambda's S overflows to inf or nan, and the Horner steps of a
-    # growing truncation to inf: values that the verdicts read like any other
+    # growing truncation to inf: values that the maxima and verdicts read
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, lam, weights in zip(rows, lams, values):
-            # S from its first term, not from a zero fill: only a zero's sign
-            # differs, and the scan reads |S| and |1 - S|
-            for k, (a, e) in enumerate(zip(weights, basis)):
-                if k:
-                    s += a if e is None else np.multiply(a, e, out=term)
-                elif e is None:
-                    s.fill(a)
-                else:
-                    np.multiply(a, e, out=s)
-            np.abs(s, out=abs_s)
-            np.abs(np.subtract(1.0, s, out=oms), out=abs_oms)
-            max_abs_s = abs_s.max().item()
-            max_abs_oms = abs_oms.max().item()
-            # below 1 everywhere (a NaN maximum is not): no grid point to find
-            theta_m = math.pi
-            if not max_abs_oms < 1.0:
-                i = np.greater_equal(abs_oms, 1.0, out=bad).argmax()
-                if bad[i]:
-                    theta_m = THETAS[i].item()
-            row[2::2] = weights[n_a:]
-            samples.append(
-                LambdaSample(
-                    lam=lam,
-                    max_abs_s=max_abs_s,
-                    max_abs_one_minus_s=max_abs_oms,
-                    theta_m=theta_m,
-                    in_rs=max_abs_s <= 1.0 + DEFAULT_TOL,
-                    in_omega_c=max_abs_oms < 1.0 - DEFAULT_TOL,
-                    trunc_stable={},
+        for start in range(0, len(lams), _BLOCK):
+            block = np.array(list(itertools.islice(values, _BLOCK)))
+            a = block[:, :n_a]
+            rows[start:start + len(a), 2::2] = block[:, n_a:]
+            v = _moduli(a, ends_basis, (len(a), len(ends)))
+            peak = v.max(axis=2)
+            # theta_m's index: the first end where |1 - S| >= 1, else the last (pi)
+            hit = v[1] >= 1.0
+            hit[:, -1] = True
+            first = ends[hit.argmax(axis=1)]
+            # the weights of |S|^2 and |1 - S|^2: |a_p|, then |1 - a_0| at p = 0
+            w = np.abs([a, a])
+            w[1, :, zero] = np.abs(1.0 - a[:, zero])
+            margin = 2.0 ** -40 * (1.0 + w[0].sum(axis=1, keepdims=True))
+            f2 = np.einsum("jip,pq,jiq->ji", w, dist2, w)[..., None]
+            bound = np.maximum(v[..., :-1], v[..., 1:])
+            bound += margin
+            bound *= bound
+            bound += f2 * width2
+            # each piece's cap: the peak, and for |1 - S| before theta_m's end also 1
+            swept = ~(bound < (peak[..., None] - margin) ** 2).all(axis=0)
+            swept |= (ends[:-1] < first[:, None]) & ~(bound[1] < (1.0 - margin) ** 2)
+            at, piece = np.nonzero(swept)
+            del v, bound  # the sweep below needs neither; free them first
+            for k in range(0, len(at), len(pieces)):  # a grid's worth of points at a time
+                lam_at, index = at[k:k + len(pieces)], pieces[piece[k:k + len(pieces)]]
+                fine = _moduli(a[lam_at], (None if e is None else e[index] for e in basis),
+                               index.shape)
+                np.maximum.at(peak, (slice(None), lam_at), fine.max(axis=2))
+                np.minimum.at(first, lam_at,
+                              np.where(fine[1] >= 1.0, index, DEFAULT_GRID - 1).min(axis=1))
+            for lam, max_abs_s, max_abs_oms, theta_m in zip(
+                    lams[start:start + len(a)], *peak.tolist(), THETAS[first].tolist()):
+                samples.append(
+                    LambdaSample(
+                        lam=lam,
+                        max_abs_s=max_abs_s,
+                        max_abs_one_minus_s=max_abs_oms,
+                        theta_m=theta_m,
+                        in_rs=max_abs_s <= 1.0 + DEFAULT_TOL,
+                        in_omega_c=max_abs_oms < 1.0 - DEFAULT_TOL,
+                        trunc_stable={},
+                    )
                 )
-            )
         # the sign of i^p, as _signed_coeffs gives it: 0.0 - c, so a zero stays +0.0
         np.subtract(0.0, rows[:, 2::4], out=rows[:, 2::4])
         for n in orders:

@@ -15,13 +15,15 @@ from conftest import lp, random_stencils
 from modeq.cli import main
 from modeq.derivation import ModifiedEq, _modulus_table, derive_log, upwind_symmetry_check
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
-from modeq.schemes import builtin_catalog, catalog_scheme
+from modeq.schemes import MAX_STENCIL_OFFSET, SchemeSpec, builtin_catalog, catalog_scheme
 from modeq.spectra import (
     DEFAULT_GRID,
     DEFAULT_TOL,
     THETAS,
     CertificateRefusal,
+    _STEP,
     _horner_upper,
+    _moduli,
     _truncation,
     _truncation_verdicts,
     _theta_coeffs,
@@ -160,6 +162,21 @@ class TestThetaM:
         assert region_scan(upwind, (0.0, 0.5, 3)).samples[2].theta_m == math.pi
 
 
+@st.composite
+def _far_stencils(draw):
+    """A consistent stencil with offsets out to +-MAX_STENCIL_OFFSET, where
+    the pieces' F_2 h^2 / 8 is largest, and weights of lambda-degree up to 2."""
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    degree = draw(st.integers(0, 2))
+    offset = st.one_of(st.sampled_from([-MAX_STENCIL_OFFSET, MAX_STENCIL_OFFSET]),
+                       st.integers(-MAX_STENCIL_OFFSET, MAX_STENCIL_OFFSET))
+    offsets = sorted(draw(st.sets(offset, min_size=2, max_size=6)))
+    weights = {p: LambdaPoly([draw(rationals) for _ in range(degree + 1)]) for p in offsets[1:]}
+    weights[offsets[0]] = -sum(weights.values(), LP_ZERO)
+    assume(any(weights.values()))
+    return SchemeSpec(name="far", q=1, stencil=weights, pde={1: Fraction(1)})
+
+
 class TestRegionScan:
     def test_heat_boundaries(self, heat):
         report = region_scan(heat, (0.0, 0.6, 61), orders=(4,))
@@ -241,6 +258,57 @@ class TestRegionScan:
         report = region_scan(scheme, (0.0, hi, 101), orders=orders)
         assert _sample_bits(report.samples) == _sample_bits(
             sweep_region_scan(scheme, (0.0, hi, 101), orders))
+
+    # lambda = 0, where S = 1 and every piece is swept; upwind at lambda = 1,
+    # where |S| = 1; heat at 1/4 and 1/2; Lax-Wendroff at small lambda, where
+    # |S| is flat to fourth order at theta = 0; Lax-Wendroff's S past the
+    # float range near theta = pi at its two largest lambdas
+    @example(catalog_scheme("heat_centered"), 0.0, 0.5, 3)
+    @example(catalog_scheme("upwind_euler"), 0.0, 2.0, 3)
+    @example(catalog_scheme("lax_wendroff"), 0.0, 1e-3, 33)
+    @example(catalog_scheme("lax_wendroff"), 0.0, 1.3e154, 5)
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(random_stencils(), _far_stencils()), st.sampled_from([0.0, 0.5]),
+           st.one_of(st.floats(0.01, 4.0), st.floats(1.0, 1e200)),
+           st.sampled_from([2, 5, 31, 32, 33, 65]))
+    def test_scan_reads_every_grid_point_a_bound_cannot_rule_out(self, scheme, share, hi,
+                                                                   count):
+        # the pieces' bounds decide which grid points are read; the maxima and
+        # theta_m must still be the full sweep's, bit for bit, also where a
+        # large lambda overflows S to inf or nan
+        lambda_range = (share * hi, hi, count)
+        try:
+            expected = sweep_region_scan(scheme, lambda_range, ())
+        except ValueError as exc:  # an a_p beyond the float range
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                region_scan(scheme, lambda_range)
+            return
+        report = region_scan(scheme, lambda_range)
+        assert _sample_bits(report.samples) == _sample_bits(expected)
+
+    def test_catalog_scans_refine_few_pieces(self, upwind, monkeypatch):
+        # README's three 601-lambda scans sweep 2.7, 3.2 and 11.6 of the 256
+        # pieces per lambda: a bound that drops a term sweeps fewer, a looser
+        # one more
+        refined = []
+
+        def counted(a, basis, shape):
+            if shape[1] == _STEP + 1:  # a sweep of pieces, one row each
+                refined.append(shape[0])
+            return _moduli(a, basis, shape)
+
+        monkeypatch.setattr("modeq.spectra._moduli", counted)
+        counts = []
+        for name, hi in (("heat_centered", 0.8), ("upwind_euler", 1.6), ("lax_wendroff", 1.6)):
+            refined.clear()
+            region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
+            counts.append(sum(refined))
+        assert counts == [1647, 1900, 6999]
+        # S = 1 at lambda = 0 and |S| = 1 for upwind at lambda = 1: every
+        # grid value is the maximum, so every piece is read
+        refined.clear()
+        region_scan(upwind, (0.0, 1.0, 2))
+        assert sum(refined) == 2 * 256
 
 
 def _sample_bits(samples) -> list:
