@@ -381,6 +381,16 @@ def _modulus_table(scheme: SchemeSpec) -> tuple:
     )
 
 
+def _cosine_tables(scheme: SchemeSpec) -> tuple:
+    """(R, V): for a real stencil S = sum_d R[d] T_d(c) + i sin(theta) sum_d
+    V[d-1] U_{d-1}(c), c = cos(theta), R[0] = a_0, R[d] = a_d + a_{-d} and
+    V[d-1] = a_d - a_{-d}: on T_d, not c^d, whose coefficients reach 2^31."""
+    a = dict(scheme.symbol)
+    pairs = [(a.get(d, LP_ZERO), a.get(-d, LP_ZERO))
+             for d in range(1, max(scheme.n_left, scheme.n_right) + 1)]
+    return (a[0], *[x + y for x, y in pairs]), tuple(x - y for x, y in pairs)
+
+
 def upwind_symmetry_check(modeq: ModifiedEq) -> SymmetryReport:
     """Prove, for every lambda, the modulus identity |S(theta, 1/2-lambda)| =
     |S(theta, 1/2+lambda)| as m.reflect() == m for each |S|^2 cosine

@@ -2,11 +2,11 @@
 
 Covers: pointwise/grid evaluation of S(theta), the contraction angle
 theta_m, stability and contraction region scans over the mesh ratio,
-finite-horizon stability certificates, and figure-data tables.  Every
-scan, figure and certificate samples theta on one read-only grid,
-``THETAS``: DEFAULT_GRID uniform points on [0, pi], both endpoints exact.
-The exact forms of the symbol, and every proof about them, are
-``derivation``'s; this module rounds and samples them.
+finite-horizon stability certificates, and figure-data tables.  The
+truncation verdicts, figures and certificates sample theta on one
+read-only grid, ``THETAS``: DEFAULT_GRID uniform points on [0, pi], both
+endpoints exact.  The exact forms of the symbol, and every proof about
+them, are ``derivation``'s; this module rounds and samples them.
 
 Exact first, then round: the symbol coefficients a_p(lambda) of
 ``SchemeSpec.symbol`` and the modified-equation coefficients c_p(lambda) are
@@ -16,42 +16,19 @@ value) and each is rounded to a float once, correctly, by one kernel
 integer ratio once and gives every polynomial's value.  No float lambda
 multiplies a rounded weight.
 
-A region scan does its lambda-free work once: it builds the basis
-e^{i p theta} on the theta grid once per scan, and rounds in one kernel
-pass per scan the a_p and only the even c_p (all that Re P_N reads), each
-from the float lambda's own integer ratio.  Its max |S|, max |1 - S| and
-theta_m are the sweep's of the whole grid, whose floats are
-``eval_symbol``'s, but read from fewer points.  For each block of _BLOCK
-lambdas it evaluates |S| and |1 - S| at every 16th grid index and the
-last, the ends of 256 pieces of at most 17 points, and then at every point
-of the pieces that a bound cannot rule out.  A value it evaluates is the
-sweep's at that index, bit for bit: the same basis entry, products and
-adds in offset order (from an array of zeros, which changes only the sign
-of a zero), then 1 - S and numpy's modulus, whose result does not depend
-on the array's shape.  A piece is ruled out when no grid value on it can
-exceed its cap, the largest value at the ends, nor, for |1 - S| on a
-piece that starts before theta_m's end (the first end where
-|1 - S| >= 1, else pi), reach 1; so skipping it changes no maximum and
-no theta_m.  With u = 2^-53 and A = sum_p |a_p|:
-  1. f = |S|^2 = sum_{p,q} a_p a_q cos((p - q) theta), so |f''| <= F_2 =
-     sum_{p,q} (p - q)^2 |a_p| |a_q|; on a piece [x_a, x_b] of width h
-     f lies below its chord plus F_2 h^2 / 8, so below max(f(x_a), f(x_b))
-     + F_2 h^2 / 8.  |1 - S|^2 likewise, with the weights 1 - a_0 and -a_p.
-  2. A computed value is within 2^-45 (1 + A) of the exact modulus at its
-     float grid point: the basis entry is within 104 u (p theta rounded
-     once, |p| <= 32; cos and sin within 2 ulps), the at most 65 products
-     and adds add 131 u A, and 1 - S and the modulus 5 u (1 + A).
-  3. With E = 2^-40 (1 + A), the piece's float bound B = (max(v_a, v_b) +
-     E)^2 + F_2 h^2 / 8, from the values v at its ends, is a sum of
-     nonnegative numbers rounded at most 65^2 + 5 times on any path, so it
-     is at least the exact one times 1 - 2^-40.9; B < (cap - E)^2 then puts
-     every grid value on the piece below the cap, as E covers step 2's
-     error and that rounding with room.  A cap below E rules out nothing:
-     rounding is monotone, so (cap - E)^2 <= E^2 <= B.
-  4. An inf or NaN end value, E or F_2 makes B inf or NaN, and a NaN cap
-     fails the test, so none rules anything out; a finite B needs
-     A < 2^552, far below any overflow of S, so a lambda whose S overflows
-     anywhere on the grid is swept at every point.
+A region scan rounds the cosine tables of S (``derivation._cosine_tables``,
+S = R(c) + i sin(theta) V(c), c = cos(theta)), 1 - R_0 and the even c_p,
+all that Re P_N reads, in one kernel pass.  Its max |S|, max |1 - S|
+(tables 1 - R and -V) and theta_m read no grid: f^2 = R^2 + (1 - c^2) V^2
+is a polynomial in c, so max f is f at c = +-1 or at a real root of
+(f^2)', an eigenvalue of its colleague matrix (Good 1961), and theta_m =
+arccos c_0, c_0 the largest c with |1 - S| >= 1, one bisection between
+two such points (``_fields``, ``_peaks``).  f is hypot(R,
+sqrt(1 - c^2) V) by Clenshaw's recurrence, and a root off by delta moves
+a peak by O(delta^2), so a maximum falls short of the true one by rounding
+only: against the 4096-point grid sweep (catalog, random stencils to +-3,
+lambda to 1e200) none was below the grid's by more than
+2^-44 (1 + sum_p |a_p|), and the true maximum was up to 2e-8 above it.
 
 A truncation verdict, Re P_N <= tol at every grid point, is what the
 Horner sweep of the whole grid would give, decided for all the lambdas of
@@ -85,7 +62,6 @@ of its step.
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -94,7 +70,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .derivation import ModifiedEq, derive_log, float_rows
+from .derivation import ModifiedEq, _cosine_tables, derive_log, float_rows
 from .schemes import SchemeSpec
 
 __all__ = [
@@ -119,10 +95,6 @@ DEFAULT_GRID = 4096
 THETAS = np.linspace(0.0, math.pi, DEFAULT_GRID)
 THETAS.flags.writeable = False
 DEFAULT_TOL = 1e-12
-# a region scan's pieces end at every _STEP-th grid index and the last; it
-# bounds and sweeps its lambdas _BLOCK at a time
-_STEP = 16
-_BLOCK = 32
 
 Number = Union[int, float, Fraction]
 
@@ -149,16 +121,18 @@ def require_lambda(scheme_name: Optional[str], lam: Number, *, positive: bool) -
                          f"normal double {sys.float_info.min!r}")
 
 
-def _rounded(groups, lams: Sequence[Number], scheme_name: str):
+def _rounded(groups, lams: Sequence[Number], scheme_name: str, sources=()):
     """For each lambda of ``lams`` in order, the list of the polynomials of
     every (label, terms) in ``groups``, terms (p, poly) pairs, evaluated
     exactly at lambda (a float at its binary value) and rounded once, by one
     pass of the rounding kernel; a generator, so a row is made when it is
     read.  The first value beyond the float range, in row order, raises the
     ValueError "scheme NAME: LABEL_p at lambda = LAM is beyond the float
-    range"; an infinite lambda, which has no exact value, raises the
+    range", the groups of ``sources``, terms the values are made of, named
+    first; an infinite lambda, which has no exact value, raises the
     OverflowError of ``Fraction(lam)``."""
     terms = [(label, p, poly) for label, group in groups for p, poly in group]
+    named = [(label, p, poly) for label, group in sources for p, poly in group] + terms
     rows = float_rows([poly for _, _, poly in terms], lams)
     for lam in lams:
         try:
@@ -168,7 +142,7 @@ def _rounded(groups, lams: Sequence[Number], scheme_name: str):
                 raise
             # the kernel's error does not say which value it was: round each
             # value of this lambda alone up to the first that overflows
-            for label, p, poly in terms:
+            for label, p, poly in named:
                 try:
                     next(float_rows((poly,), (lam,)))
                 except OverflowError:
@@ -214,24 +188,13 @@ def _symbol_basis(scheme: SchemeSpec, theta) -> list:
     return [None if p == 0 else np.exp(1j * p * th) for p, _ in scheme.symbol]
 
 
-def _symbol_sum(weights, basis, acc=0):
-    """sum_p a_p basis_p in offset order, from ``acc``, 0 or an array of zeros
-    (so a -0.0 sum reads +0.0); a_0 is added as is."""
+def _symbol_sum(weights, basis):
+    """sum_p a_p basis_p in offset order, from 0; a_0 is added as is."""
+    acc = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a huge lambda's S is inf or nan
         for (_, a), e in zip(weights, basis):
             acc += a if e is None else a * e  # in place once acc is an array
     return acc
-
-
-def _moduli(a: np.ndarray, basis, shape: tuple) -> np.ndarray:
-    """|S| and |1 - S|, stacked, for each row of weights ``a`` (rows, terms)
-    on ``basis`` entries of ``shape`` (rows, points): _symbol_sum's floats
-    from an array of zeros, then 1 - S and numpy's modulus."""
-    s = _symbol_sum(enumerate(a.T[..., None]), basis, np.zeros(shape, dtype=complex))
-    v = np.empty((2,) + shape)
-    np.abs(s, out=v[0])
-    np.abs(np.subtract(1.0, s, out=s), out=v[1])
-    return v
 
 
 def _horner_upper(x_a: np.ndarray, x_b: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -338,25 +301,12 @@ def region_scan(
     lambda_range: tuple,
     orders: Sequence[int] = (),
 ) -> RegionReport:
-    """Classify each lambda in ``lambda_range = (lo, hi, count)``.
-
-    With tol = DEFAULT_TOL, a sample is von Neumann stable when
-    max |S| <= 1 + tol over the theta grid, and inside the contraction region
-    when max |1 - S| < 1 - tol.  For each requested truncation order N, the
-    truncation is marked stable when Re P_N(theta) <= tol on the whole grid,
-    decided for all lambdas at once after the loop that rounds their c_p, by
-    one Horner kernel in three steps (see the module docstring): its values
-    at 18 grid points, pi among them, each the sweep's value there bit for
-    bit since a point is a degenerate interval; its upper ends on the 17
-    pieces between those points; and, where neither decides, its values at
-    every grid point of the pieces whose upper end exceeds tol.  theta_m is
-    the grid point where |1 - S| first reaches 1, or pi.  The maxima and
-    theta_m are the sweep's of the whole grid, bit for bit, read by the
-    piece filter of the module docstring: |S| and |1 - S| at the 257 ends
-    of 256 pieces, then at every grid point of each piece whose bound
-    max(f_a, f_b) + F_2 h^2 / 8 on f = |S|^2 or |1 - S|^2, widened by the
-    float-error margin E, does not keep it below its cap.
-    """
+    """Classify each lambda in ``lambda_range = (lo, hi, count)``, the count
+    samples lo + k (hi - lo) / (count - 1), each rounded once.  With tol =
+    DEFAULT_TOL, a sample is von Neumann stable when max |S| <= 1 + tol on
+    [0, pi], inside the contraction region when max |1 - S| < 1 - tol, and
+    its truncation of order N stable when Re P_N <= tol on the whole grid
+    (the module docstring tells how each is read)."""
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
         raise ValueError(f"scheme {scheme.name}: need 0 <= lo < hi, got ({lo}, {hi})")
@@ -367,80 +317,118 @@ def region_scan(
     if orders:
         modeq = derive_log(scheme, max(orders))
         evens = [(p, modeq.coeff(p)) for p in range(2, modeq.order + 1, 2)]
-
-    basis = _symbol_basis(scheme, THETAS)
-    offsets = [p for p, _ in scheme.symbol]
-    zero = offsets.index(0)
-    dist2 = np.subtract.outer(offsets, offsets) ** 2.0  # the (p - q)^2 of F_2
-    # the pieces' ends, every _STEP-th grid index and the last; each piece's
-    # grid indices, the last piece's end repeated to fill its row
-    ends = np.append(np.arange(0, DEFAULT_GRID - 1, _STEP), DEFAULT_GRID - 1)
-    pieces = np.minimum(ends[:-1, None] + np.arange(_STEP + 1), DEFAULT_GRID - 1)
-    ends_basis = [None if e is None else e[ends] for e in basis]
-    width2 = np.diff(THETAS[ends]) ** 2 / 8  # h^2 / 8
-    top = orders[-1] if orders else 0
-    lams = np.linspace(float(lo), float(hi), int(count)).tolist()
-    # the even c_p of each lambda, +0.0 at odd p: all that Re P_N reads
-    rows = np.zeros((len(lams), top + 1))
-    # each lambda's a_p, then its even c_p, from one pass of the kernel
-    values = _rounded([("symbol coefficient a", scheme.symbol), ("c", evens)], lams,
-                      scheme.name)
-    n_a = len(scheme.symbol)
-    samples = []
-    # a huge lambda's S overflows to inf or nan, and the Horner steps of a
-    # growing truncation to inf: values that the maxima and verdicts read
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(lams), _BLOCK):
-            block = np.array(list(itertools.islice(values, _BLOCK)))
-            a = block[:, :n_a]
-            rows[start:start + len(a), 2::2] = block[:, n_a:]
-            v = _moduli(a, ends_basis, (len(a), len(ends)))
-            peak = v.max(axis=2)
-            # theta_m's index: the first end where |1 - S| >= 1, else the last (pi)
-            hit = v[1] >= 1.0
-            hit[:, -1] = True
-            first = ends[hit.argmax(axis=1)]
-            # the weights of |S|^2 and |1 - S|^2: |a_p|, then |1 - a_0| at p = 0
-            w = np.abs([a, a])
-            w[1, :, zero] = np.abs(1.0 - a[:, zero])
-            margin = 2.0 ** -40 * (1.0 + w[0].sum(axis=1, keepdims=True))
-            f2 = np.einsum("jip,pq,jiq->ji", w, dist2, w)[..., None]
-            bound = np.maximum(v[..., :-1], v[..., 1:])
-            bound += margin
-            bound *= bound
-            bound += f2 * width2
-            # each piece's cap: the peak, and for |1 - S| before theta_m's end also 1
-            swept = ~(bound < (peak[..., None] - margin) ** 2).all(axis=0)
-            swept |= (ends[:-1] < first[:, None]) & ~(bound[1] < (1.0 - margin) ** 2)
-            at, piece = np.nonzero(swept)
-            del v, bound  # the sweep below needs neither; free them first
-            for k in range(0, len(at), len(pieces)):  # a grid's worth of points at a time
-                lam_at, index = at[k:k + len(pieces)], pieces[piece[k:k + len(pieces)]]
-                fine = _moduli(a[lam_at], (None if e is None else e[index] for e in basis),
-                               index.shape)
-                np.maximum.at(peak, (slice(None), lam_at), fine.max(axis=2))
-                np.minimum.at(first, lam_at,
-                              np.where(fine[1] >= 1.0, index, DEFAULT_GRID - 1).min(axis=1))
-            for lam, max_abs_s, max_abs_oms, theta_m in zip(
-                    lams[start:start + len(a)], *peak.tolist(), THETAS[first].tolist()):
-                samples.append(
-                    LambdaSample(
-                        lam=lam,
-                        max_abs_s=max_abs_s,
-                        max_abs_one_minus_s=max_abs_oms,
-                        theta_m=theta_m,
-                        in_rs=max_abs_s <= 1.0 + DEFAULT_TOL,
-                        in_omega_c=max_abs_oms < 1.0 - DEFAULT_TOL,
-                        trunc_stable={},
-                    )
-                )
-        # the sign of i^p, as _signed_coeffs gives it: 0.0 - c, so a zero stays +0.0
-        np.subtract(0.0, rows[:, 2::4], out=rows[:, 2::4])
-        for n in orders:
-            verdicts = _truncation_verdicts(THETAS, rows[:, : n + 1])
+    lams = _lambda_samples(lo, hi, int(count))
+    n = len(lams)
+    r, v = _cosine_tables(scheme)
+    width = len(v)
+    # the tables, 1 - R_0 = R(1) - R_0 and the even c_p, +0.0 at odd p: all
+    # that Re P_N reads; an a_p beyond the float range puts r_d or v_d there
+    # too (|a_d| + |a_{-d}|), and is named
+    tables, rows = np.empty((n, 2 * width + 2)), np.zeros((n, orders[-1] + 1 if orders else 1))
+    for i, row in enumerate(_rounded(
+            [("R", enumerate(r)), ("1 - R", [(0, sum(r[2:], r[1]))]),
+             ("V", enumerate(v, start=1)), ("c", evens)],
+            lams, scheme.name, sources=[("symbol coefficient a", scheme.symbol)])):
+        tables[i], rows[i, 2::2] = row[:2 * width + 2], row[2 * width + 2:]
+    # the c_p signed as i^p, as _signed_coeffs gives them (0.0 - c keeps a zero +0.0)
+    np.subtract(0.0, rows[:, 2::4], out=rows[:, 2::4])
+    # a huge lambda's maxima overflow to inf, and so do the Horner steps of a
+    # growing truncation: values that the flags and verdicts read
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step = 2 ** 18 // width ** 2  # lambdas per block: eigenvalue stacks below 16 MiB
+        fields = np.hstack([_fields(tables[k:k + step], width) for k in range(0, n, step)])
+        samples = [LambdaSample(lam=lam, max_abs_s=s, max_abs_one_minus_s=oms, theta_m=theta,
+                                in_rs=s <= 1.0 + DEFAULT_TOL, in_omega_c=oms < 1.0 - DEFAULT_TOL,
+                                trunc_stable={})
+                   for lam, s, oms, theta in zip(lams, *fields.tolist())]
+        for order in orders:
+            verdicts = _truncation_verdicts(THETAS, rows[:, : order + 1])
             for sample, stable in zip(samples, verdicts):
-                sample.trunc_stable[n] = stable
+                sample.trunc_stable[order] = stable
     return RegionReport(scheme_name=scheme.name, orders=orders, samples=tuple(samples))
+
+
+def _lambda_samples(lo: Number, hi: Number, count: int) -> list[float]:
+    """lo + k (hi - lo) / (count - 1), each by one exact int / int division."""
+    (n_lo, d_lo), (n_hi, d_hi) = Fraction(lo).as_integer_ratio(), Fraction(hi).as_integer_ratio()
+    den = math.lcm(d_lo, d_hi)
+    a, b = n_lo * (den // d_lo), n_hi * (den // d_hi)
+    return [(a * (count - 1) + k * (b - a)) / (den * (count - 1)) for k in range(count)]
+
+
+def _fields(tables: np.ndarray, width: int) -> np.ndarray:
+    """max |S|, max |1 - S| and theta_m, as three rows, from each lambda's
+    rounded r_0..r_W, 1 - r_0 and v_1..v_W.  theta_m is the end with
+    |1 - S| >= 1 of the bracket past the last peak point where |1 - S| >= 1,
+    after 54 halvings (to 2^-53), or that point when |1 - S| = 1 there (heat
+    at lambda = 1/4 reads pi); pi when |1 - S| < 1 throughout."""
+    n = len(tables)
+    r = np.concatenate([tables[:, :width + 1]] * 2)  # S, then S - 1, of modulus |1 - S|
+    r[n:, 0] = -tables[:, width + 1]
+    c, g, scaled = _peaks(r, np.concatenate([tables[:, width + 2:]] * 2))
+    peak, c, g, scaled = g.max(axis=1), c[n:], g[n:], [t[n:] for t in scaled]
+    hit = g >= 1.0
+    last = c.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)
+    rows = np.arange(n)
+    a, b = c[rows, last], c[rows, np.minimum(last + 1, c.shape[1] - 1)]
+    b = np.where(g[rows, last] > 1.0, b, a)  # an empty bracket keeps its end
+    for _ in range(54):
+        mid = 0.5 * (a + b)
+        up = _modulus(*scaled, mid[:, None])[:, 0] >= 1.0
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    return np.stack([peak[:n], peak[n:], np.where(hit.any(axis=1), np.arccos(a), math.pi)])
+
+
+def _peaks(r: np.ndarray, v: np.ndarray) -> tuple:
+    """For rows of tables ``r`` (rows, W + 1) and ``v`` (rows, W) of g: the
+    sorted points where g can peak, g there, and the tables over 2^e, which
+    is exact and puts the b_k of g = 2^e |sum_k b_k e^{ik theta}| in [-1, 1],
+    so every matrix is finite; g^2 = 4^e sum_d f_d T_d(c) with f_d =
+    (2 - [d = 0]) sum_k b_k b_{k+d}."""
+    _, e = np.frexp(np.abs(np.hstack([r, v])).max(axis=1))
+    r, v = np.ldexp(r, -e[:, None]), np.ldexp(v, -e[:, None])
+    b = np.hstack([(r[:, :0:-1] - v[:, ::-1]) / 2, r[:, :1], (r[:, 1:] + v) / 2])
+    span = b.shape[1] - 1
+    f = np.stack([(1.0 + (d > 0)) * np.einsum("ij,ij->i", b[:, :span + 1 - d], b[:, d:])
+                  for d in range(span + 1)], axis=1)
+    # F' = sum_k u_k U_k(c) of the degree of its last u_k above 2^-52 times
+    # the largest, so a vanishing one never reaches LAPACK; its roots are the
+    # eigenvalues of c U_k = (U_{k-1} + U_{k+1}) / 2, U_m = -sum u_k U_k / u_m
+    u = f[:, 1:] * np.arange(1, span + 1)
+    c = np.ones((len(u), span + 1))  # the ends -1 and 1, then the roots or 1
+    c[:, 0] = -1.0
+    big = np.abs(u) > 2.0 ** -52 * np.abs(u).max(axis=1, keepdims=True)
+    degree = np.where(big.any(axis=1), span - 1 - big[:, ::-1].argmax(axis=1), 0)
+    for m in set(degree.tolist()) - {0}:
+        at = np.flatnonzero(degree == m)
+        colleague = np.repeat([np.eye(m, k=1) / 2 + np.eye(m, k=-1) / 2], len(at), axis=0)
+        colleague[:, -1] -= u[at, :m] / (2.0 * u[at, m, None])
+        found = colleague[:, 0] if m == 1 else np.linalg.eigvals(colleague).real
+        c[at, 2:m + 2] = np.clip(found, -1.0, 1.0)
+    # a tiny top u_k makes the matrix's norm, and so the eigenvalues' error,
+    # large: two Newton steps on F' polish each point
+    f2 = np.polynomial.chebyshev.chebder(f, 2, axis=1)
+    polished = c
+    for _ in range(2):  # a zero F'' gives no finite step
+        step = _clenshaw(u, polished, True) / _clenshaw(f2, polished)
+        polished = np.clip(np.where(np.isfinite(step), polished - step, polished), -1.0, 1.0)
+    c = np.sort(np.hstack([c, polished]), axis=1)
+    return c, _modulus(r, v, e, c), (r, v, e)
+
+
+def _clenshaw(coeffs: np.ndarray, c: np.ndarray, second_kind: bool = False) -> np.ndarray:
+    """sum_k coeffs[:, k] T_k(c), or U_k(c), at the points ``c`` of each row."""
+    two_c = 2.0 * c
+    b1 = b2 = np.zeros(c.shape)
+    for k in range(coeffs.shape[1] - 1, 0, -1):
+        b1, b2 = coeffs[:, k, None] + two_c * b1 - b2, b1
+    return coeffs[:, :1] + (two_c if second_kind else c) * b1 - b2
+
+
+def _modulus(r: np.ndarray, v: np.ndarray, e: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """2^e hypot(R(c), sqrt(1 - c^2) V(c)) from tables over 2^e."""
+    sine = np.sqrt((1.0 - c) * (1.0 + c))
+    return np.ldexp(np.hypot(_clenshaw(r, c), sine * _clenshaw(v, c, True)), e[:, None])
 
 
 def _truncation(th: np.ndarray, coeffs: np.ndarray, lam_f: float) -> tuple:

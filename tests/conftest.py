@@ -22,13 +22,13 @@ def lp(*coeffs) -> LambdaPoly:
 
 
 @st.composite
-def random_stencils(draw):
-    """A consistent real-rational stencil on offsets -2..2 with q = 1 or 2
-    and weights that are constant or linear in lambda."""
+def random_stencils(draw, width: int = 2):
+    """A consistent real-rational stencil on offsets -width..width with
+    q = 1 or 2 and weights that are constant or linear in lambda."""
     q = draw(st.sampled_from([1, 2]))
     degree = draw(st.sampled_from([0, 1]))
     rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    offsets = sorted(draw(st.sets(st.integers(-2, 2), min_size=2, max_size=5)))
+    offsets = sorted(draw(st.sets(st.integers(-width, width), min_size=2, max_size=5)))
     weights = {p: LambdaPoly([draw(rationals) for _ in range(degree + 1)]) for p in offsets[1:]}
     weights[offsets[0]] = -sum(weights.values(), LP_ZERO)
     assume(any(weights.values()))

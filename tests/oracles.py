@@ -8,10 +8,10 @@ agreement of the two checks the log engine from outside.  ``bernoulli`` and
 ``euler_poly_at_zero`` give the exact numbers behind the heat scheme's
 closed-form log coefficients.  ``GOLDEN`` holds the closed-form tables
 of the catalog schemes whose analysis is known by hand.  ``sweep_region_scan``
-is ``modeq.spectra.region_scan`` one lambda at a time, with every truncation
-verdict read off the full grid sweep.  ``region_report_json_dict`` is the
-dict whose ``json.dumps(indent=2)`` is the regions report, the reference
-for ``modeq.cli``'s renderer.  ``fraction_square_free`` is
+is ``modeq.spectra.region_scan`` one lambda at a time, with its maxima,
+theta_m and every truncation verdict read off the full grid sweep.
+``region_report_json_dict`` is the dict whose ``json.dumps(indent=2)`` is
+the regions report, the reference for ``modeq.cli``'s renderer.  ``fraction_square_free`` is
 p / gcd(p, p') by Euclid on Fraction lists, the reference for
 ``LambdaPoly.square_free``.  ``dot_series_log`` is the series logarithm
 by the ordinary-coefficient recurrence, one ``LambdaPoly.dot`` per order,
@@ -115,16 +115,19 @@ def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
 
 
 def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, orders) -> list[LambdaSample]:
-    """The samples of ``region_scan(scheme, lambda_range, orders)``,
-    each lambda on its own: S from ``eval_symbol``, theta_m from the first
-    grid point where |1 - S| >= 1, and each truncation verdict from
-    ``polyval`` of Re P_N over the whole grid, its maximum <= DEFAULT_TOL."""
+    """The samples of ``region_scan(scheme, lambda_range, orders)`` as the
+    sweep of the theta grid gives them, each lambda on its own, each lambda
+    lo + k (hi - lo) / (count - 1) formed in Fractions and rounded once: S
+    from ``eval_symbol``, the maxima over the grid, theta_m the first grid
+    point where |1 - S| >= 1, and each truncation verdict from ``polyval``
+    of Re P_N over the whole grid, its maximum <= DEFAULT_TOL."""
     lo, hi, count = lambda_range
     orders = sorted(set(orders))
     modeq = derive_log(scheme, orders[-1]) if orders else None
     samples = []
-    for lam in np.linspace(float(lo), float(hi), int(count)):
-        s = eval_symbol(scheme, float(lam), THETAS)
+    for k in range(int(count)):
+        lam = float(Fraction(lo) + k * (Fraction(hi) - Fraction(lo)) / (int(count) - 1))
+        s = eval_symbol(scheme, lam, THETAS)
         abs_s, abs_oms = np.abs(s), np.abs(1.0 - s)
         bad = np.nonzero(abs_oms >= 1.0)[0]
         trunc = {}

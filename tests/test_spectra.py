@@ -13,17 +13,17 @@ from mpmath import mp
 
 from conftest import lp, random_stencils
 from modeq.cli import main
-from modeq.derivation import ModifiedEq, _modulus_table, derive_log, upwind_symmetry_check
+from modeq.derivation import (ModifiedEq, _cosine_tables, _modulus_table, derive_log,
+                              upwind_symmetry_check)
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
-from modeq.schemes import MAX_STENCIL_OFFSET, SchemeSpec, builtin_catalog, catalog_scheme
+from modeq.schemes import SchemeSpec, builtin_catalog, catalog_scheme
 from modeq.spectra import (
     DEFAULT_GRID,
     DEFAULT_TOL,
     THETAS,
     CertificateRefusal,
-    _STEP,
     _horner_upper,
-    _moduli,
+    _lambda_samples,
     _truncation,
     _truncation_verdicts,
     _theta_coeffs,
@@ -162,21 +162,6 @@ class TestThetaM:
         assert region_scan(upwind, (0.0, 0.5, 3)).samples[2].theta_m == math.pi
 
 
-@st.composite
-def _far_stencils(draw):
-    """A consistent stencil with offsets out to +-MAX_STENCIL_OFFSET, where
-    the pieces' F_2 h^2 / 8 is largest, and weights of lambda-degree up to 2."""
-    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    degree = draw(st.integers(0, 2))
-    offset = st.one_of(st.sampled_from([-MAX_STENCIL_OFFSET, MAX_STENCIL_OFFSET]),
-                       st.integers(-MAX_STENCIL_OFFSET, MAX_STENCIL_OFFSET))
-    offsets = sorted(draw(st.sets(offset, min_size=2, max_size=6)))
-    weights = {p: LambdaPoly([draw(rationals) for _ in range(degree + 1)]) for p in offsets[1:]}
-    weights[offsets[0]] = -sum(weights.values(), LP_ZERO)
-    assume(any(weights.values()))
-    return SchemeSpec(name="far", q=1, stencil=weights, pde={1: Fraction(1)})
-
-
 class TestRegionScan:
     def test_heat_boundaries(self, heat):
         report = region_scan(heat, (0.0, 0.6, 61), orders=(4,))
@@ -220,9 +205,10 @@ class TestRegionScan:
         assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.tolist()]
 
     def test_scan_rounds_only_the_even_coefficients(self, upwind, rounded_values):
-        # Re P_N reads c_p at even p only: 301 samples of 2 a_p and 32 even c_p
+        # Re P_N reads c_p at even p only: 301 samples of the 4 table values
+        # r_0, r_1, 1 - r_0 and v_1, and 32 even c_p; no a_p
         region_scan(upwind, (0.0, 1.5, 301), orders=range(2, 65, 2))
-        assert len(rounded_values) == 301 * (2 + 32)
+        assert len(rounded_values) == 301 * (4 + 32)
 
     def test_scan_reads_no_odd_coefficient(self, heat, monkeypatch):
         # c_1 is beyond the float range, but Re P_2 = -c_2 theta^2 never reads it
@@ -237,9 +223,9 @@ class TestRegionScan:
     @given(random_stencils(), st.lists(st.integers(1, 64), max_size=3),
            st.floats(0.01, 2.0), st.integers(2, 5))
     def test_scan_equals_per_lambda_reference(self, scheme, orders, hi, count):
-        # the scan shares the basis, runs Horner in place and decides most
-        # verdicts without a sweep; each sample must equal the per-lambda
-        # full sweep, bit for bit
+        # the scan decides most verdicts without a sweep; each verdict must
+        # equal the per-lambda full sweep, bit for bit, and each field must
+        # bound the sweep's as _check_fields says
         try:
             expected = sweep_region_scan(scheme, (0.0, hi, count), orders)
         except ValueError as exc:  # a c_p beyond the float range
@@ -247,7 +233,7 @@ class TestRegionScan:
                 region_scan(scheme, (0.0, hi, count), orders=orders)
             return
         report = region_scan(scheme, (0.0, hi, count), orders=orders)
-        assert _sample_bits(report.samples) == _sample_bits(expected)
+        _check_fields(scheme, report.samples, expected)
 
     @pytest.mark.parametrize("name, hi", [("heat_centered", 1.0), ("upwind_euler", 2.5),
                                           ("lax_wendroff", 2.5)])
@@ -256,26 +242,45 @@ class TestRegionScan:
         scheme = catalog_scheme(name)
         orders = (1, 2, 3, 4, 8, 15, 16, 31, 32, 63, 64)
         report = region_scan(scheme, (0.0, hi, 101), orders=orders)
-        assert _sample_bits(report.samples) == _sample_bits(
-            sweep_region_scan(scheme, (0.0, hi, 101), orders))
+        expected = sweep_region_scan(scheme, (0.0, hi, 101), orders)
+        _check_fields(scheme, report.samples, expected)
+        # on the catalog |1 - S| crosses 1, not grazes it: theta_m lies
+        # within one grid step before the grid's first crossing
+        step = math.pi / (DEFAULT_GRID - 1)
+        assert all(grid.theta_m - step <= got.theta_m <= grid.theta_m
+                   for got, grid in zip(report.samples, expected))
 
-    # lambda = 0, where S = 1 and every piece is swept; upwind at lambda = 1,
-    # where |S| = 1; heat at 1/4 and 1/2; Lax-Wendroff at small lambda, where
-    # |S| is flat to fourth order at theta = 0; Lax-Wendroff's S past the
-    # float range near theta = pi at its two largest lambdas
+    # lambda = 0, where S = 1; upwind at lambda = 1, where |S| = 1; heat at
+    # 1/4 and 1/2; Lax-Wendroff at small lambda, where |S| is flat to fourth
+    # order at theta = 0; Lax-Wendroff's S past the float range near
+    # theta = pi at its two largest lambdas
     @example(catalog_scheme("heat_centered"), 0.0, 0.5, 3)
     @example(catalog_scheme("upwind_euler"), 0.0, 2.0, 3)
     @example(catalog_scheme("lax_wendroff"), 0.0, 1e-3, 33)
     @example(catalog_scheme("lax_wendroff"), 0.0, 1.3e154, 5)
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(random_stencils(), _far_stencils()), st.sampled_from([0.0, 0.5]),
+    # |1 - S| = |sin(3 theta / 2)| touches 1 at pi / 3, between grid points:
+    # the sweep's first crossing is pi
+    @example(SchemeSpec(name="touch", q=1, pde={1: Fraction(1)},
+                        stencil={-1: lp(-1), 2: lp(1)}), 0.0, 0.5, 2)
+    # at large lambda the top coefficient of (|S|^2)' is 1e-13 of the
+    # largest: without Newton steps its colleague eigenvalue misses the
+    # peak of |S| by 1e-4 in c, and max |S| by 5e-8 of its value
+    @example(SchemeSpec(name="lopsided", q=1, pde={1: Fraction(1)},
+                        stencil={1: lp("-5/2"), 3: lp("5/2")}), 0.0, 3074321946872.0, 31)
+    # |1 - S| meets 1 almost tangentially near theta = 0.0034 at sample 29:
+    # bisecting on the cosine sum of |1 - S|^2, not on hypot(R, sin V),
+    # stops where |1 - S| = 1 - 8e-12
+    @example(SchemeSpec(name="graze", q=1, pde={1: Fraction(1)},
+                        stencil={-3: lp("-5/2", -7), -1: lp("3/2"), 0: lp(1, 2), 2: lp(0, 3),
+                                 3: lp(0, 2)}), 0.0, 3.1985161438879612, 33)
+    @settings(max_examples=60, deadline=None)
+    @given(random_stencils(width=3), st.sampled_from([0.0, 0.5]),
            st.one_of(st.floats(0.01, 4.0), st.floats(1.0, 1e200)),
            st.sampled_from([2, 5, 31, 32, 33, 65]))
-    def test_scan_reads_every_grid_point_a_bound_cannot_rule_out(self, scheme, share, hi,
-                                                                   count):
-        # the pieces' bounds decide which grid points are read; the maxima and
-        # theta_m must still be the full sweep's, bit for bit, also where a
-        # large lambda overflows S to inf or nan
+    def test_fields_bound_the_grid_sweep(self, scheme, share, hi, count):
+        # the maxima and theta_m come from the cosine sums, not the grid;
+        # they must bound the full sweep's as _check_fields says, also where
+        # a large lambda overflows S to inf
         lambda_range = (share * hi, hi, count)
         try:
             expected = sweep_region_scan(scheme, lambda_range, ())
@@ -283,39 +288,124 @@ class TestRegionScan:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 region_scan(scheme, lambda_range)
             return
-        report = region_scan(scheme, lambda_range)
-        assert _sample_bits(report.samples) == _sample_bits(expected)
+        _check_fields(scheme, region_scan(scheme, lambda_range).samples, expected)
 
-    def test_catalog_scans_refine_few_pieces(self, upwind, monkeypatch):
-        # README's three 601-lambda scans sweep 2.7, 3.2 and 11.6 of the 256
-        # pieces per lambda: a bound that drops a term sweeps fewer, a looser
-        # one more
-        refined = []
+    @pytest.mark.parametrize("name, lam, max_abs_s, max_abs_oms, theta_m", [
+        ("heat_centered", 0.25, 1.0, 1.0, math.pi),
+        ("heat_centered", 0.5, 1.0, 2.0, math.acos(0.0)),
+        ("upwind_euler", 1.0, 1.0, 2.0, math.pi / 3),
+        ("lax_wendroff", 1.0, 1.0, 2.0, math.pi / 3),
+    ])
+    def test_pinned_fields(self, name, lam, max_abs_s, max_abs_oms, theta_m):
+        # lambda = 0, where S = 1, and the fields at lambda, exact in floats;
+        # at lambda = 1 upwind and Lax-Wendroff shift by one cell, S =
+        # e^{-i theta}, and |1 - S| = 2 sin(theta / 2) reaches 1 at pi / 3
+        zero, sample = region_scan(catalog_scheme(name), (0.0, lam, 2)).samples
+        assert (zero.max_abs_s, zero.max_abs_one_minus_s, zero.theta_m) == (1.0, 0.0, math.pi)
+        assert (sample.max_abs_s, sample.max_abs_one_minus_s) == (max_abs_s, max_abs_oms)
+        assert abs(sample.theta_m - theta_m) <= 4e-16 * theta_m
+        if theta_m in (math.pi, math.acos(0.0)):
+            assert sample.theta_m == theta_m
 
-        def counted(a, basis, shape):
-            if shape[1] == _STEP + 1:  # a sweep of pieces, one row each
-                refined.append(shape[0])
-            return _moduli(a, basis, shape)
+    def test_lambda_samples_are_correctly_rounded(self, upwind):
+        # linspace put 1.0000000000000002 at sample 375 of 0:1.6:601
+        report = region_scan(upwind, (0.0, 1.6, 601))
+        assert report.samples[375].lam == 1.0
+        assert report.rs_boundary() == 1.0
 
-        monkeypatch.setattr("modeq.spectra._moduli", counted)
-        counts = []
-        for name, hi in (("heat_centered", 0.8), ("upwind_euler", 1.6), ("lax_wendroff", 1.6)):
-            refined.clear()
-            region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
-            counts.append(sum(refined))
-        assert counts == [1647, 1900, 6999]
-        # S = 1 at lambda = 0 and |S| = 1 for upwind at lambda = 1: every
-        # grid value is the maximum, so every piece is read
-        refined.clear()
-        region_scan(upwind, (0.0, 1.0, 2))
-        assert sum(refined) == 2 * 256
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1e300), st.floats(0.0, 1e300), st.integers(2, 40))
+    def test_every_lambda_sample_is_the_rounded_fraction(self, lo, hi, count):
+        lo, hi = sorted((lo, hi))
+        assume(lo < hi)
+        exact = [float(Fraction(lo) + k * (Fraction(hi) - Fraction(lo)) / (count - 1))
+                 for k in range(count)]
+        assert [lam.hex() for lam in _lambda_samples(lo, hi, count)] == \
+            [lam.hex() for lam in exact]
+
+    def test_degenerate_rows_never_reach_the_eigenvalues(self, monkeypatch):
+        # at lambda = 0 every weight of 1 - S is 0, upwind's |S|^2 and
+        # |1 - S|^2 are linear in c, and the outer weights of "drop" vanish
+        # at lambda = 1, where the degree of its |S|^2 falls from 4 to 2:
+        # every matrix the eigenvalue routine sees is finite, and a row
+        # reaches it only at the degree of its own polynomial
+        eigvals, seen = np.linalg.eigvals, []
+
+        def recorded(a):
+            seen.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        for name, hi in (("heat_centered", 1.0), ("upwind_euler", 2.0), ("lax_wendroff", 2.0)):
+            region_scan(catalog_scheme(name), (0.0, hi, 5))
+        assert seen == []  # degree at most 1: the root of a line needs no matrix
+        drop = SchemeSpec(name="drop", q=2, pde={2: Fraction(1)}, stencil={
+            -2: lp(1, -1), -1: lp(1), 0: lp(-4, 2), 1: lp(1), 2: lp(1, -1)})
+        report = region_scan(drop, (0.0, 2.0, 5))
+        assert seen and all(np.isfinite(a).all() and a.shape[1:] == (3, 3) for a in seen)
+        # lambda = 1/2, 3/2 and 2, for S and 1 - S
+        assert sum(len(a) for a in seen) == 2 * 3
+        _check_fields(drop, report.samples, sweep_region_scan(drop, (0.0, 2.0, 5), ()))
+
+    def test_overflowing_fields_read_inf(self, heat):
+        # |S(pi)| = |1 - S(pi)| - 2 = 4 lambda - 1: 1.6e308 at lambda = 4e307,
+        # and beyond the float range at 8e307
+        report = region_scan(heat, (0.0, 8e307, 3))
+        assert [s.max_abs_s for s in report.samples] == [1.0, 1.6e308, math.inf]
+        assert [s.max_abs_one_minus_s for s in report.samples] == [0.0, 1.6e308, math.inf]
+        assert report.rs_boundary() == 0.0
+
+    def test_widest_stencil_reads_its_stable_lambdas(self):
+        # on offsets -32..32 the monomial coefficients in c of R and V reach
+        # 7e7 at lambda = 1/5: rounded, they put max |S| 9e-9 above 1 there,
+        # an unstable verdict; the tables on T_d and U_{d-1} keep it within
+        # rounding
+        weights = {p: lp(Fraction(1 if p % 2 else -1, p * p)) for p in range(-32, 33) if p}
+        weights[0] = -sum(weights.values(), LP_ZERO)
+        dense = SchemeSpec(name="dense", q=2, stencil=weights, pde={2: Fraction(1)})
+        report = region_scan(dense, (0.0, 0.4, 3))
+        assert all(abs(s.max_abs_s - 1.0) <= 4e-16 for s in report.samples)
+        assert [s.in_rs for s in report.samples] == [True, True, True]
+        _check_fields(dense, report.samples, sweep_region_scan(dense, (0.0, 0.4, 3), ()))
+        # 2^18 // 32^2 = 256 lambdas per block of eigenvalue problems: the
+        # last sample of a 301-sample scan, in the second block, reads as
+        # it does alone
+        last = region_scan(dense, (0.0, 0.3, 301)).samples[-1]
+        assert last == region_scan(dense, (0.0, 0.3, 2)).samples[-1]
 
 
-def _sample_bits(samples) -> list:
-    """Each sample's fields, floats by ``hex`` so that a -0.0 or a NaN
-    compares by its bits."""
-    return [(s.lam.hex(), s.max_abs_s.hex(), s.max_abs_one_minus_s.hex(), s.theta_m.hex(),
-             s.in_rs, s.in_omega_c, s.trunc_stable) for s in samples]
+def _check_fields(scheme: SchemeSpec, samples, expected) -> None:
+    """Each sample of a scan against the full sweep's at the same lambda,
+    bit for bit in lambda and the verdicts.  With A = sum_p |a_p|, slack =
+    2^-44 (1 + A) covers the float error of either maximum.  Each maximum
+    is at least the sweep's less slack, and at most the bound of the largest
+    value between two grid points: with b the weights of S or 1 - S, the
+    square of the maximum on a piece of width h is at most the square of
+    its larger end value plus F_2 h^2 / 8, F_2 = sum (p - q)^2 |b_p| |b_q|
+    <= (width * sum |b|)^2.  Where slack is below 2^-20, theta_m is not
+    after the sweep's first crossing, within sqrt(slack), and at it
+    |1 - S| >= 1 - slack.  It can lie more than a grid step before that
+    crossing, where |1 - S| reaches 1 only between two grid points."""
+    step = math.pi / (DEFAULT_GRID - 1)
+    width = scheme.n_left + scheme.n_right
+    assert len(samples) == len(expected)
+    for got, grid in zip(samples, expected):
+        assert got.lam.hex() == grid.lam.hex()
+        assert got.trunc_stable == grid.trunc_stable
+        assert got.in_rs == (got.max_abs_s <= 1.0 + DEFAULT_TOL)
+        assert got.in_omega_c == (got.max_abs_one_minus_s < 1.0 - DEFAULT_TOL)
+        total = sum(abs(a) for _, a in symbol_weights(scheme, got.lam))
+        slack = 2.0 ** -44 * (1.0 + total)
+        for value, swept, b in ((got.max_abs_s, grid.max_abs_s, total),
+                                (got.max_abs_one_minus_s, grid.max_abs_one_minus_s, 1.0 + total)):
+            assert value >= swept - slack or swept == math.inf
+            assert value <= math.hypot(swept, width * b * step / math.sqrt(8)) + slack
+        if slack > 2.0 ** -20:
+            continue  # |1 - S| is not known to within 2^-20: where it reaches 1 is noise
+        # theta_m moves by up to sqrt(slack) where |1 - S| only grazes 1
+        assert got.theta_m <= grid.theta_m + math.sqrt(slack)
+        if got.theta_m < math.pi:
+            assert abs(1.0 - eval_symbol(scheme, got.lam, got.theta_m)) >= 1.0 - slack
 
 
 # the even entries of a Re P_N row: all <= 0, all >= 0 or of mixed signs,
@@ -751,6 +841,52 @@ class TestModulusTable:
         cosine_sum = float(m[0]) + 2 * sum(float(c) * math.cos(d * theta)
                                            for d, c in enumerate(m) if d)
         assert abs(cosine_sum - abs(eval_symbol(scheme, lam, theta)) ** 2) <= 1e-14
+
+
+class TestCosineTables:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.sampled_from(list(builtin_catalog())), random_stencils(width=3)))
+    def test_tables_square_to_the_modulus_table(self, scheme):
+        # R^2 + (1 - c^2) V^2 = m_0 + 2 sum_{d>0} m_d T_d(c), on the T_d:
+        # T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 and (1 - c^2) U_{i-1} U_{j-1}
+        # = sin(i theta) sin(j theta) = (T_{|i-j|} - T_{i+j}) / 2
+        r, v = _cosine_tables(scheme)
+        assert len(r) == len(v) + 1 == max(scheme.n_left, scheme.n_right) + 1
+        half, got = LambdaPoly.const(Fraction(1, 2)), {}
+        for terms, sign in ((list(enumerate(r)), LP_ONE), (list(enumerate(v, start=1)), -LP_ONE)):
+            for i, x in terms:
+                for j, y in terms:
+                    product = half * x * y
+                    got[i + j] = got.get(i + j, LP_ZERO) + sign * product
+                    got[abs(i - j)] = got.get(abs(i - j), LP_ZERO) + product
+        want = {d: m if d == 0 else m + m for d, m in enumerate(_modulus_table(scheme))}
+        for d in set(got) | set(want):
+            assert got.get(d, LP_ZERO) == want.get(d, LP_ZERO), d
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_stencils(width=3), st.fractions(min_value=0, max_value=3, max_denominator=50),
+           st.floats(0.01, 3.13))
+    def test_tables_are_the_real_part_and_the_sine_quotient(self, scheme, lam, theta):
+        # R(cos theta) = Re S and V(cos theta) = Im S / sin theta, at 50 digits
+        r, v = _cosine_tables(scheme)
+        with mp.workdps(50):
+            t = mp.mpf(theta)
+            c = mp.cos(t)
+
+            def at(poly):
+                x = poly(lam)
+                return mp.mpf(x.numerator) / x.denominator
+
+            s = mp.fsum(at(a) * mp.expj(p * t) for p, a in scheme.symbol)
+            big_r = mp.fsum(at(x) * mp.chebyt(d, c) for d, x in enumerate(r))
+            big_v = mp.fsum(at(x) * mp.chebyu(d - 1, c) for d, x in enumerate(v, start=1))
+            scale = 1 + mp.fsum(abs(at(a)) for _, a in scheme.symbol)
+            assert abs(big_r - s.real) <= mp.mpf(10) ** -40 * scale
+            assert abs(big_v - s.imag / mp.sin(t)) <= mp.mpf(10) ** -40 * scale / mp.sin(t)
+
+    def test_heat_tables(self, heat):
+        # a = (lambda, 1 - 2 lambda, lambda): R = 1 - 2 lambda + 2 lambda c, V = 0
+        assert _cosine_tables(heat) == ((lp(1, -2), lp(0, 2)), (LP_ZERO,))
 
 
 def _with_coefficient(modeq: ModifiedEq, p: int, extra: LambdaPoly) -> ModifiedEq:
