@@ -9,7 +9,8 @@ agreement of the two checks the log engine from outside.  ``bernoulli`` and
 closed-form log coefficients.  ``GOLDEN`` holds the closed-form tables
 of the catalog schemes whose analysis is known by hand.  ``sweep_region_scan``
 is ``modeq.spectra.region_scan`` one lambda at a time, with its maxima,
-theta_m and every truncation verdict read off the full grid sweep.
+theta_m and every truncation verdict read off the full grid sweep;
+``sweep_region_samples`` is that sweep at given lambdas.
 ``region_report_json_dict`` is the dict whose ``json.dumps(indent=2)`` is
 the regions report, the reference for ``modeq.cli``'s renderer.  ``fraction_square_free`` is
 p / gcd(p, p') by Euclid on Fraction lists, the reference for
@@ -122,11 +123,19 @@ def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, orders) -> list[L
     point where |1 - S| >= 1, and each truncation verdict from ``polyval``
     of Re P_N over the whole grid, its maximum <= DEFAULT_TOL."""
     lo, hi, count = lambda_range
+    return sweep_region_samples(
+        scheme, [float(Fraction(lo) + k * (Fraction(hi) - Fraction(lo)) / (int(count) - 1))
+                 for k in range(int(count))], orders)
+
+
+def sweep_region_samples(scheme: SchemeSpec, lams, orders) -> list[LambdaSample]:
+    """The grid sweep of ``sweep_region_scan`` at each float lambda of
+    ``lams``."""
     orders = sorted(set(orders))
     modeq = derive_log(scheme, orders[-1]) if orders else None
     samples = []
-    for k in range(int(count)):
-        lam = float(Fraction(lo) + k * (Fraction(hi) - Fraction(lo)) / (int(count) - 1))
+    for lam in lams:
+        lam = float(lam)
         s = eval_symbol(scheme, lam, THETAS)
         abs_s, abs_oms = np.abs(s), np.abs(1.0 - s)
         bad = np.nonzero(abs_oms >= 1.0)[0]

@@ -16,13 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import LAM16
 from modeq import exactalg, spectra
-from modeq.cli import (_CSV_RUN_ROWS, _fmt, _parse_range, _region_columns, _regions_json,
-                       _write_csv, build_parser, main)
+from modeq.cli import (_CSV_RUN_ROWS, _fmt, _parse_orders, _parse_range, _region_columns,
+                       _regions_json, _write_csv, build_parser, main)
 from modeq.derivation import derive_log
 from modeq.exactalg import LP_ONE
-from modeq.schemes import parse_scheme
+from modeq.schemes import catalog_scheme, parse_scheme
 from modeq.spectra import LambdaSample, RegionReport
-from oracles import region_report_json_dict
+from oracles import region_report_json_dict, sweep_region_samples
 
 HEAT = ["--catalog", "heat_centered"]
 
@@ -31,6 +31,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _sweep_report_digests(tmp_path, name: str, lambda_range: str, orders) -> tuple:
+    """sha256 of the regions JSON and CSV that the writers make of the
+    theta-grid sweep of catalog scheme ``name`` at the np.linspace lambdas
+    of ``lambda_range``."""
+    lo, hi, count = _parse_range(lambda_range)
+    lams = np.linspace(float(lo), float(hi), int(count))
+    report = RegionReport(name, tuple(orders),
+                          tuple(sweep_region_samples(catalog_scheme(name), lams, orders)))
+    columns = _region_columns(report)
+    _write_csv(tmp_path / "sweep.csv", columns)
+    return (hashlib.sha256(_regions_json(report, columns).encode("utf-8")).hexdigest(),
+            hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest())
 
 
 class TestModeqCommand:
@@ -1101,55 +1115,80 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    # sha256 of the regions JSON and CSV.  Their floats come from rounding
-    # exact cosine tables and c_p, numpy's eigenvalues and Clenshaw sums, so
-    # they pin the float scan: a faster scan must reproduce every byte.
-    # Unlike the modeq goldens they can depend on the numpy build.
+    # sha256 of the regions JSON and CSV, two pairs each.  The first pair is
+    # the bytes the writers make of the theta-grid sweep (oracles.
+    # sweep_region_samples) at np.linspace's lambdas: the scan these goldens
+    # pinned before its fields were read from cosine tables, kept as the
+    # reference those fields are bounded against.  The second is the
+    # ``regions`` command's own, whose floats come from rounding exact cosine
+    # tables and c_p, numpy's eigenvalues and Clenshaw sums, so it pins the
+    # float scan: a faster scan must reproduce every byte.  Unlike the modeq
+    # goldens both can depend on the numpy build.
     @pytest.mark.parametrize(
-        "lambda_range, orders, name, json_digest, csv_digest",
+        "lambda_range, orders, name, sweep_json_digest, sweep_csv_digest, json_digest, csv_digest",
         [
             ("0:1.5:301", "2,8,24,32", "heat_centered",
+             "b0dde41ac333bacfb6eb95a9d3f7f214282c2ecbf7cdc04baa15bba98b916662",
+             "97a1927f48b73e6c1cb41530fc1fd933785cf9e8fd48461f99bb2ec586ce9349",
              "eb83c851ca06f588b714999334931a6424748f6714adf18ba5bd659d8995c509",
              "474c3f7071b4e4306afe434ad78e9cb442805ec37cb19a014c0bbeb6d8567b15"),
             ("0:1.5:301", "2,8,24,32", "upwind_euler",
+             "50d9e4a25fffa5be2a7e61059327c058acc6d0c24cd08bcac9551de30435a963",
+             "7323c26fb11c5f925dc0704ad4584cccc808fddde1bd3adb7841930ceffbce8d",
              "be17c79304e99de037c5ed1ffb1c6b1485b8da93245621bee5ea539b03515bdd",
              "89d6976bf1f34ccef9b41460fbfbb0338ae7e9152d8ad032965c47748c81964e"),
             ("0:1.5:301", "2,8,24,32", "lax_wendroff",
+             "512c069f2e7afeabbde02a71ad370c853a9158f6a10f4531d1727fa5d22ffa8b",
+             "c4ae2044202f6b2454756537be5ebb60e2aa0477aec59fb65a5dafa9c6344124",
              "01f7670840244e2714104819ebd432c008ddb37870c1e7f22be5c57a68c0746a",
              "5ed314a1eef64063cebb1275ea1fe5c056b2966fd41979937567329f58ccb624"),
             ("0:1.2:601", "2,4,8", "heat_centered",
+             "5de37bc8a459b94d8c1eb53e69cd283048f676d11147d0e9a8d51c53d9cf2b26",
+             "ff000b1a8da8db497c204767e409a679c081a93d6544537f4f319bbf7c4ed9d1",
              "4fbf83ffe4456271a46007eb1599d91cfa3dfdcdd6deec4124ea9722b9760a21",
              "2bd5a3fee663b584c483d5943ea2e1ccfd79c8a1b53e5bde9da8ba312215fdbd"),
             ("0:1.2:601", "2,4,8", "upwind_euler",
+             "e54c234b1419fee97ebb403937f610c18137612300449763285c5690b5f45262",
+             "5e032da88e67eeef61dfd8e20a23759b00b7e2d723f4120b92a8b51167fc974b",
              "f1b226b7a85997b5771156a02a9287ea71210c15641a90cc16cdf4be9916eaa1",
              "eb3db6d97f8af47d1f5fdb964c3a4702809fea6858e6a3d0768b2a2be04af42f"),
             ("0:1.2:601", "2,4,8", "lax_wendroff",
+             "4678ff6f754a123a4c412a9fab9f43c91a240c5924d93bf7d2aa5852cfdb3897",
+             "8fcd774c34f31580fc0d6d691cf8570a9ff209aae4da33be5cf8cac2ace19ce0",
              "b92d23cdcc5a415e84c45b68b014f49b64f7bf50b1f4c0f77664652a5c233639",
              "e897a539434bb4102aa79b07f2980400467379917c6a2a1d9c80b678b8e54895"),
         ],
     )
-    def test_regions_report_bytes_golden(self, capsys, tmp_path, lambda_range, orders,
-                                         name, json_digest, csv_digest):
+    def test_regions_report_bytes_golden(self, capsys, tmp_path, lambda_range, orders, name,
+                                         sweep_json_digest, sweep_csv_digest,
+                                         json_digest, csv_digest):
         code, _, _ = run(capsys, "regions", "--catalog", name, "--lambda-range", lambda_range,
                          "-N", orders, "--out", str(tmp_path))
         assert code == 0
         for ext, digest in (("json", json_digest), ("csv", csv_digest)):
             data = (tmp_path / f"{name}_regions.{ext}").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, ext
+        assert (_sweep_report_digests(tmp_path, name, lambda_range, _parse_orders(orders))
+                == (sweep_json_digest, sweep_csv_digest))
 
     # without -N every sample's "trunc_stable" is {}
     @pytest.mark.parametrize(
-        "name, json_digest, csv_digest",
+        "name, sweep_json_digest, sweep_csv_digest, json_digest, csv_digest",
         [
             ("heat_centered",
+             "e207ef64eb4a5edcf8f474c79a344cc6610cf65197e6f6284bc066652c83986a",
+             "45984a0b955715c9a6515a7a2d55ccf248217d6216a6450f05fe269798ab0b42",
              "df0beee62cf1e2bcfb627f2af59cf15129ba60ef29ff0dfd629ec0b0a50ce30d",
              "086e1a0a01e8c5e281db80978906c1d92da1a02d5e4b0100bb034ed12787daeb"),
             ("lax_wendroff",
+             "bb92b1ff4c3d6ffed86bfe030605915d2303978866a5ab0cd07cf3c205cd3d0a",
+             "a7dba79d825855968245bfb08038d8b7b5cd57c4be455bda8c7c3358f9cc08b4",
              "05646631fac21751f0fa933f06316750f1b901a3ef50be03c1274405e8ea192c",
              "5e8feb6254dbc48f68e474da32dfac35ce86d21f8f62e2b3d3276d98d7c39f69"),
         ],
     )
     def test_regions_report_bytes_golden_without_orders(self, capsys, tmp_path, name,
+                                                        sweep_json_digest, sweep_csv_digest,
                                                         json_digest, csv_digest):
         code, _, _ = run(capsys, "regions", "--catalog", name, "--lambda-range", "0:1.5:301",
                          "--out", str(tmp_path))
@@ -1157,6 +1196,8 @@ class TestDeterminism:
         for ext, digest in (("json", json_digest), ("csv", csv_digest)):
             data = (tmp_path / f"{name}_regions.{ext}").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, ext
+        assert (_sweep_report_digests(tmp_path, name, "0:1.5:301", ())
+                == (sweep_json_digest, sweep_csv_digest))
 
     # a lambda whose S overflows: the request exits 0, its values write as
     # inf, and numpy warns of nothing on stderr
