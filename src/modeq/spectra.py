@@ -26,9 +26,9 @@ arccos c_0, c_0 the largest c with |1 - S| >= 1, one bisection between
 two such points (``_fields``, ``_peaks``).  f is hypot(R,
 sqrt(1 - c^2) V) by Clenshaw's recurrence, and a root off by delta moves
 a peak by O(delta^2), so a maximum falls short of the true one by rounding
-only: against the 4096-point grid sweep (catalog, random stencils to +-3,
+only: against the 4096-point grid sweep (catalog, random stencils to +-8,
 lambda to 1e200) none was below the grid's by more than
-2^-44 (1 + sum_p |a_p|), and the true maximum was up to 2e-8 above it.
+2^-44 (1 + sum_p |a_p|) / 25, and the true maximum was up to 2e-8 above it.
 
 A truncation verdict, Re P_N <= tol at every grid point, is what the
 Horner sweep of the whole grid would give, decided for all the lambdas of
@@ -391,13 +391,17 @@ def _peaks(r: np.ndarray, v: np.ndarray) -> tuple:
     span = b.shape[1] - 1
     f = np.stack([(1.0 + (d > 0)) * np.einsum("ij,ij->i", b[:, :span + 1 - d], b[:, d:])
                   for d in range(span + 1)], axis=1)
-    # F' = sum_k u_k U_k(c) of the degree of its last u_k above 2^-52 times
-    # the largest, so a vanishing one never reaches LAPACK; its roots are the
-    # eigenvalues of c U_k = (U_{k-1} + U_{k+1}) / 2, U_m = -sum u_k U_k / u_m
+    # F' = sum_k u_k U_k(c) to the degree of its last u_k above 2^-40 times
+    # the largest; its roots are the eigenvalues of c U_k = (U_{k-1} +
+    # U_{k+1}) / 2, U_m = -sum u_k U_k / u_m.  A smaller top u_k makes the
+    # matrix's norm, and so the eigenvalues' error, large: kept down to
+    # 2^-52, a top u_k of 3e-16 (a constant weight beside weights in lambda,
+    # at lambda near 1e15) put an eigenvalue 0.07 off its root, and two
+    # Newton steps left max |S| 2e-8 of its value short
     u = f[:, 1:] * np.arange(1, span + 1)
     c = np.ones((len(u), span + 1))  # the ends -1 and 1, then the roots or 1
     c[:, 0] = -1.0
-    big = np.abs(u) > 2.0 ** -52 * np.abs(u).max(axis=1, keepdims=True)
+    big = np.abs(u) > 2.0 ** -40 * np.abs(u).max(axis=1, keepdims=True)
     degree = np.where(big.any(axis=1), span - 1 - big[:, ::-1].argmax(axis=1), 0)
     for m in set(degree.tolist()) - {0}:
         at = np.flatnonzero(degree == m)
@@ -405,8 +409,9 @@ def _peaks(r: np.ndarray, v: np.ndarray) -> tuple:
         colleague[:, -1] -= u[at, :m] / (2.0 * u[at, m, None])
         found = colleague[:, 0] if m == 1 else np.linalg.eigvals(colleague).real
         c[at, 2:m + 2] = np.clip(found, -1.0, 1.0)
-    # a tiny top u_k makes the matrix's norm, and so the eigenvalues' error,
-    # large: two Newton steps on F' polish each point
+    # the u_k left out move a simple root by about 2^-40, and the matrix's
+    # norm up to 2^40 its eigenvalues by more: two Newton steps on the whole
+    # F' polish each point
     f2 = np.polynomial.chebyshev.chebder(f, 2, axis=1)
     polished = c
     for _ in range(2):  # a zero F'' gives no finite step
