@@ -29,11 +29,11 @@ that many rows' text at once.
 
 The ``regions`` JSON is the text of ``json.dumps(report, indent=2)``, byte
 for byte, rendered without the pure-Python indenting encoder: its head by
-``json.dumps(indent=2)``, and every sample scalar by one ``json.dumps`` of a
-flat list, which the C encoder writes with the same ``float.__repr__``,
-``NaN``, ``Infinity`` and ``true``/``false`` text, laid into a sample
-template repeated once per sample (``_regions_json``).  The CSV reads the
-same columns (``_region_columns``).
+``json.dumps(indent=2)``, and every sample scalar by one ``json.dumps`` of
+the report's columns as a flat list, which the C encoder writes with the
+same ``float.__repr__``, ``NaN``, ``Infinity`` and ``true``/``false`` text,
+laid into a template of the report's keys repeated once per sample
+(``_regions_json``).  The CSV reads the same columns (``_region_columns``).
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ DEFAULT_ROOT_TEST_ORDER = 40
 # rows per '%' call of the CSV writer: a memory bound, since a call holds
 # its rows' fields and their text at once
 _CSV_RUN_ROWS = 1024
-# each regions sample field as (JSON key and CSV header, LambdaSample attribute),
-# in report order; the truncation verdicts follow them
-_SAMPLE_FIELDS = (("lambda", "lam"), ("max_abs_S", "max_abs_s"),
-                  ("max_abs_one_minus_S", "max_abs_one_minus_s"), ("theta_m", "theta_m"),
-                  ("in_Rs", "in_rs"), ("in_Omega_c", "in_omega_c"))
 
 
 class UsageError(ValueError):
@@ -217,17 +212,15 @@ def _write_csv(path: Path, columns: Mapping[str, Sequence]) -> None:
     print(f"wrote {path}")
 
 
-def _region_columns(report) -> dict[str, list]:
-    """The regions CSV columns of a ``spectra.RegionReport``, by header: the
-    ``_SAMPLE_FIELDS``, then ``trunc_stable_N<n>`` for each order."""
-    samples = report.samples
-    columns = {key: [getattr(s, field) for s in samples] for key, field in _SAMPLE_FIELDS}
-    columns.update((f"trunc_stable_N{n}", [s.trunc_stable[n] for s in samples])
-                   for n in report.orders)
-    return columns
+def _region_columns(report) -> dict[str, Sequence]:
+    """The regions CSV columns of a ``spectra.RegionReport``, by header:
+    ``lambda``, the report's ``columns``, then ``trunc_stable_N<n>`` for
+    each order."""
+    return {"lambda": report.samples, **report.columns,
+            **{f"trunc_stable_N{n}": report.trunc_stable[n] for n in report.orders}}
 
 
-def _regions_json(report, columns: Mapping[str, list]) -> str:
+def _regions_json(report, columns: Mapping[str, Sequence]) -> str:
     """The regions report as ``json.dumps(report, indent=2) + "\\n"`` writes
     it, from its ``_region_columns``: the head, then one object per sample
     (a scan has at least two), its verdicts keyed by order in numeric order."""
@@ -242,7 +235,7 @@ def _regions_json(report, columns: Mapping[str, list]) -> str:
         "lambda_samples": [],
     }, indent=2)
     verdicts = ",".join(f'\n        "{n}": %s' for n in report.orders)
-    sample = ("    {" + "".join(f'\n      "{key}": %s,' for key, _ in _SAMPLE_FIELDS)
+    sample = ("    {" + "".join(f'\n      "{key}": %s,' for key in ("lambda", *report.columns))
               + '\n      "trunc_stable": ' + ("{" + verdicts + "\n      }" if verdicts else "{}")
               + "\n    }")
     # the C encoder's ", " separator occurs in no float or bool text

@@ -78,7 +78,6 @@ __all__ = [
     "DEFAULT_TOL",
     "THETAS",
     "CertificateRefusal",
-    "LambdaSample",
     "RegionReport",
     "StabilityCertificate",
     "FigureTable",
@@ -265,35 +264,27 @@ def _theta_coeffs(modeq: ModifiedEq, lam: Number, order: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LambdaSample:
-    """Classification of one mesh-ratio sample."""
-
-    lam: float
-    max_abs_s: float
-    max_abs_one_minus_s: float
-    theta_m: float
-    in_rs: bool
-    in_omega_c: bool
-    trunc_stable: dict  # order -> verdict
-
-
-@dataclass(frozen=True)
 class RegionReport:
-    """Per-lambda stability/contraction classification over a lambda range."""
+    """The regions table over a lambda range, by column, each a tuple with
+    an entry per sample: ``samples`` the lambdas in increasing order (report
+    key ``lambda``), ``columns`` each further report key's in report order,
+    and ``trunc_stable`` each order's verdicts, in increasing order."""
 
     scheme_name: str
     orders: tuple
     samples: tuple
+    columns: dict  # report key -> column
+    trunc_stable: dict  # order -> column of verdicts
 
     def rs_boundary(self) -> Optional[float]:
         """Largest sampled lambda still von Neumann stable."""
-        stable = [s.lam for s in self.samples if s.in_rs]
-        return max(stable) if stable else None
+        return max((lam for lam, ok in zip(self.samples, self.columns["in_Rs"]) if ok),
+                   default=None)
 
     def omega_c_boundary(self) -> Optional[float]:
         """Largest sampled lambda still inside the contraction region."""
-        inside = [s.lam for s in self.samples if s.in_omega_c]
-        return max(inside) if inside else None
+        return max((lam for lam, ok in zip(self.samples, self.columns["in_Omega_c"]) if ok),
+                   default=None)
 
 
 def region_scan(
@@ -301,12 +292,12 @@ def region_scan(
     lambda_range: tuple,
     orders: Sequence[int] = (),
 ) -> RegionReport:
-    """Classify each lambda in ``lambda_range = (lo, hi, count)``, the count
-    samples lo + k (hi - lo) / (count - 1), each rounded once.  With tol =
-    DEFAULT_TOL, a sample is von Neumann stable when max |S| <= 1 + tol on
-    [0, pi], inside the contraction region when max |1 - S| < 1 - tol, and
-    its truncation of order N stable when Re P_N <= tol on the whole grid
-    (the module docstring tells how each is read)."""
+    """The regions table of the count samples lo + k (hi - lo) / (count - 1)
+    of ``lambda_range = (lo, hi, count)``, each rounded once.  With tol =
+    DEFAULT_TOL, a sample is von Neumann stable (in_Rs) when max |S| <= 1 +
+    tol on [0, pi], inside the contraction region (in_Omega_c) when max |1 -
+    S| < 1 - tol, and its truncation of order N stable when Re P_N <= tol on
+    the whole grid (the module docstring tells how each is read)."""
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
         raise ValueError(f"scheme {scheme.name}: need 0 <= lo < hi, got ({lo}, {hi})")
@@ -319,16 +310,10 @@ def region_scan(
         evens = [(p, modeq.coeff(p)) for p in range(2, modeq.order + 1, 2)]
     lams = _lambda_samples(lo, hi, int(count))
     n = len(lams)
-    r, v = _cosine_tables(scheme)
-    width = len(v)
-    # the tables, 1 - R_0 = R(1) - R_0 and the even c_p, +0.0 at odd p: all
-    # that Re P_N reads; an a_p beyond the float range puts r_d or v_d there
-    # too (|a_d| + |a_{-d}|), and is named
+    width, table_rows = _rounded_tables(scheme, lams, evens)
+    # the tables and the even c_p, +0.0 at odd p: all that Re P_N reads
     tables, rows = np.empty((n, 2 * width + 2)), np.zeros((n, orders[-1] + 1 if orders else 1))
-    for i, row in enumerate(_rounded(
-            [("R", enumerate(r)), ("1 - R", [(0, sum(r[2:], r[1]))]),
-             ("V", enumerate(v, start=1)), ("c", evens)],
-            lams, scheme.name, sources=[("symbol coefficient a", scheme.symbol)])):
+    for i, row in enumerate(table_rows):
         tables[i], rows[i, 2::2] = row[:2 * width + 2], row[2 * width + 2:]
     # the c_p signed as i^p, as _signed_coeffs gives them (0.0 - c keeps a zero +0.0)
     np.subtract(0.0, rows[:, 2::4], out=rows[:, 2::4])
@@ -336,16 +321,25 @@ def region_scan(
     # growing truncation: values that the flags and verdicts read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step = 2 ** 18 // width ** 2  # lambdas per block: eigenvalue stacks below 16 MiB
-        fields = np.hstack([_fields(tables[k:k + step], width) for k in range(0, n, step)])
-        samples = [LambdaSample(lam=lam, max_abs_s=s, max_abs_one_minus_s=oms, theta_m=theta,
-                                in_rs=s <= 1.0 + DEFAULT_TOL, in_omega_c=oms < 1.0 - DEFAULT_TOL,
-                                trunc_stable={})
-                   for lam, s, oms, theta in zip(lams, *fields.tolist())]
-        for order in orders:
-            verdicts = _truncation_verdicts(THETAS, rows[:, : order + 1])
-            for sample, stable in zip(samples, verdicts):
-                sample.trunc_stable[order] = stable
-    return RegionReport(scheme_name=scheme.name, orders=orders, samples=tuple(samples))
+        s, oms, theta_m = np.hstack([_fields(tables[k:k + step], width)
+                                     for k in range(0, n, step)])
+        columns = {"max_abs_S": s, "max_abs_one_minus_S": oms, "theta_m": theta_m,
+                   "in_Rs": s <= 1.0 + DEFAULT_TOL, "in_Omega_c": oms < 1.0 - DEFAULT_TOL}
+        verdicts = {order: tuple(_truncation_verdicts(THETAS, rows[:, : order + 1]))
+                    for order in orders}
+    return RegionReport(scheme_name=scheme.name, orders=orders, samples=tuple(lams),
+                        columns={key: tuple(col.tolist()) for key, col in columns.items()},
+                        trunc_stable=verdicts)
+
+
+def _rounded_tables(scheme: SchemeSpec, lams: Sequence[Number], evens=()) -> tuple:
+    """W, and the ``_rounded`` rows at ``lams`` of S's cosine tables (r_0..r_W,
+    1 - r_0 = R(1) - r_0 and v_1..v_W, as ``_fields`` reads them), then of the
+    (p, c_p) ``evens``; an a_p beyond the float range is named first."""
+    r, v = _cosine_tables(scheme)
+    return len(v), _rounded([("R", enumerate(r)), ("1 - R", [(0, sum(r[2:], r[1]))]),
+                             ("V", enumerate(v, start=1)), ("c", evens)], lams, scheme.name,
+                            sources=[("symbol coefficient a", scheme.symbol)])
 
 
 def _lambda_samples(lo: Number, hi: Number, count: int) -> list[float]:
@@ -486,10 +480,16 @@ def truncation_certificate(
 
     The partial sum of ``modeq`` at its full order is the reference for the
     tail constant A, so ``modeq.order`` must exceed every order.  Refuses when
-    lambda is outside the contraction region (max |1-S| >= 1 - DEFAULT_TOL
-    on the grid), which is the hypothesis the bound rests on.  S and the
-    reference's coefficients are computed once, and each P_N sums a prefix of
-    them.  S and the c_p are evaluated at ``lam`` as given; its float value
+    lambda is outside the contraction region (max |1 - S| >= 1 - DEFAULT_TOL,
+    or NaN), the hypothesis the bound rests on.  max |1 - S| is read as a
+    region scan reads it, by ``_peaks`` on the rounded tables of S - 1, so
+    ``certify`` refuses exactly where ``regions`` reads in_Omega_c false.  It
+    is not read where B = |1 - a_0| + sum_{p != 0} |a_p| (|a_d| + |a_{-d}| =
+    max(|r_d|, |v_d|)) is below (1 - DEFAULT_TOL) / (1 + 2^-20): |1 - S| <=
+    B, and ``_peaks`` exceeds |1 - S| only by rounding, of the tables and of
+    Clenshaw sums of at most 33 terms, far below 2^-20 B.  The reference's
+    coefficients are computed once, and each P_N sums a prefix of them.  The
+    tables and the c_p are evaluated at ``lam`` as given; its float value
     enters only the formulas for C and the bound.
     """
     require_lambda(scheme.name, lam, positive=True)
@@ -499,12 +499,17 @@ def truncation_certificate(
         raise ValueError(f"scheme {scheme.name}: reference order {modeq.order} must exceed "
                          f"the truncation order {max(orders)}")
 
-    s = eval_symbol(scheme, lam, THETAS)
-    if float(np.max(np.abs(1.0 - s))) >= 1.0 - DEFAULT_TOL:
-        raise CertificateRefusal(
-            f"scheme {scheme.name}: lambda = {lam_f} lies outside the contraction region; "
-            f"the truncation bound does not apply"
-        )
+    width, [row] = _rounded_tables(scheme, [lam])
+    bound = abs(row[width + 1]) + sum(max(abs(r), abs(v))
+                                      for r, v in zip(row[1:width + 1], row[width + 2:]))
+    if bound * (1.0 + 2.0 ** -20) >= 1.0 - DEFAULT_TOL:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            oms = _peaks(np.array([[-row[width + 1], *row[1:width + 1]]]),
+                         np.array([row[width + 2:]]))[1].max()
+        if not oms < 1.0 - DEFAULT_TOL:
+            raise CertificateRefusal(
+                f"scheme {scheme.name}: lambda = {lam_f} lies outside the contraction region; "
+                f"the truncation bound does not apply")
 
     th = THETAS.astype(complex)
     coeffs = _theta_coeffs(modeq, lam, modeq.order)

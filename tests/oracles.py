@@ -9,8 +9,9 @@ agreement of the two checks the log engine from outside.  ``bernoulli`` and
 closed-form log coefficients.  ``GOLDEN`` holds the closed-form tables
 of the catalog schemes whose analysis is known by hand.  ``sweep_region_scan``
 is ``modeq.spectra.region_scan`` one lambda at a time, with its maxima,
-theta_m and every truncation verdict read off the full grid sweep;
-``sweep_region_samples`` is that sweep at given lambdas.
+theta_m and every truncation verdict read off the full grid sweep, as a
+``RegionReport`` of the same columns; ``sweep_region_samples`` is that
+sweep at given lambdas.
 ``region_report_json_dict`` is the dict whose ``json.dumps(indent=2)`` is
 the regions report, the reference for ``modeq.cli``'s renderer.  ``fraction_square_free`` is
 p / gcd(p, p') by Euclid on Fraction lists, the reference for
@@ -36,8 +37,8 @@ from conftest import lp
 from modeq.derivation import ModifiedEq, derive_log, symbol_series
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly, SeriesPreconditionError
 from modeq.schemes import SchemeSpec
-from modeq.spectra import (DEFAULT_GRID, DEFAULT_TOL, THETAS, LambdaSample, RegionReport,
-                           _signed_coeffs, eval_symbol)
+from modeq.spectra import (DEFAULT_GRID, DEFAULT_TOL, THETAS, RegionReport, _signed_coeffs,
+                           eval_symbol)
 
 
 def fraction_symbol_series(scheme: SchemeSpec, order: int) -> tuple:
@@ -115,9 +116,13 @@ def derive_elimination(scheme: SchemeSpec, order: int) -> ModifiedEq:
                       coeffs=tuple(d.divide_by_lambda() for d in cols[1][1:]))
 
 
-def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, orders) -> list[LambdaSample]:
-    """The samples of ``region_scan(scheme, lambda_range, orders)`` as the
-    sweep of the theta grid gives them, each lambda on its own, each lambda
+# the regions report's keys after "lambda", in report order
+REGION_KEYS = ("max_abs_S", "max_abs_one_minus_S", "theta_m", "in_Rs", "in_Omega_c")
+
+
+def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, orders) -> RegionReport:
+    """The report of ``region_scan(scheme, lambda_range, orders)`` as the
+    sweep of the theta grid gives it, each lambda on its own, each lambda
     lo + k (hi - lo) / (count - 1) formed in Fractions and rounded once: S
     from ``eval_symbol``, the maxima over the grid, theta_m the first grid
     point where |1 - S| >= 1, and each truncation verdict from ``polyval``
@@ -128,48 +133,43 @@ def sweep_region_scan(scheme: SchemeSpec, lambda_range: tuple, orders) -> list[L
                  for k in range(int(count))], orders)
 
 
-def sweep_region_samples(scheme: SchemeSpec, lams, orders) -> list[LambdaSample]:
+def sweep_region_samples(scheme: SchemeSpec, lams, orders) -> RegionReport:
     """The grid sweep of ``sweep_region_scan`` at each float lambda of
-    ``lams``."""
-    orders = sorted(set(orders))
+    ``lams``, built column by column."""
+    orders = tuple(sorted(set(orders)))
     modeq = derive_log(scheme, orders[-1]) if orders else None
-    samples = []
+    lams = tuple(float(lam) for lam in lams)
+    columns = {key: [] for key in REGION_KEYS}
+    trunc = {n: [] for n in orders}
     for lam in lams:
-        lam = float(lam)
         s = eval_symbol(scheme, lam, THETAS)
         abs_s, abs_oms = np.abs(s), np.abs(1.0 - s)
         bad = np.nonzero(abs_oms >= 1.0)[0]
-        trunc = {}
         if orders:
             re_g = np.zeros(orders[-1] + 1)
             re_g[2::2] = _signed_coeffs(modeq, lam, range(2, orders[-1] + 1, 2))
             with np.errstate(over="ignore", invalid="ignore"):
                 for n in orders:
                     re_p = np.polynomial.polynomial.polyval(THETAS, re_g[: n + 1])
-                    trunc[n] = bool(np.max(re_p) <= DEFAULT_TOL)
-        samples.append(LambdaSample(
-            lam=float(lam),
-            max_abs_s=float(np.max(abs_s)),
-            max_abs_one_minus_s=float(np.max(abs_oms)),
-            theta_m=float(THETAS[bad[0]]) if bad.size else math.pi,
-            in_rs=bool(np.max(abs_s) <= 1.0 + DEFAULT_TOL),
-            in_omega_c=bool(np.max(abs_oms) < 1.0 - DEFAULT_TOL),
-            trunc_stable=trunc,
-        ))
-    return samples
+                    trunc[n].append(bool(np.max(re_p) <= DEFAULT_TOL))
+        for key, value in (("max_abs_S", float(np.max(abs_s))),
+                           ("max_abs_one_minus_S", float(np.max(abs_oms))),
+                           ("theta_m", float(THETAS[bad[0]]) if bad.size else math.pi),
+                           ("in_Rs", bool(np.max(abs_s) <= 1.0 + DEFAULT_TOL)),
+                           ("in_Omega_c", bool(np.max(abs_oms) < 1.0 - DEFAULT_TOL))):
+            columns[key].append(value)
+    return RegionReport(scheme_name=scheme.name, orders=orders, samples=lams,
+                        columns={key: tuple(col) for key, col in columns.items()},
+                        trunc_stable={n: tuple(col) for n, col in trunc.items()})
 
 
-def lambda_sample_json_dict(sample: LambdaSample) -> dict:
-    """One sample of the regions report, its verdicts keyed by order in
+def lambda_sample_json_dict(report: RegionReport, k: int) -> dict:
+    """Sample ``k`` of the regions report, its verdicts keyed by order in
     numeric order."""
     return {
-        "lambda": sample.lam,
-        "max_abs_S": sample.max_abs_s,
-        "max_abs_one_minus_S": sample.max_abs_one_minus_s,
-        "theta_m": sample.theta_m,
-        "in_Rs": sample.in_rs,
-        "in_Omega_c": sample.in_omega_c,
-        "trunc_stable": {str(n): v for n, v in sorted(sample.trunc_stable.items())},
+        "lambda": report.samples[k],
+        **{key: report.columns[key][k] for key in REGION_KEYS},
+        "trunc_stable": {str(n): report.trunc_stable[n][k] for n in sorted(report.orders)},
     }
 
 
@@ -183,7 +183,8 @@ def region_report_json_dict(report: RegionReport) -> dict:
         "orders": list(report.orders),
         "Rs_boundary": report.rs_boundary(),
         "Omega_c_boundary": report.omega_c_boundary(),
-        "lambda_samples": [lambda_sample_json_dict(s) for s in report.samples],
+        "lambda_samples": [lambda_sample_json_dict(report, k)
+                           for k in range(len(report.samples))],
     }
 
 

@@ -109,9 +109,10 @@ def test_criterion_03_region_boundaries(heat_region_report, upwind):
 
 
 def test_criterion_04_truncation_false_positive(heat_region_report):
-    trunc_all_stable = all(s.trunc_stable[4] for s in heat_region_report.samples)
+    trunc_all_stable = all(heat_region_report.trunc_stable[4])
     unstable_past_half = all(
-        not s.in_rs for s in heat_region_report.samples if s.lam > 0.5 + 1e-9
+        not in_rs for lam, in_rs in zip(heat_region_report.samples,
+                                        heat_region_report.columns["in_Rs"]) if lam > 0.5 + 1e-9
     )
     ok = trunc_all_stable and unstable_past_half
     _report(

@@ -21,8 +21,8 @@ from modeq.cli import (_CSV_RUN_ROWS, _fmt, _parse_orders, _parse_range, _region
 from modeq.derivation import derive_log
 from modeq.exactalg import LP_ONE
 from modeq.schemes import catalog_scheme, parse_scheme
-from modeq.spectra import LambdaSample, RegionReport
-from oracles import region_report_json_dict, sweep_region_samples
+from modeq.spectra import RegionReport
+from oracles import REGION_KEYS, region_report_json_dict, sweep_region_samples
 
 HEAT = ["--catalog", "heat_centered"]
 
@@ -39,8 +39,7 @@ def _sweep_report_digests(tmp_path, name: str, lambda_range: str, orders) -> tup
     of ``lambda_range``."""
     lo, hi, count = _parse_range(lambda_range)
     lams = np.linspace(float(lo), float(hi), int(count))
-    report = RegionReport(name, tuple(orders),
-                          tuple(sweep_region_samples(catalog_scheme(name), lams, orders)))
+    report = sweep_region_samples(catalog_scheme(name), lams, orders)
     columns = _region_columns(report)
     _write_csv(tmp_path / "sweep.csv", columns)
     return (hashlib.sha256(_regions_json(report, columns).encode("utf-8")).hexdigest(),
@@ -1031,25 +1030,31 @@ _JSON_FLOATS = st.one_of(
 def _region_reports(draw):
     """A ``RegionReport`` of one to four samples of any floats and verdicts."""
     orders = draw(st.sampled_from([(), (2, 8, 24, 32), (1,), (4, 10)]))
-    samples = tuple(
-        LambdaSample(*draw(st.tuples(*[_JSON_FLOATS] * 4, st.booleans(), st.booleans())),
-                     trunc_stable={n: draw(st.booleans()) for n in orders})
-        for _ in range(draw(st.integers(1, 4))))
-    return RegionReport(scheme_name=draw(st.sampled_from(["heat_centered", "s%d \u00e9"])),
-                        orders=orders, samples=samples)
+    rows = [draw(st.tuples(*[_JSON_FLOATS] * 4, st.booleans(), st.booleans(),
+                           st.tuples(*[st.booleans()] * len(orders))))
+            for _ in range(draw(st.integers(1, 4)))]
+    return _report(draw(st.sampled_from(["heat_centered", "s%d \u00e9"])), orders, rows)
+
+
+def _report(name, orders, rows):
+    """The ``RegionReport`` of ``rows``, each lambda, the values of
+    ``REGION_KEYS`` and a tuple of verdicts by order."""
+    lams, *columns, verdicts = zip(*rows)
+    return RegionReport(name, orders, lams, dict(zip(REGION_KEYS, columns)),
+                        dict(zip(orders, zip(*verdicts))))
 
 
 def _sample(lam, *, orders=(), value=0.0):
-    return LambdaSample(lam, value, value, value, True, False, {n: n % 3 == 0 for n in orders})
+    return (lam, value, value, value, True, False, tuple(n % 3 == 0 for n in orders))
 
 
 # the renderer writes the bytes of json.dumps(indent=2) of the report dict
 @settings(max_examples=200, deadline=None)
 @given(_region_reports())
-@example(RegionReport("s", (), (_sample(0.0), _sample(0.5, value=math.nan))))
-@example(RegionReport("s", (2, 8, 24, 32),
-                      (_sample(-0.0, orders=(2, 8, 24, 32), value=math.inf),
-                       _sample(5e-324, orders=(2, 8, 24, 32), value=-math.inf))))
+@example(_report("s", (), (_sample(0.0), _sample(0.5, value=math.nan))))
+@example(_report("s", (2, 8, 24, 32),
+                 (_sample(-0.0, orders=(2, 8, 24, 32), value=math.inf),
+                  _sample(5e-324, orders=(2, 8, 24, 32), value=-math.inf))))
 def test_regions_json_is_json_dumps_of_the_report(report):
     assert _regions_json(report, _region_columns(report)) == \
         json.dumps(region_report_json_dict(report), indent=2) + "\n"

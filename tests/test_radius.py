@@ -23,7 +23,7 @@ from oracles import bernoulli, euler_poly_at_zero, fraction_log
 
 def _theta_m(scheme, lam):
     """theta_m from a region scan whose last sample is float(lam)."""
-    return region_scan(scheme, (0.0, float(lam), 2)).samples[-1].theta_m
+    return region_scan(scheme, (0.0, float(lam), 2)).columns["theta_m"][-1]
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modeq import cli, schemes, spectra
@@ -148,8 +149,9 @@ def _verdict_step_counts() -> dict:
 def test_verdict_step_counts_match_the_scans(monkeypatch):
     stated = _verdict_step_counts()
     assert set(stated) == {"heat_centered", "upwind_euler", "lax_wendroff"}
-    # steps 1 and 2 read one kernel call on 33 intervals, an entry per
-    # verdict: the largest of the 17 values and of the 16 pieces' upper
+    # steps 1 and 2 read one kernel call on the points, as degenerate
+    # intervals, then the pieces between them (18 and 17: 35 intervals), an
+    # entry per verdict: the largest of the values and of the pieces' upper
     # ends; step 3 is a kernel call on grid points, each a degenerate
     # interval
     pairs, sweeps = [], []
@@ -160,7 +162,10 @@ def test_verdict_step_counts_match_the_scans(monkeypatch):
         if x_a is x_b:
             sweeps.append(rows)
         else:
-            pairs.extend(zip(hi[:17].max(axis=0).tolist(), hi[17:].max(axis=0).tolist()))
+            points = int(np.argmax(x_a != x_b))  # the degenerate intervals come first
+            assert (points, len(x_a)) == (18, 35)  # as README states
+            pairs.extend(zip(hi[:points].max(axis=0).tolist(),
+                             hi[points:].max(axis=0).tolist()))
         return hi
 
     monkeypatch.setattr(spectra, "_horner_upper", record)
