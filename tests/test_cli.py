@@ -1267,6 +1267,31 @@ class TestDeterminism:
             data = (tmp_path / f"{name}_{stem}lambda{lam}.csv").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, stem or "curve"
 
+    # sha256 of the figures evolve CSV on paths the six cases above miss:
+    # heat at 10 diverges to inf, heat at 1e9 turns modes NaN, heat at 2/5
+    # over 3000 steps outlasts several runs of steps between overflow
+    # screens, and Lax-Wendroff on 100 points steps three blocks of rows.
+    @pytest.mark.parametrize(
+        "name, lam, extra, tag, digest",
+        [
+            ("heat_centered", "10", ["-N", "2,8", "--steps", "200"], "10",
+             "a9d7c19b8156702d3da3794eb715f0be59d5d7a9ca74ac72f0995c7c0a5a2284"),
+            ("heat_centered", "1e9", ["-N", "2", "--steps", "40"], "1e+09",
+             "620a5d2ebc47c0cf221c1d5fc71d2a828ad9f8716b2e4bdeb286f790c959581f"),
+            ("heat_centered", "2/5", ["-N", "2,8", "--steps", "3000"], "0.4",
+             "7c661b046c96d0b12692a901245d6452dd1052769325015ed2b913b78c29b5a6"),
+            ("lax_wendroff", "6/5", ["-N", "2,8", "--gridsize", "100"], "1.2",
+             "03bb65b6a59522f951d3a626264071344f23d8db77380c0d4b69ba9b8e422e9a"),
+        ],
+    )
+    def test_figures_evolve_bytes_golden(self, capsys, tmp_path, name, lam, extra, tag,
+                                         digest):
+        code, _, _ = run(capsys, "figures", "--catalog", name, "--lambdas", lam, *extra,
+                         "--out", str(tmp_path))
+        assert code == 0
+        data = (tmp_path / f"{name}_evolve_lambda{tag}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     # sha256 of certify reports with two lambdas or two orders, at the default
     # theta grid, M, T and reference order 4 max(N).  The orders of one lambda
     # share S and the reference partial sum, so these pin that sharing to
