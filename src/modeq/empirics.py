@@ -9,8 +9,12 @@ application rather than discretization error.  A step applies the rounded
 symbol coefficients a_p(lambda) of ``SchemeSpec.symbol`` directly, each
 evaluated at the lambda the caller gave (a rational lambda exactly) and
 rounded once: the same floats ``spectra.eval_symbol`` sums, which an
-evolution rounds once per lambda (``spectra.symbol_weights``).  A step shifts
-the grid by two slices per offset, the values of ``np.roll``.
+evolution rounds once per lambda (``spectra.symbol_weights``).  ``step``
+copies the grids once into columns of a buffer with ghost rows at both
+ends, so each shift by an offset is a contiguous slice of rows, and it
+takes any number of steps in that buffer without allocating.  An evolution
+calls it once per run of steps that a growth bound proves free of overflow,
+and screens the grids only between runs.
 
 ``evolve_and_compare`` returns its table as a tuple of ``ModeComparison``
 rows, and ``ModeComparison.CSV_HEADER`` names the columns the CLI writes.
@@ -40,32 +44,49 @@ _OVERFLOW_LIMIT = 1e300
 # no modulus passes _OVERFLOW_LIMIT while every part is below this bound
 _SCREEN_LIMIT = _OVERFLOW_LIMIT / 1.5
 _RATIO_TOL = 1e-12
-# grid values per block of mode rows: the default 64-mode grid is one block
+# grid values per block of modes: the default 64-mode grid is one block
 _BLOCK_VALUES = 4096
 
 
-def step(weights: list, u) -> np.ndarray:
-    """One explicit update u_j <- sum_p a_p u_{(j+p) mod M} of a periodic
-    grid of complex samples u_j, j in [0, M), or of each row of a 2-D array,
-    into a fresh array (no in-place aliasing).  ``weights`` is the list of
-    (p, a_p) by offset that ``spectra.symbol_weights`` gives."""
+def step(weights: list, u, count: int = 1) -> np.ndarray:
+    """``count`` explicit updates u_j <- sum_p a_p u_{(j+p) mod M} of a
+    periodic grid of complex samples u_j, j in [0, M), or of each row of a
+    2-D array, into a fresh array of u's shape (no in-place aliasing).
+    ``weights`` is the list of (p, a_p) by offset that
+    ``spectra.symbol_weights`` gives.
+
+    The grids are copied once into a column buffer, grid point j in row
+    ``lo + j`` and one column per grid, with ``lo`` ghost rows above (the
+    last points) and ``hi`` below (the first), ``lo = max(-p_min, 0)`` and
+    ``hi = max(p_max, 0)``.  An update writes sum_p a_p (rows shifted by
+    p) into a second buffer, in offset order and without a zero start, then
+    the two swap: every slice is contiguous, and no update allocates.  The
+    values are those of summing ``a_p * np.roll(u, -p, axis=-1)`` from zero,
+    except that a part which is exactly zero may differ in its sign.  A
+    stencil is refused where its offsets and 0 span M points or more
+    (``lo + hi >= M``)."""
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (1, 2) or u.shape[-1] < 4:
         raise ValueError("grid must be one row, or rows, of at least 4 points")
-    width = weights[-1][0] - weights[0][0]
-    if width >= u.shape[-1]:
-        raise ValueError(f"stencil width {width} does not fit a grid of {u.shape[-1]} points")
-    acc = np.zeros_like(u)
-    for p, a in weights:
-        acc += a * _shifted(u, p)
-    return acc
-
-
-def _shifted(u: np.ndarray, p: int) -> np.ndarray:
-    """u[..., (j + p) mod M], |p| < M, as ``np.roll(u, -p, axis=-1)``; u at p = 0."""
-    if p == 0:
-        return u
-    return np.concatenate((u[..., p:], u[..., :p]), axis=-1)
+    size = u.shape[-1]
+    lo, hi = max(-weights[0][0], 0), max(weights[-1][0], 0)
+    if lo + hi >= size:
+        raise ValueError(f"stencil width {lo + hi} does not fit a grid of {size} points")
+    grid = np.empty((lo + size + hi, u.size // size), dtype=complex)
+    grid[lo:lo + size] = u.reshape(-1, size).T
+    spare = np.empty_like(grid)
+    product = np.empty_like(grid[:size])
+    (first, a_first), *rest = weights
+    for _ in range(count):
+        grid[:lo] = grid[size:size + lo]
+        grid[lo + size:] = grid[lo:lo + hi]
+        acc = spare[lo:lo + size]
+        np.multiply(a_first, grid[lo + first:lo + first + size], out=acc)
+        for p, a in rest:
+            np.multiply(a, grid[lo + p:lo + p + size], out=product)
+            acc += product
+        grid, spare = spare, grid
+    return grid[lo:lo + size].T.copy().reshape(u.shape)
 
 
 def mode_grid(m, size: int) -> np.ndarray:
@@ -143,6 +164,16 @@ def _relative_gap(predicted: float, measured: float) -> float:
     return abs(predicted - measured) / max(measured, 1.0)
 
 
+def _run_length(top: float, growth: float, remaining: int) -> int:
+    """The most steps k, at least 1 and at most ``remaining``, with
+    top growth^k < ``_SCREEN_LIMIT`` (1 where top is inf or NaN)."""
+    count, bound = 1, top * growth
+    while count < remaining and bound * growth < _SCREEN_LIMIT:
+        bound *= growth
+        count += 1
+    return count
+
+
 def require_evolution_sizes(scheme: SchemeSpec, steps: int, gridsize: int) -> None:
     """Raise ``ValueError`` for ``steps`` < 0, ``gridsize`` < 4 or a stencil
     as wide as the grid, which ``step`` would refuse."""
@@ -168,22 +199,31 @@ def evolve_and_compare(
     modulus growth with |S|^steps and |S_N|^steps: one ``ModeComparison``
     per mode, in mode order.
 
-    The modes are stepped together, in blocks of as many grid rows as fit
-    in ``_BLOCK_VALUES`` values, and at least one row.
+    The modes are stepped together, in blocks of as many mode grids as fit
+    in ``_BLOCK_VALUES`` values, and at least one.
     Modes whose amplitude passes 1e300, or turns NaN (a step whose products
     overflow to infinities of both signs), are flagged as diverged with the
     step index at which that happened.  theta is folded into (-pi, pi] so the
     polynomial truncation is evaluated at an admissible wavenumber.
 
-    After each step a block is screened first: when every real and
-    imaginary part x of it has |x| < 1e300 / 1.5, no modulus in it passes
-    1e300, so the per-row test of |u| against 1e300 would flag nothing and
-    is skipped.  The screen is exact: the exact |u| is at most
+    The steps of a block are taken in runs, one ``step`` call each, and the
+    block is screened after each run: when every real and imaginary part x
+    of it has |x| < 1e300 / 1.5, no modulus in it passes 1e300, so the
+    per-row test of |u| against 1e300 would flag nothing and is skipped.
+    The screen is exact: the exact |u| is at most
     sqrt(2) max(|Re u|, |Im u|), and ``np.abs`` is within an ulp of it, so
     the computed |u| is at most sqrt(2) (1 + 2^-52) m < 1.5 m < 1e300, with
     m the largest part.  A NaN part fails the screen, as the maximum and
-    minimum of the parts are then NaN.  So ``diverged_at`` and every
-    ``measured`` are those of the per-row test after every step.
+    minimum of the parts are then NaN.  A run needs no screen inside it: a
+    step multiplies the largest part by at most growth = 2 sum |a_p|, the
+    factor 2 covering the rounding of the step's products and sums and of
+    the bound's own product.  So from a screen whose largest part is top,
+    or from the mode grid (top = 1), a run lasts the most steps k with
+    top growth^k < 1e300 / 1.5, and at least one; after a screen that
+    fails, every step is its own run.  So ``diverged_at`` and every
+    ``measured`` are those of the per-row test after every step.  The
+    default 64-mode grid at 100 steps is one ``step`` call and one screen
+    wherever sum |a_p| is below 497 (heat up to lambda = 124).
 
     Outside the stability region R_s, a decaying mode's ``measured`` is not
     its own decay: the rounding errors of each step seed the growing modes,
@@ -202,6 +242,7 @@ def evolve_and_compare(
     abs_sn = np.abs(_truncation(thetas.astype(complex), _theta_coeffs(modeq, lam, order),
                                 float(lam))[1])
     weights = symbol_weights(scheme, lam)
+    growth = 2.0 * sum(abs(a) for _, a in weights)
     rows = []
     block = max(1, _BLOCK_VALUES // gridsize)
     for start in range(0, gridsize, block):
@@ -211,14 +252,20 @@ def evolve_and_compare(
         # a diverged row may overflow to inf or nan; it is recorded already
         # and its values are never read
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(steps):
-                u = step(weights, u)
+            top, n = 1.0, 0
+            while n < steps:
+                count = _run_length(top, growth, steps - n)
+                u = step(weights, u, count)
+                n += count
                 parts = u.view(float)
-                if parts.max() < _SCREEN_LIMIT and -parts.min() < _SCREEN_LIMIT:
+                high, low = float(parts.max()), float(-parts.min())
+                if high < _SCREEN_LIMIT and low < _SCREEN_LIMIT:
+                    top = max(high, low)
                     continue
                 peak = np.max(np.abs(u), axis=-1)
                 # a NaN peak is not <= the limit either
-                diverged_at[(diverged_at == 0) & ~(peak <= _OVERFLOW_LIMIT)] = n + 1
+                diverged_at[(diverged_at == 0) & ~(peak <= _OVERFLOW_LIMIT)] = n
+                top = math.inf
             amplitudes = np.mean(np.abs(u), axis=-1)
         for mode, first, amplitude in zip(modes.tolist(), diverged_at.tolist(), amplitudes):
             theta = float(thetas[mode])

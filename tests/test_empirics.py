@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modeq.derivation import CrossCheckError, derive_log
 from modeq.empirics import (
-    _shifted,
     evolve_and_compare,
     measured_amplification,
     mode_grid,
@@ -39,14 +38,38 @@ class TestStep:
         out = step(symbol_weights(upwind, 1.0), u0)
         assert np.max(np.abs(out - np.roll(u0, 1))) < 1e-14
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(-3, 3), st.integers(4, 20), st.integers(0, 3), st.integers(0, 2**32 - 1))
-    def test_slice_shift_is_roll(self, p, m, rows, seed):
-        # rows = 0 is a 1-D grid; the stencil-width check keeps |p| < m
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(-3, 3), st.floats(-4.0, 4.0), min_size=1),
+           st.integers(0, 16), st.integers(0, 3), st.booleans(), st.integers(0, 5),
+           st.integers(0, 2**32 - 1))
+    @example({1: 0.5, 3: -2.0}, 0, 2, False, 3, 0)  # offsets all >= 0, no 0
+    # offsets all <= 0, no 0; a negative weight times a negative real value
+    # makes an imaginary part -0, which the reference's 0 start makes +0
+    @example({-3: -1.5}, 4, 0, True, 5, 1)
+    def test_steps_are_repeated_rolls(self, stencil, extra, rows, real, count, seed):
+        """``step(weights, u, count)`` is ``count`` applications of the sum of
+        a_p np.roll(u, -p) over the offsets in order, on 1-D (rows = 0) and
+        2-D grids of M = width + 1, ..., 20 points, at least 4.
+
+        The reference starts its sum from 0, as the stepping did before the
+        column kernel, which starts from the first product.  That changes
+        only the sign of a part that is exactly zero (0 + -0 is +0), so zero
+        parts are compared by value: adding 0 to both sides makes every
+        zero +0 and leaves every other part's bits as they are.  A zero
+        weight, or a real grid (rows of zero imaginary parts), makes such
+        parts."""
+        weights = sorted(stencil.items())
+        width = max(weights[-1][0], 0) - min(weights[0][0], 0)
+        m = min(max(4, width + 1 + extra), 20)
         rng = np.random.default_rng(seed)
         shape = (rows, m) if rows else (m,)
-        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert _shifted(u, p).tobytes() == np.roll(u, -p, axis=-1).tobytes()
+        u = rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
+        want = u.astype(complex)
+        for _ in range(count):
+            want = sum(a * np.roll(want, -p, axis=-1) for p, a in weights)
+        got = step(weights, u, count)
+        assert got.shape == u.shape
+        assert (got + 0).tobytes() == (want + 0).tobytes()
 
     def test_no_aliasing(self, heat):
         u = np.ones(8, dtype=complex)
@@ -229,14 +252,46 @@ def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
 
 # the overflow screen reads the parts of both signs: a step that moves
 # every value by a real shift passes 1e300 only beyond it, and a shift
-# between 1e300 / 1.5 and 1e300 fails the screen but flags nothing
+# between 1e300 / 1.5 and 1e300 fails the screen but flags nothing.  The
+# shift is outside every growth bound, so the evolution takes one step: a
+# single step always ends in a screen.
 @pytest.mark.parametrize("shift, flagged", [(2e300, True), (-2e300, True),
                                             (0.9e300, False), (-0.9e300, False)])
 def test_overflow_screen_reads_both_signs(monkeypatch, heat, shift, flagged):
-    monkeypatch.setattr("modeq.empirics.step", lambda weights, u: u + shift)
+    monkeypatch.setattr("modeq.empirics.step", lambda weights, u, count=1: u + shift)
     rows = evolve_and_compare(heat, derive_log(heat, 2), Fraction(1, 4), 2, 1, 8)
     assert [r.diverged_at for r in rows] == [1 if flagged else None] * 8
     assert all(math.isinf(r.measured) == flagged for r in rows)
+
+
+def _counting_step(monkeypatch) -> list:
+    """Wrap ``empirics.step`` so each call appends its ``count``."""
+    counts = []
+
+    def counted(weights, u, count=1):
+        counts.append(count)
+        return step(weights, u, count)
+
+    monkeypatch.setattr("modeq.empirics.step", counted)
+    return counts
+
+
+# the growth bound 2 sum |a_p| covers every step a block takes below the
+# screen: at the defaults a stable block is stepped in one call, and heat
+# at 10 ends its runs where the bound nears 1e300 / 1.5, then steps one at
+# a time past the first failed screen, with the rows of per-mode stepping
+def test_runs_of_steps_between_screens(monkeypatch, heat):
+    counts = _counting_step(monkeypatch)
+    evolve_and_compare(heat, derive_log(heat, 2), Fraction(2, 5), 2, 100, 64)
+    assert counts == [100]
+    counts.clear()
+    rows = evolve_and_compare(heat, derive_log(heat, 2), Fraction(10), 2, 200, 64)
+    assert sum(counts) == 200 and 1 < counts[0] < 200 and counts[-1] == 1
+    first = min(r.diverged_at for r in rows if r.diverged_at)
+    assert counts[-(200 - first) - 1:] == [1] * (200 - first + 1)
+    monkeypatch.undo()
+    assert _row_bits([(r.measured, r.diverged_at) for r in rows]) == \
+        _row_bits(_per_mode_evolution(heat, Fraction(10), 200, 64))
 
 
 # a step whose products overflow to infinities of both signs turns a mode
