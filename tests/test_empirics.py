@@ -51,13 +51,12 @@ class TestStep:
         a_p np.roll(u, -p) over the offsets in order, on 1-D (rows = 0) and
         2-D grids of M = width + 1, ..., 20 points, at least 4.
 
-        The reference starts its sum from 0, as the stepping did before the
-        column kernel, which starts from the first product.  That changes
-        only the sign of a part that is exactly zero (0 + -0 is +0), so zero
-        parts are compared by value: adding 0 to both sides makes every
-        zero +0 and leaves every other part's bits as they are.  A zero
-        weight, or a real grid (rows of zero imaginary parts), makes such
-        parts."""
+        The reference starts its sum from 0 and ``step`` from the first
+        product.  That changes only the sign of a part that is exactly zero
+        (0 + -0 is +0), so zero parts are compared by value: adding 0 to
+        both sides makes every zero +0 and leaves every other part's bits
+        as they are.  A zero weight, or a real grid (zero imaginary parts),
+        makes such parts."""
         weights = sorted(stencil.items())
         width = max(weights[-1][0], 0) - min(weights[0][0], 0)
         m = min(max(4, width + 1 + extra), 20)
@@ -252,9 +251,9 @@ def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
 
 # the overflow screen reads the parts of both signs: a step that moves
 # every value by a real shift passes 1e300 only beyond it, and a shift
-# between 1e300 / 1.5 and 1e300 fails the screen but flags nothing.  The
-# shift is outside every growth bound, so the evolution takes one step: a
-# single step always ends in a screen.
+# between 1e300 / 1.5 and 1e300 fails the screen but flags nothing.  No
+# bound 2 sum |a_p| covers the shift, so the evolution is one step long:
+# every run, and so that step, ends in a screen.
 @pytest.mark.parametrize("shift, flagged", [(2e300, True), (-2e300, True),
                                             (0.9e300, False), (-0.9e300, False)])
 def test_overflow_screen_reads_both_signs(monkeypatch, heat, shift, flagged):
@@ -264,8 +263,11 @@ def test_overflow_screen_reads_both_signs(monkeypatch, heat, shift, flagged):
     assert all(math.isinf(r.measured) == flagged for r in rows)
 
 
-def _counting_step(monkeypatch) -> list:
-    """Wrap ``empirics.step`` so each call appends its ``count``."""
+# the growth bound 2 sum |a_p| covers every step a block takes below the
+# screen: at the defaults a stable block is stepped in one call, and heat
+# at 10 ends its runs where the bound nears 1e300 / 1.5, then steps one at
+# a time past the first failed screen, with the rows of per-mode stepping
+def test_runs_of_steps_between_screens(monkeypatch, heat):
     counts = []
 
     def counted(weights, u, count=1):
@@ -273,15 +275,6 @@ def _counting_step(monkeypatch) -> list:
         return step(weights, u, count)
 
     monkeypatch.setattr("modeq.empirics.step", counted)
-    return counts
-
-
-# the growth bound 2 sum |a_p| covers every step a block takes below the
-# screen: at the defaults a stable block is stepped in one call, and heat
-# at 10 ends its runs where the bound nears 1e300 / 1.5, then steps one at
-# a time past the first failed screen, with the rows of per-mode stepping
-def test_runs_of_steps_between_screens(monkeypatch, heat):
-    counts = _counting_step(monkeypatch)
     evolve_and_compare(heat, derive_log(heat, 2), Fraction(2, 5), 2, 100, 64)
     assert counts == [100]
     counts.clear()
