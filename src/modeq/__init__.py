@@ -46,8 +46,8 @@ from .derivation import (
 
 # name -> the numeric module that defines it, imported on first access (PEP 562)
 _LAZY = {name: module for module, names in (
-    ("spectra", "CertificateRefusal FigureTable RegionReport StabilityCertificate"
-                " eval_symbol figure_data truncation_certificate region_scan"),
+    ("spectra", "CertificateRefusal RegionReport eval_symbol figure_data"
+                " truncation_certificate region_scan"),
     ("radius", "RadiusEstimate ZeroSearchError heat_closed_form_radius radius_root_test"
                " radius_zero_search"),
     ("empirics", "evolve_and_compare measured_amplification step"),

@@ -20,12 +20,17 @@ included), 2 internal cross-check failure.  Outputs are deterministic: fixed
 key order, floats rendered with up to 17 significant digits.  A CSV row is
 its ``_fmt`` fields joined by commas, as ``csv.writer`` would write them.
 Each table hands the writer its columns, a mapping from each header to
-that column's values.  A column of floats only is rendered by ``%.17g``,
-which renders every float as ``format(x, ".17g")`` does; any other column
-goes value by value through ``_fmt``, so a bool reads ``true``/``false``.
-The rows are written in parts of at most ``_CSV_RUN_ROWS``, each by one
-``%`` over a repeated row template, so a long table never holds more than
-that many rows' text at once.
+that column's values.  ``figures`` writes the dicts that
+``spectra.figure_data`` (after the theta column) and
+``empirics.evolve_and_compare`` return as they are, and ``certify`` the
+dicts of ``spectra.truncation_certificate`` under their own keys.  A
+float array (the curves), or a column of floats only, is rendered by
+``%.17g``, which renders every float as ``format(x, ".17g")`` does; any
+other column goes value by value through ``_fmt``, so a bool reads
+``true``/``false``.  The rows are written in parts of at most
+``_CSV_RUN_ROWS``, each by one ``%`` over a repeated row template, and an
+array is made a list one part at a time, so a long table never holds more
+than that many rows' values and text at once.
 
 The ``regions`` JSON is the text of ``json.dumps(report, indent=2)``, byte
 for byte, rendered without the pure-Python indenting encoder: its head by
@@ -198,9 +203,11 @@ def _emit_text(text: str, out_dir: Optional[Path], filename: str) -> None:
 
 def _write_csv(path: Path, columns: Mapping[str, Sequence]) -> None:
     """Write ``columns``, a mapping from each header to its column's values,
-    as CSV: a column of floats only by ``%.17g``, a column of str only as it
-    is (as ``_fmt`` would write it), any other through ``_fmt``."""
-    floats = [all(isinstance(v, float) for v in col) for col in columns.values()]
+    as CSV: a float array, or a column of floats only, by ``%.17g``, a
+    column of str only as it is (as ``_fmt`` would write it), any other
+    through ``_fmt``.  An array is made a list one part at a time."""
+    floats = [getattr(col, "dtype", None) == float or all(isinstance(v, float) for v in col)
+              for col in columns.values()]
     cols = [col if f or all(isinstance(v, str) for v in col) else [_fmt(v) for v in col]
             for f, col in zip(floats, columns.values())]
     template = ",".join("%.17g" if f else "%s" for f in floats) + "\r\n"
@@ -208,6 +215,7 @@ def _write_csv(path: Path, columns: Mapping[str, Sequence]) -> None:
         fh.write(",".join(columns) + "\r\n")
         for start in range(0, len(cols[0]), _CSV_RUN_ROWS):
             part = [col[start:start + _CSV_RUN_ROWS] for col in cols]
+            part = [p.tolist() if hasattr(p, "tolist") else p for p in part]
             fh.write(template * len(part[0]) % tuple(chain.from_iterable(zip(*part))))
     print(f"wrote {path}")
 
@@ -343,13 +351,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
                                               args.gridsize) for lam in lambdas]
     out_dir = _out_dir(args, ".")
     theta = ["%.17g" % x for x in spectra.THETAS.tolist()]  # rendered once, for every table
-    for table in tables:
-        _write_csv(out_dir / f"{scheme.name}_lambda{_lambda_tag(table.lam)}.csv",
-                   {"theta": theta, **table.csv_columns()})
-    for lam, rows in zip(lambdas, evolutions):
-        _write_csv(out_dir / f"{scheme.name}_evolve_lambda{_lambda_tag(lam)}.csv",
-                   {name: [row[i] for row in rows]
-                    for i, name in enumerate(empirics.ModeComparison.CSV_HEADER)})
+    for lam, curves in zip(lambdas, tables):
+        _write_csv(out_dir / f"{scheme.name}_lambda{_lambda_tag(lam)}.csv",
+                   {"theta": theta, **curves})
+    for lam, (columns, _) in zip(lambdas, evolutions):
+        _write_csv(out_dir / f"{scheme.name}_evolve_lambda{_lambda_tag(lam)}.csv", columns)
     return 0
 
 
@@ -366,11 +372,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     certificates = []
     for lam in lambdas:
         # the certificate reads the c_p at lam only: derive them at lam
-        certs = spectra.truncation_certificate(
+        certificates += spectra.truncation_certificate(
             scheme, derive_log(scheme, reference, lam), lam, orders, support_m=args.support_m,
             horizon_t=args.horizon_t,
         )
-        certificates += [cert.to_json_dict() for cert in certs]
     _emit_json({"scheme": scheme.name, "certificates": certificates}, _out_dir(args),
                f"{scheme.name}_certify.json")
     return 0

@@ -86,7 +86,7 @@ class ModifiedEq:
     def coeff(self, p: int) -> LambdaPoly:
         """c_p for 1 <= p <= N."""
         if not 1 <= p <= self.order:
-            raise ValueError(f"order p={p} outside 1..{self.order}")
+            raise ValueError(f"scheme {self.scheme_name}: order p={p} outside 1..{self.order}")
         return self.coeffs[p - 1]
 
     def at(self, lam) -> tuple:

@@ -16,14 +16,14 @@ takes any number of steps in that buffer without allocating.  An evolution
 calls it once per run of steps that a growth bound proves free of overflow,
 and screens the grids only between runs.
 
-``evolve_and_compare`` returns its table as a tuple of ``ModeComparison``
-rows, and ``ModeComparison.CSV_HEADER`` names the columns the CLI writes.
+``evolve_and_compare`` returns its table as the CSV columns the CLI
+writes, a dict from each header to its column, in CSV order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .spectra import (Number, _symbol_basis, _symbol_sum, _theta_coeffs, _trunca
                       eval_symbol, require_lambda, symbol_weights)
 
 __all__ = [
-    "ModeComparison",
     "step",
     "measured_amplification",
     "evolve_and_compare",
@@ -125,30 +124,6 @@ def measured_amplification(
     return ratio
 
 
-class ModeComparison(NamedTuple):
-    """One mode of an ``evolve_and_compare`` table.  The fields before
-    ``diverged_at`` are its CSV columns, in order, headed by ``CSV_HEADER``."""
-
-    mode: int
-    theta: float
-    measured: float
-    predicted_s: float
-    predicted_sn: float
-    gap_s: float
-    gap_sn: float
-    diverged_at: Optional[int] = None
-
-    CSV_HEADER = (
-        "mode",
-        "theta",
-        "measured",
-        "predicted_S",
-        "predicted_SN",
-        "gap_S",
-        "gap_SN",
-    )
-
-
 def _power(base: float, n: int) -> float:
     try:
         return base**n
@@ -194,17 +169,22 @@ def evolve_and_compare(
     order: int,
     steps: int,
     gridsize: int,
-) -> tuple[ModeComparison, ...]:
+) -> tuple[dict[str, list], tuple[Optional[int], ...]]:
     """Evolve every Fourier mode for ``steps`` steps and compare the measured
-    modulus growth with |S|^steps and |S_N|^steps: one ``ModeComparison``
-    per mode, in mode order.
+    modulus growth with |S|^steps and |S_N|^steps.  Returns the table's
+    columns, a dict from each CSV header (``mode``, ``theta``,
+    ``measured``, ``predicted_S``, ``predicted_SN``, ``gap_S``, ``gap_SN``)
+    to a list with one entry per mode, in mode order, and the step at
+    which each mode diverged, None for a mode that did not.
 
     The modes are stepped together, in blocks of as many mode grids as fit
     in ``_BLOCK_VALUES`` values, and at least one.
     Modes whose amplitude passes 1e300, or turns NaN (a step whose products
     overflow to infinities of both signs), are flagged as diverged with the
-    step index at which that happened.  theta is folded into (-pi, pi] so the
-    polynomial truncation is evaluated at an admissible wavenumber.
+    step index at which that happened, and read ``measured`` inf.  theta is
+    folded into (-pi, pi] so the polynomial truncation is evaluated at an
+    admissible wavenumber.  The powers and gaps are taken mode by mode on
+    Python floats: an array power or modulus can differ in the last bit.
 
     The steps of a block are taken in runs, one ``step`` call each, and the
     block is screened after each run: when every real and imaginary part x
@@ -220,7 +200,7 @@ def evolve_and_compare(
     the bound's own product.  So from a screen whose largest part is top,
     or from the mode grid (top = 1), a run lasts the most steps k with
     top growth^k < 1e300 / 1.5, and at least one; after a screen that
-    fails, every step is its own run.  So ``diverged_at`` and every
+    fails, every step is its own run.  So the divergence steps and every
     ``measured`` are those of the per-row test after every step.  The
     default 64-mode grid at 100 steps is one ``step`` call and one screen
     wherever sum |a_p| is below 497 (heat up to lambda = 124).
@@ -243,7 +223,7 @@ def evolve_and_compare(
                                 float(lam))[1])
     weights = symbol_weights(scheme, lam)
     growth = 2.0 * sum(abs(a) for _, a in weights)
-    rows = []
+    measured, diverged = [], []
     block = max(1, _BLOCK_VALUES // gridsize)
     for start in range(0, gridsize, block):
         modes = np.arange(start, min(start + block, gridsize))
@@ -267,22 +247,19 @@ def evolve_and_compare(
                 diverged_at[(diverged_at == 0) & ~(peak <= _OVERFLOW_LIMIT)] = n
                 top = math.inf
             amplitudes = np.mean(np.abs(u), axis=-1)
-        for mode, first, amplitude in zip(modes.tolist(), diverged_at.tolist(), amplitudes):
-            theta = float(thetas[mode])
-            measured = math.inf if first else float(amplitude)
-            s = complex(_symbol_sum(weights, _symbol_basis(scheme, theta)))
-            predicted_s = _power(abs(s), steps)
-            predicted_sn = _power(float(abs_sn[mode]), steps)
-            rows.append(
-                ModeComparison(
-                    mode=mode,
-                    theta=theta,
-                    measured=measured,
-                    predicted_s=predicted_s,
-                    predicted_sn=predicted_sn,
-                    gap_s=_relative_gap(predicted_s, measured),
-                    gap_sn=_relative_gap(predicted_sn, measured),
-                    diverged_at=first or None,
-                )
-            )
-    return tuple(rows)
+        first = diverged_at.tolist()
+        measured += [math.inf if d else a for d, a in zip(first, amplitudes.tolist())]
+        diverged += [d or None for d in first]
+    theta = thetas.tolist()
+    predicted_s = [_power(abs(complex(_symbol_sum(weights, _symbol_basis(scheme, t)))), steps)
+                   for t in theta]
+    predicted_sn = [_power(a, steps) for a in abs_sn.tolist()]
+    return {
+        "mode": list(range(gridsize)),
+        "theta": theta,
+        "measured": measured,
+        "predicted_S": predicted_s,
+        "predicted_SN": predicted_sn,
+        "gap_S": list(map(_relative_gap, predicted_s, measured)),
+        "gap_SN": list(map(_relative_gap, predicted_sn, measured)),
+    }, tuple(diverged)

@@ -79,8 +79,6 @@ __all__ = [
     "THETAS",
     "CertificateRefusal",
     "RegionReport",
-    "StabilityCertificate",
-    "FigureTable",
     "require_lambda",
     "symbol_weights",
     "eval_symbol",
@@ -256,7 +254,8 @@ def _signed_coeffs(modeq: ModifiedEq, lam: Number, ps) -> list[float]:
 def _theta_coeffs(modeq: ModifiedEq, lam: Number, order: int) -> np.ndarray:
     """The theta^p coefficients i^p c_p(lambda) of G at dx = 1, p = 0..order."""
     if order > modeq.order:
-        raise ValueError(f"truncation order {order} exceeds stored order {modeq.order}")
+        raise ValueError(f"scheme {modeq.scheme_name}: truncation order {order} exceeds "
+                         f"stored order {modeq.order}")
     g = _signed_coeffs(modeq, lam, range(1, order + 1))
     out = np.zeros(order + 1, dtype=complex)
     out.real[2::2], out.imag[1::2] = g[1::2], g[::2]
@@ -437,36 +436,6 @@ def _truncation(th: np.ndarray, coeffs: np.ndarray, lam_f: float) -> tuple:
         return p_val, np.exp(lam_f * p_val)
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
-    """Finite-horizon L2 bound for band-limited data under the truncation.
-
-    The growth constant C comes from the grid maximum of |S_N|; the tail
-    constant A is a grid estimate of sup |G - P_N| / theta^(N+1) using a
-    high-order partial sum as reference, so the certificate is a numerical
-    diagnostic, not a rigorous proof.
-    """
-
-    order: int
-    lam: float
-    growth_c: float
-    tail_a: float
-    support_m: float
-    horizon_t: float
-    bound: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.order,
-            "lambda": self.lam,
-            "C": self.growth_c,
-            "A": self.tail_a,
-            "M": self.support_m,
-            "T": self.horizon_t,
-            "bound": self.bound,
-        }
-
-
 def truncation_certificate(
     scheme: SchemeSpec,
     modeq: ModifiedEq,
@@ -474,9 +443,17 @@ def truncation_certificate(
     orders: Sequence[int],
     support_m: float,
     horizon_t: float,
-) -> list[StabilityCertificate]:
-    """Assemble the e^{CT} e^{A T M^{N+1}/lambda} bound at dx = 1, one
-    certificate per distinct order N in ``orders``, in increasing order.
+) -> list[dict]:
+    """Assemble the e^{CT} e^{A T M^{N+1}/lambda} bound at dx = 1, a
+    finite-horizon L2 bound for band-limited data under the truncation: one
+    certificate per distinct order N in ``orders``, in increasing order,
+    each a dict keyed ``N``, ``lambda`` (as a float), ``C``, ``A``, ``M``,
+    ``T`` and ``bound``, in that order, as the ``certify`` JSON writes it.
+
+    The growth constant C comes from the grid maximum of |S_N|; the tail
+    constant A is a grid estimate of sup |G - P_N| / theta^(N+1) using a
+    high-order partial sum as reference, so the certificate is a numerical
+    diagnostic, not a rigorous proof.
 
     The partial sum of ``modeq`` at its full order is the reference for the
     tail constant A, so ``modeq.order`` must exceed every order.  Refuses when
@@ -525,26 +502,9 @@ def truncation_certificate(
         bound = math.exp(growth_c * horizon_t) * math.exp(
             tail_a * horizon_t * support_m ** (order + 1) / lam_f
         )
-        certificates.append(StabilityCertificate(
-            order, lam_f, growth_c, tail_a, float(support_m), float(horizon_t), bound))
+        certificates.append({"N": order, "lambda": lam_f, "C": growth_c, "A": tail_a,
+                             "M": float(support_m), "T": float(horizon_t), "bound": bound})
     return certificates
-
-
-@dataclass(frozen=True)
-class FigureTable:
-    """|S| and |S_N| sampled on ``THETAS`` for one mesh-ratio value.
-    ``csv_columns`` maps each curve's CSV header to its column, as a list of
-    floats; the theta column before them, the same for every table, is the
-    writer's."""
-
-    lam: float
-    abs_s: np.ndarray
-    abs_s_trunc: dict  # order -> ndarray
-
-    def csv_columns(self) -> dict[str, list]:
-        columns = {"abs_S": self.abs_s}
-        columns.update((f"abs_S_N{n}", self.abs_s_trunc[n]) for n in sorted(self.abs_s_trunc))
-        return {name: col.tolist() for name, col in columns.items()}
 
 
 def figure_data(
@@ -552,19 +512,23 @@ def figure_data(
     modeq: ModifiedEq,
     lambdas: Sequence[Number],
     orders: Sequence[int],
-) -> list[FigureTable]:
-    """Amplification-factor curves |S| and |S_N| per requested lambda, with
-    S_N truncated from ``modeq``.  Each lambda rounds the c_p of the highest
-    order once, and each P_N sums a prefix of them."""
+) -> list[dict[str, np.ndarray]]:
+    """Amplification-factor curves |S| and |S_N| on ``THETAS``, with S_N
+    truncated from ``modeq``: for each lambda in order, a dict from each
+    curve's CSV header, ``abs_S`` then ``abs_S_N<n>`` for each distinct
+    order in increasing order, to its column, a float array.  The theta column
+    before them, the same for every lambda, is the writer's.  Each lambda
+    rounds the c_p of the highest order once, and each P_N sums a prefix of
+    them."""
     orders = tuple(sorted(set(int(n) for n in orders)))
     if not lambdas:
         return []
     th = THETAS.astype(complex)
     tables = []
     for lam in lambdas:
-        abs_s = np.abs(eval_symbol(scheme, lam, THETAS))
+        table = {"abs_S": np.abs(eval_symbol(scheme, lam, THETAS))}
         coeffs = _theta_coeffs(modeq, lam, orders[-1]) if orders else None
-        trunc = {n: np.abs(_truncation(th, coeffs[: n + 1], float(lam))[1])
-                 for n in orders}
-        tables.append(FigureTable(lam=float(lam), abs_s=abs_s, abs_s_trunc=trunc))
+        for n in orders:
+            table[f"abs_S_N{n}"] = np.abs(_truncation(th, coeffs[: n + 1], float(lam))[1])
+        tables.append(table)
     return tables

@@ -9,13 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from modeq.derivation import CrossCheckError, derive_log
 from modeq.empirics import (
+    _relative_gap,
     evolve_and_compare,
     measured_amplification,
     mode_grid,
     step,
 )
 from modeq.schemes import builtin_catalog, catalog_scheme, parse_scheme
-from modeq.spectra import eval_symbol, symbol_weights
+from modeq.spectra import _theta_coeffs, _truncation, eval_symbol, symbol_weights
 
 
 class TestStep:
@@ -146,27 +147,38 @@ class TestMeasuredAmplification:
 class TestEvolveAndCompare:
     def test_decaying_run_tracks_truncation(self, heat):
         modeq = derive_log(heat, 8)
-        rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
-        assert len(rows) == 64
-        assert max(r.gap_sn for r in rows) < 1e-3
-        assert max(r.gap_s for r in rows) < 1e-12
+        columns, diverged_at = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
+        assert all(len(col) == 64 for col in [*columns.values(), diverged_at])
+        assert max(columns["gap_SN"]) < 1e-3
+        assert max(columns["gap_S"]) < 1e-12
 
     def test_unstable_ratio_flags_pi_mode_first(self, heat):
         modeq = derive_log(heat, 4)
-        rows = evolve_and_compare(heat, modeq, 0.6, 4, 2500, 16)
-        diverged = {r.mode: r.diverged_at for r in rows if r.diverged_at}
+        columns, diverged_at = evolve_and_compare(heat, modeq, 0.6, 4, 2500, 16)
+        diverged = {m: d for m, d in zip(columns["mode"], diverged_at) if d}
         assert 8 in diverged  # theta = pi
         assert diverged[8] == min(diverged.values())
-        pi_row = rows[8]
-        assert math.isinf(pi_row.measured)
+        assert math.isinf(columns["measured"][8])
 
     def test_symbol_rounded_once_per_lambda(self, heat, rounded_values):
         # 3 a_p for the steps and for S, and 8 c_p for S_N
         modeq = derive_log(heat, 8)
-        rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 100, 64)
+        lam = Fraction(1, 4)
+        columns, _ = evolve_and_compare(heat, modeq, lam, 8, 100, 64)
         assert len(rounded_values) == 3 + 8
-        for r in rows:
-            assert r.predicted_s == abs(eval_symbol(heat, Fraction(1, 4), r.theta)) ** 100
+        # |S_N| on the theta column as one array; every power and gap on
+        # Python floats, each mode on its own (an array power differs in
+        # the last bit)
+        abs_sn = np.abs(_truncation(np.array(columns["theta"], dtype=complex),
+                                    _theta_coeffs(modeq, lam, 8), float(lam))[1]).tolist()
+        for mode, theta in enumerate(columns["theta"]):
+            measured = columns["measured"][mode]
+            predicted_s = abs(eval_symbol(heat, lam, theta)) ** 100
+            predicted_sn = abs_sn[mode] ** 100
+            assert columns["predicted_S"][mode] == predicted_s
+            assert columns["predicted_SN"][mode] == predicted_sn
+            assert columns["gap_S"][mode] == _relative_gap(predicted_s, measured)
+            assert columns["gap_SN"][mode] == _relative_gap(predicted_sn, measured)
 
     def test_negative_lambda_refused(self, heat):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -179,23 +191,21 @@ class TestEvolveAndCompare:
 
     def test_zero_steps_gives_ones(self, heat):
         modeq = derive_log(heat, 8)
-        rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 0, 8)
-        for r in rows:
-            assert r.measured == 1.0
-            assert r.predicted_s == 1.0
-            assert r.predicted_sn == 1.0
+        columns, _ = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 0, 8)
+        for key in ("measured", "predicted_S", "predicted_SN"):
+            assert columns[key] == [1.0] * 8
 
     def test_theta_folding(self, heat):
         modeq = derive_log(heat, 8)
-        rows = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 1, 8)
-        assert [round(r.theta, 6) for r in rows[:5]] == [
+        theta = evolve_and_compare(heat, modeq, Fraction(1, 4), 8, 1, 8)[0]["theta"]
+        assert [round(t, 6) for t in theta[:5]] == [
             0.0,
             round(math.pi / 4, 6),
             round(math.pi / 2, 6),
             round(3 * math.pi / 4, 6),
             round(math.pi, 6),
         ]
-        assert rows[5].theta == pytest.approx(-3 * math.pi / 4)
+        assert theta[5] == pytest.approx(-3 * math.pi / 4)
 
 
 def _per_mode_evolution(scheme, lam, steps, gridsize):
@@ -240,8 +250,8 @@ BATCH_CASES = [
 def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
     # 80 modes span three blocks of rows
     scheme = catalog_scheme(name)
-    rows = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, steps, 80)
-    batched = [(r.measured, r.diverged_at) for r in rows]
+    columns, diverged_at = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, steps, 80)
+    batched = list(zip(columns["measured"], diverged_at))
     # to the bit
     assert _row_bits(batched) == _row_bits(_per_mode_evolution(scheme, lam, steps, 80))
     first = [d for _, d in batched if d]
@@ -258,9 +268,9 @@ def test_batched_evolution_equals_per_mode_stepping(name, lam, steps, diverges):
                                             (0.9e300, False), (-0.9e300, False)])
 def test_overflow_screen_reads_both_signs(monkeypatch, heat, shift, flagged):
     monkeypatch.setattr("modeq.empirics.step", lambda weights, u, count=1: u + shift)
-    rows = evolve_and_compare(heat, derive_log(heat, 2), Fraction(1, 4), 2, 1, 8)
-    assert [r.diverged_at for r in rows] == [1 if flagged else None] * 8
-    assert all(math.isinf(r.measured) == flagged for r in rows)
+    columns, diverged_at = evolve_and_compare(heat, derive_log(heat, 2), Fraction(1, 4), 2, 1, 8)
+    assert list(diverged_at) == [1 if flagged else None] * 8
+    assert all(math.isinf(m) == flagged for m in columns["measured"])
 
 
 # the growth bound 2 sum |a_p| covers every step a block takes below the
@@ -278,12 +288,12 @@ def test_runs_of_steps_between_screens(monkeypatch, heat):
     evolve_and_compare(heat, derive_log(heat, 2), Fraction(2, 5), 2, 100, 64)
     assert counts == [100]
     counts.clear()
-    rows = evolve_and_compare(heat, derive_log(heat, 2), Fraction(10), 2, 200, 64)
+    columns, diverged_at = evolve_and_compare(heat, derive_log(heat, 2), Fraction(10), 2, 200, 64)
     assert sum(counts) == 200 and 1 < counts[0] < 200 and counts[-1] == 1
-    first = min(r.diverged_at for r in rows if r.diverged_at)
+    first = min(d for d in diverged_at if d)
     assert counts[-(200 - first) - 1:] == [1] * (200 - first + 1)
     monkeypatch.undo()
-    assert _row_bits([(r.measured, r.diverged_at) for r in rows]) == \
+    assert _row_bits(zip(columns["measured"], diverged_at)) == \
         _row_bits(_per_mode_evolution(heat, Fraction(10), 200, 64))
 
 
@@ -296,14 +306,21 @@ def test_runs_of_steps_between_screens(monkeypatch, heat):
 ])
 def test_mode_turning_nan_is_flagged(name, lam, nan_modes):
     scheme = catalog_scheme(name)
-    rows = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, 40, 80)
-    assert {m: rows[m].diverged_at for m in nan_modes} == nan_modes
-    assert not any(math.isnan(r.measured) for r in rows)
-    assert [r.mode for r in rows if r.diverged_at is None] == [0]
+    columns, diverged_at = evolve_and_compare(scheme, derive_log(scheme, 2), lam, 2, 40, 80)
+    assert {m: diverged_at[m] for m in nan_modes} == nan_modes
+    assert not any(math.isnan(m) for m in columns["measured"])
+    assert [m for m, d in zip(columns["mode"], diverged_at) if d is None] == [0]
 
 
 def _row_bits(rows) -> list:
     return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+def _table_bits(table) -> list:
+    """``_row_bits`` of an ``evolve_and_compare`` table: each mode's columns,
+    then the step it diverged at."""
+    columns, diverged_at = table
+    return _row_bits(zip(*columns.values(), diverged_at))
 
 
 # a stable lambda, and one outside R_s whose fastest modes diverge
@@ -313,11 +330,11 @@ def _row_bits(rows) -> list:
 def test_rows_do_not_depend_on_the_block_size(monkeypatch, name, lam, steps, gridsize):
     scheme = catalog_scheme(name)
     modeq = derive_log(scheme, 4)
-    rows = evolve_and_compare(scheme, modeq, lam, 4, steps, gridsize)
+    table = evolve_and_compare(scheme, modeq, lam, 4, steps, gridsize)
     monkeypatch.setattr("modeq.empirics._BLOCK_VALUES", 1)  # one row per block
-    assert _row_bits(evolve_and_compare(scheme, modeq, lam, 4, steps, gridsize)) == \
-        _row_bits(rows)
-    assert any(r.diverged_at for r in rows) == (lam == 10)
+    assert _table_bits(evolve_and_compare(scheme, modeq, lam, 4, steps, gridsize)) == \
+        _table_bits(table)
+    assert any(table[1]) == (lam == 10)
 
 
 class TestStabilityDichotomy:

@@ -28,7 +28,7 @@ EXPORTED = (
     "SchemeParseError SchemeSpec builtin_catalog catalog_scheme "
     "parse_scheme render_scheme ConsistencyReport CrossCheckError ModifiedEq "
     "consistency_report derive_log symbol_series "
-    "CertificateRefusal FigureTable RegionReport StabilityCertificate SymmetryReport "
+    "CertificateRefusal RegionReport SymmetryReport "
     "eval_symbol figure_data truncation_certificate region_scan "
     "upwind_symmetry_check RadiusEstimate ZeroSearchError "
     "heat_closed_form_radius radius_root_test "

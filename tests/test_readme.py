@@ -1,7 +1,7 @@
 """Every command in README's "Command line" block runs and exits 0, the
 flag table lists exactly the flags each subcommand registers, the caps it
 names are the package's, the CSV column
-lists name the columns the tables write, and the
+lists and the certificate keys name those the functions return, and the
 "Library" example prints what its comments say, the scheme-file example
 is the catalog's Lax-Wendroff scheme, and the truncation-verdict counts in
 "Notes on the methods" are the scans' own, so a flag, cap, name, format or
@@ -21,9 +21,9 @@ import pytest
 from modeq import cli, schemes, spectra
 from modeq.cli import build_parser, main
 from modeq.derivation import derive_log
-from modeq.empirics import ModeComparison
+from modeq.empirics import evolve_and_compare
 from modeq.schemes import catalog_scheme, parse_scheme
-from modeq.spectra import figure_data
+from modeq.spectra import figure_data, truncation_certificate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -69,10 +69,11 @@ def _stated_caps() -> dict:
     return stated
 
 
-def _csv_column_lists() -> list:
-    """The column lists of README's "Output formats" section, in order."""
+def _output_lists(noun: str) -> list:
+    """The lists of README's "Output formats" section that follow ``noun``,
+    as "columns `a,b`", in order."""
     section = README.read_text(encoding="utf-8").split("## Output formats", 1)[1]
-    return [cols.split(",") for cols in re.findall(r"columns\s+`([^`]+)`", section)]
+    return [cols.split(",") for cols in re.findall(noun + r"\s+`([^`]+)`", section)]
 
 
 def _library_block() -> str:
@@ -105,15 +106,18 @@ def test_caps_named_are_the_package_caps():
 
 
 def test_csv_columns_match_the_code():
-    curve, evolve = _csv_column_lists()
+    curve, evolve = _output_lists("columns")
+    [certificate] = _output_lists("keys")
     heat = catalog_scheme("heat_centered")
-    [table] = figure_data(heat, derive_log(heat, 8), [0.5], (2, 8))
+    modeq = derive_log(heat, 8)
+    [table] = figure_data(heat, modeq, [0.5], (2, 8))
     # the last curve column, abs_S_N{N}..., repeats once per order
     per_order = curve.pop().removesuffix("...")
     # the writer puts the theta column, the same for every table, first
-    assert curve + [per_order.format(N=n) for n in (2, 8)] == \
-        ["theta", *table.csv_columns()]
-    assert evolve == list(ModeComparison.CSV_HEADER)
+    assert curve + [per_order.format(N=n) for n in (2, 8)] == ["theta", *table]
+    assert evolve == list(evolve_and_compare(heat, modeq, 0.5, 8, 1, 8)[0])
+    [cert] = truncation_certificate(heat, modeq, 0.2, (4,), 3.0, 1.0)
+    assert certificate == list(cert)
 
 
 def test_library_example_prints_its_comments(capsys):

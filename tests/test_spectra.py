@@ -15,6 +15,7 @@ from conftest import lp, random_stencils
 from modeq.cli import main
 from modeq.derivation import (ModifiedEq, _cosine_tables, _modulus_table, derive_log,
                               upwind_symmetry_check)
+from modeq.empirics import evolve_and_compare
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly
 from modeq.schemes import SchemeSpec, builtin_catalog, catalog_scheme
 from modeq.spectra import (
@@ -781,8 +782,8 @@ class TestCertificate:
         [cert] = truncation_certificate(
             heat, modeq, Fraction(1, 5), (4,), support_m=math.pi, horizon_t=1.0
         )
-        assert cert.growth_c == 0.0
-        assert math.isfinite(cert.bound) and cert.bound >= 1.0
+        assert cert["C"] == 0.0
+        assert math.isfinite(cert["bound"]) and cert["bound"] >= 1.0
 
     @pytest.mark.parametrize("name, lam", [("heat_centered", Fraction(1, 5)),
                                            ("upwind_euler", Fraction(3, 10)),
@@ -860,7 +861,7 @@ class TestCertificate:
     def test_zero_support_collapses_to_growth_factor(self, heat):
         modeq = derive_log(heat, 16)
         [cert] = truncation_certificate(heat, modeq, Fraction(1, 5), (4,), 0.0, 1.0)
-        assert cert.bound == pytest.approx(math.exp(cert.growth_c * 1.0))
+        assert cert["bound"] == pytest.approx(math.exp(cert["C"] * 1.0))
 
     def test_reference_order_must_exceed_truncation_order(self, heat):
         for order in (4, 5):
@@ -880,7 +881,7 @@ class TestCertificate:
         tail_a = float(
             np.max(np.abs(p_ref[positive] - p_n[positive]) / THETAS[positive] ** 3)
         )
-        assert cert.tail_a == tail_a
+        assert cert["A"] == tail_a
 
     def test_orders_share_one_reference(self, heat, rounded_values):
         # the 4 table values r_0, r_1, 1 - r_0 and v_1 for max |1 - S|, and
@@ -889,7 +890,7 @@ class TestCertificate:
         certs = truncation_certificate(heat, modeq, Fraction(1, 5), (4, 8), math.pi, 1.0)
         assert len(rounded_values) == 4 + 32
         for cert in certs:
-            [alone] = truncation_certificate(heat, modeq, Fraction(1, 5), (cert.order,),
+            [alone] = truncation_certificate(heat, modeq, Fraction(1, 5), (cert["N"],),
                                              math.pi, 1.0)
             assert alone == cert
 
@@ -1047,11 +1048,15 @@ class TestFigureData:
         assert figure_data(heat, derive_log(heat, 8), [], (2, 8)) == []
 
     def test_table_shape(self, heat):
-        tables = figure_data(heat, derive_log(heat, 8), [Fraction(1, 2), Fraction(1, 4)], (2, 8))
-        assert [t.lam for t in tables] == [0.5, 0.25]
-        for t in tables:
+        modeq, lams = derive_log(heat, 8), [Fraction(1, 2), Fraction(1, 4)]
+        tables = figure_data(heat, modeq, lams, (2, 8))
+        # one table per lambda, in the order given
+        for lam, columns in zip(lams, tables):
+            [alone] = figure_data(heat, modeq, [lam], (2, 8))
+            assert all(np.array_equal(columns[key], alone[key]) for key in alone)
+        assert not np.array_equal(tables[0]["abs_S"], tables[1]["abs_S"])
+        for columns in tables:
             # the theta column, the same for every table, is the writer's
-            columns = t.csv_columns()
             assert list(columns) == ["abs_S", "abs_S_N2", "abs_S_N8"]
             assert all(len(col) == DEFAULT_GRID for col in columns.values())
 
@@ -1060,13 +1065,17 @@ class TestFigureData:
         modeq = derive_log(heat, 32)
         [table] = figure_data(heat, modeq, [Fraction(1, 2)], [2, 8, 16, 32])
         assert len(rounded_values) == 3 + 32
-        for n, abs_sn in table.abs_s_trunc.items():
+        for n in (2, 8, 16, 32):
             alone = _truncated(modeq, Fraction(1, 2), THETAS, n)[1]
-            assert abs_sn.tobytes() == np.abs(alone).tobytes()
+            assert table[f"abs_S_N{n}"].tobytes() == np.abs(alone).tobytes()
 
     def test_order_beyond_the_table(self, heat):
-        with pytest.raises(ValueError, match="truncation order 9 exceeds stored order 8"):
-            figure_data(heat, derive_log(heat, 8), [Fraction(1, 2)], (2, 9))
+        modeq = derive_log(heat, 8)
+        for call in (lambda: figure_data(heat, modeq, [Fraction(1, 2)], (2, 9)),
+                     lambda: evolve_and_compare(heat, modeq, Fraction(1, 2), 9, 10, 16)):
+            with pytest.raises(ValueError, match=r"^scheme heat_centered: truncation order 9 "
+                                                 r"exceeds stored order 8$"):
+                call()
 
     def test_grid_endpoints_exact(self):
         assert THETAS[0] == 0.0
