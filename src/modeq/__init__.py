@@ -31,13 +31,10 @@ from .schemes import (
     builtin_catalog,
     catalog_scheme,
     parse_scheme,
-    render_scheme,
 )
 from .derivation import (
-    ConsistencyReport,
     CrossCheckError,
     ModifiedEq,
-    SymmetryReport,
     consistency_report,
     derive_log,
     symbol_series,
@@ -48,9 +45,8 @@ from .derivation import (
 _LAZY = {name: module for module, names in (
     ("spectra", "CertificateRefusal RegionReport eval_symbol figure_data"
                 " truncation_certificate region_scan"),
-    ("radius", "RadiusEstimate ZeroSearchError heat_closed_form_radius radius_root_test"
-               " radius_zero_search"),
-    ("empirics", "evolve_and_compare measured_amplification step"),
+    ("radius", "ZeroSearchError heat_closed_form_radius radius_root_test radius_zero_search"),
+    ("empirics", "evolve_and_compare step"),
 ) for name in names.split()}
 # the classes and functions imported above, and the lazy names
 __all__ = [name for name, value in globals().items()

@@ -32,6 +32,11 @@ other column goes value by value through ``_fmt``, so a bool reads
 array is made a list one part at a time, so a long table never holds more
 than that many rows' values and text at once.
 
+``radius``, ``modeq`` (its ``consistency`` block) and ``symmetry`` write
+the dicts that the ``radius`` methods, ``derivation.consistency_report``
+and ``derivation.upwind_symmetry_check`` return as they are, by
+``json.dumps(indent=2)``.
+
 The ``regions`` JSON is the text of ``json.dumps(report, indent=2)``, byte
 for byte, rendered without the pure-Python indenting encoder: its head by
 ``json.dumps(indent=2)``, and every sample scalar by one ``json.dumps`` of
@@ -277,7 +282,7 @@ def cmd_modeq(args: argparse.Namespace) -> int:
     if args.verify:
         verify_log(scheme, modeq)
     payload = modeq.to_json_dict()
-    payload["consistency"] = consistency_report(scheme, modeq).to_json_dict()
+    payload["consistency"] = consistency_report(scheme, modeq)
     _emit_json(payload, _out_dir(args), f"{scheme.name}_modeq.json")
     return 0
 
@@ -313,17 +318,12 @@ def cmd_radius(args: argparse.Namespace) -> int:
     results = []
     for lam in lambdas:
         # the root test reads the c_p at lam only: derive them at lam
-        entry = {
+        results.append({
             "lambda": str(lam),
-            "root_test": radius.radius_root_test(derive_log(scheme, order, lam),
-                                                 lam).to_json_dict(),
-            "zero_search": radius.radius_zero_search(scheme, lam).to_json_dict(),
-        }
-        if heat_stencil:
-            entry["closed_form"] = radius.heat_closed_form_radius(lam).to_json_dict()
-        else:
-            entry["closed_form"] = None
-        results.append(entry)
+            "root_test": radius.radius_root_test(derive_log(scheme, order, lam), lam),
+            "zero_search": radius.radius_zero_search(scheme, lam),
+            "closed_form": radius.heat_closed_form_radius(lam) if heat_stencil else None,
+        })
     _emit_json({"scheme": scheme.name, "estimates": results}, _out_dir(args),
                f"{scheme.name}_radius.json")
     return 0
@@ -394,7 +394,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
         raise UsageError(f"symmetry -N must be at least 2, got {order}: no even order to prove")
     modeq = derive_log(catalog_scheme("upwind_euler"), order)
     # the identities are proved for every lambda; each --lambdas value names a row
-    report = upwind_symmetry_check(modeq).to_json_dict()
+    report = upwind_symmetry_check(modeq)
     reports = [{"lambda": lam, "lambda_low": low, "lambda_high": high, **report}
                for lam, low, high in texts]
     _emit_json({"scheme": "upwind_euler", "reports": reports}, _out_dir(args),

@@ -24,6 +24,8 @@ value at the rational lambda, rounded once (``spectra``).
 
 The numeric layers only round, sample and find roots: the exact forms of
 the symbol they read, and the upwind mirror proof, are here too.
+``consistency_report`` and ``upwind_symmetry_check`` return the dicts that
+the ``modeq`` report's ``consistency`` block and a ``symmetry`` row write.
 """
 
 from __future__ import annotations
@@ -38,10 +40,7 @@ from .schemes import SchemeSpec, catalog_scheme
 
 __all__ = [
     "ModifiedEq",
-    "ConsistencyFailure",
-    "ConsistencyReport",
     "CrossCheckError",
-    "SymmetryReport",
     "symbol_series",
     "symbol_polynomial",
     "derive_log",
@@ -243,38 +242,11 @@ def verify_log(scheme: SchemeSpec, modeq: ModifiedEq) -> None:
                                   f"differs from ln S first at theta-order {p}")
 
 
-@dataclass(frozen=True)
-class ConsistencyFailure:
-    p: int
-    residual: LambdaPoly
-    message: str
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Outcome of checking a modified equation against its target PDE."""
-
-    scheme_name: str
-    ok: bool
-    failures: tuple
-    matched_orders: tuple
-    leading_error_order: Optional[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme_name,
-            "ok": self.ok,
-            "failures": [
-                {"p": f.p, "residual": str(f.residual), "message": f.message}
-                for f in self.failures
-            ],
-            "matched_orders": list(self.matched_orders),
-            "leading_error_order": self.leading_error_order,
-        }
-
-
-def consistency_report(scheme: SchemeSpec, modeq: ModifiedEq) -> ConsistencyReport:
-    """Check that the modified equation reproduces the declared PDE.
+def consistency_report(scheme: SchemeSpec, modeq: ModifiedEq) -> dict:
+    """Check that the modified equation reproduces the declared PDE, as the
+    ``consistency`` block of the ``modeq`` report: ``scheme``, ``ok``,
+    ``failures`` (each ``p``, its ``residual`` rendered and a ``message``),
+    ``matched_orders`` and ``leading_error_order``.
 
     Requires c_p = 0 for every p with negative grading, and c_q = -A_q as a
     lambda-independent polynomial identity.  The leading numerical-error
@@ -283,89 +255,31 @@ def consistency_report(scheme: SchemeSpec, modeq: ModifiedEq) -> ConsistencyRepo
     modeq.require_symbolic("consistency_report")
     if modeq.order < scheme.pde_order:
         raise ValueError(
-            f"modified equation order {modeq.order} is below the PDE order "
-            f"{scheme.pde_order}"
+            f"scheme {scheme.name}: modified equation order {modeq.order} is below "
+            f"the PDE order {scheme.pde_order}"
         )
-    failures: list[ConsistencyFailure] = []
-    matched: list[int] = []
     q = scheme.q
-
-    for p in range(1, q):
-        c = modeq.coeff(p)
-        if c:
-            failures.append(
-                ConsistencyFailure(
-                    p=p,
-                    residual=c,
-                    message=f"c_{p} must vanish (grading {p - q} < 0)",
-                )
-            )
-
+    failures = [(p, c, f"c_{p} must vanish (grading {p - q} < 0)")
+                for p in range(1, q) if (c := modeq.coeff(p))]
     declared = dict(scheme.pde)
-    target = LambdaPoly.const(-declared.get(q, Fraction(0)))
-    residual = modeq.coeff(q) - target
-    if not residual:
-        matched.append(q)
-    else:
-        failures.append(
-            ConsistencyFailure(
-                p=q,
-                residual=residual,
-                message=f"c_{q} != -A_{q}",
-            )
-        )
-
+    residual = modeq.coeff(q) - LambdaPoly.const(-declared.get(q, Fraction(0)))
+    if residual:
+        failures.append((q, residual, f"c_{q} != -A_{q}"))
     for order, a in sorted(declared.items()):
         if order == q or a == 0:
             continue
         c = modeq.coeff(order) if order <= modeq.order else LP_ZERO
-        failures.append(
-            ConsistencyFailure(
-                p=order,
-                residual=c + LambdaPoly.const(a),
-                message=(
-                    f"A_{order} declared but the scheme term has grading "
-                    f"{order - q} != 0"
-                ),
-            )
-        )
-
-    leading: Optional[int] = None
-    for p in range(q + 1, modeq.order + 1):
-        if modeq.coeff(p):
-            leading = p - q
-            break
-
-    return ConsistencyReport(
-        scheme_name=scheme.name,
-        ok=not failures,
-        failures=tuple(failures),
-        matched_orders=tuple(matched),
-        leading_error_order=leading,
-    )
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Mirror symmetry of the upwind scheme about lambda = 1/2, for every lambda."""
-
-    modulus_ok: bool
-    orders: tuple
-    coefficient_ok: bool
-    first_violation: Optional[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.modulus_ok and self.coefficient_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "modulus_ok": self.modulus_ok,
-            "orders": list(self.orders),
-            "coefficient_ok": self.coefficient_ok,
-            "first_violation": self.first_violation,
-            "ok": self.ok,
-        }
+        failures.append((order, c + LambdaPoly.const(a),
+                         f"A_{order} declared but the scheme term has grading "
+                         f"{order - q} != 0"))
+    return {
+        "scheme": scheme.name,
+        "ok": not failures,
+        "failures": [{"p": p, "residual": str(r), "message": m} for p, r, m in failures],
+        "matched_orders": [] if residual else [q],
+        "leading_error_order": next((p - q for p in range(q + 1, modeq.order + 1)
+                                     if modeq.coeff(p)), None),
+    }
 
 
 def _modulus_table(scheme: SchemeSpec) -> tuple:
@@ -391,7 +305,7 @@ def _cosine_tables(scheme: SchemeSpec) -> tuple:
     return (a[0], *[x + y for x, y in pairs]), tuple(x - y for x, y in pairs)
 
 
-def upwind_symmetry_check(modeq: ModifiedEq) -> SymmetryReport:
+def upwind_symmetry_check(modeq: ModifiedEq) -> dict:
     """Prove, for every lambda, the modulus identity |S(theta, 1/2-lambda)| =
     |S(theta, 1/2+lambda)| as m.reflect() == m for each |S|^2 cosine
     coefficient m (``_modulus_table``), and, for the upwind scheme's
@@ -401,14 +315,20 @@ def upwind_symmetry_check(modeq: ModifiedEq) -> SymmetryReport:
 
     as f.reflect() == f for f = lambda c_{2p}.  The generator's theta^{2p}
     coefficient is (-1)^p c_{2p}, a sign common to both sides.
+
+    Returns the ``symmetry`` report's row: ``modulus_ok``, the even
+    ``orders``, ``coefficient_ok``, the ``first_violation`` (None when
+    there is none) and ``ok``, both identities holding.
     """
     modeq.require_symbolic("upwind_symmetry_check")
-    orders = tuple(range(2, modeq.order + 1, 2))
+    orders = list(range(2, modeq.order + 1, 2))
     first_violation = next((p for p in orders
                             if (f := modeq.coeff(p).shift_up()).reflect() != f), None)
-    return SymmetryReport(
-        modulus_ok=all(m.reflect() == m for m in _modulus_table(catalog_scheme("upwind_euler"))),
-        orders=orders,
-        coefficient_ok=first_violation is None,
-        first_violation=first_violation,
-    )
+    modulus_ok = all(m.reflect() == m for m in _modulus_table(catalog_scheme("upwind_euler")))
+    return {
+        "modulus_ok": modulus_ok,
+        "orders": orders,
+        "coefficient_ok": first_violation is None,
+        "first_violation": first_violation,
+        "ok": modulus_ok and first_violation is None,
+    }

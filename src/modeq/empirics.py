@@ -27,14 +27,13 @@ from typing import Optional
 
 import numpy as np
 
-from .derivation import CrossCheckError, ModifiedEq
+from .derivation import ModifiedEq
 from .schemes import SchemeSpec
 from .spectra import (Number, _symbol_basis, _symbol_sum, _theta_coeffs, _truncation,
-                      eval_symbol, require_lambda, symbol_weights)
+                      require_lambda, symbol_weights)
 
 __all__ = [
     "step",
-    "measured_amplification",
     "evolve_and_compare",
     "require_evolution_sizes",
 ]
@@ -42,7 +41,6 @@ __all__ = [
 _OVERFLOW_LIMIT = 1e300
 # no modulus passes _OVERFLOW_LIMIT while every part is below this bound
 _SCREEN_LIMIT = _OVERFLOW_LIMIT / 1.5
-_RATIO_TOL = 1e-12
 # grid values per block of modes: the default 64-mode grid is one block
 _BLOCK_VALUES = 4096
 
@@ -93,35 +91,6 @@ def mode_grid(m, size: int) -> np.ndarray:
     array of modes m, one such grid per row."""
     j = np.arange(size)
     return np.exp(2j * math.pi * np.asarray(m)[..., np.newaxis] * j / size)
-
-
-def measured_amplification(
-    scheme: SchemeSpec, lam: Number, mode: int, gridsize: int
-) -> complex:
-    """Per-step multiplier of the Fourier mode under the actual stencil.
-
-    Applies one step to e^{2 pi i m j / M} and returns the ratio u'_j / u_j,
-    which must be the same at every j and must equal the symbol at
-    theta = 2 pi m / M, both to within 1e-12; violations of either raise
-    CrossCheckError.
-    """
-    if not 0 <= mode < gridsize:
-        raise ValueError(f"mode {mode} outside [0, {gridsize})")
-    u = mode_grid(mode, gridsize)
-    ratios = step(symbol_weights(scheme, lam), u) / u
-    ratio = complex(ratios[0])
-    spread = float(np.max(np.abs(ratios - ratio)))
-    if spread > _RATIO_TOL:
-        raise CrossCheckError(
-            f"mode {mode}: amplification varies across the grid by {spread:.3e}"
-        )
-    theta = 2.0 * math.pi * mode / gridsize
-    predicted = eval_symbol(scheme, lam, theta)
-    if abs(ratio - predicted) > _RATIO_TOL:
-        raise CrossCheckError(
-            f"mode {mode}: measured {ratio} vs symbol {predicted}"
-        )
-    return ratio
 
 
 def _power(base: float, n: int) -> float:

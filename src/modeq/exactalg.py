@@ -38,7 +38,7 @@ catalog schemes faster (README, "Command line").
 Everything here is exact, so polynomial identities can be tested by literal
 equality.  A float is made from an exact value by rounding it once, by one
 kernel: ``LambdaPoly.float_rows`` rounds every polynomial of a list at
-each rational lambda of a sequence, and ``float_at`` is its one-value case.
+each rational lambda of a sequence.
 A value of moderate size (every c_p of the catalog schemes up to order 16)
 is the exact value rounded by one integer division.  A larger one is first
 enclosed by fixed-point Horner with an integer error bound: the double
@@ -243,11 +243,6 @@ class LambdaPoly:
         if not self:
             return Fraction(0)
         return Fraction(*self._num_den(*_ratio(lam)))
-
-    def float_at(self, lam: ScalarLike) -> float:
-        """``float(self(lam))``, correctly rounded: ``float_rows`` at one
-        polynomial and one lambda."""
-        return next(LambdaPoly.float_rows((self,), (lam,)))[0]
 
     @staticmethod
     def float_rows(polys: Iterable["LambdaPoly"], lams: Iterable[ScalarLike]) -> Iterator[list]:

@@ -17,13 +17,14 @@ Two deliberately independent methods:
   only refines them to 50 digits, unless two of them nearly coincide.
 
 Disagreement between the two flags a bug.  For the heat scheme a closed
-form gives a third value.
+form gives a third value.  Each method returns the entry that the
+``radius`` report writes for it, a dict with its keys in report order
+(``_estimate``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -35,8 +36,6 @@ from .schemes import SchemeSpec
 from .spectra import Number, eval_symbol, require_lambda
 
 __all__ = [
-    "RadiusDiagnostics",
-    "RadiusEstimate",
     "ZeroSearchError",
     "radius_root_test",
     "require_root_test_order",
@@ -49,40 +48,23 @@ class ZeroSearchError(CrossCheckError):
     """The root finder did not converge on the symbol polynomial Q."""
 
 
-@dataclass(frozen=True)
-class RadiusDiagnostics:
-    """How a radius estimate was obtained."""
-
-    coefficients_used: int
-    residual: float
-    zero: Optional[complex] = None
-    all_coefficients_zero: bool = False
-    polynomial_tail: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coefficients_used": self.coefficients_used,
-            "residual": self.residual,
-            "zero": None
-            if self.zero is None
-            else {"re": self.zero.real, "im": self.zero.imag},
-            "all_coefficients_zero": self.all_coefficients_zero,
-            "polynomial_tail": self.polynomial_tail,
-        }
-
-
-@dataclass(frozen=True)
-class RadiusEstimate:
-    value: float  # > 0, possibly math.inf
-    method: str   # "root_test" | "zero_search" | "closed_form"
-    diagnostics: RadiusDiagnostics
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": "inf" if math.isinf(self.value) else self.value,
-            "method": self.method,
-            "diagnostics": self.diagnostics.to_json_dict(),
-        }
+def _estimate(value: float, method: str, coefficients_used: int, residual: float,
+              zero: Optional[complex] = None, all_coefficients_zero: bool = False,
+              polynomial_tail: bool = False) -> dict:
+    """One radius report entry, keys in report order: ``value`` (> 0, the
+    string ``"inf"`` for an infinite radius), ``method`` ("root_test",
+    "zero_search" or "closed_form") and how it was obtained."""
+    return {
+        "value": "inf" if math.isinf(value) else value,
+        "method": method,
+        "diagnostics": {
+            "coefficients_used": coefficients_used,
+            "residual": residual,
+            "zero": None if zero is None else {"re": zero.real, "im": zero.imag},
+            "all_coefficients_zero": all_coefficients_zero,
+            "polynomial_tail": polynomial_tail,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +89,7 @@ def require_root_test_order(scheme_name: str, order: int) -> None:
                          f"equation of order >= {ROOT_TEST_MIN_ORDER}, got N = {order}")
 
 
-def radius_root_test(modeq: ModifiedEq, lam: Number) -> RadiusEstimate:
+def radius_root_test(modeq: ModifiedEq, lam: Number) -> dict:
     """Radius from the decay of the generator coefficients c_p(lambda).
 
     |c_p|^(1/p) -> 1/R, so log|c_p| is fitted against p by least squares
@@ -131,25 +113,15 @@ def radius_root_test(modeq: ModifiedEq, lam: Number) -> RadiusEstimate:
     if not indices or indices[-1] <= modeq.order // 2:
         # no nonzero c_p, or the series terminates: the generator is a
         # polynomial, radius infinite
-        return RadiusEstimate(
-            value=math.inf,
-            method="root_test",
-            diagnostics=RadiusDiagnostics(
-                coefficients_used=len(indices), residual=0.0,
-                all_coefficients_zero=not indices, polynomial_tail=bool(indices),
-            ),
-        )
+        return _estimate(math.inf, "root_test", len(indices), 0.0,
+                         all_coefficients_zero=not indices, polynomial_tail=bool(indices))
     used = max(4, len(indices) // 3)
     ps = np.array(indices[-used:], dtype=float)
     ys = np.array(logs[-used:])
     slope, intercept = np.polyfit(ps, ys, 1)
     fit = slope * ps + intercept
     residual = float(np.sqrt(np.mean((fit - ys) ** 2)))
-    return RadiusEstimate(
-        value=math.exp(-slope),
-        method="root_test",
-        diagnostics=RadiusDiagnostics(coefficients_used=used, residual=residual),
-    )
+    return _estimate(math.exp(-slope), "root_test", used, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +154,7 @@ def _float_seeds(nums: tuple) -> Optional[list]:
     return [mp.mpc(r) for r in roots.tolist()]
 
 
-def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
+def radius_zero_search(scheme: SchemeSpec, lam: Number) -> dict:
     """Radius as the modulus of the symbol zero nearest the origin.
 
     With w = e^{i theta}, Q(w) = w^n * S is a polynomial with exact rational
@@ -241,25 +213,15 @@ def radius_zero_search(scheme: SchemeSpec, lam: Number) -> RadiusEstimate:
             f"polynomial of scheme {scheme.name} at lambda={lam}"
         ) from error
     if not zeros:
-        return RadiusEstimate(
-            value=math.inf,
-            method="zero_search",
-            diagnostics=RadiusDiagnostics(coefficients_used=0, residual=0.0),
-        )
+        return _estimate(math.inf, "zero_search", 0, 0.0)
     best, exact = min(zeros, key=lambda z: (round(abs(z[0]) / 1e-9), z[0].real, z[0].imag))
     with mp.workdps(dps + extra):
         value = float(abs(exact))
     residual = abs(eval_symbol(scheme, lam, best))
-    return RadiusEstimate(
-        value=value,
-        method="zero_search",
-        diagnostics=RadiusDiagnostics(
-            coefficients_used=len(q.nums) - 1, residual=residual, zero=best
-        ),
-    )
+    return _estimate(value, "zero_search", len(q.nums) - 1, residual, zero=best)
 
 
-def heat_closed_form_radius(lam: Number) -> RadiusEstimate:
+def heat_closed_form_radius(lam: Number) -> dict:
     """Closed-form radius for the centered heat scheme, for every lambda > 0.
 
     The symbol 1 - 4 lambda sin^2(theta/2) vanishes where
@@ -281,8 +243,4 @@ def heat_closed_form_radius(lam: Number) -> RadiusEstimate:
             zero = mp.mpc(2 * mp.asin(u), 0)
         value = float(abs(zero))
         zero = complex(float(zero.real), float(zero.imag))
-    return RadiusEstimate(
-        value=value,
-        method="closed_form",
-        diagnostics=RadiusDiagnostics(coefficients_used=0, residual=0.0, zero=zero),
-    )
+    return _estimate(value, "closed_form", 0, 0.0, zero=zero)

@@ -1,4 +1,4 @@
-"""Scheme model, text-format parser/renderer, and the builtin catalog,
+"""Scheme model, text-format parser, and the builtin catalog,
 whose schemes are texts in that format read by the same parser.
 
 A scheme is the explicit one-step update
@@ -35,7 +35,6 @@ __all__ = [
     "SchemeParseError",
     "SchemeConsistencyError",
     "parse_scheme",
-    "render_scheme",
     "builtin_catalog",
     "catalog_scheme",
 ]
@@ -267,16 +266,6 @@ def parse_scheme(text: str) -> SchemeSpec:
     if not pde:
         raise SchemeParseError("no pde entries", 1)
     return SchemeSpec(name=name, q=q, stencil=stencil, pde=pde)
-
-
-def render_scheme(spec: SchemeSpec) -> str:
-    """Render a SchemeSpec back to the text format (parse/render round trip)."""
-    lines = [f"scheme {spec.name}", f"q = {spec.q}"]
-    for order, a in spec.pde:
-        lines.append(f"pde A[{order}] = {a}")
-    for offset, w in spec.stencil:
-        lines.append(f"stencil B[{offset}] = {LambdaPoly.render_terms(w.coeffs)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ the reference for ``modeq.exactalg.series_log``.  ``series_exp`` is the
 series exponential by the same kind of recurrence, the inverse that the
 round trips with ``series_log`` check.  ``fraction_log`` is log x of a
 positive Fraction, the reference for the root test's log from integers.
+``render_scheme`` writes a scheme back in the text format, for the
+parser's round trips.  ``measured_amplification`` is one mode's one-step
+ratio on a grid stepped by ``modeq.empirics.step``, the cross-check of the
+symbol against the stepped scheme.
 Tests import them as ``from oracles import ...``, as they import
 ``conftest``.
 """
@@ -34,11 +38,46 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import lp
-from modeq.derivation import ModifiedEq, derive_log, symbol_series
+from modeq import empirics
+from modeq.derivation import CrossCheckError, ModifiedEq, derive_log, symbol_series
 from modeq.exactalg import LP_ONE, LP_ZERO, LambdaPoly, SeriesPreconditionError
 from modeq.schemes import SchemeSpec
 from modeq.spectra import (DEFAULT_GRID, DEFAULT_TOL, THETAS, RegionReport, _signed_coeffs,
-                           eval_symbol)
+                           eval_symbol, symbol_weights)
+
+
+def render_scheme(spec: SchemeSpec) -> str:
+    """Render a SchemeSpec back to the text format (parse/render round trip)."""
+    lines = [f"scheme {spec.name}", f"q = {spec.q}"]
+    for order, a in spec.pde:
+        lines.append(f"pde A[{order}] = {a}")
+    for offset, w in spec.stencil:
+        lines.append(f"stencil B[{offset}] = {LambdaPoly.render_terms(w.coeffs)}")
+    return "\n".join(lines) + "\n"
+
+
+def measured_amplification(scheme: SchemeSpec, lam, mode: int, gridsize: int) -> complex:
+    """Per-step multiplier of the Fourier mode under the actual stencil.
+
+    Applies one ``modeq.empirics.step`` to e^{2 pi i m j / M} and returns
+    the ratio u'_j / u_j, which must be the same at every j and must equal
+    the symbol at theta = 2 pi m / M, both to within 1e-12; violations of
+    either raise CrossCheckError.
+    """
+    if not 0 <= mode < gridsize:
+        raise ValueError(f"mode {mode} outside [0, {gridsize})")
+    u = empirics.mode_grid(mode, gridsize)
+    ratios = empirics.step(symbol_weights(scheme, lam), u) / u
+    ratio = complex(ratios[0])
+    spread = float(np.max(np.abs(ratios - ratio)))
+    if spread > 1e-12:
+        raise CrossCheckError(
+            f"mode {mode}: amplification varies across the grid by {spread:.3e}"
+        )
+    predicted = eval_symbol(scheme, lam, 2.0 * math.pi * mode / gridsize)
+    if abs(ratio - predicted) > 1e-12:
+        raise CrossCheckError(f"mode {mode}: measured {ratio} vs symbol {predicted}")
+    return ratio
 
 
 def fraction_symbol_series(scheme: SchemeSpec, order: int) -> tuple:

@@ -18,11 +18,11 @@ import pytest
 
 from conftest import lp
 from modeq.derivation import derive_log, symbol_series, upwind_symmetry_check
-from modeq.empirics import measured_amplification
 from modeq.radius import radius_root_test, radius_zero_search
 from modeq.schemes import builtin_catalog, catalog_scheme
 from modeq.spectra import THETAS, _theta_coeffs, _truncation, eval_symbol, region_scan
-from oracles import bernoulli, derive_elimination, euler_poly_at_zero, series_exp
+from oracles import (bernoulli, derive_elimination, euler_poly_at_zero,
+                     measured_amplification, series_exp)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -133,17 +133,17 @@ def test_criterion_05_radii(heat):
     rt_quarter = radius_root_test(modeq, Fraction(1, 4))
     elapsed = time.perf_counter() - start
     ok = (
-        abs(zs_half.value - math.pi / 2) <= 1e-8
-        and abs(zs_quarter.value - math.pi) <= 1e-8
-        and abs(rt_half.value - math.pi / 2) <= 0.05 * (math.pi / 2)
-        and abs(rt_quarter.value - math.pi) <= 0.05 * math.pi
+        abs(zs_half["value"] - math.pi / 2) <= 1e-8
+        and abs(zs_quarter["value"] - math.pi) <= 1e-8
+        and abs(rt_half["value"] - math.pi / 2) <= 0.05 * (math.pi / 2)
+        and abs(rt_quarter["value"] - math.pi) <= 0.05 * math.pi
         and elapsed < 30.0
     )
     _report(
         5,
         ok,
         f"zero search pi/2, pi within 1e-8; root test on 40 coefficients within "
-        f"5% ({rt_half.value:.4f}, {rt_quarter.value:.4f}); {elapsed:.2f}s < 30s",
+        f"5% ({rt_half['value']:.4f}, {rt_quarter['value']:.4f}); {elapsed:.2f}s < 30s",
     )
     assert ok
 
@@ -180,7 +180,7 @@ def test_criterion_06_bernoulli_euler_identities(heat):
 
 def test_criterion_07_upwind_mirror_symmetry():
     report = upwind_symmetry_check(derive_log(catalog_scheme("upwind_euler"), 12))
-    ok = report.modulus_ok and report.coefficient_ok and report.orders[-1] == 12
+    ok = report["modulus_ok"] and report["coefficient_ok"] and report["orders"][-1] == 12
     _report(
         7,
         ok,

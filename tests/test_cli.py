@@ -19,7 +19,7 @@ from modeq import exactalg, spectra
 from modeq.cli import (_CSV_RUN_ROWS, _fmt, _parse_orders, _parse_range, _region_columns,
                        _regions_json, _write_csv, build_parser, main)
 from modeq.derivation import derive_log
-from modeq.exactalg import LP_ONE
+from modeq.exactalg import LP_ONE, LambdaPoly
 from modeq.schemes import catalog_scheme, parse_scheme
 from modeq.spectra import RegionReport
 from oracles import REGION_KEYS, region_report_json_dict, sweep_region_samples
@@ -248,6 +248,8 @@ class TestCommandLineErrors:
             (["modeq", *HEAT, "-N", "x"], "-N expects a comma-separated integer list, got 'x'"),
             (["modeq", *HEAT, "-N", ","], "-N list is empty"),
             (["modeq", *HEAT, "-N", "0"], "series order must be >= 1, got 0"),
+            (["modeq", *HEAT, "-N", "1"],
+             "scheme heat_centered: modified equation order 1 is below the PDE order 2"),
             (["figures", *HEAT, "--lambdas", "1/4"], "-N is required for this subcommand"),
             (["radius", *HEAT, "--lambdas", "1/0", "-N", "16"], "bad lambda value '1/0'"),
             (["radius", *HEAT, "--lambdas", ",", "-N", "16"], "--lambdas list is empty"),
@@ -255,8 +257,8 @@ class TestCommandLineErrors:
              "--lambda-range expects LO:HI:COUNT, got '0:1'"),
             (["modeq", "--file", "MISSING"], "cannot read"),
         ],
-        ids=["N-not-integer", "N-empty", "N-zero", "N-missing", "lambda-zero-denominator",
-             "lambdas-empty", "range-two-fields", "file-missing"],
+        ids=["N-not-integer", "N-empty", "N-zero", "N-below-pde-order", "N-missing",
+             "lambda-zero-denominator", "lambdas-empty", "range-two-fields", "file-missing"],
     )
     def test_input_error_exits_1_without_output(self, capsys, tmp_path, argv, message):
         argv = [str(tmp_path / "missing.scheme") if a == "MISSING" else a for a in argv]
@@ -539,9 +541,9 @@ class TestRegionsCommand:
         f.write_text(LAM16)
         # c_2 too first leaves the float range at 1e20
         c_2 = derive_log(parse_scheme(LAM16), 2).coeff(2)
-        c_2.float_at(0.0)
+        next(LambdaPoly.float_rows((c_2,), (0.0,)))
         with pytest.raises(OverflowError):
-            c_2.float_at(1e20)
+            next(LambdaPoly.float_rows((c_2,), (1e20,)))
         code, out, err = run(capsys, "regions", "--file", str(f), "--lambda-range", "0:1e20:2",
                              "-N", "2", "--out", str(tmp_path / "out"))
         assert (code, out) == (1, "")
@@ -851,8 +853,6 @@ class TestSymmetryCommand:
         assert code == 1
 
     def test_identity_violation_exits_2(self, capsys, monkeypatch):
-        import dataclasses
-
         import modeq.cli
         from modeq.derivation import upwind_symmetry_check as real_check
 
@@ -860,8 +860,8 @@ class TestSymmetryCommand:
 
         def broken(modeq):
             calls.append(modeq.order)
-            return dataclasses.replace(real_check(modeq), coefficient_ok=False,
-                                       first_violation=2)
+            return {**real_check(modeq), "coefficient_ok": False, "first_violation": 2,
+                    "ok": False}
 
         monkeypatch.setattr(modeq.cli, "upwind_symmetry_check", broken)
         code, out, err = run(capsys, "symmetry", "--lambdas", "1/4,1/10")

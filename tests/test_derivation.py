@@ -244,19 +244,19 @@ class TestConsistency:
     def test_heat(self, heat):
         modeq = derive_log(heat, 8)
         report = consistency_report(heat, modeq)
-        assert report.ok
-        assert report.matched_orders == (2,)
-        assert report.leading_error_order == 2
+        assert report["ok"]
+        assert report["matched_orders"] == [2]
+        assert report["leading_error_order"] == 2
 
     def test_upwind(self, upwind):
         report = consistency_report(upwind, derive_log(upwind, 4))
-        assert report.ok
-        assert report.leading_error_order == 1
+        assert report["ok"]
+        assert report["leading_error_order"] == 1
 
     def test_lax_wendroff_second_order_accurate(self, lax):
         report = consistency_report(lax, derive_log(lax, 6))
-        assert report.ok
-        assert report.leading_error_order == 2
+        assert report["ok"]
+        assert report["leading_error_order"] == 2
 
     def test_wrong_advection_sign_fails(self):
         wrong = SchemeSpec(
@@ -266,9 +266,9 @@ class TestConsistency:
             pde={1: Fraction(-1)},
         )
         report = consistency_report(wrong, derive_log(wrong, 4))
-        assert not report.ok
-        assert report.failures[0].p == 1
-        assert report.failures[0].residual
+        assert not report["ok"]
+        assert report["failures"][0]["p"] == 1
+        assert report["failures"][0]["residual"] != "0"
 
     def test_declared_order_at_wrong_grading_fails(self):
         spec = SchemeSpec(
@@ -278,8 +278,8 @@ class TestConsistency:
             pde={1: Fraction(1), 2: Fraction(-1)},
         )
         report = consistency_report(spec, derive_log(spec, 6))
-        assert not report.ok
-        assert any(f.p == 1 for f in report.failures)
+        assert not report["ok"]
+        assert any(f["p"] == 1 for f in report["failures"])
 
     def test_nonzero_first_moment_fails_negative_grading(self):
         # q = 2, but sum_p p B_p = -1, so c_1 = -1 is an advection term
@@ -290,14 +290,14 @@ class TestConsistency:
             pde={2: Fraction(-1)},
         )
         report = consistency_report(spec, derive_log(spec, 6))
-        assert not report.ok
-        first = report.failures[0]
-        assert (first.p, first.residual) == (1, lp(-1))
-        assert first.message == "c_1 must vanish (grading -1 < 0)"
-        assert report.to_json_dict()["failures"][0]["message"] == first.message
+        assert not report["ok"]
+        first = report["failures"][0]
+        assert (first["p"], first["residual"]) == (1, str(lp(-1)))
+        assert first["message"] == "c_1 must vanish (grading -1 < 0)"
 
     def test_order_precondition(self, heat):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^scheme heat_centered: modified equation "
+                                             r"order 1 is below the PDE order 2$"):
             consistency_report(heat, derive_log(heat, 1))
 
 

@@ -11,12 +11,12 @@ from modeq.derivation import CrossCheckError, derive_log
 from modeq.empirics import (
     _relative_gap,
     evolve_and_compare,
-    measured_amplification,
     mode_grid,
     step,
 )
 from modeq.schemes import builtin_catalog, catalog_scheme, parse_scheme
 from modeq.spectra import _theta_coeffs, _truncation, eval_symbol, symbol_weights
+from oracles import measured_amplification
 
 
 class TestStep:

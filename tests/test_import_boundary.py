@@ -26,13 +26,13 @@ EXPORTED = (
     "InexactDivisionError LambdaPoly SeriesPreconditionError "
     "series_log SchemeConsistencyError SchemeError "
     "SchemeParseError SchemeSpec builtin_catalog catalog_scheme "
-    "parse_scheme render_scheme ConsistencyReport CrossCheckError ModifiedEq "
+    "parse_scheme CrossCheckError ModifiedEq "
     "consistency_report derive_log symbol_series "
-    "CertificateRefusal RegionReport SymmetryReport "
+    "CertificateRefusal RegionReport "
     "eval_symbol figure_data truncation_certificate region_scan "
-    "upwind_symmetry_check RadiusEstimate ZeroSearchError "
+    "upwind_symmetry_check ZeroSearchError "
     "heat_closed_form_radius radius_root_test "
-    "radius_zero_search evolve_and_compare measured_amplification step"
+    "radius_zero_search evolve_and_compare step"
 ).split()
 
 

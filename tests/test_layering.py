@@ -4,10 +4,10 @@ the symbol, and every proof about them, are ``modeq.derivation``'s.  So
 ``modeq.exactalg``; they reach exact values through ``derivation`` and
 ``schemes``.  Function-local imports count too.
 
-Each function a numeric layer exports is read by the package itself: a
-public function whose only callers are tests is surface to delete.
-``measured_amplification`` is the one exception, the acceptance suite's
-cross-check of the symbol against the stepped scheme.
+Each function a layer exports is read by the package itself, or by the
+benchmark harness under ``bench/``, which calls the package as a user
+does: a public function whose only callers are tests is surface to
+delete, or to move into ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import pytest
 import modeq
 
 PACKAGE = Path(modeq.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 NUMERIC = ("spectra", "radius", "empirics")
+LAYERS = ("exactalg", "schemes", "derivation", *NUMERIC)
 
 
 def exactalg_imports(source: str) -> list[str]:
@@ -58,10 +60,6 @@ def test_checker_flags_exactalg_imports(source, found):
     assert exactalg_imports(source) == found
 
 
-# functions a numeric layer exports for the tests alone
-TEST_ONLY = {"measured_amplification"}
-
-
 def unreferenced_exports(module: str, sources: dict) -> list[str]:
     """The functions defined in ``sources[module]`` and named in its
     ``__all__`` that no source of ``sources`` (module name -> text) reads
@@ -81,11 +79,12 @@ def unreferenced_exports(module: str, sources: dict) -> list[str]:
     return [name for name in exported if name in functions and name not in read]
 
 
-@pytest.mark.parametrize("name", NUMERIC)
+@pytest.mark.parametrize("name", LAYERS)
 def test_every_exported_function_has_a_package_caller(name):
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert set(unreferenced_exports(name, sources)) <= TEST_ONLY
-    assert TEST_ONLY <= {n for m in NUMERIC for n in unreferenced_exports(m, sources)}
+    sources.update({f"bench/{path.stem}": path.read_text(encoding="utf-8")
+                    for path in BENCH.glob("*.py")})
+    assert unreferenced_exports(name, sources) == []
 
 
 @pytest.mark.parametrize("sources, found", [

@@ -1,11 +1,12 @@
 """Every command in README's "Command line" block runs and exits 0, the
 flag table lists exactly the flags each subcommand registers, the caps it
-names are the package's, the CSV column
-lists and the certificate keys name those the functions return, and the
-"Library" example prints what its comments say, the scheme-file example
-is the catalog's Lax-Wendroff scheme, and the truncation-verdict counts in
-"Notes on the methods" are the scans' own, so a flag, cap, name, format or
-verdict-step change in the package cannot linger in the documentation."""
+names are the package's, the CSV column lists and the certificate,
+radius, consistency and symmetry keys name those the functions return,
+the "Library" example prints what its comments say, the scheme-file
+example is the catalog's Lax-Wendroff scheme, and the truncation-verdict
+counts in "Notes on the methods" are the scans' own, so a flag, cap,
+name, format or verdict-step change in the package cannot linger in the
+documentation."""
 
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ import pytest
 
 from modeq import cli, schemes, spectra
 from modeq.cli import build_parser, main
-from modeq.derivation import derive_log
+from modeq.derivation import consistency_report, derive_log, upwind_symmetry_check
 from modeq.empirics import evolve_and_compare
+from modeq.radius import heat_closed_form_radius, radius_root_test, radius_zero_search
 from modeq.schemes import catalog_scheme, parse_scheme
 from modeq.spectra import figure_data, truncation_certificate
 
@@ -107,7 +109,7 @@ def test_caps_named_are_the_package_caps():
 
 def test_csv_columns_match_the_code():
     curve, evolve = _output_lists("columns")
-    [certificate] = _output_lists("keys")
+    certificate, entry, diagnostics, consistency, failure, row = _output_lists("keys")
     heat = catalog_scheme("heat_centered")
     modeq = derive_log(heat, 8)
     [table] = figure_data(heat, modeq, [0.5], (2, 8))
@@ -118,6 +120,14 @@ def test_csv_columns_match_the_code():
     assert evolve == list(evolve_and_compare(heat, modeq, 0.5, 8, 1, 8)[0])
     [cert] = truncation_certificate(heat, modeq, 0.2, (4,), 3.0, 1.0)
     assert certificate == list(cert)
+    for est in (radius_root_test(derive_log(heat, 16), 0.5), radius_zero_search(heat, 0.5),
+                heat_closed_form_radius(0.5)):
+        assert (entry, diagnostics) == (list(est), list(est["diagnostics"]))
+    wrong_sign = parse_scheme("scheme wrong_sign\nq = 1\npde A[1] = -1\n"
+                              "stencil B[-1] = 1\nstencil B[0] = -1\n")
+    report = consistency_report(wrong_sign, derive_log(wrong_sign, 2))
+    assert (consistency, failure) == (list(report), list(report["failures"][0]))
+    assert row == list(upwind_symmetry_check(derive_log(catalog_scheme("upwind_euler"), 4)))
 
 
 def test_library_example_prints_its_comments(capsys):

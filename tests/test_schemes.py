@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import lp
 from modeq.exactalg import LP_ZERO, LambdaPoly
-from oracles import GOLDEN
+from oracles import GOLDEN, render_scheme
 from modeq.schemes import (
     MAX_LAMBDA_POWER,
     MAX_STENCIL_OFFSET,
@@ -21,7 +21,6 @@ from modeq.schemes import (
     catalog_scheme,
     parse_scheme,
     _parse_poly,
-    render_scheme,
 )
 
 UPWIND_TEXT = """\

@@ -998,9 +998,9 @@ class TestUpwindSymmetry:
         # the proof holds at every lambda, so at 1/2 -+ 1/4 in particular
         modeq = derive_log(upwind, 8)
         report = upwind_symmetry_check(modeq)
-        assert report.ok and report.modulus_ok
-        assert report.orders == (2, 4, 6, 8)
-        for p in report.orders:
+        assert report["ok"] and report["modulus_ok"]
+        assert report["orders"] == [2, 4, 6, 8]
+        for p in report["orders"]:
             c = modeq.coeff(p)
             assert Fraction(1, 4) * c(Fraction(1, 4)) == Fraction(3, 4) * c(Fraction(3, 4))
 
@@ -1008,19 +1008,19 @@ class TestUpwindSymmetry:
         # lambda = 1/2 is its own mirror image, so an odd c_p (p >= 3), whose
         # lambda c_p changes sign under the reflection, vanishes there
         modeq = derive_log(upwind, 7)
-        assert upwind_symmetry_check(modeq).ok
+        assert upwind_symmetry_check(modeq)["ok"]
         assert [modeq.coeff(p)(Fraction(1, 2)) for p in (3, 5, 7)] == [0, 0, 0]
 
     def test_edge_compares_frozen_and_unit_transport(self, upwind):
         # at 1/2 +- 1/2 the identity compares lambda = 0 (no update, so the
         # factor lambda vanishes) with lambda = 1 (an exact shift, so c_p(1) = 0)
         modeq = derive_log(upwind, 8)
-        assert upwind_symmetry_check(modeq).ok
+        assert upwind_symmetry_check(modeq)["ok"]
         assert all(modeq.coeff(p)(1) == 0 for p in range(2, 9))
 
     def test_even_identity_proved_through_order_64(self, upwind_64):
         report = upwind_symmetry_check(upwind_64)
-        assert report.ok and report.orders == tuple(range(2, 65, 2))
+        assert report["ok"] and report["orders"] == list(range(2, 65, 2))
 
     def test_odd_orders_are_antisymmetric(self, upwind_64):
         # f_p = lambda c_p changes sign under lambda -> 1 - lambda for odd
@@ -1037,10 +1037,13 @@ class TestUpwindSymmetry:
         # lambda^k added to c_p breaks the identity at p (lambda^(k+1) is not
         # its own reflection) and nowhere before
         p = 2 * half_p
-        modeq = _with_coefficient(derive_log(upwind, 12), p, LambdaPoly([0] * k + [1]))
-        report = upwind_symmetry_check(modeq)
-        assert report.modulus_ok and not report.coefficient_ok and not report.ok
-        assert report.first_violation == p
+        modeq = derive_log(upwind, 12)
+        report = upwind_symmetry_check(_with_coefficient(modeq, p, LambdaPoly([0] * k + [1])))
+        assert report["modulus_ok"] and not report["coefficient_ok"] and not report["ok"]
+        assert report["first_violation"] == p
+        # ok is stored, not derived: it must be the two identities together
+        for row in (report, upwind_symmetry_check(modeq)):
+            assert row["ok"] == (row["modulus_ok"] and row["coefficient_ok"])
 
 
 class TestFigureData:
