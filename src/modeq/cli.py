@@ -251,7 +251,7 @@ def _regions_json(report, columns: Mapping[str, Sequence]) -> str:
     sample = ("    {" + "".join(f'\n      "{key}": %s,' for key in ("lambda", *report.columns))
               + '\n      "trunc_stable": ' + ("{" + verdicts + "\n      }" if verdicts else "{}")
               + "\n    }")
-    # the C encoder's ", " separator occurs in no float or bool text
+    # the C encoder's ", " separator occurs in no float, bool or "undecided" text
     values = json.dumps(list(chain.from_iterable(zip(*columns.values()))))[1:-1].split(", ")
     return (text[:-len("[]\n}")] + "[\n"
             + ",\n".join([sample] * len(report.samples)) % tuple(values) + "\n  ]\n}\n")
@@ -318,12 +318,12 @@ def cmd_radius(args: argparse.Namespace) -> int:
     results = []
     for lam in lambdas:
         # the root test reads the c_p at lam only: derive them at lam
-        results.append({
-            "lambda": str(lam),
-            "root_test": radius.radius_root_test(derive_log(scheme, order, lam), lam),
-            "zero_search": radius.radius_zero_search(scheme, lam),
-            "closed_form": radius.heat_closed_form_radius(lam) if heat_stencil else None,
-        })
+        estimates = {"root_test": radius.radius_root_test(derive_log(scheme, order, lam), lam),
+                     "zero_search": radius.radius_zero_search(scheme, lam),
+                     "closed_form": radius.heat_closed_form_radius(lam) if heat_stencil else None}
+        results.append({"lambda": str(lam), **{  # an infinite radius is written "inf"
+            key: est if not est or est["value"] < math.inf else {**est, "value": "inf"}
+            for key, est in estimates.items()}})
     _emit_json({"scheme": scheme.name, "estimates": results}, _out_dir(args),
                f"{scheme.name}_radius.json")
     return 0

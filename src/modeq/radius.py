@@ -51,11 +51,11 @@ class ZeroSearchError(CrossCheckError):
 def _estimate(value: float, method: str, coefficients_used: int, residual: float,
               zero: Optional[complex] = None, all_coefficients_zero: bool = False,
               polynomial_tail: bool = False) -> dict:
-    """One radius report entry, keys in report order: ``value`` (> 0, the
-    string ``"inf"`` for an infinite radius), ``method`` ("root_test",
+    """One radius report entry, keys in report order: ``value`` (> 0, and
+    ``math.inf`` for an infinite radius), ``method`` ("root_test",
     "zero_search" or "closed_form") and how it was obtained."""
     return {
-        "value": "inf" if math.isinf(value) else value,
+        "value": value,
         "method": method,
         "diagnostics": {
             "coefficients_used": coefficients_used,

@@ -3,10 +3,10 @@
 Covers: pointwise/grid evaluation of S(theta), the contraction angle
 theta_m, stability and contraction region scans over the mesh ratio,
 finite-horizon stability certificates, and figure-data tables.  The
-truncation verdicts, figures and certificates sample theta on one
-read-only grid, ``THETAS``: DEFAULT_GRID uniform points on [0, pi], both
-endpoints exact.  The exact forms of the symbol, and every proof about
-them, are ``derivation``'s; this module rounds and samples them.
+figures and certificates sample theta on one read-only grid, ``THETAS``:
+DEFAULT_GRID uniform points on [0, pi], both endpoints exact.  The exact
+forms of the symbol are ``derivation``'s; this module rounds and samples
+them.
 
 Exact first, then round: the symbol coefficients a_p(lambda) of
 ``SchemeSpec.symbol`` and the modified-equation coefficients c_p(lambda) are
@@ -30,33 +30,34 @@ only: against the 4096-point grid sweep (catalog, random stencils to +-8,
 lambda to 1e200) none was below the grid's by more than
 2^-44 (1 + sum_p |a_p|) / 25, and the true maximum was up to 2e-8 above it.
 
-A truncation verdict, Re P_N <= tol at every grid point, is what the
-Horner sweep of the whole grid would give, decided for all the lambdas of
-a scan at once, each from its own row (``_truncation_verdicts``), by one
-kernel (``_horner_upper``): the Horner steps as numpy float64 steps on
-each coefficient's column, over intervals [x_a, x_b] of grid points.  On
-a degenerate interval [x, x] both corners of each product are v * x, the
-sweep's own step, so its result is the sweep's value at x, bit for bit.
-The grid lies in [0, pi] with pi its last point, each row's even entries
-d (the signed c_{2k}) are finite and its odd ones +0.0, and IEEE rounding
-is monotone, so:
-  1. the value at one of the 18 grid points, index 1 and the indices
-     k * last // 16 (pi among them), is > tol: unstable;
-  2. else the upper ends on the 17 pieces between those points are all
-     <= tol: stable.  For x >= 0 a rounded v * x is non-decreasing in v and
-     monotone in x, so over v <= hi its upper end is hi * x_b if hi >= 0,
-     else hi * x_a; a rounded v + d is non-decreasing in v;
-  3. else the kernel evaluates the row at every grid point of the pieces
-     whose upper end exceeds tol.
-Step 2 decides every row whose d share a sign.  With every d <= 0 each
-upper end is <= 0.  With every d >= 0 no corner is negative, so the last
-piece's steps are those of the value at pi, bit for bit (<= tol once step
-1 has passed), and no other piece's upper end exceeds it.
-No step meets NaN: the d are finite, so an infinity plus d stays that
-infinity, and a negative upper end on the piece from 0 is clamped to
-hi * 0, a zero, so it never meets -inf * 0.  So an overflow needs no
-guard: -inf is a value or a bound like any other, and +inf fails the test
-of its step.
+A truncation verdict is a proof about the exact c_p(lambda)
+(``_truncation_verdicts``), by a float filter with an error bound
+(Shewchuk 1997).  With t = theta^2, Re P_N = t q(t), q(t) = sum_k d_{k+1}
+t^k, d_k the c_{2k} signed as i^{2k}: stable when q <= 0 on [0, pi^2],
+unstable when q > 0 somewhere in (0, pi^2].  Each d is its exact value
+rounded once, and ``region_scan`` re-evaluates each zero, so a d is zero
+only when exact and otherwise has its exact sign: every d <= 0 is stable,
+a positive lowest nonzero d unstable.  Any other q is divided by t^j, j
+its zeros below the lowest nonzero d, and, if some |d| >= 1, by the power
+of two that puts every |d| below 1: the m coefficients q_k are each within
+u |q_k| + 2^-1073 of their exact values, u = 2^-53.  The kernel
+(``_horner_upper``) runs Horner's rule in floats.  A product p errs by at
+most u |p| + 2^-1075 and a sum by u times its value, so the error of step
+k is at most t times that of step k + 1 plus u (t |v_{k+1}| + |p_k| + 2
+|q_k|) + 2^-1072, where |v_k|, |p_k| <= (1 + u)^{2m} M_k, M_k = sum_{i >=
+k} s_i t^{i-k} and s_i = |q_i| + 2^-960 outweighs every absolute term
+(and leaves a row of entries below about 2^-900 open).
+Summed, |q(t) - v| <= 2u (1 + u)^{2m} sum_i (i + 1) s_i t^i <= E = (2m +
+2) u mag, mag the float M_0 (Higham 2002, 5.1): v - E > 0 proves the row
+unstable.  On a piece [a, b] of [0, T], T the double above pi^2 (``math.pi
+** 2`` is below it), q <= q(a) + (b - a) max(0, sup q'), and the same
+steps on q', coefficients k q_k, each product at its larger corner (max(h
+a, h b); rounding is monotone), bound q' above by hi + (4m + 4) u mag',
+mag' from the k s_k at b.  3m u mag' would do; the rest covers the
+roundings of R = E + (b - a) max(0, ...), as E's slack covers underflows.
+So v + R <= 0 proves the piece.  The 16 first pieces are equal in theta,
+and an open piece is halved, up to 44 times; a row reads "undecided" once
+more than 32 of its pieces are open, and when it is still open at the cap.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ DEFAULT_GRID = 4096
 THETAS = np.linspace(0.0, math.pi, DEFAULT_GRID)
 THETAS.flags.writeable = False
 DEFAULT_TOL = 1e-12
+_PIECES, _DEPTH, _T = 16, 44, math.nextafter(math.pi ** 2, math.inf)
 
 Number = Union[int, float, Fraction]
 
@@ -194,51 +196,49 @@ def _symbol_sum(weights, basis):
     return acc
 
 
-def _horner_upper(x_a: np.ndarray, x_b: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each interval [x_a[j], x_b[j]] in [0, pi] and each row c of
-    ``rows`` (count, n + 1), n >= 1, +0.0 at odd k: the upper end of
-    sum_k c[k] x^k over the interval by ``polyval``'s float steps, less its
-    adds of +0.0 at odd k (those change only a -0.0, and the kept add of
-    c[0] gives the same zero anyway), as a (len(x_a), count) array.  Each
-    product takes its larger corner, hi * x_b for hi >= 0, else hi * x_a,
-    so at [x, x] the result is polyval's value at x, bit for bit."""
-    x_a, x_b = x_a[:, None], x_b[:, None]
-    c = rows.T
-    hi = np.repeat(c[-1][None], len(x_a), axis=0)
-    for k in range(len(c) - 2, -1, -1):
-        hi = np.fmax(hi * x_a, hi * x_b)  # fmax drops the NaN of an unused corner inf * 0
-        if k % 2 == 0:
-            hi += c[k]
-    return hi
+def _horner_upper(a: np.ndarray, b: np.ndarray, rows: np.ndarray, index) -> tuple:
+    """For q = ``rows[index[j]]`` (sum_k q[k] t^k, |q[k]| < 1, fewer than 300)
+    and 0 <= a[j] < b[j] < 10, so that nothing overflows: the float Horner
+    value v of q at a[j], its error term E, and R with q <= v + R on [a[j],
+    b[j]], as the module docstring derives them."""
+    m, v, mag, hi, dmag = rows.shape[1], 0.0, 0.0, 0.0, 0.0
+    for k in range(m - 1, -1, -1):  # a column at a time: no (m, len(a)) copy
+        c = rows[index, k]
+        s = np.abs(c) + 2.0 ** -960
+        v, mag = v * a + c, mag * a + s
+        if k:  # q' = sum_k k q[k] t^(k-1), its upper end on [a, b]
+            hi, dmag = np.maximum(hi * a, hi * b) + k * c, dmag * b + k * s
+    err = (2 * m + 2) * 2.0 ** -53 * mag
+    return v, err, err + np.maximum(hi + (4 * m + 4) * 2.0 ** -53 * dmag, 0.0) * (b - a)
 
 
-def _truncation_verdicts(thetas: np.ndarray, rows: np.ndarray) -> list:
-    """Whether sum_k c[k] theta^k <= DEFAULT_TOL at every point of
-    ``thetas``, a grid on [0, pi] whose last point is pi (``THETAS`` in a
-    scan), for each row c of ``rows`` (finite, +0.0 at odd k), as the sweep
-    of the whole grid would say, by the three steps of the module
-    docstring: steps 1 and 2 in one kernel call per block of at most 1024
-    rows, step 3 in one call per row they leave undecided."""
-    last = len(thetas) - 1
-    # index 1, next to 0, picked by measurement: a row whose maximum lies in
-    # [0, thetas[last // 16]], where the other point is 0 and the value 0,
-    # is then mostly decided by step 1, not point by point in step 3
-    index = [0, 1] + [k * last // 16 for k in range(1, 17)]
-    ends = thetas[index]
-    # the 18 points as degenerate intervals, then the 17 pieces between them
-    x_a, x_b = np.concatenate([ends, ends[:-1]]), np.concatenate([ends, ends[1:]])
-    verdicts = []
-    for start in range(0, len(rows), 1024):
-        block = rows[start:start + 1024]
-        hi = _horner_upper(x_a, x_b, block)
-        value, upper = hi[:len(index)].max(axis=0), hi[len(index):]
-        stable = upper.max(axis=0) <= DEFAULT_TOL  # upper >= value: step 1's rows read False
-        for i in np.flatnonzero((value <= DEFAULT_TOL) & ~stable).tolist():
-            x = np.concatenate([thetas[index[j]:index[j + 1] + 1]
-                                for j in np.flatnonzero(upper[:, i] > DEFAULT_TOL).tolist()])
-            stable[i] = _horner_upper(x, x, block[i:i + 1]).max() <= DEFAULT_TOL
-        verdicts += stable.tolist()
-    return verdicts
+def _truncation_verdicts(rows: np.ndarray) -> list:
+    """For each row d_1..d_m of ``rows`` (a lambda's signed c_2, ..., c_2m):
+    True if q(t) = sum_k d_{k+1} t^k is proved <= 0 on [0, pi^2], False if
+    > 0 there, else "undecided" (module docstring), one kernel call a depth."""
+    if rows.shape[1] < 2:
+        return (rows <= 0).all(axis=1).tolist()
+    n, m = rows.shape
+    lead = (rows != 0).argmax(axis=1)
+    state = np.where((rows <= 0).all(axis=1), 1, np.where(rows[range(n), lead] > 0, 0, 2))
+    q = np.take_along_axis(np.hstack([rows, 0 * rows]), lead[:, None] + np.arange(m), 1)
+    q = np.ldexp(q, -np.maximum(np.frexp(np.abs(q).max(axis=1))[1], 0)[:, None])  # |q| < 1
+    ends, todo = _T * (np.arange(_PIECES + 1) / _PIECES) ** 2, np.flatnonzero(state == 2)
+    a, b, r = ends[:-1].repeat(len(todo)), ends[1:].repeat(len(todo)), np.tile(todo, _PIECES)
+    for _ in range(_DEPTH + 1):
+        v, err, bound = _horner_upper(a, b, q, r)
+        state[r[v - err > 0]] = 0  # proved > 0 at a
+        keep = v + bound > 0
+        count = np.bincount(r[keep], minlength=n)  # open pieces per row
+        state[(count == 0) & (state == 2)] = 1  # every piece proved <= 0
+        state[(count > 2 * _PIECES) & (state == 2)] = 3
+        keep &= state[r] == 2
+        a, b, r = a[keep], b[keep], r[keep]
+        if not len(r):
+            break
+        x = 0.5 * (a + b)  # halve the open pieces
+        a, b, r = np.concatenate([a, x]), np.concatenate([x, b]), np.concatenate([r, r])
+    return [(False, True, "undecided", "undecided")[v] for v in state.tolist()]
 
 
 def _signed_coeffs(modeq: ModifiedEq, lam: Number, ps) -> list[float]:
@@ -295,37 +295,37 @@ def region_scan(
     of ``lambda_range = (lo, hi, count)``, each rounded once.  With tol =
     DEFAULT_TOL, a sample is von Neumann stable (in_Rs) when max |S| <= 1 +
     tol on [0, pi], inside the contraction region (in_Omega_c) when max |1 -
-    S| < 1 - tol, and its truncation of order N stable when Re P_N <= tol on
-    the whole grid (the module docstring tells how each is read)."""
+    S| < 1 - tol, and its truncation of order N stable (True), unstable
+    (False) or "undecided" as the exact Re P_N on [0, pi] is proved to be
+    (the module docstring tells how each is read)."""
     lo, hi, count = lambda_range
     if not (0 <= lo < hi):
         raise ValueError(f"scheme {scheme.name}: need 0 <= lo < hi, got ({lo}, {hi})")
     if count < 2:
         raise ValueError(f"scheme {scheme.name}: need at least two lambda samples")
     orders = tuple(sorted(set(int(n) for n in orders)))
-    evens = []
-    if orders:
-        modeq = derive_log(scheme, max(orders))
-        evens = [(p, modeq.coeff(p)) for p in range(2, modeq.order + 1, 2)]
-    lams = _lambda_samples(lo, hi, int(count))
-    n = len(lams)
+    modeqs = [derive_log(scheme, max(orders))] if orders else []
+    evens = [(p, modeq.coeff(p)) for modeq in modeqs for p in range(2, modeq.order + 1, 2)]
+    n = len(lams := _lambda_samples(lo, hi, int(count)))
     width, table_rows = _rounded_tables(scheme, lams, evens)
-    # the tables and the even c_p, +0.0 at odd p: all that Re P_N reads
-    tables, rows = np.empty((n, 2 * width + 2)), np.zeros((n, orders[-1] + 1 if orders else 1))
+    # the tables and the even c_p: all that Re P_N reads
+    tables, rows = np.empty((n, 2 * width + 2)), np.empty((n, len(evens)))
     for i, row in enumerate(table_rows):
-        tables[i], rows[i, 2::2] = row[:2 * width + 2], row[2 * width + 2:]
+        tables[i], rows[i] = row[:2 * width + 2], row[2 * width + 2:]
+    # +-0.0 is an exact zero or a c_p below 2^-1075 in magnitude, which
+    # becomes the smallest double of its sign: every sign is then exact
+    for i, k in np.argwhere((rows == 0) & np.array([bool(c) for _, c in evens], bool)).tolist():
+        rows[i, k] = math.copysign(5e-324, v) if (v := evens[k][1](lams[i])) else 0.0
     # the c_p signed as i^p, as _signed_coeffs gives them (0.0 - c keeps a zero +0.0)
-    np.subtract(0.0, rows[:, 2::4], out=rows[:, 2::4])
-    # a huge lambda's maxima overflow to inf, and so do the Horner steps of a
-    # growing truncation: values that the flags and verdicts read
+    np.subtract(0.0, rows[:, ::2], out=rows[:, ::2])
+    # a huge lambda's maxima overflow to inf: values that the flags read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step = 2 ** 18 // width ** 2  # lambdas per block: eigenvalue stacks below 16 MiB
         s, oms, theta_m = np.hstack([_fields(tables[k:k + step], width)
                                      for k in range(0, n, step)])
         columns = {"max_abs_S": s, "max_abs_one_minus_S": oms, "theta_m": theta_m,
                    "in_Rs": s <= 1.0 + DEFAULT_TOL, "in_Omega_c": oms < 1.0 - DEFAULT_TOL}
-        verdicts = {order: tuple(_truncation_verdicts(THETAS, rows[:, : order + 1]))
-                    for order in orders}
+    verdicts = {order: tuple(_truncation_verdicts(rows[:, :order // 2])) for order in orders}
     return RegionReport(scheme_name=scheme.name, orders=orders, samples=tuple(lams),
                         columns={key: tuple(col.tolist()) for key, col in columns.items()},
                         trunc_stable=verdicts)

@@ -499,6 +499,44 @@ class TestRegionsCommand:
         assert header == "lambda,max_abs_S,max_abs_one_minus_S,theta_m,in_Rs,in_Omega_c,trunc_stable_N4"
         assert len(csv_text.splitlines()) == 62
 
+    # at lambda = 3 the theta^2 coefficient of Re P_8 is +4.8e5, so Re P_8 >
+    # 0 just above theta = 0, inside the first step of the 4096-point grid,
+    # which read the truncation stable
+    def test_grid_miss_reads_unstable(self, tmp_path, capsys):
+        f = tmp_path / "grid_miss.scheme"
+        f.write_text("scheme grid_miss\nq = 2\npde A[2] = 1\n"
+                     "stencil B[-1] = 7/4 + 14*lambda + 16*lambda^2\n"
+                     "stencil B[2] = -7/4 - 14*lambda - 16*lambda^2\n")
+        code, _, _ = run(capsys, "regions", "--file", str(f), "--lambda-range", "0:3:101",
+                         "-N", "8", "--out", str(tmp_path))
+        assert code == 0
+        rows = csv.DictReader(io.StringIO((tmp_path / "grid_miss_regions.csv").read_text()))
+        last = list(rows)[-1]
+        assert (last["lambda"], last["trunc_stable_N8"]) == ("3", "false")
+        report = json.loads((tmp_path / "grid_miss_regions.json").read_text())
+        assert report["lambda_samples"][-1]["trunc_stable"] == {"8": False}
+        # the exact Re P_8 at theta = 3.8e-4 is +0.057
+        modeq = derive_log(parse_scheme(f.read_text()), 8)
+        theta = Fraction(38, 10**5)
+        value = sum(modeq.coeff(p)(3) * (-1 if p & 2 else 1) * theta ** p for p in (2, 4, 6, 8))
+        assert round(float(value), 3) == 0.057
+
+    # at lambda = 0, Re P_N is the Taylor polynomial of cos(2 theta) - 1,
+    # which touches zero at theta = pi: N = 32 ends in a positive term, and
+    # N = 34 is within rounding of zero there (README, known defects)
+    def test_undecided_verdict_is_written(self, tmp_path, capsys):
+        f = tmp_path / "touch.scheme"
+        f.write_text("scheme touch\nq = 1\npde A[1] = 1\nstencil B[-2] = 1\n"
+                     "stencil B[-1] = -3\nstencil B[0] = -1\nstencil B[1] = 3\n")
+        code, _, _ = run(capsys, "regions", "--file", str(f), "--lambda-range", "0:1:2",
+                         "-N", "30,32,34", "--out", str(tmp_path))
+        assert code == 0
+        first = next(csv.DictReader(io.StringIO((tmp_path / "touch_regions.csv").read_text())))
+        assert [first[f"trunc_stable_N{n}"] for n in (30, 32, 34)] == ["true", "false", "undecided"]
+        report = json.loads((tmp_path / "touch_regions.json").read_text())
+        assert report["lambda_samples"][0]["trunc_stable"] == \
+            {"30": True, "32": False, "34": "undecided"}
+
     # at the caps c_p(lambda) is rounded in fixed point; the files must be
     # those of rounding each exact value once
     def test_caps_write_the_bytes_of_exact_rounding(self, tmp_path, capsys, monkeypatch):
@@ -1030,8 +1068,9 @@ _JSON_FLOATS = st.one_of(
 def _region_reports(draw):
     """A ``RegionReport`` of one to four samples of any floats and verdicts."""
     orders = draw(st.sampled_from([(), (2, 8, 24, 32), (1,), (4, 10)]))
+    verdict = st.sampled_from([True, False, "undecided"])
     rows = [draw(st.tuples(*[_JSON_FLOATS] * 4, st.booleans(), st.booleans(),
-                           st.tuples(*[st.booleans()] * len(orders))))
+                           st.tuples(*[verdict] * len(orders))))
             for _ in range(draw(st.integers(1, 4)))]
     return _report(draw(st.sampled_from(["heat_centered", "s%d \u00e9"])), orders, rows)
 

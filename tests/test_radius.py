@@ -107,7 +107,7 @@ class TestRootTest:
 
     def test_upwind_unit_ratio_flags_infinite(self, upwind_modeq_40):
         est = radius_root_test(upwind_modeq_40, 1)
-        assert est["value"] == "inf"
+        assert est["value"] == math.inf
         assert est["diagnostics"]["polynomial_tail"]
 
     def test_requires_enough_coefficients(self, heat):
@@ -119,7 +119,7 @@ class TestRootTest:
         text = "scheme diff64\nq = 64\npde A[64] = -1\n" + "".join(
             f"stencil B[{k - 32}] = {(-1) ** k * math.comb(64, k)}\n" for k in range(65))
         est = radius_root_test(derive_log(parse_scheme(text), 16), Fraction(1, 2))
-        assert est["value"] == "inf"
+        assert est["value"] == math.inf
         assert est["diagnostics"]["all_coefficients_zero"]
         assert not est["diagnostics"]["polynomial_tail"]
         assert est["diagnostics"]["coefficients_used"] == 0
@@ -175,8 +175,13 @@ class TestZeroSearch:
 
     def test_upwind_unit_ratio_infinite(self, upwind):
         est = radius_zero_search(upwind, 1)
-        assert est["value"] == "inf"
+        assert est["value"] == math.inf
         assert est["diagnostics"]["zero"] is None
+
+    # an infinite radius compares as a number: the report writes "inf", the
+    # library dict holds math.inf
+    def test_infinite_radius_is_a_float(self):
+        assert (radius_zero_search(catalog_scheme("upwind_euler"), 1)["value"] >= math.pi) is True
 
     def test_selection_rule_is_deterministic(self, heat, upwind):
         a = radius_zero_search(heat, Fraction(1, 2))
@@ -265,7 +270,7 @@ def test_lax_wendroff_matches_quadratic_formula(lax, lam):
 def test_lax_wendroff_unit_ratio_infinite(lax):
     # w S(w) = 1 at lambda = 1: the symbol is the exact shift e^{-i theta}
     est = radius_zero_search(lax, 1)
-    assert est["value"] == "inf"
+    assert est["value"] == math.inf
     assert est["diagnostics"]["coefficients_used"] == 0
 
 

@@ -152,43 +152,30 @@ def test_scheme_file_example_is_the_catalog_scheme():
 
 
 def _verdict_step_counts() -> dict:
-    """Scheme -> (hi, the verdicts that steps 1-3 decide) as README's
-    "Notes on the methods" states them for the 601-lambda scans on [0, hi]."""
+    """Scheme -> (hi, the verdicts of each route) as README's "Notes on the
+    methods" states them for the 601-lambda scans on [0, hi]."""
     section = README.read_text(encoding="utf-8").split("## Notes on the methods", 1)[1]
-    rows = re.findall(r"^  - `(\w+)` on `\[0, ([\d.]+)\]`: (\d+) / (\d+) / (\d+)[;.]$",
-                      section, re.M)
+    rows = re.findall(r"^  - `(\w+)` on `\[0, ([\d.]+)\]`: (\d+) / (\d+) / (\d+) / (\d+) / "
+                      r"(\d+)[;.]$", section, re.M)
     return {name: (float(hi), tuple(map(int, counts))) for name, hi, *counts in rows}
 
 
 def test_verdict_step_counts_match_the_scans(monkeypatch):
     stated = _verdict_step_counts()
     assert set(stated) == {"heat_centered", "upwind_euler", "lax_wendroff"}
-    # steps 1 and 2 read one kernel call on the points, as degenerate
-    # intervals, then the pieces between them (18 and 17: 35 intervals), an
-    # entry per verdict: the largest of the values and of the pieces' upper
-    # ends; step 3 is a kernel call on grid points, each a degenerate
-    # interval
-    pairs, sweeps = [], []
-    kernel = spectra._horner_upper
-
-    def record(x_a, x_b, rows):
-        hi = kernel(x_a, x_b, rows)
-        if x_a is x_b:
-            sweeps.append(rows)
-        else:
-            points = int(np.argmax(x_a != x_b))  # the degenerate intervals come first
-            assert (points, len(x_a)) == (18, 35)  # as README states
-            pairs.extend(zip(hi[:points].max(axis=0).tolist(),
-                             hi[points:].max(axis=0).tolist()))
-        return hi
-
-    monkeypatch.setattr(spectra, "_horner_upper", record)
-    tol = spectra.DEFAULT_TOL
+    # the routes: every d <= 0, a positive lowest nonzero d, then the
+    # filter's True, False and "undecided", each row as the verdicts read it
+    seen = []
+    verdicts = spectra._truncation_verdicts
+    monkeypatch.setattr(spectra, "_truncation_verdicts",
+                        lambda rows: seen.append((rows, verdicts(rows))) or seen[-1][1])
     for name, (hi, counts) in stated.items():
-        pairs.clear()
-        sweeps.clear()
+        seen.clear()
         spectra.region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
-        first = sum(value > tol for value, _ in pairs)
-        second = sum(value <= tol and upper <= tol for value, upper in pairs)
-        assert len(pairs) - first - second == len(sweeps)
-        assert (first, second, len(sweeps)) == counts, name
+        routes = [0] * 5
+        for rows, out in seen:
+            for row, verdict in zip(rows.tolist(), out):
+                nonzero = [d for d in row if d]
+                routes[0 if all(d <= 0 for d in row) else 1 if nonzero[0] > 0 else
+                       (True, False, "undecided").index(verdict) + 2] += 1
+        assert tuple(routes) == counts, name

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 from conftest import lp, random_stencils
+from modeq import spectra
 from modeq.cli import main
 from modeq.derivation import (ModifiedEq, _cosine_tables, _modulus_table, derive_log,
                               upwind_symmetry_check)
@@ -23,10 +24,10 @@ from modeq.spectra import (
     DEFAULT_TOL,
     THETAS,
     CertificateRefusal,
-    _horner_upper,
     _lambda_samples,
     _peaks,
     _rounded_tables,
+    _signed_coeffs,
     _truncation,
     _truncation_verdicts,
     _theta_coeffs,
@@ -186,24 +187,6 @@ class TestRegionScan:
             region_scan(heat, (-0.1, 0.5, 10))
         with pytest.raises(ValueError):
             region_scan(heat, (0.0, 0.5, 1))
-
-    # coefficients as the scan makes them: rounded exact values, never -0.0
-    # (0.0 - c and float_at give +0.0 for a zero), with +0.0 at odd powers;
-    # n covers odd orders and N = 1, whose top entry is an odd +0.0
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 65).flatmap(lambda n: st.tuples(st.just(n), st.lists(
-               st.one_of(st.just(0.0), st.floats(-1e6, 1e6).map(lambda v: v + 0.0)),
-               min_size=n // 2 + 1, max_size=n // 2 + 1))),
-           st.integers(2, 200))
-    def test_kernel_at_a_point_is_polyval(self, n_evens, grid):
-        n, evens = n_evens
-        c = np.zeros(n + 1)
-        c[::2] = evens
-        thetas = np.linspace(0.0, math.pi, grid)
-        # each grid point as the degenerate interval [x, x]
-        values = _horner_upper(thetas, thetas, c[None])[:, 0]
-        expected = np.polynomial.polynomial.polyval(thetas, c)
-        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.tolist()]
 
     def test_scan_rounds_only_the_even_coefficients(self, upwind, rounded_values):
         # Re P_N reads c_p at even p only: 301 samples of the 4 table values
@@ -399,7 +382,11 @@ class TestRegionScan:
 
 def _check_fields(scheme: SchemeSpec, report, expected) -> None:
     """Each sample of a scan's report against the full sweep's at the same
-    lambda, bit for bit in lambda and the verdicts.  With A = sum_p |a_p|, slack =
+    lambda, bit for bit in lambda.  A verdict may differ from the sweep's
+    only where the exact c_p prove the scan right (``_check_verdict``: the
+    sweep misses a rise between its points, or misreads rounding as one),
+    or come within rounding of zero where it reads "undecided".
+    With A = sum_p |a_p|, slack =
     2^-44 (1 + A) covers the float error of either maximum.  Each maximum
     is at least the sweep's less slack, and at most the bound of the largest
     value between two grid points: with b the weights of S or 1 - S, the
@@ -416,7 +403,9 @@ def _check_fields(scheme: SchemeSpec, report, expected) -> None:
     for k in range(len(report.samples)):
         got, grid = _row(report, k), _row(expected, k)
         assert got["lambda"].hex() == grid["lambda"].hex()
-        assert got["trunc_stable"] == grid["trunc_stable"]
+        for n, verdict in got["trunc_stable"].items():
+            if verdict != grid["trunc_stable"][n]:
+                _check_scan_verdict(scheme, got["lambda"], int(n), verdict)
         total = sum(abs(a) for _, a in symbol_weights(scheme, got["lambda"]))
         slack = 2.0 ** -44 * (1.0 + total)
         for key, b in (("max_abs_S", total), ("max_abs_one_minus_S", 1.0 + total)):
@@ -431,6 +420,19 @@ def _check_fields(scheme: SchemeSpec, report, expected) -> None:
             assert abs(1.0 - eval_symbol(scheme, got["lambda"], got["theta_m"])) >= 1.0 - slack
 
 
+def _check_scan_verdict(scheme: SchemeSpec, lam: float, order: int, verdict) -> None:
+    """The scan's truncation verdict at ``lam`` checked on the exact signed
+    even c_p, with the kernel's points of the same row rerun."""
+    modeq = derive_log(scheme, order)
+    ps = range(2, order + 1, 2)
+    cs = [modeq.coeff(p)(lam) * (-1 if p & 2 else 1) for p in ps]
+    points = []
+    with pytest.MonkeyPatch.context() as patch:
+        _recording_kernel(patch, points)
+        _truncation_verdicts(np.array([_signed_coeffs(modeq, lam, ps)]))
+    _check_verdict(cs, verdict, points)
+
+
 def _check_flags(report) -> None:
     """in_Rs and in_Omega_c of every sample as its maxima and DEFAULT_TOL say."""
     columns = report.columns
@@ -442,179 +444,205 @@ def _check_flags(report) -> None:
 _row = lambda_sample_json_dict  # sample k of a report, by report key
 
 
-# the even entries of a Re P_N row: all <= 0, all >= 0 or of mixed signs,
-# with +-0.0, values near DEFAULT_TOL and magnitudes up to 1e300, where
-# Horner overflows to +-inf (never to NaN: the entries are finite)
-_EDGE_VALUES = [0.0, -0.0, DEFAULT_TOL, -DEFAULT_TOL, 5e-324, 1.0, 1e300, -1e300]
-_SIGNS = {"nonpositive": lambda v: -abs(v), "nonnegative": abs, "mixed": lambda v: v}
+def _exact_q(cs: list, t: Fraction) -> Fraction:
+    """q(t) = sum_k cs[k] t^k in exact arithmetic."""
+    value = Fraction(0)
+    for c in reversed(cs):
+        value = value * t + c
+    return value
+
+
+_PI2_LOW = Fraction(math.pi ** 2)  # below pi^2, as the mpmath check below confirms
+
+
+def _recording_kernel(monkeypatch, points: list) -> None:
+    """Patch the verdicts' kernel to append, for each of its calls, the
+    points it evaluates, the left ends of its pieces, as (t, row, v - E,
+    v + E) arrays."""
+    kernel = spectra._horner_upper
+
+    def record(a, b, rows, index):
+        v, err, bound = kernel(a, b, rows, index)
+        points.append((a, index, v - err, v + err))
+        return v, err, bound
+
+    monkeypatch.setattr(spectra, "_horner_upper", record)
+
+
+def _check_verdict(cs: list, verdict, points=(), row: int = 0) -> None:
+    """A verdict on the exact row ``cs`` is a proof: True needs q(t) <= 0 at
+    sampled t in [0, pi^2], the kernel's points of ``row`` among them; False
+    needs a t in (0, pi^2] with q(t) > 0, either one where the lowest nonzero
+    c > 0 outweighs the rest or a point where the kernel proved it.
+    "undecided" needs a kernel point where q(t) is within 2^-40 sum_k (|c_k|
+    + 2^-900) t^k of zero, closer than rounded c_k (or the kernel's floor of
+    2^-960 on each |c_k|) can tell."""
+    def at(keep):
+        return [Fraction(t) for ts, rs, low, high in points
+                for t in ts[(rs == row) & keep(low, high)][:8].tolist()]
+
+    if verdict is True:
+        grid = [_PI2_LOW * k * k / 1024 for k in range(33)]
+        assert all(_exact_q(cs, t) <= 0 for t in grid + at(lambda low, high: True))
+    elif verdict is False:
+        found = at(lambda low, high: low > 0)
+        j = next(j for j, c in enumerate(cs) if c)
+        if cs[j] > 0:
+            rest = sum(abs(c) for c in cs[j + 1:])
+            found.append(min(Fraction(1), cs[j] / (2 * rest)) if rest else Fraction(1))
+        assert any(0 < t <= _PI2_LOW and _exact_q(cs, t) > 0 for t in found[:4])
+    else:
+        assert verdict == "undecided"
+        near = at(lambda low, high: (low <= 0) & (high > 0))
+        size = [abs(c) + Fraction(2) ** -900 for c in cs]
+        assert any(abs(_exact_q(cs, t)) <= 2.0 ** -40 * _exact_q(size, t) for t in near)
 
 
 @st.composite
-def _even_rows(draw, n: int) -> list:
-    scale = draw(st.sampled_from([1e-11, 1e3, 1e300]))  # one magnitude class per row
-    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-scale, scale))
-    sign = _SIGNS[draw(st.sampled_from(sorted(_SIGNS)))]
-    row = [0.0] * (n + 1)
-    row[::2] = [sign(v) for v in draw(st.lists(value, min_size=n // 2 + 1,
-                                               max_size=n // 2 + 1))]
-    return row
+def _exact_rows(draw, m: int) -> tuple:
+    """An exact row of m signed even c_p (Fractions) and its floats as a scan
+    makes them: each rounded once, a nonzero below the double range made the
+    smallest double of its sign.  Either independent entries of one
+    magnitude class, or t^j (e - w (t - a)^2), which touches, nearly
+    touches or crosses zero at t = a."""
+    if m >= 3 and draw(st.booleans()):
+        a, w = Fraction(draw(st.integers(0, 1000)), 100), Fraction(draw(st.integers(1, 99)))
+        e = draw(st.sampled_from([0, 1, -1])) * Fraction(10) ** -draw(st.sampled_from([6, 12, 15]))
+        j = draw(st.integers(0, m - 3))
+        cs = [Fraction(0)] * j + [e - w * a * a, 2 * w * a, -w] + [Fraction(0)] * (m - 3 - j)
+    else:
+        scale = Fraction(10) ** draw(st.sampled_from([-330, -300, -3, 0, 3, 290]))
+        entry = st.one_of(st.just(0), st.integers(-10**6, 10**6).map(lambda n: n * scale / 997))
+        cs = [Fraction(c) for c in draw(st.lists(entry, min_size=m, max_size=m))]
+    return cs, [math.copysign(5e-324, c) if c and not float(c) else float(c) for c in cs]
 
 
-# the rows of one order, stacked as a scan stacks its lambdas
-_ROW_BATCHES = st.integers(1, 65).flatmap(
-    lambda n: st.lists(_even_rows(n), min_size=1, max_size=6))
-
-
-def _swept_verdicts(thetas: np.ndarray, rows: list) -> list:
-    """Each row's verdict by ``polyval`` over the whole of ``thetas``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [bool(np.polynomial.polynomial.polyval(thetas, row).max() <= DEFAULT_TOL)
-                for row in rows]
-
-
-# rows that only step 3 decides on a 64-point grid: -(theta^2 - 1)^2,
-# stable, and 1e-6 - (theta^2 - a)^2, unstable at theta = sqrt(a), the grid
-# point 5, between the points 3 and 7 of step 1
-_A = np.linspace(0.0, math.pi, 64)[5].item() ** 2
-_STEP3_ROWS = ([-1.0, 0.0, 2.0, 0.0, -1.0], [1e-6 - _A * _A, 0.0, 2 * _A, 0.0, -1.0])
-
-
-def _float_horner(x: float, c: list) -> float:
-    """sum_k c[k] x^k by ``polyval``'s steps on Python floats, less its adds
-    of +0.0 at odd k."""
-    v = c[-1]
-    for k in range(len(c) - 2, -1, -1):
-        v *= x
-        if k % 2 == 0:
-            v += c[k]
-    return v
-
-
-def _recording_kernel(monkeypatch, calls: list) -> None:
-    """Patch the verdicts' kernel to append, per call, whether it evaluates
-    a row at grid points only (step 3) rather than at the 17 points and on
-    the 16 pieces."""
-    kernel = _horner_upper
-    monkeypatch.setattr("modeq.spectra._horner_upper",
-                        lambda x_a, x_b, rows: (calls.append(x_a is x_b)
-                                                or kernel(x_a, x_b, rows)))
+def _swept(row: list) -> float:
+    """max over THETAS of Re P_N, the row's float q at theta^2 times theta^2."""
+    t = THETAS ** 2
+    return float(np.max(t * np.polynomial.polynomial.polyval(t, row)))
 
 
 class TestTruncationVerdict:
-    # the grid maximum exactly DEFAULT_TOL, at theta = 0 only and everywhere;
-    # an entry in (0, tol] that pi^2 lifts above tol; an entry in (-tol, 0)
-    # that pulls the value at pi, not the maximum, below tol
-    @example([[DEFAULT_TOL, 0.0, -1.0], [DEFAULT_TOL, 0.0, 0.0], [0.0, 0.0, DEFAULT_TOL]], 64)
-    @example([[0.0, 0.0, 1e-12, 0.0, -1e-13]], 64)
-    # Horner overflows to -inf at pi, and so does the last piece's upper
-    # end; the first piece's clamp keeps its upper end finite, where
-    # -inf * 0 would be NaN (its right end is below 1, so that end itself
-    # never reaches -inf): stable
-    @example([[0.0, 0.0, 1e-14] + [0.0] * 33 + [-1e300]], 64)
-    # the value at pi overflows to -inf, but theta^34 outgrows theta^36
-    # below 1, so a point below 1 decides: unstable
-    @example([[0.0] * 34 + [1e300, 0.0, -1e300]], 64)
-    # 0.1 - (pi^2/4 - theta^2)^2 exceeds tol only near pi/2, far from 0
-    # and pi: the point nearest pi/2 decides, unstable
-    @example([[0.1 - math.pi ** 4 / 16, 0.0, math.pi ** 2 / 2, 0.0, -1.0]], 64)
-    # -(theta^2 - 1)^2 is at most 0, but the piece bound around theta = 1
-    # sees no cancellation: the grid is evaluated, stable; and a bump above
-    # tol between two points of step 1: the grid is evaluated, unstable
-    @example(list(_STEP3_ROWS), 64)
-    # lax_wendroff at lambda = 0.8, N = 8: stable, and the pieces decide it
-    # where one bound on all of [0, pi] exceeds tol
-    @example([[0.0, 0.0, 0.0, 0.0, -0.03599999999999998, 0.0, 0.005999999999999997, 0.0,
-               -0.0014867999999999988]], 64)
-    @settings(max_examples=400, deadline=None)
-    @given(_ROW_BATCHES, st.integers(64, 4097))
-    def test_verdict_equals_full_sweep(self, rows, grid):
-        thetas = np.linspace(0.0, math.pi, grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            verdicts = _truncation_verdicts(thetas, np.array(rows))
-        assert verdicts == _swept_verdicts(thetas, rows)
+    # a True verdict holds at every sampled t, a False one at an exact
+    # witness, and an "undecided" one comes within rounding of zero; rows
+    # touch, nearly touch or cross zero, or have entries from 1e-330 (below
+    # the double range) to 1e296
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 32).flatmap(lambda m: st.lists(_exact_rows(m), min_size=1,
+                                                         max_size=3)))
+    def test_verdicts_are_sound(self, batch):
+        points = []
+        with pytest.MonkeyPatch.context() as patch:
+            _recording_kernel(patch, points)
+            verdicts = _truncation_verdicts(np.array([row for _, row in batch]))
+        for i, ((cs, _), verdict) in enumerate(zip(batch, verdicts)):
+            _check_verdict(cs, verdict, points, i)
 
-    # a verdict reads only its own row: a batch of more than 1024 rows, which
-    # the kernel takes in blocks, gets the per-row sweep's verdicts, and a
-    # shuffled batch the shuffled verdicts; the drawn rows are mixed with
-    # _STEP3_ROWS, so that some rows in every block reach step 3
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(4, 65).flatmap(lambda n: st.lists(_even_rows(n), min_size=1, max_size=6)),
-           st.integers(1025, 1100), st.integers(0, 2**32 - 1))
+    # the kernel's E bounds the exact q of the exact row at a from both
+    # sides, and R bounds it from above at sampled t of [a, b]
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 32).flatmap(lambda m: _exact_rows(m)),
+           st.floats(0.0, 9.9), st.floats(0.0, 1.0))
+    def test_error_term_bounds_the_exact_value(self, exact_row, a, share):
+        cs, row = exact_row
+        top = max(map(abs, row))
+        e = max(math.frexp(top)[1], 0) if top else 0
+        cs, q = [c / 2 ** e for c in cs], np.ldexp(np.array([row]), -e)  # |q| < 1, as scaled
+        b = a + share * (9.9 - a)
+        assume(a < b)
+        [v], [err], [bound] = spectra._horner_upper(np.array([a]), np.array([b]), q,
+                                                    np.array([0]))
+        exact = _exact_q(cs, Fraction(a))
+        assert Fraction(v) - Fraction(err) <= exact <= Fraction(v) + Fraction(err)
+        for k in range(1, 9):
+            t = Fraction(a) + (Fraction(b) - Fraction(a)) * k / 8
+            assert _exact_q(cs, t) <= Fraction(v) + Fraction(bound)
+
+    def test_nonpositive_rows_are_stable_without_the_kernel(self, monkeypatch):
+        points = []
+        _recording_kernel(monkeypatch, points)
+        rows = [[-1.0, -0.0, 0.0, -2.0], [0.0, 0.0, 0.0, 0.0], [-5e-324, -1e300, 0.0, -1.0]]
+        assert _truncation_verdicts(np.array(rows)) == [True, True, True]
+        assert not any(len(t) for t, *_ in points)  # no point evaluated
+
+    def test_positive_lowest_entry_is_unstable_where_the_grid_reads_stable(self, monkeypatch):
+        # Re P_4 = 1e-9 theta^2 - 1e3 theta^4 > 0 only below theta = 1e-6,
+        # inside the grid's first step, and the rest of the row does not matter
+        points = []
+        _recording_kernel(monkeypatch, points)
+        rows = [[1e-9, -1e3, 0.0], [0.0, 5e-324, -1e300]]
+        assert _truncation_verdicts(np.array(rows)) == [False, False]
+        assert not any(len(t) for t, *_ in points)  # no point evaluated
+        assert _swept(rows[0]) <= DEFAULT_TOL
+        _check_verdict([Fraction(c) for c in rows[0]], False)
+
+    def test_touching_zero_is_undecided(self, monkeypatch):
+        # q = -(t - 1)^2 <= 0, with q(1) = 0: no float bound proves it, and
+        # no point proves it unstable; the halvings stop at the cap
+        calls = []
+        _recording_kernel(monkeypatch, calls)
+        assert _truncation_verdicts(np.array([[-1.0, 2.0, -1.0]])) == ["undecided"]
+        assert 1 < len(calls) <= 31
+
+    def test_huge_entries_give_no_nan(self, monkeypatch):
+        # entries near 1e300 and a lowest one near 1e-300; an overflow or a
+        # NaN would raise its RuntimeWarning as an error here
+        kernel, points = spectra._horner_upper, []
+
+        def finite(*args):
+            values = kernel(*args)
+            assert all(np.isfinite(x).all() for x in values)
+            return values
+
+        monkeypatch.setattr(spectra, "_horner_upper", finite)
+        _recording_kernel(monkeypatch, points)
+        rows = [[-1e300, 1e300, -1e300, 1.7e308], [-1e-300, 1e300, -1e300, 0.0],
+                [-1e300, 2e300, -1e300, 0.0], [-1.7e308, 1e-300, -1e300, 0.0]]
+        verdicts = _truncation_verdicts(np.array(rows))
+        assert verdicts == [False, False, "undecided", True]
+        for i in (0, 1, 3):
+            _check_verdict([Fraction(c) for c in rows[i]], verdicts[i], points, i)
+
+    # a verdict reads only its own row: in a batch, shuffled or alone, a row
+    # gets the same verdict, also where its pieces are halved
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(_exact_rows(4), min_size=1, max_size=5), st.integers(2, 60),
+           st.integers(0, 2**32 - 1))
     def test_verdicts_are_per_row(self, rows, size, seed):
-        thetas = np.linspace(0.0, math.pi, 64)
-        rows = rows + [row + [0.0] * (len(rows[0]) - len(row)) for row in _STEP3_ROWS]
+        rows = [row for _, row in rows] + [[-1.0, 2.0, -1.0, 0.0], [1e-6 - 4.0, 4.0, -1.0, 0.0]]
         rng = np.random.default_rng(seed)
         batch = [rows[i] for i in rng.integers(len(rows), size=size).tolist()]
         order = rng.permutation(size).tolist()
-        with np.errstate(over="ignore", invalid="ignore"):
-            verdicts = _truncation_verdicts(thetas, np.array(batch))
-            shuffled = _truncation_verdicts(thetas, np.array([batch[i] for i in order]))
-        assert verdicts == _swept_verdicts(thetas, batch)
-        assert shuffled == [verdicts[i] for i in order]
+        verdicts = _truncation_verdicts(np.array(batch))
+        assert _truncation_verdicts(np.array([batch[i] for i in order])) == \
+            [verdicts[i] for i in order]
+        alone = {tuple(row): _truncation_verdicts(np.array([row]))[0] for row in rows}
+        assert verdicts == [alone[tuple(row)] for row in batch]
 
-    def test_sweep_runs_only_for_mixed_signs(self, monkeypatch):
-        swept = []
-        _recording_kernel(monkeypatch, swept)
-        thetas = np.linspace(0.0, math.pi, 64)
-        # one-signed, then mixed signs decided by the points or the pieces
-        rows = [[0.0, 0.0, -1.0, 0.0, -2.0], [0.0, 0.0, 1.0, 0.0, -0.01],
-                [0.0, 0.0, DEFAULT_TOL / 20, 0.0, 0.0], [0.0, 0.0, 1e-14, 0.0, -1.0]]
-        assert _truncation_verdicts(thetas, np.array(rows)) == [True, False, True, True]
-        assert swept == [False]
-        # mixed signs that only the grid decides
-        swept.clear()
-        assert _truncation_verdicts(thetas, np.array(_STEP3_ROWS)) == [True, False]
-        assert swept == [False, True, True]
+    def test_the_points_lie_below_pi_squared(self):
+        with mp.workdps(40):
+            assert mp.mpf(_PI2_LOW.numerator) / _PI2_LOW.denominator < mp.pi ** 2
+            assert mp.mpf(Fraction(spectra._T).numerator) / Fraction(spectra._T).denominator \
+                > mp.pi ** 2
 
-    # a row whose even entries share a sign is decided by the values at the
-    # points or by the pieces' upper ends: the grid is never evaluated
-    @example([[DEFAULT_TOL, 0.0, 0.0]], 64)  # value and bound exactly tol
-    @settings(max_examples=200, deadline=None)
-    @given(_ROW_BATCHES, st.integers(64, 4097))
-    def test_one_signed_rows_need_no_sweep(self, rows, grid):
-        rows = [row for row in rows
-                if all(d <= 0 for d in row[::2]) or all(d >= 0 for d in row[::2])]
-        assume(rows)
-        swept = []
-        with pytest.MonkeyPatch.context() as patch, \
-                np.errstate(over="ignore", invalid="ignore"):
-            _recording_kernel(patch, swept)
-            _truncation_verdicts(np.linspace(0.0, math.pi, grid), np.array(rows))
-        assert swept == [False]
+    # a c_p too small for a double rounds to a zero, which the scan
+    # re-evaluates: c_2 = -lambda^2 at lambda = 1e-200 makes Re P_4 =
+    # 1e-400 theta^2 - theta^4, positive just above theta = 0
+    def test_underflowing_c_p_keeps_its_sign(self, heat, monkeypatch):
+        modeq = ModifiedEq("tiny", 1, (LP_ZERO, lp(0, 0, -1), LP_ZERO, lp(-1)))
+        monkeypatch.setattr("modeq.spectra.derive_log", lambda scheme, order: modeq)
+        report = region_scan(heat, (0.0, 1e-200, 2), orders=(4,))
+        assert report.trunc_stable == {4: (True, False)}
+        _check_verdict([-modeq.coeff(2)(1e-200), modeq.coeff(4)(1e-200)], False)
 
-    # the kernel's value at the degenerate interval [pi, pi] is the
-    # Python-float Horner value at pi, bit for bit
-    @settings(max_examples=200, deadline=None)
-    @given(_ROW_BATCHES)
-    def test_value_is_the_horner_value_at_pi(self, rows):
-        pi = np.array([math.pi])
-        with np.errstate(over="ignore", invalid="ignore"):
-            [value] = _horner_upper(pi, pi, np.array(rows))
-        assert [v.hex() for v in value.tolist()] == \
-            [_float_horner(math.pi, row).hex() for row in rows]
-
-    def test_catalog_scans_sweep_rarely(self, monkeypatch):
-        # 1803 verdicts per scan; the values at 17 points and the upper ends
-        # on the 16 pieces between them decide all 5409
-        swept, batches = [], []
-        _recording_kernel(monkeypatch, swept)
-        verdicts = _truncation_verdicts
-        monkeypatch.setattr("modeq.spectra._truncation_verdicts",
-                            lambda thetas, rows: (batches.append(rows)
-                                                  or verdicts(thetas, rows)))
-        reports = [region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
-                   for name, hi in (("heat_centered", 0.8), ("upwind_euler", 1.6),
-                                    ("lax_wendroff", 1.6))]
-        assert sum(swept) == 0
-        # lax_wendroff's stable rows at N = 8: one bound on all of [0, pi]
-        # leaves 374 of them undecided, the 16 pieces none
-        rows = batches[-1]
-        stable = np.array(reports[-1].trunc_stable[8])
-        ends = THETAS[[k * (DEFAULT_GRID - 1) // 16 for k in range(17)]]
-        whole = _horner_upper(ends[:1], ends[-1:], rows)[0]
-        pieces = _horner_upper(ends[:-1], ends[1:], rows).max(axis=0)
-        assert np.count_nonzero(stable & (whole > DEFAULT_TOL)) == 374
-        assert np.all(pieces[stable] <= DEFAULT_TOL)
+    # regions reads no theta grid: the same report on any THETAS
+    @pytest.mark.parametrize("name, hi", [("upwind_euler", 1.6), ("lax_wendroff", 1.6)])
+    def test_scan_reads_no_grid(self, name, hi, monkeypatch):
+        scheme = catalog_scheme(name)
+        report = region_scan(scheme, (0.0, hi, 61), orders=(1, 2, 4, 8, 16))
+        monkeypatch.setattr(spectra, "THETAS", np.linspace(0.0, 1.0, 7))
+        assert region_scan(scheme, (0.0, hi, 61), orders=(1, 2, 4, 8, 16)) == report
 
 
 class TestTruncatedAmplification:
