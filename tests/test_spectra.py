@@ -166,6 +166,11 @@ class TestThetaM:
         assert region_scan(upwind, (0.0, 0.5, 3)).columns["theta_m"][2] == math.pi
 
 
+# an entry of a row as the verdicts hand it to their kernel: |q| < 1
+_SCALED_ENTRY = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, exclude_min=True,
+                                                  exclude_max=True))
+
+
 class TestRegionScan:
     def test_heat_boundaries(self, heat):
         report = region_scan(heat, (0.0, 0.6, 61), orders=(4,))
@@ -187,6 +192,20 @@ class TestRegionScan:
             region_scan(heat, (-0.1, 0.5, 10))
         with pytest.raises(ValueError):
             region_scan(heat, (0.0, 0.5, 1))
+
+    # the kernel's value at each left end t is numpy's polyval of the row at
+    # t, bit for bit: rows as the verdicts scale them (|q| < 1), t = theta^2
+    # on a theta grid of [0, pi]
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 32).flatmap(lambda m: st.lists(_SCALED_ENTRY, min_size=m,
+                                                         max_size=m)),
+           st.integers(2, 200))
+    def test_kernel_at_a_point_is_polyval(self, row, grid):
+        ts = np.linspace(0.0, math.pi, grid) ** 2
+        values, _, _ = spectra._horner_upper(ts, ts + 0.125, np.array([row]),
+                                             np.zeros(grid, dtype=int))
+        expected = np.polynomial.polynomial.polyval(ts, row)
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.tolist()]
 
     def test_scan_rounds_only_the_even_coefficients(self, upwind, rounded_values):
         # Re P_N reads c_p at even p only: 301 samples of the 4 table values
@@ -558,6 +577,46 @@ class TestTruncationVerdict:
         for k in range(1, 9):
             t = Fraction(a) + (Fraction(b) - Fraction(a)) * k / 8
             assert _exact_q(cs, t) <= Fraction(v) + Fraction(bound)
+
+    # the kernel's value at t = pi^2 (theta = pi) is the Python-float Horner
+    # value there, bit for bit, for each row of a batch
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 32).flatmap(lambda m: st.lists(
+        st.lists(_SCALED_ENTRY, min_size=m, max_size=m), min_size=1, max_size=4)))
+    def test_value_is_the_horner_value_at_pi(self, rows):
+        def horner(t, row):
+            value = 0.0
+            for c in reversed(row):
+                value = value * t + c
+            return value
+
+        t = np.full(len(rows), math.pi ** 2)
+        values, _, _ = spectra._horner_upper(t, t + 0.125, np.array(rows), np.arange(len(rows)))
+        assert [v.hex() for v in values.tolist()] == \
+            [horner(math.pi ** 2, row).hex() for row in rows]
+
+    def test_catalog_scans_sweep_rarely(self, monkeypatch):
+        # 1803 verdicts per scan; the kernel sees only the rows of mixed
+        # signs, on 16 pieces each, and proves every one stable there: no
+        # piece is halved, one kernel call a batch
+        calls, kernel = [], spectra._horner_upper
+        monkeypatch.setattr(spectra, "_horner_upper", lambda a, b, rows, index: (
+            calls.append((a, b, rows, index)) or kernel(a, b, rows, index)))
+        for name, hi, sent in (("heat_centered", 0.8, [125, 171]),
+                               ("upwind_euler", 1.6, [159, 261]),
+                               ("lax_wendroff", 1.6, [0, 374])):
+            calls.clear()
+            region_scan(catalog_scheme(name), (0.0, hi, 601), orders=(2, 4, 8))
+            assert [len(np.unique(index)) for *_, index in calls] == sent, name
+            assert all(len(a) == 16 * len(np.unique(index)) for a, *_, index in calls)
+        # lax_wendroff's stable rows at N = 8: one bound on all of [0, pi^2]
+        # leaves all 374 of them open, the 16 pieces none
+        a, b, rows, index = calls[-1]
+        v, err, bound = kernel(a, b, rows, index)
+        assert not np.any(v - err > 0) and not np.any(v + bound > 0)
+        whole = np.unique(index)
+        v, _, bound = kernel(np.zeros(len(whole)), np.full(len(whole), spectra._T), rows, whole)
+        assert np.count_nonzero(v + bound > 0) == 374
 
     def test_nonpositive_rows_are_stable_without_the_kernel(self, monkeypatch):
         points = []
